@@ -61,19 +61,30 @@ impl ResultSet {
         &self.tuples[..k.min(self.tuples.len())]
     }
 
+    /// Positions into [`tuples`](Self::tuples), best first under the
+    /// global ranking function. Every tuple is scored once and the sort
+    /// is stable, so equal scores keep emission order.
+    pub fn ranked_order(&self) -> Vec<u32> {
+        let scores: Vec<f64> = self.tuples.iter().map(|t| self.ranking.score(t)).collect();
+        let n = u32::try_from(self.tuples.len()).expect("fewer than 2^32 combinations");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            scores[b as usize]
+                .partial_cmp(&scores[a as usize])
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        order
+    }
+
     /// The best `k` answers under the global ranking function (a sort
     /// over everything emitted so far — the "top-k of the extracted
     /// prefix", not a guaranteed global top-k).
     pub fn top_k(&self, k: usize) -> Vec<CompositeTuple> {
-        let mut sorted = self.tuples.clone();
-        sorted.sort_by(|a, b| {
-            self.ranking
-                .score(b)
-                .partial_cmp(&self.ranking.score(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        sorted.truncate(k);
-        sorted
+        self.ranked_order()
+            .iter()
+            .take(k)
+            .map(|&at| self.tuples[at as usize].clone())
+            .collect()
     }
 
     /// Fraction of emission-order pairs that are inverted w.r.t. the
@@ -156,6 +167,37 @@ mod tests {
         let top = rs.top_k(2);
         assert_eq!(top[0].components[0].score, 0.9);
         assert_eq!(top[1].components[0].score, 0.5);
+    }
+
+    /// The clone-and-sort `top_k` this module shipped before the index
+    /// sort — kept as the reference the new one must equal.
+    fn clone_and_sort(rs: &ResultSet, k: usize) -> Vec<CompositeTuple> {
+        let mut sorted = rs.tuples.clone();
+        sorted.sort_by(|a, b| {
+            rs.ranking
+                .score(b)
+                .partial_cmp(&rs.ranking.score(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+        sorted.truncate(k);
+        sorted
+    }
+
+    #[test]
+    fn top_k_equals_clone_and_sort_with_ties_in_emission_order() {
+        // Repeated scores: ties must come out in emission (source-rank) order.
+        let rs = set(&[0.5, 0.9, 0.5, 0.1, 0.9, 0.5, 0.0]);
+        let n = rs.len();
+        for k in [0, 1, n, n + 5] {
+            assert_eq!(rs.top_k(k), clone_and_sort(&rs, k), "k = {k}");
+        }
+        let ranks: Vec<usize> = rs
+            .top_k(n)
+            .iter()
+            .map(|c| c.components[0].source_rank)
+            .collect();
+        assert_eq!(ranks, [1, 4, 0, 2, 5, 3, 6]);
+        assert!(set(&[]).top_k(3).is_empty());
     }
 
     #[test]

@@ -287,16 +287,12 @@ fn handle_session_op(
 ) -> io::Result<()> {
     match op {
         "more" => {
-            let Some((tenant, k)) = state.with_session(id, |s| (s.tenant.clone(), s.query.k))
-            else {
-                return error(stream, 404, "no such session");
-            };
-            let n = req.param_usize("n", k).max(1);
             let Some(body) = state.with_session(id, |s| {
+                let n = req.param_usize("n", s.query.k).max(1);
                 let rows = s.next(n);
                 json!({
                     "session": id,
-                    "tenant": tenant,
+                    "tenant": s.tenant,
                     "rows": render_rows(&s.set.ranking, &rows),
                     "delivered": s.delivered(),
                     "remaining": s.len() - s.delivered(),
@@ -353,8 +349,8 @@ fn handle_expand(
         return error(stream, 400, "expand needs ?atom=");
     };
     let extra = req.param_usize("extra", 1).max(1) as u32;
-    // Snapshot what re-execution needs, then run outside the session
-    // table lock so other sessions stay responsive.
+    // Snapshot what re-execution needs, then run with no session lock
+    // held.
     let Some((tenant, k, mut plan)) =
         state.with_session(id, |s| (s.tenant.clone(), s.query.k, s.plan.clone()))
     else {

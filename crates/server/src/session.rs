@@ -7,8 +7,8 @@
 //! with deeper fetches — all against the answer already extracted,
 //! without restarting the query ("liquid queries"). A [`Session`] keeps
 //! exactly the state those operations need: the parsed query, the
-//! executed plan, the full emitted result universe, and the set of
-//! combinations already delivered to the client.
+//! executed plan, the full emitted result universe, and which of its
+//! combinations were already delivered to the client.
 //!
 //! Delivery is *ranked and incremental*: every [`Session::next`] call
 //! walks the current ranking order and hands out the best combinations
@@ -16,8 +16,14 @@
 //! weights while never repeating a row. Expansion unions freshly
 //! extracted combinations into the universe (deduplicated), after which
 //! the cursor sees them like any other undelivered row.
+//!
+//! The universe is ranked *once per order*, not once per call: the
+//! session keeps the ranked positions ([`ResultSet::ranked_order`]),
+//! built on first use and dropped only when the order changes (`rerank`,
+//! or an `absorb` that added rows), so a page costs its own length.
 
-use std::collections::BTreeSet;
+use std::cell::OnceCell;
+use std::collections::HashSet;
 
 use seco_engine::ResultSet;
 use seco_model::CompositeTuple;
@@ -60,7 +66,19 @@ pub struct Session {
     /// ranking function (which starts as the query's and changes on
     /// `rerank`).
     pub set: ResultSet,
-    delivered: BTreeSet<String>,
+    /// Positions into `set.tuples`, best first under the current
+    /// ranking. Empty until the first `next`/`head` (a session that is
+    /// never paged never sorts) and again after the order changed.
+    order: OnceCell<Vec<u32>>,
+    /// Every entry of `order` before this one is delivered.
+    pos: usize,
+    /// Delivered flag per position of `set.tuples` (rows absorbed since
+    /// the last page are past its end, and undelivered).
+    delivered: Vec<bool>,
+    delivered_count: usize,
+    /// [`combo_key`] of every row in `set`; empty until the first
+    /// `absorb`, kept in step with `set` from then on.
+    known: HashSet<String>,
 }
 
 impl Session {
@@ -72,7 +90,11 @@ impl Session {
             query,
             plan,
             set,
-            delivered: BTreeSet::new(),
+            order: OnceCell::new(),
+            pos: 0,
+            delivered: Vec::new(),
+            delivered_count: 0,
+            known: HashSet::new(),
         }
     }
 
@@ -88,28 +110,35 @@ impl Session {
 
     /// Combinations already handed to the client.
     pub fn delivered(&self) -> usize {
-        self.delivered.len()
+        self.delivered_count
     }
 
     /// The next `n` best undelivered combinations under the current
     /// ranking, marked as delivered.
     pub fn next(&mut self, n: usize) -> Vec<CompositeTuple> {
-        let mut out = Vec::with_capacity(n);
-        for combo in self.set.top_k(self.set.len()) {
-            if out.len() == n {
-                break;
-            }
-            if self.delivered.insert(combo_key(&combo)) {
-                out.push(combo);
+        let order = self.order.get_or_init(|| self.set.ranked_order());
+        self.delivered.resize(self.set.len(), false);
+        let mut out = Vec::with_capacity(n.min(order.len() - self.pos));
+        while out.len() < n && self.pos < order.len() {
+            let at = order[self.pos] as usize;
+            self.pos += 1;
+            if !std::mem::replace(&mut self.delivered[at], true) {
+                out.push(self.set.tuples[at].clone());
             }
         }
+        self.delivered_count += out.len();
         out
     }
 
     /// The current top-`n` view (delivered or not, nothing marked) —
     /// what a client re-reads after changing the ranking.
     pub fn head(&self, n: usize) -> Vec<CompositeTuple> {
-        self.set.top_k(n)
+        let order = self.order.get_or_init(|| self.set.ranked_order());
+        order
+            .iter()
+            .take(n)
+            .map(|&at| self.set.tuples[at as usize].clone())
+            .collect()
     }
 
     /// Replaces the ranking function; the delivery cursor carries over,
@@ -123,22 +152,36 @@ impl Session {
             ));
         }
         self.set.ranking = ranking;
+        self.reorder();
         Ok(())
     }
 
     /// Unions freshly extracted combinations into the universe,
-    /// returning how many were actually new. Known rows keep their
-    /// delivered status; new ones become visible to the cursor.
+    /// returning how many were actually new (a combination repeated
+    /// within `combos` counts once). Known rows keep their delivered
+    /// status; new ones become visible to the cursor.
     pub fn absorb(&mut self, combos: Vec<CompositeTuple>) -> usize {
-        let known: BTreeSet<String> = self.set.tuples.iter().map(combo_key).collect();
-        let mut added = 0;
+        if self.known.is_empty() {
+            self.known.extend(self.set.tuples.iter().map(combo_key));
+        }
+        let before = self.set.len();
         for combo in combos {
-            if !known.contains(&combo_key(&combo)) {
+            if self.known.insert(combo_key(&combo)) {
                 self.set.tuples.push(combo);
-                added += 1;
             }
         }
+        let added = self.set.len() - before;
+        if added > 0 {
+            self.reorder();
+        }
         added
+    }
+
+    /// Drops the ranked positions: the next page or head re-ranks the
+    /// universe and walks it from the top, skipping delivered rows.
+    fn reorder(&mut self) {
+        self.order.take();
+        self.pos = 0;
     }
 }
 
@@ -147,13 +190,82 @@ mod tests {
     use super::*;
     use seco_engine::{execute_plan, EngineConfig};
     use seco_optimizer::{optimize, CostMetric};
+    use seco_services::ServiceRegistry;
+    use std::collections::BTreeSet;
 
-    fn session() -> Session {
-        let (registry, query) = seco_bench::chain_scenario(3, 42);
+    fn open((registry, query): (ServiceRegistry, Query)) -> Session {
         let best = optimize(&query, &registry, CostMetric::RequestCount).expect("plan");
         let out = execute_plan(&best.plan, &registry, EngineConfig::default()).expect("run");
         let set = ResultSet::new(out.results, query.ranking.clone());
         Session::new(1, "t".into(), query, best.plan, set)
+    }
+
+    fn session() -> Session {
+        open(seco_bench::chain_scenario(3, 42))
+    }
+
+    fn keys(combos: &[CompositeTuple]) -> Vec<String> {
+        combos.iter().map(combo_key).collect()
+    }
+
+    /// The cursor this module shipped before the ranked index, kept as
+    /// the reference model: clone and sort the whole universe on every
+    /// call, recompute both scores in every comparison, track delivery
+    /// and identity by rendered key.
+    struct Reference {
+        set: ResultSet,
+        delivered: BTreeSet<String>,
+    }
+
+    impl Reference {
+        fn top_k(&self, k: usize) -> Vec<CompositeTuple> {
+            let mut sorted = self.set.tuples.clone();
+            sorted.sort_by(|a, b| {
+                let (a, b) = (self.set.ranking.score(a), self.set.ranking.score(b));
+                b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal)
+            });
+            sorted.truncate(k);
+            sorted
+        }
+
+        fn next(&mut self, n: usize) -> Vec<CompositeTuple> {
+            let mut out = Vec::new();
+            for combo in self.top_k(self.set.len()) {
+                if out.len() == n {
+                    break;
+                }
+                if self.delivered.insert(combo_key(&combo)) {
+                    out.push(combo);
+                }
+            }
+            out
+        }
+
+        fn absorb(&mut self, combos: Vec<CompositeTuple>) -> usize {
+            let mut known: BTreeSet<String> = self.set.tuples.iter().map(combo_key).collect();
+            let mut added = 0;
+            for combo in combos {
+                if known.insert(combo_key(&combo)) {
+                    self.set.tuples.push(combo);
+                    added += 1;
+                }
+            }
+            added
+        }
+    }
+
+    /// Knuth's MMIX linear congruential generator.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// Uniform in `0..bound`.
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % bound as u64) as usize
+        }
     }
 
     #[test]
@@ -165,13 +277,11 @@ mod tests {
         let second = s.next(2);
         assert_eq!(first.len(), 2);
         assert_eq!(second.len(), 2);
-        let keys: BTreeSet<String> = first.iter().chain(&second).map(combo_key).collect();
-        assert_eq!(keys.len(), 4, "no repeats across pages");
+        let paged = keys(&[first, second].concat());
+        let distinct: BTreeSet<&String> = paged.iter().collect();
+        assert_eq!(distinct.len(), 4, "no repeats across pages");
         // Pages follow the ranked order.
-        let ranked = s.set.top_k(4);
-        let paged: Vec<String> = first.iter().chain(&second).map(combo_key).collect();
-        let expect: Vec<String> = ranked.iter().map(combo_key).collect();
-        assert_eq!(paged, expect);
+        assert_eq!(paged, keys(&s.set.top_k(4)));
     }
 
     #[test]
@@ -186,9 +296,133 @@ mod tests {
     }
 
     #[test]
-    fn absorb_deduplicates() {
+    fn absorb_deduplicates_against_the_universe_and_within_the_batch() {
         let mut s = session();
+        let mut held_back = s.set.tuples.split_off(s.len() - 2);
         let existing = s.set.tuples.clone();
         assert_eq!(s.absorb(existing), 0, "known rows are not re-added");
+        // The same new combination twice in one batch counts once.
+        held_back.push(held_back[0].clone());
+        held_back.push(s.set.tuples[0].clone());
+        let before = s.len();
+        assert_eq!(s.absorb(held_back), 2);
+        assert_eq!(s.len(), before + 2);
+        s.next(usize::MAX);
+        assert_eq!(s.len() - s.delivered(), 0, "remaining is exact");
+    }
+
+    #[test]
+    fn a_session_that_is_never_paged_never_sorts() {
+        let mut s = session();
+        assert!(!s.is_empty() && s.delivered() == 0);
+        let again = s.set.tuples.clone();
+        s.absorb(again);
+        s.rerank(vec![0.2, 0.3, 0.5]).expect("arity matches");
+        assert!(s.order.get().is_none(), "no ranked index without a page");
+        s.head(1);
+        assert_eq!(s.order.get().map(Vec::len), Some(s.len()));
+    }
+
+    #[test]
+    fn ties_page_in_emission_order() {
+        let mut s = session();
+        let original = s.query.ranking.weights().to_vec();
+        // Only the first atom counts: every combination sharing its
+        // first component now ties.
+        s.rerank(vec![1.0, 0.0, 0.0]).expect("arity matches");
+        let scores: Vec<f64> = s
+            .set
+            .tuples
+            .iter()
+            .map(|t| s.set.ranking.score(t))
+            .collect();
+        let distinct: BTreeSet<u64> = scores.iter().map(|x| x.to_bits()).collect();
+        assert!(distinct.len() < scores.len(), "the weights produce ties");
+        // Expected order: by score, ties by emission position.
+        let mut expect: Vec<usize> = (0..s.len()).collect();
+        expect.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+        let expect: Vec<String> = expect
+            .iter()
+            .map(|&i| combo_key(&s.set.tuples[i]))
+            .collect();
+        let mut paged = Vec::new();
+        loop {
+            let page = s.next(3);
+            if page.is_empty() {
+                break;
+            }
+            paged.extend(keys(&page));
+        }
+        assert_eq!(paged, expect, "tied rows keep emission order across pages");
+
+        // Back to the original weights: the head is what a fresh
+        // session over the same universe shows.
+        s.rerank(original).expect("arity matches");
+        assert_eq!(keys(&s.head(s.len())), keys(&session().head(usize::MAX)));
+    }
+
+    /// Seeded scripts of `next`/`head`/`rerank`/`absorb` against the
+    /// reference model: every page, head, `added`, `delivered()` and
+    /// `len()` must agree at every step.
+    #[test]
+    fn scripts_match_the_clone_and_sort_reference() {
+        const WEIGHTS: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+        let universes = [
+            open(seco_bench::chain_scenario(3, 42)),
+            open(seco_bench::star_scenario(3, 7)),
+        ];
+        for script in 0..240u64 {
+            let mut rng = Lcg(script);
+            let source = &universes[script as usize % 2];
+            let full = &source.set.tuples;
+            assert!(full.len() >= 8, "scenario yields enough rows");
+            // Open over a random part of the universe; the rest arrives
+            // through `absorb`.
+            let initial: Vec<CompositeTuple> =
+                full.iter().filter(|_| rng.below(2) == 0).cloned().collect();
+            let set = ResultSet::new(initial, source.query.ranking.clone());
+            let mut model = Reference {
+                set: set.clone(),
+                delivered: BTreeSet::new(),
+            };
+            let (query, plan) = (source.query.clone(), source.plan.clone());
+            let mut s = Session::new(script, "t".into(), query, plan, set);
+            for step in 0..16 {
+                let at = format!("script {script} step {step}");
+                // Half the pages are small, half reach up to N + 3.
+                let size = |rng: &mut Lcg, n: usize| match rng.below(2) {
+                    0 => 1 + rng.below(4),
+                    _ => 1 + rng.below(n + 3),
+                };
+                match rng.below(5) {
+                    0 | 1 => {
+                        let n = size(&mut rng, s.len());
+                        assert_eq!(keys(&s.next(n)), keys(&model.next(n)), "{at}: next({n})");
+                    }
+                    2 => {
+                        let k = size(&mut rng, s.len()) - 1;
+                        assert_eq!(keys(&s.head(k)), keys(&model.top_k(k)), "{at}: head({k})");
+                    }
+                    3 => {
+                        let mut weights: Vec<f64> = (0..3).map(|_| WEIGHTS[rng.below(4)]).collect();
+                        if weights.iter().all(|w| *w == 0.0) {
+                            weights[rng.below(3)] = 1.0;
+                        }
+                        s.rerank(weights.clone()).expect("valid weights");
+                        model.set.ranking = RankingFunction::new(weights).expect("valid");
+                    }
+                    _ => {
+                        // Known rows, new rows and repeats, in any mix.
+                        let batch: Vec<CompositeTuple> = (0..rng.below(12))
+                            .map(|_| full[rng.below(full.len())].clone())
+                            .collect();
+                        assert_eq!(s.absorb(batch.clone()), model.absorb(batch), "{at}: added");
+                    }
+                }
+                assert_eq!(s.delivered(), model.delivered.len(), "{at}: delivered");
+                assert_eq!(s.len(), model.set.len(), "{at}: len");
+                assert!(s.delivered() <= s.len(), "{at}: remaining underflows");
+            }
+        }
     }
 }

@@ -140,7 +140,10 @@ pub struct ServerState {
     pub shared: Arc<SharedState>,
     /// Serving configuration.
     pub config: ServerConfig,
-    sessions: Mutex<BTreeMap<u64, Session>>,
+    /// Each session has its own lock: the table lock covers lookup,
+    /// insert and remove only, so clients paging different sessions do
+    /// not wait on each other's sort and render.
+    sessions: Mutex<BTreeMap<u64, Arc<Mutex<Session>>>>,
     next_session: AtomicU64,
     in_flight: AtomicUsize,
     admitted: AtomicU64,
@@ -260,16 +263,20 @@ impl ServerState {
             return Err(Refusal::TooManySessions);
         }
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        sessions.insert(id, make(id));
+        sessions.insert(id, Arc::new(Mutex::new(make(id))));
         Ok(id)
     }
 
-    /// Runs `f` against the named session.
+    /// Runs `f` against the named session, holding only that session's
+    /// lock while it runs.
     pub fn with_session<T>(&self, id: u64, f: impl FnOnce(&mut Session) -> T) -> Option<T> {
-        self.sessions.lock().get_mut(&id).map(f)
+        let session = self.sessions.lock().get(&id).cloned()?;
+        let mut session = session.lock();
+        Some(f(&mut session))
     }
 
-    /// Closes the session; true when it existed.
+    /// Closes the session; true when it existed. An operation already
+    /// running against it finishes; the next one finds no session.
     pub fn close_session(&self, id: u64) -> bool {
         self.sessions.lock().remove(&id).is_some()
     }
@@ -415,5 +422,43 @@ mod tests {
         assert!(!cached_first);
         assert!(cached_second);
         assert_eq!(s.plan_cache.len(), 1);
+    }
+
+    #[test]
+    fn sessions_lock_apart_and_a_close_mid_op_404s_the_next_op() {
+        use std::sync::mpsc;
+
+        let (registry, query) = seco_bench::chain_scenario(2, 42);
+        let s = ServerState::new(registry, ServerConfig::default());
+        let (best, _) = s.plan(&query).expect("plans");
+        let open = || {
+            let set = seco_engine::ResultSet::new(Vec::new(), query.ranking.clone());
+            s.open_session(|id| Session::new(id, "t".into(), query.clone(), best.plan.clone(), set))
+                .expect("table has room")
+        };
+        let (held, other) = (open(), open());
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let state = &*s;
+            let op = scope.spawn(move || {
+                state.with_session(held, |session| {
+                    entered_tx.send(()).expect("test thread waits");
+                    released.recv().expect("test thread releases");
+                    session.id
+                })
+            });
+            entered.recv().expect("the op is now inside its session");
+            assert_eq!(
+                s.with_session(other, |session| session.id),
+                Some(other),
+                "another session is not behind the held one"
+            );
+            assert!(s.close_session(held), "close does not wait for the op");
+            assert!(s.with_session(held, |_| ()).is_none(), "next op: 404");
+            assert_eq!(s.open_sessions(), 1);
+            release.send(()).expect("the op is waiting");
+            assert_eq!(op.join().expect("op thread"), Some(held), "the op finished");
+        });
     }
 }

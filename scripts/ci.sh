@@ -50,4 +50,12 @@ grep -q '"warm_faster": true' results/BENCH_serve.json
 grep -q '"concurrent_identical_to_serial": true' results/BENCH_serve.json
 grep -q '"p95_flat_at_4x": true' results/BENCH_serve.json
 
+# benchmark/ is a package of its own, outside the root workspace: tier-1
+# never compiles it, so drift in the surface it replays the handlers
+# through (Session, ResultSet, render_rows, ServerState) only shows here.
+echo "==> benchmark harness tests"
+(cd benchmark && cargo test --offline -q)
+echo "==> benchmark/run.sh --smoke (writes only under benchmark/out/)"
+benchmark/run.sh --smoke
+
 echo "CI OK"

@@ -143,23 +143,31 @@ impl fmt::Display for Value {
     }
 }
 
-/// JSON string escaping, byte-identical to the `serde_json` shim's
-/// renderer (the two paths must agree so `Value::to_string` and
-/// `serde_json::to_string` cannot drift apart).
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for ch in s.chars() {
-        match ch {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+/// JSON string escaping — the one escaper behind both `Value`'s
+/// `Display` and the `serde_json` shim's renderer, so the two cannot
+/// drift apart. Runs that need no escaping are copied whole; every
+/// escaped byte is ASCII, so the cuts fall on character boundaries.
+#[doc(hidden)]
+pub fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut clean = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.write_str(&s[clean..i])?;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{byte:04x}")?,
+        }
+        clean = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[clean..])?;
+    out.write_char('"')
 }
 
 /// Conversion into the JSON tree (the shim's whole data model).

@@ -5,7 +5,7 @@
 //! this workspace (object/array literals with string keys, nested
 //! literals, and arbitrary `Serialize` expressions).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 pub use serde::{Number, Serialize, Value};
 
@@ -48,7 +48,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Number(n) => out.push_str(&n.to_string()),
+        Value::Number(n) => write!(out, "{n}").expect(STRING_SINK),
         Value::String(s) => write_escaped(out, s),
         Value::Array(items) => {
             if items.is_empty() {
@@ -100,22 +100,11 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
 }
 
 fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    serde::write_escaped(out, s).expect(STRING_SINK);
 }
+
+/// `fmt::Write` for `String` has no failing path.
+const STRING_SINK: &str = "writing to a String cannot fail";
 
 /// Builds a [`Value`] from a JSON-shaped literal.
 ///
@@ -262,6 +251,21 @@ mod tests {
         assert_eq!(v.as_array().unwrap().len(), 2);
         assert_eq!(to_string(&json!([])).unwrap(), "[]");
         assert_eq!(to_string(&json!({})).unwrap(), "{}");
+    }
+
+    #[test]
+    fn rendered_combination_row_is_copied_byte_for_byte() {
+        // The multibyte brackets and separator of a rendered combination
+        // sit between escapes, so run copying must cut on char boundaries.
+        let combo = "⟨A#0(s=0.500) · B#12(s=0.250)⟩";
+        let row = json!({ "score": 0.375, "combo": combo, "note": "q\"⟨\\·\n⟩" });
+        let expect = format!(r#"{{"score":0.375,"combo":"{combo}","note":"q\"⟨\\·\n⟩"}}"#);
+        assert_eq!(to_string(&row).unwrap(), expect);
+        assert_eq!(row.to_string(), expect, "Value's Display agrees");
+        assert_eq!(
+            to_string(&json!([1, -2, 2.0, 0.125, u64::MAX])).unwrap(),
+            "[1,-2,2.0,0.125,18446744073709551615]"
+        );
     }
 
     #[test]
