@@ -356,17 +356,88 @@ impl CompositeTuple {
     }
 }
 
-impl fmt::Display for CompositeTuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "⟨")?;
+impl CompositeTuple {
+    /// Writes the rendered combination, `⟨A#0(s=0.500) · B#12(s=0.250)⟩`:
+    /// per component the atom, its source rank and its score to three
+    /// decimals. This is the one definition of a row's text — `Display`,
+    /// the server's session identity and every row renderer go through
+    /// it — and it is generic so a `String` sink pays no formatter.
+    pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("⟨")?;
         for (i, (a, t)) in self.atoms.iter().zip(&self.components).enumerate() {
             if i > 0 {
-                write!(f, " · ")?;
+                out.write_str(" · ")?;
             }
-            write!(f, "{a}#{}(s={:.3})", t.source_rank, t.score)?;
+            out.write_str(a.as_str())?;
+            out.write_str("#")?;
+            write_uint(out, t.source_rank as u64)?;
+            out.write_str("(s=")?;
+            write_fixed3(out, t.score)?;
+            out.write_str(")")?;
         }
-        write!(f, "⟩")
+        out.write_str("⟩")
     }
+}
+
+impl fmt::Display for CompositeTuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write_to(f)
+    }
+}
+
+/// Writes `n` in decimal, as `{}` does.
+fn write_uint<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+/// Writes `v` to three decimals, byte for byte what `{:.3}` writes,
+/// without the general float formatter.
+///
+/// A finite `f64` is `m · 2^e` exactly, so `v · 1000` is the integer
+/// `1000 m` shifted right by `-e` bits: the kept bits are the
+/// thousandths, the dropped bits decide the rounding (half to even on
+/// the exact value, like `{:.3}`). Everything outside `0 ≤ v < 10^6` —
+/// negatives including `-0.0`, large values, NaN, ±∞ — goes to `{:.3}`
+/// itself.
+fn write_fixed3<W: fmt::Write>(out: &mut W, v: f64) -> fmt::Result {
+    let bits = v.to_bits();
+    // Non-negative floats order like their bit patterns; a set sign bit
+    // or an all-ones exponent compares above every one of them.
+    if bits >= 1e6f64.to_bits() {
+        return write!(out, "{v:.3}");
+    }
+    let exponent = (bits >> 52) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (mantissa, shift) = match exponent {
+        0 => (fraction, 1074),
+        _ => (fraction | 1 << 52, 1075 - exponent),
+    };
+    // v < 2^20 puts the shift at 33 or more; 1000 m < 2^63, so from 64
+    // bits on the value is under half a thousandth.
+    let scaled = mantissa * 1000;
+    let mut thousandths = 0;
+    if shift < 64 {
+        thousandths = scaled >> shift;
+        let dropped = scaled & ((1 << shift) - 1);
+        let half = 1 << (shift - 1);
+        if dropped > half || (dropped == half && thousandths & 1 == 1) {
+            thousandths += 1;
+        }
+    }
+    write_uint(out, thousandths / 1000)?;
+    let digit = |place: u64| b'0' + (thousandths / place % 10) as u8;
+    let decimals = [b'.', digit(100), digit(10), digit(1)];
+    out.write_str(std::str::from_utf8(&decimals).expect("ASCII digits"))
 }
 
 #[cfg(test)]
@@ -541,5 +612,114 @@ mod tests {
             .unwrap();
         let c = CompositeTuple::single("M", t);
         assert_eq!(c.to_string(), "⟨M#2(s=0.250)⟩");
+    }
+
+    #[test]
+    fn composite_display_pins_a_multibyte_row() {
+        // Raw tuples: the builder would clamp the scores.
+        let part = |score, source_rank| Tuple {
+            fields: Vec::new(),
+            score,
+            source_rank,
+        };
+        let c = CompositeTuple::single("A", part(0.5, 0))
+            .extend_with("B\"é", part(0.0625, 12))
+            .extend_with("⟨C⟩", part(0.9995, 1234567))
+            .extend_with("D", part(-0.0, usize::MAX));
+        let expect =
+            "⟨A#0(s=0.500) · B\"é#12(s=0.062) · ⟨C⟩#1234567(s=1.000) · D#18446744073709551615(s=-0.000)⟩";
+        assert_eq!(c.to_string(), expect);
+        let mut direct = String::new();
+        c.write_to(&mut direct).unwrap();
+        assert_eq!(direct, expect, "a String sink gets the same bytes");
+    }
+
+    fn fixed3(v: f64) -> String {
+        let mut out = String::new();
+        write_fixed3(&mut out, v).unwrap();
+        out
+    }
+
+    #[test]
+    fn fixed3_rounds_ties_to_even_on_the_exact_value() {
+        for (v, expect) in [
+            (0.0, "0.000"),
+            // Exact in binary, so real ties: 62.5 and 187.5 thousandths.
+            (0.0625, "0.062"),
+            (0.1875, "0.188"),
+            // Not ties: the nearest double lies just above n.5 thousandths.
+            (0.0005, "0.001"),
+            (0.0025, "0.003"),
+            (0.9995, "1.000"),
+            (1.0, "1.000"),
+            (999999.9995, "1000000.000"),
+            (f64::MIN_POSITIVE, "0.000"),
+            (5e-324, "0.000"),
+        ] {
+            assert_eq!(fixed3(v), expect, "{v:e}");
+            assert_eq!(fixed3(v), format!("{v:.3}"), "{v:e}");
+        }
+    }
+
+    /// Every output of the writer is the output of `{:.3}`.
+    #[test]
+    fn fixed3_equals_the_std_formatter() {
+        let mut checked = 0u32;
+        let mut check = |v: f64| {
+            assert_eq!(fixed3(v), format!("{v:.3}"), "{v:e} ({:#x})", v.to_bits());
+            checked += 1;
+        };
+        for v in [
+            0.0,
+            -0.0,
+            -0.0004,
+            -0.0005,
+            -1.5,
+            1.0,
+            999999.9995,
+            999999.9994999999,
+            1e6,
+            1e6 - 1e-10,
+            1e15,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            check(v);
+        }
+        // Exact ties k/16 and (n + 0.5)/1000 as the nearest double, and
+        // the doubles on either side of each.
+        let around = |v: f64| {
+            [
+                f64::from_bits(v.to_bits() - 1),
+                v,
+                f64::from_bits(v.to_bits() + 1),
+            ]
+        };
+        for k in 1..16_000u32 {
+            around(f64::from(k) / 16.0).into_iter().for_each(&mut check);
+        }
+        for n in 0..100_000u32 {
+            around((f64::from(n) + 0.5) / 1000.0)
+                .into_iter()
+                .for_each(&mut check);
+        }
+        let mut rng = proptest::TestRng::new(0x5ec0);
+        for _ in 0..600_000 {
+            // Scores, uniform in [0, 1).
+            check(rng.unit_f64());
+        }
+        for _ in 0..200_000 {
+            // Any bit pattern: every exponent, both signs, NaNs.
+            check(f64::from_bits(rng.next_u64()));
+            // The fast range across its magnitudes, subnormals included.
+            let magnitude = rng.below(1e6f64.to_bits() >> 52) << 52;
+            check(f64::from_bits(magnitude | rng.next_u64() >> 12));
+        }
+        assert!(checked >= 1_000_000, "{checked} values");
     }
 }

@@ -84,9 +84,17 @@ pub fn url_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
+/// Largest request body accepted; a longer `Content-Length` is refused
+/// before any of it is read or allocated.
+const MAX_BODY: usize = 1 << 20;
+
+/// A request refused while parsing: the status to answer with, and why.
+pub type Rejection = (u16, &'static str);
+
 /// Reads one request off the connection. `None` on a clean EOF before
-/// any bytes (client connected and went away).
-pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Request>> {
+/// any bytes (client connected and went away); `Some(Err(..))` when the
+/// head was readable but the declared body length is not acceptable.
+pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Rejection>>> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
@@ -120,17 +128,21 @@ pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Request>> {
             break;
         }
         if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+            content_length = match v.trim().parse() {
+                Ok(n) if n <= MAX_BODY => n,
+                Ok(_) => return Ok(Some(Err((413, "request body too large")))),
+                Err(_) => return Ok(Some(Err((400, "unparseable Content-Length")))),
+            };
         }
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Some(Request {
+    Ok(Some(Ok(Request {
         method,
         path: path.to_owned(),
         params,
         body: String::from_utf8_lossy(&body).into_owned(),
-    }))
+    })))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -138,53 +150,80 @@ fn reason(status: u16) -> &'static str {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
 }
 
-/// Writes a complete fixed-length JSON response and flushes.
+/// Writes a complete fixed-length JSON response: head and body leave in
+/// one `write` (the stream is unbuffered, so a `write!` onto it would
+/// issue one per format fragment).
 pub fn respond_json(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+    let mut out = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         reason(status),
         body.len(),
-    )?;
-    stream.flush()
+    );
+    out.push_str(body);
+    stream.write_all(out.as_bytes())
 }
 
 /// Incremental frame writer: a chunked HTTP response where every chunk
-/// is one newline-terminated JSON document, flushed as written.
+/// is one newline-terminated JSON document, sent as soon as it is
+/// complete and in one `write`.
 pub struct ChunkedWriter {
     stream: TcpStream,
+    /// The frame being assembled: room for the size line, then the
+    /// document, then the chunk trailer.
+    buf: String,
 }
+
+/// Room kept ahead of a frame's document for its size line (16 hex
+/// digits of a `usize` and CRLF); the line is written right-aligned into
+/// it once the document's length is known.
+const SIZE_LINE: usize = 18;
 
 impl ChunkedWriter {
     /// Sends the response head and returns the frame writer.
     pub fn begin(stream: &TcpStream, status: u16) -> io::Result<Self> {
         let mut stream = stream.try_clone()?;
-        write!(
-            stream,
+        let head = format!(
             "HTTP/1.1 {status} {}\r\nContent-Type: application/jsonlines\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n",
             reason(status),
-        )?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
+        );
+        stream.write_all(head.as_bytes())?;
+        Ok(ChunkedWriter {
+            stream,
+            buf: String::new(),
+        })
+    }
+
+    /// Writes one frame as its own chunk; `fill` appends the frame's
+    /// JSON document to the buffer it is handed (and nothing else).
+    pub fn frame_with(&mut self, fill: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.buf.clear();
+        self.buf.extend(std::iter::repeat_n(' ', SIZE_LINE));
+        fill(&mut self.buf);
+        self.buf.push('\n');
+        let size = format!("{:x}\r\n", self.buf.len() - SIZE_LINE);
+        self.buf.push_str("\r\n");
+        let start = SIZE_LINE - size.len();
+        self.buf.replace_range(start..SIZE_LINE, &size);
+        self.stream.write_all(&self.buf.as_bytes()[start..])
     }
 
     /// Writes one frame (a full JSON document) as its own chunk.
     pub fn frame(&mut self, json: &str) -> io::Result<()> {
-        write!(self.stream, "{:x}\r\n{json}\n\r\n", json.len() + 1)?;
-        self.stream.flush()
+        self.frame_with(|doc| doc.push_str(json))
     }
 
     /// Terminates the chunk stream.
     pub fn finish(mut self) -> io::Result<()> {
-        write!(self.stream, "0\r\n\r\n")?;
-        self.stream.flush()
+        self.stream.write_all(b"0\r\n\r\n")
     }
 }
 
@@ -207,12 +246,11 @@ pub struct ClientResponse {
 pub fn stream(addr: &str, method: &str, target: &str, body: &str) -> io::Result<ClientResponse> {
     let start = Instant::now();
     let mut conn = TcpStream::connect(addr)?;
-    write!(
-        conn,
+    let request = format!(
         "{method} {target} HTTP/1.1\r\nHost: seco\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
-    )?;
-    conn.flush()?;
+    );
+    conn.write_all(request.as_bytes())?;
     let mut reader = BufReader::new(conn);
     let mut line = String::new();
     reader.read_line(&mut line)?;

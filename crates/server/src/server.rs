@@ -39,16 +39,16 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use serde_json::json;
+use serde_json::{json, Value};
 
 use seco_engine::ResultSet;
 use seco_model::CompositeTuple;
-use seco_plan::PlanNode;
-use seco_query::parse_query;
+use seco_plan::{PlanNode, QueryPlan};
+use seco_query::{parse_query, RankingFunction};
 use seco_services::DeviationPolicy;
 
 use crate::http::{parse_request, respond_json, ChunkedWriter, Request};
-use crate::session::{render_rows, Session};
+use crate::session::{write_rows, Session};
 use crate::state::{Refusal, ServerState};
 
 /// How long `/admin/shutdown` waits for in-flight queries.
@@ -134,9 +134,82 @@ fn error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
     respond_json(stream, status, &json!({"error": message}).to_string())
 }
 
+/// One response document carrying rows: the fields of `head`, a `"rows"`
+/// array, the fields of `tail` — the bytes of the single `json!` object
+/// holding all of them in that order, except that the row array is
+/// written straight into the text instead of built as a tree first.
+/// `head` is a non-empty object, `tail` an object (possibly empty).
+fn doc(head: &Value, ranking: &RankingFunction, rows: &[CompositeTuple], tail: &Value) -> String {
+    debug_assert!(matches!(head, Value::Object(fields) if !fields.is_empty()));
+    debug_assert!(matches!(tail, Value::Object(_)));
+    let mut out = head.to_string();
+    out.pop(); // reopen the object
+    out.push_str(",\"rows\":");
+    write_rows(&mut out, ranking, rows);
+    // The tail's fields follow the rows, inside the same object.
+    let tail = tail.to_string();
+    if tail.len() > 2 {
+        out.push(',');
+        out.push_str(&tail[1..]);
+    } else {
+        out.push('}');
+    }
+    out
+}
+
+/// A streamed `chunk` frame, appended to the frame buffer.
+fn chunk_frame(out: &mut String, ranking: &RankingFunction, rows: &[CompositeTuple]) {
+    out.push_str("{\"frame\":\"chunk\",\"rows\":");
+    write_rows(out, ranking, rows);
+    out.push('}');
+}
+
+/// `more`: the next `n` ranked, undelivered rows and the cursor after
+/// them.
+fn more_doc(s: &mut Session, n: usize) -> String {
+    let rows = s.next(n);
+    doc(
+        &json!({"session": s.id, "tenant": s.tenant}),
+        &s.set.ranking,
+        &rows,
+        &json!({"delivered": s.delivered(), "remaining": s.len() - s.delivered()}),
+    )
+}
+
+/// `rerank`: the head of the universe under the new weights.
+fn rerank_doc(s: &mut Session, weights: Vec<f64>) -> Result<String, String> {
+    s.rerank(weights)?;
+    Ok(doc(
+        &json!({"session": s.id}),
+        &s.set.ranking,
+        &s.head(s.query.k),
+        &json!({"delivered": s.delivered()}),
+    ))
+}
+
+/// `expand`: unions a deeper run's `results` in (it ran `plan`, which the
+/// session adopts) and shows the head of the grown universe.
+fn expand_doc(
+    s: &mut Session,
+    results: Vec<CompositeTuple>,
+    plan: QueryPlan,
+    calls: u64,
+) -> String {
+    let added = s.absorb(results);
+    s.plan = plan;
+    doc(
+        &json!({"session": s.id, "added": added, "combinations": s.len(), "calls": calls}),
+        &s.set.ranking,
+        &s.head(s.query.k),
+        &json!({}),
+    )
+}
+
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> io::Result<()> {
-    let Some(req) = parse_request(&stream)? else {
-        return Ok(());
+    let req = match parse_request(&stream)? {
+        None => return Ok(()),
+        Some(Err((status, why))) => return error(&mut stream, status, why),
+        Some(Ok(req)) => req,
     };
     let path = req.path.trim_matches('/').to_owned();
     let segments: Vec<&str> = path.split('/').collect();
@@ -191,10 +264,10 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
     if streaming {
         let writer = Mutex::new(ChunkedWriter::begin(stream, 200)?);
         writer.lock().frame(&plan_frame.to_string())?;
-        let ranking = query.ranking.clone();
         let emit = |batch: &[CompositeTuple]| {
-            let frame = json!({"frame": "chunk", "rows": render_rows(&ranking, batch)});
-            let _ = writer.lock().frame(&frame.to_string());
+            let _ = writer
+                .lock()
+                .frame_with(|out| chunk_frame(out, &query.ranking, batch));
         };
         let sink: Option<seco_engine::BatchSink<'_>> = if parallel { Some(&emit) } else { None };
         let (results, degraded, calls) = match state.execute(&best.plan, parallel, k, sink) {
@@ -228,11 +301,9 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
                         break;
                     }
                     delivered += rows.len();
-                    let frame = json!({
-                        "frame": "chunk",
-                        "rows": render_rows(&query.ranking, &rows),
-                    });
-                    writer.lock().frame(&frame.to_string())?;
+                    writer
+                        .lock()
+                        .frame_with(|out| chunk_frame(out, &query.ranking, &rows))?;
                 }
             }
         }
@@ -255,26 +326,21 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
         let total = results.len();
         let set = ResultSet::new(results, query.ranking.clone()).with_degraded(degraded);
         let degraded_list = set.degraded.clone();
-        let ranking = query.ranking.clone();
         let session = state.open_session(|id| {
             Session::new(id, tenant.clone(), query.clone(), best.plan.clone(), set)
         });
         let rows = match session {
-            Ok(id) => state
-                .with_session(id, |s| render_rows(&ranking, &s.next(k)))
-                .unwrap_or_default(),
+            Ok(id) => state.with_session(id, |s| s.next(k)).unwrap_or_default(),
             Err(_) => Vec::new(),
         };
         drop(admission);
-        let body = json!({
-            "plan": plan_frame,
-            "session": session.as_ref().ok(),
-            "rows": rows,
-            "combinations": total,
-            "degraded": degraded_list,
-            "calls": calls,
-        });
-        respond_json(stream, 200, &body.to_string())
+        let body = doc(
+            &json!({"plan": plan_frame, "session": session.as_ref().ok()}),
+            &query.ranking,
+            &rows,
+            &json!({"combinations": total, "degraded": degraded_list, "calls": calls}),
+        );
+        respond_json(stream, 200, &body)
     }
 }
 
@@ -287,18 +353,9 @@ fn handle_session_op(
 ) -> io::Result<()> {
     match op {
         "more" => {
-            let Some(body) = state.with_session(id, |s| {
-                let n = req.param_usize("n", s.query.k).max(1);
-                let rows = s.next(n);
-                json!({
-                    "session": id,
-                    "tenant": s.tenant,
-                    "rows": render_rows(&s.set.ranking, &rows),
-                    "delivered": s.delivered(),
-                    "remaining": s.len() - s.delivered(),
-                })
-                .to_string()
-            }) else {
+            let Some(body) =
+                state.with_session(id, |s| more_doc(s, req.param_usize("n", s.query.k).max(1)))
+            else {
                 return error(stream, 404, "no such session");
             };
             respond_json(stream, 200, &body)
@@ -312,17 +369,7 @@ fn handle_session_op(
             let Ok(weights) = weights else {
                 return error(stream, 400, "body must be comma-separated weights");
             };
-            let Some(outcome) = state.with_session(id, |s| {
-                s.rerank(weights).map(|()| {
-                    let head = s.head(s.query.k);
-                    json!({
-                        "session": id,
-                        "rows": render_rows(&s.set.ranking, &head),
-                        "delivered": s.delivered(),
-                    })
-                    .to_string()
-                })
-            }) else {
+            let Some(outcome) = state.with_session(id, |s| rerank_doc(s, weights)) else {
                 return error(stream, 404, "no such session");
             };
             match outcome {
@@ -373,18 +420,7 @@ fn handle_expand(
     };
     state.charge(&tenant, calls);
     drop(admission);
-    let Some(body) = state.with_session(id, |s| {
-        let added = s.absorb(results);
-        s.plan = plan;
-        json!({
-            "session": id,
-            "added": added,
-            "combinations": s.len(),
-            "calls": calls,
-            "rows": render_rows(&s.set.ranking, &s.head(s.query.k)),
-        })
-        .to_string()
-    }) else {
+    let Some(body) = state.with_session(id, |s| expand_doc(s, results, plan, calls)) else {
         return error(stream, 404, "session closed during expansion");
     };
     respond_json(stream, 200, &body)
@@ -428,3 +464,6 @@ fn handle_shutdown(stream: &mut TcpStream, state: &Arc<ServerState>) -> io::Resu
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests;

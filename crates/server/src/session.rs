@@ -24,30 +24,66 @@
 
 use std::cell::OnceCell;
 use std::collections::HashSet;
+use std::fmt::Write as _;
 
 use seco_engine::ResultSet;
 use seco_model::CompositeTuple;
 use seco_plan::QueryPlan;
 use seco_query::{Query, RankingFunction};
 
+/// `fmt::Write` for `String` has no failing path.
+const STRING_SINK: &str = "writing to a String cannot fail";
+
 /// Identity of a combination within one session: the rendered
 /// `(atom, source-rank, score)` sequence, which is deterministic and
-/// unique per emitted combination of a fixed query.
+/// unique per emitted combination of a fixed query. It is also the
+/// `"combo"` text of the row on the wire.
 fn combo_key(combo: &CompositeTuple) -> String {
-    combo.to_string()
+    let mut key = String::new();
+    combo.write_to(&mut key).expect(STRING_SINK);
+    key
 }
 
 /// Renders ranked rows as JSON objects (score under `ranking`).
+///
+/// The tree form of [`write_rows`]: the daemon's handlers no longer call
+/// it, the benchmark's oracle and replay do, and the tests hold the
+/// written bytes to it.
 pub fn render_rows(ranking: &RankingFunction, combos: &[CompositeTuple]) -> Vec<serde_json::Value> {
     combos
         .iter()
         .map(|c| {
             serde_json::json!({
                 "score": ranking.score(c),
-                "combo": c.to_string(),
+                "combo": combo_key(c),
             })
         })
         .collect()
+}
+
+/// Appends ranked rows to `out` as one JSON array of
+/// `{"score":…,"combo":…}` objects — the bytes of
+/// `Value::Array(render_rows(ranking, combos)).to_string()`, written
+/// without the tree. The score goes through the JSON number writer and
+/// the combination through the JSON string escaper: atom aliases are
+/// data.
+pub fn write_rows(out: &mut String, ranking: &RankingFunction, combos: &[CompositeTuple]) {
+    let mut key = String::new();
+    out.push('[');
+    for (i, combo) in combos.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"score\":");
+        let score = serde_json::Number::Float(ranking.score(combo));
+        write!(out, "{score}").expect(STRING_SINK);
+        out.push_str(",\"combo\":");
+        key.clear();
+        combo.write_to(&mut key).expect(STRING_SINK);
+        serde_json::write_escaped(out, &key).expect(STRING_SINK);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// One live query session: the kept execution cursor that `more`,
@@ -186,14 +222,15 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use seco_engine::{execute_plan, EngineConfig};
+    use seco_model::Symbol;
     use seco_optimizer::{optimize, CostMetric};
     use seco_services::ServiceRegistry;
     use std::collections::BTreeSet;
 
-    fn open((registry, query): (ServiceRegistry, Query)) -> Session {
+    pub(crate) fn open((registry, query): (ServiceRegistry, Query)) -> Session {
         let best = optimize(&query, &registry, CostMetric::RequestCount).expect("plan");
         let out = execute_plan(&best.plan, &registry, EngineConfig::default()).expect("run");
         let set = ResultSet::new(out.results, query.ranking.clone());
@@ -208,10 +245,32 @@ mod tests {
         combos.iter().map(combo_key).collect()
     }
 
+    /// Gives the second atom of every combination an alias no query can
+    /// spell but a JSON writer must survive.
+    pub(crate) fn with_hostile_alias(mut s: Session) -> Session {
+        for combo in &mut s.set.tuples {
+            combo.atoms[1] = Symbol::intern("B\"\\\n⟨é");
+        }
+        s
+    }
+
+    /// The key as it was rendered before the fixed-point writer: the
+    /// general float formatter, once per component.
+    fn reference_key(combo: &CompositeTuple) -> String {
+        let parts: Vec<String> = combo
+            .atoms
+            .iter()
+            .zip(&combo.components)
+            .map(|(a, t)| format!("{a}#{}(s={:.3})", t.source_rank, t.score))
+            .collect();
+        format!("⟨{}⟩", parts.join(" · "))
+    }
+
     /// The cursor this module shipped before the ranked index, kept as
     /// the reference model: clone and sort the whole universe on every
     /// call, recompute both scores in every comparison, track delivery
-    /// and identity by rendered key.
+    /// and identity by rendered key ([`reference_key`], not the
+    /// session's own).
     struct Reference {
         set: ResultSet,
         delivered: BTreeSet<String>,
@@ -234,7 +293,7 @@ mod tests {
                 if out.len() == n {
                     break;
                 }
-                if self.delivered.insert(combo_key(&combo)) {
+                if self.delivered.insert(reference_key(&combo)) {
                     out.push(combo);
                 }
             }
@@ -242,10 +301,10 @@ mod tests {
         }
 
         fn absorb(&mut self, combos: Vec<CompositeTuple>) -> usize {
-            let mut known: BTreeSet<String> = self.set.tuples.iter().map(combo_key).collect();
+            let mut known: BTreeSet<String> = self.set.tuples.iter().map(reference_key).collect();
             let mut added = 0;
             for combo in combos {
-                if known.insert(combo_key(&combo)) {
+                if known.insert(reference_key(&combo)) {
                     self.set.tuples.push(combo);
                     added += 1;
                 }
@@ -266,6 +325,34 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((self.0 >> 33) % bound as u64) as usize
         }
+    }
+
+    #[test]
+    fn written_rows_equal_the_rendered_tree() {
+        for s in [
+            session(),
+            open(seco_bench::star_scenario(3, 7)),
+            with_hostile_alias(session()),
+        ] {
+            let all = s.head(usize::MAX);
+            assert_eq!(
+                keys(&all),
+                all.iter().map(reference_key).collect::<Vec<_>>()
+            );
+            for rows in [&all[..], &all[..1], &all[..0]] {
+                let mut written = String::from("rows=");
+                write_rows(&mut written, &s.set.ranking, rows);
+                let tree = serde_json::Value::Array(render_rows(&s.set.ranking, rows));
+                assert_eq!(written, format!("rows={tree}"));
+            }
+        }
+        let mut hostile = String::new();
+        let s = with_hostile_alias(session());
+        write_rows(&mut hostile, &s.set.ranking, &s.head(1));
+        assert!(
+            hostile.contains(r#"B\"\\\n⟨é#"#),
+            "alias is escaped: {hostile}"
+        );
     }
 
     #[test]

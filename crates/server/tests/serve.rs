@@ -8,12 +8,17 @@
 //! budgets refuse work deterministically; and the streamed frame
 //! protocol plus the liquid-query continuations behave.
 
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 use seco_engine::{execute_plan, EngineConfig, ResultSet};
 use seco_optimizer::{optimize, CostMetric};
-use seco_server::{http, render_rows, Server, ServerConfig, ServerHandle, ServerState};
+use seco_plan::PlanNode;
+use seco_query::{parse_query, Query};
+use seco_server::{http, render_rows, Server, ServerConfig, ServerHandle, ServerState, Session};
 use seco_services::ServiceRegistry;
+use serde_json::{json, Value};
 
 fn boot(registry: ServiceRegistry, config: ServerConfig) -> (ServerHandle, String) {
     let state = ServerState::new(registry, config);
@@ -275,4 +280,263 @@ fn shutdown_drains_and_stops_accepting() {
     handle.join();
     // The accept loop is gone: connecting now fails outright.
     assert!(TcpStream::connect(&addr).is_err(), "listener closed");
+}
+
+/// Sends raw request bytes and returns the status line of the answer.
+fn raw_status(addr: &str, request: &str) -> String {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.write_all(request.as_bytes()).expect("send");
+    let mut answer = String::new();
+    conn.read_to_string(&mut answer).expect("answer");
+    answer.lines().next().unwrap_or_default().to_owned()
+}
+
+#[test]
+fn a_bad_content_length_is_refused_and_the_daemon_keeps_serving() {
+    let (handle, addr, _, _) = chain_server(ServerConfig::default());
+    let request =
+        |length: &str| format!("POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+    // Refused from the header alone: no body follows, none is waited for
+    // and none of the declared size is allocated.
+    assert_eq!(
+        raw_status(&addr, &request("99999999999")),
+        "HTTP/1.1 413 Payload Too Large"
+    );
+    assert_eq!(
+        raw_status(&addr, &request("banana")),
+        "HTTP/1.1 400 Bad Request"
+    );
+    assert_eq!(
+        raw_status(&addr, &request("-1")),
+        "HTTP/1.1 400 Bad Request"
+    );
+    let (status, body) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!((status, body.as_str()), (200, r#"{"ok":true}"#));
+    stop(handle, &addr);
+}
+
+/// The tree-built documents of one conversation, produced in process the
+/// way the handlers produced them before they wrote rows directly:
+/// `render_rows` into `json!` into `to_string`. `state` is a daemon's
+/// state that no client talks to.
+struct Replay {
+    state: Arc<ServerState>,
+    query: Query,
+}
+
+impl Replay {
+    fn new(registry: ServiceRegistry, query: &Query) -> Self {
+        Replay {
+            state: ServerState::new(registry, ServerConfig::default()),
+            query: query.clone(),
+        }
+    }
+
+    fn plan_frame(&self) -> (seco_optimizer::Optimized, Value) {
+        let (best, cached) = self.state.plan(&self.query).expect("plan");
+        let frame = json!({
+            "frame": "plan",
+            "cached": cached,
+            "cost": best.cost,
+            "plan": best.plan.canonical_key(),
+        });
+        (best, frame)
+    }
+
+    fn open(&self, best: &seco_optimizer::Optimized) -> (u64, usize, Vec<String>, u64) {
+        let (results, degraded, calls) = self
+            .state
+            .execute(&best.plan, false, self.query.k, None)
+            .expect("run");
+        let total = results.len();
+        let set = ResultSet::new(results, self.query.ranking.clone()).with_degraded(degraded);
+        let degraded = set.degraded.clone();
+        let (query, plan) = (self.query.clone(), best.plan.clone());
+        let id = self
+            .state
+            .open_session(|id| Session::new(id, "default".into(), query, plan, set))
+            .expect("room");
+        (id, total, degraded, calls)
+    }
+
+    /// `POST /query`, fixed length.
+    fn query(&self) -> (u64, String) {
+        let (best, plan_frame) = self.plan_frame();
+        let (id, total, degraded, calls) = self.open(&best);
+        let rows = self.state.with_session(id, |s| {
+            render_rows(&self.query.ranking, &s.next(self.query.k))
+        });
+        let body = json!({
+            "plan": plan_frame,
+            "session": id,
+            "rows": rows.expect("open"),
+            "combinations": total,
+            "degraded": degraded,
+            "calls": calls,
+        });
+        (id, body.to_string())
+    }
+
+    /// `POST /query?stream=1&chunk=C`: the frames, one per line.
+    fn stream(&self, chunk: usize) -> String {
+        let (best, plan_frame) = self.plan_frame();
+        let (id, total, _, calls) = self.open(&best);
+        let mut frames = vec![plan_frame];
+        let (k, mut delivered) = (self.query.k, 0);
+        while delivered < k {
+            let n = chunk.min(k - delivered);
+            let rows = self.state.with_session(id, |s| s.next(n)).expect("open");
+            if rows.is_empty() {
+                break;
+            }
+            delivered += rows.len();
+            frames.push(json!({"frame": "chunk", "rows": render_rows(&self.query.ranking, &rows)}));
+        }
+        frames.push(json!({
+            "frame": "summary",
+            "session": id,
+            "combinations": total,
+            "delivered": delivered,
+            "calls": calls,
+        }));
+        frames.iter().map(|f| format!("{f}\n")).collect()
+    }
+
+    fn more(&self, id: u64, n: usize) -> String {
+        let body = self.state.with_session(id, |s| {
+            let rows = s.next(n);
+            json!({
+                "session": id,
+                "tenant": s.tenant,
+                "rows": render_rows(&s.set.ranking, &rows),
+                "delivered": s.delivered(),
+                "remaining": s.len() - s.delivered(),
+            })
+        });
+        body.expect("open").to_string()
+    }
+
+    fn rerank(&self, id: u64, weights: Vec<f64>) -> String {
+        let body = self.state.with_session(id, |s| {
+            s.rerank(weights).expect("arity matches");
+            json!({
+                "session": id,
+                "rows": render_rows(&s.set.ranking, &s.head(s.query.k)),
+                "delivered": s.delivered(),
+            })
+        });
+        body.expect("open").to_string()
+    }
+
+    fn expand(&self, id: u64, atom: &str, extra: u32) -> String {
+        let (k, mut plan) = self
+            .state
+            .with_session(id, |s| (s.query.k, s.plan.clone()))
+            .expect("open");
+        let node = plan.service_node_of(atom).expect("atom has a service node");
+        match plan.node_mut(node) {
+            Ok(PlanNode::Service(svc)) => svc.fetches += extra,
+            _ => unreachable!("service_node_of names a service node"),
+        }
+        let (results, _, calls) = self.state.execute(&plan, false, k, None).expect("run");
+        let body = self.state.with_session(id, |s| {
+            let added = s.absorb(results);
+            s.plan = plan;
+            json!({
+                "session": id,
+                "added": added,
+                "combinations": s.len(),
+                "calls": calls,
+                "rows": render_rows(&s.set.ranking, &s.head(s.query.k)),
+            })
+        });
+        body.expect("open").to_string()
+    }
+}
+
+/// The `"rows"` objects of every `chunk` frame in a streamed body.
+fn streamed_rows(body: &str) -> Vec<String> {
+    let mut rows = Vec::new();
+    for frame in body
+        .lines()
+        .filter(|f| f.starts_with(r#"{"frame":"chunk""#))
+    {
+        let inner = frame
+            .strip_prefix(r#"{"frame":"chunk","rows":["#)
+            .and_then(|f| f.strip_suffix("]}"))
+            .expect("a chunk frame is its rows and nothing else");
+        rows.extend(
+            inner
+                .split_inclusive("\"}")
+                .map(|r| r.trim_start_matches(',').to_owned()),
+        );
+    }
+    rows
+}
+
+/// Every body the daemon sends with rows in it is, byte for byte, the
+/// document the tree path builds for the same conversation.
+#[test]
+fn live_bodies_equal_the_tree_built_documents() {
+    for scenario in [seco_bench::chain_scenario, seco_bench::star_scenario] {
+        let (registry, query) = scenario(3, 42);
+        let (text, k) = (query.to_string(), query.k);
+        // What the handler works on: the parsed text, `k` from the URL.
+        let mut query = parse_query(&text).expect("round trip");
+        query.k = k;
+        let replay = Replay::new(scenario(3, 42).0, &query);
+        let (handle, addr) = boot(registry, ServerConfig::default());
+        let post = |target: String, body: &str| {
+            let (status, answer) = http::call(&addr, "POST", &target, body).expect("call");
+            assert_eq!(status, 200, "{target}: {answer}");
+            answer
+        };
+
+        let (id, expect) = replay.query();
+        assert_eq!(post(format!("/query?k={k}"), &text), expect, "query");
+        // A page, a page larger than the remainder, an empty page.
+        let remaining = json_u64(&expect, "combinations").expect("total") as usize - k;
+        assert!(remaining > 3, "scenario leaves rows to page ({remaining})");
+        for n in [3, remaining + 4, 2] {
+            let live = post(format!("/session/{id}/more?n={n}"), "");
+            assert_eq!(live, replay.more(id, n), "more?n={n}");
+        }
+        assert_eq!(
+            post(format!("/session/{id}/rerank"), "0.0, 0.25,1.0"),
+            replay.rerank(id, vec![0.0, 0.25, 1.0]),
+            "rerank"
+        );
+        let atom = query.atoms.last().expect("atoms").alias.clone();
+        assert_eq!(
+            post(format!("/session/{id}/expand?atom={atom}&extra=2"), ""),
+            replay.expand(id, &atom, 2),
+            "expand"
+        );
+        assert_eq!(
+            post(format!("/query?stream=1&k={k}&chunk=4"), &text),
+            replay.stream(4),
+            "stream=1"
+        );
+
+        // `mode=par` frames batches in arrival order, which is not
+        // repeatable: the rows of all chunk frames, as a multiset.
+        let live = post(format!("/query?stream=1&mode=par&k={k}"), &text);
+        let mut live_rows = streamed_rows(&live);
+        let (best, _) = replay.plan_frame();
+        let (results, _, _) = replay
+            .state
+            .execute(&best.plan, true, k, None)
+            .expect("run");
+        let mut expect_rows: Vec<String> = render_rows(&query.ranking, &results)
+            .iter()
+            .map(Value::to_string)
+            .collect();
+        assert!(!expect_rows.is_empty());
+        live_rows.sort();
+        expect_rows.sort();
+        assert_eq!(live_rows, expect_rows, "mode=par rows");
+
+        replay.state.shared.shutdown();
+        stop(handle, &addr);
+    }
 }

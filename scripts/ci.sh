@@ -16,8 +16,9 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# results/ is the single canonical home for benchmark reports; smoke
-# runs overwrite them in place and the greps below gate on those files.
+# results/ is the single canonical home for benchmark reports; these
+# smoke runs (the serve smoke excepted, below) overwrite them in place
+# and the greps gate on those files.
 echo "==> fetch_bench --smoke"
 cargo run --release -q -p seco-bench --bin fetch_bench -- --smoke
 
@@ -39,16 +40,19 @@ echo "==> adaptive smoke summary (convergence / ratio / replans)"
 grep -E '"(converged|ratio_vs_informed|replans|epoch_invalidations)"' results/BENCH_adaptive.json
 grep -q '"converged": true' results/BENCH_adaptive.json
 
+# The serve smoke writes under target/, so the committed full-mode
+# results/BENCH_serve.json survives a CI run.
 echo "==> serve_bench --smoke"
-cargo run --release -q -p seco-server --bin bencher -- --smoke
+serve_smoke=target/smoke/BENCH_serve.json
+cargo run --release -q -p seco-server --bin bencher -- --smoke --out "$serve_smoke"
 echo "==> serving smoke summary (aggregate cold vs warm p50, identity, p95 flatness)"
 grep -E '"(aggregate_cold_p50_ms|aggregate_warm_p50_ms|warm_faster|concurrent_identical_to_serial|p95_flat_at_4x)"' \
-  results/BENCH_serve.json
+  "$serve_smoke"
 # The bencher itself asserts all three gates and exits non-zero
 # otherwise; these greps pin the report format.
-grep -q '"warm_faster": true' results/BENCH_serve.json
-grep -q '"concurrent_identical_to_serial": true' results/BENCH_serve.json
-grep -q '"p95_flat_at_4x": true' results/BENCH_serve.json
+grep -q '"warm_faster": true' "$serve_smoke"
+grep -q '"concurrent_identical_to_serial": true' "$serve_smoke"
+grep -q '"p95_flat_at_4x": true' "$serve_smoke"
 
 # benchmark/ is a package of its own, outside the root workspace: tier-1
 # never compiles it, so drift in the surface it replays the handlers

@@ -9,6 +9,11 @@ use std::fmt::{self, Write as _};
 
 pub use serde::{Number, Serialize, Value};
 
+/// The string escaper behind every rendering of a [`Value`], for callers
+/// that write a document's bytes themselves and must agree with it.
+#[doc(hidden)]
+pub use serde::write_escaped;
+
 /// Serialization error. The shim's renderer is total over [`Value`],
 /// so this is only ever constructed by future fallible paths; it
 /// exists so call sites can keep using `?`.
@@ -49,7 +54,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Number(n) => write!(out, "{n}").expect(STRING_SINK),
-        Value::String(s) => write_escaped(out, s),
+        Value::String(s) => write_escaped(out, s).expect(STRING_SINK),
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
@@ -77,7 +82,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_escaped(out, key);
+                write_escaped(out, key).expect(STRING_SINK);
                 out.push(':');
                 if indent.is_some() {
                     out.push(' ');
@@ -97,10 +102,6 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
             out.push(' ');
         }
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    serde::write_escaped(out, s).expect(STRING_SINK);
 }
 
 /// `fmt::Write` for `String` has no failing path.
