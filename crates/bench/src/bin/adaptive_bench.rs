@@ -2,8 +2,8 @@
 //! emitting `results/BENCH_adaptive.json`.
 //!
 //! Usage:
-//!   cargo run --release -p seco-bench --bin adaptive_bench            # full
-//!   cargo run --release -p seco-bench --bin adaptive_bench -- --smoke # CI
+//!   cargo run --release -p seco-bench --bin adaptive_bench            # full  -> results/BENCH_adaptive.json
+//!   cargo run --release -p seco-bench --bin adaptive_bench -- --smoke # CI    -> target/smoke/BENCH_adaptive.json
 //!
 //! The workload is [`seco_bench::adaptive_registry`]: a hub whose
 //! declared cardinality understates the truth by 10×, and a `Leaf` mart
@@ -142,11 +142,6 @@ fn main() -> Result<(), DynError> {
             "converged": converged,
         },
     });
-    std::fs::create_dir_all("results")?;
-    std::fs::write(
-        "results/BENCH_adaptive.json",
-        serde_json::to_string_pretty(&report)?,
-    )?;
-    println!("wrote results/BENCH_adaptive.json");
+    seco_bench::write_report("adaptive", smoke, &report)?;
     Ok(())
 }

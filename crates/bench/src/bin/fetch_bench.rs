@@ -3,8 +3,8 @@
 //! `results/BENCH_fetch.json` baseline that seeds the perf trajectory.
 //!
 //! Usage:
-//!   cargo run --release -p seco-bench --bin fetch_bench            # full
-//!   cargo run --release -p seco-bench --bin fetch_bench -- --smoke # CI
+//!   cargo run --release -p seco-bench --bin fetch_bench            # full  -> results/BENCH_fetch.json
+//!   cargo run --release -p seco-bench --bin fetch_bench -- --smoke # CI    -> target/smoke/BENCH_fetch.json
 //!
 //! Four benchmarks:
 //!
@@ -313,11 +313,6 @@ fn main() -> Result<(), DynError> {
         "coalescing": bench_coalescing()?,
         "prefetch": bench_prefetch(par_n)?,
     });
-    std::fs::create_dir_all("results")?;
-    std::fs::write(
-        "results/BENCH_fetch.json",
-        serde_json::to_string_pretty(&value)?,
-    )?;
-    println!("wrote results/BENCH_fetch.json");
+    seco_bench::write_report("fetch", smoke, &value)?;
     Ok(())
 }

@@ -3,8 +3,8 @@
 //! emitting `results/BENCH_join.json`.
 //!
 //! Usage:
-//!   cargo run --release -p seco-bench --bin join_bench            # full
-//!   cargo run --release -p seco-bench --bin join_bench -- --smoke # CI
+//!   cargo run --release -p seco-bench --bin join_bench            # full  -> results/BENCH_join.json
+//!   cargo run --release -p seco-bench --bin join_bench -- --smoke # CI    -> target/smoke/BENCH_join.json
 //!
 //! Eight benchmarks:
 //!
@@ -1171,11 +1171,6 @@ fn main() -> Result<(), DynError> {
             bench_parallel_vs_serial(1_200, 400, 2.0)?
         },
     });
-    std::fs::create_dir_all("results")?;
-    std::fs::write(
-        "results/BENCH_join.json",
-        serde_json::to_string_pretty(&value)?,
-    )?;
-    println!("wrote results/BENCH_join.json");
+    seco_bench::write_report("join", smoke, &value)?;
     Ok(())
 }

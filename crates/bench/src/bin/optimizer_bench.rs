@@ -3,8 +3,8 @@
 //! cache), emitting `results/BENCH_optimizer.json`.
 //!
 //! Usage:
-//!   cargo run --release -p seco-bench --bin optimizer_bench            # full
-//!   cargo run --release -p seco-bench --bin optimizer_bench -- --smoke # CI
+//!   cargo run --release -p seco-bench --bin optimizer_bench            # full  -> results/BENCH_optimizer.json
+//!   cargo run --release -p seco-bench --bin optimizer_bench -- --smoke # CI    -> target/smoke/BENCH_optimizer.json
 //!
 //! Three benchmarks over the chapter's three-service E10 running
 //! example (Movie ⋈ Theatre ⋈ Restaurant):
@@ -259,11 +259,6 @@ fn main() -> Result<(), DynError> {
         "delta_annotation": delta,
         "plan_cache": cache,
     });
-    std::fs::create_dir_all("results")?;
-    std::fs::write(
-        "results/BENCH_optimizer.json",
-        serde_json::to_string_pretty(&report)?,
-    )?;
-    println!("wrote results/BENCH_optimizer.json");
+    seco_bench::write_report("optimizer", smoke, &report)?;
     Ok(())
 }

@@ -16,6 +16,22 @@ use seco_query::{Query, QueryBuilder};
 use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService, ValueDomain};
 use seco_services::{MisdeclaredService, ServiceRegistry};
 
+/// Writes a timing binary's report as `BENCH_<name>.json`: a full run
+/// to the committed `results/`, a `--smoke` run under `target/smoke/`,
+/// so CI leaves the committed full-mode reports as they were.
+pub fn write_report(
+    name: &str,
+    smoke: bool,
+    report: &serde_json::Value,
+) -> Result<(), Box<dyn std::error::Error>> {
+    let dir = if smoke { "target/smoke" } else { "results" };
+    std::fs::create_dir_all(dir)?;
+    let path = format!("{dir}/BENCH_{name}.json");
+    std::fs::write(&path, serde_json::to_string_pretty(report)?)?;
+    println!("wrote {path}");
+    Ok(())
+}
+
 /// Builds one search-service interface `name` with a `Key` input, a
 /// `Link` output (shared `link` domain for joins), and a ranked score.
 pub fn link_service(

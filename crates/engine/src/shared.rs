@@ -110,6 +110,18 @@ impl SharedState {
         self.stacks.lock().len()
     }
 
+    /// What the prepared stacks' response caches hold right now:
+    /// `(bodies, of which still unproven, approximate bytes)`. Walks
+    /// every cached body for the byte figure — a diagnostics call.
+    pub fn fetch_cache_usage(&self) -> (usize, usize, usize) {
+        let caches: Vec<Arc<CachingService>> = (self.stacks.lock().values())
+            .filter_map(|(_, _, cache)| cache.clone())
+            .collect();
+        caches.iter().fold((0, 0, 0), |(n, u, b), c| {
+            (n + c.len(), u + c.unproven_len(), b + c.approx_bytes())
+        })
+    }
+
     /// Stops the executor pool: queued work is drained, workers are
     /// joined, and further submissions are refused. Prepared stacks
     /// stay usable — demand fetches never depended on the pool.

@@ -262,6 +262,7 @@ impl<'a> Optimizer<'a> {
     pub fn optimize(&self, query: &Query) -> Result<Optimized, OptError> {
         let fingerprint = match &self.cache {
             Some(cache) if self.budget.is_none() => {
+                cache.roll_epoch(self.registry.stats_epoch());
                 let fp = query_fingerprint(
                     query,
                     self.registry,
@@ -716,6 +717,25 @@ mod tests {
             );
             assert_eq!(full.stats.annotate_delta, 0);
         }
+    }
+
+    #[test]
+    fn four_atom_star_search_is_pinned() {
+        // Values recorded before phase 2 learned to visit each state
+        // once: the search must not notice the difference.
+        let (reg, q) = seco_bench::star_scenario(4, 7);
+        let best = optimize(&q, &reg, CostMetric::RequestCount).unwrap();
+        let s = &best.stats;
+        assert_eq!((s.topologies, s.instantiated, s.pruned), (126, 102, 24));
+        assert_eq!(best.cost.to_bits(), 15.0f64.to_bits());
+        assert_eq!(
+            best.plan.canonical_key(),
+            "O(J[MS(r=1/1),tri,A1.Link = A2.Link;sel=3fb999999999999a](\
+             J[MS(r=1/1),tri,A1.Link = A3.Link;sel=3fb999999999999a](\
+             J[MS(r=1/1),tri,A1.Link = A4.Link;sel=3fb999999999999a](\
+             S[A1=Star1,F=4,kf=0](I)|S[A4=Star4,F=3,kf=0](I))|\
+             S[A3=Star3,F=4,kf=0](I))|S[A2=Star2,F=4,kf=0](I)))"
+        );
     }
 
     #[test]

@@ -26,6 +26,17 @@
 //! of the same chain become join-filter selection nodes; join
 //! predicates across merged branches annotate the parallel-join node.
 //! Duplicate topologies (same canonical structure) are emitted once.
+//!
+//! The same partial topology is reachable along many move orders (place
+//! `A` then `B` on separate branches, or `B` then `A`). What can still
+//! be built from a state depends only on the canonical signatures of
+//! its branch heads: the placed atoms are the union of the branches'
+//! atoms, and a join predicate is assigned the moment both its atoms
+//! share a branch, so the assigned set is a function of the same
+//! partition. The recursion therefore expands each such state once —
+//! every leaf under a repeat is already in the emitted set, so the
+//! output (order and cap included) is that of the plain depth-first
+//! walk, which survives as the `#[cfg(test)]` reference.
 
 use std::collections::BTreeSet;
 
@@ -78,6 +89,23 @@ pub fn enumerate_topologies(
     heuristic: Phase2Heuristic,
     max: usize,
 ) -> Result<Vec<QueryPlan>, OptError> {
+    let visited = Some(BTreeSet::new());
+    enumerate(query, registry, report, heuristic, max, visited)
+}
+
+/// Interior states already expanded, keyed by the sorted signatures of
+/// their branch heads; `None` walks every move order (the test
+/// reference).
+type Visited = Option<BTreeSet<Vec<String>>>;
+
+fn enumerate(
+    query: &Query,
+    registry: &ServiceRegistry,
+    report: &FeasibilityReport,
+    heuristic: Phase2Heuristic,
+    max: usize,
+    mut visited: Visited,
+) -> Result<Vec<QueryPlan>, OptError> {
     let joins = query.expanded_joins(registry)?;
     // A join predicate is absorbed by a pipe when some piped binding
     // uses exactly its attribute pair.
@@ -124,7 +152,7 @@ pub fn enumerate_topologies(
     };
     let mut out = Vec::new();
     let mut seen = BTreeSet::new();
-    recurse(&ctx, state, &mut out, &mut seen)?;
+    recurse(&ctx, state, &mut out, &mut seen, &mut visited)?;
     Ok(out)
 }
 
@@ -300,6 +328,7 @@ fn recurse(
     state: State,
     out: &mut Vec<QueryPlan>,
     seen: &mut BTreeSet<String>,
+    visited: &mut Visited,
 ) -> Result<(), OptError> {
     if out.len() >= ctx.max {
         return Ok(());
@@ -315,6 +344,17 @@ fn recurse(
             out.push(plan);
         }
         return Ok(());
+    }
+    if let Some(visited) = visited {
+        let mut key: Vec<String> = state
+            .branches
+            .iter()
+            .map(|b| signature(&state.plan, b.head))
+            .collect();
+        key.sort();
+        if !visited.insert(key) {
+            return Ok(());
+        }
     }
 
     // Collect the possible moves, ordered by the heuristic.
@@ -462,7 +502,7 @@ fn recurse(
                 flush_filters(ctx, &mut next, keep)?;
             }
         }
-        recurse(ctx, next, out, seen)?;
+        recurse(ctx, next, out, seen, visited)?;
     }
     Ok(())
 }
@@ -611,6 +651,50 @@ mod tests {
                     if s.predicates.iter().any(|sp| sp.left.path.to_string() == "TCountry"))
             });
             assert!(has_country_filter, "output equality must be filtered");
+        }
+    }
+
+    #[test]
+    fn visiting_each_state_once_emits_the_same_plans_in_the_same_order() {
+        use crate::heuristics::Phase1Heuristic;
+        use crate::phase1::enumerate_assignments;
+
+        let mut scenarios = vec![(
+            "running example".to_owned(),
+            entertainment::build_registry(1).unwrap(),
+            running_example(),
+        )];
+        for n in 2..=5 {
+            let (reg, q) = seco_bench::star_scenario(n, 7);
+            scenarios.push((format!("star {n}"), reg, q));
+            let (reg, q) = seco_bench::chain_scenario(n, 7);
+            scenarios.push((format!("chain {n}"), reg, q));
+        }
+        for (name, reg, q) in &scenarios {
+            let assignments =
+                enumerate_assignments(q, reg, Phase1Heuristic::BoundIsBetter).unwrap();
+            assert!(!assignments.is_empty(), "{name}");
+            for a in &assignments {
+                for heuristic in [
+                    Phase2Heuristic::ParallelIsBetter,
+                    Phase2Heuristic::SelectiveFirst,
+                ] {
+                    for max in [3, 17, 256] {
+                        let plans =
+                            enumerate_topologies(&a.query, reg, &a.report, heuristic, max).unwrap();
+                        // No visited set: the plain depth-first walk over
+                        // every move order.
+                        let reference =
+                            enumerate(&a.query, reg, &a.report, heuristic, max, None).unwrap();
+                        assert!(
+                            plans == reference,
+                            "{name} {heuristic:?} max={max}: {} plans vs {} from the reference",
+                            plans.len(),
+                            reference.len()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -288,9 +288,14 @@ impl ServerState {
 
     /// Promotes deviating observed statistics into the registry
     /// (rolling the epoch, which invalidates every cached plan's
-    /// fingerprint). Returns the promoted service names.
+    /// fingerprint and so empties the plan cache). Returns the promoted
+    /// service names.
     pub fn promote(&self, policy: &DeviationPolicy) -> Vec<String> {
-        self.registry.promote_deviations(policy)
+        let promoted = self.registry.promote_deviations(policy);
+        // Plans fingerprinted under the old epoch can never be asked
+        // for again: drop them now, not at the next planning call.
+        self.plan_cache.roll_epoch(self.registry.stats_epoch());
+        promoted
     }
 
     /// The daemon's observability snapshot as a JSON document.
@@ -302,13 +307,22 @@ impl ServerState {
             .iter()
             .map(|(name, calls)| serde_json::json!({"tenant": name, "calls": calls}))
             .collect();
+        let (fetch_entries, fetch_unproven, fetch_bytes) = self.shared.fetch_cache_usage();
         serde_json::json!({
             "sessions_open": self.open_sessions(),
             "in_flight": self.in_flight.load(Ordering::Acquire),
             "admitted": self.admitted.load(Ordering::Relaxed),
             "rejected": self.rejected.load(Ordering::Relaxed),
             "draining": self.draining.load(Ordering::Acquire),
+            // What the daemon retains, cache by cache: both are
+            // bounded, so under never-repeating traffic these level off
+            // while `plan_cache_evictions` keeps counting.
             "plan_cache_entries": self.plan_cache.len(),
+            "plan_cache_bytes": self.plan_cache.bytes(),
+            "plan_cache_evictions": self.plan_cache.evictions(),
+            "fetch_cache_entries": fetch_entries,
+            "fetch_cache_unproven": fetch_unproven,
+            "fetch_cache_bytes": fetch_bytes,
             "stats_epoch": self.registry.stats_epoch(),
             "epoch_invalidations": self.registry.epoch_invalidations(),
             "fetch_stacks": self.shared.stack_count(),

@@ -152,6 +152,12 @@ fn promotion_rolls_the_epoch_and_invalidates_cached_plans() {
         "the misdeclared hub is promoted: {promo}"
     );
     assert!(json_u64(&promo, "stats_epoch").expect("epoch") >= 1);
+    // No request can ask for the old epoch's plan again: it is gone the
+    // moment the epoch moves, and counted.
+    assert_eq!(json_u64(&promo, "plan_cache_entries"), Some(0), "{promo}");
+    let (_, stats) = http::call(&addr, "GET", "/stats", "").expect("stats");
+    assert_eq!(json_u64(&stats, "plan_cache_evictions"), Some(1), "{stats}");
+    assert_eq!(json_u64(&stats, "plan_cache_bytes"), Some(0), "{stats}");
 
     let (_, third) = http::call(&addr, "POST", "/query?k=1", &text).expect("third");
     assert_eq!(

@@ -10,7 +10,7 @@
 //! results, and less memory is required to cache the data": fewer bound
 //! inputs ⇒ more distinct binding sets ⇒ a bigger cache).
 //!
-//! Three properties distinguish this cache from a plain memo map:
+//! Four properties distinguish this cache from a plain memo map:
 //!
 //! * **Structured keys** — a [`RequestKey`] is a 64-bit fingerprint
 //!   computed directly over the request's chunk index, bindings, and
@@ -25,8 +25,34 @@
 //!   the others block on its published result, so fault-retry storms
 //!   and diamond topologies never duplicate in-flight I/O. Coalesced
 //!   waits are counted separately from hits.
+//! * **Admission on proof** — a long-lived daemon sees an open-ended
+//!   stream of requests that are never repeated (every never-seen query
+//!   constant makes some), so a body earns a lasting place only by being
+//!   asked for twice. A new body waits in a small FIFO of *unproven*
+//!   entries (an eighth of the capacity) where it can already be hit;
+//!   when the FIFO overflows, the oldest unhit body is dropped and only
+//!   its 8-byte fingerprint is remembered, in a bounded FIFO *ghost*
+//!   set (four times the capacity). A hit on an unproven body, or a
+//!   miss whose fingerprint is a ghost, moves the body into the main
+//!   table. The main table itself never evicts and takes nothing once
+//!   full (probation ends with the entry that fills it): against a
+//!   cyclic scan of a working set larger than the cache that keeps a
+//!   fixed subset hitting (ratio ≈ capacity ÷ working set), where any
+//!   recency-based replacement scores zero. A working set no larger
+//!   than the unproven FIFO sees exactly a plain memo map: miss once,
+//!   hit from the second request on.
+//!
+//!   Probation has to pay for itself: when fewer than one in four of
+//!   the bodies passing through it is hit, the traffic is one-off (or
+//!   repeats only at a distance the ghosts span) and the shard stops
+//!   holding new bodies — a miss then leaves only its fingerprint, the
+//!   queue drains, and the body is freed by the query that fetched it.
+//!   A run of hits the queue would have taken (ghosts forgotten within
+//!   the last queue-length) pays the debt down and bodies are held
+//!   again. One-off traffic, however long, therefore holds at most the
+//!   unproven FIFO's bodies, and soon none.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,6 +65,7 @@ use seco_model::{ServiceInterface, Value};
 use crate::error::ServiceError;
 use crate::invocation::{ChunkResponse, Request, Service};
 use crate::recorder::CallRecorder;
+use crate::wire::chunk_wire_size_body;
 
 /// Default shard count when callers do not choose one.
 pub const DEFAULT_SHARDS: usize = 8;
@@ -147,22 +174,151 @@ impl Flight {
 }
 
 /// One shard: its cached entries and the calls currently in flight for
-/// keys that hash here. A single lock covers both maps so the
+/// keys that hash here. A single lock covers all of it so the
 /// hit / join-flight / become-leader decision is atomic. A cached
 /// [`ChunkResponse`] is an `Arc` handle to its immutable body, so a hit
 /// clones a pointer — O(1) in the size of the chunk, with no deep copy
 /// inside or outside the critical section.
 #[derive(Default)]
 struct Shard {
+    /// The main table: bodies asked for at least twice. Never evicts.
     entries: HashMap<u64, ChunkResponse>,
+    /// Bodies asked for once so far, oldest first in `unproven_order`.
+    unproven: HashMap<u64, ChunkResponse>,
+    unproven_order: VecDeque<u64>,
+    /// Fingerprints of bodies that left `unproven` unhit, oldest first
+    /// in `ghost_order` (which may still list a fingerprint that has
+    /// since been admitted; forgetting it twice is harmless).
+    ghosts: HashSet<u64>,
+    ghost_order: VecDeque<u64>,
+    /// How probation has paid lately: one up for every body that left
+    /// it (or was turned away) unhit, [`PROOF_CREDIT`] down for every
+    /// hit on it.
+    debt: usize,
     inflight: HashMap<u64, Arc<Flight>>,
 }
+
+impl Shard {
+    /// The cached body for `key`, as a free re-delivery. A hit on an
+    /// unproven body is its proof: it moves to the main table.
+    fn lookup(&mut self, key: u64, capacity: usize) -> Option<ChunkResponse> {
+        if let Some(hit) = self.entries.get(&key) {
+            // A cache hit costs no service time and no tuple copies:
+            // the response re-shares the stored body.
+            return Some(hit.with_elapsed(0.0));
+        }
+        let body = self.unproven.remove(&key)?;
+        self.unproven_order.retain(|k| *k != key);
+        self.debt = self.debt.saturating_sub(PROOF_CREDIT);
+        let hit = body.with_elapsed(0.0);
+        self.prove(key, body, capacity);
+        Some(hit)
+    }
+
+    /// Stores a freshly fetched body: in the main table when its
+    /// fingerprint is a remembered ghost, among the unproven otherwise
+    /// — or, while probation does not pay, nowhere: only the fingerprint
+    /// is kept. Hands back the body this displaced from probation, for
+    /// the caller to free once the shard is unlocked. A full table takes
+    /// nothing.
+    fn admit(&mut self, key: u64, body: ChunkResponse, capacity: usize) -> Option<ChunkResponse> {
+        if self.entries.len() >= capacity {
+            return None;
+        }
+        let bound = unproven_bound(capacity);
+        if self.ghosts.remove(&key) {
+            // Forgotten so recently that a paying probation would still
+            // have held the body: a hit it was not there to take.
+            if self.ghost_order.iter().rev().take(bound).any(|k| *k == key) {
+                self.debt = self.debt.saturating_sub(PROOF_CREDIT);
+            }
+            self.prove(key, body, capacity);
+            return None;
+        }
+        // While the queue holds bodies it keeps `bound` of them and the
+        // one it displaces goes unhit; while it does not, the newcomer
+        // is turned away unhit and the queue drains by one. Either way
+        // one more body has passed probation without a hit.
+        let holding = self.debt < bound;
+        let keep = if holding {
+            self.unproven.insert(key, body);
+            self.unproven_order.push_back(key);
+            bound
+        } else {
+            self.remember_ghost(key, capacity);
+            0
+        };
+        let oldest = if self.unproven_order.len() > keep {
+            self.unproven_order.pop_front()
+        } else {
+            None
+        };
+        if oldest.is_some() || !holding {
+            self.debt = (self.debt + 1).min(2 * bound);
+        }
+        let oldest = oldest?;
+        self.remember_ghost(oldest, capacity);
+        self.unproven.remove(&oldest)
+    }
+
+    fn remember_ghost(&mut self, key: u64, capacity: usize) {
+        self.ghosts.insert(key);
+        self.ghost_order.push_back(key);
+        if self.ghost_order.len() > GHOSTS_PER_ENTRY * capacity {
+            if let Some(forgotten) = self.ghost_order.pop_front() {
+                self.ghosts.remove(&forgotten);
+            }
+        }
+    }
+
+    /// Moves a body into the main table. The entry that fills the table
+    /// ends probation for this shard: nothing further can be admitted,
+    /// so the bodies waiting for proof and the ghosts are let go, and a
+    /// full shard is one map that is only read.
+    fn prove(&mut self, key: u64, body: ChunkResponse, capacity: usize) {
+        self.entries.insert(key, body);
+        if self.entries.len() >= capacity {
+            self.unproven = HashMap::new();
+            self.unproven_order = VecDeque::new();
+            self.ghosts = HashSet::new();
+            self.ghost_order = VecDeque::new();
+        }
+    }
+}
+
+/// Bodies a shard of `capacity` main entries holds on probation: an
+/// eighth of it, but not so few that a handful of keys that happen to
+/// share a shard push each other out of a small cache.
+fn unproven_bound(capacity: usize) -> usize {
+    capacity.div_ceil(8).max(capacity.min(8))
+}
+
+/// What one hit on an unproven body pays off, in bodies that passed
+/// probation unhit: the queue holds bodies while its debt is below its
+/// own length, i.e. while at least one in four of them is hit. Below
+/// that the traffic is one-off, or repeats at a distance only the
+/// ghosts span, and holding its bodies buys few hits at a high price:
+/// a body that leaves the queue is freed by a later request — another
+/// thread, after the memory has gone cold — at 10–25 µs a body in the
+/// daemon, as much as fetching it again, where the query that fetched
+/// it frees it for a tenth of a microsecond. The debt is capped at
+/// twice the queue length, so a shard that stopped holding bodies
+/// resumes only on a run of hits (real ones, or ghosts so recent the
+/// queue would have held them), not on a stray one.
+const PROOF_CREDIT: usize = 3;
+
+/// Ghost fingerprints remembered per main-table entry. Four capacities
+/// cover one cycle of the largest working set the benchmark scans
+/// (≈12.8 k keys against a 4 096-entry cache); a set that cannot
+/// remember one cycle never admits anything.
+const GHOSTS_PER_ENTRY: usize = 4;
 
 /// A memoizing, coalescing decorator over any service.
 pub struct CachingService {
     inner: Arc<dyn Service>,
     shards: Vec<Mutex<Shard>>,
-    /// Maximum entries per shard (total capacity ÷ shard count).
+    /// Maximum main-table entries per shard (total capacity ÷ shard
+    /// count); the unproven and ghost bounds derive from it.
     per_shard_capacity: usize,
     /// Total configured capacity (0 disables caching and coalescing).
     capacity: usize,
@@ -177,10 +333,10 @@ pub struct CachingService {
 }
 
 impl CachingService {
-    /// Wraps a service with a cache of at most `capacity` responses
-    /// over [`DEFAULT_SHARDS`] shards (0 disables caching; insertion
-    /// stops at capacity — the workloads here are short-lived, so no
-    /// eviction policy is needed).
+    /// Wraps a service with a cache of at most `capacity` proven
+    /// responses (plus `capacity / 8` on probation) over
+    /// [`DEFAULT_SHARDS`] shards; 0 disables caching. See the module
+    /// docs for what earns a response its place.
     pub fn new(inner: Arc<dyn Service>, capacity: usize) -> Self {
         Self::sharded(inner, capacity, DEFAULT_SHARDS)
     }
@@ -234,6 +390,7 @@ impl CachingService {
         let key = RequestKey::of(request);
         let guard = self.lock_shard(&self.shards[key.shard(self.shards.len())]);
         guard.entries.contains_key(&key.fingerprint())
+            || guard.unproven.contains_key(&key.fingerprint())
             || guard.inflight.contains_key(&key.fingerprint())
     }
 
@@ -256,14 +413,40 @@ impl CachingService {
         })
     }
 
-    /// Entries currently cached, over all shards.
+    /// Bodies currently cached, proven and unproven, over all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().entries.len()).sum()
+        self.shards
+            .iter()
+            .map(|s| {
+                let s = s.lock();
+                s.entries.len() + s.unproven.len()
+            })
+            .sum()
     }
 
     /// True when nothing is cached yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().entries.is_empty())
+        self.len() == 0
+    }
+
+    /// Bodies still on probation (asked for once), over all shards.
+    pub fn unproven_len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().unproven.len()).sum()
+    }
+
+    /// Wire-equivalent size of every cached body: an approximation of
+    /// the memory they hold, computed on demand by walking the bodies
+    /// (for `/stats`, not for a hot path).
+    pub fn approx_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                let s = s.lock();
+                (s.entries.values().chain(s.unproven.values()))
+                    .map(|resp| chunk_wire_size_body(resp.body()))
+                    .sum::<usize>()
+            })
+            .sum()
     }
 }
 
@@ -286,10 +469,8 @@ impl Service for CachingService {
         }
         let role = {
             let mut guard = self.lock_shard(shard);
-            if let Some(cached) = guard.entries.get(&key.fingerprint()) {
-                // A cache hit costs no service time and no tuple copies:
-                // the response re-shares the stored body.
-                Role::Hit(cached.with_elapsed(0.0))
+            if let Some(hit) = guard.lookup(key.fingerprint(), self.per_shard_capacity) {
+                Role::Hit(hit)
             } else if let Some(flight) = guard.inflight.get(&key.fingerprint()) {
                 Role::Waiter(flight.clone())
             } else {
@@ -323,9 +504,10 @@ impl Service for CachingService {
                 guard.inflight.remove(&key.fingerprint());
                 if let Ok(resp) = &result {
                     self.misses.fetch_add(1, Ordering::Relaxed);
-                    if guard.entries.len() < self.per_shard_capacity {
-                        guard.entries.insert(key.fingerprint(), resp.clone());
-                    }
+                    let displaced =
+                        guard.admit(key.fingerprint(), resp.clone(), self.per_shard_capacity);
+                    drop(guard);
+                    drop(displaced);
                 }
                 result
             }
@@ -489,7 +671,9 @@ mod tests {
 
     #[test]
     fn entries_spread_over_shards() {
-        let cached = CachingService::sharded(service(), 256, 4);
+        // 64 first-time keys all fit the probation queues of a cache
+        // this size, wherever they hash.
+        let cached = CachingService::sharded(service(), 2048, 4);
         assert_eq!(cached.shard_count(), 4);
         for i in 0..64 {
             cached.fetch(&req(&format!("k{i}"))).unwrap();
@@ -498,12 +682,131 @@ mod tests {
         let populated = cached
             .shards
             .iter()
-            .filter(|s| !s.lock().entries.is_empty())
+            .filter(|s| !s.lock().unproven.is_empty())
             .count();
         assert!(
             populated >= 2,
             "64 distinct keys must land in more than one shard, got {populated}"
         );
+    }
+
+    #[test]
+    fn never_repeated_keys_hold_at_most_the_probation_queue() {
+        // 4 shards x 64 main entries: 8 bodies on probation per shard.
+        let inner = service();
+        let cached = CachingService::sharded(inner.clone(), 256, 4);
+        let mut peak = 0;
+        for i in 0..600 {
+            cached.fetch(&req(&format!("once-{i}"))).unwrap();
+            assert!(cached.len() <= 32, "{} bodies held after {i}", cached.len());
+            peak = peak.max(cached.len());
+        }
+        assert!(peak > 8, "probation did hold first-time bodies: {peak}");
+        // Two turnovers of each queue without one hit: probation gave
+        // up holding bodies and drained. Fingerprints are all that stay.
+        assert_eq!((cached.len(), cached.unproven_len()), (0, 0));
+        assert_eq!((cached.hits(), inner.calls_served()), (0, 600));
+        let ghosts: usize = cached.shards.iter().map(|s| s.lock().ghosts.len()).sum();
+        assert_eq!(ghosts, 600);
+    }
+
+    #[test]
+    fn the_ghost_set_is_bounded_too() {
+        // One shard of 8 main entries: 8 on probation, 32 ghosts.
+        let cached = CachingService::sharded(service(), 8, 1);
+        for i in 0..200 {
+            cached.fetch(&req(&format!("once-{i}"))).unwrap();
+        }
+        let shard = cached.shards[0].lock();
+        assert_eq!((shard.unproven.len(), shard.unproven_order.len()), (0, 0));
+        assert_eq!((shard.ghosts.len(), shard.ghost_order.len()), (32, 32));
+    }
+
+    #[test]
+    fn probation_resumes_when_requests_start_repeating_again() {
+        // One shard: 64 main entries, 8 on probation, debt capped at 16.
+        let inner = service();
+        let cached = CachingService::sharded(inner.clone(), 64, 1);
+        for i in 0..100 {
+            cached.fetch(&req(&format!("once-{i}"))).unwrap();
+        }
+        assert_eq!(cached.len(), 0, "a long one-off stream: no body is held");
+        // A repeat right after that costs one more call than it would
+        // have on a fresh cache — its fingerprint was all that was kept.
+        // Being a hit probation would have taken, it pays some debt…
+        for (n, key) in ["again-a", "again-b", "again-c", "again-d"]
+            .into_iter()
+            .enumerate()
+        {
+            cached.fetch(&req(key)).unwrap();
+            assert_eq!(cached.unproven_len(), 0, "{key} was turned away");
+            cached.fetch(&req(key)).unwrap();
+            cached.fetch(&req(key)).unwrap();
+            assert_eq!(
+                (cached.hits(), inner.calls_served()),
+                (n as u64 + 1, 100 + 2 * (n as u64 + 1)),
+                "{key}: two calls, then hits"
+            );
+        }
+        // …and a run of them pays enough: the next newcomer is held and
+        // hit on its second request.
+        cached.fetch(&req("newcomer")).unwrap();
+        assert_eq!(cached.unproven_len(), 1);
+        cached.fetch(&req("newcomer")).unwrap();
+        assert_eq!((cached.hits(), inner.calls_served()), (5, 109));
+    }
+
+    #[test]
+    fn a_cyclic_set_is_admitted_on_its_second_pass_and_hits_on_its_third() {
+        // 100 keys: more than the 32 probation slots, within the 256
+        // main entries and the 1 024 ghosts.
+        let inner = service();
+        let cached = CachingService::sharded(inner.clone(), 256, 4);
+        let pass = || {
+            for i in 0..100 {
+                cached.fetch(&req(&format!("cycle-{i}"))).unwrap();
+            }
+        };
+        pass();
+        assert_eq!((cached.hits(), inner.calls_served()), (0, 100));
+        assert!(cached.len() <= 32);
+        // Second pass: a key still on probation is hit and proven, a
+        // ghosted one is fetched again and goes straight to the table.
+        pass();
+        assert_eq!(cached.hits() + 100, 200 - (inner.calls_served() - 100));
+        assert_eq!((cached.len(), cached.unproven_len()), (100, 0));
+        let (hits, calls) = (cached.hits(), inner.calls_served());
+        pass();
+        assert_eq!(cached.hits(), hits + 100, "third pass: every key hits");
+        assert_eq!(inner.calls_served(), calls, "with no call underneath");
+    }
+
+    #[test]
+    fn a_full_main_table_still_refuses() {
+        // One shard: 16 main entries, 8 on probation.
+        let inner = service();
+        let cached = CachingService::sharded(inner.clone(), 16, 1);
+        cached.fetch(&req("bystander")).unwrap();
+        for i in 0..16 {
+            cached.fetch(&req(&format!("early-{i}"))).unwrap();
+            cached.fetch(&req(&format!("early-{i}"))).unwrap();
+        }
+        assert_eq!((cached.len(), cached.hits()), (16, 16));
+        // The entry that filled the table ended probation: the unproven
+        // bystander and every ghost went with it.
+        assert_eq!(cached.unproven_len(), 0);
+        assert!(cached.shards[0].lock().ghosts.is_empty());
+        // A latecomer is fetched every time, however often it is asked
+        // for: the table is full and never evicts.
+        let calls = inner.calls_served();
+        for _ in 0..3 {
+            cached.fetch(&req("late")).unwrap();
+        }
+        assert_eq!(inner.calls_served(), calls + 3);
+        assert_eq!((cached.len(), cached.unproven_len()), (16, 0));
+        // The early entries still answer.
+        cached.fetch(&req("early-0")).unwrap();
+        assert_eq!((cached.hits(), inner.calls_served()), (17, calls + 3));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! [`ServiceRegistry::stats_epoch`](crate::ServiceRegistry::stats_epoch)
 //! and thereby invalidates stale `PlanCache` entries for free.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -91,10 +91,28 @@ pub struct ObservedCardinality {
     pub samples: u64,
 }
 
+/// Logical invocations a service's accumulator tracks chunk by chunk.
+/// The chunks of one invocation arrive close together (one query
+/// execution, or one session deepening it), so only recent bindings
+/// need their per-chunk state; older ones are folded into running
+/// totals. A daemon under never-repeating traffic otherwise keeps one
+/// observation per distinct binding for ever — measured at ≈1.25 KB
+/// of the ≈1.6 KB a never-seen 4-atom star query left behind.
+const LIVE_BINDINGS: usize = 1024;
+
 /// Per-service accumulator of runtime observations.
 #[derive(Debug, Default)]
 pub struct StatsAccumulator {
+    /// The most recent [`LIVE_BINDINGS`] bindings, observed exactly.
     bindings: BTreeMap<u64, BindingObservation>,
+    /// Keys of `bindings`, oldest first.
+    order: VecDeque<u64>,
+    /// Completed bindings folded out of `bindings`, and their tuples.
+    settled_complete: u64,
+    settled_tuples: u64,
+    /// Bindings folded out while still partial, and their largest total.
+    settled_partial: u64,
+    settled_partial_max: u64,
     latency_ewma_ms: Option<f64>,
     fetches: u64,
 }
@@ -117,10 +135,36 @@ impl StatsAccumulator {
             None => elapsed_ms,
         };
         self.latency_ewma_ms = Some(ewma);
-        let obs = self.bindings.entry(binding_key).or_default();
+        let obs = self.bindings.entry(binding_key).or_insert_with(|| {
+            self.order.push_back(binding_key);
+            BindingObservation::default()
+        });
         obs.chunk_lens.insert(chunk, len);
         if !has_more {
             obs.complete = true;
+        }
+        if self.order.len() > LIVE_BINDINGS {
+            self.settle_oldest();
+        }
+    }
+
+    /// Folds the oldest live binding into the running totals. (Should
+    /// it be fetched again it starts a fresh observation; a completed
+    /// binding then weighs twice in the mean, with the same total.)
+    fn settle_oldest(&mut self) {
+        let Some(obs) = self
+            .order
+            .pop_front()
+            .and_then(|k| self.bindings.remove(&k))
+        else {
+            return;
+        };
+        if obs.complete {
+            self.settled_complete += 1;
+            self.settled_tuples += obs.total();
+        } else {
+            self.settled_partial += 1;
+            self.settled_partial_max = self.settled_partial_max.max(obs.total());
         }
     }
 
@@ -136,36 +180,33 @@ impl StatsAccumulator {
 
     /// Observed output cardinality per invocation, if any.
     pub fn cardinality(&self) -> Option<ObservedCardinality> {
-        let complete: Vec<u64> = self
-            .bindings
-            .values()
-            .filter(|b| b.complete)
-            .map(|b| b.total())
-            .collect();
-        if !complete.is_empty() {
-            let sum: u64 = complete.iter().sum();
+        let (mut complete, mut tuples) = (self.settled_complete, self.settled_tuples);
+        for b in self.bindings.values().filter(|b| b.complete) {
+            complete += 1;
+            tuples += b.total();
+        }
+        if complete > 0 {
             return Some(ObservedCardinality {
-                value: sum as f64 / complete.len() as f64,
+                value: tuples as f64 / complete as f64,
                 exact: true,
-                samples: complete.len() as u64,
+                samples: complete,
             });
         }
-        if self.bindings.is_empty() {
+        let samples = self.settled_partial + self.bindings.len() as u64;
+        if samples == 0 {
             return None;
         }
-        let best = self.bindings.values().map(|b| b.total()).max().unwrap_or(0);
+        let best = self.bindings.values().map(|b| b.total()).max();
         Some(ObservedCardinality {
-            value: best as f64,
+            value: best.unwrap_or(0).max(self.settled_partial_max) as f64,
             exact: false,
-            samples: self.bindings.len() as u64,
+            samples,
         })
     }
 
     /// Drops all observations (between experiment repetitions).
     pub fn reset(&mut self) {
-        self.bindings.clear();
-        self.latency_ewma_ms = None;
-        self.fetches = 0;
+        *self = StatsAccumulator::default();
     }
 }
 
@@ -285,6 +326,37 @@ mod tests {
         assert!(card.exact);
         assert_eq!(card.samples, 2);
         assert!((card.value - 15.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn old_bindings_fold_into_totals_without_moving_the_cardinality() {
+        let mut acc = StatsAccumulator::default();
+        // Every binding completes with 3 + (key mod 5) tuples over two
+        // chunks; far more bindings than are tracked live.
+        let n = 10 * LIVE_BINDINGS as u64;
+        let mut tuples = 0;
+        for key in 0..n {
+            let extra = (key % 5) as usize;
+            acc.record_fetch(key, 0, 3, true, 1.0);
+            acc.record_fetch(key, 1, extra, false, 1.0);
+            tuples += 3 + extra as u64;
+            assert!(acc.bindings.len() <= LIVE_BINDINGS);
+            assert_eq!(acc.bindings.len(), acc.order.len());
+        }
+        let card = acc.cardinality().unwrap();
+        assert!(card.exact);
+        assert_eq!(card.samples, n);
+        assert_eq!(card.value.to_bits(), (tuples as f64 / n as f64).to_bits());
+        // A stream that never completes keeps its lower bound and its
+        // sample count across the fold as well.
+        let mut acc = StatsAccumulator::default();
+        for key in 0..n {
+            acc.record_fetch(key, 0, if key == 7 { 40 } else { 4 }, true, 1.0);
+        }
+        let card = acc.cardinality().unwrap();
+        assert_eq!((card.exact, card.samples, card.value), (false, n, 40.0));
+        acc.reset();
+        assert_eq!(acc.cardinality(), None);
     }
 
     #[test]

@@ -10,15 +10,22 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The one-shot experiments share the fetch stack (CachingService) with
+# the daemon: their committed output must not move.
+echo "==> repro output is byte-identical to repro_output.txt"
+cargo run --release -q -p seco-bench --bin repro | diff - repro_output.txt
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# results/ is the single canonical home for benchmark reports; these
-# smoke runs (the serve smoke excepted, below) overwrite them in place
-# and the greps gate on those files.
+# results/ holds the committed full-mode reports; every smoke run
+# below writes under target/smoke/ and the greps gate on those files,
+# so a CI run leaves results/ as committed.
+smoke=target/smoke
+
 echo "==> fetch_bench --smoke"
 cargo run --release -q -p seco-bench --bin fetch_bench -- --smoke
 
@@ -26,10 +33,10 @@ echo "==> join_bench --smoke"
 cargo run --release -q -p seco-bench --bin join_bench -- --smoke
 echo "==> rank join smoke summary (chunks fetched / time-to-kth)"
 grep -E '"(chunks_fetched|chunks_saved|time_to_kth_us|chunk_fetch_reduction|time_to_kth_speedup)"' \
-  results/BENCH_join.json
+  "$smoke/BENCH_join.json"
 echo "==> parallel-vs-serial smoke gate (modeled speedup at 4 workers >= 1.3x)"
-grep -E '"(modeled_speedup_at_4_workers|target|pass)"' results/BENCH_join.json
-grep -q '"pass": true' results/BENCH_join.json
+grep -E '"(modeled_speedup_at_4_workers|target|pass)"' "$smoke/BENCH_join.json"
+grep -q '"pass": true' "$smoke/BENCH_join.json"
 
 echo "==> optimizer_bench --smoke"
 cargo run --release -q -p seco-bench --bin optimizer_bench -- --smoke
@@ -37,13 +44,11 @@ cargo run --release -q -p seco-bench --bin optimizer_bench -- --smoke
 echo "==> adaptive_bench --smoke"
 cargo run --release -q -p seco-bench --bin adaptive_bench -- --smoke
 echo "==> adaptive smoke summary (convergence / ratio / replans)"
-grep -E '"(converged|ratio_vs_informed|replans|epoch_invalidations)"' results/BENCH_adaptive.json
-grep -q '"converged": true' results/BENCH_adaptive.json
+grep -E '"(converged|ratio_vs_informed|replans|epoch_invalidations)"' "$smoke/BENCH_adaptive.json"
+grep -q '"converged": true' "$smoke/BENCH_adaptive.json"
 
-# The serve smoke writes under target/, so the committed full-mode
-# results/BENCH_serve.json survives a CI run.
 echo "==> serve_bench --smoke"
-serve_smoke=target/smoke/BENCH_serve.json
+serve_smoke=$smoke/BENCH_serve.json
 cargo run --release -q -p seco-server --bin bencher -- --smoke --out "$serve_smoke"
 echo "==> serving smoke summary (aggregate cold vs warm p50, identity, p95 flatness)"
 grep -E '"(aggregate_cold_p50_ms|aggregate_warm_p50_ms|warm_faster|concurrent_identical_to_serial|p95_flat_at_4x)"' \

@@ -112,7 +112,9 @@
 //! ```
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use search_computing::optimizer::PlanCache;
 use search_computing::plan::display;
 use search_computing::prelude::*;
 use search_computing::query::feasibility::analyze;
@@ -553,10 +555,14 @@ fn cmd_stats(
     query_src: &str,
 ) -> Result<(), String> {
     let query = parse_query(query_src).map_err(|e| e.to_string())?;
-    let best = optimize(&query, registry, metric).map_err(|e| e.to_string())?;
+    // Plan through a plan cache and run against daemon-grade state, so
+    // the retention and scheduler lines below describe what a
+    // `seco serve` daemon would hold and use for this query.
+    let plan_cache = Arc::new(PlanCache::new());
+    let mut optimizer = Optimizer::new(registry, metric);
+    optimizer.cache = Some(plan_cache.clone());
+    let best = optimizer.optimize(&query).map_err(|e| e.to_string())?;
     registry.reset_stats();
-    // Run against daemon-grade state so the scheduler counters below
-    // describe the same shared pool a `seco serve` daemon would use.
     let shared = SharedState::for_daemon(opts.exec_workers);
     let out =
         execute_plan_shared(&best.plan, registry, opts, &shared).map_err(|e| e.to_string())?;
@@ -630,6 +636,17 @@ fn cmd_stats(
             e.makespan_micros
         );
     }
+    let (fetch_entries, fetch_unproven, fetch_bytes) = shared.fetch_cache_usage();
+    println!(
+        "\nretained: plan cache {} plan(s), {} bytes, {} eviction(s); \
+         fetch cache {} bodies ({} unproven), ~{} bytes",
+        plan_cache.len(),
+        plan_cache.bytes(),
+        plan_cache.evictions(),
+        fetch_entries,
+        fetch_unproven,
+        fetch_bytes
+    );
     shared.shutdown();
     // The interner leaks distinct names by design: growth tracks the
     // workload's vocabulary, not its volume (see Symbol::table_bytes).

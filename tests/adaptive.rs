@@ -55,11 +55,16 @@ fn stats_epoch_bump_invalidates_the_plan_cache() {
     );
 
     // The old entry is stale: miss, re-search, re-cache under the new
-    // epoch — and the re-search lands on the scan plan.
+    // epoch — and the re-search lands on the scan plan. Nothing can ask
+    // for the old epoch's entry again, so the roll dropped it.
     let replanned = optimizer.optimize(&query).expect("post-promotion optimize");
     assert_eq!(replanned.stats.cache_hits, 0, "stale epoch must miss");
     assert_eq!(replanned.stats.cache_inserts, 1);
-    assert_eq!(cache.len(), 2, "both epochs keep their entries");
+    assert_eq!(
+        (cache.len(), cache.evictions()),
+        (1, 1),
+        "the old epoch's entry is evicted, not kept beside the new one"
+    );
     assert_ne!(
         replanned.plan.canonical_key(),
         first.plan.canonical_key(),
