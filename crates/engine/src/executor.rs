@@ -285,6 +285,22 @@ fn run_pass(
 
     let order = plan.topo_order()?;
     let mut outputs: Vec<Vec<CompositeTuple>> = vec![Vec::new(); plan.len()];
+    // One owner per combination: a node's output moves to its consumer.
+    // Only a real fan-out (the Fig. 2 diamond) copies, and then every
+    // consumer but the last.
+    let mut readers: Vec<usize> = vec![0; plan.len()];
+    for (from, _) in plan.edges() {
+        readers[from.0] += 1;
+    }
+    let copy_always = copies_every_handoff();
+    let mut hand_over = |outputs: &mut [Vec<CompositeTuple>], from: NodeId| {
+        readers[from.0] -= 1;
+        if readers[from.0] > 0 || copy_always {
+            outputs[from.0].clone()
+        } else {
+            std::mem::take(&mut outputs[from.0])
+        }
+    };
     let mut busy: Vec<f64> = vec![0.0; plan.len()];
     let mut trace = ExecutionTrace::default();
     let mut total_calls = 0usize;
@@ -350,24 +366,15 @@ fn run_pass(
             match plan.node(id)? {
                 PlanNode::Input => {
                     // The user's single input tuple (§3.2).
-                    (
-                        0,
-                        vec![CompositeTuple {
-                            atoms: Vec::new(),
-                            components: Vec::new(),
-                        }],
-                        0,
-                        0.0,
-                        false,
-                    )
+                    (0, vec![CompositeTuple::empty()], 0, 0.0, false)
                 }
                 PlanNode::Output => {
-                    let input = outputs[preds_nodes[0].0].clone();
+                    let input = hand_over(&mut outputs, preds_nodes[0]);
                     let deg = node_degraded[preds_nodes[0].0];
                     (input.len(), input, 0, 0.0, deg)
                 }
                 PlanNode::Selection(sel) => {
-                    let input = outputs[preds_nodes[0].0].clone();
+                    let input = hand_over(&mut outputs, preds_nodes[0]);
                     let n_in = input.len();
                     let node_preds = resolve_selection_node(sel, &plan.query)?;
                     let kept = run_selection(
@@ -397,7 +404,7 @@ fn run_pass(
                     (n_in, m.outputs.clone(), m.calls, m.busy_ms, deg)
                 }
                 PlanNode::Service(node) => {
-                    let input = outputs[preds_nodes[0].0].clone();
+                    let input = hand_over(&mut outputs, preds_nodes[0]);
                     let n_in = input.len();
                     let iface = registry.interface(&node.service)?;
                     let bindings = report.bindings_of(&node.atom);
@@ -502,8 +509,10 @@ fn run_pass(
                     for j in chain.iter().skip(1) {
                         group_nodes.push(plan.predecessors(*j)[1]);
                     }
-                    let groups: Vec<Vec<CompositeTuple>> =
-                        group_nodes.iter().map(|g| outputs[g.0].clone()).collect();
+                    let groups: Vec<Vec<CompositeTuple>> = group_nodes
+                        .iter()
+                        .map(|g| hand_over(&mut outputs, *g))
+                        .collect();
                     let any_deg = group_nodes.iter().any(|g| node_degraded[g.0]);
                     let n_in = groups.iter().map(Vec::len).sum();
                     // Per-stage parameters, identical to what each
@@ -562,10 +571,12 @@ fn run_pass(
                         None => {
                             // Ineligible plan: run the byte-identical
                             // binary cascade the fusion replaced.
-                            let mut cur = groups[0].clone();
+                            let mut groups = groups.into_iter();
+                            let mut cur = groups.next().expect("a chain has two feeders");
                             let mut cur_deg = node_degraded[group_nodes[0].0];
-                            for (gi, (p, inv, comp, h, lc, rc)) in params.iter().enumerate() {
-                                let right = groups[gi + 1].clone();
+                            for ((p, inv, comp, h, lc, rc), (gi, right)) in
+                                params.iter().zip(groups.enumerate())
+                            {
                                 let right_deg = node_degraded[group_nodes[gi + 1].0];
                                 let exec = seco_join::ParallelJoinExecutor {
                                     predicates: p,
@@ -594,8 +605,8 @@ fn run_pass(
                     }
                 }
                 PlanNode::ParallelJoin(spec) => {
-                    let left = outputs[preds_nodes[0].0].clone();
-                    let right = outputs[preds_nodes[1].0].clone();
+                    let left = hand_over(&mut outputs, preds_nodes[0]);
+                    let right = hand_over(&mut outputs, preds_nodes[1]);
                     let left_deg = node_degraded[preds_nodes[0].0];
                     let right_deg = node_degraded[preds_nodes[1].0];
                     let n_in = left.len() + right.len();
@@ -725,7 +736,7 @@ fn run_pass(
     }
 
     Ok(PassOutcome::Done(ExecutionResult {
-        results: outputs[plan.output().0].clone(),
+        results: std::mem::take(&mut outputs[plan.output().0]),
         trace,
         critical_ms: finish[plan.output().0],
         total_calls,
@@ -734,6 +745,23 @@ fn run_pass(
         replanned: None,
         replans: 0,
     }))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Makes [`run_pass`] on this thread copy at every hand-off — the
+    /// walk this executor shipped before outputs moved, kept as the
+    /// reference the moving walk is held to.
+    static COPY_EVERY_HANDOFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether hand-offs copy even to a sole consumer: never, outside the
+/// tests' reference walk.
+fn copies_every_handoff() -> bool {
+    #[cfg(test)]
+    return COPY_EVERY_HANDOFF.get();
+    #[cfg(not(test))]
+    false
 }
 
 /// Feeds the observed selectivity of a parallel join back to the
@@ -928,7 +956,7 @@ fn branch_step_chunks(plan: &QueryPlan, registry: &ServiceRegistry, from: NodeId
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use seco_optimizer::{optimize, CostMetric};
     use seco_query::builder::running_example;
@@ -1046,11 +1074,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn degrade_mode_survives_a_downed_service() {
+    /// The entertainment registry with Movie hard down; Theatre and
+    /// Restaurant are healthy.
+    pub(crate) fn registry_without_movie() -> ServiceRegistry {
         use seco_services::synthetic::{DomainMap, SyntheticService};
         use std::sync::Arc;
-        // Movie is hard down; Theatre and Restaurant are healthy.
         let mut reg = seco_services::ServiceRegistry::new();
         reg.register_service(Arc::new(
             SyntheticService::new(entertainment::movie_interface(), DomainMap::new(), 1)
@@ -1073,7 +1101,12 @@ mod tests {
             .unwrap();
         reg.register_pattern(entertainment::dinner_place_pattern())
             .unwrap();
+        reg
+    }
 
+    #[test]
+    fn degrade_mode_survives_a_downed_service() {
+        let reg = registry_without_movie();
         let q = running_example();
         let healthy = entertainment::build_registry(1).unwrap();
         let best = optimize(&q, &healthy, CostMetric::RequestCount).unwrap();
@@ -1145,12 +1178,12 @@ mod tests {
         assert_eq!(stats_a.timeouts, stats_b.timeouts);
     }
 
-    #[test]
-    fn diamond_plans_merge_shared_ancestry() {
+    /// The Fig. 2 diamond over `reg`: Conference feeds both Flight and
+    /// Hotel, whose branches meet in a parallel join.
+    pub(crate) fn diamond_plan(reg: &ServiceRegistry) -> QueryPlan {
         use seco_model::{Comparator, Value};
         use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
         use seco_query::QueryBuilder;
-        let reg = seco_services::domains::travel::build_registry(5).unwrap();
         let q = QueryBuilder::new()
             .atom("C", "Conference1")
             .atom("F", "Flight1")
@@ -1162,7 +1195,7 @@ mod tests {
             .k(5)
             .build()
             .unwrap();
-        let joins = q.expanded_joins(&reg).unwrap();
+        let joins = q.expanded_joins(reg).unwrap();
         let same_trip: Vec<_> = joins
             .iter()
             .filter(|j| j.connects("F", "H"))
@@ -1184,6 +1217,13 @@ mod tests {
         p.connect(f, j).unwrap();
         p.connect(h, j).unwrap();
         p.connect(j, p.output()).unwrap();
+        p
+    }
+
+    #[test]
+    fn diamond_plans_merge_shared_ancestry() {
+        let reg = seco_services::domains::travel::build_registry(5).unwrap();
+        let p = diamond_plan(&reg);
         let result = execute_plan(
             &p,
             &reg,
@@ -1211,5 +1251,154 @@ mod tests {
                     .unwrap()
             );
         }
+    }
+
+    /// The travel registry of the diamond with Flight hard down.
+    pub(crate) fn travel_without_flight() -> ServiceRegistry {
+        use seco_services::domains::travel;
+        use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService};
+        use std::sync::Arc;
+        let mut reg = ServiceRegistry::new();
+        let city = seco_services::ValueDomain::new("city", 12);
+        let conference = DomainMap::new().with(seco_model::AttributePath::atomic("City"), city);
+        for service in [
+            SyntheticService::new(travel::conference_interface(), conference, 5 ^ 0x11),
+            SyntheticService::new(travel::flight_interface(), DomainMap::new(), 5 ^ 0x13)
+                .with_fault_profile(FaultProfile {
+                    outage: Some((0, u64::MAX)),
+                    ..FaultProfile::none()
+                }),
+            SyntheticService::new(travel::hotel_interface(), DomainMap::new(), 5 ^ 0x14),
+        ] {
+            reg.register_service(Arc::new(service)).unwrap();
+        }
+        reg.register_pattern(travel::reached_by_pattern()).unwrap();
+        reg.register_pattern(travel::stay_at_pattern()).unwrap();
+        reg.register_pattern(travel::same_trip_pattern()).unwrap();
+        reg
+    }
+
+    /// Same answers, same books: handing outputs on by move changes
+    /// what an execution costs, never what it reports. Every scenario
+    /// runs twice over fresh registries — the moving walk and the
+    /// copy-at-every-hand-off walk it replaced — and the whole
+    /// [`ExecutionResult`] must agree: results in order, the trace
+    /// (`tuples_in` / `tuples_out` / `calls` per node), `JoinStats`,
+    /// `critical_ms`, `total_calls`, `degraded`, and the re-plans.
+    #[test]
+    fn moving_and_copying_walks_keep_the_same_books() {
+        use seco_bench::{adaptive_query, adaptive_registry, chain_scenario, star_scenario};
+        type Scenario = Box<dyn Fn() -> (ServiceRegistry, QueryPlan)>;
+        let planned = |(registry, query): (ServiceRegistry, seco_query::Query)| {
+            let plan = optimize(&query, &registry, CostMetric::RequestCount)
+                .unwrap()
+                .plan;
+            (registry, plan)
+        };
+        let running = || {
+            optimize(
+                &running_example(),
+                &entertainment::build_registry(1).unwrap(),
+                CostMetric::RequestCount,
+            )
+            .unwrap()
+            .plan
+        };
+        // (name, scenario, has a downed service)
+        let mut scenarios: Vec<(String, Scenario, bool)> = Vec::new();
+        for n in 2..=5 {
+            let chain = move || planned(chain_scenario(n, 42));
+            scenarios.push((format!("chain {n}"), Box::new(chain), false));
+        }
+        for n in 2..=4 {
+            let star = move || planned(star_scenario(n, 42));
+            scenarios.push((format!("star {n}"), Box::new(star), false));
+        }
+        scenarios.push((
+            "running example".into(),
+            Box::new(move || (entertainment::build_registry(1).unwrap(), running())),
+            false,
+        ));
+        scenarios.push((
+            "running example, Movie down".into(),
+            Box::new(move || (registry_without_movie(), running())),
+            true,
+        ));
+        scenarios.push((
+            "diamond".into(),
+            Box::new(|| {
+                let reg = seco_services::domains::travel::build_registry(5).unwrap();
+                let plan = diamond_plan(&reg);
+                (reg, plan)
+            }),
+            false,
+        ));
+        scenarios.push((
+            "diamond, Flight down".into(),
+            Box::new(|| {
+                let reg = travel_without_flight();
+                let plan = diamond_plan(&reg);
+                (reg, plan)
+            }),
+            true,
+        ));
+        // Misdeclared statistics: the adaptive runs restart on a
+        // re-planned suffix and replay the executed stages from memo.
+        scenarios.push((
+            "misled hub".into(),
+            Box::new(|| {
+                let reg = adaptive_registry(7, 10.0);
+                let plan = optimize(&adaptive_query(), &reg, CostMetric::ExecutionTime)
+                    .unwrap()
+                    .plan;
+                (reg, plan)
+            }),
+            false,
+        ));
+
+        let walk = |scenario: &Scenario, config: EngineConfig, copying: bool| {
+            let (registry, plan) = scenario();
+            COPY_EVERY_HANDOFF.set(copying);
+            let out = execute_plan(&plan, &registry, config);
+            COPY_EVERY_HANDOFF.set(false);
+            out.expect("the scenario runs")
+        };
+        let (mut fanned_out, mut replayed, mut degraded, mut fused) = (0, 0, 0, 0);
+        for (name, scenario, downed) in &scenarios {
+            for (nary, adaptive, degrade) in [
+                (false, false, false),
+                (true, false, false),
+                (false, true, false),
+                (true, true, false),
+                (false, false, true),
+                (true, true, true),
+            ] {
+                if *downed && !degrade {
+                    continue;
+                }
+                let mut config = EngineConfig::default()
+                    .join_k(50)
+                    .nary_join(nary)
+                    .adaptive(adaptive)
+                    .adaptive_metric(CostMetric::ExecutionTime);
+                if degrade {
+                    config = config.degrade();
+                }
+                let moving = walk(scenario, config, false);
+                let copying = walk(scenario, config, true);
+                let at = format!("{name}: nary={nary} adaptive={adaptive} degrade={degrade}");
+                assert_eq!(moving.results, copying.results, "{at}: results");
+                assert_eq!(moving, copying, "{at}: books");
+                fanned_out += usize::from(name.starts_with("diamond"));
+                replayed += moving.replans;
+                degraded += usize::from(moving.is_degraded());
+                fused += moving.join_stats.intermediates_elided;
+            }
+        }
+        // The grid met what it is there for.
+        assert!(fanned_out > 0, "a node with two consumers");
+        assert!(replayed > 0, "a memo replay after a restart");
+        assert!(degraded > 0, "a degraded run");
+        assert!(fused > 0, "an n-ary fusion");
     }
 }

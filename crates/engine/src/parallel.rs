@@ -55,7 +55,7 @@ const PREFETCH_INFLIGHT: usize = 2;
 type Batch = Arc<Vec<CompositeTuple>>;
 
 /// Recovers an owned batch from the shared handle: moves when this
-/// consumer was the only one, clones handles otherwise.
+/// consumer is the only one (left) holding it, clones handles otherwise.
 fn unbatch(batch: Batch) -> Vec<CompositeTuple> {
     Arc::try_unwrap(batch).unwrap_or_else(|shared| (*shared).clone())
 }
@@ -88,17 +88,21 @@ impl Fanout {
     /// Ships whatever is buffered. Must be called before the worker
     /// drops its senders, or the tail of its output is lost.
     fn flush(&mut self) -> bool {
-        if self.buf.is_empty() || self.senders.is_empty() {
+        let Some((last, others)) = self.senders.split_last() else {
             self.buf.clear();
             return true;
+        };
+        if self.buf.is_empty() {
+            return true;
         }
-        let batch: Batch = Arc::new(std::mem::take(&mut self.buf));
-        for s in &self.senders {
-            if s.send(batch.clone()).is_err() {
-                return false; // downstream hung up
-            }
-        }
-        true
+        let batch: Batch = Arc::new(std::mem::replace(
+            &mut self.buf,
+            Vec::with_capacity(BATCH_SIZE),
+        ));
+        // The last consumer gets this worker's own handle: nothing of
+        // the batch stays behind, so a sole consumer always unwraps it
+        // and among several the last to finish does.
+        others.iter().all(|s| s.send(batch.clone()).is_ok()) && last.send(batch).is_ok()
     }
 }
 
@@ -382,10 +386,7 @@ pub fn execute_parallel_session(
                 let mut out = Fanout::new(my_senders);
                 match node {
                     PlanNode::Input => {
-                        out.push(CompositeTuple {
-                            atoms: Vec::new(),
-                            components: Vec::new(),
-                        });
+                        out.push(CompositeTuple::empty());
                         out.flush();
                     }
                     PlanNode::Output => {
@@ -471,23 +472,25 @@ pub fn execute_parallel_session(
                             tolerate_failures: degrade,
                             columnar: options.columnar,
                         };
-                        let mut local = JoinStats::default();
+                        // Prepared once; inputs stream through it as
+                        // they arrive.
+                        let mut run = stage.start();
+                        let mut extended = Vec::new();
                         for input in my_receivers[0].iter().flat_map(unbatch) {
-                            match stage.run(std::slice::from_ref(&input), handle.as_ref()) {
-                                Ok(stage_out) => {
-                                    local.merge(&stage_out.stats);
-                                    if stage_out.degraded {
-                                        degraded.lock().insert(svc.service.clone());
-                                    }
-                                    for c in stage_out.results {
-                                        if !out.push(c) {
-                                            return;
-                                        }
-                                    }
+                            if let Err(e) = run.extend(&input, handle.as_ref(), &mut extended) {
+                                return fail(EngineError::Join(e));
+                            }
+                            for c in extended.drain(..) {
+                                if !out.push(c) {
+                                    return;
                                 }
-                                Err(e) => return fail(EngineError::Join(e)),
                             }
                         }
+                        let stage_out = run.finish(extended);
+                        if stage_out.degraded {
+                            degraded.lock().insert(svc.service.clone());
+                        }
+                        let local = stage_out.stats;
                         join_stats.lock().merge(&local);
                         if let Ok(recorded) = registry.service(&svc.service) {
                             recorded.note_join_counters(
@@ -584,9 +587,10 @@ pub fn execute_parallel_session(
                             Ok(None) => {
                                 // Ineligible or degraded: run the
                                 // byte-identical binary cascade.
-                                let mut cur = groups[0].clone();
+                                let mut groups = groups.into_iter();
+                                let mut cur = groups.next().expect("a chain has two feeders");
                                 let mut cur_deg = group_deg[0];
-                                for (i, p) in stage_preds.iter().enumerate() {
+                                for ((i, p), right) in stage_preds.iter().enumerate().zip(groups) {
                                     let exec = seco_join::ParallelJoinExecutor {
                                         predicates: p,
                                         schemas,
@@ -599,10 +603,7 @@ pub fn execute_parallel_session(
                                         pool: join_pool.clone(),
                                     };
                                     let mut sl = seco_join::executor::MemoryStream::new(cur, 10);
-                                    let mut sr = seco_join::executor::MemoryStream::new(
-                                        groups[i + 1].clone(),
-                                        10,
-                                    );
+                                    let mut sr = seco_join::executor::MemoryStream::new(right, 10);
                                     let joined = if degrade {
                                         exec.run_with_degradation(
                                             &mut sl,
@@ -779,33 +780,48 @@ mod tests {
     }
 
     #[test]
-    fn failures_in_workers_surface_as_errors() {
-        use seco_services::synthetic::{DomainMap, SyntheticService};
-        use std::sync::Arc;
-        // A registry whose Movie service always fails.
-        let mut reg = seco_services::ServiceRegistry::new();
-        reg.register_service(Arc::new(
-            SyntheticService::new(entertainment::movie_interface(), DomainMap::new(), 1)
-                .with_failure_every(1),
-        ))
-        .unwrap();
-        reg.register_service(Arc::new(SyntheticService::new(
-            entertainment::theatre_interface(),
-            DomainMap::new(),
-            2,
-        )))
-        .unwrap();
-        reg.register_service(Arc::new(SyntheticService::new(
-            entertainment::restaurant_interface(),
-            DomainMap::new(),
-            3,
-        )))
-        .unwrap();
-        reg.register_pattern(entertainment::shows_pattern())
-            .unwrap();
-        reg.register_pattern(entertainment::dinner_place_pattern())
-            .unwrap();
+    fn the_last_consumer_of_a_batch_gets_it_by_move() {
+        let row = || {
+            CompositeTuple::single(
+                "A",
+                seco_model::Tuple {
+                    fields: Vec::new(),
+                    score: 0.5,
+                    source_rank: 0,
+                },
+            )
+        };
+        // One consumer: the worker's own handle travels, so the batch
+        // is never shared and `unbatch` hands back the very buffer the
+        // worker filled.
+        let (tx, rx) = bounded(ARC_CAPACITY);
+        let mut out = Fanout::new(vec![tx]);
+        out.push(row());
+        let filled = out.buf.as_ptr();
+        assert!(out.flush());
+        let batch = rx.recv().unwrap();
+        assert_eq!(Arc::strong_count(&batch), 1, "nothing stays behind");
+        assert!(std::ptr::eq(unbatch(batch).as_ptr(), filled));
 
+        // A real fan-out shares one batch, and whoever finishes last
+        // still takes the buffer instead of copying it.
+        let (tx_a, rx_a) = bounded(ARC_CAPACITY);
+        let (tx_b, rx_b) = bounded(ARC_CAPACITY);
+        let mut out = Fanout::new(vec![tx_a, tx_b]);
+        out.push(row());
+        let filled = out.buf.as_ptr();
+        assert!(out.flush());
+        let (a, b) = (rx_a.recv().unwrap(), rx_b.recv().unwrap());
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(Arc::strong_count(&a), 2, "one handle per consumer");
+        assert!(!std::ptr::eq(unbatch(a).as_ptr(), filled), "shared: copied");
+        assert!(std::ptr::eq(unbatch(b).as_ptr(), filled), "last: moved");
+    }
+
+    #[test]
+    fn failures_in_workers_surface_as_errors() {
+        // A registry whose Movie service always fails.
+        let reg = crate::executor::tests::registry_without_movie();
         let q = running_example();
         // Reuse a plan optimized against a healthy registry.
         let healthy = entertainment::build_registry(1).unwrap();
@@ -828,75 +844,10 @@ mod tests {
 
     #[test]
     fn degraded_parallel_join_passes_the_surviving_branch_through() {
-        use seco_model::{Comparator, Value};
-        use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
-        use seco_query::QueryBuilder;
-        use seco_services::domains::travel;
-        use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService};
-        use std::sync::Arc;
         // Flight is hard down; the parallel join should pass the Hotel
-        // branch through instead of returning nothing. The healthy
-        // services mirror travel::build_registry(5).
-        let mut reg = seco_services::ServiceRegistry::new();
-        let city = seco_services::ValueDomain::new("city", 12);
-        let conf_domains = DomainMap::new().with(seco_model::AttributePath::atomic("City"), city);
-        reg.register_service(Arc::new(SyntheticService::new(
-            travel::conference_interface(),
-            conf_domains,
-            5 ^ 0x11,
-        )))
-        .unwrap();
-        reg.register_service(Arc::new(
-            SyntheticService::new(travel::flight_interface(), DomainMap::new(), 5 ^ 0x13)
-                .with_fault_profile(FaultProfile {
-                    outage: Some((0, u64::MAX)),
-                    ..FaultProfile::none()
-                }),
-        ))
-        .unwrap();
-        reg.register_service(Arc::new(SyntheticService::new(
-            travel::hotel_interface(),
-            DomainMap::new(),
-            5 ^ 0x14,
-        )))
-        .unwrap();
-        reg.register_pattern(travel::reached_by_pattern()).unwrap();
-        reg.register_pattern(travel::stay_at_pattern()).unwrap();
-        reg.register_pattern(travel::same_trip_pattern()).unwrap();
-
-        let q = QueryBuilder::new()
-            .atom("C", "Conference1")
-            .atom("F", "Flight1")
-            .atom("H", "Hotel1")
-            .pattern("ReachedBy", "C", "F")
-            .pattern("StayAt", "C", "H")
-            .pattern("SameTrip", "F", "H")
-            .select_const("C", "Topic", Comparator::Eq, Value::text("ai"))
-            .k(5)
-            .build()
-            .unwrap();
-        let joins = q.expanded_joins(&reg).unwrap();
-        let same_trip: Vec<_> = joins
-            .iter()
-            .filter(|j| j.connects("F", "H"))
-            .cloned()
-            .collect();
-        let mut p = QueryPlan::new(q);
-        let c = p.add(PlanNode::Service(ServiceNode::new("C", "Conference1")));
-        let f = p.add(PlanNode::Service(ServiceNode::new("F", "Flight1")));
-        let h = p.add(PlanNode::Service(ServiceNode::new("H", "Hotel1")));
-        let j = p.add(PlanNode::ParallelJoin(JoinSpec {
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Triangular,
-            predicates: same_trip,
-            selectivity: 1.0,
-        }));
-        p.connect(p.input(), c).unwrap();
-        p.connect(c, f).unwrap();
-        p.connect(c, h).unwrap();
-        p.connect(f, j).unwrap();
-        p.connect(h, j).unwrap();
-        p.connect(j, p.output()).unwrap();
+        // branch through instead of returning nothing.
+        let reg = crate::executor::tests::travel_without_flight();
+        let p = crate::executor::tests::diamond_plan(&reg);
 
         let opts = EngineConfig {
             join_k: 5,

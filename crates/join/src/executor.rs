@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use seco_model::{BitMask, ChunkColumns, Column, ColumnRef, CompositeTuple, Symbol};
+use seco_model::{AtomShape, BitMask, ChunkColumns, Column, ColumnRef, CompositeTuple, Symbol};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{satisfies_available, ResolvedPredicate, SchemaMap};
 use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
@@ -101,8 +101,9 @@ impl CompositeChunk {
 
 /// A lazily fetched, chunked stream of composite tuples.
 pub trait ChunkStream {
-    /// Fetches chunk `idx` (0-based).
-    fn fetch_chunk(&mut self, idx: usize) -> Result<CompositeChunk, JoinError>;
+    /// Fetches chunk `idx` (0-based). The join only reads a chunk, so a
+    /// stream that keeps its chunks hands out the one it holds.
+    fn fetch_chunk(&mut self, idx: usize) -> Result<Arc<CompositeChunk>, JoinError>;
 }
 
 /// Adapter: one service invocation (fixed bindings) as a stream of
@@ -126,7 +127,7 @@ impl<'a> ServiceStream<'a> {
 }
 
 impl ChunkStream for ServiceStream<'_> {
-    fn fetch_chunk(&mut self, idx: usize) -> Result<CompositeChunk, JoinError> {
+    fn fetch_chunk(&mut self, idx: usize) -> Result<Arc<CompositeChunk>, JoinError> {
         let resp = self.service.fetch(&self.request.at_chunk(idx))?;
         let body = resp.body().clone();
         let composites = resp
@@ -136,41 +137,43 @@ impl ChunkStream for ServiceStream<'_> {
             .collect();
         // The representative rides along on the service chunk's shared
         // header — no rescan of tuple scores here.
-        Ok(
+        Ok(Arc::new(
             CompositeChunk::with_representative(composites, resp.has_more(), resp.head_score())
                 .with_chunk_body(self.atom, body),
-        )
+        ))
     }
 }
 
 /// In-memory stream over pre-chunked composites (tests and re-joining
 /// buffered intermediate results).
 pub struct MemoryStream {
-    chunks: Vec<CompositeChunk>,
+    chunks: Vec<Arc<CompositeChunk>>,
 }
 
 impl MemoryStream {
-    /// Chunks an already-materialized list; per-chunk representatives
-    /// are computed once, here.
+    /// Chunks an already-materialized list, moving its composites into
+    /// the chunks; per-chunk representatives are computed once, here.
     pub fn new(tuples: Vec<CompositeTuple>, chunk_size: usize) -> Self {
         let chunk_size = chunk_size.max(1);
-        let n_chunks = tuples.chunks(chunk_size).count();
-        let chunks = tuples
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(i, c)| CompositeChunk::new(c.to_vec(), i + 1 < n_chunks))
+        let n_chunks = tuples.len().div_ceil(chunk_size);
+        let mut tuples = tuples.into_iter();
+        let chunks = (1..=n_chunks)
+            .map(|nth| {
+                let composites = tuples.by_ref().take(chunk_size).collect();
+                Arc::new(CompositeChunk::new(composites, nth < n_chunks))
+            })
             .collect();
         MemoryStream { chunks }
     }
 }
 
 impl ChunkStream for MemoryStream {
-    fn fetch_chunk(&mut self, idx: usize) -> Result<CompositeChunk, JoinError> {
+    fn fetch_chunk(&mut self, idx: usize) -> Result<Arc<CompositeChunk>, JoinError> {
         Ok(self
             .chunks
             .get(idx)
             .cloned()
-            .unwrap_or_else(|| CompositeChunk::new(Vec::new(), false)))
+            .unwrap_or_else(|| Arc::new(CompositeChunk::new(Vec::new(), false))))
     }
 }
 
@@ -246,6 +249,14 @@ pub(crate) struct RunState {
     indexes_y: Vec<Option<Option<JoinIndex>>>,
     /// Per X chunk: cached probe keys, one entry per plan encountered.
     probes_x: Vec<Vec<ProbeKeys>>,
+    /// The batch plan of every `(X atoms, Y atoms)` pair met so far
+    /// (`None` = no plan applies): a tile's plan depends on nothing
+    /// else, and a run's chunks all carry one pair in practice.
+    batch_plans: Vec<(AtomShape, AtomShape, Option<BatchPlan>)>,
+    /// Per Y chunk: the columns gathered off its composites for the
+    /// batch plan at the given position of `batch_plans` — gathered for
+    /// the chunk's first tile, read by the rest.
+    gathered_y: Vec<Option<(usize, Option<Vec<Column>>)>>,
     pub(crate) stats: JoinStats,
 }
 
@@ -308,8 +319,8 @@ impl ParallelJoinExecutor<'_> {
         };
         let target_k = if self.k == 0 { usize::MAX } else { self.k };
 
-        let mut chunks_x: Vec<CompositeChunk> = Vec::new();
-        let mut chunks_y: Vec<CompositeChunk> = Vec::new();
+        let mut chunks_x: Vec<Arc<CompositeChunk>> = Vec::new();
+        let mut chunks_y: Vec<Arc<CompositeChunk>> = Vec::new();
         let (mut more_x, mut more_y) = (true, true);
         let (mut calls_x, mut calls_y) = (0usize, 0usize);
         let mut processed: Vec<Tile> = Vec::new();
@@ -474,12 +485,8 @@ impl ParallelJoinExecutor<'_> {
                 let chunk = survivor.fetch_chunk(idx)?;
                 idx += 1;
                 let more = chunk.has_more;
-                for composite in chunk.composites {
-                    passed.push(composite);
-                    if passed.len() >= target_k {
-                        break;
-                    }
-                }
+                let room = target_k - passed.len();
+                passed.extend(chunk.composites.iter().take(room).cloned());
                 if passed.len() >= target_k || !more {
                     break;
                 }
@@ -490,9 +497,11 @@ impl ParallelJoinExecutor<'_> {
         Ok(outcome)
     }
 
-    /// Typed columns backing one tile's batch kernels, when the Y
-    /// chunk's columns can be read zero-copy (single-atom body matching
-    /// the plan) or gathered from the composites otherwise.
+    /// Prepares one tile's batch kernels: its plan (cached per atom-list
+    /// pair) and the typed Y columns behind it — read zero-copy off the
+    /// chunk's body (single-atom body matching the plan) or gathered
+    /// from the composites, once per Y chunk. Returns the plan's
+    /// position in [`RunState::batch_plans`] and where the columns are.
     ///
     /// Returns `None` whenever any batching precondition fails; the
     /// caller then evaluates every candidate scalar, exactly as before.
@@ -500,46 +509,48 @@ impl ParallelJoinExecutor<'_> {
     /// covers the tile), disjoint sides (every merge succeeds, so batch
     /// per-candidate counting matches the scalar loop), and a plan
     /// covering every active predicate with total, ungrouped operands.
-    fn tile_batch<'y>(
+    fn tile_batch(
         &self,
         compiled: &CompiledPredicates,
         chunk_x: &CompositeChunk,
-        chunk_y: &'y CompositeChunk,
-        stats: &mut JoinStats,
-    ) -> Option<(BatchPlan, TileCols<'y>)> {
+        chunk_y: &CompositeChunk,
+        yi: usize,
+        st: &mut RunState,
+    ) -> Option<(usize, TileCols)> {
         let cx = &chunk_x.composites;
         let cy = &chunk_y.composites;
-        let first_x = cx.first()?;
-        let first_y = cy.first()?;
-        if !cx.iter().all(|c| c.atoms == first_x.atoms)
-            || !cy.iter().all(|c| c.atoms == first_y.atoms)
-        {
+        let (x_atoms, y_atoms) = (cx.first()?.atoms, cy.first()?.atoms);
+        if !cx.iter().all(|c| c.atoms == x_atoms) || !cy.iter().all(|c| c.atoms == y_atoms) {
             return None;
         }
-        if first_x.atoms.iter().any(|a| first_y.atoms.contains(a)) {
+        if x_atoms.iter().any(|a| y_atoms.contains(a)) {
             return None;
         }
-        let plan = compiled.batch_plan(&first_x.atoms, &first_y.atoms)?;
+        let known = st
+            .batch_plans
+            .iter()
+            .position(|(x, y, _)| *x == x_atoms && *y == y_atoms);
+        let plan_at = known.unwrap_or_else(|| {
+            let plan = compiled.batch_plan(&x_atoms, &y_atoms);
+            st.batch_plans.push((x_atoms, y_atoms, plan));
+            st.batch_plans.len() - 1
+        });
+        let plan = st.batch_plans[plan_at].2.as_ref()?;
         // Zero-copy when the Y chunk's body columns back the plan.
-        if self.columnar.columnar {
-            if let Some((atom, body)) = &chunk_y.body {
-                if let Some(cc) = body.columns() {
-                    if first_y.atoms.len() == 1
-                        && first_y.atoms[0] == *atom
-                        && plan
-                            .columns()
-                            .iter()
-                            .all(|(a, f)| a == atom && cc.column(*f).is_some())
-                    {
-                        stats.columns_scanned += plan.columns().len() as u64;
-                        return Some((plan, TileCols::Body(cc)));
-                    }
-                }
-            }
+        if self.columnar.columnar && body_columns(chunk_y, y_atoms, plan).is_some() {
+            st.stats.columns_scanned += plan.columns().len() as u64;
+            return Some((plan_at, TileCols::Body));
         }
-        let owned = plan.gather_columns(cy)?;
-        stats.columns_scanned += owned.len() as u64;
-        Some((plan, TileCols::Owned(owned)))
+        if st.gathered_y.len() <= yi {
+            st.gathered_y.resize_with(yi + 1, || None);
+        }
+        let gathered = &mut st.gathered_y[yi];
+        if !matches!(gathered, Some((at, _)) if *at == plan_at) {
+            *gathered = Some((plan_at, plan.gather_columns(cy)));
+        }
+        let (_, owned) = gathered.as_ref()?;
+        st.stats.columns_scanned += owned.as_ref()?.len() as u64;
+        Some((plan_at, TileCols::Gathered))
     }
 
     /// Joins one tile, emitting results in the exact (i, j) order of
@@ -632,22 +643,10 @@ impl ParallelJoinExecutor<'_> {
 
         // Prepare the tile's batch kernel, when every precondition holds.
         let prepared = if self.columnar.batch_eval {
-            self.tile_batch(compiled, chunk_x, chunk_y, &mut st.stats)
+            self.tile_batch(compiled, chunk_x, chunk_y, yi, st)
         } else {
             None
         };
-        let batch: Option<(&BatchPlan, Vec<ColumnRef<'_>>)> =
-            prepared.as_ref().map(|(plan, tc)| {
-                let refs = match tc {
-                    TileCols::Body(cc) => plan
-                        .columns()
-                        .iter()
-                        .map(|(_, f)| cc.column(*f).expect("validated in tile_batch"))
-                        .collect(),
-                    TileCols::Owned(cols) => cols.iter().map(Column::as_ref).collect(),
-                };
-                (plan, refs)
-            });
 
         // Extract (or reuse) the X chunk's probe keys when the Y chunk
         // has an index, and apply index-emptiness pruning: when every
@@ -686,9 +685,32 @@ impl ParallelJoinExecutor<'_> {
             ws,
             indexes_y,
             probes_x,
+            batch_plans,
+            gathered_y,
             stats,
             ..
         } = st;
+        let batch: Option<(&BatchPlan, Vec<ColumnRef<'_>>)> = prepared.map(|(plan_at, cols)| {
+            let plan = batch_plans[plan_at]
+                .2
+                .as_ref()
+                .expect("tile_batch found it");
+            let refs = match cols {
+                TileCols::Body => {
+                    let cc = body_columns(chunk_y, cy[0].atoms, plan).expect("tile_batch found it");
+                    plan.columns()
+                        .iter()
+                        .map(|(_, f)| cc.column(*f).expect("backs the plan"))
+                        .collect()
+                }
+                TileCols::Gathered => gathered_y[yi]
+                    .iter()
+                    .flat_map(|(_, owned)| owned.iter().flatten())
+                    .map(Column::as_ref)
+                    .collect(),
+            };
+            (plan, refs)
+        });
         let probe = if has_index {
             let index = indexes_y[yi].as_ref().unwrap().as_ref().unwrap();
             let probe = probes_x[xi]
@@ -870,13 +892,31 @@ impl ParallelJoinExecutor<'_> {
     }
 }
 
-/// Typed columns backing one tile's batch kernels.
-enum TileCols<'y> {
+/// Where the typed columns backing one tile's batch kernels are.
+#[derive(Clone, Copy)]
+enum TileCols {
     /// Zero-copy: the Y chunk's columnar body backs the plan directly.
-    Body(&'y ChunkColumns),
-    /// Gathered once per tile from the composites (multi-atom Y sides
-    /// and row-structured bodies).
-    Owned(Vec<Column>),
+    Body,
+    /// Gathered from the composites (multi-atom Y sides and
+    /// row-structured bodies) into [`RunState::gathered_y`].
+    Gathered,
+}
+
+/// The Y chunk's body columns, when it is a single-atom service chunk
+/// whose typed columns back every column of `plan`.
+fn body_columns<'y>(
+    chunk_y: &'y CompositeChunk,
+    y_atoms: AtomShape,
+    plan: &BatchPlan,
+) -> Option<&'y ChunkColumns> {
+    let (atom, body) = chunk_y.body.as_ref()?;
+    let cc = body.columns()?;
+    let backed = *y_atoms == [*atom]
+        && plan
+            .columns()
+            .iter()
+            .all(|(a, f)| a == atom && cc.column(*f).is_some());
+    backed.then_some(cc)
 }
 
 /// Rows the columnar plane had to materialize for this chunk (zero for

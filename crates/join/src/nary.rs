@@ -39,7 +39,7 @@
 
 use std::collections::BTreeSet;
 
-use seco_model::{Comparator, CompositeTuple, Symbol, Value};
+use seco_model::{AtomShape, Comparator, CompositeTuple, Symbol, Value};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{ResolvedPredicate, SchemaMap};
 use seco_query::{CompiledPredicates, QueryError};
@@ -183,17 +183,22 @@ impl NaryJoin<'_> {
         // chain over pairwise-disjoint groups (a plan() precondition)
         // is pure concatenation in group order — no shared-atom checks
         // can fire — so each composite is assembled directly.
-        let n_atoms: usize = groups.iter().map(|g| g[0].atoms.len()).sum();
+        // Signatures are uniform per group, so every survivor has the
+        // atoms of the group heads, in group order.
+        let mut atoms = AtomShape::EMPTY;
+        for g in groups {
+            atoms = atoms.concat(&g[0].atoms);
+        }
         let mut results = Vec::with_capacity(prefix.len() / stride);
         for row in prefix.chunks(stride) {
-            let mut atoms = Vec::with_capacity(n_atoms);
-            let mut components = Vec::with_capacity(n_atoms);
+            let mut components = Vec::with_capacity(atoms.len());
             for (g, &r) in row.iter().enumerate() {
-                let c = &groups[g][r as usize];
-                atoms.extend_from_slice(&c.atoms);
-                components.extend_from_slice(&c.components);
+                components.extend_from_slice(&groups[g][r as usize].components);
             }
-            results.push(CompositeTuple { atoms, components });
+            results.push(CompositeTuple {
+                atoms,
+                components: components.into_boxed_slice(),
+            });
         }
         Ok(Some(NaryOutcome { results, stats }))
     }
@@ -212,7 +217,7 @@ impl NaryJoin<'_> {
             if !g.iter().all(|c| &c.atoms == sig) {
                 return None;
             }
-            for a in sig {
+            for a in sig.iter() {
                 if atom_group.iter().any(|(s, _)| s == a) {
                     return None; // shared ancestry: merges can fail
                 }

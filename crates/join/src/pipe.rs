@@ -11,11 +11,14 @@
 //! service for each tuple flowing out of the upstream one (§4.5).
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use seco_model::{BitMask, ColumnRef, Comparator, CompositeTuple, Symbol, Value};
+use seco_model::{
+    AtomShape, AttributePath, BitMask, ColumnRef, Comparator, CompositeTuple, Symbol, Value,
+};
 use seco_query::feasibility::{BindingSource, IoDependency};
 use seco_query::predicate::{satisfies_available, ResolvedPredicate, SchemaMap};
-use seco_query::{CompiledPredicates, EvalScratch};
+use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
 use seco_services::invocation::Request;
 use seco_services::Service;
 
@@ -92,149 +95,280 @@ impl PipeJoin<'_> {
         inputs: &[CompositeTuple],
         service: &dyn Service,
     ) -> Result<PipeOutcome, JoinError> {
-        let fetches = self.fetches.max(1);
+        let mut run = self.start();
         let mut results = Vec::new();
-        let mut calls = 0usize;
-        let mut busy_ms = 0.0f64;
-        let mut degraded = false;
-        let mut stats = JoinStats::default();
-
-        // Compile the predicate set once per stage run. The compiled
-        // evaluator mirrors `satisfies_available` exactly; when the set
-        // does not compile (unknown atom, unresolvable path) the
-        // interpreted path below keeps the original error behavior.
-        let compiled = CompiledPredicates::compile(self.predicates, self.schemas);
-        let mut scratch = EvalScratch::default();
-        let atom_sym = Symbol::intern(self.atom);
-        let mut mask = BitMask::default();
-
         for input in inputs {
-            // Batch plan for this input shape: the input composite is
-            // the fixed side, the fetched atom the varying side. Only
-            // without `keep_first` — its early exit stops evaluation
-            // mid-chunk, which a whole-chunk kernel cannot reproduce.
-            let batch_plan =
-                if self.columnar.columnar && self.columnar.batch_eval && !self.keep_first {
-                    compiled
-                        .as_ref()
-                        .and_then(|c| c.batch_plan(&input.atoms, std::slice::from_ref(&atom_sym)))
-                } else {
-                    None
-                };
-            // Assemble the request for this input composite.
-            let mut request = Request::unbound();
-            for dep in self.bindings {
-                match &dep.source {
-                    BindingSource::Constant { operand, op } => {
-                        let value = operand
-                            .resolve(self.query_inputs)
-                            .map_err(JoinError::Query)?;
-                        if *op == Comparator::Eq {
-                            request = request.bind(dep.input.clone(), value);
-                        } else {
-                            request = request.constrain(dep.input.clone(), *op, value);
-                        }
-                    }
-                    BindingSource::Piped {
-                        from_atom,
-                        from_path,
-                    } => {
-                        let schema = self.schemas.get(from_atom).ok_or_else(|| {
-                            JoinError::Query(seco_query::QueryError::UnknownAtom(from_atom.clone()))
-                        })?;
-                        let tuple = input.component(from_atom).ok_or_else(|| {
-                            JoinError::Query(seco_query::QueryError::UnknownAtom(from_atom.clone()))
-                        })?;
-                        let value = tuple
-                            .first_value_at(schema, from_path)
-                            .map_err(JoinError::Model)?;
-                        request = request.bind(dep.input.clone(), value);
-                    }
-                }
-            }
+            run.extend(input, service, &mut results)?;
+        }
+        Ok(run.finish(results))
+    }
 
-            // Fetch F chunks (rectangular completion per input tuple).
-            'chunks: for c in 0..fetches {
-                let resp = match service.fetch(&request.at_chunk(c)) {
-                    Ok(resp) => resp,
-                    Err(error) if self.tolerate_failures => {
-                        // This input composite loses its extension; the
-                        // stage carries on with the remaining inputs.
-                        let _ = error;
-                        degraded = true;
-                        break 'chunks;
-                    }
-                    Err(error) => return Err(JoinError::Service(error)),
-                };
-                calls += 1;
-                busy_ms += resp.elapsed_ms;
-                let has_more = resp.has_more();
-                let body = resp.body();
-                let mut handled = false;
-                if let (Some(plan), Some(cc)) = (&batch_plan, body.columns()) {
-                    // Body-backed columns only: every plan column must
-                    // come off the fetched atom's typed columns.
-                    let cols: Option<Vec<ColumnRef<'_>>> = plan
-                        .columns()
-                        .iter()
-                        .map(|(a, f)| if *a == atom_sym { cc.column(*f) } else { None })
-                        .collect();
-                    if let Some(cols) = cols.filter(|_| !cc.is_empty()) {
-                        mask.reset_ones(cc.len());
-                        if plan.eval_mask(Some(input), &cols, &mut mask) {
-                            stats.predicate_evals += cc.len() as u64;
-                            stats.batch_evals += 1;
-                            stats.columns_scanned += cols.len() as u64;
-                            if !mask.none_set() {
-                                // Only surviving chunks pay the row view.
-                                if !body.rows_ready() {
-                                    stats.rows_materialized += body.len() as u64;
-                                }
-                                let tuples = body.tuples();
-                                for j in mask.iter_ones() {
-                                    results.push(input.extend_with(self.atom, tuples[j].clone()));
-                                }
-                            }
-                            handled = true;
-                        }
+    /// Prepares the stage: everything that does not depend on the input
+    /// tuple is built here (or on the first input) and reused for every
+    /// input after it. Executors that receive their inputs one at a
+    /// time hold the returned run for the life of the stage.
+    pub fn start(&self) -> PipeRun<'_> {
+        PIPE_STAGES_PREPARED.fetch_add(1, Ordering::Relaxed);
+        PipeRun {
+            stage: self,
+            atom: Symbol::intern(self.atom),
+            // The compiled evaluator mirrors `satisfies_available`
+            // exactly; when the set does not compile (unknown atom,
+            // unresolvable path) the interpreted path keeps the
+            // original error behavior.
+            compiled: CompiledPredicates::compile(self.predicates, self.schemas),
+            scratch: EvalScratch::default(),
+            mask: BitMask::default(),
+            template: None,
+            shape: None,
+            calls: 0,
+            busy_ms: 0.0,
+            degraded: false,
+            stats: JoinStats::default(),
+        }
+    }
+}
+
+/// Pipe stages prepared ([`PipeJoin::start`]) by this process: a
+/// diagnostic count, so a test can hold an executor to one preparation
+/// — one predicate compilation — per stage.
+static PIPE_STAGES_PREPARED: AtomicU64 = AtomicU64::new(0);
+
+/// Reads the process-wide count of prepared pipe stages.
+pub fn pipe_stages_prepared() -> u64 {
+    PIPE_STAGES_PREPARED.load(Ordering::Relaxed)
+}
+
+/// A piped binding of the request template, resolved against the
+/// producing atom's schema.
+struct PipedSlot<'a> {
+    input: &'a AttributePath,
+    from_atom: &'a str,
+    /// Field slot (and group sub-slot) of the producing path.
+    field: (usize, Option<usize>),
+}
+
+/// The request of a stage with its constants bound: each input only
+/// rewrites the piped values and the chunk index, in place.
+struct RequestTemplate<'a> {
+    request: Request,
+    piped: Vec<PipedSlot<'a>>,
+}
+
+/// What a stage derives from the atom list of its inputs — every
+/// composite leaving a plan node has the same one, so this is built
+/// once per stage in practice.
+struct InputShape {
+    atoms: AtomShape,
+    /// The input composite is the fixed side, the fetched atom the
+    /// varying side.
+    batch_plan: Option<BatchPlan>,
+    /// Component position of each piped slot's producing atom.
+    piped_at: Vec<usize>,
+}
+
+/// A running pipe stage: the prepared form of a [`PipeJoin`] plus its
+/// accumulating outcome.
+pub struct PipeRun<'a> {
+    stage: &'a PipeJoin<'a>,
+    atom: Symbol,
+    compiled: Option<CompiledPredicates>,
+    scratch: EvalScratch,
+    mask: BitMask,
+    template: Option<RequestTemplate<'a>>,
+    shape: Option<InputShape>,
+    calls: usize,
+    busy_ms: f64,
+    degraded: bool,
+    stats: JoinStats,
+}
+
+impl<'a> PipeRun<'a> {
+    /// Binds the constants and resolves the piped paths. Deferred to the
+    /// first input so a stage without inputs raises no binding error.
+    fn template(stage: &'a PipeJoin<'a>) -> Result<RequestTemplate<'a>, JoinError> {
+        let mut request = Request::unbound();
+        let mut piped = Vec::new();
+        for dep in stage.bindings {
+            match &dep.source {
+                BindingSource::Constant { operand, op } => {
+                    let value = operand
+                        .resolve(stage.query_inputs)
+                        .map_err(JoinError::Query)?;
+                    if *op == Comparator::Eq {
+                        request = request.bind(dep.input.clone(), value);
+                    } else {
+                        request = request.constrain(dep.input.clone(), *op, value);
                     }
                 }
-                if !handled {
-                    if body.is_columnar() && !body.rows_ready() && !body.is_empty() {
-                        stats.rows_materialized += body.len() as u64;
-                    }
-                    for tuple in resp.tuples() {
-                        let candidate = input.extend_with(self.atom, tuple.clone());
-                        stats.predicate_evals += 1;
-                        let keep = match &compiled {
-                            Some(c) => c.eval(&candidate, &mut scratch)?,
-                            None => satisfies_available(self.predicates, &candidate, self.schemas)?,
-                        };
-                        if keep {
-                            results.push(candidate);
-                            if self.keep_first {
-                                // This input has its extension: stop its
-                                // fetch budget here and move to the next
-                                // input — no further chunks are issued
-                                // for a satisfied composite.
-                                break 'chunks;
-                            }
-                        }
-                    }
-                }
-                if !has_more {
-                    break;
+                BindingSource::Piped {
+                    from_atom,
+                    from_path,
+                } => {
+                    let schema = stage.schemas.get(from_atom).ok_or_else(|| {
+                        JoinError::Query(seco_query::QueryError::UnknownAtom(from_atom.clone()))
+                    })?;
+                    let field = schema.resolve(from_path).map_err(JoinError::Model)?;
+                    // The slot each input's value is written into.
+                    request = request.bind(dep.input.clone(), Value::Null);
+                    piped.push(PipedSlot {
+                        input: &dep.input,
+                        from_atom,
+                        field,
+                    });
                 }
             }
         }
+        Ok(RequestTemplate { request, piped })
+    }
 
-        Ok(PipeOutcome {
+    /// Extends one input composite with the matching tuples of the
+    /// downstream service, appending to `results` in service rank order.
+    pub fn extend(
+        &mut self,
+        input: &CompositeTuple,
+        service: &dyn Service,
+        results: &mut Vec<CompositeTuple>,
+    ) -> Result<(), JoinError> {
+        let stage = self.stage;
+        let template = match &mut self.template {
+            Some(template) => template,
+            slot => slot.insert(Self::template(stage)?),
+        };
+        if self.shape.as_ref().is_none_or(|s| s.atoms != input.atoms) {
+            // Only without `keep_first` — its early exit stops
+            // evaluation mid-chunk, which a whole-chunk kernel cannot
+            // reproduce.
+            let batched = stage.columnar.columnar && stage.columnar.batch_eval && !stage.keep_first;
+            let batch_plan = self
+                .compiled
+                .as_ref()
+                .filter(|_| batched)
+                .and_then(|c| c.batch_plan(&input.atoms, std::slice::from_ref(&self.atom)));
+            let piped_at = template
+                .piped
+                .iter()
+                .map(|slot| {
+                    input
+                        .atoms
+                        .iter()
+                        .position(|a| a == slot.from_atom)
+                        .ok_or_else(|| {
+                            JoinError::Query(seco_query::QueryError::UnknownAtom(
+                                slot.from_atom.to_owned(),
+                            ))
+                        })
+                })
+                .collect::<Result<_, _>>()?;
+            self.shape = Some(InputShape {
+                atoms: input.atoms,
+                batch_plan,
+                piped_at,
+            });
+        }
+        let shape = self.shape.as_ref().expect("derived above");
+
+        // Write this input's piped values into the request.
+        for (slot, &at) in template.piped.iter().zip(&shape.piped_at) {
+            let (field, sub) = slot.field;
+            template
+                .request
+                .bindings
+                .get_mut(slot.input)
+                .expect("bound when the template was built")
+                .clone_from(input.components[at].first_value(field, sub));
+        }
+        let request = &mut template.request;
+
+        // Fetch F chunks (rectangular completion per input tuple).
+        'chunks: for c in 0..stage.fetches.max(1) {
+            request.chunk = c;
+            let resp = match service.fetch(request) {
+                Ok(resp) => resp,
+                Err(error) if stage.tolerate_failures => {
+                    // This input composite loses its extension; the
+                    // stage carries on with the remaining inputs.
+                    let _ = error;
+                    self.degraded = true;
+                    break 'chunks;
+                }
+                Err(error) => return Err(JoinError::Service(error)),
+            };
+            self.calls += 1;
+            self.busy_ms += resp.elapsed_ms;
+            let has_more = resp.has_more();
+            let body = resp.body();
+            let stats = &mut self.stats;
+            let mut handled = false;
+            if let (Some(plan), Some(cc)) = (&shape.batch_plan, body.columns()) {
+                // Body-backed columns only: every plan column must
+                // come off the fetched atom's typed columns.
+                let cols: Option<Vec<ColumnRef<'_>>> = plan
+                    .columns()
+                    .iter()
+                    .map(|(a, f)| if *a == self.atom { cc.column(*f) } else { None })
+                    .collect();
+                if let Some(cols) = cols.filter(|_| !cc.is_empty()) {
+                    self.mask.reset_ones(cc.len());
+                    if plan.eval_mask(Some(input), &cols, &mut self.mask) {
+                        stats.predicate_evals += cc.len() as u64;
+                        stats.batch_evals += 1;
+                        stats.columns_scanned += cols.len() as u64;
+                        if !self.mask.none_set() {
+                            // Only surviving chunks pay the row view.
+                            if !body.rows_ready() {
+                                stats.rows_materialized += body.len() as u64;
+                            }
+                            let tuples = body.tuples();
+                            results.extend(
+                                self.mask
+                                    .iter_ones()
+                                    .map(|j| input.extend_with(self.atom, tuples[j].clone())),
+                            );
+                        }
+                        handled = true;
+                    }
+                }
+            }
+            if !handled {
+                if body.is_columnar() && !body.rows_ready() && !body.is_empty() {
+                    stats.rows_materialized += body.len() as u64;
+                }
+                for tuple in resp.tuples() {
+                    let candidate = input.extend_with(self.atom, tuple.clone());
+                    stats.predicate_evals += 1;
+                    let keep = match &self.compiled {
+                        Some(c) => c.eval(&candidate, &mut self.scratch)?,
+                        None => satisfies_available(stage.predicates, &candidate, stage.schemas)?,
+                    };
+                    if keep {
+                        results.push(candidate);
+                        if stage.keep_first {
+                            // This input has its extension: stop its
+                            // fetch budget here and move to the next
+                            // input — no further chunks are issued
+                            // for a satisfied composite.
+                            break 'chunks;
+                        }
+                    }
+                }
+            }
+            if !has_more {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Closes the run over the composites it appended to `results`.
+    pub fn finish(self, results: Vec<CompositeTuple>) -> PipeOutcome {
+        PipeOutcome {
             results,
-            calls,
-            busy_ms,
-            degraded,
-            stats,
-        })
+            calls: self.calls,
+            busy_ms: self.busy_ms,
+            degraded: self.degraded,
+            stats: self.stats,
+        }
     }
 }
 
@@ -271,7 +405,6 @@ pub fn pipe_join(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seco_model::AttributePath;
     use seco_query::builder::running_example;
     use seco_query::feasibility::analyze;
     use seco_query::predicate::resolve_predicates;
@@ -347,6 +480,55 @@ mod tests {
                 rr.first_value_at(rschema, &AttributePath::atomic("UAddress"))
                     .unwrap()
             );
+        }
+    }
+
+    /// The per-input setup the prepared run replaced — predicates
+    /// compiled, batch plan built and request assembled afresh for every
+    /// input tuple — as the reference: one single-input run per input.
+    #[test]
+    fn a_prepared_stage_equals_one_preparation_per_input() {
+        let reg = entertainment::build_registry(3).unwrap();
+        let query = running_example();
+        let report = analyze(&query, &reg).unwrap();
+        let joins = query.expanded_joins(&reg).unwrap();
+        let predicates = resolve_predicates(&query, &joins).unwrap();
+        let mut schemas = SchemaMap::new();
+        for a in &query.atoms {
+            schemas.insert(a.alias.clone(), &reg.interface(&a.service).unwrap().schema);
+        }
+        let inputs = setup_theatre_inputs(&reg);
+        let restaurant = reg.service("Restaurant1").unwrap();
+        let bindings = report.bindings_of("R");
+        for (keep_first, columnar) in [(false, true), (true, true), (false, false)] {
+            let stage = PipeJoin {
+                atom: "R",
+                bindings: &bindings,
+                query_inputs: &query.inputs,
+                predicates: &predicates,
+                schemas: &schemas,
+                fetches: 2,
+                keep_first,
+                tolerate_failures: false,
+                columnar: ColumnarOptions {
+                    columnar,
+                    batch_eval: columnar,
+                },
+            };
+            let whole = stage.run(&inputs, restaurant.as_ref()).unwrap();
+            let mut results = Vec::new();
+            let (mut calls, mut stats) = (0, JoinStats::default());
+            for input in &inputs {
+                let one = stage
+                    .run(std::slice::from_ref(input), restaurant.as_ref())
+                    .unwrap();
+                results.extend(one.results);
+                calls += one.calls;
+                stats.merge(&one.stats);
+            }
+            assert!(!whole.results.is_empty());
+            assert_eq!(whole.results, results, "keep_first={keep_first}");
+            assert_eq!((whole.calls, whole.stats), (calls, stats));
         }
     }
 

@@ -39,6 +39,7 @@
 //! strict bound, so skipped pairs cannot displace buffered ones.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use seco_model::CompositeTuple;
 use seco_query::CompiledPredicates;
@@ -75,7 +76,7 @@ pub fn score_order(a: &CompositeTuple, b: &CompositeTuple) -> Ordering {
 
 /// Per-axis bookkeeping of the pull loop.
 struct Axis {
-    chunks: Vec<CompositeChunk>,
+    chunks: Vec<Arc<CompositeChunk>>,
     more: bool,
     calls: usize,
     /// Highest head score among fetched non-empty chunks — bounds every
@@ -100,7 +101,7 @@ impl Axis {
         }
     }
 
-    fn absorb(&mut self, chunk: CompositeChunk) {
+    fn absorb(&mut self, chunk: Arc<CompositeChunk>) {
         self.calls += 1;
         self.more = chunk.has_more;
         if !chunk.is_empty() {

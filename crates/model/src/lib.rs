@@ -46,7 +46,7 @@ pub use mart::{
 pub use schema::ServiceSchema;
 pub use scoring::{ScoreDecay, ScoringFunction};
 pub use stats::ServiceStats;
-pub use symbol::Symbol;
+pub use symbol::{AtomShape, Symbol};
 pub use tuple::{CompositeTuple, GroupTuple, SharedTuple, Tuple};
 pub use value::{Comparator, Date, Value};
 

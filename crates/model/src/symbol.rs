@@ -192,6 +192,103 @@ impl AsRef<str> for Symbol {
     }
 }
 
+/// The atom list of a composite tuple, interned: the canonical
+/// `&'static [Symbol]` for its content.
+///
+/// Every composite leaving a plan node carries the same atoms in the
+/// same order, so the list is stored once per process and a composite
+/// holds a `Copy` handle to it — building a combination allocates its
+/// component block and nothing else. Like [`Symbol`], the table leaks
+/// its entries and grows with the *vocabulary* (distinct alias
+/// sequences of the plans seen), never with the volume of tuples;
+/// equality is a pointer compare.
+#[derive(Clone, Copy, Eq)]
+pub struct AtomShape(&'static [Symbol]);
+
+fn shape_table() -> &'static Mutex<HashSet<&'static [Symbol]>> {
+    static TABLE: OnceLock<Mutex<HashSet<&'static [Symbol]>>> = OnceLock::new();
+    TABLE.get_or_init(|| Mutex::new(HashSet::new()))
+}
+
+thread_local! {
+    /// The last `(head, tail, dedup) → shape` this thread derived. A
+    /// join or pipe stage derives the same shape for every combination
+    /// it builds, so one entry answers all but the first.
+    static LAST_DERIVED: std::cell::Cell<Option<(AtomShape, AtomShape, bool, AtomShape)>> =
+        const { std::cell::Cell::new(None) };
+}
+
+impl AtomShape {
+    /// The shape of the empty composite (the plan's input tuple).
+    pub const EMPTY: AtomShape = AtomShape(&[]);
+
+    /// Interns `atoms`, returning the stable handle of the list.
+    pub fn intern(atoms: &[Symbol]) -> AtomShape {
+        if atoms.is_empty() {
+            return AtomShape::EMPTY;
+        }
+        let mut table = shape_table().lock().expect("shape table poisoned");
+        if let Some(&canonical) = table.get(atoms) {
+            return AtomShape(canonical);
+        }
+        let leaked: &'static [Symbol] = Box::leak(atoms.to_vec().into_boxed_slice());
+        table.insert(leaked);
+        AtomShape(leaked)
+    }
+
+    /// `self · tail`: the atoms of a concatenation.
+    pub fn concat(self, tail: &[Symbol]) -> AtomShape {
+        self.derive(tail, false)
+    }
+
+    /// `self` followed by the atoms of `tail` it does not already hold:
+    /// the atoms of a merge of two branches with common ancestry.
+    pub fn union(self, tail: &[Symbol]) -> AtomShape {
+        self.derive(tail, true)
+    }
+
+    fn derive(self, tail: &[Symbol], dedup: bool) -> AtomShape {
+        if let Some((head, last_tail, last_dedup, shape)) = LAST_DERIVED.get() {
+            if head == self && last_dedup == dedup && *last_tail == *tail {
+                return shape;
+            }
+        }
+        let mut atoms = self.0.to_vec();
+        atoms.extend(
+            tail.iter()
+                .filter(|a| !(dedup && self.0.contains(a)))
+                .copied(),
+        );
+        let shape = AtomShape::intern(&atoms);
+        LAST_DERIVED.set(Some((self, AtomShape::intern(tail), dedup, shape)));
+        shape
+    }
+}
+
+impl std::ops::Deref for AtomShape {
+    type Target = [Symbol];
+
+    fn deref(&self) -> &[Symbol] {
+        self.0
+    }
+}
+
+// Interning canonicalizes: equal content implies the same leaked slice,
+// so identity is content equality. Empty lists are never leaked (and a
+// `const` has no one address), so they compare by length alone.
+impl PartialEq for AtomShape {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.len() == other.0.len()
+            && (self.0.is_empty() || std::ptr::eq(self.0.as_ptr(), other.0.as_ptr()))
+    }
+}
+
+impl fmt::Debug for AtomShape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.0, f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,5 +355,36 @@ mod tests {
         assert!(owned == s);
         assert!(s.is("Conference1"));
         assert!(!s.is("Conference2"));
+    }
+
+    #[test]
+    fn shapes_intern_to_one_handle_per_atom_list() {
+        let (a, b, c) = (
+            Symbol::intern("shape-A"),
+            Symbol::intern("shape-B"),
+            Symbol::intern("shape-C"),
+        );
+        let ab = AtomShape::intern(&[a, b]);
+        assert_eq!(ab, AtomShape::intern(&[a, b]));
+        assert!(std::ptr::eq(
+            ab.as_ptr(),
+            AtomShape::intern(&[a, b]).as_ptr()
+        ));
+        assert_ne!(ab, AtomShape::intern(&[b, a]));
+        assert_ne!(ab, AtomShape::intern(&[a]));
+        assert_eq!(AtomShape::intern(&[]), AtomShape::EMPTY);
+        assert_eq!(&*ab, &[a, b]);
+
+        // Derived shapes, first through the table and then through the
+        // per-thread memo, are the interned handles.
+        for _ in 0..2 {
+            assert_eq!(AtomShape::EMPTY.concat(&[a]), AtomShape::intern(&[a]));
+            assert_eq!(ab.concat(&[c]), AtomShape::intern(&[a, b, c]));
+            assert_eq!(ab.concat(&[c]), AtomShape::intern(&[a, b, c]));
+            assert_eq!(ab.concat(&[a]), AtomShape::intern(&[a, b, a]));
+            assert_eq!(ab.union(&[a, c, b]), AtomShape::intern(&[a, b, c]));
+            assert_eq!(ab.union(&[a, c, b]), AtomShape::intern(&[a, b, c]));
+            assert_eq!(ab.union(&[]), ab);
+        }
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::attribute::{AttributeKind, AttributePath};
 use crate::error::ModelError;
 use crate::schema::ServiceSchema;
-use crate::symbol::Symbol;
+use crate::symbol::{AtomShape, Symbol};
 use crate::value::Value;
 
 /// A shared, immutable tuple handle. The zero-copy data plane passes these
@@ -142,11 +142,22 @@ impl Tuple {
         schema: &ServiceSchema,
         path: &AttributePath,
     ) -> Result<Value, ModelError> {
-        Ok(self
-            .values_at(schema, path)?
-            .into_iter()
-            .next()
-            .unwrap_or(Value::Null))
+        let (idx, sidx) = schema.resolve(path)?;
+        Ok(self.first_value(idx, sidx).clone())
+    }
+
+    /// [`first_value_at`](Self::first_value_at) for a path already
+    /// resolved ([`ServiceSchema::resolve`]) to its field slot and group
+    /// sub-slot: `Null` when the group has no row.
+    pub fn first_value(&self, idx: usize, sidx: Option<usize>) -> &Value {
+        match sidx {
+            None => self.atomic_at(idx),
+            Some(s) => self
+                .group_at(idx)
+                .first()
+                .and_then(|row| row.values.get(s))
+                .unwrap_or(&Value::Null),
+        }
     }
 }
 
@@ -238,34 +249,66 @@ impl<'a> TupleBuilder<'a> {
 /// (weighted sum, §3.1) can be applied and re-weighted dynamically.
 ///
 /// Composites are *thin*: each component is a [`SharedTuple`] handle into
-/// the chunk that produced it, and atom names are interned [`Symbol`]s.
-/// Joining, merging, and extending a composite copies handles, never rows;
-/// field data is materialized only when the final output is rendered.
+/// the chunk that produced it, and the atom names are one interned
+/// [`AtomShape`] shared by every composite of the same plan node.
+/// Joining, merging, and extending a composite copies handles, never
+/// rows, into **one** exactly-sized block — a built composite is one
+/// heap allocation; field data is materialized only when the final
+/// output is rendered.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompositeTuple {
     /// Names of the contributing query atoms (service aliases), aligned
     /// with `components`.
-    pub atoms: Vec<Symbol>,
+    pub atoms: AtomShape,
     /// Shared handles to the component tuples, in atom order.
-    pub components: Vec<SharedTuple>,
+    pub components: Box<[SharedTuple]>,
 }
 
 impl CompositeTuple {
+    /// The composite of no atoms: the user's single input tuple (§3.2).
+    pub fn empty() -> Self {
+        CompositeTuple {
+            atoms: AtomShape::EMPTY,
+            components: Box::default(),
+        }
+    }
+
+    /// A composite over `atoms` with one component each, in order.
+    pub fn new(atoms: &[Symbol], components: Vec<SharedTuple>) -> Self {
+        assert_eq!(atoms.len(), components.len(), "one component per atom");
+        CompositeTuple {
+            atoms: AtomShape::intern(atoms),
+            components: components.into_boxed_slice(),
+        }
+    }
+
     /// A composite with a single component.
     pub fn single(atom: impl Into<Symbol>, tuple: impl Into<SharedTuple>) -> Self {
         CompositeTuple {
-            atoms: vec![atom.into()],
-            components: vec![tuple.into()],
+            atoms: AtomShape::EMPTY.concat(&[atom.into()]),
+            components: Box::new([tuple.into()]),
         }
+    }
+
+    /// `self`'s handles followed by `tail`'s, in a block of exactly
+    /// `self.arity() + extra` slots.
+    fn block_with<'t>(
+        &self,
+        extra: usize,
+        tail: impl Iterator<Item = &'t SharedTuple>,
+    ) -> Box<[SharedTuple]> {
+        let mut block = Vec::with_capacity(self.components.len() + extra);
+        block.extend_from_slice(&self.components);
+        block.extend(tail.cloned());
+        block.into_boxed_slice()
     }
 
     /// Concatenates two composites: `self · other`.
     pub fn join(&self, other: &CompositeTuple) -> Self {
-        let mut atoms = self.atoms.clone();
-        atoms.extend(other.atoms.iter().copied());
-        let mut components = self.components.clone();
-        components.extend(other.components.iter().cloned());
-        CompositeTuple { atoms, components }
+        CompositeTuple {
+            atoms: self.atoms.concat(&other.atoms),
+            components: self.block_with(other.arity(), other.components.iter()),
+        }
     }
 
     /// Merges two composites that may share atoms (branches with common
@@ -279,29 +322,38 @@ impl CompositeTuple {
     /// equality check short-circuits on `Arc::ptr_eq` before comparing
     /// fields.
     pub fn merge(&self, other: &CompositeTuple) -> Option<Self> {
-        for (atom, tuple) in other.atoms.iter().zip(&other.components) {
-            if let Some(mine) = self.component(atom.as_str()) {
-                if !Arc::ptr_eq(mine, tuple) && **mine != **tuple {
-                    return None;
+        let mine_of = |atom: &Symbol| self.atoms.iter().position(|a| a == atom);
+        let mut fresh = 0;
+        for (atom, tuple) in other.atoms.iter().zip(other.components.iter()) {
+            match mine_of(atom) {
+                Some(at) => {
+                    let mine = &self.components[at];
+                    if !Arc::ptr_eq(mine, tuple) && **mine != **tuple {
+                        return None;
+                    }
                 }
+                None => fresh += 1,
             }
         }
-        let mut out = self.clone();
-        for (atom, tuple) in other.atoms.iter().zip(&other.components) {
-            if out.component(atom.as_str()).is_none() {
-                out.atoms.push(*atom);
-                out.components.push(tuple.clone());
-            }
-        }
-        Some(out)
+        let tail = other
+            .atoms
+            .iter()
+            .zip(other.components.iter())
+            .filter(|(atom, _)| mine_of(atom).is_none())
+            .map(|(_, tuple)| tuple);
+        Some(CompositeTuple {
+            atoms: self.atoms.union(&other.atoms),
+            components: self.block_with(fresh, tail),
+        })
     }
 
     /// Extends the composite with one more component.
     pub fn extend_with(&self, atom: impl Into<Symbol>, tuple: impl Into<SharedTuple>) -> Self {
-        let mut out = self.clone();
-        out.atoms.push(atom.into());
-        out.components.push(tuple.into());
-        out
+        let tuple = tuple.into();
+        CompositeTuple {
+            atoms: self.atoms.concat(&[atom.into()]),
+            components: self.block_with(1, std::iter::once(&tuple)),
+        }
     }
 
     /// Shared handle to the component tuple for a given atom alias.
@@ -350,7 +402,7 @@ impl CompositeTuple {
     pub fn materialize(&self) -> Vec<(&'static str, Tuple)> {
         self.atoms
             .iter()
-            .zip(&self.components)
+            .zip(self.components.iter())
             .map(|(a, t)| (a.as_str(), (**t).clone()))
             .collect()
     }
@@ -364,7 +416,7 @@ impl CompositeTuple {
     /// it — and it is generic so a `String` sink pays no formatter.
     pub fn write_to<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         out.write_str("⟨")?;
-        for (i, (a, t)) in self.atoms.iter().zip(&self.components).enumerate() {
+        for (i, (a, t)) in self.atoms.iter().zip(self.components.iter()).enumerate() {
             if i > 0 {
                 out.write_str(" · ")?;
             }
@@ -580,7 +632,7 @@ mod tests {
         // the merge points at the one underlying allocation.
         let merged = b1.merge(&b2).unwrap();
         assert_eq!(merged.arity(), 3);
-        for c in &merged.components {
+        for c in merged.components.iter() {
             assert!(Arc::ptr_eq(c, &t));
         }
         // 1 origin + 2 in b1 + 2 in b2 + 3 in merged.

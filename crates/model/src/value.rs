@@ -71,7 +71,7 @@ impl fmt::Display for Date {
 /// cross-variant comparisons are errors surfaced as
 /// [`ModelError::IncomparableValues`] so that a mistyped query fails
 /// loudly instead of silently filtering everything out.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Value {
     /// Absence of a value; compares equal only to itself under `=`, and
     /// is incomparable under ordering comparators.
@@ -86,6 +86,28 @@ pub enum Value {
     Text(String),
     /// Calendar date.
     Date(Date),
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Self {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Text(s) => Value::Text(s.clone()),
+            Value::Date(d) => Value::Date(*d),
+        }
+    }
+
+    /// Text over text reuses the buffer: a pipe stage rewrites one
+    /// binding slot per input tuple.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut *self, source) {
+            (Value::Text(slot), Value::Text(text)) => slot.clone_from(text),
+            (slot, source) => *slot = source.clone(),
+        }
+    }
 }
 
 impl Value {

@@ -83,7 +83,7 @@ mod tests {
                 Tuple::builder(&schema).score(*s).build().unwrap(),
             ));
         }
-        CompositeTuple { atoms, components }
+        CompositeTuple::new(&atoms, components)
     }
 
     #[test]

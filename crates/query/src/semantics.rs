@@ -51,10 +51,7 @@ pub fn evaluate_oracle(
 
     // Composites under construction; starts with the single empty
     // composite (the user's one input tuple, §3.2).
-    let mut partials = vec![CompositeTuple {
-        atoms: Vec::new(),
-        components: Vec::new(),
-    }];
+    let mut partials = vec![CompositeTuple::empty()];
 
     for alias in &report.order {
         let atom = query.atom(alias)?;
@@ -139,7 +136,7 @@ fn reorder(c: &CompositeTuple, query: &Query) -> Result<CompositeTuple, QueryErr
         atoms.push(seco_model::Symbol::from(&atom.alias));
         components.push(t.clone());
     }
-    Ok(CompositeTuple { atoms, components })
+    Ok(CompositeTuple::new(&atoms, components))
 }
 
 #[cfg(test)]

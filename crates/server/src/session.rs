@@ -23,8 +23,10 @@
 //! or an `absorb` that added rows), so a page costs its own length.
 
 use std::cell::OnceCell;
-use std::collections::HashSet;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 
 use seco_engine::ResultSet;
 use seco_model::CompositeTuple;
@@ -34,14 +36,73 @@ use seco_query::{Query, RankingFunction};
 /// `fmt::Write` for `String` has no failing path.
 const STRING_SINK: &str = "writing to a String cannot fail";
 
-/// Identity of a combination within one session: the rendered
-/// `(atom, source-rank, score)` sequence, which is deterministic and
-/// unique per emitted combination of a fixed query. It is also the
-/// `"combo"` text of the row on the wire.
+/// The `"combo"` text of a row on the wire: the rendered
+/// `(atom, source-rank, score)` sequence.
 fn combo_key(combo: &CompositeTuple) -> String {
     let mut key = String::new();
     combo.write_to(&mut key).expect(STRING_SINK);
     key
+}
+
+/// Identity of a combination within one session: the fields its text
+/// renders — per component the atom, the source rank and the score's
+/// bits — which are deterministic and unique per emitted combination of
+/// a fixed query. Compared and hashed as they are, never formatted.
+fn identity(combo: &CompositeTuple) -> impl Iterator<Item = (usize, u64)> + '_ {
+    combo
+        .components
+        .iter()
+        .map(|t| (t.source_rank, t.score.to_bits()))
+}
+
+fn same_combination(a: &CompositeTuple, b: &CompositeTuple) -> bool {
+    a.atoms == b.atoms && identity(a).eq(identity(b))
+}
+
+fn fingerprint(combo: &CompositeTuple) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    // Interned: one address per atom list.
+    combo.atoms.as_ptr().hash(&mut hasher);
+    for part in identity(combo) {
+        part.hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// The combinations of a session's universe, findable by identity
+/// without an owned key per row: universe positions chained per
+/// [`fingerprint`], compared field by field on a lookup.
+#[derive(Default)]
+struct Known {
+    /// Fingerprint → the latest position carrying it.
+    latest: HashMap<u64, u32>,
+    /// Per position: the previous position with the same fingerprint.
+    previous: Vec<Option<u32>>,
+}
+
+impl Known {
+    /// Positions registered so far.
+    fn len(&self) -> usize {
+        self.previous.len()
+    }
+
+    /// Registers the next position of the universe under `fingerprint`.
+    fn push(&mut self, fingerprint: u64) {
+        let at = u32::try_from(self.len()).expect("fewer than 2^32 combinations");
+        self.previous.push(self.latest.insert(fingerprint, at));
+    }
+
+    /// Whether a registered position of `universe` holds `combo`.
+    fn holds(&self, universe: &[CompositeTuple], combo: &CompositeTuple, fingerprint: u64) -> bool {
+        let mut at = self.latest.get(&fingerprint).copied();
+        while let Some(earlier) = at {
+            if same_combination(&universe[earlier as usize], combo) {
+                return true;
+            }
+            at = self.previous[earlier as usize];
+        }
+        false
+    }
 }
 
 /// Renders ranked rows as JSON objects (score under `ranking`).
@@ -112,9 +173,9 @@ pub struct Session {
     /// the last page are past its end, and undelivered).
     delivered: Vec<bool>,
     delivered_count: usize,
-    /// [`combo_key`] of every row in `set`; empty until the first
+    /// Index of every row in `set` by identity; empty until the first
     /// `absorb`, kept in step with `set` from then on.
-    known: HashSet<String>,
+    known: Known,
 }
 
 impl Session {
@@ -130,7 +191,7 @@ impl Session {
             pos: 0,
             delivered: Vec::new(),
             delivered_count: 0,
-            known: HashSet::new(),
+            known: Known::default(),
         }
     }
 
@@ -197,12 +258,14 @@ impl Session {
     /// within `combos` counts once). Known rows keep their delivered
     /// status; new ones become visible to the cursor.
     pub fn absorb(&mut self, combos: Vec<CompositeTuple>) -> usize {
-        if self.known.is_empty() {
-            self.known.extend(self.set.tuples.iter().map(combo_key));
-        }
         let before = self.set.len();
+        for at in self.known.len()..before {
+            self.known.push(fingerprint(&self.set.tuples[at]));
+        }
         for combo in combos {
-            if self.known.insert(combo_key(&combo)) {
+            let print = fingerprint(&combo);
+            if !self.known.holds(&self.set.tuples, &combo, print) {
+                self.known.push(print);
                 self.set.tuples.push(combo);
             }
         }
@@ -225,7 +288,7 @@ impl Session {
 pub(crate) mod tests {
     use super::*;
     use seco_engine::{execute_plan, EngineConfig};
-    use seco_model::Symbol;
+    use seco_model::{AtomShape, Symbol};
     use seco_optimizer::{optimize, CostMetric};
     use seco_services::ServiceRegistry;
     use std::collections::BTreeSet;
@@ -249,7 +312,9 @@ pub(crate) mod tests {
     /// spell but a JSON writer must survive.
     pub(crate) fn with_hostile_alias(mut s: Session) -> Session {
         for combo in &mut s.set.tuples {
-            combo.atoms[1] = Symbol::intern("B\"\\\n⟨é");
+            let mut atoms = combo.atoms.to_vec();
+            atoms[1] = Symbol::intern("B\"\\\n⟨é");
+            combo.atoms = AtomShape::intern(&atoms);
         }
         s
     }
@@ -260,7 +325,7 @@ pub(crate) mod tests {
         let parts: Vec<String> = combo
             .atoms
             .iter()
-            .zip(&combo.components)
+            .zip(combo.components.iter())
             .map(|(a, t)| format!("{a}#{}(s={:.3})", t.source_rank, t.score))
             .collect();
         format!("⟨{}⟩", parts.join(" · "))

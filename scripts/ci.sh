@@ -10,6 +10,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# Heap requests per delivered combination on the warm serving path: a
+# count, so it repeats exactly on any host (tests/alloc_budget.rs pins
+# it; the lines below are the figures of this run).
+echo "==> allocation budget (cargo test --release --test alloc_budget)"
+cargo test --release -q --test alloc_budget -- --nocapture | grep -o 'alloc_budget:.*'
+
 # The one-shot experiments share the fetch stack (CachingService) with
 # the daemon: their committed output must not move.
 echo "==> repro output is byte-identical to repro_output.txt"

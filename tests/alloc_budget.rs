@@ -1,0 +1,160 @@
+//! Allocation budget of the warm serving path: counts, never timings.
+//!
+//! A counting `#[global_allocator]` tallies the heap requests made by
+//! the calling thread (every `alloc` and every `realloc`), so the tests
+//! of this binary can run side by side and the figures repeat exactly.
+//! The deterministic executor under `ServerConfig::default().engine`
+//! runs a plan on the thread that calls it, which is what makes a
+//! per-thread count the whole count.
+//!
+//! Each test prints an `alloc_budget:` line; `scripts/ci.sh` echoes
+//! them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use search_computing::prelude::*;
+use search_computing::server::{ServerConfig, Session};
+use seco_bench::{chain_scenario, star_scenario};
+
+struct CountingAllocator;
+
+thread_local! {
+    static REQUESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // A thread that is being torn down has no counter left; its
+    // requests belong to no measurement.
+    let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a `const`-initialized
+// thread-local `Cell` without a destructor, so touching it allocates
+// nothing and cannot re-enter the allocator.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Heap requests this thread makes while `f` runs.
+fn requests_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = REQUESTS.with(Cell::get);
+    let out = f();
+    (out, REQUESTS.with(Cell::get) - before)
+}
+
+/// Plans the scenario, runs it against one `SharedState` until the
+/// response cache answers every fetch, then counts one more run.
+/// Returns `(allocations, combinations)`.
+fn warm_execution((registry, query): (ServiceRegistry, Query)) -> (u64, usize) {
+    let config = ServerConfig::default();
+    let best = optimize(&query, &registry, config.metric).expect("scenario is feasible");
+    let shared = SharedState::new();
+    let run = || {
+        execute_plan_shared(&best.plan, &registry, config.engine, &shared)
+            .expect("synthetic services never fail")
+    };
+    // The cache admits a body on its second request: the third run is
+    // the first that is all hits, the fourth repeats it.
+    for _ in 0..3 {
+        run();
+    }
+    let calls_before = registry.total_stats().calls;
+    let (out, allocations) = requests_during(run);
+    assert_eq!(
+        registry.total_stats().calls,
+        calls_before,
+        "the measured run is warm: no service is called"
+    );
+    let combinations = out.results.len();
+    drop(out);
+    (allocations, combinations)
+}
+
+fn report(name: &str, allocations: u64, combinations: usize) -> f64 {
+    let per = allocations as f64 / combinations as f64;
+    println!(
+        "alloc_budget: {name} allocations={allocations} combinations={combinations} per_combination={per:.2}"
+    );
+    per
+}
+
+/// The parent commit's figures, measured by this file's own
+/// `warm_execution` on it: 7 542 heap requests for the 4-chain's 625
+/// combinations (12.07 each), 1 193 for the 3-star's 14 (85.21 each —
+/// a star also builds every single-atom composite and the first join's
+/// intermediates, delivered or not, and pays its per-tile set-up for a
+/// handful of rows).
+const STAR3_PARENT_PER_COMBINATION: f64 = 85.21;
+
+/// This commit's 4-chain: 1 185 requests (1.90 per combination — one
+/// per composite built, one per fetched chunk, the fixed cost of a
+/// pass), pinned with under 10 % of headroom.
+const CHAIN4_PER_COMBINATION: f64 = 2.08;
+
+#[test]
+fn a_warm_chain_builds_each_combination_in_under_three_allocations() {
+    let (allocations, combinations) = warm_execution(chain_scenario(4, 11));
+    let per = report("chain4", allocations, combinations);
+    assert!(combinations >= 100, "{combinations} combinations");
+    assert!(
+        per <= CHAIN4_PER_COMBINATION && CHAIN4_PER_COMBINATION <= 3.0,
+        "{per:.2} allocations per delivered combination"
+    );
+}
+
+/// This commit's 3-star: 585 requests, 41.79 per combination; half the
+/// parent's figure is 42.6, which is the pin.
+#[test]
+fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
+    let (allocations, combinations) = warm_execution(star_scenario(3, 11));
+    let per = report("star3", allocations, combinations);
+    assert!(combinations >= 10, "{combinations} combinations");
+    assert!(
+        per <= STAR3_PARENT_PER_COMBINATION / 2.0,
+        "{per:.2} allocations per delivered combination, parent {STAR3_PARENT_PER_COMBINATION}"
+    );
+}
+
+#[test]
+fn absorbing_known_rows_allocates_nothing_per_row() {
+    let (registry, query) = chain_scenario(4, 11);
+    let best = optimize(&query, &registry, CostMetric::RequestCount).expect("feasible");
+    let out = execute_plan(&best.plan, &registry, EngineConfig::default()).expect("runs");
+    let rows = out.results.len();
+    assert!(rows >= 100, "{rows} rows");
+    let set = ResultSet::new(out.results.clone(), query.ranking.clone());
+    let mut session = Session::new(1, "t".into(), query, best.plan, set);
+    // The first absorb indexes the universe; from then on a known row
+    // is a lookup.
+    assert_eq!(session.absorb(out.results.clone()), 0);
+    let again = out.results.clone();
+    let (added, allocations) = requests_during(|| session.absorb(again));
+    assert_eq!(added, 0);
+    println!("alloc_budget: absorb_known allocations={allocations} rows={rows}");
+    assert!(
+        allocations <= 4,
+        "{allocations} allocations for {rows} known rows"
+    );
+}

@@ -170,3 +170,39 @@ fn columnar_and_row_planes_are_byte_identical_on_e1() {
         ranked_render(&plan_d.query, &par_row)
     );
 }
+
+#[test]
+fn delivered_components_are_the_cached_chunks_own_tuples() {
+    // Handing combinations on by move must not have turned into row
+    // copies anywhere: once the response cache answers every fetch, two
+    // executions deliver handles to the very same tuples — the cached
+    // chunks' row views — on the chain (pipe joins) and on the star
+    // (parallel joins, a fanned-out input).
+    for (registry, query) in [
+        seco_bench::chain_scenario(4, 42),
+        seco_bench::star_scenario(3, 42),
+    ] {
+        let best = optimize(&query, &registry, CostMetric::RequestCount).unwrap();
+        let config = EngineConfig::default().cache_shards(4);
+        let shared = SharedState::new();
+        let run = || execute_plan_shared(&best.plan, &registry, config, &shared).unwrap();
+        // Admission on proof: all hits from the third run on.
+        for _ in 0..3 {
+            run();
+        }
+        let calls = registry.total_stats().calls;
+        let (first, second) = (run(), run());
+        assert_eq!(registry.total_stats().calls, calls, "both runs are warm");
+        assert!(!first.results.is_empty());
+        assert_eq!(first.results.len(), second.results.len());
+        for (a, b) in first.results.iter().zip(&second.results) {
+            assert_eq!(a.arity(), query.atoms.len());
+            for (x, y) in a.components.iter().zip(b.components.iter()) {
+                assert!(
+                    std::sync::Arc::ptr_eq(x, y),
+                    "{a} holds a copy of a cached row"
+                );
+            }
+        }
+    }
+}
