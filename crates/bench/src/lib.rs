@@ -1,4 +1,4 @@
-//! Shared workload generators for the benchmark and experiment harness.
+//! Shared workload generators for the `repro` experiments and the tests.
 //!
 //! Experiments need service topologies beyond the two chapter domains:
 //! parameterized *chains* (S1 → S2 → … → Sn, each piping into the
@@ -13,24 +13,8 @@ use seco_model::{
     ScoreDecay, ServiceInterface, ServiceKind, ServiceSchema, ServiceStats, Value,
 };
 use seco_query::{Query, QueryBuilder};
-use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService, ValueDomain};
+use seco_services::synthetic::{DomainMap, SyntheticService, ValueDomain};
 use seco_services::{MisdeclaredService, ServiceRegistry};
-
-/// Writes a timing binary's report as `BENCH_<name>.json`: a full run
-/// to the committed `results/`, a `--smoke` run under `target/smoke/`,
-/// so CI leaves the committed full-mode reports as they were.
-pub fn write_report(
-    name: &str,
-    smoke: bool,
-    report: &serde_json::Value,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let dir = if smoke { "target/smoke" } else { "results" };
-    std::fs::create_dir_all(dir)?;
-    let path = format!("{dir}/BENCH_{name}.json");
-    std::fs::write(&path, serde_json::to_string_pretty(report)?)?;
-    println!("wrote {path}");
-    Ok(())
-}
 
 /// Builds one search-service interface `name` with a `Key` input, a
 /// `Link` output (shared `link` domain for joins), and a ranked score.
@@ -69,18 +53,6 @@ pub fn link_service(
 /// Returns the registry and a feasible query over all `n` services with
 /// `ChainLinki` connection patterns.
 pub fn chain_scenario(n: usize, seed: u64) -> (ServiceRegistry, Query) {
-    chain_scenario_with_faults(n, seed, FaultProfile::none())
-}
-
-/// [`chain_scenario`] with every service injecting deterministic
-/// faults from `faults` (each service's schedule is decorrelated by
-/// mixing its index into the profile's seed). The e21-style workload
-/// for exercising the fetch layer under retry storms.
-pub fn chain_scenario_with_faults(
-    n: usize,
-    seed: u64,
-    faults: FaultProfile,
-) -> (ServiceRegistry, Query) {
     assert!(n >= 1);
     let mut reg = ServiceRegistry::new();
     let link = ValueDomain::new("link", 16);
@@ -104,11 +76,7 @@ pub fn chain_scenario_with_faults(
             iface,
             DomainMap::new().with(AttributePath::atomic("Link"), link.clone()),
             seed ^ ((i as u64) << 8),
-        )
-        .with_fault_profile(FaultProfile {
-            seed: faults.seed.wrapping_add(i as u64),
-            ..faults
-        });
+        );
         reg.register_service(Arc::new(service))
             .expect("unique names");
     }

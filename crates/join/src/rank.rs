@@ -54,8 +54,7 @@ use crate::tile::{Tile, TileSpace};
 /// The canonical score order on combinations: decreasing score product
 /// (`f64::total_cmp`), ties broken by the per-component
 /// `(atom, source_rank)` sequence — a deterministic total order on
-/// distinct combinations, shared by the rank join, its tests, and the
-/// benchmarks' sorted-baseline.
+/// distinct combinations, shared by the rank join and its tests.
 pub fn score_order(a: &CompositeTuple, b: &CompositeTuple) -> Ordering {
     b.score_product()
         .total_cmp(&a.score_product())

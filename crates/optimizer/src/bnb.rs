@@ -119,7 +119,7 @@ pub struct Optimizer<'a> {
     pub workers: usize,
     /// Use incremental (delta) annotation in phase 3. Disabled, every
     /// fetch-factor trial re-annotates the full plan — kept as the
-    /// benchmark baseline.
+    /// tests' baseline.
     pub incremental: bool,
     /// Optional cross-run plan cache keyed by structural query
     /// fingerprint. Skipped when a [`budget`](Self::budget) is set:

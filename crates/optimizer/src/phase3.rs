@@ -20,7 +20,7 @@
 //! by (topology shape, fetch vector), so re-instantiating a shape the
 //! search has already explored never re-derives the same estimate. The
 //! legacy full-re-annotation path is kept (`incremental = false`) as
-//! the baseline the `optimizer_bench` delta is measured against.
+//! the baseline `tests/optimizer_parallel.rs` counts annotations against.
 
 use std::collections::HashMap;
 
@@ -84,7 +84,7 @@ pub fn assign_fetches(
 
 /// [`assign_fetches`] with explicit annotation mode, optional memo, and
 /// work counters. `incremental = false` re-annotates the full plan on
-/// every trial (the pre-delta behaviour, kept as the benchmark
+/// every trial (the pre-delta behaviour, kept as the tests'
 /// baseline).
 #[allow(clippy::too_many_arguments)]
 pub fn assign_fetches_with(
@@ -197,7 +197,7 @@ pub fn assign_fetches_seeded(
     })
 }
 
-/// The legacy full-re-annotation loop (benchmark baseline): every trial
+/// The legacy full-re-annotation loop (the tests' baseline): every trial
 /// and every committed increment re-annotates the whole plan.
 fn assign_fetches_full(
     plan: &mut QueryPlan,

@@ -14,13 +14,13 @@
 //! engine is still joining tiles — the chapter's progressive answer
 //! integration, made visible on the wire.
 //!
-//! The client half ([`call`], [`stream`]) exists for the bencher and
-//! the integration tests; it records time-to-first-frame, the serving
-//! metric the fixed-length path cannot expose.
+//! The client half ([`call`], [`stream`]) exists for the integration
+//! tests; it records time-to-first-frame, the serving metric the
+//! fixed-length path cannot expose.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
 /// One parsed request: method, path (query string split off into
@@ -88,16 +88,40 @@ pub fn url_decode(s: &str) -> String {
 /// before any of it is read or allocated.
 const MAX_BODY: usize = 1 << 20;
 
+/// Largest request head (request line and headers together) accepted; a
+/// client that sends more, or never ends a line, is refused once this
+/// much has been read.
+const MAX_HEAD: usize = 16 << 10;
+
 /// A request refused while parsing: the status to answer with, and why.
 pub type Rejection = (u16, &'static str);
 
+const HEAD_TOO_LARGE: Rejection = (431, "request head too large");
+
+/// Reads the next line of the head into `line`, within what is left of
+/// the head's budget: `false` when the budget ran out before the line
+/// ended. At a clean EOF the line comes back empty.
+fn head_line(
+    head: &mut io::Take<&mut BufReader<TcpStream>>,
+    line: &mut String,
+) -> io::Result<bool> {
+    line.clear();
+    head.read_line(line)?;
+    Ok(line.ends_with('\n') || head.limit() > 0)
+}
+
 /// Reads one request off the connection. `None` on a clean EOF before
 /// any bytes (client connected and went away); `Some(Err(..))` when the
-/// head was readable but the declared body length is not acceptable.
+/// head is longer than [`MAX_HEAD`] or the declared body length is not
+/// acceptable.
 pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Rejection>>> {
     let mut reader = BufReader::new(stream.try_clone()?);
+    let mut head = reader.by_ref().take(MAX_HEAD as u64);
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if !head_line(&mut head, &mut line)? {
+        return Ok(Some(Err(HEAD_TOO_LARGE)));
+    }
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -118,10 +142,10 @@ pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Re
         })
         .collect();
     let mut content_length = 0usize;
+    let mut header = String::new();
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
+        if !head_line(&mut head, &mut header)? {
+            return Ok(Some(Err(HEAD_TOO_LARGE)));
         }
         let header = header.trim();
         if header.is_empty() {
@@ -145,6 +169,15 @@ pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Re
     })))
 }
 
+/// Reads and drops what a refused client is still sending — up to
+/// [`MAX_BODY`], for at most a second — before the connection closes:
+/// closing on unread bytes resets it, and the answer with it.
+pub fn discard_rest(stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+    let _ = io::copy(&mut stream.take(MAX_BODY as u64), &mut io::sink());
+}
+
 fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -153,6 +186,7 @@ fn reason(status: u16) -> &'static str {
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",

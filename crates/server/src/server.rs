@@ -47,7 +47,7 @@ use seco_plan::{PlanNode, QueryPlan};
 use seco_query::{parse_query, RankingFunction};
 use seco_services::DeviationPolicy;
 
-use crate::http::{parse_request, respond_json, ChunkedWriter, Request};
+use crate::http::{discard_rest, parse_request, respond_json, ChunkedWriter, Request};
 use crate::session::{write_rows, Session};
 use crate::state::{Refusal, ServerState};
 
@@ -208,7 +208,11 @@ fn expand_doc(
 fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> io::Result<()> {
     let req = match parse_request(&stream)? {
         None => return Ok(()),
-        Some(Err((status, why))) => return error(&mut stream, status, why),
+        Some(Err((status, why))) => {
+            error(&mut stream, status, why)?;
+            discard_rest(&stream);
+            return Ok(());
+        }
         Some(Ok(req)) => req,
     };
     let path = req.path.trim_matches('/').to_owned();

@@ -348,8 +348,6 @@ impl ServerState {
                     "steals": e.steals,
                     "morsels": e.morsels,
                     "busy_ms": e.busy_ms,
-                    "serial_micros": e.serial_micros,
-                    "makespan_micros": e.makespan_micros,
                     "detached_submitted": e.detached_submitted,
                     "detached_rejected": e.detached_rejected,
                     "threads_alive": e.threads_alive,

@@ -298,7 +298,7 @@ fn raw_status(addr: &str, request: &str) -> String {
 }
 
 #[test]
-fn a_bad_content_length_is_refused_and_the_daemon_keeps_serving() {
+fn a_bad_content_length_or_an_oversized_head_is_refused_and_the_daemon_keeps_serving() {
     let (handle, addr, _, _) = chain_server(ServerConfig::default());
     let request =
         |length: &str| format!("POST /query HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
@@ -316,6 +316,23 @@ fn a_bad_content_length_is_refused_and_the_daemon_keeps_serving() {
         raw_status(&addr, &request("-1")),
         "HTTP/1.1 400 Bad Request"
     );
+    // A head that outgrows its 16 KiB is refused when the budget runs
+    // out, wherever the excess sits — the line that never ends is not
+    // read to its end first.
+    let junk = "a".repeat(32 << 10);
+    for oversized in [
+        format!("GET /{junk} HTTP/1.1\r\n\r\n"),
+        format!("GET /healthz HTTP/1.1\r\nX-Junk: {junk}\r\n\r\n"),
+        format!(
+            "GET /healthz HTTP/1.1\r\n{}\r\n",
+            "X-N: v\r\n".repeat(4 << 10)
+        ),
+    ] {
+        assert_eq!(
+            raw_status(&addr, &oversized),
+            "HTTP/1.1 431 Request Header Fields Too Large"
+        );
+    }
     let (status, body) = http::call(&addr, "GET", "/healthz", "").expect("healthz");
     assert_eq!((status, body.as_str()), (200, r#"{"ok":true}"#));
     stop(handle, &addr);

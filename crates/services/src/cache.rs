@@ -58,7 +58,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use seco_model::{ServiceInterface, Value};
 
@@ -326,10 +326,6 @@ pub struct CachingService {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    /// Shard-lock acquisitions that found the lock held (a `try_lock`
-    /// miss before blocking) — a direct, host-independent measure of
-    /// lock contention for the sharding benchmarks.
-    contended: AtomicU64,
 }
 
 impl CachingService {
@@ -353,7 +349,6 @@ impl CachingService {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
         }
     }
 
@@ -388,29 +383,15 @@ impl CachingService {
             return false;
         }
         let key = RequestKey::of(request);
-        let guard = self.lock_shard(&self.shards[key.shard(self.shards.len())]);
+        let guard = self.shards[key.shard(self.shards.len())].lock();
         guard.entries.contains_key(&key.fingerprint())
             || guard.unproven.contains_key(&key.fingerprint())
             || guard.inflight.contains_key(&key.fingerprint())
     }
 
-    /// Shard-lock acquisitions that had to wait for another thread.
-    pub fn lock_contentions(&self) -> u64 {
-        self.contended.load(Ordering::Relaxed)
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Locks a shard, counting the acquisition as contended when the
-    /// lock was already held.
-    fn lock_shard<'a>(&'a self, shard: &'a Mutex<Shard>) -> MutexGuard<'a, Shard> {
-        shard.try_lock().unwrap_or_else(|| {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            shard.lock()
-        })
     }
 
     /// Bodies currently cached, proven and unproven, over all shards.
@@ -468,7 +449,7 @@ impl Service for CachingService {
             Leader(Arc<Flight>),
         }
         let role = {
-            let mut guard = self.lock_shard(shard);
+            let mut guard = shard.lock();
             if let Some(hit) = guard.lookup(key.fingerprint(), self.per_shard_capacity) {
                 Role::Hit(hit)
             } else if let Some(flight) = guard.inflight.get(&key.fingerprint()) {
@@ -500,7 +481,7 @@ impl Service for CachingService {
             Role::Leader(flight) => {
                 let result = self.inner.fetch(request);
                 flight.publish(result.clone());
-                let mut guard = self.lock_shard(shard);
+                let mut guard = shard.lock();
                 guard.inflight.remove(&key.fingerprint());
                 if let Ok(resp) = &result {
                     self.misses.fetch_add(1, Ordering::Relaxed);

@@ -5,7 +5,7 @@
 //! previous holder panicked (the workspace treats locks as plain
 //! mutual exclusion, never as panic barriers).
 
-use std::sync::{self, TryLockError};
+use std::sync;
 
 /// Mutual exclusion lock with parking_lot's panic-transparent `lock`.
 #[derive(Debug, Default)]
@@ -38,15 +38,6 @@ impl<T: ?Sized> Mutex<T> {
         self.inner
             .lock()
             .unwrap_or_else(sync::PoisonError::into_inner)
-    }
-
-    /// Attempts to acquire the lock without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        }
     }
 }
 
@@ -116,14 +107,5 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 7;
         assert_eq!(*l.read(), 7);
-    }
-
-    #[test]
-    fn try_lock_contends() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 }

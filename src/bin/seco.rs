@@ -625,15 +625,8 @@ fn cmd_stats(
     if let Some(pool) = shared.exec_pool() {
         let e = pool.stats();
         println!(
-            "\nscheduler: {} workers, {} morsels, {} steals, queue depth {}, \
-             busy {} ms, serial-equivalent {} us, modeled makespan {} us",
-            e.workers,
-            e.morsels,
-            e.steals,
-            e.queue_depth,
-            e.busy_ms,
-            e.serial_micros,
-            e.makespan_micros
+            "\nscheduler: {} workers, {} morsels, {} steals, queue depth {}, busy {} ms",
+            e.workers, e.morsels, e.steals, e.queue_depth, e.busy_ms
         );
     }
     let (fetch_entries, fetch_unproven, fetch_bytes) = shared.fetch_cache_usage();

@@ -139,4 +139,27 @@ fn adaptive_engine_converges_to_the_informed_plan() {
         informed_run.critical_ms
     );
     assert!(adaptive_reg.epoch_invalidations() >= 1);
+
+    // Left alone, the misled plan stays bad: the gap the re-plan closed
+    // was there to close.
+    let baseline_run = execute_plan(
+        &misled.plan,
+        &adaptive_registry(SEED, MISESTIMATE),
+        EngineConfig::default(),
+    )
+    .expect("non-adaptive run");
+    assert!(
+        baseline_run.critical_ms >= informed_run.critical_ms * 2.0,
+        "non-adaptive {} ms vs informed {} ms",
+        baseline_run.critical_ms,
+        informed_run.critical_ms
+    );
+
+    // The promoted statistics outlive the run: a cold re-optimization
+    // on the once-misled registry now finds the informed plan.
+    let reoptimized = optimize(&query, &adaptive_reg, metric).expect("re-optimize");
+    assert_eq!(
+        reoptimized.plan.canonical_key(),
+        informed.plan.canonical_key()
+    );
 }

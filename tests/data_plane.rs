@@ -11,7 +11,7 @@ use search_computing::plan::{JoinSpec, PlanNode, SelectionNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::services::domains::travel;
 
-/// The E1 travel plan of the bench harness (Fig. 2/3): Conference →
+/// The E1 travel plan of the `repro` harness (Fig. 2/3): Conference →
 /// Weather → selection → (Flight ∥ Hotel) → parallel join.
 fn e1_plan(seed: u64) -> (QueryPlan, ServiceRegistry) {
     let registry = travel::build_registry(seed).unwrap();

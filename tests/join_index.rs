@@ -60,6 +60,7 @@ fn render(out: &JoinOutcome) -> String {
 }
 
 /// Runs one join method over a seeded synthetic service pair.
+#[allow(clippy::too_many_arguments)]
 fn run_method(
     decay_x: ScoreDecay,
     decay_y: ScoreDecay,

@@ -10,15 +10,17 @@
 //! * both engine executors must honor the `rank_join` / `nary_join`
 //!   configuration flags end to end.
 
-use search_computing::join::executor::{MemoryStream, ParallelJoinExecutor};
+use search_computing::join::executor::{MemoryStream, ParallelJoinExecutor, ServiceStream};
 use search_computing::join::{
     score_order, ColumnarOptions, JoinIndexMode, JoinIndexOptions, NaryJoin, NaryStage, RankJoin,
+    TileSpace,
 };
 use search_computing::plan::{JoinSpec, PlanNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
 use search_computing::query::{JoinPredicate, QualifiedPath};
-use seco_bench::star_scenario;
+use search_computing::services::invocation::Request;
+use seco_bench::{join_pair_with_width, star_scenario};
 use seco_model::{
     Adornment, AttributeDef, AttributePath, DataType, ScoringFunction, ServiceSchema, Tuple,
 };
@@ -77,10 +79,15 @@ fn stream_data(
 }
 
 fn eq_pred(la: &str, ra: &str) -> ResolvedPredicate {
+    eq_pred_on("City", la, ra)
+}
+
+/// The equi-join of `la` and `ra` on their `attr` attributes.
+fn eq_pred_on(attr: &str, la: &str, ra: &str) -> ResolvedPredicate {
     ResolvedPredicate::Join(JoinPredicate {
-        left: QualifiedPath::new(la, AttributePath::atomic("City")),
+        left: QualifiedPath::new(la, AttributePath::atomic(attr)),
         op: Comparator::Eq,
-        right: QualifiedPath::new(ra, AttributePath::atomic("City")),
+        right: QualifiedPath::new(ra, AttributePath::atomic(attr)),
     })
 }
 
@@ -176,6 +183,60 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
             assert_eq!(out.stats.chunks_fetched, (out.calls_x + out.calls_y) as u64);
         }
     }
+
+    // One sparse case over services rather than memory streams (400
+    // tuples a side in chunks of 20, equi-join selectivity 1/50, k = 5):
+    // besides being the prefix, the threshold bound must stop the rank
+    // join at a third of the full enumeration's chunk fetches or fewer.
+    let (total, chunk, k) = (400usize, 20usize, 5usize);
+    let (sx, sy) = join_pair_with_width(
+        ScoreDecay::Linear,
+        ScoreDecay::Quadratic,
+        total,
+        chunk,
+        17,
+        50,
+    );
+    let preds = vec![eq_pred_on("Link", "X", "Y")];
+    let mut schemas = SchemaMap::new();
+    schemas.insert("X".into(), &sx.interface().schema);
+    schemas.insert("Y".into(), &sy.interface().schema);
+    let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
+    let full = ParallelJoinExecutor {
+        predicates: &preds,
+        schemas: &schemas,
+        invocation: Invocation::merge_scan_even(),
+        completion: Completion::Rectangular,
+        h: 1,
+        k: 0,
+        options: JoinIndexOptions::default(),
+        columnar: ColumnarOptions::default(),
+        pool: None,
+    };
+    let mut x = ServiceStream::new("X", sx.as_ref(), req.clone());
+    let mut y = ServiceStream::new("Y", sy.as_ref(), req.clone());
+    let enumerated = full.run(&mut x, &mut y).unwrap();
+    let mut want = enumerated.results.clone();
+    want.sort_by(score_order);
+    want.truncate(k);
+    let rj = RankJoin {
+        join: ParallelJoinExecutor { k, ..full },
+        space: Some(TileSpace::new(
+            ScoringFunction::new(ScoreDecay::Linear, total, chunk).unwrap(),
+            ScoringFunction::new(ScoreDecay::Quadratic, total, chunk).unwrap(),
+        )),
+    };
+    let mut x = ServiceStream::new("X", sx.as_ref(), req.clone());
+    let mut y = ServiceStream::new("Y", sy.as_ref(), req);
+    let ranked = rj.run(&mut x, &mut y).unwrap();
+    assert_eq!(ranked.results, want);
+    assert!(
+        3 * ranked.stats.chunks_fetched <= enumerated.stats.chunks_fetched,
+        "rank join must fetch at least 3x fewer chunks at k={k} (full {}, rank {})",
+        enumerated.stats.chunks_fetched,
+        ranked.stats.chunks_fetched,
+    );
+    assert!(ranked.stats.chunks_saved > 0);
 }
 
 /// The reference for the n-ary kernel: two chained binary runs with
@@ -434,7 +495,7 @@ fn engine_rank_join_returns_the_true_top_k() {
         ..Default::default()
     };
     let (plan, registry) = star_pair_plan(7);
-    let ranked = execute_plan(&plan, &registry, cfg.clone()).unwrap();
+    let ranked = execute_plan(&plan, &registry, cfg).unwrap();
     assert_eq!(ranked.results, want);
     assert!(ranked.join_stats.bound_checks > 0);
     assert!(
