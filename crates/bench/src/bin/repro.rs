@@ -958,13 +958,13 @@ fn e16() -> Result<(), DynError> {
             outcome.results.len(),
             outcome.total_calls,
             rs.ranking_inversion_rate(),
-            par.len() == outcome.results.len(),
+            par.results.len() == outcome.results.len(),
         );
         rows.push(serde_json::json!({
             "metric": metric.to_string(), "emitted": outcome.results.len(),
             "oracle": oracle.len(), "sound": sound, "calls": outcome.total_calls,
             "inversion_rate": rs.ranking_inversion_rate(),
-            "parallel_agrees": par.len() == outcome.results.len(),
+            "parallel_agrees": par.results.len() == outcome.results.len(),
         }));
     }
     save_json("e16", serde_json::json!(rows))

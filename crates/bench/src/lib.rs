@@ -12,8 +12,10 @@ use seco_model::{
     Adornment, AttributeDef, AttributePath, Comparator, ConnectionPattern, DataType, JoinPair,
     ScoreDecay, ServiceInterface, ServiceKind, ServiceSchema, ServiceStats, Value,
 };
+use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
 use seco_query::{Query, QueryBuilder};
-use seco_services::synthetic::{DomainMap, SyntheticService, ValueDomain};
+use seco_services::domains::{entertainment, travel};
+use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService, ValueDomain};
 use seco_services::{MisdeclaredService, ServiceRegistry};
 
 /// Builds one search-service interface `name` with a `Key` input, a
@@ -285,6 +287,98 @@ pub fn adaptive_query() -> Query {
         .k(1)
         .build()
         .expect("adaptive query is valid")
+}
+
+/// The entertainment registry with Movie hard down; Theatre and
+/// Restaurant are healthy.
+pub fn registry_without_movie() -> ServiceRegistry {
+    let mut reg = ServiceRegistry::new();
+    let services = [
+        SyntheticService::new(entertainment::movie_interface(), DomainMap::new(), 1)
+            .with_failure_every(1),
+        SyntheticService::new(entertainment::theatre_interface(), DomainMap::new(), 2),
+        SyntheticService::new(entertainment::restaurant_interface(), DomainMap::new(), 3),
+    ];
+    for service in services {
+        reg.register_service(Arc::new(service))
+            .expect("unique names");
+    }
+    reg.register_pattern(entertainment::shows_pattern())
+        .expect("unique names");
+    reg.register_pattern(entertainment::dinner_place_pattern())
+        .expect("unique names");
+    reg
+}
+
+/// The travel registry of [`diamond_plan`] with Flight hard down.
+pub fn travel_without_flight() -> ServiceRegistry {
+    let mut reg = ServiceRegistry::new();
+    let city = ValueDomain::new("city", 12);
+    let conference = DomainMap::new().with(AttributePath::atomic("City"), city);
+    let services = [
+        SyntheticService::new(travel::conference_interface(), conference, 5 ^ 0x11),
+        SyntheticService::new(travel::flight_interface(), DomainMap::new(), 5 ^ 0x13)
+            .with_fault_profile(FaultProfile {
+                outage: Some((0, u64::MAX)),
+                ..FaultProfile::none()
+            }),
+        SyntheticService::new(travel::hotel_interface(), DomainMap::new(), 5 ^ 0x14),
+    ];
+    for service in services {
+        reg.register_service(Arc::new(service))
+            .expect("unique names");
+    }
+    for pattern in [
+        travel::reached_by_pattern(),
+        travel::stay_at_pattern(),
+        travel::same_trip_pattern(),
+    ] {
+        reg.register_pattern(pattern).expect("unique names");
+    }
+    reg
+}
+
+/// The Fig. 2 diamond over a travel registry: Conference feeds both
+/// Flight and Hotel, whose branches meet in a parallel join.
+pub fn diamond_plan(reg: &ServiceRegistry) -> QueryPlan {
+    let q = QueryBuilder::new()
+        .atom("C", "Conference1")
+        .atom("F", "Flight1")
+        .atom("H", "Hotel1")
+        .pattern("ReachedBy", "C", "F")
+        .pattern("StayAt", "C", "H")
+        .pattern("SameTrip", "F", "H")
+        .select_const("C", "Topic", Comparator::Eq, Value::text("ai"))
+        .k(5)
+        .build()
+        .expect("diamond query is valid");
+    let same_trip: Vec<_> = q
+        .expanded_joins(reg)
+        .expect("the registry knows every pattern")
+        .into_iter()
+        .filter(|j| j.connects("F", "H"))
+        .collect();
+    let mut p = QueryPlan::new(q);
+    let c = p.add(PlanNode::Service(ServiceNode::new("C", "Conference1")));
+    let f = p.add(PlanNode::Service(ServiceNode::new("F", "Flight1")));
+    let h = p.add(PlanNode::Service(ServiceNode::new("H", "Hotel1")));
+    let j = p.add(PlanNode::ParallelJoin(JoinSpec {
+        invocation: Invocation::merge_scan_even(),
+        completion: Completion::Triangular,
+        predicates: same_trip,
+        selectivity: 1.0,
+    }));
+    for (from, to) in [
+        (p.input(), c),
+        (c, f),
+        (c, h),
+        (f, j),
+        (h, j),
+        (j, p.output()),
+    ] {
+        p.connect(from, to).expect("the diamond is acyclic");
+    }
+    p
 }
 
 /// Builds a pair of standalone search services for join-method

@@ -12,7 +12,76 @@ use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
 use seco_optimizer::CostMetric;
 use seco_services::ClientConfig;
 
-use crate::executor::{FailureMode, FetchOptions};
+/// What to do when a service fails past the resilience middleware.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum FailureMode {
+    /// Abort the execution with the error (historical behaviour).
+    #[default]
+    Abort,
+    /// Degrade gracefully: the failing branch contributes whatever it
+    /// produced before failing, the failed services are listed on the
+    /// result, and execution continues.
+    Degrade,
+}
+
+/// Fetch-layer options: the sharded response cache, request
+/// coalescing, and speculative chunk prefetch
+/// ([`seco_services::cache`], [`seco_services::prefetch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchOptions {
+    /// Shards of the per-service response cache; 0 leaves the cache
+    /// off (unless `prefetch` forces it on at the default width).
+    pub cache_shards: usize,
+    /// Maximum cached responses per service, across all shards.
+    pub cache_capacity: usize,
+    /// Speculatively warm chunk `c + 1` while the join consumes chunk
+    /// `c`, within each node's optimizer-assigned fetch budget.
+    pub prefetch: bool,
+}
+
+impl Default for FetchOptions {
+    fn default() -> Self {
+        FetchOptions {
+            cache_shards: 0,
+            cache_capacity: 4096,
+            prefetch: false,
+        }
+    }
+}
+
+impl FetchOptions {
+    /// A cache of `shards` shards at the default capacity.
+    pub fn cached(shards: usize) -> Self {
+        FetchOptions {
+            cache_shards: shards,
+            ..Default::default()
+        }
+    }
+
+    /// Enables speculative chunk prefetch.
+    pub fn with_prefetch(mut self) -> Self {
+        self.prefetch = true;
+        self
+    }
+
+    /// `(shards, capacity)` when the cache is on. Prefetch without an
+    /// explicit shard count turns the cache on at the default width —
+    /// speculation needs somewhere to land its responses.
+    pub fn cache(&self) -> Option<(usize, usize)> {
+        if self.cache_shards > 0 {
+            Some((self.cache_shards, self.cache_capacity))
+        } else if self.prefetch {
+            Some((seco_services::cache::DEFAULT_SHARDS, self.cache_capacity))
+        } else {
+            None
+        }
+    }
+
+    /// True when any part of the fetch layer is active.
+    pub fn enabled(&self) -> bool {
+        self.cache().is_some()
+    }
+}
 
 /// Engine-wide execution configuration.
 ///

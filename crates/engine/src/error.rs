@@ -18,14 +18,6 @@ pub enum EngineError {
     Join(JoinError),
     /// Underlying service error.
     Service(ServiceError),
-    /// A worker thread of the parallel executor panicked or hung up
-    /// unexpectedly.
-    WorkerFailed {
-        /// Which stage failed.
-        stage: String,
-        /// Failure description.
-        detail: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -35,9 +27,6 @@ impl fmt::Display for EngineError {
             EngineError::Query(e) => write!(f, "query error: {e}"),
             EngineError::Join(e) => write!(f, "join error: {e}"),
             EngineError::Service(e) => write!(f, "service error: {e}"),
-            EngineError::WorkerFailed { stage, detail } => {
-                write!(f, "worker for stage `{stage}` failed: {detail}")
-            }
         }
     }
 }
@@ -49,7 +38,6 @@ impl std::error::Error for EngineError {
             EngineError::Query(e) => Some(e),
             EngineError::Join(e) => Some(e),
             EngineError::Service(e) => Some(e),
-            EngineError::WorkerFailed { .. } => None,
         }
     }
 }
@@ -84,12 +72,6 @@ mod tests {
         let e: EngineError = PlanError::Cyclic.into();
         assert!(e.to_string().contains("plan error"));
         assert!(std::error::Error::source(&e).is_some());
-        let e = EngineError::WorkerFailed {
-            stage: "join".into(),
-            detail: "poisoned".into(),
-        };
-        assert!(e.to_string().contains("join"));
-        assert!(std::error::Error::source(&e).is_none());
         let e: EngineError = QueryError::UnknownAtom("x".into()).into();
         assert!(e.to_string().contains("query error"));
         let e: EngineError = JoinError::BadMethod { detail: "d".into() }.into();

@@ -1,112 +1,31 @@
-//! The deterministic (virtual-time) plan executor.
+//! The deterministic scheduler.
 //!
-//! Executes a fully instantiated plan node by node in topological
-//! order, materializing each node's output composites:
+//! Walks a plan's nodes in topological order on one thread, handing
+//! each node's materialized output on to its consumer, and has
+//! the `interp` module run every node. What it owns is time and order:
 //!
-//! * **service nodes** run as pipe-join stages ([`seco_join::pipe`]),
-//!   fetching `F` chunks per input composite (the node's fetch factor)
-//!   and filtering incrementally under the repeating-group semantics;
-//! * **selection nodes** filter with their own predicates;
-//! * **parallel joins** run the tile-space executor of
-//!   [`seco_join::executor`] over the two branch materializations,
-//!   preserving the strategy's emission order;
-//! * the **output node** collects the final combinations.
-//!
-//! Time is accounted on the virtual clock: each node's busy time is its
-//! calls × the service's response time; the plan's critical-path time
-//! is computed over the DAG exactly like the execution-time cost
-//! metric, so measured and estimated times are directly comparable
-//! (E8/E14).
+//! * **virtual time** — a node's busy time is its calls × the service's
+//!   response time (or the clock delta under the resilient client), and
+//!   the plan's critical path is computed over the DAG exactly like the
+//!   execution-time cost metric, so measured and estimated times are
+//!   directly comparable (E8/E14);
+//! * the per-node [`ExecutionTrace`];
+//! * **mid-flight adaptivity** — a deviating checkpoint re-plans the
+//!   unexecuted suffix and restarts, replaying executed stages from memo.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use seco_join::{score_order, ColumnarOptions, JoinStats, NaryJoin, NaryStage, PipeJoin, RankJoin};
-use seco_model::{BitMask, Column, CompositeTuple};
+use seco_join::JoinStats;
+use seco_model::CompositeTuple;
 use seco_optimizer::Optimizer;
 use seco_plan::{annotate, AnnotatedPlan, AnnotationConfig, NodeId, PlanNode, QueryPlan};
-use seco_query::feasibility::analyze;
-use seco_query::predicate::{
-    resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
-};
-use seco_query::CompiledPredicates;
-use seco_services::{drift_ratio, DeviationPolicy, Prefetcher, Service, ServiceRegistry};
+use seco_services::{drift_ratio, DeviationPolicy, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::shared::SharedState;
+use crate::interp::{Interpreter, Rechunk, Schedule, Speculation};
+use crate::shared::{ClockMode, SharedState};
 use crate::trace::{ExecutionTrace, TraceEvent};
-
-/// What to do when a service fails past the resilience middleware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailureMode {
-    /// Abort the execution with the error (historical behaviour).
-    #[default]
-    Abort,
-    /// Degrade gracefully: the failing branch contributes whatever it
-    /// produced before failing, the failed services are listed on the
-    /// result, and execution continues.
-    Degrade,
-}
-
-/// Fetch-layer options: the sharded response cache, request
-/// coalescing, and speculative chunk prefetch
-/// ([`seco_services::cache`], [`seco_services::prefetch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchOptions {
-    /// Shards of the per-service response cache; 0 leaves the cache
-    /// off (unless `prefetch` forces it on at the default width).
-    pub cache_shards: usize,
-    /// Maximum cached responses per service, across all shards.
-    pub cache_capacity: usize,
-    /// Speculatively warm chunk `c + 1` while the join consumes chunk
-    /// `c`, within each node's optimizer-assigned fetch budget.
-    pub prefetch: bool,
-}
-
-impl Default for FetchOptions {
-    fn default() -> Self {
-        FetchOptions {
-            cache_shards: 0,
-            cache_capacity: 4096,
-            prefetch: false,
-        }
-    }
-}
-
-impl FetchOptions {
-    /// A cache of `shards` shards at the default capacity.
-    pub fn cached(shards: usize) -> Self {
-        FetchOptions {
-            cache_shards: shards,
-            ..Default::default()
-        }
-    }
-
-    /// Enables speculative chunk prefetch.
-    pub fn with_prefetch(mut self) -> Self {
-        self.prefetch = true;
-        self
-    }
-
-    /// `(shards, capacity)` when the cache is on. Prefetch without an
-    /// explicit shard count turns the cache on at the default width —
-    /// speculation needs somewhere to land its responses.
-    pub fn cache(&self) -> Option<(usize, usize)> {
-        if self.cache_shards > 0 {
-            Some((self.cache_shards, self.cache_capacity))
-        } else if self.prefetch {
-            Some((seco_services::cache::DEFAULT_SHARDS, self.cache_capacity))
-        } else {
-            None
-        }
-    }
-
-    /// True when any part of the fetch layer is active.
-    pub fn enabled(&self) -> bool {
-        self.cache().is_some()
-    }
-}
 
 /// The outcome of executing a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,7 +40,7 @@ pub struct ExecutionResult {
     pub total_calls: usize,
     /// Services whose failures degraded the answer (sorted, deduplicated;
     /// empty on a clean run). Only populated under
-    /// [`FailureMode::Degrade`].
+    /// [`crate::FailureMode::Degrade`].
     pub degraded: Vec<String>,
     /// Join-kernel counters aggregated over every pipe stage and
     /// parallel join of the plan.
@@ -262,6 +181,15 @@ fn attempt_replan(
     opt.replan_suffix(plan, &executed, &observed).ok()
 }
 
+/// The deterministic scheduler's choices: fetch stacks on the shared
+/// virtual clock, speculation inline on the walking thread, and joins
+/// chunked like the branches that feed them.
+const DETERMINISTIC: Schedule = Schedule {
+    clock: ClockMode::Virtual,
+    speculation: Speculation::Inline,
+    rechunk: Rechunk::Branch,
+};
+
 /// Runs one execution pass of `plan` (see [`execute_plan`]).
 fn run_pass(
     plan: &QueryPlan,
@@ -271,17 +199,15 @@ fn run_pass(
     checked: &mut BTreeSet<String>,
     shared: Option<&SharedState>,
 ) -> Result<PassOutcome, EngineError> {
-    plan.validate()?;
-    let report = analyze(&plan.query, registry)?;
-    let joins = plan.query.expanded_joins(registry)?;
-    let predicates = resolve_predicates(&plan.query, &joins)?;
-    let mut schemas: SchemaMap<'_> = BTreeMap::new();
-    for atom in &plan.query.atoms {
-        schemas.insert(
-            atom.alias.clone(),
-            &registry.interface(&atom.service)?.schema,
-        );
-    }
+    // Without caller-provided shared state the fetch stacks (and the
+    // clock their backoff pauses and deadlines run on) live for this
+    // pass only; a daemon passes its own so caches and breakers persist
+    // across requests.
+    let mut local_state = None;
+    let state = shared.unwrap_or_else(|| local_state.insert(SharedState::new()));
+    let interp = Interpreter::prepare(plan, registry, options, state, DETERMINISTIC)?;
+    let clock = state.clock();
+    let cache_cfg = options.fetch.cache();
 
     let order = plan.topo_order()?;
     let mut outputs: Vec<Vec<CompositeTuple>> = vec![Vec::new(); plan.len()];
@@ -305,53 +231,10 @@ fn run_pass(
     let mut trace = ExecutionTrace::default();
     let mut total_calls = 0usize;
     let mut join_stats = JoinStats::default();
-
-    let degrade = options.failure_mode == FailureMode::Degrade;
-    // One fetch stack per service, shared across plan nodes: the
-    // resilient client (when configured) under the sharded response
-    // cache, so the circuit breaker and the memoized responses both
-    // accumulate over the whole execution. The clock is shared too:
-    // backoff pauses and abandoned-call deadlines count toward the same
-    // virtual timeline as the calls themselves. Without caller-provided
-    // shared state the stacks live for this pass only (the historical
-    // one-shot behaviour); a daemon passes its own `SharedState` so
-    // caches and breakers persist across requests.
-    let local_state;
-    let state = match shared {
-        Some(s) => s,
-        None => {
-            local_state = SharedState::new();
-            &local_state
-        }
-    };
-    let clock = state.clock().clone();
-    // Morsel pool for the join kernels: with `exec_workers > 1` reuse
-    // the daemon's shared pool (same worker budget for every session)
-    // or spin up a pass-local one; the ordered reducer keeps output
-    // byte-identical to serial either way. `exec_workers == 1` passes
-    // no pool at all — the kernels take their exact serial code path.
-    let exec_pool: Option<Arc<seco_exec::ExecPool>> = if options.exec_workers > 1 {
-        Some(match state.exec_pool() {
-            Some(p) => p.clone(),
-            None => Arc::new(seco_exec::ExecPool::new(options.exec_workers)),
-        })
-    } else {
-        None
-    };
-    let cache_cfg = options.fetch.cache();
     let mut degraded: BTreeSet<String> = BTreeSet::new();
     // Whether each node's output is already partial (some upstream
     // branch lost tuples to a failure).
     let mut node_degraded: Vec<bool> = vec![false; plan.len()];
-
-    // Left-deep chains of parallel joins the n-ary kernel can fuse.
-    // Rank join takes precedence: its score-sorted top-k inputs are
-    // incompatible with replaying the cascade's exploration.
-    let (nary_elided, nary_chains) = if options.nary_join && !options.rank_join {
-        fusion_chains(plan)?
-    } else {
-        (vec![false; plan.len()], BTreeMap::new())
-    };
 
     // Plan-time cardinality estimates, for the adaptive checkpoints.
     let mut estimates: Option<AnnotatedPlan> = if options.adaptive {
@@ -361,7 +244,7 @@ fn run_pass(
     };
 
     for id in order.iter().copied() {
-        let preds_nodes = plan.predecessors(id);
+        let preds = plan.predecessors(id);
         let (tuples_in, out, calls, busy_ms, deg): (usize, Vec<CompositeTuple>, usize, f64, bool) =
             match plan.node(id)? {
                 PlanNode::Input => {
@@ -369,22 +252,14 @@ fn run_pass(
                     (0, vec![CompositeTuple::empty()], 0, 0.0, false)
                 }
                 PlanNode::Output => {
-                    let input = hand_over(&mut outputs, preds_nodes[0]);
-                    let deg = node_degraded[preds_nodes[0].0];
-                    (input.len(), input, 0, 0.0, deg)
+                    let input = hand_over(&mut outputs, preds[0]);
+                    (input.len(), input, 0, 0.0, node_degraded[preds[0].0])
                 }
                 PlanNode::Selection(sel) => {
-                    let input = hand_over(&mut outputs, preds_nodes[0]);
+                    let input = hand_over(&mut outputs, preds[0]);
                     let n_in = input.len();
-                    let node_preds = resolve_selection_node(sel, &plan.query)?;
-                    let kept = run_selection(
-                        &node_preds,
-                        input,
-                        &schemas,
-                        options.columnar,
-                        &mut join_stats,
-                    )?;
-                    (n_in, kept, 0, 0.0, node_degraded[preds_nodes[0].0])
+                    let kept = interp.select(sel, input, &mut join_stats)?;
+                    (n_in, kept, 0, 0.0, node_degraded[preds[0].0])
                 }
                 PlanNode::Service(node)
                     if memo
@@ -395,56 +270,20 @@ fn run_pass(
                     // re-planner pinned this stage (same service, same
                     // fetches, same upstream structure), so replay its
                     // recorded outcome instead of re-invoking.
-                    let n_in = outputs[preds_nodes[0].0].len();
+                    let n_in = outputs[preds[0].0].len();
                     let m = &memo[&node.atom];
                     if m.failed {
                         degraded.insert(node.service.clone());
                     }
-                    let deg = node_degraded[preds_nodes[0].0] || m.failed;
+                    let deg = node_degraded[preds[0].0] || m.failed;
                     (n_in, m.outputs.clone(), m.calls, m.busy_ms, deg)
                 }
                 PlanNode::Service(node) => {
-                    let input = hand_over(&mut outputs, preds_nodes[0]);
-                    let n_in = input.len();
-                    let iface = registry.interface(&node.service)?;
-                    let bindings = report.bindings_of(&node.atom);
-                    let stage = PipeJoin {
-                        atom: &node.atom,
-                        bindings: &bindings,
-                        query_inputs: &plan.query.inputs,
-                        predicates: &predicates,
-                        schemas: &schemas,
-                        fetches: node.fetches as usize,
-                        keep_first: node.keep_first,
-                        tolerate_failures: degrade,
-                        columnar: options.columnar,
-                    };
+                    let input = hand_over(&mut outputs, preds[0]);
                     let recorded = registry.service(&node.service)?;
-                    let (base, client, cache) =
-                        state.stack_for(&node.service, &recorded, &options, false);
-                    // Inline speculation: the prefetch runs on this
-                    // thread, so the virtual timeline and the fault
-                    // schedule stay a pure function of the seed.
-                    // Never speculate past a keep-first stage: it stops
-                    // at the first satisfying tuple, so chunk `c + 1`
-                    // would be warmed for a join that may never ask.
-                    let handle: Arc<dyn Service> =
-                        if options.fetch.prefetch && node.fetches > 1 && !node.keep_first {
-                            let mut pf = Prefetcher::new(base, node.fetches as usize)
-                                .with_recorder(recorded.clone());
-                            if let Some(c) = &client {
-                                pf = pf.respecting_breaker(c.clone());
-                            }
-                            if let Some(c) = &cache {
-                                pf = pf.probing(c.clone());
-                            }
-                            Arc::new(pf)
-                        } else {
-                            base
-                        };
                     let clock_before = clock.now_ms();
                     let busy_before = recorded.stats().busy_ms;
-                    let outcome = stage.run(&input, handle.as_ref())?;
+                    let outcome = interp.pipe(node, &input, |_| true)?;
                     let busy_ms = if options.client.is_some() {
                         // Busy time is the clock delta: calls plus
                         // retries, backoff pauses, and abandoned calls
@@ -456,27 +295,12 @@ fn run_pass(
                         // (hits and coalesced waits are free).
                         recorded.stats().busy_ms - busy_before
                     } else {
+                        let iface = registry.interface(&node.service)?;
                         outcome.calls as f64 * iface.stats.response_time_ms
                     };
                     join_stats.merge(&outcome.stats);
-                    recorded.note_join_counters(
-                        outcome.stats.index_builds,
-                        outcome.stats.probes,
-                        outcome.stats.pairs_skipped,
-                        outcome.stats.tiles_pruned,
-                        outcome.stats.predicate_evals,
-                        outcome.stats.columns_scanned,
-                        outcome.stats.batch_evals,
-                        outcome.stats.rows_materialized,
-                        outcome.stats.chunks_fetched,
-                        outcome.stats.chunks_saved,
-                        outcome.stats.bound_checks,
-                        outcome.stats.intermediates_elided,
-                    );
-                    let mut deg = node_degraded[preds_nodes[0].0];
                     if outcome.degraded {
                         degraded.insert(node.service.clone());
-                        deg = true;
                     }
                     if options.adaptive {
                         memo.insert(
@@ -490,184 +314,35 @@ fn run_pass(
                             },
                         );
                     }
-                    (n_in, outcome.results, outcome.calls, busy_ms, deg)
+                    let deg = node_degraded[preds[0].0] || outcome.degraded;
+                    (input.len(), outcome.results, outcome.calls, busy_ms, deg)
                 }
-                PlanNode::ParallelJoin(spec) if nary_elided[id.0] => {
-                    // Absorbed into a downstream n-ary fusion: the
-                    // chain's top join consumes this node's inputs
-                    // directly. The label `spec` stays unused here.
-                    let _ = spec;
-                    let deg = node_degraded[preds_nodes[0].0] || node_degraded[preds_nodes[1].0];
+                PlanNode::ParallelJoin(_) if interp.elided[id.0] => {
+                    // Absorbed into a downstream fusion: the chain's top
+                    // join consumes this node's inputs directly.
+                    let deg = node_degraded[preds[0].0] || node_degraded[preds[1].0];
                     (0, Vec::new(), 0, 0.0, deg)
                 }
-                PlanNode::ParallelJoin(_) if nary_chains.contains_key(&id.0) => {
-                    let chain = &nary_chains[&id.0];
-                    // Feeder nodes: the bottom join's two inputs, then
-                    // every later join's right input, in join order.
-                    let fp = plan.predecessors(chain[0]);
-                    let mut group_nodes = vec![fp[0], fp[1]];
-                    for j in chain.iter().skip(1) {
-                        group_nodes.push(plan.predecessors(*j)[1]);
-                    }
-                    let groups: Vec<Vec<CompositeTuple>> = group_nodes
-                        .iter()
+                PlanNode::ParallelJoin(_) if interp.fusions.contains_key(&id.0) => {
+                    let fusion = &interp.fusions[&id.0];
+                    let groups: Vec<Vec<CompositeTuple>> = (fusion.feeders.iter())
                         .map(|g| hand_over(&mut outputs, *g))
                         .collect();
-                    let any_deg = group_nodes.iter().any(|g| node_degraded[g.0]);
+                    let group_deg: Vec<bool> =
+                        fusion.feeders.iter().map(|g| node_degraded[g.0]).collect();
                     let n_in = groups.iter().map(Vec::len).sum();
-                    // Per-stage parameters, identical to what each
-                    // unfused join would have used.
-                    let mut params = Vec::with_capacity(chain.len());
-                    for j in chain {
-                        let jp = plan.predecessors(*j);
-                        let PlanNode::ParallelJoin(js) = plan.node(*j)? else {
-                            unreachable!("fusion chains hold join nodes only");
-                        };
-                        let preds_j: Vec<ResolvedPredicate> = js
-                            .predicates
-                            .iter()
-                            .cloned()
-                            .map(ResolvedPredicate::Join)
-                            .collect();
-                        params.push((
-                            preds_j,
-                            js.invocation,
-                            js.completion,
-                            branch_step_chunks(plan, registry, jp[0]),
-                            branch_chunk_size(plan, registry, jp[0]),
-                            branch_chunk_size(plan, registry, jp[1]),
-                        ));
-                    }
-                    // Degraded inputs keep the cascade's per-stage
-                    // pass-through semantics; the kernel only fuses
-                    // clean runs.
-                    let fused = if any_deg {
-                        None
-                    } else {
-                        let stages: Vec<NaryStage<'_>> = params
-                            .iter()
-                            .map(|(p, inv, comp, h, lc, rc)| NaryStage {
-                                predicates: p,
-                                invocation: *inv,
-                                completion: *comp,
-                                h: *h,
-                                k: options.join_k,
-                                left_chunk: *lc,
-                                right_chunk: *rc,
-                            })
-                            .collect();
-                        let nj = NaryJoin {
-                            schemas: &schemas,
-                            tile_prune: options.join_index.tile_prune,
-                            pool: exec_pool.clone(),
-                        };
-                        nj.run(&groups, &stages)?
-                    };
-                    match fused {
-                        Some(out) => {
-                            join_stats.merge(&out.stats);
-                            (n_in, out.results, 0, 0.0, false)
-                        }
-                        None => {
-                            // Ineligible plan: run the byte-identical
-                            // binary cascade the fusion replaced.
-                            let mut groups = groups.into_iter();
-                            let mut cur = groups.next().expect("a chain has two feeders");
-                            let mut cur_deg = node_degraded[group_nodes[0].0];
-                            for ((p, inv, comp, h, lc, rc), (gi, right)) in
-                                params.iter().zip(groups.enumerate())
-                            {
-                                let right_deg = node_degraded[group_nodes[gi + 1].0];
-                                let exec = seco_join::ParallelJoinExecutor {
-                                    predicates: p,
-                                    schemas: &schemas,
-                                    invocation: *inv,
-                                    completion: *comp,
-                                    h: *h,
-                                    k: options.join_k,
-                                    options: options.join_index,
-                                    columnar: options.columnar,
-                                    pool: exec_pool.clone(),
-                                };
-                                let mut sl = seco_join::executor::MemoryStream::new(cur, *lc);
-                                let mut sr = seco_join::executor::MemoryStream::new(right, *rc);
-                                let outcome = if degrade {
-                                    exec.run_with_degradation(&mut sl, &mut sr, cur_deg, right_deg)?
-                                } else {
-                                    exec.run(&mut sl, &mut sr)?
-                                };
-                                join_stats.merge(&outcome.stats);
-                                cur = outcome.results;
-                                cur_deg = cur_deg || right_deg;
-                            }
-                            (n_in, cur, 0, 0.0, cur_deg)
-                        }
-                    }
+                    let out = interp.fused_chain(fusion, groups, &group_deg)?;
+                    join_stats.merge(&out.stats);
+                    (n_in, out.results, 0, 0.0, out.degraded)
                 }
                 PlanNode::ParallelJoin(spec) => {
-                    let left = hand_over(&mut outputs, preds_nodes[0]);
-                    let right = hand_over(&mut outputs, preds_nodes[1]);
-                    let left_deg = node_degraded[preds_nodes[0].0];
-                    let right_deg = node_degraded[preds_nodes[1].0];
+                    let left = hand_over(&mut outputs, preds[0]);
+                    let right = hand_over(&mut outputs, preds[1]);
                     let n_in = left.len() + right.len();
-                    let candidate_pairs = (left.len() * right.len()) as u64;
-                    // Chunk the branch materializations at the chunk
-                    // size of their source service when identifiable.
-                    let cl = branch_chunk_size(plan, registry, preds_nodes[0]);
-                    let cr = branch_chunk_size(plan, registry, preds_nodes[1]);
-                    let h = branch_step_chunks(plan, registry, preds_nodes[0]);
-                    let join_predicates: Vec<ResolvedPredicate> = spec
-                        .predicates
-                        .iter()
-                        .cloned()
-                        .map(ResolvedPredicate::Join)
-                        .collect();
-                    let exec = seco_join::ParallelJoinExecutor {
-                        predicates: &join_predicates,
-                        schemas: &schemas,
-                        invocation: spec.invocation,
-                        completion: spec.completion,
-                        h,
-                        k: options.join_k,
-                        options: options.join_index,
-                        columnar: options.columnar,
-                        pool: exec_pool.clone(),
-                    };
-                    let rank = options.rank_join
-                        && options.join_k > 0
-                        && !(degrade && (left_deg || right_deg));
-                    let outcome = if rank {
-                        // Rank join needs score-sorted streams; branch
-                        // materializations arrive in emission order.
-                        let mut left = left;
-                        let mut right = right;
-                        left.sort_by(score_order);
-                        right.sort_by(score_order);
-                        let mut sl = seco_join::executor::MemoryStream::new(left, cl);
-                        let mut sr = seco_join::executor::MemoryStream::new(right, cr);
-                        RankJoin {
-                            join: exec,
-                            space: None,
-                        }
-                        .run(&mut sl, &mut sr)?
-                    } else {
-                        let mut sl = seco_join::executor::MemoryStream::new(left, cl);
-                        let mut sr = seco_join::executor::MemoryStream::new(right, cr);
-                        if degrade {
-                            exec.run_with_degradation(&mut sl, &mut sr, left_deg, right_deg)?
-                        } else {
-                            exec.run(&mut sl, &mut sr)?
-                        }
-                    };
-                    join_stats.merge(&outcome.stats);
-                    note_parallel_join(
-                        plan,
-                        registry,
-                        id,
-                        candidate_pairs,
-                        outcome.results.len() as u64,
-                    );
-                    (n_in, outcome.results, 0, 0.0, left_deg || right_deg)
+                    let deg = (node_degraded[preds[0].0], node_degraded[preds[1].0]);
+                    let out = interp.parallel_join(&preds, spec, left, right, deg)?;
+                    join_stats.merge(&out.stats);
+                    (n_in, out.results, 0, 0.0, out.degraded)
                 }
             };
         total_calls += calls;
@@ -691,7 +366,7 @@ fn run_pass(
         if let Some(est) = &estimates {
             let stage_key = match plan.node(id)? {
                 PlanNode::Service(s) => Some(format!("svc:{}", s.atom)),
-                PlanNode::ParallelJoin(_) if !nary_elided[id.0] => {
+                PlanNode::ParallelJoin(_) if !interp.elided[id.0] => {
                     let atoms: Vec<String> = plan.atoms_at(id).into_iter().collect();
                     Some(format!("join:{}", atoms.join(",")))
                 }
@@ -764,31 +439,6 @@ fn copies_every_handoff() -> bool {
     false
 }
 
-/// Feeds the observed selectivity of a parallel join back to the
-/// registry: every query pattern connecting the two input branches is
-/// credited with `pairs` candidate pairs and `matches` survivors.
-pub(crate) fn note_parallel_join(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    id: NodeId,
-    pairs: u64,
-    matches: u64,
-) {
-    let preds = plan.predecessors(id);
-    if preds.len() != 2 {
-        return;
-    }
-    let left = plan.atoms_at(preds[0]);
-    let right = plan.atoms_at(preds[1]);
-    for p in &plan.query.patterns {
-        let lr = left.contains(&p.from_atom) && right.contains(&p.to_atom);
-        let rl = right.contains(&p.from_atom) && left.contains(&p.to_atom);
-        if lr || rl {
-            registry.note_join_observation(&p.pattern, pairs, matches);
-        }
-    }
-}
-
 /// The service a checkpoint's re-plan is attributed to: the stage's own
 /// service, or for a join the lexicographically-first service among its
 /// input atoms.
@@ -810,154 +460,11 @@ fn trigger_service(plan: &QueryPlan, id: NodeId) -> Option<String> {
     }
 }
 
-/// Resolves a selection node's predicates against the query inputs.
-pub(crate) fn resolve_selection_node(
-    sel: &seco_plan::SelectionNode,
-    query: &seco_query::Query,
-) -> Result<Vec<ResolvedPredicate>, EngineError> {
-    let mut out = Vec::with_capacity(sel.predicates.len() + sel.join_predicates.len());
-    for p in &sel.predicates {
-        out.push(ResolvedPredicate::Selection {
-            left: p.left.clone(),
-            op: p.op,
-            value: p.right.resolve(&query.inputs).map_err(EngineError::Query)?,
-        });
-    }
-    for j in &sel.join_predicates {
-        out.push(ResolvedPredicate::Join(j.clone()));
-    }
-    Ok(out)
-}
-
-/// Applies a selection node's predicates to its input composites.
-///
-/// With `batch_eval` on, a uniform input (same atom signature on every
-/// composite) is filtered by one vectorized kernel over columns
-/// gathered from the composites; any failed precondition — or a value
-/// only the scalar path can decide — falls back to the interpreted
-/// per-composite check, which also reproduces its error behavior.
-/// Selection nodes never counted `predicate_evals` (the pipe stages
-/// already charged the predicates), so the kernel only moves the
-/// columnar counters.
-pub(crate) fn run_selection(
-    preds: &[ResolvedPredicate],
-    input: Vec<CompositeTuple>,
-    schemas: &SchemaMap<'_>,
-    columnar: ColumnarOptions,
-    stats: &mut JoinStats,
-) -> Result<Vec<CompositeTuple>, EngineError> {
-    if columnar.batch_eval && input.len() > 1 {
-        let uniform = input.iter().all(|c| c.atoms == input[0].atoms);
-        if uniform {
-            if let Some(plan) = CompiledPredicates::compile(preds, schemas)
-                .and_then(|c| c.batch_plan(&[], &input[0].atoms))
-            {
-                if let Some(cols) = plan.gather_columns(&input) {
-                    let refs: Vec<_> = cols.iter().map(Column::as_ref).collect();
-                    let mut mask = BitMask::default();
-                    mask.reset_ones(input.len());
-                    if plan.eval_mask(None, &refs, &mut mask) {
-                        stats.batch_evals += 1;
-                        stats.columns_scanned += refs.len() as u64;
-                        return Ok(input
-                            .into_iter()
-                            .enumerate()
-                            .filter_map(|(i, c)| mask.get(i).then_some(c))
-                            .collect());
-                    }
-                }
-            }
-        }
-    }
-    let mut kept = Vec::new();
-    for c in input {
-        if satisfies_available(preds, &c, schemas)? {
-            kept.push(c);
-        }
-    }
-    Ok(kept)
-}
-
-/// Finds the left-deep chains of parallel joins eligible for n-ary
-/// fusion. A join is *absorbable* when its only consumer is another
-/// parallel join taking it as the **left** input — then the chain's top
-/// join can replay every stage in one pass. Returns per-node elision
-/// flags and, for each chain top, the chain's join nodes bottom-up
-/// (top included).
-#[allow(clippy::type_complexity)]
-pub(crate) fn fusion_chains(
-    plan: &QueryPlan,
-) -> Result<(Vec<bool>, BTreeMap<usize, Vec<NodeId>>), EngineError> {
-    let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
-    for (from, to) in plan.edges() {
-        succs[from.0].push(*to);
-    }
-    let is_join = |id: NodeId| matches!(plan.node(id), Ok(PlanNode::ParallelJoin(_)));
-    let absorbable = |id: NodeId| {
-        is_join(id)
-            && succs[id.0].len() == 1
-            && is_join(succs[id.0][0])
-            && plan.predecessors(succs[id.0][0]).first() == Some(&id)
-    };
-    let mut elided = vec![false; plan.len()];
-    let mut chains: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for id in plan.topo_order()? {
-        if !is_join(id) || absorbable(id) {
-            continue;
-        }
-        let mut chain = vec![id];
-        let mut cur = id;
-        while let Some(&l) = plan.predecessors(cur).first() {
-            if !absorbable(l) {
-                break;
-            }
-            chain.push(l);
-            cur = l;
-        }
-        if chain.len() >= 2 {
-            chain.reverse();
-            for j in &chain[..chain.len() - 1] {
-                elided[j.0] = true;
-            }
-            chains.insert(id.0, chain);
-        }
-    }
-    Ok((elided, chains))
-}
-
-/// Chunk size for re-chunking a branch: the chunk size of the nearest
-/// service node upstream, defaulting to 10.
-fn branch_chunk_size(plan: &QueryPlan, registry: &ServiceRegistry, from: NodeId) -> usize {
-    let mut cursor = Some(from);
-    while let Some(id) = cursor {
-        if let Ok(PlanNode::Service(node)) = plan.node(id) {
-            if let Ok(iface) = registry.interface(&node.service) {
-                return iface.stats.chunk_size;
-            }
-        }
-        cursor = plan.predecessors(id).first().copied();
-    }
-    10
-}
-
-/// Step parameter (chunks) of the nearest upstream service of a branch,
-/// for nested-loop joins; 1 when the branch is not step-scored.
-fn branch_step_chunks(plan: &QueryPlan, registry: &ServiceRegistry, from: NodeId) -> usize {
-    let mut cursor = Some(from);
-    while let Some(id) = cursor {
-        if let Ok(PlanNode::Service(node)) = plan.node(id) {
-            if let Ok(iface) = registry.interface(&node.service) {
-                return iface.decay.step_chunks().unwrap_or(1);
-            }
-        }
-        cursor = plan.predecessors(id).first().copied();
-    }
-    1
-}
-
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
+    use crate::FailureMode;
+    use seco_bench::{diamond_plan, registry_without_movie, travel_without_flight};
     use seco_optimizer::{optimize, CostMetric};
     use seco_query::builder::running_example;
     use seco_query::evaluate_oracle;
@@ -1074,36 +581,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The entertainment registry with Movie hard down; Theatre and
-    /// Restaurant are healthy.
-    pub(crate) fn registry_without_movie() -> ServiceRegistry {
-        use seco_services::synthetic::{DomainMap, SyntheticService};
-        use std::sync::Arc;
-        let mut reg = seco_services::ServiceRegistry::new();
-        reg.register_service(Arc::new(
-            SyntheticService::new(entertainment::movie_interface(), DomainMap::new(), 1)
-                .with_failure_every(1),
-        ))
-        .unwrap();
-        reg.register_service(Arc::new(SyntheticService::new(
-            entertainment::theatre_interface(),
-            DomainMap::new(),
-            2,
-        )))
-        .unwrap();
-        reg.register_service(Arc::new(SyntheticService::new(
-            entertainment::restaurant_interface(),
-            DomainMap::new(),
-            3,
-        )))
-        .unwrap();
-        reg.register_pattern(entertainment::shows_pattern())
-            .unwrap();
-        reg.register_pattern(entertainment::dinner_place_pattern())
-            .unwrap();
-        reg
-    }
-
     #[test]
     fn degrade_mode_survives_a_downed_service() {
         let reg = registry_without_movie();
@@ -1178,48 +655,6 @@ pub(crate) mod tests {
         assert_eq!(stats_a.timeouts, stats_b.timeouts);
     }
 
-    /// The Fig. 2 diamond over `reg`: Conference feeds both Flight and
-    /// Hotel, whose branches meet in a parallel join.
-    pub(crate) fn diamond_plan(reg: &ServiceRegistry) -> QueryPlan {
-        use seco_model::{Comparator, Value};
-        use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
-        use seco_query::QueryBuilder;
-        let q = QueryBuilder::new()
-            .atom("C", "Conference1")
-            .atom("F", "Flight1")
-            .atom("H", "Hotel1")
-            .pattern("ReachedBy", "C", "F")
-            .pattern("StayAt", "C", "H")
-            .pattern("SameTrip", "F", "H")
-            .select_const("C", "Topic", Comparator::Eq, Value::text("ai"))
-            .k(5)
-            .build()
-            .unwrap();
-        let joins = q.expanded_joins(reg).unwrap();
-        let same_trip: Vec<_> = joins
-            .iter()
-            .filter(|j| j.connects("F", "H"))
-            .cloned()
-            .collect();
-        let mut p = QueryPlan::new(q);
-        let c = p.add(PlanNode::Service(ServiceNode::new("C", "Conference1")));
-        let f = p.add(PlanNode::Service(ServiceNode::new("F", "Flight1")));
-        let h = p.add(PlanNode::Service(ServiceNode::new("H", "Hotel1")));
-        let j = p.add(PlanNode::ParallelJoin(JoinSpec {
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Triangular,
-            predicates: same_trip,
-            selectivity: 1.0,
-        }));
-        p.connect(p.input(), c).unwrap();
-        p.connect(c, f).unwrap();
-        p.connect(c, h).unwrap();
-        p.connect(f, j).unwrap();
-        p.connect(h, j).unwrap();
-        p.connect(j, p.output()).unwrap();
-        p
-    }
-
     #[test]
     fn diamond_plans_merge_shared_ancestry() {
         let reg = seco_services::domains::travel::build_registry(5).unwrap();
@@ -1251,31 +686,6 @@ pub(crate) mod tests {
                     .unwrap()
             );
         }
-    }
-
-    /// The travel registry of the diamond with Flight hard down.
-    pub(crate) fn travel_without_flight() -> ServiceRegistry {
-        use seco_services::domains::travel;
-        use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService};
-        use std::sync::Arc;
-        let mut reg = ServiceRegistry::new();
-        let city = seco_services::ValueDomain::new("city", 12);
-        let conference = DomainMap::new().with(seco_model::AttributePath::atomic("City"), city);
-        for service in [
-            SyntheticService::new(travel::conference_interface(), conference, 5 ^ 0x11),
-            SyntheticService::new(travel::flight_interface(), DomainMap::new(), 5 ^ 0x13)
-                .with_fault_profile(FaultProfile {
-                    outage: Some((0, u64::MAX)),
-                    ..FaultProfile::none()
-                }),
-            SyntheticService::new(travel::hotel_interface(), DomainMap::new(), 5 ^ 0x14),
-        ] {
-            reg.register_service(Arc::new(service)).unwrap();
-        }
-        reg.register_pattern(travel::reached_by_pattern()).unwrap();
-        reg.register_pattern(travel::stay_at_pattern()).unwrap();
-        reg.register_pattern(travel::same_trip_pattern()).unwrap();
-        reg
     }
 
     /// Same answers, same books: handing outputs on by move changes

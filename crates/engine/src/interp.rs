@@ -1,0 +1,540 @@
+//! The plan-node interpreter: what each node of a plan *means*,
+//! whichever scheduler runs it.
+//!
+//! [`Interpreter::prepare`] does a plan's one-time work — validation,
+//! feasibility analysis, predicate resolution, the alias → schema map,
+//! the join pool and the n-ary fusion chains. Then each node kind has
+//! one definition:
+//!
+//! * a **selection** filters its input ([`Interpreter::select`]);
+//! * a **service node** runs its pipe stage, prepared once, through its
+//!   fetch stack and optional prefetcher ([`Interpreter::pipe`]);
+//! * a **parallel join** runs the rank join, or the tile-space join with
+//!   degraded-branch pass-through ([`Interpreter::parallel_join`]);
+//! * a **fused chain** runs the n-ary kernel, falling back to the binary
+//!   cascade it replaces ([`Interpreter::fused_chain`]).
+//!
+//! Two schedulers drive it: [`crate::executor`] walks the plan in
+//! topological order on the virtual clock, [`crate::parallel`] pipelines
+//! the nodes as pool tasks. The choices that differ between them are a
+//! [`Schedule`], passed in at preparation.
+
+use std::borrow::Borrow;
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use seco_exec::ExecPool;
+use seco_join::executor::MemoryStream;
+use seco_join::{
+    score_order, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin, PipeOutcome,
+    RankJoin,
+};
+use seco_model::{BitMask, Column, CompositeTuple, ServiceInterface};
+use seco_plan::{JoinSpec, NodeId, PlanNode, QueryPlan, SelectionNode, ServiceNode};
+use seco_query::feasibility::{analyze, FeasibilityReport};
+use seco_query::predicate::{
+    resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
+};
+use seco_query::{CompiledPredicates, JoinPredicate};
+use seco_services::{Prefetcher, Service, ServiceRegistry};
+
+use crate::config::{EngineConfig, FailureMode};
+use crate::error::EngineError;
+use crate::shared::{ClockMode, SharedState};
+
+/// Concurrent speculative fetches per service node when speculation
+/// runs on threads of its own.
+const PREFETCH_INFLIGHT: usize = 2;
+
+/// Where a service node's speculative chunk prefetch runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Speculation {
+    /// On the fetching thread, so the virtual timeline and the fault
+    /// schedule stay a pure function of the seed.
+    Inline,
+    /// Beside the fetching thread: on the pool when there is one, else
+    /// on per-fetch threads joined at stage end.
+    Background,
+}
+
+/// How a parallel join chunks its materialized inputs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rechunk {
+    /// At the chunk size of each branch's nearest upstream service, with
+    /// that service's step `h` on the left.
+    Branch,
+    /// `h = 1` over chunks of ten on both sides.
+    Fixed,
+}
+
+/// The choices a scheduler makes for every node it runs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Schedule {
+    /// Clock of the resilient clients in the fetch stacks.
+    pub clock: ClockMode,
+    /// Where chunk prefetch speculates.
+    pub speculation: Speculation,
+    /// How parallel joins chunk their inputs.
+    pub rechunk: Rechunk,
+}
+
+/// A left-deep chain of parallel joins run as one n-ary node.
+pub(crate) struct Fusion<'a> {
+    /// The chain's joins, bottom-up (the top last).
+    pub joins: Vec<(NodeId, &'a JoinSpec)>,
+    /// The nodes feeding it: the bottom join's two inputs, then every
+    /// later join's right input, in join order.
+    pub feeders: Vec<NodeId>,
+}
+
+/// What a join node hands on.
+#[derive(Default)]
+pub(crate) struct Joined {
+    pub results: Vec<CompositeTuple>,
+    pub stats: JoinStats,
+    /// Some input was partial: a branch lost tuples to a failure.
+    pub degraded: bool,
+}
+
+/// One prepared plan and the meaning of each of its nodes.
+pub(crate) struct Interpreter<'a> {
+    pub plan: &'a QueryPlan,
+    registry: &'a ServiceRegistry,
+    options: EngineConfig,
+    state: &'a SharedState,
+    schedule: Schedule,
+    report: FeasibilityReport,
+    predicates: Vec<ResolvedPredicate>,
+    schemas: SchemaMap<'a>,
+    join_pool: Option<Arc<ExecPool>>,
+    /// Per node: absorbed into a downstream fusion, so never run.
+    pub elided: Vec<bool>,
+    /// The fused chains, by the node index of their top join.
+    pub fusions: BTreeMap<usize, Fusion<'a>>,
+}
+
+impl<'a> Interpreter<'a> {
+    /// Validates and analyzes `plan` once for a run against `state`.
+    pub fn prepare(
+        plan: &'a QueryPlan,
+        registry: &'a ServiceRegistry,
+        options: EngineConfig,
+        state: &'a SharedState,
+        schedule: Schedule,
+    ) -> Result<Self, EngineError> {
+        plan.validate()?;
+        let report = analyze(&plan.query, registry)?;
+        let joins = plan.query.expanded_joins(registry)?;
+        let predicates = resolve_predicates(&plan.query, &joins)?;
+        let mut schemas: SchemaMap<'a> = BTreeMap::new();
+        for atom in &plan.query.atoms {
+            schemas.insert(
+                atom.alias.clone(),
+                &registry.interface(&atom.service)?.schema,
+            );
+        }
+        // Morsel parallelism inside the join kernels is opt-in: with
+        // `exec_workers > 1` they use the daemon's shared pool (one
+        // worker budget for every session) or a run-local one; the
+        // ordered reducer keeps output byte-identical to serial either
+        // way. At 1 the kernels take their exact serial code path.
+        let join_pool = (options.exec_workers > 1).then(|| {
+            (state.exec_pool().cloned())
+                .unwrap_or_else(|| Arc::new(ExecPool::new(options.exec_workers)))
+        });
+        // Rank join takes precedence over fusion: its score-sorted top-k
+        // inputs are incompatible with replaying the cascade.
+        let (elided, fusions) = if options.nary_join && !options.rank_join {
+            fusion_chains(plan)?
+        } else {
+            (vec![false; plan.len()], BTreeMap::new())
+        };
+        Ok(Interpreter {
+            plan,
+            registry,
+            options,
+            state,
+            schedule,
+            report,
+            predicates,
+            schemas,
+            join_pool,
+            elided,
+            fusions,
+        })
+    }
+
+    /// The pool this run may use: the shared state's, or the run-local
+    /// join pool.
+    pub fn pool(&self) -> Option<Arc<ExecPool>> {
+        self.state.exec_pool().or(self.join_pool.as_ref()).cloned()
+    }
+
+    /// Keeps the composites of `input` that satisfy the selection node
+    /// `sel`, its predicates resolved against the query inputs.
+    ///
+    /// With `batch_eval` on, a uniform input (same atom signature on
+    /// every composite) is filtered by one vectorized kernel over columns
+    /// gathered from the composites; any failed precondition — or a value
+    /// only the scalar path can decide — falls back to the interpreted
+    /// per-composite check, which also reproduces its error behavior.
+    /// Selection nodes never count `predicate_evals` (the pipe stages
+    /// already charged the predicates), so the kernel only moves the
+    /// columnar counters.
+    pub fn select(
+        &self,
+        sel: &SelectionNode,
+        input: Vec<CompositeTuple>,
+        stats: &mut JoinStats,
+    ) -> Result<Vec<CompositeTuple>, EngineError> {
+        let mut preds = Vec::new();
+        for p in &sel.predicates {
+            let value = p.right.resolve(&self.plan.query.inputs)?;
+            let (left, op) = (p.left.clone(), p.op);
+            preds.push(ResolvedPredicate::Selection { left, op, value });
+        }
+        preds.extend(resolved(&sel.join_predicates));
+        let schemas = &self.schemas;
+        let batched = self.options.columnar.batch_eval && input.len() > 1;
+        if batched && input.iter().all(|c| c.atoms == input[0].atoms) {
+            if let Some(plan) = CompiledPredicates::compile(&preds, schemas)
+                .and_then(|c| c.batch_plan(&[], &input[0].atoms))
+            {
+                if let Some(cols) = plan.gather_columns(&input) {
+                    let refs: Vec<_> = cols.iter().map(Column::as_ref).collect();
+                    let mut mask = BitMask::default();
+                    mask.reset_ones(input.len());
+                    if plan.eval_mask(None, &refs, &mut mask) {
+                        stats.batch_evals += 1;
+                        stats.columns_scanned += refs.len() as u64;
+                        return Ok(input
+                            .into_iter()
+                            .enumerate()
+                            .filter_map(|(i, c)| mask.get(i).then_some(c))
+                            .collect());
+                    }
+                }
+            }
+        }
+        let mut kept = Vec::new();
+        for c in input {
+            if satisfies_available(&preds, &c, schemas)? {
+                kept.push(c);
+            }
+        }
+        Ok(kept)
+    }
+
+    /// Runs a service node's pipe stage over `inputs`: the stage is
+    /// prepared once, every input is extended with the service's
+    /// matching tuples, and the stage's counters are reported to the
+    /// service's recorder at the end.
+    ///
+    /// After each input, `emit` is handed the buffer of new
+    /// combinations. Whatever it leaves there accumulates into the
+    /// outcome's `results`; it returns `false` to stop the stage early
+    /// (nobody downstream is listening).
+    pub fn pipe<I>(
+        &self,
+        node: &ServiceNode,
+        inputs: I,
+        mut emit: impl FnMut(&mut Vec<CompositeTuple>) -> bool,
+    ) -> Result<PipeOutcome, EngineError>
+    where
+        I: IntoIterator,
+        I::Item: Borrow<CompositeTuple>,
+    {
+        let recorded = self.registry.service(&node.service)?;
+        let (base, client, cache) =
+            (self.state).stack_for(&node.service, &recorded, &self.options, self.schedule.clock);
+        let fetches = node.fetches as usize;
+        // Never speculate past a keep-first stage: it stops at the first
+        // satisfying tuple, so chunk `c + 1` would be warmed for a join
+        // that may never ask.
+        let handle: Arc<dyn Service> =
+            if self.options.fetch.prefetch && fetches > 1 && !node.keep_first {
+                let mut pf = Prefetcher::new(base, fetches).with_recorder(recorded.clone());
+                pf = match (self.schedule.speculation, self.pool()) {
+                    (Speculation::Inline, _) => pf,
+                    (Speculation::Background, Some(pool)) => pf.via_pool(pool),
+                    (Speculation::Background, None) => pf.background(PREFETCH_INFLIGHT),
+                };
+                if let Some(c) = client {
+                    pf = pf.respecting_breaker(c);
+                }
+                if let Some(c) = cache {
+                    pf = pf.probing(c);
+                }
+                Arc::new(pf)
+            } else {
+                base
+            };
+        let bindings = self.report.bindings_of(&node.atom);
+        let stage = PipeJoin {
+            atom: &node.atom,
+            bindings: &bindings,
+            query_inputs: &self.plan.query.inputs,
+            predicates: &self.predicates,
+            schemas: &self.schemas,
+            fetches,
+            keep_first: node.keep_first,
+            tolerate_failures: self.options.failure_mode == FailureMode::Degrade,
+            columnar: self.options.columnar,
+        };
+        let mut run = stage.start();
+        let mut results = Vec::new();
+        for input in inputs {
+            run.extend(input.borrow(), handle.as_ref(), &mut results)?;
+            if !emit(&mut results) {
+                break;
+            }
+        }
+        let outcome = run.finish(results);
+        let s = &outcome.stats;
+        recorded.note_join_counters(
+            s.index_builds,
+            s.probes,
+            s.pairs_skipped,
+            s.tiles_pruned,
+            s.predicate_evals,
+            s.columns_scanned,
+            s.batch_evals,
+            s.rows_materialized,
+            s.chunks_fetched,
+            s.chunks_saved,
+            s.bound_checks,
+            s.intermediates_elided,
+        );
+        Ok(outcome)
+    }
+
+    /// Runs a parallel join over the drained outputs of its two `inputs`
+    /// (the join node's predecessors), `degraded` saying which of them is
+    /// partial, and feeds the observed selectivity back to the registry.
+    pub fn parallel_join(
+        &self,
+        inputs: &[NodeId],
+        spec: &JoinSpec,
+        left: Vec<CompositeTuple>,
+        right: Vec<CompositeTuple>,
+        degraded: (bool, bool),
+    ) -> Result<Joined, EngineError> {
+        let pairs = (left.len() * right.len()) as u64;
+        let joined = self.binary_join(inputs, spec, left, right, degraded)?;
+        // Every query pattern connecting the two branches is credited
+        // with the candidate pairs and their survivors.
+        let matches = joined.results.len() as u64;
+        let (left, right) = (self.plan.atoms_at(inputs[0]), self.plan.atoms_at(inputs[1]));
+        for p in &self.plan.query.patterns {
+            let lr = left.contains(&p.from_atom) && right.contains(&p.to_atom);
+            let rl = right.contains(&p.from_atom) && left.contains(&p.to_atom);
+            if lr || rl {
+                self.registry
+                    .note_join_observation(&p.pattern, pairs, matches);
+            }
+        }
+        Ok(joined)
+    }
+
+    /// Runs a fused chain over its feeders' outputs (`degraded` per
+    /// feeder): the n-ary kernel on clean inputs it can take, else the
+    /// byte-identical binary cascade it replaced.
+    pub fn fused_chain(
+        &self,
+        fusion: &Fusion<'_>,
+        groups: Vec<Vec<CompositeTuple>>,
+        degraded: &[bool],
+    ) -> Result<Joined, EngineError> {
+        let any_degraded = degraded.iter().any(|d| *d);
+        // Degraded inputs keep the cascade's per-stage pass-through
+        // semantics; the kernel only fuses clean runs.
+        if !any_degraded {
+            let predicates: Vec<_> = (fusion.joins.iter())
+                .map(|(_, spec)| resolved(&spec.predicates))
+                .collect();
+            // Per-stage parameters, identical to what each unfused join
+            // would have used.
+            let stages: Vec<NaryStage<'_>> = (fusion.joins.iter().zip(&predicates))
+                .map(|(&(j, spec), predicates)| {
+                    let inputs = self.plan.predecessors(j);
+                    let (h, left_chunk, right_chunk) = self.chunking(&inputs);
+                    NaryStage {
+                        predicates,
+                        invocation: spec.invocation,
+                        completion: spec.completion,
+                        h,
+                        k: self.options.join_k,
+                        left_chunk,
+                        right_chunk,
+                    }
+                })
+                .collect();
+            let kernel = NaryJoin {
+                schemas: &self.schemas,
+                tile_prune: self.options.join_index.tile_prune,
+                pool: self.join_pool.clone(),
+            };
+            if let Some(out) = kernel.run(&groups, &stages)? {
+                let (results, stats) = (out.results, out.stats);
+                return Ok(Joined {
+                    results,
+                    stats,
+                    degraded: false,
+                });
+            }
+        }
+        let mut groups = groups.into_iter().zip(degraded.iter().copied());
+        let Some((mut cur, mut cur_degraded)) = groups.next() else {
+            return Ok(Joined::default());
+        };
+        let mut stats = JoinStats::default();
+        for (&(j, spec), (right, right_degraded)) in fusion.joins.iter().zip(groups) {
+            let inputs = self.plan.predecessors(j);
+            let degraded = (cur_degraded, right_degraded);
+            let joined = self.binary_join(&inputs, spec, cur, right, degraded)?;
+            stats.merge(&joined.stats);
+            cur = joined.results;
+            cur_degraded = joined.degraded;
+        }
+        let degraded = any_degraded;
+        Ok(Joined {
+            results: cur,
+            stats,
+            degraded,
+        })
+    }
+
+    /// A binary join of two materialized branches: the rank join
+    /// over score-sorted inputs when it is on and both branches are
+    /// whole, else the tile-space join, passing a surviving branch
+    /// through when the other failed. (Fusion never runs with rank join
+    /// on, so a cascade stage always takes the tile-space join.)
+    fn binary_join(
+        &self,
+        inputs: &[NodeId],
+        spec: &JoinSpec,
+        mut left: Vec<CompositeTuple>,
+        mut right: Vec<CompositeTuple>,
+        (left_degraded, right_degraded): (bool, bool),
+    ) -> Result<Joined, EngineError> {
+        let degraded = left_degraded || right_degraded;
+        let rank = self.options.rank_join && self.options.join_k > 0 && !degraded;
+        let predicates = resolved(&spec.predicates);
+        let (h, left_chunk, right_chunk) = self.chunking(inputs);
+        let join = ParallelJoinExecutor {
+            predicates: &predicates,
+            schemas: &self.schemas,
+            invocation: spec.invocation,
+            completion: spec.completion,
+            h,
+            k: self.options.join_k,
+            options: self.options.join_index,
+            columnar: self.options.columnar,
+            pool: self.join_pool.clone(),
+        };
+        if rank {
+            // Branches arrive in emission order; rank join needs them
+            // score-sorted.
+            left.sort_by(score_order);
+            right.sort_by(score_order);
+        }
+        let mut left = MemoryStream::new(left, left_chunk);
+        let mut right = MemoryStream::new(right, right_chunk);
+        let outcome = if rank {
+            RankJoin { join, space: None }.run(&mut left, &mut right)?
+        } else {
+            join.run_with_degradation(&mut left, &mut right, left_degraded, right_degraded)?
+        };
+        let (results, stats) = (outcome.results, outcome.stats);
+        Ok(Joined {
+            results,
+            stats,
+            degraded,
+        })
+    }
+
+    /// `(h, left chunk, right chunk)` of a join over the branches ending
+    /// at `inputs`.
+    fn chunking(&self, inputs: &[NodeId]) -> (usize, usize, usize) {
+        match self.schedule.rechunk {
+            Rechunk::Branch => {
+                let left = self.nearest_service(inputs[0]);
+                let right = self.nearest_service(inputs[1]);
+                let chunk = |s: Option<&ServiceInterface>| s.map_or(10, |s| s.stats.chunk_size);
+                let h = left.and_then(|s| s.decay.step_chunks()).unwrap_or(1);
+                (h, chunk(left), chunk(right))
+            }
+            Rechunk::Fixed => (1, 10, 10),
+        }
+    }
+
+    /// The nearest service at or above `from`, along first inputs.
+    fn nearest_service(&self, from: NodeId) -> Option<&ServiceInterface> {
+        let mut cursor = Some(from);
+        while let Some(id) = cursor {
+            if let Ok(PlanNode::Service(node)) = self.plan.node(id) {
+                if let Ok(iface) = self.registry.interface(&node.service) {
+                    return Some(iface);
+                }
+            }
+            cursor = self.plan.predecessors(id).first().copied();
+        }
+        None
+    }
+}
+
+/// Join predicates in resolved form.
+fn resolved(joins: &[JoinPredicate]) -> Vec<ResolvedPredicate> {
+    joins.iter().cloned().map(ResolvedPredicate::Join).collect()
+}
+
+/// Finds the left-deep chains of parallel joins eligible for n-ary
+/// fusion. A join is *absorbable* when its only consumer is another
+/// parallel join taking it as the **left** input — then the chain's top
+/// join can replay every stage in one pass. Returns per-node elision
+/// flags and the chains by their top's node index.
+#[allow(clippy::type_complexity)]
+fn fusion_chains(
+    plan: &QueryPlan,
+) -> Result<(Vec<bool>, BTreeMap<usize, Fusion<'_>>), EngineError> {
+    let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
+    for (from, to) in plan.edges() {
+        succs[from.0].push(*to);
+    }
+    let join_at = |id: NodeId| match plan.node(id) {
+        Ok(PlanNode::ParallelJoin(spec)) => Some(spec),
+        _ => None,
+    };
+    let absorbable = |id: NodeId| {
+        join_at(id).is_some()
+            && succs[id.0].len() == 1
+            && join_at(succs[id.0][0]).is_some()
+            && plan.predecessors(succs[id.0][0]).first() == Some(&id)
+    };
+    let mut elided = vec![false; plan.len()];
+    let mut fusions = BTreeMap::new();
+    for id in plan.topo_order()? {
+        let Some(top) = join_at(id).filter(|_| !absorbable(id)) else {
+            continue;
+        };
+        let mut joins = vec![(id, top)];
+        let mut cur = id;
+        while let Some(&l) = plan.predecessors(cur).first() {
+            let Some(spec) = join_at(l).filter(|_| absorbable(l)) else {
+                break;
+            };
+            joins.push((l, spec));
+            cur = l;
+        }
+        if joins.len() >= 2 {
+            joins.reverse();
+            for (j, _) in &joins[..joins.len() - 1] {
+                elided[j.0] = true;
+            }
+            let mut feeders = plan.predecessors(joins[0].0);
+            feeders.extend(joins[1..].iter().map(|&(j, _)| plan.predecessors(j)[1]));
+            fusions.insert(id.0, Fusion { joins, feeders });
+        }
+    }
+    Ok((elided, fusions))
+}

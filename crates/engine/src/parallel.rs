@@ -1,39 +1,39 @@
-//! The pipelined multi-threaded executor.
+//! The pipelined scheduler.
 //!
 //! §2.2: "data are shipped in pipelines from one service to another, so
-//! as to maximize parallelism". Every plan node runs in its own OS
-//! thread; composites flow through bounded crossbeam channels along the
-//! plan's arcs, so independent branches (e.g. Movie and Theatre in the
-//! Fig. 10 plan) issue their service calls concurrently and downstream
-//! stages start as soon as the first tuples arrive. Parallel-join
-//! stages are rendezvous points: they drain both inputs, then run the
-//! tile-space join and stream its emission order onward.
+//! as to maximize parallelism". Every live plan node runs as a task of
+//! its own — on the pool's elastic blocking tier when there is a pool,
+//! on scoped threads otherwise — and composites flow in batches through
+//! bounded channels along the plan's arcs. Independent branches (e.g.
+//! Movie and Theatre in the Fig. 10 plan) issue their service calls
+//! concurrently, and a downstream stage starts as soon as its first
+//! batch arrives. Parallel joins and fused chains are rendezvous
+//! points: they drain their inputs, then join and stream the emission
+//! order onward.
 //!
-//! Results are identical (as a set) to [`crate::executor::execute_plan`];
-//! the experiments use the deterministic executor and this one exists
-//! to exercise true pipelined execution (including failure propagation
-//! out of worker threads).
+//! What each node does is the `interp` module's; this module owns only
+//! the scheduling: tasks, channels (rerouted so a fused chain's feeders
+//! deliver straight to its top join), the streaming [`BatchSink`], and
+//! the pre-flight adaptive re-plan. Unless faults depend on timing,
+//! results equal [`crate::executor::execute_plan`]'s as a multiset.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use seco_join::{score_order, JoinStats, NaryJoin, NaryStage, PipeJoin, RankJoin};
+use seco_join::JoinStats;
 use seco_model::CompositeTuple;
 use seco_optimizer::Optimizer;
 use seco_plan::{NodeId, PlanNode, QueryPlan};
-use seco_query::feasibility::analyze;
-use seco_query::predicate::{
-    resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
-};
-use seco_services::{DeviationPolicy, Prefetcher, Service, ServiceRegistry};
+use seco_services::{DeviationPolicy, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::executor::{fusion_chains, FailureMode};
-use crate::shared::{SharedState, Stack};
+use crate::interp::{Interpreter, Rechunk, Schedule, Speculation};
+use crate::shared::{ClockMode, SharedState};
 
 /// Channel capacity per plan arc, in batches; small enough to exercise
 /// backpressure, large enough to avoid senseless stalls.
@@ -46,8 +46,15 @@ const ARC_CAPACITY: usize = 256;
 /// sends exhibited with eight producer nodes.
 const BATCH_SIZE: usize = 32;
 
-/// Concurrent speculative fetches per service node.
-const PREFETCH_INFLIGHT: usize = 2;
+/// The pipelined scheduler's choices: fetch stacks on wall-clock time
+/// (backoff really sleeps, breaker cooldowns are real milliseconds),
+/// speculation beside the fetching task, and joins at `h = 1` over
+/// chunks of ten.
+const PIPELINED: Schedule = Schedule {
+    clock: ClockMode::Wall,
+    speculation: Speculation::Background,
+    rechunk: Rechunk::Fixed,
+};
 
 /// A batch of composites on a plan arc. Batches are `Arc`-shared so a
 /// fan-out over N consumers ships N handle bumps, not N vector copies
@@ -58,6 +65,11 @@ type Batch = Arc<Vec<CompositeTuple>>;
 /// consumer is the only one (left) holding it, clones handles otherwise.
 fn unbatch(batch: Batch) -> Vec<CompositeTuple> {
     Arc::try_unwrap(batch).unwrap_or_else(|shared| (*shared).clone())
+}
+
+/// Everything an input channel delivers, once it closes.
+fn drain(rx: &Receiver<Batch>) -> Vec<CompositeTuple> {
+    rx.iter().flat_map(unbatch).collect()
 }
 
 /// A worker's buffered fan-out over its outgoing arcs.
@@ -123,21 +135,11 @@ pub struct ParallelOutcome {
     pub replanned: Option<QueryPlan>,
 }
 
-/// Executes a plan with one thread per node, returning the output
-/// combinations (in the output stage's arrival order).
+/// Executes a plan pipelined, one task per node, on run-local state.
+/// Resilience middleware ([`EngineConfig::client`]) runs on wall-clock
+/// time here: backoff really sleeps and breaker cooldowns are real
+/// milliseconds.
 pub fn execute_parallel(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    options: EngineConfig,
-) -> Result<Vec<CompositeTuple>, EngineError> {
-    execute_parallel_with(plan, registry, options).map(|o| o.results)
-}
-
-/// Like [`execute_parallel`], additionally reporting which services
-/// degraded the answer under [`FailureMode::Degrade`]. Resilience
-/// middleware ([`EngineConfig::client`]) runs in wall-clock mode here:
-/// backoff really sleeps and breaker cooldowns are real milliseconds.
-pub fn execute_parallel_with(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     options: EngineConfig,
@@ -146,17 +148,17 @@ pub fn execute_parallel_with(
 }
 
 /// A batch sink for streaming delivery: called from the output
-/// collector thread with each arriving batch of final combinations,
+/// collector task with each arriving batch of final combinations,
 /// *while upstream stages are still running* — this is what pushes
 /// result chunks to a client as tiles are joined. Must be `Sync`
-/// (invoked from inside the executor's thread scope).
+/// (invoked from inside the executor's task scope).
 pub type BatchSink<'s> = &'s (dyn Fn(&[CompositeTuple]) + Sync);
 
 /// The daemon-grade pipelined entry point: executes against optional
 /// long-lived [`SharedState`] (persistent per-service caches, breaker
-/// state, and the speculation pool) and streams output batches into
-/// `sink` as they arrive at the output stage. Both extras are
-/// optional; with neither, this is exactly [`execute_parallel_with`].
+/// state, and the pool) and streams output batches into `sink` as they
+/// arrive at the output stage. With neither extra, this is
+/// [`execute_parallel`].
 pub fn execute_parallel_session(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
@@ -164,591 +166,228 @@ pub fn execute_parallel_session(
     shared: Option<&SharedState>,
     sink: Option<BatchSink<'_>>,
 ) -> Result<ParallelOutcome, EngineError> {
-    // Pre-flight adaptive checkpoint. Wall-clock threads preclude the
-    // deterministic executor's mid-flight restarts (replaying memoized
-    // stages under a virtual clock), so this executor adapts *between*
-    // runs: statistics observed by earlier executions are promoted and
-    // the whole plan is re-planned (empty executed prefix ⇒ every
-    // degree of freedom re-opens) before any thread spawns.
-    let replanned: Option<QueryPlan> = if options.adaptive {
-        let policy = DeviationPolicy {
-            threshold: options.adaptive_threshold,
-            min_samples: 1,
-        };
-        let promoted = registry.promote_deviations(&policy);
-        if promoted.is_empty() {
-            None
-        } else {
-            let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-            for (name, drift) in registry.service_drift() {
-                if let Some(card) = drift.observed_cardinality {
-                    observed.insert(name, (drift.declared_cardinality, card.value));
-                }
-            }
-            // A promotion *is* a deviation past the threshold (that is
-            // the promotion criterion), so always open the re-planner's
-            // gate — pattern-only drift leaves no service entry above.
-            observed.insert(
-                "(promoted)".to_owned(),
-                (1.0, options.adaptive_threshold.max(1.0)),
-            );
-            let mut opt = Optimizer::new(registry, options.adaptive_metric);
-            opt.replan_threshold = options.adaptive_threshold;
-            opt.replan_suffix(plan, &BTreeSet::new(), &observed)
-                .ok()
-                .filter(|re| re.plan != *plan)
-                .map(|re| re.plan)
-        }
-    } else {
-        None
-    };
+    let replanned = preflight_replan(plan, registry, &options);
     let plan = replanned.as_ref().unwrap_or(plan);
-    plan.validate()?;
-    let report = analyze(&plan.query, registry)?;
-    let joins = plan.query.expanded_joins(registry)?;
-    let predicates = resolve_predicates(&plan.query, &joins)?;
-    let mut schemas: SchemaMap<'_> = BTreeMap::new();
-    for atom in &plan.query.atoms {
-        schemas.insert(
-            atom.alias.clone(),
-            &registry.interface(&atom.service)?.schema,
-        );
-    }
+    let mut local_state = None;
+    let state = shared.unwrap_or_else(|| local_state.insert(SharedState::new()));
+    let interp = Interpreter::prepare(plan, registry, options, state, PIPELINED)?;
 
-    let degrade = options.failure_mode == FailureMode::Degrade;
-
-    // Which services feed each node, so a rendezvous join can attribute
-    // a recorded failure to its left or right branch. Workers record a
-    // degradation before dropping their senders, and a join only reads
-    // the set after both its channels closed, so the attribution is
-    // race-free.
-    let mut ancestors: Vec<BTreeSet<String>> = vec![BTreeSet::new(); plan.len()];
-    for id in plan.topo_order()? {
-        let mut set = BTreeSet::new();
-        for p in plan.predecessors(id) {
-            set.extend(ancestors[p.0].iter().cloned());
-        }
-        if let Ok(PlanNode::Service(node)) = plan.node(id) {
-            set.insert(node.service.clone());
-        }
-        ancestors[id.0] = set;
-    }
-
-    // Left-deep parallel-join chains fused by the n-ary kernel (rank
-    // join takes precedence, exactly as in the deterministic executor).
-    let (nary_elided, nary_chains) = if options.nary_join && !options.rank_join {
-        fusion_chains(plan)?
-    } else {
-        (vec![false; plan.len()], BTreeMap::new())
-    };
-    // Channel rerouting for fused chains: edges into an absorbed join
-    // deliver straight to the chain's top join (tagged with their group
-    // index) and the chain's internal edges disappear, so the absorbed
-    // joins never spawn.
-    let mut skip_edges: BTreeSet<(usize, usize)> = BTreeSet::new();
+    // One channel per arc, carrying shared batches of tuples. An edge
+    // into a fused chain delivers straight to the chain's top join,
+    // tagged with its feeder position; the chain's internal edges
+    // disappear, so the absorbed joins never run.
     let mut routes: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-    let mut fused_groups: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
-    for (top, chain) in &nary_chains {
-        let fp = plan.predecessors(chain[0]);
-        let mut group_nodes = vec![fp[0], fp[1]];
-        routes
-            .entry((fp[0].0, chain[0].0))
-            .or_default()
-            .push((*top, 0));
-        routes
-            .entry((fp[1].0, chain[0].0))
-            .or_default()
-            .push((*top, 1));
-        for (i, j) in chain.iter().enumerate().skip(1) {
-            skip_edges.insert((chain[i - 1].0, j.0));
-            let g = plan.predecessors(*j)[1];
-            routes.entry((g.0, j.0)).or_default().push((*top, i + 1));
-            group_nodes.push(g);
+    for (top, fusion) in &interp.fusions {
+        for (gi, g) in fusion.feeders.iter().enumerate() {
+            let consumer = fusion.joins[gi.saturating_sub(1)].0;
+            routes
+                .entry((g.0, consumer.0))
+                .or_default()
+                .push((*top, gi));
         }
-        fused_groups.insert(*top, group_nodes);
     }
-
-    // One channel per arc, carrying shared batches of tuples.
     let mut senders: Vec<Vec<Sender<Batch>>> = vec![Vec::new(); plan.len()];
-    let mut receivers: Vec<Vec<Receiver<Batch>>> = vec![Vec::new(); plan.len()];
-    let mut extra_rx: Vec<Vec<(usize, Receiver<Batch>)>> = vec![Vec::new(); plan.len()];
+    let mut receivers: Vec<BTreeMap<usize, Receiver<Batch>>> = vec![BTreeMap::new(); plan.len()];
     for (from, to) in plan.edges() {
-        if skip_edges.contains(&(from.0, to.0)) {
+        let route = routes.get_mut(&(from.0, to.0)).and_then(Vec::pop);
+        if route.is_none() && interp.elided[from.0] {
             continue;
         }
         let (tx, rx) = bounded(ARC_CAPACITY);
         senders[from.0].push(tx);
-        match routes.get_mut(&(from.0, to.0)).and_then(Vec::pop) {
-            Some((top, gi)) => extra_rx[top].push((gi, rx)),
-            None => receivers[to.0].push(rx),
-        }
+        let (consumer, at) = route.unwrap_or((to.0, receivers[to.0].len()));
+        receivers[consumer].insert(at, rx);
     }
 
-    // One fetch stack per service, shared by every node (and thread)
-    // that invokes it: the wall-clock resilient client — one breaker
-    // per service, matching the deterministic executor — under the
-    // sharded response cache, whose singleflight layer coalesces
-    // concurrent identical requests across plan nodes. With
-    // caller-provided shared state the stacks (and the speculation
-    // pool) persist across executions; without, they live for this
-    // run only.
-    let local_state;
-    let state = match shared {
-        Some(s) => s,
-        None => {
-            local_state = SharedState::new();
-            &local_state
-        }
+    let pipeline = Pipeline {
+        interp: &interp,
+        sink,
+        partial_output: plan.node_ids().map(|_| AtomicBool::new(false)).collect(),
+        first_error: Mutex::new(None),
+        output: Mutex::new(Vec::new()),
+        degraded: Mutex::new(BTreeSet::new()),
+        join_stats: Mutex::new(JoinStats::default()),
     };
-    let mut stacks: BTreeMap<String, Stack> = BTreeMap::new();
-    for id in plan.node_ids() {
-        if let Ok(PlanNode::Service(node)) = plan.node(id) {
-            if stacks.contains_key(&node.service) {
-                continue;
-            }
-            let recorded = registry.service(&node.service)?;
-            stacks.insert(
-                node.service.clone(),
-                state.stack_for(&node.service, &recorded, &options, true),
-            );
-        }
-    }
-    let stacks = &stacks;
-    // Executor pool resolution. A daemon's shared pool serves every
-    // session; a one-shot run with `exec_workers > 1` builds a
-    // run-local pool (dropped — drained and joined — on return). The
-    // pool's *compute tier* runs join morsels and detached prefetch
-    // speculation; its *elastic blocking tier* runs the plan-node
-    // tasks below, which block on channel rendezvous and therefore
-    // must never occupy a bounded compute worker.
-    let local_pool;
-    let exec_pool: Option<&Arc<seco_exec::ExecPool>> = match state.exec_pool() {
-        Some(p) => Some(p),
-        None if options.exec_workers > 1 => {
-            local_pool = Arc::new(seco_exec::ExecPool::new(options.exec_workers));
-            Some(&local_pool)
-        }
-        None => None,
-    };
-    // Morsel parallelism inside the join kernels is opt-in via
-    // `exec_workers`: at 1 the kernels take their exact serial path
-    // even when a daemon pool exists for prefetch and node fan-out.
-    let join_pool: Option<Arc<seco_exec::ExecPool>> = if options.exec_workers > 1 {
-        exec_pool.cloned()
-    } else {
-        None
-    };
-    let join_pool = &join_pool;
-
-    let first_error: Mutex<Option<EngineError>> = Mutex::new(None);
-    let output: Mutex<Vec<CompositeTuple>> = Mutex::new(Vec::new());
-    let degraded: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
-    let join_stats: Mutex<JoinStats> = Mutex::new(JoinStats::default());
-
     let mut node_tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-    {
-        for id in plan.node_ids() {
-            if nary_elided[id.0] {
-                // Absorbed into a fused chain: its channels were
-                // rerouted to the chain top, so there is nothing to run.
-                continue;
-            }
-            let node = match plan.node(id) {
-                Ok(n) => n.clone(),
-                Err(e) => {
-                    *first_error.lock() = Some(EngineError::Plan(e));
-                    continue;
-                }
-            };
-            let my_senders = std::mem::take(&mut senders[id.0]);
-            let my_receivers = std::mem::take(&mut receivers[id.0]);
-            let my_extra = std::mem::take(&mut extra_rx[id.0]);
-            let fused_group_nodes = fused_groups.get(&id.0).cloned();
-            let chain_nodes = nary_chains.get(&id.0).cloned();
-            let plan_ref = plan;
-            let my_preds = plan.predecessors(id);
-            let report = &report;
-            let predicates = &predicates;
-            let schemas = &schemas;
-            let first_error = &first_error;
-            let output = &output;
-            let degraded = &degraded;
-            let join_stats = &join_stats;
-            let ancestors = &ancestors;
-            let query = &plan.query;
-            node_tasks.push(Box::new(move || {
-                let fail = |e: EngineError| {
-                    let mut slot = first_error.lock();
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                };
-                let mut out = Fanout::new(my_senders);
-                match node {
-                    PlanNode::Input => {
-                        out.push(CompositeTuple::empty());
-                        out.flush();
-                    }
-                    PlanNode::Output => {
-                        // Batches arrive pre-buffered per producer, so
-                        // this stays one extend per batch — not one
-                        // lock acquisition per tuple. A streaming sink
-                        // sees each batch the moment it lands, while
-                        // upstream stages are still joining tiles.
-                        let mut collected = Vec::new();
-                        for batch in my_receivers[0].iter() {
-                            if let Some(push) = sink {
-                                push(&batch);
-                            }
-                            collected.extend(unbatch(batch));
-                        }
-                        *output.lock() = collected;
-                    }
-                    PlanNode::Selection(sel) => {
-                        let node_preds = match crate::executor::resolve_selection_node(&sel, query)
-                        {
-                            Ok(p) => p,
-                            Err(e) => return fail(e),
-                        };
-                        for c in my_receivers[0].iter().flat_map(unbatch) {
-                            match satisfies_available(&node_preds, &c, schemas) {
-                                Ok(true) => {
-                                    if !out.push(c) {
-                                        return;
-                                    }
-                                }
-                                Ok(false) => {}
-                                Err(e) => return fail(EngineError::Query(e)),
-                            }
-                        }
-                        out.flush();
-                    }
-                    PlanNode::Service(svc) => {
-                        let (base, client, cache) = stacks
-                            .get(&svc.service)
-                            .cloned()
-                            .expect("every service node has a prepared stack");
-                        // Background speculation: real threads warm the
-                        // next chunk while the pipe loop joins this one.
-                        // Keep-first stages stop at the first satisfying
-                        // tuple, so speculating past them wastes calls.
-                        let handle: Arc<dyn Service> =
-                            if options.fetch.prefetch && svc.fetches > 1 && !svc.keep_first {
-                                let recorded = match registry.service(&svc.service) {
-                                    Ok(r) => r,
-                                    Err(e) => return fail(EngineError::Service(e)),
-                                };
-                                // Daemon mode runs speculation on the
-                                // shared pool (threads bounded by the
-                                // engine state's lifetime); one-shot
-                                // mode spawns per-fetch threads joined
-                                // at stage end.
-                                let mut pf = match exec_pool {
-                                    Some(pool) => Prefetcher::new(base, svc.fetches as usize)
-                                        .via_pool(pool.clone()),
-                                    None => Prefetcher::new(base, svc.fetches as usize)
-                                        .background(PREFETCH_INFLIGHT),
-                                }
-                                .with_recorder(recorded);
-                                if let Some(c) = &client {
-                                    pf = pf.respecting_breaker(c.clone());
-                                }
-                                if let Some(c) = &cache {
-                                    pf = pf.probing(c.clone());
-                                }
-                                Arc::new(pf)
-                            } else {
-                                base
-                            };
-                        let bindings = report.bindings_of(&svc.atom);
-                        let stage = PipeJoin {
-                            atom: &svc.atom,
-                            bindings: &bindings,
-                            query_inputs: &query.inputs,
-                            predicates,
-                            schemas,
-                            fetches: svc.fetches as usize,
-                            keep_first: svc.keep_first,
-                            tolerate_failures: degrade,
-                            columnar: options.columnar,
-                        };
-                        // Prepared once; inputs stream through it as
-                        // they arrive.
-                        let mut run = stage.start();
-                        let mut extended = Vec::new();
-                        for input in my_receivers[0].iter().flat_map(unbatch) {
-                            if let Err(e) = run.extend(&input, handle.as_ref(), &mut extended) {
-                                return fail(EngineError::Join(e));
-                            }
-                            for c in extended.drain(..) {
-                                if !out.push(c) {
-                                    return;
-                                }
-                            }
-                        }
-                        let stage_out = run.finish(extended);
-                        if stage_out.degraded {
-                            degraded.lock().insert(svc.service.clone());
-                        }
-                        let local = stage_out.stats;
-                        join_stats.lock().merge(&local);
-                        if let Ok(recorded) = registry.service(&svc.service) {
-                            recorded.note_join_counters(
-                                local.index_builds,
-                                local.probes,
-                                local.pairs_skipped,
-                                local.tiles_pruned,
-                                local.predicate_evals,
-                                local.columns_scanned,
-                                local.batch_evals,
-                                local.rows_materialized,
-                                local.chunks_fetched,
-                                local.chunks_saved,
-                                local.bound_checks,
-                                local.intermediates_elided,
-                            );
-                        }
-                        out.flush();
-                    }
-                    PlanNode::ParallelJoin(spec) if fused_group_nodes.is_some() => {
-                        let _ = spec;
-                        let group_nodes = fused_group_nodes.expect("guarded above");
-                        let chain = chain_nodes.expect("tops always carry their chain");
-                        // N-ary rendezvous: drain every group channel in
-                        // group order.
-                        let mut tagged = my_extra;
-                        tagged.sort_by_key(|(gi, _)| *gi);
-                        let groups: Vec<Vec<CompositeTuple>> = tagged
-                            .iter()
-                            .map(|(_, rx)| rx.iter().flat_map(unbatch).collect())
-                            .collect();
-                        // Per-stage parameters: this executor's joins run
-                        // with h = 1 and chunk size 10 (see the unfused
-                        // arm), so the replayed stages must too.
-                        let mut stage_preds: Vec<Vec<ResolvedPredicate>> = Vec::new();
-                        let mut stage_shape = Vec::new();
-                        for j in &chain {
-                            match plan_ref.node(*j) {
-                                Ok(PlanNode::ParallelJoin(js)) => {
-                                    stage_preds.push(
-                                        js.predicates
-                                            .iter()
-                                            .cloned()
-                                            .map(ResolvedPredicate::Join)
-                                            .collect(),
-                                    );
-                                    stage_shape.push((js.invocation, js.completion));
-                                }
-                                Ok(_) => unreachable!("fusion chains hold join nodes only"),
-                                Err(e) => return fail(EngineError::Plan(e)),
-                            }
-                        }
-                        // All channels are closed by now, so every
-                        // upstream degradation is already recorded.
-                        let group_deg: Vec<bool> = if degrade {
-                            let deg = degraded.lock();
-                            group_nodes
-                                .iter()
-                                .map(|g| ancestors[g.0].iter().any(|s| deg.contains(s)))
-                                .collect()
-                        } else {
-                            vec![false; group_nodes.len()]
-                        };
-                        let fused = if group_deg.iter().any(|d| *d) {
-                            // Degraded inputs keep the cascade's
-                            // per-stage pass-through semantics.
-                            Ok(None)
-                        } else {
-                            let stages: Vec<NaryStage<'_>> = stage_preds
-                                .iter()
-                                .zip(&stage_shape)
-                                .map(|(p, (inv, comp))| NaryStage {
-                                    predicates: p,
-                                    invocation: *inv,
-                                    completion: *comp,
-                                    h: 1,
-                                    k: options.join_k,
-                                    left_chunk: 10,
-                                    right_chunk: 10,
-                                })
-                                .collect();
-                            NaryJoin {
-                                schemas,
-                                tile_prune: options.join_index.tile_prune,
-                                pool: join_pool.clone(),
-                            }
-                            .run(&groups, &stages)
-                        };
-                        let results = match fused {
-                            Ok(Some(outcome)) => {
-                                join_stats.lock().merge(&outcome.stats);
-                                outcome.results
-                            }
-                            Ok(None) => {
-                                // Ineligible or degraded: run the
-                                // byte-identical binary cascade.
-                                let mut groups = groups.into_iter();
-                                let mut cur = groups.next().expect("a chain has two feeders");
-                                let mut cur_deg = group_deg[0];
-                                for ((i, p), right) in stage_preds.iter().enumerate().zip(groups) {
-                                    let exec = seco_join::ParallelJoinExecutor {
-                                        predicates: p,
-                                        schemas,
-                                        invocation: stage_shape[i].0,
-                                        completion: stage_shape[i].1,
-                                        h: 1,
-                                        k: options.join_k,
-                                        options: options.join_index,
-                                        columnar: options.columnar,
-                                        pool: join_pool.clone(),
-                                    };
-                                    let mut sl = seco_join::executor::MemoryStream::new(cur, 10);
-                                    let mut sr = seco_join::executor::MemoryStream::new(right, 10);
-                                    let joined = if degrade {
-                                        exec.run_with_degradation(
-                                            &mut sl,
-                                            &mut sr,
-                                            cur_deg,
-                                            group_deg[i + 1],
-                                        )
-                                    } else {
-                                        exec.run(&mut sl, &mut sr)
-                                    };
-                                    match joined {
-                                        Ok(o) => {
-                                            join_stats.lock().merge(&o.stats);
-                                            cur = o.results;
-                                            cur_deg = cur_deg || group_deg[i + 1];
-                                        }
-                                        Err(e) => return fail(EngineError::Join(e)),
-                                    }
-                                }
-                                cur
-                            }
-                            Err(e) => return fail(EngineError::Join(e)),
-                        };
-                        for c in results {
-                            if !out.push(c) {
-                                return;
-                            }
-                        }
-                        out.flush();
-                    }
-                    PlanNode::ParallelJoin(spec) => {
-                        // Rendezvous: drain both inputs.
-                        let left: Vec<CompositeTuple> =
-                            my_receivers[0].iter().flat_map(unbatch).collect();
-                        let right: Vec<CompositeTuple> =
-                            my_receivers[1].iter().flat_map(unbatch).collect();
-                        let candidate_pairs = (left.len() * right.len()) as u64;
-                        let join_predicates: Vec<ResolvedPredicate> = spec
-                            .predicates
-                            .iter()
-                            .cloned()
-                            .map(ResolvedPredicate::Join)
-                            .collect();
-                        let exec = seco_join::ParallelJoinExecutor {
-                            predicates: &join_predicates,
-                            schemas,
-                            invocation: spec.invocation,
-                            completion: spec.completion,
-                            h: 1,
-                            k: options.join_k,
-                            options: options.join_index,
-                            columnar: options.columnar,
-                            pool: join_pool.clone(),
-                        };
-                        // Both channels are closed by now, so every
-                        // upstream degradation is already recorded.
-                        let (left_failed, right_failed) = if degrade {
-                            let deg = degraded.lock();
-                            (
-                                ancestors[my_preds[0].0].iter().any(|s| deg.contains(s)),
-                                ancestors[my_preds[1].0].iter().any(|s| deg.contains(s)),
-                            )
-                        } else {
-                            (false, false)
-                        };
-                        let rank = options.rank_join
-                            && options.join_k > 0
-                            && !(left_failed || right_failed);
-                        let joined = if rank {
-                            // Rank join needs score-sorted streams;
-                            // batches arrive in pipeline order.
-                            let mut left = left;
-                            let mut right = right;
-                            left.sort_by(score_order);
-                            right.sort_by(score_order);
-                            let mut sl = seco_join::executor::MemoryStream::new(left, 10);
-                            let mut sr = seco_join::executor::MemoryStream::new(right, 10);
-                            RankJoin {
-                                join: exec,
-                                space: None,
-                            }
-                            .run(&mut sl, &mut sr)
-                        } else {
-                            let mut sl = seco_join::executor::MemoryStream::new(left, 10);
-                            let mut sr = seco_join::executor::MemoryStream::new(right, 10);
-                            if degrade {
-                                exec.run_with_degradation(
-                                    &mut sl,
-                                    &mut sr,
-                                    left_failed,
-                                    right_failed,
-                                )
-                            } else {
-                                exec.run(&mut sl, &mut sr)
-                            }
-                        };
-                        match joined {
-                            Ok(outcome) => {
-                                join_stats.lock().merge(&outcome.stats);
-                                crate::executor::note_parallel_join(
-                                    plan_ref,
-                                    registry,
-                                    id,
-                                    candidate_pairs,
-                                    outcome.results.len() as u64,
-                                );
-                                for c in outcome.results {
-                                    if !out.push(c) {
-                                        return;
-                                    }
-                                }
-                                out.flush();
-                            }
-                            Err(e) => fail(EngineError::Join(e)),
-                        }
-                    }
-                }
-            }));
+    for id in plan.node_ids() {
+        if interp.elided[id.0] {
+            continue;
         }
+        let node = plan.node(id)?;
+        let out = Fanout::new(std::mem::take(&mut senders[id.0]));
+        let inputs = std::mem::take(&mut receivers[id.0]).into_values().collect();
+        let pipeline = &pipeline;
+        node_tasks.push(Box::new(move || pipeline.run_node(id, node, inputs, out)));
     }
     // One task per live plan node. On a pooled run the tasks go to the
-    // pool's elastic blocking tier — threads there are reused across
-    // queries and bounded by the pool's lifetime; without a pool this
-    // is the historical scoped-thread fan-out. Both join every task
-    // before returning.
-    match exec_pool {
+    // pool's elastic blocking tier — they block on channel rendezvous,
+    // so they must never occupy a bounded compute worker; its threads
+    // are reused across queries and bounded by the pool's lifetime.
+    // Without a pool each task gets a scoped thread. Both join every
+    // task before returning.
+    match interp.pool() {
         Some(pool) => pool.scope_blocking(node_tasks),
-        None => {
-            std::thread::scope(|scope| {
-                for task in node_tasks {
-                    scope.spawn(task);
-                }
-            });
-        }
+        None => std::thread::scope(|scope| {
+            for task in node_tasks {
+                scope.spawn(task);
+            }
+        }),
     }
 
-    if let Some(e) = first_error.lock().take() {
+    if let Some(e) = pipeline.first_error.into_inner() {
         return Err(e);
     }
     Ok(ParallelOutcome {
-        results: output.into_inner(),
-        degraded: degraded.into_inner().into_iter().collect(),
-        join_stats: join_stats.into_inner(),
+        results: pipeline.output.into_inner(),
+        degraded: pipeline.degraded.into_inner().into_iter().collect(),
+        join_stats: pipeline.join_stats.into_inner(),
         replanned,
     })
+}
+
+/// Pre-flight adaptive checkpoint. Wall-clock tasks preclude the
+/// deterministic scheduler's mid-flight restarts (replaying memoized
+/// stages under a virtual clock), so this one adapts *between* runs:
+/// statistics observed by earlier executions are promoted and the whole
+/// plan is re-planned (empty executed prefix ⇒ every degree of freedom
+/// re-opens) before any task starts. Returns the new plan if it differs.
+fn preflight_replan(
+    plan: &QueryPlan,
+    registry: &ServiceRegistry,
+    options: &EngineConfig,
+) -> Option<QueryPlan> {
+    if !options.adaptive {
+        return None;
+    }
+    let policy = DeviationPolicy {
+        threshold: options.adaptive_threshold,
+        min_samples: 1,
+    };
+    if registry.promote_deviations(&policy).is_empty() {
+        return None;
+    }
+    let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+    for (name, drift) in registry.service_drift() {
+        if let Some(card) = drift.observed_cardinality {
+            observed.insert(name, (drift.declared_cardinality, card.value));
+        }
+    }
+    // A promotion *is* a deviation past the threshold (that is the
+    // promotion criterion), so always open the re-planner's gate —
+    // pattern-only drift leaves no service entry above.
+    observed.insert(
+        "(promoted)".to_owned(),
+        (1.0, options.adaptive_threshold.max(1.0)),
+    );
+    let mut opt = Optimizer::new(registry, options.adaptive_metric);
+    opt.replan_threshold = options.adaptive_threshold;
+    opt.replan_suffix(plan, &BTreeSet::new(), &observed)
+        .ok()
+        .filter(|re| re.plan != *plan)
+        .map(|re| re.plan)
+}
+
+/// What the node tasks of one run share.
+struct Pipeline<'a> {
+    interp: &'a Interpreter<'a>,
+    sink: Option<BatchSink<'a>>,
+    /// Per node: its output is partial. A task stores its flag
+    /// (`Release`) before it drops its senders, and a consumer loads it
+    /// (`Acquire`) only after that channel closed, so the attribution is
+    /// race-free.
+    partial_output: Vec<AtomicBool>,
+    first_error: Mutex<Option<EngineError>>,
+    output: Mutex<Vec<CompositeTuple>>,
+    degraded: Mutex<BTreeSet<String>>,
+    join_stats: Mutex<JoinStats>,
+}
+
+impl Pipeline<'_> {
+    /// One node's task: runs it, publishes whether its output is
+    /// partial, and ships its buffered tail before the senders drop.
+    fn run_node(&self, id: NodeId, node: &PlanNode, inputs: Vec<Receiver<Batch>>, mut out: Fanout) {
+        match self.interpret(id, node, &inputs, &mut out) {
+            Ok(partial) => {
+                self.partial_output[id.0].store(partial, Ordering::Release);
+                out.flush();
+            }
+            Err(e) => {
+                self.first_error.lock().get_or_insert(e);
+            }
+        }
+    }
+
+    /// Whether `id`'s output is partial; read once its channel closed.
+    fn partial(&self, id: NodeId) -> bool {
+        self.partial_output[id.0].load(Ordering::Acquire)
+    }
+
+    /// Runs one node over its input channels into `out`; returns whether
+    /// its output is partial.
+    fn interpret(
+        &self,
+        id: NodeId,
+        node: &PlanNode,
+        inputs: &[Receiver<Batch>],
+        out: &mut Fanout,
+    ) -> Result<bool, EngineError> {
+        let interp = self.interp;
+        let preds = interp.plan.predecessors(id);
+        let joined = match node {
+            PlanNode::Input => {
+                out.push(CompositeTuple::empty());
+                return Ok(false);
+            }
+            PlanNode::Output => {
+                // One extend per batch, not one lock per tuple. A
+                // streaming sink sees each batch the moment it lands,
+                // while upstream stages are still joining tiles.
+                let mut collected = Vec::new();
+                for batch in inputs[0].iter() {
+                    if let Some(push) = self.sink {
+                        push(&batch);
+                    }
+                    collected.extend(unbatch(batch));
+                }
+                *self.output.lock() = collected;
+                return Ok(self.partial(preds[0]));
+            }
+            PlanNode::Selection(sel) => {
+                let mut stats = JoinStats::default();
+                for batch in inputs[0].iter() {
+                    let kept = interp.select(sel, unbatch(batch), &mut stats)?;
+                    if !kept.into_iter().all(|c| out.push(c)) {
+                        break;
+                    }
+                }
+                self.join_stats.lock().merge(&stats);
+                return Ok(self.partial(preds[0]));
+            }
+            PlanNode::Service(svc) => {
+                let stream = inputs[0].iter().flat_map(unbatch);
+                let outcome = interp.pipe(svc, stream, |new| new.drain(..).all(|c| out.push(c)))?;
+                if outcome.degraded {
+                    self.degraded.lock().insert(svc.service.clone());
+                }
+                self.join_stats.lock().merge(&outcome.stats);
+                return Ok(outcome.degraded || self.partial(preds[0]));
+            }
+            PlanNode::ParallelJoin(_) if interp.fusions.contains_key(&id.0) => {
+                let fusion = &interp.fusions[&id.0];
+                let groups = inputs.iter().map(drain).collect();
+                let partial: Vec<bool> = fusion.feeders.iter().map(|g| self.partial(*g)).collect();
+                interp.fused_chain(fusion, groups, &partial)?
+            }
+            PlanNode::ParallelJoin(spec) => {
+                let (left, right) = (drain(&inputs[0]), drain(&inputs[1]));
+                let partial = (self.partial(preds[0]), self.partial(preds[1]));
+                interp.parallel_join(&preds, spec, left, right, partial)?
+            }
+        };
+        self.join_stats.lock().merge(&joined.stats);
+        let _ = joined.results.into_iter().all(|c| out.push(c));
+        Ok(joined.degraded)
+    }
 }
 
 #[cfg(test)]
@@ -766,8 +405,8 @@ mod tests {
         let sequential =
             crate::executor::execute_plan(&best.plan, &reg, EngineConfig::default()).unwrap();
         let parallel = execute_parallel(&best.plan, &reg, EngineConfig::default()).unwrap();
-        assert_eq!(parallel.len(), sequential.results.len());
-        for c in &parallel {
+        assert_eq!(parallel.results.len(), sequential.results.len());
+        for c in &parallel.results {
             assert!(
                 sequential.results.iter().any(|s| {
                     q.atoms
@@ -821,7 +460,7 @@ mod tests {
     #[test]
     fn failures_in_workers_surface_as_errors() {
         // A registry whose Movie service always fails.
-        let reg = crate::executor::tests::registry_without_movie();
+        let reg = seco_bench::registry_without_movie();
         let q = running_example();
         // Reuse a plan optimized against a healthy registry.
         let healthy = entertainment::build_registry(1).unwrap();
@@ -835,10 +474,10 @@ mod tests {
         // The same downed registry under Degrade mode completes and
         // names the culprit instead of erroring.
         let opts = EngineConfig {
-            failure_mode: crate::executor::FailureMode::Degrade,
+            failure_mode: crate::FailureMode::Degrade,
             ..Default::default()
         };
-        let outcome = execute_parallel_with(&best.plan, &reg, opts).unwrap();
+        let outcome = execute_parallel(&best.plan, &reg, opts).unwrap();
         assert_eq!(outcome.degraded, vec!["Movie1".to_string()]);
     }
 
@@ -846,15 +485,15 @@ mod tests {
     fn degraded_parallel_join_passes_the_surviving_branch_through() {
         // Flight is hard down; the parallel join should pass the Hotel
         // branch through instead of returning nothing.
-        let reg = crate::executor::tests::travel_without_flight();
-        let p = crate::executor::tests::diamond_plan(&reg);
+        let reg = seco_bench::travel_without_flight();
+        let p = seco_bench::diamond_plan(&reg);
 
         let opts = EngineConfig {
             join_k: 5,
-            failure_mode: crate::executor::FailureMode::Degrade,
+            failure_mode: crate::FailureMode::Degrade,
             ..Default::default()
         };
-        let outcome = execute_parallel_with(&p, &reg, opts).unwrap();
+        let outcome = execute_parallel(&p, &reg, opts).unwrap();
         assert_eq!(outcome.degraded, vec!["Flight1".to_string()]);
         assert!(!outcome.results.is_empty(), "the hotel branch must survive");
         for combo in &outcome.results {

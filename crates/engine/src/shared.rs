@@ -49,7 +49,7 @@ pub(crate) type Stack = (
 /// wall time. The two produce distinct breaker/cooldown dynamics, so a
 /// service invoked by both executors keeps one stack per mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum ClockMode {
+pub(crate) enum ClockMode {
     Virtual,
     Wall,
 }
@@ -140,13 +140,8 @@ impl SharedState {
         service: &str,
         recorded: &Arc<CallRecorder>,
         options: &EngineConfig,
-        wall_clock: bool,
+        mode: ClockMode,
     ) -> Stack {
-        let mode = if wall_clock {
-            ClockMode::Wall
-        } else {
-            ClockMode::Virtual
-        };
         let key = (service.to_owned(), mode);
         let mut stacks = self.stacks.lock();
         if let Some(stack) = stacks.get(&key) {
@@ -154,10 +149,9 @@ impl SharedState {
         }
         let client = options.client.map(|cfg| {
             let builder = ServiceClient::for_recorded(recorded.clone()).config(cfg);
-            let builder = if wall_clock {
-                builder.wall_clock()
-            } else {
-                builder.virtual_clock(self.clock.clone())
+            let builder = match mode {
+                ClockMode::Wall => builder.wall_clock(),
+                ClockMode::Virtual => builder.virtual_clock(self.clock.clone()),
             };
             Arc::new(builder.build())
         });
@@ -198,8 +192,8 @@ mod tests {
             seco_services::domains::entertainment::build_registry(7).expect("registry builds");
         let recorded = registry.service("Movie1").expect("service exists");
         let options = EngineConfig::default().cache_shards(4);
-        let (a, _, cache_a) = state.stack_for("Movie1", &recorded, &options, false);
-        let (b, _, cache_b) = state.stack_for("Movie1", &recorded, &options, false);
+        let (a, _, cache_a) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
+        let (b, _, cache_b) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
         assert!(Arc::ptr_eq(&a, &b), "same stack on repeat lookup");
         assert!(Arc::ptr_eq(
             cache_a.as_ref().expect("cache configured"),
@@ -207,7 +201,7 @@ mod tests {
         ));
         assert_eq!(state.stack_count(), 1);
         // Wall-clock mode is a distinct stack (distinct breaker rules).
-        let (w, _, _) = state.stack_for("Movie1", &recorded, &options, true);
+        let (w, _, _) = state.stack_for("Movie1", &recorded, &options, ClockMode::Wall);
         assert!(!Arc::ptr_eq(&a, &w));
         assert_eq!(state.stack_count(), 2);
     }

@@ -39,7 +39,7 @@ pub use executor::{JoinOutcome, ParallelJoinExecutor};
 pub use index::{ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats};
 pub use method::{JoinMethod, Topology};
 pub use nary::{NaryJoin, NaryOutcome, NaryStage};
-pub use pipe::{pipe_join, pipe_stages_prepared, PipeJoin, PipeOutcome, PipeRun};
+pub use pipe::{pipe_stages_prepared, PipeJoin, PipeOutcome, PipeRun};
 pub use rank::{score_order, RankJoin};
 pub use strategy::{cost_based_ratio, CallScheduler, CallTarget, Pacing, TilePruner};
 pub use tile::{Tile, TileSpace};

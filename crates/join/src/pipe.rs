@@ -48,8 +48,8 @@ pub struct PipeOutcome {
 /// A configured pipe-join stage: extends each input composite with the
 /// matching tuples of one downstream service (the query atom `atom`).
 ///
-/// Replaces the previous nine-argument free function with a parameter
-/// struct the executors fill in once and run per batch of inputs.
+/// Filled in once per plan node; [`PipeJoin::start`] prepares it and
+/// the returned [`PipeRun`] extends the inputs one at a time.
 ///
 /// * `bindings` — the atom's input bindings from the feasibility
 ///   analysis (constants and pipes);
@@ -89,24 +89,10 @@ pub struct PipeJoin<'a> {
 }
 
 impl PipeJoin<'_> {
-    /// Runs the stage over a batch of input composites.
-    pub fn run(
-        &self,
-        inputs: &[CompositeTuple],
-        service: &dyn Service,
-    ) -> Result<PipeOutcome, JoinError> {
-        let mut run = self.start();
-        let mut results = Vec::new();
-        for input in inputs {
-            run.extend(input, service, &mut results)?;
-        }
-        Ok(run.finish(results))
-    }
-
     /// Prepares the stage: everything that does not depend on the input
     /// tuple is built here (or on the first input) and reused for every
-    /// input after it. Executors that receive their inputs one at a
-    /// time hold the returned run for the life of the stage.
+    /// input after it. The caller holds the returned run for the life
+    /// of the stage and [`PipeRun::finish`]es it after the last input.
     pub fn start(&self) -> PipeRun<'_> {
         PIPE_STAGES_PREPARED.fetch_add(1, Ordering::Relaxed);
         PipeRun {
@@ -372,36 +358,6 @@ impl<'a> PipeRun<'a> {
     }
 }
 
-/// Executes one pipe-join stage (strict mode: any service error aborts).
-///
-/// Convenience wrapper over [`PipeJoin`] kept for call sites that do
-/// not need degradation.
-#[allow(clippy::too_many_arguments)]
-pub fn pipe_join(
-    inputs: &[CompositeTuple],
-    atom: &str,
-    service: &dyn Service,
-    bindings: &[&IoDependency],
-    query_inputs: &BTreeMap<String, Value>,
-    predicates: &[ResolvedPredicate],
-    schemas: &SchemaMap<'_>,
-    fetches: usize,
-    keep_first: bool,
-) -> Result<PipeOutcome, JoinError> {
-    PipeJoin {
-        atom,
-        bindings,
-        query_inputs,
-        predicates,
-        schemas,
-        fetches,
-        keep_first,
-        tolerate_failures: false,
-        columnar: ColumnarOptions::default(),
-    }
-    .run(inputs, service)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,6 +366,47 @@ mod tests {
     use seco_query::predicate::resolve_predicates;
     use seco_services::domains::entertainment;
     use seco_services::invocation::Request;
+
+    /// Runs `stage` over a batch of inputs, prepared once.
+    fn run(
+        stage: &PipeJoin<'_>,
+        inputs: &[CompositeTuple],
+        service: &dyn Service,
+    ) -> Result<PipeOutcome, JoinError> {
+        let mut run = stage.start();
+        let mut results = Vec::new();
+        for input in inputs {
+            run.extend(input, service, &mut results)?;
+        }
+        Ok(run.finish(results))
+    }
+
+    /// One strict stage with the default data plane.
+    #[allow(clippy::too_many_arguments)]
+    fn pipe_join(
+        inputs: &[CompositeTuple],
+        atom: &str,
+        service: &dyn Service,
+        bindings: &[&IoDependency],
+        query_inputs: &BTreeMap<String, Value>,
+        predicates: &[ResolvedPredicate],
+        schemas: &SchemaMap<'_>,
+        fetches: usize,
+        keep_first: bool,
+    ) -> Result<PipeOutcome, JoinError> {
+        let stage = PipeJoin {
+            atom,
+            bindings,
+            query_inputs,
+            predicates,
+            schemas,
+            fetches,
+            keep_first,
+            tolerate_failures: false,
+            columnar: ColumnarOptions::default(),
+        };
+        run(&stage, inputs, service)
+    }
 
     /// Fetches the first theatre chunk and pipes it into Restaurant.
     fn setup_theatre_inputs(reg: &seco_services::ServiceRegistry) -> Vec<CompositeTuple> {
@@ -515,13 +512,11 @@ mod tests {
                     batch_eval: columnar,
                 },
             };
-            let whole = stage.run(&inputs, restaurant.as_ref()).unwrap();
+            let whole = run(&stage, &inputs, restaurant.as_ref()).unwrap();
             let mut results = Vec::new();
             let (mut calls, mut stats) = (0, JoinStats::default());
             for input in &inputs {
-                let one = stage
-                    .run(std::slice::from_ref(input), restaurant.as_ref())
-                    .unwrap();
+                let one = run(&stage, std::slice::from_ref(input), restaurant.as_ref()).unwrap();
                 results.extend(one.results);
                 calls += one.calls;
                 stats.merge(&one.stats);
@@ -641,9 +636,9 @@ mod tests {
             tolerate_failures: tolerate,
             columnar: ColumnarOptions::default(),
         };
-        let strict = stage(false).run(&inputs, &downed);
+        let strict = run(&stage(false), &inputs, &downed);
         assert!(matches!(strict, Err(JoinError::Service(_))));
-        let tolerant = stage(true).run(&inputs, &downed).unwrap();
+        let tolerant = run(&stage(true), &inputs, &downed).unwrap();
         assert!(tolerant.degraded);
         assert!(tolerant.results.is_empty());
         assert_eq!(
@@ -652,7 +647,7 @@ mod tests {
         );
         // A healthy service through the same stage is not degraded.
         let healthy = reg.service("Restaurant1").unwrap();
-        let ok = stage(true).run(&inputs, healthy.as_ref()).unwrap();
+        let ok = run(&stage(true), &inputs, healthy.as_ref()).unwrap();
         assert!(!ok.degraded);
     }
 

@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let parallel = execute_parallel(&plan, &registry, EngineConfig::default().join_k(10))?;
     println!(
         "pipelined executor: {} combinations (same set)",
-        parallel.len()
+        parallel.results.len()
     );
 
     for combo in outcome.results.iter().take(5) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local CI gate: release build, tests, lints, formatting, and the
-# one performance step (benchmark/run.sh --smoke).
+# Full local CI gate: release build, tests, lints, formatting, a
+# panic-site ratchet, and the one performance step
+# (benchmark/run.sh --smoke).
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,6 +28,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Panic sites — lines with `.unwrap()`, `.expect(`, `panic!(` or
+# `unreachable!(` — in the non-test part (up to each file's `mod tests`
+# line) of the services, exec, join, engine and server sources. The
+# count may only fall: when a change lowers it, lower the ceiling too.
+PANIC_SITE_CEILING=88
+echo "==> panic-site ratchet (ceiling $PANIC_SITE_CEILING)"
+panic_sites=$(find crates/{services,exec,join,engine,server}/src -name '*.rs' -print0 \
+    | xargs -0 -n1 awk '/^ *(pub(\(crate\))? )?mod tests/ { exit } { print }' \
+    | grep -cE '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || true)
+echo "panic sites: $panic_sites"
+if [ "$panic_sites" -gt "$PANIC_SITE_CEILING" ]; then
+    echo "panic sites rose above the ceiling of $PANIC_SITE_CEILING" >&2
+    exit 1
+fi
 
 # benchmark/ is a package of its own, outside the root workspace: tier-1
 # never compiles it, so drift in the surface it replays the handlers

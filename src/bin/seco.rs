@@ -462,7 +462,7 @@ fn cmd_run(
     let best = optimize(&query, registry, metric).map_err(|e| e.to_string())?;
     registry.reset_stats();
     let (results, degraded, join_stats, replans, replanned) = if parallel {
-        let out = execute_parallel_with(&best.plan, registry, opts).map_err(|e| e.to_string())?;
+        let out = execute_parallel(&best.plan, registry, opts).map_err(|e| e.to_string())?;
         let replans = usize::from(out.replanned.is_some());
         (
             out.results,

@@ -69,9 +69,8 @@ pub use error::{Retryable, SecoError};
 pub mod prelude {
     pub use crate::error::{Retryable, SecoError};
     pub use seco_engine::{
-        execute_parallel, execute_parallel_session, execute_parallel_with, execute_plan,
-        execute_plan_shared, EngineConfig, FailureMode, FetchOptions, ParallelOutcome, ResultSet,
-        SharedState,
+        execute_parallel, execute_parallel_session, execute_plan, execute_plan_shared,
+        EngineConfig, FailureMode, FetchOptions, ParallelOutcome, ResultSet, SharedState,
     };
     pub use seco_join::{
         ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinMethod, JoinStats, Topology,

@@ -91,6 +91,8 @@ fn pipelined_executor_survives_volumes_beyond_channel_capacity() {
         "every wide tuple finds its lookup (echoed key)"
     );
 
-    let parallel = execute_parallel(&plan, &reg, EngineConfig::default()).unwrap();
+    let parallel = execute_parallel(&plan, &reg, EngineConfig::default())
+        .unwrap()
+        .results;
     assert_eq!(parallel.len(), sequential.results.len());
 }

@@ -94,7 +94,7 @@ fn deterministic_and_parallel_executors_rank_identically_on_e1() {
     };
     let sequential = execute_plan(&plan, &registry, opts).unwrap();
     let (plan2, registry2) = e1_plan(5);
-    let parallel = execute_parallel(&plan2, &registry2, opts).unwrap();
+    let parallel = execute_parallel(&plan2, &registry2, opts).unwrap().results;
     let seq_render = ranked_render(&plan.query, &sequential.results);
     let par_render = ranked_render(&plan2.query, &parallel);
     assert!(!seq_render.is_empty(), "E1 must produce combinations");
@@ -163,8 +163,8 @@ fn columnar_and_row_planes_are_byte_identical_on_e1() {
     // Pipelined executor: same combinations under either plane.
     let (plan_c, reg_c) = e1_plan(5);
     let (plan_d, reg_d) = e1_plan(5);
-    let par_col = execute_parallel(&plan_c, &reg_c, col_cfg).unwrap();
-    let par_row = execute_parallel(&plan_d, &reg_d, row_cfg).unwrap();
+    let par_col = execute_parallel(&plan_c, &reg_c, col_cfg).unwrap().results;
+    let par_row = execute_parallel(&plan_d, &reg_d, row_cfg).unwrap().results;
     assert_eq!(
         ranked_render(&plan_c.query, &par_col),
         ranked_render(&plan_d.query, &par_row)

@@ -59,7 +59,9 @@ fn parallel_and_sequential_executors_agree() {
     let query = running_example();
     let best = optimize(&query, &registry, CostMetric::RequestCount).unwrap();
     let sequential = execute_plan(&best.plan, &registry, EngineConfig::default()).unwrap();
-    let parallel = execute_parallel(&best.plan, &registry, EngineConfig::default()).unwrap();
+    let parallel = execute_parallel(&best.plan, &registry, EngineConfig::default())
+        .unwrap()
+        .results;
     assert_eq!(sequential.results.len(), parallel.len());
     for combo in &parallel {
         assert!(sequential

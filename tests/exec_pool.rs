@@ -38,7 +38,7 @@ fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query) {
     let config = |w: usize| EngineConfig::default().exec_workers(w);
 
     let det_ref = execute_plan(&best.plan, registry, config(1)).unwrap();
-    let par_ref = execute_parallel_with(&best.plan, registry, config(1)).unwrap();
+    let par_ref = execute_parallel(&best.plan, registry, config(1)).unwrap();
     assert!(!det_ref.results.is_empty(), "reference run must answer");
 
     for workers in [2usize, 8] {
@@ -51,7 +51,7 @@ fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query) {
             det.join_stats, det_ref.join_stats,
             "deterministic join counters diverged at {workers} workers"
         );
-        let par = execute_parallel_with(&best.plan, registry, config(workers)).unwrap();
+        let par = execute_parallel(&best.plan, registry, config(workers)).unwrap();
         assert_eq!(
             par.results, par_ref.results,
             "pipelined executor diverged at {workers} workers"

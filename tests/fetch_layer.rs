@@ -181,7 +181,7 @@ fn parallel_prefetch_agrees_with_deterministic_results() {
     };
     assert_eq!(
         sorted(&det.results),
-        sorted(&par),
+        sorted(&par.results),
         "the pipelined executor with background prefetch must produce the same set"
     );
 }

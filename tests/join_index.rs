@@ -342,9 +342,9 @@ fn both_executors_agree_with_and_without_the_index() {
 
     // Pipelined executor: same combinations either way.
     let (plan, registry) = e1_plan(5);
-    let par_base = execute_parallel_with(&plan, &registry, opts_of(OFF)).unwrap();
+    let par_base = execute_parallel(&plan, &registry, opts_of(OFF)).unwrap();
     let (plan, registry) = e1_plan(5);
-    let par_accel = execute_parallel_with(&plan, &registry, opts_of(HASH)).unwrap();
+    let par_accel = execute_parallel(&plan, &registry, opts_of(HASH)).unwrap();
     assert_eq!(par_base.results, par_accel.results);
     assert!(par_accel.join_stats.index_builds > 0);
     // The recorders saw the counters too (CLI `join:` line source).

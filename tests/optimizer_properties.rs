@@ -112,7 +112,9 @@ fn star_queries_execute_end_to_end() {
     for combo in &outcome.results {
         assert_eq!(combo.arity(), 3);
     }
-    let par = execute_parallel(&best.plan, &reg, EngineConfig::default()).unwrap();
+    let par = execute_parallel(&best.plan, &reg, EngineConfig::default())
+        .unwrap()
+        .results;
     assert_eq!(par.len(), outcome.results.len());
     // Soundness against the oracle.
     let oracle = evaluate_oracle(&query, &reg).unwrap();
@@ -141,7 +143,9 @@ fn chain_queries_execute_end_to_end() {
             assert_eq!(combo.arity(), n);
         }
         // The pipelined executor agrees.
-        let par = execute_parallel(&best.plan, &reg, EngineConfig::default()).unwrap();
+        let par = execute_parallel(&best.plan, &reg, EngineConfig::default())
+            .unwrap()
+            .results;
         assert_eq!(par.len(), outcome.results.len());
     }
 }

@@ -15,7 +15,9 @@ fn a_pipelined_chain_prepares_each_stage_once() {
     assert!(sequential.results.len() > 100, "the stages see many inputs");
 
     let before = pipe_stages_prepared();
-    let parallel = execute_parallel(&best.plan, &registry, EngineConfig::default()).expect("runs");
+    let parallel = execute_parallel(&best.plan, &registry, EngineConfig::default())
+        .expect("runs")
+        .results;
     assert_eq!(
         pipe_stages_prepared() - before,
         4,

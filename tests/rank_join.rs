@@ -432,9 +432,9 @@ fn engine_fuses_left_deep_chains_byte_identically() {
     assert!(fused.join_stats.intermediates_elided > 0);
 
     let (plan, registry) = star_chain_plan(11);
-    let par_base = execute_parallel_with(&plan, &registry, cfg(false)).unwrap();
+    let par_base = execute_parallel(&plan, &registry, cfg(false)).unwrap();
     let (plan, registry) = star_chain_plan(11);
-    let par_fused = execute_parallel_with(&plan, &registry, cfg(true)).unwrap();
+    let par_fused = execute_parallel(&plan, &registry, cfg(true)).unwrap();
     // The two executors chunk their buffered branches differently, so
     // they are only compared against themselves, never each other —
     // the same contract the hash-index suite checks.
@@ -504,7 +504,7 @@ fn engine_rank_join_returns_the_true_top_k() {
     );
 
     let (plan, registry) = star_pair_plan(7);
-    let par_ranked = execute_parallel_with(&plan, &registry, cfg).unwrap();
+    let par_ranked = execute_parallel(&plan, &registry, cfg).unwrap();
     assert_eq!(par_ranked.results, want);
     assert!(par_ranked.join_stats.bound_checks > 0);
 }
