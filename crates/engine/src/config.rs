@@ -117,8 +117,8 @@ pub struct EngineConfig {
     /// waits bypass retries and breaker checks entirely.
     pub fetch: FetchOptions,
     /// Join-kernel configuration: hash-index acceleration of tile and
-    /// pipe joins, and top-k tile pruning. The default (`Hash`, no
-    /// pruning) is byte-identical to the nested-loop baseline.
+    /// pipe joins. The default (`Hash`) is byte-identical to the
+    /// nested-loop baseline.
     pub join_index: JoinIndexOptions,
     /// Columnar data-plane configuration: column-backed key extraction
     /// and vectorized batch predicate evaluation. The default (both on)
@@ -128,13 +128,10 @@ pub struct EngineConfig {
     /// score-sorted inputs, a threshold bound over the unseen frontier,
     /// and chunk fetches that stop as soon as the k-th buffered result
     /// meets the bound. Output is the score-correct k-prefix of the
-    /// full enumeration (off by default).
+    /// full enumeration (off by default). Without it, every eligible
+    /// chain of parallel joins runs fused in the single-pass n-ary
+    /// kernel, byte-identical to the binary cascade.
     pub rank_join: bool,
-    /// Fuses chains of parallel joins into the single-pass n-ary kernel
-    /// when the plan is eligible, eliding intermediate composites.
-    /// Output stays byte-identical to the binary cascade (off by
-    /// default).
-    pub nary_join: bool,
     /// Adaptive re-optimization: after each fresh service or join stage,
     /// compare observed output cardinality against the plan-time
     /// estimate; when they deviate past [`adaptive_threshold`]
@@ -169,7 +166,6 @@ impl Default for EngineConfig {
             join_index: JoinIndexOptions::default(),
             columnar: ColumnarOptions::default(),
             rank_join: false,
-            nary_join: false,
             adaptive: false,
             adaptive_threshold: 10.0,
             adaptive_metric: CostMetric::ExecutionTime,
@@ -227,12 +223,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables the score-frontier tile bound.
-    pub fn tile_prune(mut self, on: bool) -> Self {
-        self.join_index.tile_prune = on;
-        self
-    }
-
     /// Enables or disables column-wise consumption of chunk bodies
     /// (columnar hash-key extraction, zero-copy kernel inputs).
     pub fn columnar(mut self, on: bool) -> Self {
@@ -250,12 +240,6 @@ impl EngineConfig {
     /// `join_k > 0`).
     pub fn rank_join(mut self, on: bool) -> Self {
         self.rank_join = on;
-        self
-    }
-
-    /// Enables or disables n-ary fusion of parallel-join chains.
-    pub fn nary_join(mut self, on: bool) -> Self {
-        self.nary_join = on;
         self
     }
 
@@ -298,11 +282,9 @@ mod tests {
             .cache_capacity(128)
             .prefetch(true)
             .join_index_mode(JoinIndexMode::Off)
-            .tile_prune(true)
             .columnar(false)
             .batch_eval(false)
             .rank_join(true)
-            .nary_join(true)
             .adaptive(true)
             .adaptive_threshold(4.0)
             .adaptive_metric(CostMetric::RequestCount)
@@ -314,10 +296,9 @@ mod tests {
         assert_eq!(cfg.fetch.cache_capacity, 128);
         assert!(cfg.fetch.prefetch);
         assert_eq!(cfg.join_index.mode, JoinIndexMode::Off);
-        assert!(cfg.join_index.tile_prune);
         assert!(!cfg.columnar.columnar);
         assert!(!cfg.columnar.batch_eval);
-        assert!(cfg.rank_join && cfg.nary_join);
+        assert!(cfg.rank_join);
         assert!(cfg.adaptive);
         assert_eq!(cfg.adaptive_threshold, 4.0);
         assert_eq!(cfg.adaptive_metric, CostMetric::RequestCount);
@@ -331,8 +312,7 @@ mod tests {
         let cfg = EngineConfig::default();
         assert!(cfg.columnar.columnar && cfg.columnar.batch_eval);
         assert_eq!(cfg.join_index.mode, JoinIndexMode::Hash);
-        assert!(!cfg.join_index.tile_prune);
-        assert!(!cfg.rank_join && !cfg.nary_join);
+        assert!(!cfg.rank_join);
         assert!(!cfg.adaptive, "adaptive must default off (byte-identity)");
         assert_eq!(cfg.adaptive_threshold, 10.0);
         assert_eq!(cfg.adaptive_metric, CostMetric::ExecutionTime);

@@ -317,7 +317,7 @@ fn run_pass(
                     let deg = node_degraded[preds[0].0] || outcome.degraded;
                     (input.len(), outcome.results, outcome.calls, busy_ms, deg)
                 }
-                PlanNode::ParallelJoin(_) if interp.elided[id.0] => {
+                PlanNode::ParallelJoin(_) if interp.elided(id) => {
                     // Absorbed into a downstream fusion: the chain's top
                     // join consumes this node's inputs directly.
                     let deg = node_degraded[preds[0].0] || node_degraded[preds[1].0];
@@ -366,7 +366,7 @@ fn run_pass(
         if let Some(est) = &estimates {
             let stage_key = match plan.node(id)? {
                 PlanNode::Service(s) => Some(format!("svc:{}", s.atom)),
-                PlanNode::ParallelJoin(_) if !interp.elided[id.0] => {
+                PlanNode::ParallelJoin(_) if !interp.elided(id) => {
                     let atoms: Vec<String> = plan.atoms_at(id).into_iter().collect();
                     Some(format!("join:{}", atoms.join(",")))
                 }
@@ -775,20 +775,13 @@ mod tests {
         };
         let (mut fanned_out, mut replayed, mut degraded, mut fused) = (0, 0, 0, 0);
         for (name, scenario, downed) in &scenarios {
-            for (nary, adaptive, degrade) in [
-                (false, false, false),
-                (true, false, false),
-                (false, true, false),
-                (true, true, false),
-                (false, false, true),
-                (true, true, true),
-            ] {
+            for (adaptive, degrade) in [(false, false), (true, false), (false, true), (true, true)]
+            {
                 if *downed && !degrade {
                     continue;
                 }
                 let mut config = EngineConfig::default()
                     .join_k(50)
-                    .nary_join(nary)
                     .adaptive(adaptive)
                     .adaptive_metric(CostMetric::ExecutionTime);
                 if degrade {
@@ -796,7 +789,7 @@ mod tests {
                 }
                 let moving = walk(scenario, config, false);
                 let copying = walk(scenario, config, true);
-                let at = format!("{name}: nary={nary} adaptive={adaptive} degrade={degrade}");
+                let at = format!("{name}: adaptive={adaptive} degrade={degrade}");
                 assert_eq!(moving.results, copying.results, "{at}: results");
                 assert_eq!(moving, copying, "{at}: books");
                 fanned_out += usize::from(name.starts_with("diamond"));

@@ -12,7 +12,8 @@
 //! * a **parallel join** runs the rank join, or the tile-space join with
 //!   degraded-branch pass-through ([`Interpreter::parallel_join`]);
 //! * a **fused chain** runs the n-ary kernel, falling back to the binary
-//!   cascade it replaces ([`Interpreter::fused_chain`]).
+//!   cascade it replaces ([`Interpreter::fused_chain`]). Every eligible
+//!   chain fuses unless rank join is in force.
 //!
 //! Two schedulers drive it: [`crate::executor`] walks the plan in
 //! topological order on the virtual clock, [`crate::parallel`] pipelines
@@ -20,7 +21,7 @@
 //! [`Schedule`], passed in at preparation.
 
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use seco_exec::ExecPool;
@@ -107,8 +108,8 @@ pub(crate) struct Interpreter<'a> {
     predicates: Vec<ResolvedPredicate>,
     schemas: SchemaMap<'a>,
     join_pool: Option<Arc<ExecPool>>,
-    /// Per node: absorbed into a downstream fusion, so never run.
-    pub elided: Vec<bool>,
+    /// The nodes absorbed into a downstream fusion, so never run.
+    elided: BTreeSet<usize>,
     /// The fused chains, by the node index of their top join.
     pub fusions: BTreeMap<usize, Fusion<'a>>,
 }
@@ -144,10 +145,10 @@ impl<'a> Interpreter<'a> {
         });
         // Rank join takes precedence over fusion: its score-sorted top-k
         // inputs are incompatible with replaying the cascade.
-        let (elided, fusions) = if options.nary_join && !options.rank_join {
+        let (elided, fusions) = if fuses() && !ranks(&options) {
             fusion_chains(plan)?
         } else {
-            (vec![false; plan.len()], BTreeMap::new())
+            Default::default()
         };
         Ok(Interpreter {
             plan,
@@ -162,6 +163,11 @@ impl<'a> Interpreter<'a> {
             elided,
             fusions,
         })
+    }
+
+    /// Whether node `id` was absorbed into a downstream fusion.
+    pub fn elided(&self, id: NodeId) -> bool {
+        self.elided.contains(&id.0)
     }
 
     /// The pool this run may use: the shared state's, or the run-local
@@ -371,7 +377,6 @@ impl<'a> Interpreter<'a> {
                 .collect();
             let kernel = NaryJoin {
                 schemas: &self.schemas,
-                tile_prune: self.options.join_index.tile_prune,
                 pool: self.join_pool.clone(),
             };
             if let Some(out) = kernel.run(&groups, &stages)? {
@@ -418,7 +423,7 @@ impl<'a> Interpreter<'a> {
         (left_degraded, right_degraded): (bool, bool),
     ) -> Result<Joined, EngineError> {
         let degraded = left_degraded || right_degraded;
-        let rank = self.options.rank_join && self.options.join_k > 0 && !degraded;
+        let rank = ranks(&self.options) && !degraded;
         let predicates = resolved(&spec.predicates);
         let (h, left_chunk, right_chunk) = self.chunking(inputs);
         let join = ParallelJoinExecutor {
@@ -483,6 +488,28 @@ impl<'a> Interpreter<'a> {
     }
 }
 
+/// Whether rank join is in force: on, with a positive `k` target.
+fn ranks(options: &EngineConfig) -> bool {
+    options.rank_join && options.join_k > 0
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Makes [`Interpreter::prepare`] on this thread fuse no chain, so
+    /// every join runs in the binary cascade — the reference the n-ary
+    /// kernel is held to.
+    pub(crate) static CASCADE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether eligible chains fuse: always, outside the tests' cascade
+/// reference.
+fn fuses() -> bool {
+    #[cfg(test)]
+    return !CASCADE_ONLY.get();
+    #[cfg(not(test))]
+    true
+}
+
 /// Join predicates in resolved form.
 fn resolved(joins: &[JoinPredicate]) -> Vec<ResolvedPredicate> {
     joins.iter().cloned().map(ResolvedPredicate::Join).collect()
@@ -491,27 +518,31 @@ fn resolved(joins: &[JoinPredicate]) -> Vec<ResolvedPredicate> {
 /// Finds the left-deep chains of parallel joins eligible for n-ary
 /// fusion. A join is *absorbable* when its only consumer is another
 /// parallel join taking it as the **left** input — then the chain's top
-/// join can replay every stage in one pass. Returns per-node elision
-/// flags and the chains by their top's node index.
+/// join can replay every stage in one pass. Returns the absorbed nodes
+/// and the chains by their top's node index.
 #[allow(clippy::type_complexity)]
 fn fusion_chains(
     plan: &QueryPlan,
-) -> Result<(Vec<bool>, BTreeMap<usize, Fusion<'_>>), EngineError> {
-    let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
-    for (from, to) in plan.edges() {
-        succs[from.0].push(*to);
-    }
+) -> Result<(BTreeSet<usize>, BTreeMap<usize, Fusion<'_>>), EngineError> {
     let join_at = |id: NodeId| match plan.node(id) {
         Ok(PlanNode::ParallelJoin(spec)) => Some(spec),
         _ => None,
     };
+    // A chain needs two joins: plans with fewer pay nothing.
+    if plan.node_ids().filter_map(join_at).nth(1).is_none() {
+        return Ok(Default::default());
+    }
+    let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
+    for (from, to) in plan.edges() {
+        succs[from.0].push(*to);
+    }
     let absorbable = |id: NodeId| {
         join_at(id).is_some()
             && succs[id.0].len() == 1
             && join_at(succs[id.0][0]).is_some()
             && plan.predecessors(succs[id.0][0]).first() == Some(&id)
     };
-    let mut elided = vec![false; plan.len()];
+    let mut elided = BTreeSet::new();
     let mut fusions = BTreeMap::new();
     for id in plan.topo_order()? {
         let Some(top) = join_at(id).filter(|_| !absorbable(id)) else {
@@ -528,13 +559,99 @@ fn fusion_chains(
         }
         if joins.len() >= 2 {
             joins.reverse();
-            for (j, _) in &joins[..joins.len() - 1] {
-                elided[j.0] = true;
-            }
+            elided.extend(joins[..joins.len() - 1].iter().map(|(j, _)| j.0));
             let mut feeders = plan.predecessors(joins[0].0);
             feeders.extend(joins[1..].iter().map(|&(j, _)| plan.predecessors(j)[1]));
             fusions.insert(id.0, Fusion { joins, feeders });
         }
     }
     Ok((elided, fusions))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::CASCADE_ONLY;
+    use crate::{execute_parallel, execute_plan, EngineConfig};
+    use seco_bench::star_scenario;
+    use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
+    use seco_services::ServiceRegistry;
+
+    /// A left-deep chain over three independently reachable star
+    /// services: `(A1 ⋈ A2) ⋈ A3`, the shape the fusion pass recognizes.
+    fn star_chain_plan() -> (QueryPlan, ServiceRegistry) {
+        let (registry, query) = star_scenario(3, 11);
+        let joins = query.expanded_joins(&registry).unwrap();
+        let pick = |x: &str, y: &str| -> Vec<_> {
+            joins.iter().filter(|j| j.connects(x, y)).cloned().collect()
+        };
+        let join = |predicates| {
+            PlanNode::ParallelJoin(JoinSpec {
+                invocation: Invocation::merge_scan_even(),
+                completion: Completion::Rectangular,
+                predicates,
+                selectivity: 1.0,
+            })
+        };
+        let mut plan = QueryPlan::new(query.clone());
+        let service = |atom: &str, name: &str| {
+            PlanNode::Service(ServiceNode::new(atom, name).with_fetches(3))
+        };
+        let s1 = plan.add(service("A1", "Star1"));
+        let s2 = plan.add(service("A2", "Star2"));
+        let s3 = plan.add(service("A3", "Star3"));
+        let j1 = plan.add(join(pick("A1", "A2")));
+        let j2 = plan.add(join(pick("A1", "A3")));
+        for (from, to) in [
+            (plan.input(), s1),
+            (plan.input(), s2),
+            (plan.input(), s3),
+            (s1, j1),
+            (s2, j1),
+            (j1, j2),
+            (s3, j2),
+            (j2, plan.output()),
+        ] {
+            plan.connect(from, to).unwrap();
+        }
+        (plan, registry)
+    }
+
+    /// Runs `run` on this thread with every chain in the binary cascade
+    /// (`cascade`) or fused.
+    fn with_cascade<T>(cascade: bool, run: impl FnOnce() -> T) -> T {
+        CASCADE_ONLY.set(cascade);
+        let out = run();
+        CASCADE_ONLY.set(false);
+        out
+    }
+
+    /// On both schedulers a fused chain delivers exactly what the binary
+    /// cascade delivers, in the same order and with the same service
+    /// calls, while eliding the cascade's intermediate composites. The
+    /// two schedulers chunk their buffered branches differently, so each
+    /// is held to its own cascade, never to the other.
+    #[test]
+    fn fused_chains_deliver_what_the_cascade_does_on_both_schedulers() {
+        let config = EngineConfig::default().join_k(10);
+        let deterministic = |cascade| {
+            let (plan, registry) = star_chain_plan();
+            with_cascade(cascade, || execute_plan(&plan, &registry, config)).unwrap()
+        };
+        let (cascade, fused) = (deterministic(true), deterministic(false));
+        assert!(!cascade.results.is_empty(), "the chain joins something");
+        assert_eq!(cascade.results, fused.results);
+        assert_eq!(cascade.total_calls, fused.total_calls);
+        assert_eq!(cascade.join_stats.intermediates_elided, 0);
+        assert!(fused.join_stats.intermediates_elided > 0);
+
+        let pipelined = |cascade| {
+            let (plan, registry) = star_chain_plan();
+            with_cascade(cascade, || execute_parallel(&plan, &registry, config)).unwrap()
+        };
+        let (cascade, fused) = (pipelined(true), pipelined(false));
+        assert!(!cascade.results.is_empty());
+        assert_eq!(cascade.results, fused.results);
+        assert_eq!(cascade.join_stats.intermediates_elided, 0);
+        assert!(fused.join_stats.intermediates_elided > 0);
+    }
 }

@@ -30,7 +30,6 @@
 //! distinction between "the top-k tuples" and "k good tuples, emitted
 //! with an approximation of the total order".
 
-pub mod clock;
 pub mod config;
 pub mod error;
 pub mod executor;
@@ -40,7 +39,6 @@ pub mod parallel;
 pub mod shared;
 pub mod trace;
 
-pub use clock::{drive_pair, Clock, ClockPacing};
 pub use config::{EngineConfig, FailureMode, FetchOptions};
 pub use error::EngineError;
 pub use executor::{execute_plan, execute_plan_shared, ExecutionResult};

@@ -190,7 +190,7 @@ pub fn execute_parallel_session(
     let mut receivers: Vec<BTreeMap<usize, Receiver<Batch>>> = vec![BTreeMap::new(); plan.len()];
     for (from, to) in plan.edges() {
         let route = routes.get_mut(&(from.0, to.0)).and_then(Vec::pop);
-        if route.is_none() && interp.elided[from.0] {
+        if route.is_none() && interp.elided(*from) {
             continue;
         }
         let (tx, rx) = bounded(ARC_CAPACITY);
@@ -210,7 +210,7 @@ pub fn execute_parallel_session(
     };
     let mut node_tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
     for id in plan.node_ids() {
-        if interp.elided[id.0] {
+        if interp.elided(id) {
             continue;
         }
         let node = plan.node(id)?;

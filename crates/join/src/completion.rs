@@ -10,10 +10,14 @@
 //!   `r1·r2` and is progressively increased; within a wave, tiles are
 //!   processed in non-decreasing index-sum order.
 //!
-//! [`explore`] simulates an invocation/completion pair over an
-//! `nx × ny` tile space and records the call sequence, the tile
+//! [`TileWalk`] is the one walk of a tile space: every parallel join
+//! (the tile-space executor, each stage of the n-ary kernel, the rank
+//! join) and the figures' simulation drive it. [`explore`] runs it over
+//! a bounded `nx × ny` space and records the call sequence, the tile
 //! processing order, and the number of tiles enabled by each call — the
 //! raw data behind the Fig. 5/6/7 reproductions (E3–E5).
+
+use std::cmp::Reverse;
 
 use seco_plan::{Completion, Invocation};
 
@@ -41,6 +45,122 @@ impl Exploration {
     }
 }
 
+/// One walk of a join's tile space: the invocation strategy (§4.3)
+/// picks each call, the completion strategy (§4.4) admits the loaded
+/// tiles in waves.
+///
+/// The caller alternates: [`TileWalk::next_call`] names the axis to
+/// call (`None` once both are drained), the caller fetches that chunk
+/// and reports it with [`TileWalk::loaded`], then takes the admitted
+/// tiles one at a time from [`TileWalk::next_tile`] until it returns
+/// `None` — or stops early, e.g. at a `k` target.
+#[derive(Debug)]
+pub struct TileWalk {
+    scheduler: CallScheduler,
+    completion: Completion,
+    /// The inter-service ratio `(r1, r2)` the triangular wavefront is
+    /// weighed by (`(1, 1)` under nested loop).
+    ratio: (usize, usize),
+    /// Triangular wavefront constant, starting at `r1·r2` (§4.4.2).
+    c: usize,
+    /// Calls made to `[X, Y]`.
+    calls: [usize; 2],
+    /// Whether `[X, Y]` has chunks past the ones loaded.
+    more: [bool; 2],
+    /// Loaded tiles not admitted yet.
+    pending: Vec<Tile>,
+    /// The admitted wave, reversed: the next tile is the last.
+    wave: Vec<Tile>,
+}
+
+impl TileWalk {
+    /// A walk under an invocation strategy (with step parameter `h` for
+    /// nested loop) and a completion strategy.
+    pub fn new(
+        invocation: Invocation,
+        completion: Completion,
+        h: usize,
+    ) -> Result<Self, JoinError> {
+        let scheduler = CallScheduler::new(invocation, h)?;
+        let ratio = match invocation {
+            Invocation::MergeScan { r1, r2 } => (r1 as usize, r2 as usize),
+            Invocation::NestedLoop => (1, 1),
+        };
+        Ok(TileWalk {
+            scheduler,
+            completion,
+            ratio,
+            c: ratio.0 * ratio.1,
+            calls: [0, 0],
+            more: [true, true],
+            pending: Vec::new(),
+            wave: Vec::new(),
+        })
+    }
+
+    /// The axis the next request-response goes to: the strategy's
+    /// choice, flipped when that axis is drained. `None` once both are.
+    pub fn next_call(&self) -> Option<CallTarget> {
+        let target = match self.scheduler.next_target(self.calls[0], self.calls[1]) {
+            CallTarget::X if !self.more[0] => CallTarget::Y,
+            CallTarget::Y if !self.more[1] => CallTarget::X,
+            target => target,
+        };
+        self.more[target as usize].then_some(target)
+    }
+
+    /// Records the call to `target`: its chunk arrived, and `more` says
+    /// whether the axis has chunks past it. The new row (or column) of
+    /// tiles is loaded.
+    pub fn loaded(&mut self, target: CallTarget, more: bool) {
+        self.calls[target as usize] += 1;
+        self.more[target as usize] = more;
+        let [cx, cy] = self.calls;
+        match target {
+            CallTarget::X => self.pending.extend((0..cy).map(|y| Tile::new(cx - 1, y))),
+            CallTarget::Y => self.pending.extend((0..cx).map(|x| Tile::new(x, cy - 1))),
+        }
+    }
+
+    /// Calls made so far: `(to X, to Y)`.
+    pub fn calls(&self) -> (usize, usize) {
+        (self.calls[0], self.calls[1])
+    }
+
+    /// The next tile to process, or `None` when no loaded tile waits.
+    pub fn next_tile(&mut self) -> Option<Tile> {
+        if self.wave.is_empty() && !self.pending.is_empty() {
+            self.admit();
+        }
+        self.wave.pop()
+    }
+
+    /// Moves the next wave of the (non-empty) pending tiles into
+    /// `wave`. Rectangular admits every loaded tile; triangular admits
+    /// `t(x,y)` once `x·r2 + y·r1 < c`, growing `c` only while loaded
+    /// tiles wait behind it. A wave goes in `(index_sum, x)` order.
+    fn admit(&mut self) {
+        let (r1, r2) = self.ratio;
+        let completion = self.completion;
+        let admits = |t: &Tile, c: usize| match completion {
+            Completion::Rectangular => true,
+            Completion::Triangular => t.x * r2 + t.y * r1 < c,
+        };
+        while !self.pending.iter().any(|t| admits(t, self.c)) {
+            self.c += 1;
+        }
+        let (c, wave) = (self.c, &mut self.wave);
+        self.pending.retain(|t| {
+            let admitted = admits(t, c);
+            if admitted {
+                wave.push(*t);
+            }
+            !admitted
+        });
+        wave.sort_unstable_by_key(|t| Reverse((t.index_sum(), t.x)));
+    }
+}
+
 /// Simulates the exploration of the full `nx × ny` tile space under an
 /// invocation strategy (with step parameter `h` for nested-loop) and a
 /// completion strategy, with ratio `r1/r2` governing the triangular
@@ -57,73 +177,20 @@ pub fn explore(
             detail: "tile space must be non-empty".into(),
         });
     }
-    let scheduler = CallScheduler::new(invocation, h)?;
-    let (r1, r2) = match invocation {
-        Invocation::MergeScan { r1, r2 } => (r1 as usize, r2 as usize),
-        Invocation::NestedLoop => (1, 1),
-    };
-
+    let mut walk = TileWalk::new(invocation, completion, h)?;
     let mut calls = Vec::new();
     let mut order: Vec<Tile> = Vec::with_capacity(nx * ny);
     let mut tiles_per_call = Vec::new();
-    let mut processed = vec![false; nx * ny];
-    let (mut cx, mut cy) = (0usize, 0usize);
-    // Triangular wavefront constant, starting at r1·r2 (§4.4.2).
-    let mut c = r1 * r2;
-
-    while order.len() < nx * ny {
-        // Pick the next call target, flipping when an axis is drained.
-        let mut target = scheduler.next_target(cx, cy);
-        if target == CallTarget::X && cx == nx {
-            target = CallTarget::Y;
-        }
-        if target == CallTarget::Y && cy == ny {
-            target = CallTarget::X;
-        }
-        match target {
-            CallTarget::X => cx += 1,
-            CallTarget::Y => cy += 1,
-        }
+    while let Some(target) = walk.next_call() {
+        let (cx, cy) = walk.calls();
+        let more = match target {
+            CallTarget::X => cx + 1 < nx,
+            CallTarget::Y => cy + 1 < ny,
+        };
+        walk.loaded(target, more);
         calls.push(target);
-
-        // Collect the tiles that become processable, in waves for the
-        // triangular strategy.
         let enabled_before = order.len();
-        loop {
-            let mut wave: Vec<Tile> = Vec::new();
-            for x in 0..cx {
-                for y in 0..cy {
-                    if processed[x * ny + y] {
-                        continue;
-                    }
-                    let admitted = match completion {
-                        Completion::Rectangular => true,
-                        Completion::Triangular => x * r2 + y * r1 < c,
-                    };
-                    if admitted {
-                        wave.push(Tile::new(x, y));
-                    }
-                }
-            }
-            if wave.is_empty() {
-                // Triangular: grow the wavefront only if loaded tiles
-                // are still waiting behind it.
-                let waiting = (0..cx).any(|x| (0..cy).any(|y| !processed[x * ny + y]));
-                if completion == Completion::Triangular && waiting {
-                    c += 1;
-                    continue;
-                }
-                break;
-            }
-            wave.sort_by_key(|t| (t.index_sum(), t.x));
-            for t in wave {
-                processed[t.x * ny + t.y] = true;
-                order.push(t);
-            }
-            if completion == Completion::Rectangular {
-                break;
-            }
-        }
+        order.extend(std::iter::from_fn(|| walk.next_tile()));
         tiles_per_call.push(order.len() - enabled_before);
     }
 

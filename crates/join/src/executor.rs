@@ -8,6 +8,7 @@
 //! tile (under the repeating-group mapping semantics), and emits joined
 //! composites in tile order — the non-blocking dataflow of §4.1.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use seco_model::{AtomShape, BitMask, ChunkColumns, Column, ColumnRef, CompositeTuple, Symbol};
@@ -17,11 +18,12 @@ use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
 use seco_services::invocation::{ChunkBody, Request};
 use seco_services::Service;
 
+use crate::completion::TileWalk;
 use crate::error::JoinError;
 use crate::index::{
     ColumnarOptions, JoinIndex, JoinIndexMode, JoinIndexOptions, JoinStats, KeyPlan, ProbeKeys,
 };
-use crate::strategy::{CallScheduler, CallTarget, TilePruner};
+use crate::strategy::CallTarget;
 use crate::tile::Tile;
 
 /// One fetched chunk of composites plus its cached header data.
@@ -220,9 +222,8 @@ pub struct ParallelJoinExecutor<'p> {
     pub h: usize,
     /// Stop after emitting this many results (0 = explore everything).
     pub k: usize,
-    /// Join-kernel options: candidate enumeration mode and tile
-    /// pruning. The default (hash mode, no score pruning) is
-    /// byte-identical to the nested-loop baseline.
+    /// Join-kernel options: the candidate enumeration mode. The default
+    /// (hash mode) is byte-identical to the nested-loop baseline.
     pub options: JoinIndexOptions,
     /// Columnar data-plane options: column-backed key extraction and
     /// vectorized batch predicate evaluation. Both default on; both are
@@ -285,50 +286,70 @@ struct TileCtx<'a> {
     probe: Option<(&'a JoinIndex, &'a ProbeKeys)>,
 }
 
-/// Minimum X rows per morsel: below this, per-task overhead dominates.
-pub(crate) const PAR_MIN_SEG: usize = 16;
-/// Minimum candidate pairs in a tile before the kernel bothers to fan
+/// Minimum rows per morsel: below this, per-task overhead dominates.
+const PAR_MIN_SEG: usize = 16;
+/// Minimum candidate pairs in a tile before a kernel bothers to fan
 /// out; small tiles stay on the exact serial path.
-pub(crate) const PAR_MIN_PAIRS: usize = 4096;
+const PAR_MIN_PAIRS: usize = 4096;
+
+/// Runs a tile's row loop as morsels on `pool`: `rows` is split into
+/// segments, each runs `body` as a pool task with counters and output
+/// of its own, and the segments are reduced in order. Concatenation
+/// reproduces the serial emission order and the counters are sums of
+/// per-row contributions, so the outcome is byte-identical to one
+/// serial `body(rows)`; the first error in row order propagates, as it
+/// would serially.
+///
+/// Returns `None`, running nothing, when there is no pool of two or
+/// more workers or the tile (`rows` × `cols` candidate pairs) is too
+/// small to pay for the fan-out; the caller then runs `rows` serially.
+pub(crate) fn fan_out<T: Send>(
+    pool: Option<&seco_exec::ExecPool>,
+    rows: Range<usize>,
+    cols: usize,
+    stats: &mut JoinStats,
+    out: &mut Vec<T>,
+    body: impl Fn(Range<usize>, &mut JoinStats, &mut Vec<T>) -> Result<(), JoinError> + Sync,
+) -> Option<Result<(), JoinError>> {
+    let pool = pool.filter(|p| p.parallelism() > 1)?;
+    let n = rows.len();
+    if n < 2 * PAR_MIN_SEG || n.saturating_mul(cols) < PAR_MIN_PAIRS {
+        return None;
+    }
+    let seg = (n / (4 * pool.parallelism())).max(PAR_MIN_SEG);
+    let (end, body) = (rows.end, &body);
+    let tasks: Vec<_> = rows
+        .step_by(seg)
+        .map(|s| {
+            move || {
+                let mut seg_stats = JoinStats::default();
+                let mut seg_out = Vec::new();
+                let res = body(s..(s + seg).min(end), &mut seg_stats, &mut seg_out);
+                (res, seg_stats, seg_out)
+            }
+        })
+        .collect();
+    for (res, seg_stats, seg_out) in pool.scope_run(tasks) {
+        stats.merge(&seg_stats);
+        out.extend(seg_out);
+        if let Err(e) = res {
+            return Some(Err(e));
+        }
+    }
+    Some(Ok(()))
+}
 
 impl ParallelJoinExecutor<'_> {
-    /// Runs the join to completion or to the `k` target, pacing calls
-    /// with the configured invocation strategy.
+    /// Runs the join to completion or to the `k` target: a [`TileWalk`]
+    /// under the configured strategies picks each call and orders the
+    /// tiles the fetched chunks load.
     pub fn run(
         &self,
         x: &mut dyn ChunkStream,
         y: &mut dyn ChunkStream,
     ) -> Result<JoinOutcome, JoinError> {
-        let mut scheduler = CallScheduler::new(self.invocation, self.h.max(1))?;
-        self.run_paced(x, y, &mut scheduler)
-    }
-
-    /// Runs the join with an external pacer deciding which stream each
-    /// request-response goes to (e.g. a clock unit regulating calls by
-    /// the inter-service ratio, §4.3.2). The completion strategy and
-    /// `k` target behave exactly as in [`ParallelJoinExecutor::run`].
-    pub fn run_paced(
-        &self,
-        x: &mut dyn ChunkStream,
-        y: &mut dyn ChunkStream,
-        pacer: &mut dyn crate::strategy::Pacing,
-    ) -> Result<JoinOutcome, JoinError> {
-        let (r1, r2) = match self.invocation {
-            Invocation::MergeScan { r1, r2 } => (r1 as usize, r2 as usize),
-            Invocation::NestedLoop => (1, 1),
-        };
         let target_k = if self.k == 0 { usize::MAX } else { self.k };
-
-        let mut chunks_x: Vec<Arc<CompositeChunk>> = Vec::new();
-        let mut chunks_y: Vec<Arc<CompositeChunk>> = Vec::new();
-        let (mut more_x, mut more_y) = (true, true);
-        let (mut calls_x, mut calls_y) = (0usize, 0usize);
-        let mut processed: Vec<Tile> = Vec::new();
-        let mut tile_reps: Vec<f64> = Vec::new();
-        let mut done = std::collections::BTreeSet::new();
-        let mut results: Vec<CompositeTuple> = Vec::new();
-        let mut c = r1 * r2;
-
+        let mut walk = TileWalk::new(self.invocation, self.completion, self.h.max(1))?;
         // Compile the predicate set once per run; `None` (off mode or an
         // unresolvable set) falls back to the interpreted nested loop.
         let compiled = match self.options.mode {
@@ -336,120 +357,51 @@ impl ParallelJoinExecutor<'_> {
             JoinIndexMode::Hash => CompiledPredicates::compile(self.predicates, self.schemas),
         };
         let mut st = RunState::default();
-        let mut pruner = TilePruner::new(self.k);
+        let mut chunks_x: Vec<Arc<CompositeChunk>> = Vec::new();
+        let mut chunks_y: Vec<Arc<CompositeChunk>> = Vec::new();
+        let mut tiles: Vec<Tile> = Vec::new();
+        let mut tile_reps: Vec<f64> = Vec::new();
+        let mut results: Vec<CompositeTuple> = Vec::new();
 
-        'outer: loop {
-            if results.len() >= target_k {
-                break;
-            }
-            // Choose and perform the next call.
-            let mut target = pacer.next_target(calls_x, calls_y);
-            if target == CallTarget::X && !more_x {
-                target = CallTarget::Y;
-            }
-            if target == CallTarget::Y && !more_y {
-                target = CallTarget::X;
-            }
-            match target {
-                CallTarget::X if more_x => {
-                    let chunk = x.fetch_chunk(calls_x)?;
-                    calls_x += 1;
-                    more_x = chunk.has_more;
-                    st.stats.rows_materialized += chunk_rows_materialized(&chunk);
-                    chunks_x.push(chunk);
+        'calls: while let Some(target) = walk.next_call() {
+            let (stream, chunks): (&mut dyn ChunkStream, _) = match target {
+                CallTarget::X => (&mut *x, &mut chunks_x),
+                CallTarget::Y => (&mut *y, &mut chunks_y),
+            };
+            let chunk = stream.fetch_chunk(chunks.len())?;
+            st.stats.rows_materialized += chunk_rows_materialized(&chunk);
+            walk.loaded(target, chunk.has_more);
+            chunks.push(chunk);
+            while let Some(t) = walk.next_tile() {
+                let (chunk_x, chunk_y) = (&chunks_x[t.x], &chunks_y[t.y]);
+                tiles.push(t);
+                tile_reps.push(chunk_x.representative * chunk_y.representative);
+                self.join_tile(
+                    compiled.as_ref(),
+                    chunk_x,
+                    chunk_y,
+                    t.x,
+                    t.y,
+                    &mut st,
+                    &mut results,
+                )?;
+                if results.len() >= target_k {
+                    break 'calls;
                 }
-                CallTarget::Y if more_y => {
-                    let chunk = y.fetch_chunk(calls_y)?;
-                    calls_y += 1;
-                    more_y = chunk.has_more;
-                    st.stats.rows_materialized += chunk_rows_materialized(&chunk);
-                    chunks_y.push(chunk);
-                }
-                _ => {} // both axes exhausted; fall through to the wave
-            }
-
-            // Process admissible tiles in waves.
-            loop {
-                let mut wave: Vec<Tile> = Vec::new();
-                for xi in 0..chunks_x.len() {
-                    for yi in 0..chunks_y.len() {
-                        let t = Tile::new(xi, yi);
-                        if done.contains(&t) {
-                            continue;
-                        }
-                        let admitted = match self.completion {
-                            Completion::Rectangular => true,
-                            Completion::Triangular => xi * r2 + yi * r1 < c,
-                        };
-                        if admitted {
-                            wave.push(t);
-                        }
-                    }
-                }
-                if wave.is_empty() {
-                    let waiting = (0..chunks_x.len())
-                        .any(|xi| (0..chunks_y.len()).any(|yi| !done.contains(&Tile::new(xi, yi))));
-                    if self.completion == Completion::Triangular && waiting {
-                        c += 1;
-                        continue;
-                    }
-                    break;
-                }
-                wave.sort_by_key(|t| (t.index_sum(), t.x));
-                for t in wave {
-                    done.insert(t);
-                    processed.push(t);
-                    let rep = chunks_x[t.x].representative * chunks_y[t.y].representative;
-                    tile_reps.push(rep);
-                    if self.options.tile_prune && pruner.can_skip(rep) {
-                        st.stats.tiles_pruned += 1;
-                        st.stats.pairs_skipped +=
-                            (chunks_x[t.x].len() * chunks_y[t.y].len()) as u64;
-                        continue;
-                    }
-                    let before = results.len();
-                    self.join_tile(
-                        compiled.as_ref(),
-                        &chunks_x[t.x],
-                        &chunks_y[t.y],
-                        t.x,
-                        t.y,
-                        &mut st,
-                        &mut results,
-                    )?;
-                    if self.options.tile_prune {
-                        for r in &results[before..] {
-                            pruner.observe(r.score_product());
-                        }
-                    }
-                    if results.len() >= target_k {
-                        break 'outer;
-                    }
-                }
-                if self.completion == Completion::Rectangular {
-                    break;
-                }
-            }
-
-            if !more_x && !more_y {
-                // Everything fetched; any remaining tiles were processed
-                // by the final wave above.
-                break;
             }
         }
 
-        let exhausted = !more_x
-            && !more_y
-            && done.len() == chunks_x.len() * chunks_y.len()
-            && results.len() < target_k;
+        let (calls_x, calls_y) = walk.calls();
         st.stats.chunks_fetched = (calls_x + calls_y) as u64;
         Ok(JoinOutcome {
+            // Short of `k`, the walk ran to its end: both axes drained
+            // and every loaded tile processed.
+            exhausted: results.len() < target_k,
             results,
             calls_x,
             calls_y,
-            tiles: processed,
+            tiles,
             tile_representatives: tile_reps,
-            exhausted,
             degraded: false,
             stats: st.stats,
         })
@@ -604,9 +556,6 @@ impl ParallelJoinExecutor<'_> {
         if st.indexes_y.len() <= yi {
             st.indexes_y.resize_with(yi + 1, || None);
         }
-        if st.probes_x.len() <= xi {
-            st.probes_x.resize_with(xi + 1, Vec::new);
-        }
         if st.indexes_y[yi].is_none() {
             let columnar = self.columnar.columnar;
             let built = cy
@@ -648,23 +597,42 @@ impl ParallelJoinExecutor<'_> {
             None
         };
 
+        // The ensure phase ends here; split the run state so the morsel
+        // loop can share the caches immutably while writing scratch,
+        // stats, and results.
+        if st.probes_x.len() <= xi {
+            st.probes_x.resize_with(xi + 1, Vec::new);
+        }
+        let RunState {
+            ws,
+            plans,
+            indexes_y,
+            probes_x,
+            batch_plans,
+            gathered_y,
+            stats,
+        } = st;
         // Extract (or reuse) the X chunk's probe keys when the Y chunk
-        // has an index, and apply index-emptiness pruning: when every
-        // composite on both sides is keyed and no probe key has a
-        // bucket, every pair mismatches on an equi conjunct — the tile
-        // cannot contribute a result.
-        let has_index = st.indexes_y[yi].as_ref().is_some_and(Option::is_some);
-        if has_index {
-            let plan_id = st.indexes_y[yi].as_ref().unwrap().as_ref().unwrap().plan_id;
-            if !st.probes_x[xi].iter().any(|p| p.plan_id == plan_id) {
-                let pk = ProbeKeys::build(&st.plans[plan_id], plan_id, cx);
-                st.probes_x[xi].push(pk);
-            }
-            let index = st.indexes_y[yi].as_ref().unwrap().as_ref().unwrap();
-            let probe = st.probes_x[xi]
-                .iter()
-                .find(|p| p.plan_id == plan_id)
-                .expect("probe keys cached above");
+        // has an index (`None`: compiled nested loop, no equi key
+        // applies to this chunk).
+        let probe = indexes_y[yi]
+            .as_ref()
+            .and_then(Option::as_ref)
+            .map(|index| {
+                let cached = &mut probes_x[xi];
+                let at = match cached.iter().position(|p| p.plan_id == index.plan_id) {
+                    Some(at) => at,
+                    None => {
+                        cached.push(ProbeKeys::build(&plans[index.plan_id], index.plan_id, cx));
+                        cached.len() - 1
+                    }
+                };
+                (index, &cached[at])
+            });
+        // Index-emptiness pruning: when every composite on both sides is
+        // keyed and no probe key has a bucket, every pair mismatches on
+        // an equi conjunct — the tile cannot contribute a result.
+        if let Some((index, probe)) = probe {
             if probe.all_keyed
                 && index.unkeyed.is_empty()
                 && probe
@@ -672,36 +640,19 @@ impl ParallelJoinExecutor<'_> {
                     .iter()
                     .all(|k| !index.buckets.contains_key(k))
             {
-                st.stats.tiles_pruned += 1;
-                st.stats.pairs_skipped += (cx.len() * cy.len()) as u64;
+                stats.tiles_pruned += 1;
+                stats.pairs_skipped += (cx.len() * cy.len()) as u64;
                 return Ok(());
             }
         }
-
-        // The ensure phase is done; split the run state so the morsel
-        // loop can share the caches immutably while writing scratch,
-        // stats, and results.
-        let RunState {
-            ws,
-            indexes_y,
-            probes_x,
-            batch_plans,
-            gathered_y,
-            stats,
-            ..
-        } = st;
-        let batch: Option<(&BatchPlan, Vec<ColumnRef<'_>>)> = prepared.map(|(plan_at, cols)| {
-            let plan = batch_plans[plan_at]
-                .2
-                .as_ref()
-                .expect("tile_batch found it");
-            let refs = match cols {
+        let batch = prepared.and_then(|(plan_at, cols)| {
+            let plan = batch_plans[plan_at].2.as_ref()?;
+            let refs: Vec<ColumnRef<'_>> = match cols {
                 TileCols::Body => {
-                    let cc = body_columns(chunk_y, cy[0].atoms, plan).expect("tile_batch found it");
-                    plan.columns()
-                        .iter()
-                        .map(|(_, f)| cc.column(*f).expect("backs the plan"))
-                        .collect()
+                    let cc = body_columns(chunk_y, cy[0].atoms, plan)?;
+                    (plan.columns().iter())
+                        .map(|(_, f)| cc.column(*f))
+                        .collect::<Option<_>>()?
                 }
                 TileCols::Gathered => gathered_y[yi]
                     .iter()
@@ -709,19 +660,8 @@ impl ParallelJoinExecutor<'_> {
                     .map(Column::as_ref)
                     .collect(),
             };
-            (plan, refs)
+            Some((plan, refs))
         });
-        let probe = if has_index {
-            let index = indexes_y[yi].as_ref().unwrap().as_ref().unwrap();
-            let probe = probes_x[xi]
-                .iter()
-                .find(|p| p.plan_id == index.plan_id)
-                .expect("probe keys cached above");
-            Some((index, probe))
-        } else {
-            // Compiled nested loop: no equi key applies to this chunk.
-            None
-        };
         let ctx = TileCtx {
             compiled: Some(compiled),
             cx,
@@ -732,11 +672,10 @@ impl ParallelJoinExecutor<'_> {
         self.run_tile_rows(&ctx, ws, stats, out)
     }
 
-    /// Runs one tile's row loop, either serially (no pool, one worker,
-    /// or a tile too small to pay fan-out overhead) or as row-range
-    /// morsels on the pool with a deterministic segment-order reduce.
-    /// Both paths execute [`ParallelJoinExecutor::join_rows`] over the
-    /// same ranges, so results and counters are byte-identical.
+    /// Runs one tile's row loop: as row-range morsels on the pool when
+    /// [`fan_out`] takes it, else serially. Both run
+    /// [`ParallelJoinExecutor::join_rows`], so results and counters are
+    /// byte-identical.
     fn run_tile_rows(
         &self,
         ctx: &TileCtx<'_>,
@@ -744,37 +683,21 @@ impl ParallelJoinExecutor<'_> {
         stats: &mut JoinStats,
         out: &mut Vec<CompositeTuple>,
     ) -> Result<(), JoinError> {
-        let rows = ctx.cx.len();
-        if let Some(pool) = self.pool.as_deref().filter(|p| p.parallelism() > 1) {
-            if rows >= 2 * PAR_MIN_SEG && rows.saturating_mul(ctx.cy.len()) >= PAR_MIN_PAIRS {
-                let seg = (rows / (4 * pool.parallelism())).max(PAR_MIN_SEG);
-                let mut tasks = Vec::new();
-                let mut s = 0;
-                while s < rows {
-                    let e = (s + seg).min(rows);
-                    tasks.push(move || {
-                        let mut ws = RowScratch::default();
-                        let mut seg_stats = JoinStats::default();
-                        let mut seg_out = Vec::new();
-                        let res = self.join_rows(ctx, s..e, &mut ws, &mut seg_stats, &mut seg_out);
-                        (res, seg_stats, seg_out)
-                    });
-                    s = e;
-                }
-                // Reduce in segment order: concatenation reproduces the
-                // serial emission order, and the counters are sums of
-                // per-row contributions, so the merged totals match the
-                // serial pass exactly. The first error (in row order)
-                // propagates, as it would serially.
-                for (res, seg_stats, seg_out) in pool.scope_run(tasks) {
-                    stats.merge(&seg_stats);
-                    out.extend(seg_out);
-                    res?;
-                }
-                return Ok(());
-            }
+        let rows = 0..ctx.cx.len();
+        let morsel = |range, stats: &mut JoinStats, out: &mut Vec<CompositeTuple>| {
+            self.join_rows(ctx, range, &mut RowScratch::default(), stats, out)
+        };
+        match fan_out(
+            self.pool.as_deref(),
+            rows.clone(),
+            ctx.cy.len(),
+            stats,
+            out,
+            morsel,
+        ) {
+            Some(done) => done,
+            None => self.join_rows(ctx, rows, ws, stats, out),
         }
-        self.join_rows(ctx, 0..rows, ws, stats, out)
     }
 
     /// Evaluates one contiguous range of X rows against the Y chunk —
@@ -785,7 +708,7 @@ impl ParallelJoinExecutor<'_> {
     fn join_rows(
         &self,
         ctx: &TileCtx<'_>,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         ws: &mut RowScratch,
         stats: &mut JoinStats,
         out: &mut Vec<CompositeTuple>,
@@ -1324,10 +1247,7 @@ mod tests {
                 completion: Completion::Triangular,
                 h: 1,
                 k,
-                options: JoinIndexOptions {
-                    mode,
-                    ..JoinIndexOptions::default()
-                },
+                options: JoinIndexOptions { mode },
                 columnar: ColumnarOptions::default(),
                 pool,
             };

@@ -51,10 +51,6 @@ pub enum JoinIndexMode {
 pub struct JoinIndexOptions {
     /// Candidate enumeration mode.
     pub mode: JoinIndexMode,
-    /// Enables the score-frontier tile bound
-    /// ([`crate::strategy::TilePruner`]) on top of index-emptiness
-    /// pruning.
-    pub tile_prune: bool,
 }
 
 /// Options for the columnar data plane. Both switches preserve
@@ -103,7 +99,8 @@ pub struct JoinStats {
     /// Candidate pairs skipped without evaluation (key mismatches and
     /// pruned tiles).
     pub pairs_skipped: u64,
-    /// Whole tiles skipped (index-emptiness or score-frontier bound).
+    /// Whole tiles skipped (index-emptiness, or the rank join's
+    /// score-frontier bound).
     pub tiles_pruned: u64,
     /// Predicate-set evaluations performed (compiled or interpreted).
     /// Batch kernels count every candidate they cover, so this matches
@@ -119,7 +116,7 @@ pub struct JoinStats {
     /// view (chunks that stayed columnar end to end contribute zero).
     pub rows_materialized: u64,
     /// Chunks actually fetched from the two streams (rank join and the
-    /// paced executor both report `calls_x + calls_y` here).
+    /// tile-space executor both report `calls_x + calls_y` here).
     pub chunks_fetched: u64,
     /// Chunks the rank join proved it never needed to fetch (known only
     /// when the operator was given a [`crate::tile::TileSpace`] with

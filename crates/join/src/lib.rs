@@ -41,7 +41,7 @@ pub use method::{JoinMethod, Topology};
 pub use nary::{NaryJoin, NaryOutcome, NaryStage};
 pub use pipe::{pipe_stages_prepared, PipeJoin, PipeOutcome, PipeRun};
 pub use rank::{score_order, RankJoin};
-pub use strategy::{cost_based_ratio, CallScheduler, CallTarget, Pacing, TilePruner};
+pub use strategy::{cost_based_ratio, CallScheduler, CallTarget, TilePruner};
 pub use tile::{Tile, TileSpace};
 
 /// Result alias for join-layer operations.

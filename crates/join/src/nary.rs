@@ -4,12 +4,11 @@
 //! A binary cascade `(g0 ⋈ g1) ⋈ g2 ⋈ …` materializes a
 //! [`CompositeTuple`] for every row surviving every internal stage,
 //! only to tear most of them apart again one stage later. This kernel
-//! replays the *exact same* staged exploration — every stage replicates
-//! the paced tile loop of
-//! [`crate::executor::ParallelJoinExecutor::run_paced`] over virtual
-//! chunk axes, so chunking, invocation pacing, completion admission,
-//! wave order, and per-stage `k` targets all match the cascade
-//! tile-for-tile — but represents every intermediate row as a flat
+//! replays the *exact same* staged exploration — every stage drives the
+//! [`TileWalk`] of [`crate::executor::ParallelJoinExecutor::run`] over
+//! virtual chunk axes, so chunking, invocation pacing, completion
+//! admission, wave order, and per-stage `k` targets all match the
+//! cascade tile-for-tile — but represents every intermediate row as a flat
 //! vector of per-group row indices. Only the final survivors are
 //! materialized (by the same left-to-right merge chain the cascade
 //! performs), which is counted in `JoinStats::intermediates_elided`.
@@ -37,16 +36,18 @@
 //! * an equi conjunct that is active at its stage but does not span the
 //!   prefix and the stage's new group.
 
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use seco_model::{AtomShape, Comparator, CompositeTuple, Symbol, Value};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{ResolvedPredicate, SchemaMap};
 use seco_query::{CompiledPredicates, QueryError};
 
+use crate::completion::TileWalk;
 use crate::error::JoinError;
+use crate::executor::fan_out;
 use crate::index::{encode_value, JoinStats, KEY_SEP};
-use crate::strategy::{CallScheduler, CallTarget, TilePruner};
+use crate::strategy::CallTarget;
 use crate::tile::Tile;
 
 /// One internal stage of the cascade being replayed: the parameters the
@@ -87,9 +88,6 @@ pub struct NaryOutcome {
 pub struct NaryJoin<'p> {
     /// Schemas of every atom appearing in the groups.
     pub schemas: &'p SchemaMap<'p>,
-    /// Replays the score-frontier tile bound of
-    /// [`crate::index::JoinIndexOptions::tile_prune`] at every stage.
-    pub tile_prune: bool,
     /// Shared executor pool for intra-tile morsels: after a tile's
     /// sorted key array and probe keys are built (serially), its prefix
     /// rows are split into key-range segments intersected on the pool
@@ -271,9 +269,9 @@ impl NaryJoin<'_> {
         Some(plans)
     }
 
-    /// Replays one stage's `run_paced` loop over virtual chunk axes.
-    /// Returns the surviving prefix rows (stride `stride + 1`), in the
-    /// cascade's exact emission order.
+    /// Replays one stage's tile walk over virtual chunk axes. Returns
+    /// the surviving prefix rows (stride `stride + 1`), in the cascade's
+    /// exact emission order.
     #[allow(clippy::too_many_arguments)]
     fn run_stage(
         &self,
@@ -286,24 +284,15 @@ impl NaryJoin<'_> {
     ) -> Result<Vec<u32>, JoinError> {
         let right_group = stride; // groups joined so far == index of the new one
         let right = &groups[right_group];
-        let (r1, r2) = match stage.invocation {
-            Invocation::MergeScan { r1, r2 } => (r1 as usize, r2 as usize),
-            Invocation::NestedLoop => (1, 1),
-        };
         let target_k = if stage.k == 0 { usize::MAX } else { stage.k };
-        let scheduler = CallScheduler::new(stage.invocation, stage.h.max(1))?;
+        let mut walk = TileWalk::new(stage.invocation, stage.completion, stage.h.max(1))?;
         let lc = stage.left_chunk.max(1);
         let rc = stage.right_chunk.max(1);
         let n_left = prefix.len() / stride;
         let nx_chunks = n_left.div_ceil(lc);
         let ny_chunks = right.len().div_ceil(rc);
-        let (mut more_x, mut more_y) = (true, true);
-        let (mut calls_x, mut calls_y) = (0usize, 0usize);
-        let mut done: BTreeSet<Tile> = BTreeSet::new();
         let out_stride = stride + 1;
         let mut out: Vec<u32> = Vec::new();
-        let mut c = r1 * r2;
-        let mut pruner = TilePruner::new(stage.k);
         let mut rindex: Vec<Option<RightIndex>> = Vec::new();
         let mut probes: Vec<Option<ProbeKeys>> = Vec::new();
 
@@ -312,110 +301,31 @@ impl NaryJoin<'_> {
             (s, ((ci + 1) * chunk).min(total))
         };
 
-        'outer: loop {
-            if out.len() / out_stride >= target_k {
-                break;
-            }
-            let mut target = scheduler.next_target(calls_x, calls_y);
-            if target == CallTarget::X && !more_x {
-                target = CallTarget::Y;
-            }
-            if target == CallTarget::Y && !more_y {
-                target = CallTarget::X;
-            }
-            match target {
-                CallTarget::X if more_x => {
-                    more_x = calls_x + 1 < nx_chunks;
-                    calls_x += 1;
+        'calls: while let Some(target) = walk.next_call() {
+            let (calls_x, calls_y) = walk.calls();
+            let more = match target {
+                CallTarget::X => calls_x + 1 < nx_chunks,
+                CallTarget::Y => calls_y + 1 < ny_chunks,
+            };
+            walk.loaded(target, more);
+            while let Some(t) = walk.next_tile() {
+                self.join_stage_tile(
+                    groups,
+                    prefix,
+                    stride,
+                    right,
+                    plan,
+                    row_range(t.x, lc, n_left),
+                    row_range(t.y, rc, right.len()),
+                    t,
+                    &mut rindex,
+                    &mut probes,
+                    stats,
+                    &mut out,
+                )?;
+                if out.len() / out_stride >= target_k {
+                    break 'calls;
                 }
-                CallTarget::Y if more_y => {
-                    more_y = calls_y + 1 < ny_chunks;
-                    calls_y += 1;
-                }
-                _ => {}
-            }
-
-            loop {
-                let mut wave: Vec<Tile> = Vec::new();
-                for xi in 0..calls_x {
-                    for yi in 0..calls_y {
-                        let t = Tile::new(xi, yi);
-                        if done.contains(&t) {
-                            continue;
-                        }
-                        let admitted = match stage.completion {
-                            Completion::Rectangular => true,
-                            Completion::Triangular => xi * r2 + yi * r1 < c,
-                        };
-                        if admitted {
-                            wave.push(t);
-                        }
-                    }
-                }
-                if wave.is_empty() {
-                    let waiting = (0..calls_x)
-                        .any(|xi| (0..calls_y).any(|yi| !done.contains(&Tile::new(xi, yi))));
-                    if stage.completion == Completion::Triangular && waiting {
-                        c += 1;
-                        continue;
-                    }
-                    break;
-                }
-                wave.sort_by_key(|t| (t.index_sum(), t.x));
-                for t in wave {
-                    done.insert(t);
-                    let (xs, xe) = row_range(t.x, lc, n_left);
-                    let (ys, ye) = row_range(t.y, rc, right.len());
-                    if self.tile_prune {
-                        // Chunk representatives, 1.0 for empty chunks —
-                        // the `CompositeChunk::new` convention.
-                        let rep_x = if xs < xe {
-                            row_score(groups, &prefix[xs * stride..(xs + 1) * stride])
-                        } else {
-                            1.0
-                        };
-                        let rep_y = if ys < ye {
-                            right[ys].score_product()
-                        } else {
-                            1.0
-                        };
-                        if pruner.can_skip(rep_x * rep_y) {
-                            stats.tiles_pruned += 1;
-                            stats.pairs_skipped += ((xe - xs) * (ye - ys)) as u64;
-                            continue;
-                        }
-                    }
-                    let before = out.len();
-                    self.join_stage_tile(
-                        groups,
-                        prefix,
-                        stride,
-                        right,
-                        plan,
-                        (xs, xe),
-                        (ys, ye),
-                        t,
-                        &mut rindex,
-                        &mut probes,
-                        stats,
-                        &mut out,
-                    )?;
-                    if self.tile_prune {
-                        for row in out[before..].chunks(out_stride) {
-                            pruner.observe(row_score(groups, row));
-                        }
-                    }
-                    if out.len() / out_stride >= target_k {
-                        break 'outer;
-                    }
-                }
-                if stage.completion == Completion::Rectangular {
-                    break;
-                }
-            }
-
-            if !more_x && !more_y {
-                break;
             }
         }
         Ok(out)
@@ -470,7 +380,7 @@ impl NaryJoin<'_> {
         let sep_safe = plan.keyed.len() == 1;
         let tainted = |v: &Value| matches!(v, Value::Text(s) if !sep_safe && s.contains(KEY_SEP));
 
-        if rindex[t.y].is_none() {
+        let ri: &RightIndex = rindex[t.y].get_or_insert_with(|| {
             stats.index_builds += 1;
             let mut keys: Vec<(Symbol, u32, bool)> = Vec::new();
             let mut unkeyed: Vec<u32> = Vec::new();
@@ -492,15 +402,14 @@ impl NaryJoin<'_> {
                 keys.push((Symbol::intern(&buf), off as u32, trusted));
             }
             keys.sort();
-            rindex[t.y] = Some(RightIndex { keys, unkeyed });
-        }
-        let ri = rindex[t.y].as_ref().expect("built above");
+            RightIndex { keys, unkeyed }
+        });
 
         // Extract (or reuse) the prefix chunk's probe keys.
         if probes.len() <= t.x {
             probes.resize_with(t.x + 1, || None);
         }
-        if probes[t.x].is_none() {
+        let pk: &ProbeKeys = probes[t.x].get_or_insert_with(|| {
             let mut pk = Vec::with_capacity(xe - xs);
             let mut buf = String::new();
             'rows: for li in xs..xe {
@@ -521,67 +430,31 @@ impl NaryJoin<'_> {
                 }
                 pk.push(Some((Symbol::intern(&buf), trusted)));
             }
-            probes[t.x] = Some(pk);
-        }
-        let pk = probes[t.x].as_ref().expect("built above");
+            pk
+        });
 
         // Fan the tile's prefix rows out as sorted key-range segments
-        // when a pool is attached and the tile is big enough to pay the
-        // overhead; segments are reduced in order, so the flat output
-        // rows concatenate exactly as the serial pass emits them.
-        let nx = xe - xs;
-        if let Some(pool) = self.pool.as_deref().filter(|p| p.parallelism() > 1) {
-            if nx >= 2 * crate::executor::PAR_MIN_SEG
-                && nx.saturating_mul(ny) >= crate::executor::PAR_MIN_PAIRS
-            {
-                let seg = (nx / (4 * pool.parallelism())).max(crate::executor::PAR_MIN_SEG);
-                let mut tasks = Vec::new();
-                let mut s = xs;
-                while s < xe {
-                    let e = (s + seg).min(xe);
-                    tasks.push(move || {
-                        let mut seg_stats = JoinStats::default();
-                        let mut seg_out = Vec::new();
-                        let res = stage_tile_rows(
-                            groups,
-                            prefix,
-                            stride,
-                            right,
-                            plan,
-                            (s, e),
-                            (ys, ye),
-                            xs,
-                            ri,
-                            pk,
-                            &mut seg_stats,
-                            &mut seg_out,
-                        );
-                        (res, seg_stats, seg_out)
-                    });
-                    s = e;
-                }
-                for (res, seg_stats, seg_out) in pool.scope_run(tasks) {
-                    stats.merge(&seg_stats);
-                    out.extend(seg_out);
-                    res?;
-                }
-                return Ok(());
-            }
-        }
-        stage_tile_rows(
-            groups,
-            prefix,
-            stride,
-            right,
-            plan,
-            (xs, xe),
-            (ys, ye),
-            xs,
-            ri,
-            pk,
-            stats,
-            out,
-        )
+        // when the pool takes it; segments are reduced in order, so the
+        // flat output rows concatenate exactly as the serial pass emits
+        // them.
+        let body = |rows: Range<usize>, stats: &mut JoinStats, out: &mut Vec<u32>| {
+            stage_tile_rows(
+                groups,
+                prefix,
+                stride,
+                right,
+                plan,
+                rows,
+                (ys, ye),
+                xs,
+                ri,
+                pk,
+                stats,
+                out,
+            )
+        };
+        fan_out(self.pool.as_deref(), xs..xe, ny, stats, out, body)
+            .unwrap_or_else(|| body(xs..xe, stats, out))
     }
 }
 
@@ -596,7 +469,7 @@ fn stage_tile_rows(
     stride: usize,
     right: &[CompositeTuple],
     plan: &StagePlan,
-    (xs, xe): (usize, usize),
+    rows: Range<usize>,
     (ys, ye): (usize, usize),
     tile_xs: usize,
     ri: &RightIndex,
@@ -606,7 +479,7 @@ fn stage_tile_rows(
 ) -> Result<(), JoinError> {
     let ny = ye - ys;
     let mut cand: Vec<(u32, bool)> = Vec::new();
-    for li in xs..xe {
+    for li in rows {
         let row = &prefix[li * stride..(li + 1) * stride];
         match pk[li - tile_xs] {
             None => {
@@ -653,15 +526,6 @@ fn stage_tile_rows(
         }
     }
     Ok(())
-}
-
-/// Score product of a prefix row — what the merged composite's
-/// `score_product` would be, without building it.
-fn row_score(groups: &[Vec<CompositeTuple>], row: &[u32]) -> f64 {
-    row.iter()
-        .enumerate()
-        .map(|(g, &r)| groups[g][r as usize].score_product())
-        .product()
 }
 
 /// Verifies one candidate pair with the full predicate list, in
@@ -800,7 +664,6 @@ mod tests {
             let want = cascade(&schemas, &a, &b, &cc, &p1, &p2, k, (3, 4, 5, 3));
             let nj = NaryJoin {
                 schemas: &schemas,
-                tile_prune: false,
                 pool: None,
             };
             let stages = [
@@ -868,7 +731,6 @@ mod tests {
         ];
         let nj = NaryJoin {
             schemas: &schemas,
-            tile_prune: false,
             pool: None,
         };
         let out = nj.run(&[a.clone(), b.clone(), a.clone()], &stages).unwrap();
@@ -910,7 +772,6 @@ mod tests {
         ];
         let nj = NaryJoin {
             schemas: &schemas,
-            tile_prune: false,
             pool: None,
         };
         let out = nj
@@ -939,7 +800,6 @@ mod tests {
         let run = |pool: Option<std::sync::Arc<seco_exec::ExecPool>>, k: usize| {
             let nj = NaryJoin {
                 schemas: &schemas,
-                tile_prune: false,
                 pool,
             };
             let stages = [

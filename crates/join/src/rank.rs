@@ -44,11 +44,12 @@ use std::sync::Arc;
 use seco_model::CompositeTuple;
 use seco_query::CompiledPredicates;
 
+use crate::completion::TileWalk;
 use crate::error::JoinError;
 use crate::executor::{chunk_rows_materialized, CompositeChunk};
 use crate::executor::{ChunkStream, JoinOutcome, ParallelJoinExecutor, RunState};
 use crate::index::JoinIndexMode;
-use crate::strategy::{CallScheduler, CallTarget, Pacing, TilePruner};
+use crate::strategy::{CallTarget, TilePruner};
 use crate::tile::{Tile, TileSpace};
 
 /// The canonical score order on combinations: decreasing score product
@@ -77,7 +78,6 @@ pub fn score_order(a: &CompositeTuple, b: &CompositeTuple) -> Ordering {
 struct Axis {
     chunks: Vec<Arc<CompositeChunk>>,
     more: bool,
-    calls: usize,
     /// Highest head score among fetched non-empty chunks — bounds every
     /// tuple of the axis, fetched or not (sorted streams).
     top: Option<f64>,
@@ -93,7 +93,6 @@ impl Axis {
         Axis {
             chunks: Vec::new(),
             more: true,
-            calls: 0,
             top: None,
             tail: None,
             tuples: 0,
@@ -101,7 +100,6 @@ impl Axis {
     }
 
     fn absorb(&mut self, chunk: Arc<CompositeChunk>) {
-        self.calls += 1;
         self.more = chunk.has_more;
         if !chunk.is_empty() {
             let head = chunk.representative;
@@ -193,8 +191,11 @@ impl RankJoin<'_> {
                 detail: "rank join requires a positive k target".into(),
             });
         }
-        let scheduler = CallScheduler::new(self.join.invocation, self.join.h.max(1))?;
-        let mut pacer: Box<dyn Pacing> = Box::new(scheduler);
+        let mut walk = TileWalk::new(
+            self.join.invocation,
+            self.join.completion,
+            self.join.h.max(1),
+        )?;
         let compiled = match self.join.options.mode {
             JoinIndexMode::Off => None,
             JoinIndexMode::Hash => {
@@ -212,8 +213,7 @@ impl RankJoin<'_> {
 
         loop {
             // An axis drained without a single tuple admits no
-            // combination at all; and two drained axes leave nothing to
-            // fetch (every tile of the rectangle is already processed).
+            // combination at all.
             if (!ax.more && ax.tuples == 0) || (!ay.more && ay.tuples == 0) {
                 break;
             }
@@ -225,57 +225,30 @@ impl RankJoin<'_> {
                 Some(t) if frontier.can_skip(t) => break,
                 Some(_) => {}
             }
-            if !ax.more && !ay.more {
+            let Some(target) = walk.next_call() else {
                 break;
-            }
-            let mut target = pacer.next_target(ax.calls, ay.calls);
-            if target == CallTarget::X && !ax.more {
-                target = CallTarget::Y;
-            }
-            if target == CallTarget::Y && !ay.more {
-                target = CallTarget::X;
-            }
-            match target {
-                CallTarget::X => {
-                    let chunk = x.fetch_chunk(ax.calls)?;
-                    st.stats.rows_materialized += chunk_rows_materialized(&chunk);
-                    ax.absorb(chunk);
-                    let xi = ax.chunks.len() - 1;
-                    for yi in 0..ay.chunks.len() {
-                        self.process_tile(
-                            compiled.as_ref(),
-                            &ax.chunks[xi],
-                            &ay.chunks[yi],
-                            xi,
-                            yi,
-                            &mut st,
-                            &mut frontier,
-                            &mut processed,
-                            &mut tile_reps,
-                            &mut results,
-                        )?;
-                    }
-                }
-                CallTarget::Y => {
-                    let chunk = y.fetch_chunk(ay.calls)?;
-                    st.stats.rows_materialized += chunk_rows_materialized(&chunk);
-                    ay.absorb(chunk);
-                    let yi = ay.chunks.len() - 1;
-                    for xi in 0..ax.chunks.len() {
-                        self.process_tile(
-                            compiled.as_ref(),
-                            &ax.chunks[xi],
-                            &ay.chunks[yi],
-                            xi,
-                            yi,
-                            &mut st,
-                            &mut frontier,
-                            &mut processed,
-                            &mut tile_reps,
-                            &mut results,
-                        )?;
-                    }
-                }
+            };
+            let (stream, axis): (&mut dyn ChunkStream, _) = match target {
+                CallTarget::X => (&mut *x, &mut ax),
+                CallTarget::Y => (&mut *y, &mut ay),
+            };
+            let chunk = stream.fetch_chunk(axis.chunks.len())?;
+            st.stats.rows_materialized += chunk_rows_materialized(&chunk);
+            walk.loaded(target, chunk.has_more);
+            axis.absorb(chunk);
+            // The new row (or column) of the fetched rectangle.
+            while let Some(t) = walk.next_tile() {
+                self.process_tile(
+                    compiled.as_ref(),
+                    &ax.chunks[t.x],
+                    &ay.chunks[t.y],
+                    t,
+                    &mut st,
+                    &mut frontier,
+                    &mut processed,
+                    &mut tile_reps,
+                    &mut results,
+                )?;
             }
         }
 
@@ -284,16 +257,17 @@ impl RankJoin<'_> {
         }
         results.sort_by(score_order);
         results.truncate(k);
-        st.stats.chunks_fetched = (ax.calls + ay.calls) as u64;
+        let (calls_x, calls_y) = walk.calls();
+        st.stats.chunks_fetched = (calls_x + calls_y) as u64;
         if let Some(space) = &self.space {
             st.stats.chunks_saved =
-                (space.nx.saturating_sub(ax.calls) + space.ny.saturating_sub(ay.calls)) as u64;
+                (space.nx.saturating_sub(calls_x) + space.ny.saturating_sub(calls_y)) as u64;
         }
         let exhausted = !ax.more && !ay.more;
         Ok(JoinOutcome {
             results,
-            calls_x: ax.calls,
-            calls_y: ay.calls,
+            calls_x,
+            calls_y,
             tiles: processed,
             tile_representatives: tile_reps,
             exhausted,
@@ -311,15 +285,14 @@ impl RankJoin<'_> {
         compiled: Option<&CompiledPredicates>,
         cx: &CompositeChunk,
         cy: &CompositeChunk,
-        xi: usize,
-        yi: usize,
+        t: Tile,
         st: &mut RunState,
         frontier: &mut TilePruner,
         processed: &mut Vec<Tile>,
         tile_reps: &mut Vec<f64>,
         results: &mut Vec<CompositeTuple>,
     ) -> Result<(), JoinError> {
-        processed.push(Tile::new(xi, yi));
+        processed.push(t);
         let rep = cx.representative * cy.representative;
         tile_reps.push(rep);
         if cx.is_empty() || cy.is_empty() {
@@ -331,7 +304,8 @@ impl RankJoin<'_> {
             return Ok(());
         }
         let before = results.len();
-        self.join.join_tile(compiled, cx, cy, xi, yi, st, results)?;
+        self.join
+            .join_tile(compiled, cx, cy, t.x, t.y, st, results)?;
         for r in &results[before..] {
             frontier.observe(r.score_product());
         }

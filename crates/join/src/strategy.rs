@@ -25,25 +25,6 @@ pub enum CallTarget {
     Y,
 }
 
-/// Anything that can decide which service the next request-response
-/// goes to, given the calls made so far.
-///
-/// [`CallScheduler`] is the strategy-driven implementation; execution
-/// controllers (such as the clock units previewed in §4.3.2 and
-/// implemented in `seco-engine`) provide pacing-driven ones. The join
-/// executor accepts any pacer via
-/// [`crate::executor::ParallelJoinExecutor::run_paced`].
-pub trait Pacing {
-    /// The target of the next call.
-    fn next_target(&mut self, calls_x: usize, calls_y: usize) -> CallTarget;
-}
-
-impl Pacing for CallScheduler {
-    fn next_target(&mut self, calls_x: usize, calls_y: usize) -> CallTarget {
-        CallScheduler::next_target(self, calls_x, calls_y)
-    }
-}
-
 /// Stateless next-call decision procedure for an invocation strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CallScheduler {
@@ -104,22 +85,6 @@ impl CallScheduler {
             }
         }
     }
-
-    /// The full call sequence of length `n` (for golden tests and the
-    /// Fig. 5 reproductions), assuming both services are inexhaustible.
-    pub fn sequence(&self, n: usize) -> Vec<CallTarget> {
-        let mut out = Vec::with_capacity(n);
-        let (mut cx, mut cy) = (0, 0);
-        for _ in 0..n {
-            let t = self.next_target(cx, cy);
-            match t {
-                CallTarget::X => cx += 1,
-                CallTarget::Y => cy += 1,
-            }
-            out.push(t);
-        }
-        out
-    }
 }
 
 /// Derives a cost-based *variable* inter-service ratio (§4.3.2: the
@@ -164,7 +129,8 @@ pub fn cost_based_ratio(
     }
 }
 
-/// Score-frontier tile bound for top-`k` runs.
+/// Score-frontier tile bound for top-`k` runs: the rank join's
+/// frontier.
 ///
 /// A tile's representative — the product of its two chunks' head scores
 /// (§4.1) — upper-bounds the score product of every candidate pair in
@@ -172,16 +138,10 @@ pub fn cost_based_ratio(
 /// `k` results have been emitted whose score products all exceed a
 /// tile's representative, no pair of that tile can enter the top-`k`
 /// frontier, so the whole tile can be skipped without changing the
-/// result set.
-///
-/// Under the executor's emit-in-tile-order, stop-at-`k` semantics the
-/// frontier can never *fill* while tiles are still being examined (the
-/// run breaks the moment the `k`-th result is emitted), so this bound is
-/// vacuously exact — it never fires, which the equivalence property
-/// tests confirm by comparing pruned and unpruned runs byte-for-byte.
-/// It is wired in behind `JoinIndexOptions::tile_prune` as the hook for
-/// strategies that buffer and re-rank before emitting. `k = 0` means an
-/// unbounded target: nothing is ever skipped.
+/// result set. The rank join buffers every result before it re-ranks,
+/// so its frontier fills while tiles are still being examined; the
+/// same strict bound also decides when it stops fetching. `k = 0` means
+/// an unbounded target: nothing is ever skipped.
 #[derive(Debug, Clone, Default)]
 pub struct TilePruner {
     k: usize,
@@ -252,19 +212,34 @@ mod tests {
     use super::*;
     use CallTarget::{X, Y};
 
+    /// The first `n` calls, both services inexhaustible.
+    fn sequence(s: &CallScheduler, n: usize) -> Vec<CallTarget> {
+        let (mut cx, mut cy) = (0, 0);
+        (0..n)
+            .map(|_| {
+                let t = s.next_target(cx, cy);
+                match t {
+                    X => cx += 1,
+                    Y => cy += 1,
+                }
+                t
+            })
+            .collect()
+    }
+
     #[test]
     fn nested_loop_drains_the_step_service_first() {
         // Fig. 5a: after the initial X,Y alternation, all calls go to X
         // until its h=3 chunks are drained, then to Y.
         let s = CallScheduler::new(Invocation::NestedLoop, 3).unwrap();
-        assert_eq!(s.sequence(7), vec![X, Y, X, X, Y, Y, Y]);
+        assert_eq!(sequence(&s, 7), vec![X, Y, X, X, Y, Y, Y]);
     }
 
     #[test]
     fn merge_scan_even_alternates() {
         // Fig. 5b / Fig. 7: r = 1/1 alternates evenly.
         let s = CallScheduler::new(Invocation::merge_scan_even(), 1).unwrap();
-        assert_eq!(s.sequence(6), vec![X, Y, X, Y, X, Y]);
+        assert_eq!(sequence(&s, 6), vec![X, Y, X, Y, X, Y]);
     }
 
     #[test]
@@ -272,7 +247,7 @@ mod tests {
         // r = 3/5: each round of 8 calls sends 3 to X and 5 to Y (the
         // chapter's example ratio r=3/5 in §4.3.2).
         let s = CallScheduler::new(Invocation::MergeScan { r1: 3, r2: 5 }, 1).unwrap();
-        let seq = s.sequence(24);
+        let seq = sequence(&s, 24);
         // The forced X,Y opening replaces one round-scheduled X, so the
         // first round sends 2 X; every steady-state round sends 3 of 8
         // calls to X.
@@ -289,7 +264,7 @@ mod tests {
             Invocation::MergeScan { r1: 5, r2: 1 },
         ] {
             let s = CallScheduler::new(inv, 2).unwrap();
-            let seq = s.sequence(2);
+            let seq = sequence(&s, 2);
             assert_eq!(
                 seq,
                 vec![X, Y],
@@ -308,7 +283,7 @@ mod tests {
     #[test]
     fn nested_loop_with_h_one_behaves_like_outer_probe() {
         let s = CallScheduler::new(Invocation::NestedLoop, 1).unwrap();
-        assert_eq!(s.sequence(5), vec![X, Y, Y, Y, Y]);
+        assert_eq!(sequence(&s, 5), vec![X, Y, Y, Y, Y]);
     }
 
     #[test]

@@ -33,7 +33,7 @@ cargo fmt --check
 # `unreachable!(` — in the non-test part (up to each file's `mod tests`
 # line) of the services, exec, join, engine and server sources. The
 # count may only fall: when a change lowers it, lower the ceiling too.
-PANIC_SITE_CEILING=88
+PANIC_SITE_CEILING=78
 echo "==> panic-site ratchet (ceiling $PANIC_SITE_CEILING)"
 panic_sites=$(find crates/{services,exec,join,engine,server}/src -name '*.rs' -print0 \
     | xargs -0 -n1 awk '/^ *(pub(\(crate\))? )?mod tests/ { exit } { print }' \

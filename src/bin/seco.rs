@@ -8,8 +8,7 @@
 //!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
 //!                [--cache-shards N] [--prefetch]
-//!                [--join-index off|hash] [--tile-prune]
-//!                [--rank-join] [--nary-join]
+//!                [--join-index off|hash] [--rank-join]
 //!                [--adaptive] [--adaptive-threshold N]
 //!                [--columnar on|off] [--batch-eval on|off] <query…>
 //! seco stats     [--domain D] [--metric M] [--seed N] [--adaptive] <query…>
@@ -34,16 +33,14 @@
 //! `--join-index` selects the join kernel: `hash` (the default) builds
 //! per-chunk hash indexes over equi-join keys and probes them instead
 //! of scanning every candidate pair; `off` runs the plain nested loop.
-//! Both produce byte-identical answers. `--tile-prune` additionally
-//! skips tiles whose score-product representative cannot reach the
-//! current top-k frontier. A `join:` counter line is printed after the
-//! answers.
+//! Both produce byte-identical answers. A `join:` counter line is
+//! printed after the answers.
 //!
 //! `--rank-join` turns parallel joins into true top-k rank joins: the
 //! inputs are score-sorted and chunk pulls stop as soon as the
 //! threshold bound proves the buffered top `k` final (the query's
-//! `top k` supplies the target). `--nary-join` fuses chains of
-//! parallel joins into one n-ary pass that skips the intermediate
+//! `top k` supplies the target). Without it, every left-deep chain of
+//! parallel joins runs as one n-ary pass that skips the intermediate
 //! composites; answers stay byte-identical to the binary cascade. A
 //! `rank:` counter line is printed after the answers.
 //!
@@ -131,9 +128,7 @@ struct Args {
     cache_shards: usize,
     prefetch: bool,
     join_index: JoinIndexMode,
-    tile_prune: bool,
     rank_join: bool,
-    nary_join: bool,
     adaptive: bool,
     adaptive_threshold: f64,
     columnar: bool,
@@ -162,9 +157,7 @@ fn parse_args() -> Result<Args, String> {
     let mut cache_shards = defaults.fetch.cache_shards;
     let mut prefetch = defaults.fetch.prefetch;
     let mut join_index = defaults.join_index.mode;
-    let mut tile_prune = defaults.join_index.tile_prune;
     let mut rank_join = defaults.rank_join;
-    let mut nary_join = defaults.nary_join;
     let mut adaptive = defaults.adaptive;
     let mut adaptive_threshold = defaults.adaptive_threshold;
     let mut columnar = defaults.columnar.columnar;
@@ -218,9 +211,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--parallel" => parallel = true,
             "--prefetch" => prefetch = true,
-            "--tile-prune" => tile_prune = true,
             "--rank-join" => rank_join = true,
-            "--nary-join" => nary_join = true,
             "--adaptive" => adaptive = true,
             "--adaptive-threshold" => {
                 adaptive_threshold = argv
@@ -331,9 +322,7 @@ fn parse_args() -> Result<Args, String> {
         cache_shards,
         prefetch,
         join_index,
-        tile_prune,
         rank_join,
-        nary_join,
         adaptive,
         adaptive_threshold,
         columnar,
@@ -355,7 +344,7 @@ fn usage() -> String {
      [--seed N] [--workers N] [--exec-workers N] [--parallel] \
      [--fault-profile none|flaky|outage] \
      [--deadline-ms N] [--cache-shards N] [--prefetch] \
-     [--join-index off|hash] [--tile-prune] [--rank-join] [--nary-join] \
+     [--join-index off|hash] [--rank-join] \
      [--adaptive] [--adaptive-threshold N] \
      [--columnar on|off] [--batch-eval on|off] \
      [--addr HOST:PORT] [--max-sessions N] [--max-concurrent N] \
@@ -722,9 +711,7 @@ fn main() -> ExitCode {
         .cache_shards(args.cache_shards)
         .prefetch(args.prefetch)
         .join_index_mode(args.join_index)
-        .tile_prune(args.tile_prune)
         .rank_join(args.rank_join)
-        .nary_join(args.nary_join)
         .adaptive(args.adaptive)
         .adaptive_threshold(args.adaptive_threshold)
         .adaptive_metric(args.metric)

@@ -18,15 +18,9 @@ use seco_model::{Adornment, AttributeDef, AttributePath, DataType, ServiceSchema
 
 const OFF: JoinIndexOptions = JoinIndexOptions {
     mode: JoinIndexMode::Off,
-    tile_prune: false,
 };
 const HASH: JoinIndexOptions = JoinIndexOptions {
     mode: JoinIndexMode::Hash,
-    tile_prune: false,
-};
-const HASH_PRUNED: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
-    tile_prune: true,
 };
 
 /// The three data-plane configurations: full columnar (the default),
@@ -127,7 +121,7 @@ fn hash_kernel_is_byte_identical_across_join_methods() {
                         // Every (kernel, data-plane) combination must
                         // reproduce the row-plane nested loop byte for
                         // byte.
-                        for opts in [OFF, HASH, HASH_PRUNED] {
+                        for opts in [OFF, HASH] {
                             for plane in [COL, COL_NO_BATCH, ROW] {
                                 let accel = run_method(dx, dy, inv, comp, chunk, k, opts, plane);
                                 assert_eq!(
@@ -226,7 +220,7 @@ fn empty_key_tiles_are_pruned_without_changing_the_answer() {
         exec.run(&mut x, &mut y).expect("join runs")
     };
     let base = run(OFF);
-    let accel = run(HASH_PRUNED);
+    let accel = run(HASH);
     assert_eq!(render(&base), render(&accel));
     assert!(
         !accel.results.is_empty(),
@@ -306,20 +300,18 @@ fn both_executors_agree_with_and_without_the_index() {
     // and the hash run must actually have built indexes.
     let (plan, registry) = e1_plan(5);
     let base = execute_plan(&plan, &registry, opts_of(OFF)).unwrap();
-    for opts in [HASH, HASH_PRUNED] {
-        let (plan, registry) = e1_plan(5);
-        let accel = execute_plan(&plan, &registry, opts_of(opts)).unwrap();
-        assert_eq!(base.results, accel.results, "under {opts:?}");
-        assert_eq!(base.total_calls, accel.total_calls);
-        assert_eq!(base.critical_ms, accel.critical_ms);
-        assert!(accel.join_stats.index_builds > 0);
-        // This plan's branches are cluster-aligned per conference (the
-        // probed bucket spans the whole chunk), so the index changes
-        // nothing about the work done — only byte-identity and the
-        // counters can be asserted.
-        assert!(accel.join_stats.probes > 0);
-        assert!(accel.join_stats.predicate_evals <= base.join_stats.predicate_evals);
-    }
+    let (plan, registry) = e1_plan(5);
+    let accel = execute_plan(&plan, &registry, opts_of(HASH)).unwrap();
+    assert_eq!(base.results, accel.results);
+    assert_eq!(base.total_calls, accel.total_calls);
+    assert_eq!(base.critical_ms, accel.critical_ms);
+    assert!(accel.join_stats.index_builds > 0);
+    // This plan's branches are cluster-aligned per conference (the
+    // probed bucket spans the whole chunk), so the index changes nothing
+    // about the work done — only byte-identity and the counters can be
+    // asserted.
+    assert!(accel.join_stats.probes > 0);
+    assert!(accel.join_stats.predicate_evals <= base.join_stats.predicate_evals);
     assert_eq!(base.join_stats.index_builds, 0);
     assert_eq!(base.join_stats.probes, 0);
     assert!(base.join_stats.predicate_evals > 0);

@@ -7,8 +7,8 @@
 //!   cascade it replaces — same combinations in the same emission
 //!   order — across the same grid of join methods the hash-index suite
 //!   uses, while materializing no intermediate composites;
-//! * both engine executors must honor the `rank_join` / `nary_join`
-//!   configuration flags end to end.
+//! * both engine executors must honor the `rank_join` configuration flag
+//!   end to end.
 
 use search_computing::join::executor::{MemoryStream, ParallelJoinExecutor, ServiceStream};
 use search_computing::join::{
@@ -27,15 +27,9 @@ use seco_model::{
 
 const OFF: JoinIndexOptions = JoinIndexOptions {
     mode: JoinIndexMode::Off,
-    tile_prune: false,
 };
 const HASH: JoinIndexOptions = JoinIndexOptions {
     mode: JoinIndexMode::Hash,
-    tile_prune: false,
-};
-const HASH_PRUNED: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
-    tile_prune: true,
 };
 
 fn schema(name: &str) -> ServiceSchema {
@@ -251,7 +245,6 @@ fn cascade(
     completion: Completion,
     k: usize,
     chunk: usize,
-    options: JoinIndexOptions,
 ) -> Vec<CompositeTuple> {
     let e1 = ParallelJoinExecutor {
         predicates: p1,
@@ -260,7 +253,7 @@ fn cascade(
         completion,
         h: 1,
         k,
-        options,
+        options: HASH,
         columnar: ColumnarOptions::default(),
         pool: None,
     };
@@ -277,9 +270,9 @@ fn cascade(
 }
 
 /// Across the hash-index suite's grid of decays × invocations ×
-/// completions × k × chunk sizes — with and without tile pruning — the
-/// n-ary kernel must emit exactly what the binary cascade emits, while
-/// eliding the intermediate composites the cascade materializes.
+/// completions × k × chunk sizes, the n-ary kernel must emit exactly
+/// what the binary cascade emits, while eliding the intermediate
+/// composites the cascade materializes.
 #[test]
 fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
     let sa = schema("A1");
@@ -318,129 +311,42 @@ fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
             for &comp in &completions {
                 for &k in &[0usize, 7] {
                     for &chunk in &[3usize, 5] {
-                        for &(options, prune) in &[(HASH, false), (HASH_PRUNED, true)] {
-                            let want = cascade(
-                                &schemas,
-                                (&a, &b, &c),
-                                &p1,
-                                &p2,
-                                inv,
-                                comp,
-                                k,
-                                chunk,
-                                options,
+                        let want = cascade(&schemas, (&a, &b, &c), &p1, &p2, inv, comp, k, chunk);
+                        let stage = |preds| NaryStage {
+                            predicates: preds,
+                            invocation: inv,
+                            completion: comp,
+                            h: 1,
+                            k,
+                            left_chunk: chunk,
+                            right_chunk: chunk,
+                        };
+                        let nj = NaryJoin {
+                            schemas: &schemas,
+                            pool: None,
+                        };
+                        let out = nj
+                            .run(
+                                &[a.clone(), b.clone(), c.clone()],
+                                &[stage(&p1), stage(&p2)],
+                            )
+                            .unwrap()
+                            .expect("disjoint 3-way chain is eligible");
+                        assert_eq!(
+                            out.results, want,
+                            "da={da:?} db={db:?} inv={inv:?} comp={comp:?} k={k} chunk={chunk}"
+                        );
+                        if k == 0 && !want.is_empty() {
+                            assert!(
+                                out.stats.intermediates_elided > 0,
+                                "a non-empty full run must elide intermediates"
                             );
-                            let stage = |preds| NaryStage {
-                                predicates: preds,
-                                invocation: inv,
-                                completion: comp,
-                                h: 1,
-                                k,
-                                left_chunk: chunk,
-                                right_chunk: chunk,
-                            };
-                            let nj = NaryJoin {
-                                schemas: &schemas,
-                                tile_prune: prune,
-                                pool: None,
-                            };
-                            let out = nj
-                                .run(
-                                    &[a.clone(), b.clone(), c.clone()],
-                                    &[stage(&p1), stage(&p2)],
-                                )
-                                .unwrap()
-                                .expect("disjoint 3-way chain is eligible");
-                            assert_eq!(
-                                out.results, want,
-                                "da={da:?} db={db:?} inv={inv:?} comp={comp:?} \
-                                 k={k} chunk={chunk} prune={prune}"
-                            );
-                            if k == 0 && !want.is_empty() {
-                                assert!(
-                                    out.stats.intermediates_elided > 0,
-                                    "a non-empty full run must elide intermediates"
-                                );
-                            }
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// A left-deep chain over three independently reachable star services:
-/// `(A1 ⋈ A2) ⋈ A3`, the shape the engine's fusion pass recognizes.
-fn star_chain_plan(seed: u64) -> (QueryPlan, ServiceRegistry) {
-    let (registry, query) = star_scenario(3, seed);
-    let joins = query.expanded_joins(&registry).unwrap();
-    let pick = |x: &str, y: &str| -> Vec<_> {
-        joins.iter().filter(|j| j.connects(x, y)).cloned().collect()
-    };
-    let mut plan = QueryPlan::new(query.clone());
-    let s1 = plan.add(PlanNode::Service(
-        ServiceNode::new("A1", "Star1").with_fetches(3),
-    ));
-    let s2 = plan.add(PlanNode::Service(
-        ServiceNode::new("A2", "Star2").with_fetches(3),
-    ));
-    let s3 = plan.add(PlanNode::Service(
-        ServiceNode::new("A3", "Star3").with_fetches(3),
-    ));
-    let j1 = plan.add(PlanNode::ParallelJoin(JoinSpec {
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        predicates: pick("A1", "A2"),
-        selectivity: 1.0,
-    }));
-    let j2 = plan.add(PlanNode::ParallelJoin(JoinSpec {
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        predicates: pick("A1", "A3"),
-        selectivity: 1.0,
-    }));
-    plan.connect(plan.input(), s1).unwrap();
-    plan.connect(plan.input(), s2).unwrap();
-    plan.connect(plan.input(), s3).unwrap();
-    plan.connect(s1, j1).unwrap();
-    plan.connect(s2, j1).unwrap();
-    plan.connect(j1, j2).unwrap();
-    plan.connect(s3, j2).unwrap();
-    plan.connect(j2, plan.output()).unwrap();
-    (plan, registry)
-}
-
-/// Both engine executors must produce byte-identical results with the
-/// n-ary fusion on, with the same service-call totals, while actually
-/// eliding the chain's intermediate composites.
-#[test]
-fn engine_fuses_left_deep_chains_byte_identically() {
-    let cfg = |nary: bool| EngineConfig {
-        join_k: 10,
-        nary_join: nary,
-        ..Default::default()
-    };
-    let (plan, registry) = star_chain_plan(11);
-    let base = execute_plan(&plan, &registry, cfg(false)).unwrap();
-    let (plan, registry) = star_chain_plan(11);
-    let fused = execute_plan(&plan, &registry, cfg(true)).unwrap();
-    assert!(!base.results.is_empty(), "chain must produce combinations");
-    assert_eq!(base.results, fused.results);
-    assert_eq!(base.total_calls, fused.total_calls);
-    assert_eq!(base.join_stats.intermediates_elided, 0);
-    assert!(fused.join_stats.intermediates_elided > 0);
-
-    let (plan, registry) = star_chain_plan(11);
-    let par_base = execute_parallel(&plan, &registry, cfg(false)).unwrap();
-    let (plan, registry) = star_chain_plan(11);
-    let par_fused = execute_parallel(&plan, &registry, cfg(true)).unwrap();
-    // The two executors chunk their buffered branches differently, so
-    // they are only compared against themselves, never each other —
-    // the same contract the hash-index suite checks.
-    assert_eq!(par_base.results, par_fused.results);
-    assert!(!par_base.results.is_empty());
-    assert!(par_fused.join_stats.intermediates_elided > 0);
 }
 
 /// With `rank_join` on, both executors must return the true top-k of

@@ -3,10 +3,11 @@
 //! The deterministic (virtual-time) and pipelined (pool-scheduled)
 //! executors interpret the same plan nodes; only the scheduling
 //! differs. Over chains, stars, the running example and the Fig. 2
-//! diamond — healthy and with a service hard down — and across n-ary
-//! fusion, failure mode and worker count, both must deliver the same
-//! multiset of rendered combinations and name the same degraded
-//! services, and under `Abort` a downed service must fail both.
+//! diamond — healthy and with a service hard down — and across failure
+//! mode and worker count, both must deliver the same multiset of
+//! rendered combinations and name the same degraded services, and under
+//! `Abort` a downed service must fail both. Both fuse the stars' join
+//! chains by default.
 
 use seco_bench::{
     chain_scenario, diamond_plan, registry_without_movie, star_scenario, travel_without_flight,
@@ -97,41 +98,40 @@ fn rendered(results: &[seco_model::CompositeTuple]) -> Vec<String> {
 
 #[test]
 fn both_schedulers_agree_across_the_grid() {
-    let (mut rows, mut degraded, mut refused, mut fused) = (0, 0, 0, 0);
+    let (mut rows, mut degraded, mut refused) = (0, 0, 0);
+    let (mut fused_det, mut fused_pip) = (0, 0);
     for (name, scenario, downed) in scenarios() {
-        for nary in [false, true] {
-            for mode in [FailureMode::Abort, FailureMode::Degrade] {
-                for workers in [1, 4] {
-                    let at = format!("{name}: nary={nary} mode={mode:?} workers={workers}");
-                    let config = EngineConfig::default()
-                        .join_k(0)
-                        .adaptive(false)
-                        .nary_join(nary)
-                        .failure_mode(mode)
-                        .exec_workers(workers);
-                    let (reg, plan) = scenario();
-                    let det = execute_plan(&plan, &reg, config);
-                    let (reg, plan) = scenario();
-                    let pip = execute_parallel_session(&plan, &reg, config, None, None);
-                    if downed && mode == FailureMode::Abort {
-                        assert!(det.is_err(), "{at}: deterministic must fail");
-                        assert!(pip.is_err(), "{at}: pipelined must fail");
-                        refused += 1;
-                        continue;
-                    }
-                    let det = det.unwrap_or_else(|e| panic!("{at}: deterministic: {e}"));
-                    let pip = pip.unwrap_or_else(|e| panic!("{at}: pipelined: {e}"));
-                    assert_eq!(
-                        rendered(&det.results),
-                        rendered(&pip.results),
-                        "{at}: result multisets"
-                    );
-                    assert_eq!(det.degraded, pip.degraded, "{at}: degraded services");
-                    assert_eq!(downed, det.is_degraded(), "{at}: degradation flagged");
-                    rows += det.results.len();
-                    degraded += usize::from(det.is_degraded());
-                    fused += det.join_stats.intermediates_elided;
+        for mode in [FailureMode::Abort, FailureMode::Degrade] {
+            for workers in [1, 4] {
+                let at = format!("{name}: mode={mode:?} workers={workers}");
+                let config = EngineConfig::default()
+                    .join_k(0)
+                    .adaptive(false)
+                    .failure_mode(mode)
+                    .exec_workers(workers);
+                let (reg, plan) = scenario();
+                let det = execute_plan(&plan, &reg, config);
+                let (reg, plan) = scenario();
+                let pip = execute_parallel_session(&plan, &reg, config, None, None);
+                if downed && mode == FailureMode::Abort {
+                    assert!(det.is_err(), "{at}: deterministic must fail");
+                    assert!(pip.is_err(), "{at}: pipelined must fail");
+                    refused += 1;
+                    continue;
                 }
+                let det = det.unwrap_or_else(|e| panic!("{at}: deterministic: {e}"));
+                let pip = pip.unwrap_or_else(|e| panic!("{at}: pipelined: {e}"));
+                assert_eq!(
+                    rendered(&det.results),
+                    rendered(&pip.results),
+                    "{at}: result multisets"
+                );
+                assert_eq!(det.degraded, pip.degraded, "{at}: degraded services");
+                assert_eq!(downed, det.is_degraded(), "{at}: degradation flagged");
+                rows += det.results.len();
+                degraded += usize::from(det.is_degraded());
+                fused_det += det.join_stats.intermediates_elided;
+                fused_pip += pip.join_stats.intermediates_elided;
             }
         }
     }
@@ -139,5 +139,9 @@ fn both_schedulers_agree_across_the_grid() {
     assert!(rows > 0, "some combinations");
     assert!(degraded > 0, "a degraded run");
     assert!(refused > 0, "an aborted run");
-    assert!(fused > 0, "an n-ary fusion");
+    assert!(
+        fused_det > 0,
+        "an n-ary fusion on the deterministic scheduler"
+    );
+    assert!(fused_pip > 0, "an n-ary fusion on the pipelined scheduler");
 }
