@@ -10,13 +10,15 @@ use std::sync::Arc;
 
 use seco_model::{
     Adornment, AttributeDef, AttributePath, Comparator, ConnectionPattern, DataType, JoinPair,
-    ScoreDecay, ServiceInterface, ServiceKind, ServiceSchema, ServiceStats, Value,
+    ScoreDecay, ServiceInterface, ServiceKind, ServiceSchema, ServiceStats, Tuple, Value,
 };
 use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
-use seco_query::{Query, QueryBuilder};
+use seco_query::predicate::ResolvedPredicate;
+use seco_query::{JoinPredicate, QualifiedPath, Query, QueryBuilder};
 use seco_services::domains::{entertainment, travel};
+use seco_services::invocation::{ChunkResponse, Request};
 use seco_services::synthetic::{DomainMap, FaultProfile, SyntheticService, ValueDomain};
-use seco_services::{MisdeclaredService, ServiceRegistry};
+use seco_services::{MisdeclaredService, Service, ServiceError, ServiceRegistry};
 
 /// Builds one search-service interface `name` with a `Key` input, a
 /// `Link` output (shared `link` domain for joins), and a ranked score.
@@ -418,6 +420,133 @@ pub fn join_pair_with_width(
     )
 }
 
+/// Key-encoding edge cases for the join kernels' exactness grids. Each
+/// side (0, 1, 2, …) has two key columns `K1`, `K2` and a ranked
+/// `Score`; its rows come in decreasing score order.
+#[derive(Debug, Clone, Copy)]
+pub enum KeyEdge {
+    /// Two `Text` conjuncts whose values embed the key separator U+001F,
+    /// so distinct value pairs can encode to one joint key.
+    Separator,
+    /// One `Float` conjunct with a raw `NaN` late on every side: it has
+    /// no faithful encoding, and `=` on it is an error.
+    NaN,
+    /// One conjunct, `Int` on even sides and `Float` on odd ones, whose
+    /// values promote to equal numbers (`0 = -0.0`, `2 = 2.0`).
+    Promotion,
+}
+
+impl KeyEdge {
+    /// Every case.
+    pub const ALL: [KeyEdge; 3] = [KeyEdge::Separator, KeyEdge::NaN, KeyEdge::Promotion];
+
+    /// Side `side`'s schema, named `name`.
+    pub fn schema(self, name: &str, side: usize) -> ServiceSchema {
+        let key = match self {
+            KeyEdge::Separator => DataType::Text,
+            KeyEdge::Promotion if side.is_multiple_of(2) => DataType::Int,
+            _ => DataType::Float,
+        };
+        let attr = |n: &str, t| AttributeDef::atomic(n, t, Adornment::Output);
+        let ranked = AttributeDef::atomic("Score", DataType::Float, Adornment::Ranked);
+        ServiceSchema::new(name, vec![attr("K1", key), attr("K2", key), ranked])
+            .expect("static schema is valid")
+    }
+
+    /// The `=` conjuncts joining `left`'s keys to `right`'s.
+    pub fn predicates(self, left: &str, right: &str) -> Vec<ResolvedPredicate> {
+        let keys: &[&str] = match self {
+            KeyEdge::Separator => &["K1", "K2"],
+            _ => &["K1"],
+        };
+        (keys.iter())
+            .map(|&k| {
+                ResolvedPredicate::Join(JoinPredicate {
+                    left: QualifiedPath::new(left, AttributePath::atomic(k)),
+                    op: Comparator::Eq,
+                    right: QualifiedPath::new(right, AttributePath::atomic(k)),
+                })
+            })
+            .collect()
+    }
+
+    /// `n` rows of side `side` under `schema` (see [`KeyEdge::schema`]).
+    pub fn rows(self, schema: &ServiceSchema, side: usize, n: usize) -> Vec<Tuple> {
+        // K2 repeats K1 where only K1 is joined on.
+        let key = |i: usize| -> [Value; 2] {
+            let at = i + side;
+            let k1 = match self {
+                KeyEdge::Separator => {
+                    let pool = [
+                        ("a\u{1f}tb", "c"),
+                        ("a", "b\u{1f}tc"),
+                        ("a", "b"),
+                        ("b", "c"),
+                    ];
+                    let (k1, k2) = pool[at % pool.len()];
+                    return [Value::text(k1), Value::text(k2)];
+                }
+                KeyEdge::NaN if i + 2 + side == n => Value::Float(f64::NAN),
+                KeyEdge::NaN => Value::Float([1.0, 2.0, 3.0][at % 3]),
+                KeyEdge::Promotion if side.is_multiple_of(2) => Value::Int([-1, 0, 2, 3][at % 4]),
+                KeyEdge::Promotion => Value::Float([-1.0, -0.0, 2.0, 0.5, 3.0][at % 5]),
+            };
+            [k1.clone(), k1]
+        };
+        (0..n)
+            .map(|i| {
+                let [k1, k2] = key(i);
+                let score = 1.0 - i as f64 / n as f64;
+                Tuple::builder(schema)
+                    .set("K1", k1)
+                    .set("K2", k2)
+                    .set("Score", Value::Float(score))
+                    .score(score)
+                    .source_rank(i)
+                    .build()
+                    .expect("edge rows conform")
+            })
+            .collect()
+    }
+
+    /// A search service named `name` serving `n` rows of side `side` in
+    /// columnar chunks of `chunk`.
+    pub fn service(self, name: &str, side: usize, n: usize, chunk: usize) -> Arc<dyn Service> {
+        let schema = self.schema(name, side);
+        let rows = self.rows(&schema, side, n);
+        let iface = ServiceInterface::new(
+            name,
+            name,
+            schema,
+            ServiceKind::Search,
+            ServiceStats::new(n as f64, chunk, 1.0, 1.0).expect("static stats are valid"),
+            ScoreDecay::Linear,
+        )
+        .expect("static interface is valid");
+        Arc::new(FixedRows { iface, rows })
+    }
+}
+
+/// A search service over fixed rows whose chunk bodies are columnar.
+struct FixedRows {
+    iface: ServiceInterface,
+    rows: Vec<Tuple>,
+}
+
+impl Service for FixedRows {
+    fn interface(&self) -> &ServiceInterface {
+        &self.iface
+    }
+
+    fn fetch(&self, request: &Request) -> Result<ChunkResponse, ServiceError> {
+        let size = self.iface.stats.chunk_size;
+        let start = (request.chunk * size).min(self.rows.len());
+        let end = (start + size).min(self.rows.len());
+        let tuples = self.rows[start..end].to_vec();
+        Ok(ChunkResponse::new(tuples, end < self.rows.len(), 0.0))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,8 +598,6 @@ mod tests {
 
     #[test]
     fn join_pair_services_answer() {
-        use seco_services::invocation::Request;
-        use seco_services::Service;
         let (x, y) = join_pair(ScoreDecay::Linear, ScoreDecay::Quadratic, 20, 5, 3);
         let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
         assert_eq!(x.fetch(&req).unwrap().len(), 5);

@@ -4,9 +4,11 @@
 //! the historical `ExecOptions`, [`FetchOptions`], [`JoinIndexOptions`],
 //! and the columnar-plane switches into one builder-style value — the
 //! single configuration surface of the engine and of `seco serve`.
-//! Every `seco run` CLI flag maps 1:1 to a builder method, and both
-//! executors ([`crate::execute_plan`] and [`crate::execute_parallel`])
-//! consume it directly.
+//! Every `seco run` CLI flag but `--exec-workers` maps 1:1 to a builder
+//! method, and both executors ([`crate::execute_plan`] and
+//! [`crate::execute_parallel`]) consume it directly. The worker count is
+//! the pool's: [`crate::SharedState::for_daemon`] sizes it, and the join
+//! kernels fan out on it.
 
 use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
 use seco_optimizer::CostMetric;
@@ -146,14 +148,6 @@ pub struct EngineConfig {
     pub adaptive_threshold: f64,
     /// Cost metric the mid-flight re-planner optimizes.
     pub adaptive_metric: CostMetric,
-    /// Worker count of the shared morsel executor pool. `1` (the
-    /// default) takes the exact serial join code path — no pool is
-    /// consulted and output is the byte-identical baseline. Larger
-    /// values decompose tile joins, n-ary intersections, and batch
-    /// predicate evaluation into morsels on a work-stealing pool; a
-    /// deterministic ordered reducer keeps output byte-identical to
-    /// serial at any worker count.
-    pub exec_workers: usize,
 }
 
 impl Default for EngineConfig {
@@ -169,7 +163,6 @@ impl Default for EngineConfig {
             adaptive: false,
             adaptive_threshold: 10.0,
             adaptive_metric: CostMetric::ExecutionTime,
-            exec_workers: 1,
         }
     }
 }
@@ -260,12 +253,6 @@ impl EngineConfig {
         self.adaptive_metric = metric;
         self
     }
-
-    /// Sets the morsel-executor worker count (1 = exact serial path).
-    pub fn exec_workers(mut self, workers: usize) -> Self {
-        self.exec_workers = workers.max(1);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -287,8 +274,7 @@ mod tests {
             .rank_join(true)
             .adaptive(true)
             .adaptive_threshold(4.0)
-            .adaptive_metric(CostMetric::RequestCount)
-            .exec_workers(4);
+            .adaptive_metric(CostMetric::RequestCount);
         assert_eq!(cfg.join_k, 7);
         assert_eq!(cfg.failure_mode, FailureMode::Degrade);
         assert!(cfg.client.is_some());
@@ -302,9 +288,6 @@ mod tests {
         assert!(cfg.adaptive);
         assert_eq!(cfg.adaptive_threshold, 4.0);
         assert_eq!(cfg.adaptive_metric, CostMetric::RequestCount);
-        assert_eq!(cfg.exec_workers, 4);
-        // Zero is clamped to the serial floor, never a workerless pool.
-        assert_eq!(EngineConfig::default().exec_workers(0).exec_workers, 1);
     }
 
     #[test]
@@ -316,6 +299,5 @@ mod tests {
         assert!(!cfg.adaptive, "adaptive must default off (byte-identity)");
         assert_eq!(cfg.adaptive_threshold, 10.0);
         assert_eq!(cfg.adaptive_metric, CostMetric::ExecutionTime);
-        assert_eq!(cfg.exec_workers, 1, "serial path must be the default");
     }
 }

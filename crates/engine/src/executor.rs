@@ -318,29 +318,20 @@ fn run_pass(
                     (input.len(), outcome.results, outcome.calls, busy_ms, deg)
                 }
                 PlanNode::ParallelJoin(_) if interp.elided(id) => {
-                    // Absorbed into a downstream fusion: the chain's top
+                    // Absorbed into a downstream chain: the chain's top
                     // join consumes this node's inputs directly.
                     let deg = node_degraded[preds[0].0] || node_degraded[preds[1].0];
                     (0, Vec::new(), 0, 0.0, deg)
                 }
-                PlanNode::ParallelJoin(_) if interp.fusions.contains_key(&id.0) => {
-                    let fusion = &interp.fusions[&id.0];
-                    let groups: Vec<Vec<CompositeTuple>> = (fusion.feeders.iter())
+                PlanNode::ParallelJoin(_) => {
+                    let chain = &interp.chains[&id.0];
+                    let groups: Vec<Vec<CompositeTuple>> = (chain.feeders.iter())
                         .map(|g| hand_over(&mut outputs, *g))
                         .collect();
                     let group_deg: Vec<bool> =
-                        fusion.feeders.iter().map(|g| node_degraded[g.0]).collect();
+                        chain.feeders.iter().map(|g| node_degraded[g.0]).collect();
                     let n_in = groups.iter().map(Vec::len).sum();
-                    let out = interp.fused_chain(fusion, groups, &group_deg)?;
-                    join_stats.merge(&out.stats);
-                    (n_in, out.results, 0, 0.0, out.degraded)
-                }
-                PlanNode::ParallelJoin(spec) => {
-                    let left = hand_over(&mut outputs, preds[0]);
-                    let right = hand_over(&mut outputs, preds[1]);
-                    let n_in = left.len() + right.len();
-                    let deg = (node_degraded[preds[0].0], node_degraded[preds[1].0]);
-                    let out = interp.parallel_join(&preds, spec, left, right, deg)?;
+                    let out = interp.join(chain, groups, &group_deg)?;
                     join_stats.merge(&out.stats);
                     (n_in, out.results, 0, 0.0, out.degraded)
                 }

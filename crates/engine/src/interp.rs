@@ -2,18 +2,18 @@
 //! whichever scheduler runs it.
 //!
 //! [`Interpreter::prepare`] does a plan's one-time work — validation,
-//! feasibility analysis, predicate resolution, the alias → schema map,
-//! the join pool and the n-ary fusion chains. Then each node kind has
-//! one definition:
+//! feasibility analysis, predicate resolution, the alias → schema map
+//! and the join chains. Then each node kind has one definition:
 //!
 //! * a **selection** filters its input ([`Interpreter::select`]);
 //! * a **service node** runs its pipe stage, prepared once, through its
 //!   fetch stack and optional prefetcher ([`Interpreter::pipe`]);
-//! * a **parallel join** runs the rank join, or the tile-space join with
-//!   degraded-branch pass-through ([`Interpreter::parallel_join`]);
-//! * a **fused chain** runs the n-ary kernel, falling back to the binary
-//!   cascade it replaces ([`Interpreter::fused_chain`]). Every eligible
-//!   chain fuses unless rank join is in force.
+//! * a **parallel join** tops a chain of joins — the left-deep chain it
+//!   fuses, or itself alone — and runs it as the rank join, the n-ary
+//!   kernel, or the binary cascade with degraded-branch pass-through,
+//!   feeding every stage's selectivity back to the registry
+//!   ([`Interpreter::join`]). Every eligible chain fuses unless rank
+//!   join is in force.
 //!
 //! Two schedulers drive it: [`crate::executor`] walks the plan in
 //! topological order on the virtual clock, [`crate::parallel`] pipelines
@@ -79,8 +79,9 @@ pub(crate) struct Schedule {
     pub rechunk: Rechunk,
 }
 
-/// A left-deep chain of parallel joins run as one n-ary node.
-pub(crate) struct Fusion<'a> {
+/// A left-deep chain of parallel joins run as one node: the joins a
+/// fusion absorbed under its top join, or a lone join.
+pub(crate) struct Chain<'a> {
     /// The chain's joins, bottom-up (the top last).
     pub joins: Vec<(NodeId, &'a JoinSpec)>,
     /// The nodes feeding it: the bottom join's two inputs, then every
@@ -107,11 +108,10 @@ pub(crate) struct Interpreter<'a> {
     report: FeasibilityReport,
     predicates: Vec<ResolvedPredicate>,
     schemas: SchemaMap<'a>,
-    join_pool: Option<Arc<ExecPool>>,
-    /// The nodes absorbed into a downstream fusion, so never run.
+    /// The joins absorbed into a downstream chain, so never run.
     elided: BTreeSet<usize>,
-    /// The fused chains, by the node index of their top join.
-    pub fusions: BTreeMap<usize, Fusion<'a>>,
+    /// Every join chain, by the node index of its top join.
+    pub chains: BTreeMap<usize, Chain<'a>>,
 }
 
 impl<'a> Interpreter<'a> {
@@ -134,22 +134,9 @@ impl<'a> Interpreter<'a> {
                 &registry.interface(&atom.service)?.schema,
             );
         }
-        // Morsel parallelism inside the join kernels is opt-in: with
-        // `exec_workers > 1` they use the daemon's shared pool (one
-        // worker budget for every session) or a run-local one; the
-        // ordered reducer keeps output byte-identical to serial either
-        // way. At 1 the kernels take their exact serial code path.
-        let join_pool = (options.exec_workers > 1).then(|| {
-            (state.exec_pool().cloned())
-                .unwrap_or_else(|| Arc::new(ExecPool::new(options.exec_workers)))
-        });
         // Rank join takes precedence over fusion: its score-sorted top-k
         // inputs are incompatible with replaying the cascade.
-        let (elided, fusions) = if fuses() && !ranks(&options) {
-            fusion_chains(plan)?
-        } else {
-            Default::default()
-        };
+        let (elided, chains) = join_chains(plan, fuses() && !ranks(&options))?;
         Ok(Interpreter {
             plan,
             registry,
@@ -159,21 +146,21 @@ impl<'a> Interpreter<'a> {
             report,
             predicates,
             schemas,
-            join_pool,
             elided,
-            fusions,
+            chains,
         })
     }
 
-    /// Whether node `id` was absorbed into a downstream fusion.
+    /// Whether node `id` was absorbed into a downstream chain.
     pub fn elided(&self, id: NodeId) -> bool {
         self.elided.contains(&id.0)
     }
 
-    /// The pool this run may use: the shared state's, or the run-local
-    /// join pool.
+    /// The shared state's pool, which this run's tasks, prefetches and
+    /// join morsels use; the join kernels stay on their exact serial
+    /// path below two workers.
     pub fn pool(&self) -> Option<Arc<ExecPool>> {
-        self.state.exec_pool().or(self.join_pool.as_ref()).cloned()
+        self.state.exec_pool().cloned()
     }
 
     /// Keeps the composites of `input` that satisfy the selection node
@@ -314,56 +301,29 @@ impl<'a> Interpreter<'a> {
         Ok(outcome)
     }
 
-    /// Runs a parallel join over the drained outputs of its two `inputs`
-    /// (the join node's predecessors), `degraded` saying which of them is
-    /// partial, and feeds the observed selectivity back to the registry.
-    pub fn parallel_join(
+    /// Runs the join chain `chain` over its feeders' outputs (`degraded`
+    /// per feeder): the n-ary kernel on a clean fused chain it can take,
+    /// else the binary cascade, stage by stage. Every stage feeds the
+    /// registry the cascade's observation of it: the pairs it examined
+    /// (left rows × right rows) and the rows it emitted.
+    pub fn join(
         &self,
-        inputs: &[NodeId],
-        spec: &JoinSpec,
-        left: Vec<CompositeTuple>,
-        right: Vec<CompositeTuple>,
-        degraded: (bool, bool),
-    ) -> Result<Joined, EngineError> {
-        let pairs = (left.len() * right.len()) as u64;
-        let joined = self.binary_join(inputs, spec, left, right, degraded)?;
-        // Every query pattern connecting the two branches is credited
-        // with the candidate pairs and their survivors.
-        let matches = joined.results.len() as u64;
-        let (left, right) = (self.plan.atoms_at(inputs[0]), self.plan.atoms_at(inputs[1]));
-        for p in &self.plan.query.patterns {
-            let lr = left.contains(&p.from_atom) && right.contains(&p.to_atom);
-            let rl = right.contains(&p.from_atom) && left.contains(&p.to_atom);
-            if lr || rl {
-                self.registry
-                    .note_join_observation(&p.pattern, pairs, matches);
-            }
-        }
-        Ok(joined)
-    }
-
-    /// Runs a fused chain over its feeders' outputs (`degraded` per
-    /// feeder): the n-ary kernel on clean inputs it can take, else the
-    /// byte-identical binary cascade it replaced.
-    pub fn fused_chain(
-        &self,
-        fusion: &Fusion<'_>,
+        chain: &Chain<'_>,
         groups: Vec<Vec<CompositeTuple>>,
         degraded: &[bool],
     ) -> Result<Joined, EngineError> {
         let any_degraded = degraded.iter().any(|d| *d);
         // Degraded inputs keep the cascade's per-stage pass-through
         // semantics; the kernel only fuses clean runs.
-        if !any_degraded {
-            let predicates: Vec<_> = (fusion.joins.iter())
+        if chain.joins.len() > 1 && !any_degraded {
+            let predicates: Vec<_> = (chain.joins.iter())
                 .map(|(_, spec)| resolved(&spec.predicates))
                 .collect();
             // Per-stage parameters, identical to what each unfused join
             // would have used.
-            let stages: Vec<NaryStage<'_>> = (fusion.joins.iter().zip(&predicates))
+            let stages: Vec<NaryStage<'_>> = (chain.joins.iter().zip(&predicates))
                 .map(|(&(j, spec), predicates)| {
-                    let inputs = self.plan.predecessors(j);
-                    let (h, left_chunk, right_chunk) = self.chunking(&inputs);
+                    let (h, left_chunk, right_chunk) = self.chunking(j);
                     NaryStage {
                         predicates,
                         invocation: spec.invocation,
@@ -377,9 +337,16 @@ impl<'a> Interpreter<'a> {
                 .collect();
             let kernel = NaryJoin {
                 schemas: &self.schemas,
-                pool: self.join_pool.clone(),
+                pool: self.pool(),
             };
             if let Some(out) = kernel.run(&groups, &stages)? {
+                let mut left = groups[0].len();
+                for ((&(j, _), right), &rows) in
+                    chain.joins.iter().zip(&groups[1..]).zip(&out.stage_rows)
+                {
+                    self.observe(j, (left * right.len()) as u64, rows as u64);
+                    left = rows;
+                }
                 let (results, stats) = (out.results, out.stats);
                 return Ok(Joined {
                     results,
@@ -393,30 +360,49 @@ impl<'a> Interpreter<'a> {
             return Ok(Joined::default());
         };
         let mut stats = JoinStats::default();
-        for (&(j, spec), (right, right_degraded)) in fusion.joins.iter().zip(groups) {
-            let inputs = self.plan.predecessors(j);
-            let degraded = (cur_degraded, right_degraded);
-            let joined = self.binary_join(&inputs, spec, cur, right, degraded)?;
+        for (&(j, spec), (right, right_degraded)) in chain.joins.iter().zip(groups) {
+            let pairs = (cur.len() * right.len()) as u64;
+            let joined = self.binary_join(j, spec, cur, right, (cur_degraded, right_degraded))?;
+            self.observe(j, pairs, joined.results.len() as u64);
             stats.merge(&joined.stats);
             cur = joined.results;
             cur_degraded = joined.degraded;
         }
-        let degraded = any_degraded;
         Ok(Joined {
             results: cur,
             stats,
-            degraded,
+            degraded: any_degraded,
         })
     }
 
-    /// A binary join of two materialized branches: the rank join
-    /// over score-sorted inputs when it is on and both branches are
-    /// whole, else the tile-space join, passing a surviving branch
-    /// through when the other failed. (Fusion never runs with rank join
-    /// on, so a cascade stage always takes the tile-space join.)
+    /// Credits every query pattern connecting the two inputs of `join`
+    /// with `pairs` candidate pairs and `matches` survivors.
+    fn observe(&self, join: NodeId, pairs: u64, matches: u64) {
+        // Without patterns there is nothing to credit, and the input atom
+        // sets below would be allocated for nothing.
+        if self.plan.query.patterns.is_empty() {
+            return;
+        }
+        let inputs = self.plan.predecessors(join);
+        let (left, right) = (self.plan.atoms_at(inputs[0]), self.plan.atoms_at(inputs[1]));
+        for p in &self.plan.query.patterns {
+            let lr = left.contains(&p.from_atom) && right.contains(&p.to_atom);
+            let rl = right.contains(&p.from_atom) && left.contains(&p.to_atom);
+            if lr || rl {
+                self.registry
+                    .note_join_observation(&p.pattern, pairs, matches);
+            }
+        }
+    }
+
+    /// One stage of a chain, the binary join `join` of two materialized
+    /// branches: the rank join over score-sorted inputs when it is on
+    /// and both branches are whole, else the tile-space join, passing a
+    /// surviving branch through when the other failed. (Fusion never
+    /// runs with rank join on, so a chain under rank join is one join.)
     fn binary_join(
         &self,
-        inputs: &[NodeId],
+        join: NodeId,
         spec: &JoinSpec,
         mut left: Vec<CompositeTuple>,
         mut right: Vec<CompositeTuple>,
@@ -425,7 +411,7 @@ impl<'a> Interpreter<'a> {
         let degraded = left_degraded || right_degraded;
         let rank = ranks(&self.options) && !degraded;
         let predicates = resolved(&spec.predicates);
-        let (h, left_chunk, right_chunk) = self.chunking(inputs);
+        let (h, left_chunk, right_chunk) = self.chunking(join);
         let join = ParallelJoinExecutor {
             predicates: &predicates,
             schemas: &self.schemas,
@@ -435,7 +421,7 @@ impl<'a> Interpreter<'a> {
             k: self.options.join_k,
             options: self.options.join_index,
             columnar: self.options.columnar,
-            pool: self.join_pool.clone(),
+            pool: self.pool(),
         };
         if rank {
             // Branches arrive in emission order; rank join needs them
@@ -458,9 +444,9 @@ impl<'a> Interpreter<'a> {
         })
     }
 
-    /// `(h, left chunk, right chunk)` of a join over the branches ending
-    /// at `inputs`.
-    fn chunking(&self, inputs: &[NodeId]) -> (usize, usize, usize) {
+    /// `(h, left chunk, right chunk)` of the parallel join `join`.
+    fn chunking(&self, join: NodeId) -> (usize, usize, usize) {
+        let inputs = self.plan.predecessors(join);
         match self.schedule.rechunk {
             Rechunk::Branch => {
                 let left = self.nearest_service(inputs[0]);
@@ -515,21 +501,22 @@ fn resolved(joins: &[JoinPredicate]) -> Vec<ResolvedPredicate> {
     joins.iter().cloned().map(ResolvedPredicate::Join).collect()
 }
 
-/// Finds the left-deep chains of parallel joins eligible for n-ary
-/// fusion. A join is *absorbable* when its only consumer is another
+/// Finds the join chains of `plan`, one per join that is not absorbed.
+/// With `fuse`, a join is *absorbable* when its only consumer is another
 /// parallel join taking it as the **left** input — then the chain's top
 /// join can replay every stage in one pass. Returns the absorbed nodes
 /// and the chains by their top's node index.
 #[allow(clippy::type_complexity)]
-fn fusion_chains(
+fn join_chains(
     plan: &QueryPlan,
-) -> Result<(BTreeSet<usize>, BTreeMap<usize, Fusion<'_>>), EngineError> {
+    fuse: bool,
+) -> Result<(BTreeSet<usize>, BTreeMap<usize, Chain<'_>>), EngineError> {
     let join_at = |id: NodeId| match plan.node(id) {
         Ok(PlanNode::ParallelJoin(spec)) => Some(spec),
         _ => None,
     };
-    // A chain needs two joins: plans with fewer pay nothing.
-    if plan.node_ids().filter_map(join_at).nth(1).is_none() {
+    // A plan without joins pays nothing.
+    if plan.node_ids().find_map(join_at).is_none() {
         return Ok(Default::default());
     }
     let mut succs: Vec<Vec<NodeId>> = vec![Vec::new(); plan.len()];
@@ -537,13 +524,13 @@ fn fusion_chains(
         succs[from.0].push(*to);
     }
     let absorbable = |id: NodeId| {
-        join_at(id).is_some()
+        fuse && join_at(id).is_some()
             && succs[id.0].len() == 1
             && join_at(succs[id.0][0]).is_some()
             && plan.predecessors(succs[id.0][0]).first() == Some(&id)
     };
     let mut elided = BTreeSet::new();
-    let mut fusions = BTreeMap::new();
+    let mut chains = BTreeMap::new();
     for id in plan.topo_order()? {
         let Some(top) = join_at(id).filter(|_| !absorbable(id)) else {
             continue;
@@ -557,29 +544,29 @@ fn fusion_chains(
             joins.push((l, spec));
             cur = l;
         }
-        if joins.len() >= 2 {
-            joins.reverse();
-            elided.extend(joins[..joins.len() - 1].iter().map(|(j, _)| j.0));
-            let mut feeders = plan.predecessors(joins[0].0);
-            feeders.extend(joins[1..].iter().map(|&(j, _)| plan.predecessors(j)[1]));
-            fusions.insert(id.0, Fusion { joins, feeders });
-        }
+        joins.reverse();
+        elided.extend(joins[..joins.len() - 1].iter().map(|(j, _)| j.0));
+        let mut feeders = plan.predecessors(joins[0].0);
+        feeders.extend(joins[1..].iter().map(|&(j, _)| plan.predecessors(j)[1]));
+        chains.insert(id.0, Chain { joins, feeders });
     }
-    Ok((elided, fusions))
+    Ok((elided, chains))
 }
 
 #[cfg(test)]
 mod tests {
     use super::CASCADE_ONLY;
     use crate::{execute_parallel, execute_plan, EngineConfig};
-    use seco_bench::star_scenario;
+    use seco_bench::{link_service, star_scenario};
+    use seco_model::{AttributePath, Comparator, ConnectionPattern, JoinPair, ScoreDecay, Value};
     use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
+    use seco_query::{Query, QueryBuilder};
+    use seco_services::synthetic::{DomainMap, SyntheticService, ValueDomain};
     use seco_services::ServiceRegistry;
 
-    /// A left-deep chain over three independently reachable star
-    /// services: `(A1 ⋈ A2) ⋈ A3`, the shape the fusion pass recognizes.
-    fn star_chain_plan() -> (QueryPlan, ServiceRegistry) {
-        let (registry, query) = star_scenario(3, 11);
+    /// A left-deep chain over three independently reachable services:
+    /// `(A1 ⋈ A2) ⋈ A3`, the shape the fusion pass recognizes.
+    fn chain_plan((registry, query): (ServiceRegistry, Query)) -> (QueryPlan, ServiceRegistry) {
         let joins = query.expanded_joins(&registry).unwrap();
         let pick = |x: &str, y: &str| -> Vec<_> {
             joins.iter().filter(|j| j.connects(x, y)).cloned().collect()
@@ -593,12 +580,15 @@ mod tests {
             })
         };
         let mut plan = QueryPlan::new(query.clone());
-        let service = |atom: &str, name: &str| {
-            PlanNode::Service(ServiceNode::new(atom, name).with_fetches(3))
+        let service = |i: usize| {
+            let (atom, iface) = (&query.atoms[i].alias, &query.atoms[i].service);
+            PlanNode::Service(ServiceNode::new(atom, iface).with_fetches(3))
         };
-        let s1 = plan.add(service("A1", "Star1"));
-        let s2 = plan.add(service("A2", "Star2"));
-        let s3 = plan.add(service("A3", "Star3"));
+        let (s1, s2, s3) = (
+            plan.add(service(0)),
+            plan.add(service(1)),
+            plan.add(service(2)),
+        );
         let j1 = plan.add(join(pick("A1", "A2")));
         let j2 = plan.add(join(pick("A1", "A3")));
         for (from, to) in [
@@ -614,6 +604,46 @@ mod tests {
             plan.connect(from, to).unwrap();
         }
         (plan, registry)
+    }
+
+    /// The 3-star's chain.
+    fn star_chain_plan() -> (QueryPlan, ServiceRegistry) {
+        chain_plan(star_scenario(3, 11))
+    }
+
+    /// The same chain over marts M1–M3 whose two joins come from the
+    /// connection patterns `P12` (M1–M2) and `P13` (M1–M3).
+    fn pattern_chain_plan() -> (QueryPlan, ServiceRegistry) {
+        let hub = ValueDomain::new("hub", 8);
+        let link = || AttributePath::atomic("Link");
+        let mut registry = ServiceRegistry::new();
+        let mut query = QueryBuilder::new();
+        for i in 1..=3u64 {
+            let mut iface = link_service(&format!("M{i}"), 16.0, 4, 40.0, ScoreDecay::Linear);
+            iface.mart = format!("M{i}");
+            let domains = DomainMap::new().with(link(), hub.clone());
+            let service = SyntheticService::new(iface, domains, 11 ^ (i << 4));
+            registry
+                .register_service(std::sync::Arc::new(service))
+                .unwrap();
+            let (atom, key) = (format!("A{i}"), Value::Text(format!("k{i}")));
+            query = (query.atom(&atom, &format!("M{i}"))).select_const(
+                &atom,
+                "Key",
+                Comparator::Eq,
+                key,
+            );
+        }
+        for to in ["M2", "M3"] {
+            let pairs = vec![JoinPair::eq(link(), link())];
+            let name = format!("P1{}", &to[1..]);
+            let pattern = ConnectionPattern::new(name, "M1", to, pairs, 0.5).unwrap();
+            registry.register_pattern(pattern).unwrap();
+        }
+        let query = (query.pattern("P12", "A1", "A2").pattern("P13", "A1", "A3"))
+            .build()
+            .unwrap();
+        chain_plan((registry, query))
     }
 
     /// Runs `run` on this thread with every chain in the binary cascade
@@ -653,5 +683,33 @@ mod tests {
         assert_eq!(cascade.results, fused.results);
         assert_eq!(cascade.join_stats.intermediates_elided, 0);
         assert!(fused.join_stats.intermediates_elided > 0);
+    }
+
+    /// Every stage of a fused chain feeds the registry what the cascade
+    /// observes of it — pairs examined and rows emitted per connection
+    /// pattern — on both schedulers.
+    #[test]
+    fn fused_chains_observe_every_stage_like_the_cascade() {
+        let config = EngineConfig::default().join_k(10);
+        for pipelined in [false, true] {
+            let observed = |cascade| {
+                let (plan, registry) = pattern_chain_plan();
+                let elided = with_cascade(cascade, || match pipelined {
+                    false => execute_plan(&plan, &registry, config).map(|o| o.join_stats),
+                    true => execute_parallel(&plan, &registry, config).map(|o| o.join_stats),
+                })
+                .unwrap()
+                .intermediates_elided;
+                (elided, registry.join_observations())
+            };
+            let ((none, cascade), (elided, fused)) = (observed(true), observed(false));
+            assert_eq!(
+                (none, elided > 0),
+                (0, true),
+                "pipelined={pipelined}: fused"
+            );
+            assert_eq!(cascade.keys().collect::<Vec<_>>(), ["P12", "P13"]);
+            assert_eq!(fused, cascade, "pipelined={pipelined}");
+        }
     }
 }

@@ -7,12 +7,11 @@
 //! bounded channels along the plan's arcs. Independent branches (e.g.
 //! Movie and Theatre in the Fig. 10 plan) issue their service calls
 //! concurrently, and a downstream stage starts as soon as its first
-//! batch arrives. Parallel joins and fused chains are rendezvous
-//! points: they drain their inputs, then join and stream the emission
-//! order onward.
+//! batch arrives. Join chains are rendezvous points: they drain their
+//! inputs, then join and stream the emission order onward.
 //!
 //! What each node does is the `interp` module's; this module owns only
-//! the scheduling: tasks, channels (rerouted so a fused chain's feeders
+//! the scheduling: tasks, channels (rerouted so a chain's feeders
 //! deliver straight to its top join), the streaming [`BatchSink`], and
 //! the pre-flight adaptive re-plan. Unless faults depend on timing,
 //! results equal [`crate::executor::execute_plan`]'s as a multiset.
@@ -173,13 +172,13 @@ pub fn execute_parallel_session(
     let interp = Interpreter::prepare(plan, registry, options, state, PIPELINED)?;
 
     // One channel per arc, carrying shared batches of tuples. An edge
-    // into a fused chain delivers straight to the chain's top join,
+    // into a join chain delivers straight to the chain's top join,
     // tagged with its feeder position; the chain's internal edges
     // disappear, so the absorbed joins never run.
     let mut routes: BTreeMap<(usize, usize), Vec<(usize, usize)>> = BTreeMap::new();
-    for (top, fusion) in &interp.fusions {
-        for (gi, g) in fusion.feeders.iter().enumerate() {
-            let consumer = fusion.joins[gi.saturating_sub(1)].0;
+    for (top, chain) in &interp.chains {
+        for (gi, g) in chain.feeders.iter().enumerate() {
+            let consumer = chain.joins[gi.saturating_sub(1)].0;
             routes
                 .entry((g.0, consumer.0))
                 .or_default()
@@ -372,16 +371,11 @@ impl Pipeline<'_> {
                 self.join_stats.lock().merge(&outcome.stats);
                 return Ok(outcome.degraded || self.partial(preds[0]));
             }
-            PlanNode::ParallelJoin(_) if interp.fusions.contains_key(&id.0) => {
-                let fusion = &interp.fusions[&id.0];
+            PlanNode::ParallelJoin(_) => {
+                let chain = &interp.chains[&id.0];
                 let groups = inputs.iter().map(drain).collect();
-                let partial: Vec<bool> = fusion.feeders.iter().map(|g| self.partial(*g)).collect();
-                interp.fused_chain(fusion, groups, &partial)?
-            }
-            PlanNode::ParallelJoin(spec) => {
-                let (left, right) = (drain(&inputs[0]), drain(&inputs[1]));
-                let partial = (self.partial(preds[0]), self.partial(preds[1]));
-                interp.parallel_join(&preds, spec, left, right, partial)?
+                let partial: Vec<bool> = chain.feeders.iter().map(|g| self.partial(*g)).collect();
+                interp.join(chain, groups, &partial)?
             }
         };
         self.join_stats.lock().merge(&joined.stats);

@@ -85,8 +85,9 @@ impl SharedState {
     /// Daemon-grade state: join morsels, background speculation, and
     /// plan-node fan-out all run on one work-stealing pool of
     /// `exec_workers` threads owned by this value and stopped when it
-    /// drops. `exec_workers = 1` keeps the pool for prefetch/fan-out
-    /// but executions take the exact serial join code path.
+    /// drops. With one worker the pool still serves prefetch and
+    /// fan-out, but the join kernels take their exact serial path; with
+    /// more, an ordered reducer keeps their output byte-identical.
     pub fn for_daemon(exec_workers: usize) -> Self {
         SharedState {
             clock: VirtualClock::new(),

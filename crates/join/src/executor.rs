@@ -21,7 +21,8 @@ use seco_services::Service;
 use crate::completion::TileWalk;
 use crate::error::JoinError;
 use crate::index::{
-    ColumnarOptions, JoinIndex, JoinIndexMode, JoinIndexOptions, JoinStats, KeyPlan, ProbeKeys,
+    Candidates, ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats, KeyIndex, KeyPlan,
+    ProbeKeys,
 };
 use crate::strategy::CallTarget;
 use crate::tile::Tile;
@@ -239,17 +240,17 @@ pub struct ParallelJoinExecutor<'p> {
 
 /// Per-run mutable state of the index-accelerated kernel: the reusable
 /// evaluation scratch, the deduplicated key plans, the lazily built
-/// per-chunk indexes and probe-key caches, the batch-kernel scratch
-/// buffers, and the work counters.
+/// per-chunk indexes and probe keys, the batch-kernel scratch buffers,
+/// and the work counters.
 #[derive(Default)]
 pub(crate) struct RunState {
     ws: RowScratch,
     plans: Vec<KeyPlan>,
     /// Per Y chunk: `None` = not examined yet; `Some(None)` = no usable
-    /// key plan (nested loop); `Some(Some(ix))` = built index.
-    indexes_y: Vec<Option<Option<JoinIndex>>>,
-    /// Per X chunk: cached probe keys, one entry per plan encountered.
-    probes_x: Vec<Vec<ProbeKeys>>,
+    /// key plan (nested loop); `Some(Some((plan, index)))` = built.
+    indexes_y: Vec<Option<Option<(usize, KeyIndex)>>>,
+    /// Per X chunk: its probe keys under each plan met so far.
+    probes_x: Vec<Vec<(usize, ProbeKeys)>>,
     /// The batch plan of every `(X atoms, Y atoms)` pair met so far
     /// (`None` = no plan applies): a tile's plan depends on nothing
     /// else, and a run's chunks all carry one pair in practice.
@@ -269,10 +270,10 @@ struct RowScratch {
     scratch: EvalScratch,
     /// Selection mask reused by whole-chunk batch kernels.
     mask: BitMask,
-    /// Candidate index list reused by the probe path.
-    cand: Vec<usize>,
-    /// Copy of `cand` consumed destructively by batch residual kernels.
-    cand_scratch: Vec<usize>,
+    /// Candidate list reused by keyed probes.
+    cand: Vec<(u32, bool)>,
+    /// Candidate rows consumed destructively by batch residual kernels.
+    picked: Vec<usize>,
 }
 
 /// Everything a tile's row loop reads but never writes, gathered after
@@ -283,7 +284,7 @@ struct TileCtx<'a> {
     cx: &'a [CompositeTuple],
     cy: &'a [CompositeTuple],
     batch: Option<(&'a BatchPlan, &'a [ColumnRef<'a>])>,
-    probe: Option<(&'a JoinIndex, &'a ProbeKeys)>,
+    probe: Option<(&'a KeyIndex, &'a ProbeKeys)>,
 }
 
 /// Minimum rows per morsel: below this, per-task overhead dominates.
@@ -512,21 +513,15 @@ impl ParallelJoinExecutor<'_> {
     /// ancestry (the Fig. 2 diamond) share atoms, and a pair whose
     /// shared components differ is not a candidate at all.
     ///
-    /// Three enumeration strategies, in decreasing preference:
-    /// 1. hash probe — the Y chunk is bucketed by equi-join key (built
-    ///    lazily once per chunk, straight from typed columns when the
-    ///    body is columnar) and each X composite visits only its bucket
-    ///    plus the unkeyed entries, in ascending index order;
-    /// 2. compiled nested loop — no usable equi key, but the predicate
-    ///    set compiled (zero per-candidate path resolution);
-    /// 3. interpreted nested loop — off mode or an uncompilable set.
-    ///
-    /// On top of 1 and 2, when [`ColumnarOptions::batch_eval`] is on and
-    /// a [`BatchPlan`] applies, candidates are evaluated by vectorized
-    /// kernels over the Y chunk's columns — a selection mask for whole
-    /// chunks, residual refinement for index-selected lists — with the
-    /// scalar loop kept as the fallback that also reproduces evaluation
-    /// errors.
+    /// Each X row's candidates come from the Y chunk's [`KeyIndex`]
+    /// (built lazily once per chunk, straight from typed columns when
+    /// the body is columnar) when an equi key applies, else they are the
+    /// whole chunk. Candidates are judged by the compiled predicate set,
+    /// or by the interpreter in off mode or for an uncompilable set.
+    /// When [`ColumnarOptions::batch_eval`] is on and a [`BatchPlan`]
+    /// applies, a row's candidates are judged by one vectorized kernel
+    /// over the Y chunk's columns, with the scalar loop kept as the
+    /// fallback that also reproduces evaluation errors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn join_tile(
         &self,
@@ -557,35 +552,34 @@ impl ParallelJoinExecutor<'_> {
             st.indexes_y.resize_with(yi + 1, || None);
         }
         if st.indexes_y[yi].is_none() {
-            let columnar = self.columnar.columnar;
             let built = cy
                 .first()
                 .and_then(|sample| KeyPlan::build(compiled.equi_candidates(), sample))
                 .map(|plan| {
-                    let plan_id = match st.plans.iter().position(|p| *p == plan) {
-                        Some(i) => i,
-                        None => {
-                            st.plans.push(plan);
-                            st.plans.len() - 1
-                        }
-                    };
+                    let plan_id = st.plans.iter().position(|p| *p == plan).unwrap_or_else(|| {
+                        st.plans.push(plan);
+                        st.plans.len() - 1
+                    });
                     st.stats.index_builds += 1;
                     let plan = &st.plans[plan_id];
-                    if columnar {
-                        // Key straight off the body's typed columns when
-                        // they back the plan; byte-identical buckets.
-                        if let Some((atom, body)) = &chunk_y.body {
-                            if let Some(cols) = body.columns() {
-                                if let Some((ix, scanned)) =
-                                    JoinIndex::build_from_columns(plan, plan_id, *atom, cols)
-                                {
-                                    st.stats.columns_scanned += scanned as u64;
-                                    return ix;
-                                }
-                            }
+                    // Key straight off the body's typed columns when they
+                    // back the plan; the index is the same.
+                    let columns = (chunk_y.body.as_ref())
+                        .filter(|_| self.columnar.columnar)
+                        .and_then(|(atom, body)| {
+                            Some((plan.y_columns(*atom, body.columns()?)?, body.len()))
+                        });
+                    let index = match columns {
+                        Some((cols, rows)) => {
+                            st.stats.columns_scanned += cols.len() as u64;
+                            KeyIndex::from_columns(&cols, rows)
                         }
-                    }
-                    JoinIndex::build(plan, plan_id, cy)
+                        None => {
+                            let mut side = plan.y_side();
+                            KeyIndex::build(cy.len(), |j, buf| side.key(&cy[j], buf))
+                        }
+                    };
+                    (plan_id, index)
                 });
             st.indexes_y[yi] = Some(built);
         }
@@ -618,32 +612,26 @@ impl ParallelJoinExecutor<'_> {
         let probe = indexes_y[yi]
             .as_ref()
             .and_then(Option::as_ref)
-            .map(|index| {
+            .map(|(plan_id, index)| {
                 let cached = &mut probes_x[xi];
-                let at = match cached.iter().position(|p| p.plan_id == index.plan_id) {
-                    Some(at) => at,
-                    None => {
-                        cached.push(ProbeKeys::build(&plans[index.plan_id], index.plan_id, cx));
+                let at = cached
+                    .iter()
+                    .position(|(id, _)| id == plan_id)
+                    .unwrap_or_else(|| {
+                        let mut side = plans[*plan_id].x_side();
+                        let keys = ProbeKeys::build(cx.len(), |i, buf| side.key(&cx[i], buf));
+                        cached.push((*plan_id, keys));
                         cached.len() - 1
-                    }
-                };
-                (index, &cached[at])
+                    });
+                (index, &cached[at].1)
             });
         // Index-emptiness pruning: when every composite on both sides is
-        // keyed and no probe key has a bucket, every pair mismatches on
-        // an equi conjunct — the tile cannot contribute a result.
-        if let Some((index, probe)) = probe {
-            if probe.all_keyed
-                && index.unkeyed.is_empty()
-                && probe
-                    .distinct
-                    .iter()
-                    .all(|k| !index.buckets.contains_key(k))
-            {
-                stats.tiles_pruned += 1;
-                stats.pairs_skipped += (cx.len() * cy.len()) as u64;
-                return Ok(());
-            }
+        // keyed and no probe key is indexed, every pair mismatches on an
+        // equi conjunct — the tile cannot contribute a result.
+        if probe.is_some_and(|(index, keys)| index.misses_all(keys)) {
+            stats.tiles_pruned += 1;
+            stats.pairs_skipped += (cx.len() * cy.len()) as u64;
+            return Ok(());
         }
         let batch = prepared.and_then(|(plan_at, cols)| {
             let plan = batch_plans[plan_at].2.as_ref()?;
@@ -701,10 +689,9 @@ impl ParallelJoinExecutor<'_> {
     }
 
     /// Evaluates one contiguous range of X rows against the Y chunk —
-    /// the morsel body. Straight-line extraction of the serial kernel:
-    /// probe path when the tile has an index, batch-masked scan when a
-    /// kernel applies, scalar fallback that also reproduces evaluation
-    /// errors.
+    /// the morsel body. Per row: its candidates, then one batch kernel
+    /// over them when one applies, else the scalar loop, which also
+    /// reproduces evaluation errors.
     fn join_rows(
         &self,
         ctx: &TileCtx<'_>,
@@ -713,100 +700,33 @@ impl ParallelJoinExecutor<'_> {
         stats: &mut JoinStats,
         out: &mut Vec<CompositeTuple>,
     ) -> Result<(), JoinError> {
+        let RowScratch {
+            scratch,
+            mask,
+            cand,
+            picked,
+        } = ws;
         let cy = ctx.cy;
-        let Some(compiled) = ctx.compiled else {
-            for a in &ctx.cx[range] {
-                for b in cy {
-                    let Some(candidate) = a.merge(b) else {
-                        continue;
-                    };
-                    stats.predicate_evals += 1;
-                    if satisfies_available(self.predicates, &candidate, self.schemas)? {
-                        out.push(candidate);
-                    }
-                }
-            }
-            return Ok(());
-        };
-        let Some((index, probe)) = ctx.probe else {
-            for a in &ctx.cx[range] {
-                if let Some((plan, cols)) = ctx.batch {
-                    if batch_scan_chunk(plan, cols, a, cy, &mut ws.mask, stats, out) {
-                        continue;
-                    }
-                }
-                for b in cy {
-                    let Some(candidate) = a.merge(b) else {
-                        continue;
-                    };
-                    stats.predicate_evals += 1;
-                    if compiled.eval(&candidate, &mut ws.scratch)? {
-                        out.push(candidate);
-                    }
-                }
-            }
-            return Ok(());
-        };
-
-        let ny = cy.len();
-        for i in range {
-            let a = &ctx.cx[i];
-            let Some(key) = probe.keys[i] else {
-                // This composite cannot supply every key: scan the chunk.
-                if let Some((plan, cols)) = ctx.batch {
-                    if batch_scan_chunk(plan, cols, a, cy, &mut ws.mask, stats, out) {
-                        continue;
-                    }
-                }
-                for b in cy {
-                    let Some(candidate) = a.merge(b) else {
-                        continue;
-                    };
-                    stats.predicate_evals += 1;
-                    if compiled.eval(&candidate, &mut ws.scratch)? {
-                        out.push(candidate);
-                    }
-                }
-                continue;
+        for (i, a) in ctx.cx.iter().enumerate().take(range.end).skip(range.start) {
+            let cands = match ctx.probe {
+                Some((index, keys)) => index.candidates(keys.at(i), cy.len(), stats, cand),
+                None => Candidates::All(cy.len()),
             };
-            stats.probes += 1;
-            let bucket: &[u32] = index.buckets.get(&key).map_or(&[], |v| v.as_slice());
-            let unkeyed: &[u32] = &index.unkeyed;
-            stats.pairs_skipped += (ny - bucket.len() - unkeyed.len()) as u64;
-            // Ascending-index merge of the bucket with the unkeyed list
-            // reproduces the nested loop's j order exactly.
-            ws.cand.clear();
-            let (mut bi, mut ui) = (0usize, 0usize);
-            while bi < bucket.len() || ui < unkeyed.len() {
-                let j = if bi < bucket.len() && (ui >= unkeyed.len() || bucket[bi] < unkeyed[ui]) {
-                    bi += 1;
-                    bucket[bi - 1]
-                } else {
-                    ui += 1;
-                    unkeyed[ui - 1]
-                } as usize;
-                ws.cand.push(j);
-            }
             if let Some((plan, cols)) = ctx.batch {
-                if batch_probe_list(
-                    plan,
-                    cols,
-                    a,
-                    cy,
-                    &ws.cand,
-                    &mut ws.cand_scratch,
-                    stats,
-                    out,
-                ) {
+                if batch_row(plan, cols, a, cy, &cands, mask, picked, stats, out) {
                     continue;
                 }
             }
-            for &j in &ws.cand {
+            for (j, _) in cands.iter() {
                 let Some(candidate) = a.merge(&cy[j]) else {
                     continue;
                 };
                 stats.predicate_evals += 1;
-                if compiled.eval(&candidate, &mut ws.scratch)? {
+                let holds = match ctx.compiled {
+                    Some(compiled) => compiled.eval(&candidate, scratch)?,
+                    None => satisfies_available(self.predicates, &candidate, self.schemas)?,
+                };
+                if holds {
                     out.push(candidate);
                 }
             }
@@ -851,60 +771,50 @@ pub(crate) fn chunk_rows_materialized(chunk: &CompositeChunk) -> u64 {
     }
 }
 
-/// Evaluates composite `a` against the whole Y chunk with one masked
-/// batch kernel. Returns `false` (leaving no results emitted) when the
-/// kernel hit a case only the scalar path can decide — the caller then
-/// re-runs the candidates scalar, reproducing results *and* errors.
-fn batch_scan_chunk(
+/// Evaluates composite `a` against its candidate rows of the Y chunk
+/// with one batch kernel: a selection mask over the whole chunk, or a
+/// residual pass over an index-selected list. Returns `false` (leaving
+/// no results emitted) when the kernel hit a case only the scalar path
+/// can decide — the caller then re-runs the candidates scalar,
+/// reproducing results *and* errors.
+#[allow(clippy::too_many_arguments)]
+fn batch_row(
     plan: &BatchPlan,
     cols: &[ColumnRef<'_>],
     a: &CompositeTuple,
     cy: &[CompositeTuple],
+    cands: &Candidates<'_>,
     mask: &mut BitMask,
+    picked: &mut Vec<usize>,
     stats: &mut JoinStats,
     out: &mut Vec<CompositeTuple>,
 ) -> bool {
-    mask.reset_ones(cy.len());
-    if !plan.eval_mask(Some(a), cols, mask) {
+    let decided = match *cands {
+        Candidates::All(rows) => {
+            mask.reset_ones(rows);
+            plan.eval_mask(Some(a), cols, mask)
+        }
+        Candidates::Rows(rows) => {
+            picked.clear();
+            picked.extend(rows.iter().map(|&(j, _)| j as usize));
+            plan.eval_indices(Some(a), cols, picked)
+        }
+    };
+    if !decided {
         return false;
     }
     // Disjoint sides guarantee every merge succeeds, so the batch
     // covered exactly one evaluation per candidate — same as scalar.
-    stats.predicate_evals += cy.len() as u64;
+    stats.predicate_evals += cands.len() as u64;
     stats.batch_evals += 1;
-    for j in mask.iter_ones() {
+    let mut emit = |j: usize| {
         if let Some(candidate) = a.merge(&cy[j]) {
             out.push(candidate);
         }
-    }
-    true
-}
-
-/// Evaluates composite `a` against an index-selected candidate list
-/// with one residual batch kernel. Same fallback contract as
-/// [`batch_scan_chunk`].
-#[allow(clippy::too_many_arguments)]
-fn batch_probe_list(
-    plan: &BatchPlan,
-    cols: &[ColumnRef<'_>],
-    a: &CompositeTuple,
-    cy: &[CompositeTuple],
-    cand: &[usize],
-    scratch: &mut Vec<usize>,
-    stats: &mut JoinStats,
-    out: &mut Vec<CompositeTuple>,
-) -> bool {
-    scratch.clear();
-    scratch.extend_from_slice(cand);
-    if !plan.eval_indices(Some(a), cols, scratch) {
-        return false;
-    }
-    stats.predicate_evals += cand.len() as u64;
-    stats.batch_evals += 1;
-    for &j in scratch.iter() {
-        if let Some(candidate) = a.merge(&cy[j]) {
-            out.push(candidate);
-        }
+    };
+    match cands {
+        Candidates::All(_) => mask.iter_ones().for_each(&mut emit),
+        Candidates::Rows(_) => picked.iter().for_each(|&j| emit(j)),
     }
     true
 }
@@ -966,6 +876,25 @@ mod tests {
         (preds, schemas)
     }
 
+    /// A serial, exhaustive, rectangular merge-scan executor with the
+    /// default index and data plane.
+    fn executor<'p>(
+        predicates: &'p [ResolvedPredicate],
+        schemas: &'p SchemaMap<'p>,
+    ) -> ParallelJoinExecutor<'p> {
+        ParallelJoinExecutor {
+            predicates,
+            schemas,
+            invocation: Invocation::merge_scan_even(),
+            completion: Completion::Rectangular,
+            h: 1,
+            k: 0,
+            options: JoinIndexOptions::default(),
+            columnar: ColumnarOptions::default(),
+            pool: None,
+        }
+    }
+
     #[test]
     fn join_finds_all_matches_when_exhaustive() {
         let sa = schema("A1");
@@ -978,17 +907,7 @@ mod tests {
             .flat_map(|x| b.iter().map(move |y| (x, y)))
             .filter(|(x, y)| x.components[0].atomic_at(0) == y.components[0].atomic_at(0))
             .count();
-        let exec = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
-            k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
-        };
+        let exec = executor(&preds, &schemas);
         let mut ms_a = MemoryStream::new(a, 2);
         let mut ms_b = MemoryStream::new(b, 2);
         let out = exec.run(&mut ms_a, &mut ms_b).unwrap();
@@ -1010,15 +929,9 @@ mod tests {
         let a = stream_data("A", &sa, 20, ScoreDecay::Linear);
         let b = stream_data("B", &sb, 20, ScoreDecay::Linear);
         let exec = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
             completion: Completion::Triangular,
-            h: 1,
             k: 3,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
+            ..executor(&preds, &schemas)
         };
         let mut ms_a = MemoryStream::new(a, 2);
         let mut ms_b = MemoryStream::new(b, 2);
@@ -1051,15 +964,9 @@ mod tests {
         );
         let b = stream_data("B", &sb, 8, ScoreDecay::Linear);
         let exec = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
             invocation: Invocation::NestedLoop,
-            completion: Completion::Rectangular,
             h: 2,
-            k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
+            ..executor(&preds, &schemas)
         };
         let mut ms_a = MemoryStream::new(a, 2);
         let mut ms_b = MemoryStream::new(b, 2);
@@ -1075,17 +982,7 @@ mod tests {
         let sa = schema("A1");
         let sb = schema("B1");
         let (preds, schemas) = setup(&sa, &sb);
-        let exec = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
-            k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
-        };
+        let exec = executor(&preds, &schemas);
         let mut ms_a = MemoryStream::new(Vec::new(), 2);
         let mut ms_b = MemoryStream::new(stream_data("B", &sb, 4, ScoreDecay::Linear), 2);
         let out = exec.run(&mut ms_a, &mut ms_b).unwrap();
@@ -1100,15 +997,8 @@ mod tests {
         let (preds, schemas) = setup(&sa, &sb);
         let survivors = stream_data("A", &sa, 8, ScoreDecay::Linear);
         let exec = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
             k: 3,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
+            ..executor(&preds, &schemas)
         };
         // B's branch lost everything to an outage upstream.
         let mut ms_a = MemoryStream::new(survivors.clone(), 2);
@@ -1194,17 +1084,7 @@ mod tests {
         let (preds, schemas) = setup(&sa, &sb);
         let a = stream_data("A", &sa, 6, ScoreDecay::Linear);
         let b = stream_data("B", &sb, 6, ScoreDecay::Linear);
-        let exec = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
-            k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
-        };
+        let exec = executor(&preds, &schemas);
         let mut ms_a = MemoryStream::new(a.clone(), 2);
         let mut ms_b = MemoryStream::new(b.clone(), 2);
         let out = exec.run(&mut ms_a, &mut ms_b).unwrap();
@@ -1241,15 +1121,11 @@ mod tests {
                    k: usize,
                    mode: crate::index::JoinIndexMode| {
             let exec = ParallelJoinExecutor {
-                predicates: &preds,
-                schemas: &schemas,
-                invocation: Invocation::merge_scan_even(),
                 completion: Completion::Triangular,
-                h: 1,
                 k,
                 options: JoinIndexOptions { mode },
-                columnar: ColumnarOptions::default(),
                 pool,
+                ..executor(&preds, &schemas)
             };
             let mut sx = MemoryStream::new(a.clone(), 100);
             let mut sy = MemoryStream::new(b.clone(), 100);

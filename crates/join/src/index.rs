@@ -1,5 +1,5 @@
-//! Hash-accelerated tile joins: options, counters, key plans, and the
-//! per-chunk hash index.
+//! Key-indexed tile joins: options, counters, key plans, and the one
+//! per-chunk key index every tile join probes.
 //!
 //! The baseline `join_tile` scans the full `nX × nY` cross product of a
 //! tile. When the predicate set contains equality conjuncts over atomic
@@ -7,32 +7,33 @@
 //! a key mismatch on any such conjunct falsifies the conjunction under
 //! *every* group-row mapping, so pairs with different keys can be
 //! skipped without evaluating them. This module turns that observation
-//! into a per-chunk hash index: each Y chunk is bucketed once by its
-//! join-key values (interned to [`Symbol`]s), and each X composite
-//! probes its bucket instead of scanning the chunk.
+//! into a per-chunk [`KeyIndex`]: each right-hand chunk's joint keys
+//! (interned to [`Symbol`]s, whose `Ord` is by content) are sorted once,
+//! and each probe row seeks its key range by binary search — the
+//! sorted-key seek of *Leapfrog Triejoin*. The binary tile, every n-ary
+//! stage and the rank join all probe through [`KeyIndex::candidates`].
 //!
 //! Exactness invariants, relied on by the equivalence property tests:
 //!
 //! * **Key encoding is equality-faithful.** Two values get the same
 //!   encoding whenever the baseline's `=` holds (numeric promotion
 //!   included: `Int` and `Float` both encode as the promoted `f64`'s
-//!   bits, with `-0.0` normalized to `0.0`), and probing re-verifies
-//!   every bucket hit with the full compiled evaluation, so accidental
-//!   encoding collisions (large-integer rounding, separator bytes in
-//!   text) can only add *candidates*, never results.
-//! * **Fallback on anything unusual.** A composite missing a planned
-//!   atom, or carrying an unencodable value (a raw `NaN`, on which the
-//!   baseline would error), is left out of the buckets and scanned
-//!   against every probe, so the interpreter's behavior — including its
-//!   errors — is reproduced.
-//! * **Emission order is the nested loop's.** Bucket entries keep
-//!   source indices, and the probe merges bucket hits with unscanned
-//!   ("unkeyed") entries in ascending index order, so results appear in
-//!   the exact (i, j) order of the baseline.
+//!   bits, with `-0.0` normalized to `0.0`). Encoding collisions
+//!   (large-integer rounding, separator bytes in text) can only add
+//!   *candidates*: a key is marked *exact* only when it is provably
+//!   injective, and every inexact hit is re-verified by the full
+//!   evaluation.
+//! * **Fallback on anything unusual.** A row missing a planned atom, or
+//!   carrying an unencodable value (a raw `NaN`, on which the baseline
+//!   would error), has no key: an unkeyed indexed row is a candidate of
+//!   every probe, and an unkeyed probe row scans the whole chunk, so the
+//!   interpreter's behavior — including its errors — is reproduced.
+//! * **Emission order is the nested loop's.** Index entries keep row
+//!   numbers, and a probe merges its key's rows with the unkeyed rows in
+//!   ascending row order, so results appear in the exact (i, j) order of
+//!   the baseline.
 
-use std::collections::HashMap;
-
-use seco_model::{ChunkColumns, ColumnRef, CompositeTuple, Symbol, Value};
+use seco_model::{AtomShape, ChunkColumns, ColumnRef, CompositeTuple, Symbol, Value};
 use seco_query::EquiCandidate;
 
 /// Which candidate-pair enumeration the join executor uses.
@@ -40,8 +41,8 @@ use seco_query::EquiCandidate;
 pub enum JoinIndexMode {
     /// The original nested-loop scan, untouched.
     Off,
-    /// Per-chunk hash index on equi-join keys, with nested-loop
-    /// fallback when no key exists. Byte-identical to `Off`.
+    /// Per-chunk key index on equi-join keys, with nested-loop fallback
+    /// when no key exists. Byte-identical to `Off`.
     #[default]
     Hash,
 }
@@ -58,7 +59,7 @@ pub struct JoinIndexOptions {
 /// keyed and evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnarOptions {
-    /// Consume chunk bodies column-wise where possible: hash keys are
+    /// Consume chunk bodies column-wise where possible: index keys are
     /// extracted straight from typed columns and batch kernels read
     /// body-backed columns zero-copy. When off, executors go through
     /// the materialized row view only.
@@ -79,22 +80,12 @@ impl Default for ColumnarOptions {
     }
 }
 
-impl ColumnarOptions {
-    /// The pre-columnar row-at-a-time configuration.
-    pub fn row_plane() -> ColumnarOptions {
-        ColumnarOptions {
-            columnar: false,
-            batch_eval: false,
-        }
-    }
-}
-
 /// Counters describing how much work the join kernel actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct JoinStats {
-    /// Hash indexes built (one per chunk that got bucketed).
+    /// Key indexes built (one per chunk that got indexed).
     pub index_builds: u64,
-    /// Bucket lookups performed by keyed probes.
+    /// Index lookups performed by keyed probes.
     pub probes: u64,
     /// Candidate pairs skipped without evaluation (key mismatches and
     /// pruned tiles).
@@ -153,15 +144,15 @@ impl JoinStats {
     }
 }
 
-/// Separates the per-candidate encodings inside a joint key. Text
+/// Separates the per-conjunct encodings inside a joint key. Text
 /// containing the separator can at worst merge two distinct joint keys
-/// into one bucket — a safe collision, since every hit is re-verified.
-pub(crate) const KEY_SEP: char = '\u{1f}';
+/// into one — a safe collision, since such keys are never exact.
+const KEY_SEP: char = '\u{1f}';
 
 /// Appends an equality-faithful encoding of `v` to `out`. Returns
 /// `false` for values with no faithful encoding (a raw `NaN`), which
 /// the caller must route to the scan-everything fallback.
-pub(crate) fn encode_value(v: &Value, out: &mut String) -> bool {
+fn encode_value(v: &Value, out: &mut String) -> bool {
     use std::fmt::Write;
     match v {
         // `=` holds for Null only against Null, so Null gets its own tag.
@@ -227,24 +218,171 @@ fn encode_cell(col: &ColumnRef<'_>, j: usize, out: &mut String) -> bool {
     true
 }
 
-/// One equi conjunct oriented for a concrete (X, Y) chunk pair: which
-/// atom/field the indexed (Y) side keys on, and which atom/field the
-/// probing (X) side supplies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanEntry {
-    y_atom: Symbol,
-    y_field: usize,
-    x_atom: Symbol,
-    x_field: usize,
+/// A row's joint key: the interned encoding of its conjunct values and
+/// whether it is *exact* — provably injective, so equal exact keys mean
+/// equal values (a single conjunct, or no separator inside a `Text`
+/// value). `None` when some value has no faithful encoding.
+pub(crate) type Key = Option<(Symbol, bool)>;
+
+/// Encodes `n` conjuncts into `buf` (cleared first), `encode` appending
+/// conjunct `i`'s encoding or refusing it.
+fn key_with(n: usize, buf: &mut String, mut encode: impl FnMut(usize, &mut String) -> bool) -> Key {
+    buf.clear();
+    for i in 0..n {
+        if i > 0 {
+            buf.push(KEY_SEP);
+        }
+        if !encode(i, buf) {
+            return None;
+        }
+    }
+    // Only a `Text` value can add separators to the encoding.
+    let exact = n == 1 || buf.matches(KEY_SEP).count() == n - 1;
+    Some((Symbol::intern(buf), exact))
 }
 
-/// The key layout for one Y-chunk shape: the oriented equi conjuncts
-/// whose Y-side atoms appear in the chunk's composites. Plans are
-/// deduplicated per run; indexes and probe-key caches are tagged with
-/// the plan they were built under.
+/// The joint key of `n` conjunct values, `value(i)` reading the i-th.
+pub(crate) fn joint_key<'v>(
+    n: usize,
+    buf: &mut String,
+    mut value: impl FnMut(usize) -> &'v Value,
+) -> Key {
+    key_with(n, buf, |i, buf| encode_value(value(i), buf))
+}
+
+/// The key index of one chunk: its rows' joint keys sorted by content,
+/// plus the rows with no key, which every probe must visit. Rows are
+/// numbered from the chunk's first.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeyPlan {
-    entries: Vec<PlanEntry>,
+pub(crate) struct KeyIndex {
+    /// `(key, row, exact)`, ascending: one key's rows stay in row order.
+    keys: Vec<(Symbol, u32, bool)>,
+    /// Rows with no key, ascending.
+    unkeyed: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Indexes `rows` rows, `key_of(j, buf)` giving row `j`'s key.
+    pub(crate) fn build(rows: usize, mut key_of: impl FnMut(usize, &mut String) -> Key) -> Self {
+        let (mut keys, mut unkeyed, mut buf) = (Vec::new(), Vec::new(), String::new());
+        for j in 0..rows {
+            match key_of(j, &mut buf) {
+                Some((key, exact)) => keys.push((key, j as u32, exact)),
+                None => unkeyed.push(j as u32),
+            }
+        }
+        keys.sort_unstable();
+        KeyIndex { keys, unkeyed }
+    }
+
+    /// Indexes a chunk straight from its typed key columns, one per
+    /// conjunct — the same index [`KeyIndex::build`] makes from the rows.
+    pub(crate) fn from_columns(cols: &[ColumnRef<'_>], rows: usize) -> Self {
+        Self::build(rows, |j, buf| {
+            key_with(cols.len(), buf, |i, buf| encode_cell(&cols[i], j, buf))
+        })
+    }
+
+    /// The indexed rows holding `key`.
+    fn bucket(&self, key: Symbol) -> &[(Symbol, u32, bool)] {
+        let lo = self.keys.partition_point(|(k, _, _)| *k < key);
+        let len = self.keys[lo..].partition_point(|(k, _, _)| *k == key);
+        &self.keys[lo..lo + len]
+    }
+
+    /// The candidate rows of a probe against this chunk of `rows` rows,
+    /// ascending: the probe key's rows merged with the unkeyed ones
+    /// (counting the probe and the rows it skips), or the whole chunk
+    /// for a probe with no key. A candidate is exact when both keys are.
+    pub(crate) fn candidates<'c>(
+        &self,
+        probe: Key,
+        rows: usize,
+        stats: &mut JoinStats,
+        buf: &'c mut Vec<(u32, bool)>,
+    ) -> Candidates<'c> {
+        let Some((key, exact)) = probe else {
+            return Candidates::All(rows);
+        };
+        stats.probes += 1;
+        let (hits, unkeyed) = (self.bucket(key), &self.unkeyed);
+        buf.clear();
+        let (mut h, mut u) = (0, 0);
+        while h < hits.len() || u < unkeyed.len() {
+            if u == unkeyed.len() || (h < hits.len() && hits[h].1 < unkeyed[u]) {
+                buf.push((hits[h].1, exact && hits[h].2));
+                h += 1;
+            } else {
+                buf.push((unkeyed[u], false));
+                u += 1;
+            }
+        }
+        stats.pairs_skipped += (rows - buf.len()) as u64;
+        Candidates::Rows(buf)
+    }
+
+    /// Whether no row of `probes` can meet a row of this chunk: both
+    /// sides fully keyed and no probe key present.
+    pub(crate) fn misses_all(&self, probes: &ProbeKeys) -> bool {
+        self.unkeyed.is_empty()
+            && (probes.0.iter()).all(|p| p.is_some_and(|(key, _)| self.bucket(key).is_empty()))
+    }
+}
+
+/// A probe's candidate rows, ascending, each with whether the key
+/// comparison already proved the match.
+pub(crate) enum Candidates<'c> {
+    /// Every row of a chunk of this many (an unkeyed probe, or no index).
+    All(usize),
+    /// Index-selected rows.
+    Rows(&'c [(u32, bool)]),
+}
+
+impl Candidates<'_> {
+    /// Number of candidates.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Candidates::All(n) => *n,
+            Candidates::Rows(rows) => rows.len(),
+        }
+    }
+
+    /// The candidates as `(row, exact)`, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        let (all, rows) = match *self {
+            Candidates::All(n) => (0..n, &[][..]),
+            Candidates::Rows(rows) => (0..0, rows),
+        };
+        (all.map(|j| (j, false))).chain(rows.iter().map(|&(j, exact)| (j as usize, exact)))
+    }
+}
+
+/// The probe keys of one chunk, one per row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ProbeKeys(Vec<Key>);
+
+impl ProbeKeys {
+    /// Keys `rows` rows, `key_of(i, buf)` giving row `i`'s key.
+    pub(crate) fn build(rows: usize, mut key_of: impl FnMut(usize, &mut String) -> Key) -> Self {
+        let mut buf = String::new();
+        ProbeKeys((0..rows).map(|i| key_of(i, &mut buf)).collect())
+    }
+
+    /// Row `i`'s key.
+    pub(crate) fn at(&self, i: usize) -> Key {
+        self.0[i]
+    }
+}
+
+/// The key layout of a binary tile for one Y-chunk shape: the equi
+/// conjuncts whose Y-side atoms appear in the chunk's composites,
+/// oriented as the `(atom, field)` each side reads. Plans are
+/// deduplicated per run; indexes and probe keys are tagged with the
+/// plan they were built under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct KeyPlan {
+    y: Vec<(Symbol, usize)>,
+    x: Vec<(Symbol, usize)>,
 }
 
 impl KeyPlan {
@@ -256,197 +394,75 @@ impl KeyPlan {
     /// usable: the merged pair shares those components (or the merge
     /// fails), so a key mismatch implies either no merge or a false
     /// predicate — skipping remains exact.
-    pub fn build(equi: &[EquiCandidate], sample: &CompositeTuple) -> Option<KeyPlan> {
-        let mut entries = Vec::new();
+    pub(crate) fn build(equi: &[EquiCandidate], sample: &CompositeTuple) -> Option<KeyPlan> {
+        let (mut y, mut x) = (Vec::new(), Vec::new());
         for c in equi {
-            let has_right = sample.component(c.right_atom.as_str()).is_some();
-            let has_left = sample.component(c.left_atom.as_str()).is_some();
-            if has_right {
-                entries.push(PlanEntry {
-                    y_atom: c.right_atom,
-                    y_field: c.right_field,
-                    x_atom: c.left_atom,
-                    x_field: c.left_field,
-                });
-            } else if has_left {
-                entries.push(PlanEntry {
-                    y_atom: c.left_atom,
-                    y_field: c.left_field,
-                    x_atom: c.right_atom,
-                    x_field: c.right_field,
-                });
+            let (left, right) = ((c.left_atom, c.left_field), (c.right_atom, c.right_field));
+            if sample.atoms.contains(&c.right_atom) {
+                y.push(right);
+                x.push(left);
+            } else if sample.atoms.contains(&c.left_atom) {
+                y.push(left);
+                x.push(right);
             }
         }
-        if entries.is_empty() {
-            None
-        } else {
-            Some(KeyPlan { entries })
-        }
+        (!y.is_empty()).then_some(KeyPlan { y, x })
     }
 
-    fn key_of(
+    /// The Y side's key reader.
+    pub(crate) fn y_side(&self) -> KeySide<'_> {
+        KeySide::new(&self.y)
+    }
+
+    /// The X side's key reader.
+    pub(crate) fn x_side(&self) -> KeySide<'_> {
+        KeySide::new(&self.x)
+    }
+
+    /// The Y side's key columns in a chunk body whose rows all belong to
+    /// `atom`, when every Y conjunct reads `atom` and has a typed column.
+    pub(crate) fn y_columns<'c>(
         &self,
-        composite: &CompositeTuple,
-        pick: impl Fn(&PlanEntry) -> (Symbol, usize),
-    ) -> Option<Symbol> {
-        let mut buf = String::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                buf.push(KEY_SEP);
-            }
-            let (atom, field) = pick(e);
-            let tuple = composite.component(atom.as_str())?;
-            if !encode_value(tuple.atomic_at(field), &mut buf) {
-                return None;
-            }
-        }
-        Some(Symbol::intern(&buf))
-    }
-
-    /// The joint key of a Y-side composite, or `None` when the
-    /// composite is missing a planned atom or holds an unencodable
-    /// value (it then lands in the index's unkeyed list).
-    pub fn y_key(&self, composite: &CompositeTuple) -> Option<Symbol> {
-        self.key_of(composite, |e| (e.y_atom, e.y_field))
-    }
-
-    /// The joint key an X-side composite probes with, or `None` when it
-    /// cannot supply every planned value (it then scans the whole
-    /// chunk).
-    pub fn x_key(&self, composite: &CompositeTuple) -> Option<Symbol> {
-        self.key_of(composite, |e| (e.x_atom, e.x_field))
-    }
-
-    /// The single atom every Y-side entry keys on, when there is one.
-    /// Only then can keys be read straight off a service chunk's
-    /// columns (whose rows all belong to that atom).
-    pub fn single_y_atom(&self) -> Option<Symbol> {
-        let first = self.entries.first()?.y_atom;
-        self.entries
-            .iter()
-            .all(|e| e.y_atom == first)
-            .then_some(first)
-    }
-}
-
-/// Hash index over one Y chunk, built lazily once and cached for every
-/// tile in that chunk's row.
-#[derive(Debug, Clone)]
-pub struct JoinIndex {
-    /// Which [`KeyPlan`] (by run-local id) the buckets were keyed under.
-    pub plan_id: usize,
-    /// Join-key buckets; entries are ascending source indices.
-    pub buckets: HashMap<Symbol, Vec<u32>>,
-    /// Composites with no key (missing atom, unencodable value), probed
-    /// by every X composite. Ascending source indices.
-    pub unkeyed: Vec<u32>,
-}
-
-impl JoinIndex {
-    /// Buckets `chunk` under `plan`.
-    pub fn build(plan: &KeyPlan, plan_id: usize, chunk: &[CompositeTuple]) -> JoinIndex {
-        let mut buckets: HashMap<Symbol, Vec<u32>> = HashMap::new();
-        let mut unkeyed = Vec::new();
-        for (j, c) in chunk.iter().enumerate() {
-            match plan.y_key(c) {
-                Some(key) => buckets.entry(key).or_default().push(j as u32),
-                None => unkeyed.push(j as u32),
-            }
-        }
-        JoinIndex {
-            plan_id,
-            buckets,
-            unkeyed,
-        }
-    }
-
-    /// Buckets a single-atom chunk straight from its typed columns,
-    /// never touching the row view. Returns the number of columns
-    /// scanned alongside the index. `None` when the plan keys on more
-    /// than one atom, `atom` is not it, or a planned field has no
-    /// atomic column — the caller then falls back to the row build,
-    /// which produces byte-identical buckets.
-    pub fn build_from_columns(
-        plan: &KeyPlan,
-        plan_id: usize,
         atom: Symbol,
-        cols: &ChunkColumns,
-    ) -> Option<(JoinIndex, usize)> {
-        if plan.single_y_atom() != Some(atom) {
+        cols: &'c ChunkColumns,
+    ) -> Option<Vec<ColumnRef<'c>>> {
+        if self.y.iter().any(|(a, _)| *a != atom) {
             return None;
         }
-        let key_cols: Vec<ColumnRef<'_>> = plan
-            .entries
-            .iter()
-            .map(|e| cols.column(e.y_field))
-            .collect::<Option<_>>()?;
-        let mut buckets: HashMap<Symbol, Vec<u32>> = HashMap::new();
-        let mut unkeyed = Vec::new();
-        let mut buf = String::new();
-        'rows: for j in 0..cols.len() {
-            buf.clear();
-            for (i, col) in key_cols.iter().enumerate() {
-                if i > 0 {
-                    buf.push(KEY_SEP);
-                }
-                if !encode_cell(col, j, &mut buf) {
-                    unkeyed.push(j as u32);
-                    continue 'rows;
-                }
-            }
-            buckets
-                .entry(Symbol::intern(&buf))
-                .or_default()
-                .push(j as u32);
-        }
-        Some((
-            JoinIndex {
-                plan_id,
-                buckets,
-                unkeyed,
-            },
-            key_cols.len(),
-        ))
+        self.y.iter().map(|(_, f)| cols.column(*f)).collect()
     }
 }
 
-/// Cached probe keys of one X chunk under one plan.
-#[derive(Debug, Clone)]
-pub struct ProbeKeys {
-    /// Which plan the keys were extracted under.
-    pub plan_id: usize,
-    /// Per composite: its probe key, or `None` for scan-everything.
-    pub keys: Vec<Option<Symbol>>,
-    /// Distinct probe keys present (for index-emptiness pruning).
-    pub distinct: Vec<Symbol>,
-    /// True when every composite has a probe key.
-    pub all_keyed: bool,
+/// One side of a [`KeyPlan`] reading composites: each conjunct's atom is
+/// resolved to a component position once per atom shape, never per row.
+pub(crate) struct KeySide<'p> {
+    fields: &'p [(Symbol, usize)],
+    shape: Option<AtomShape>,
+    /// `(component, field)` per conjunct under `shape`; `None` when the
+    /// shape lacks a planned atom.
+    at: Option<Vec<(usize, usize)>>,
 }
 
-impl ProbeKeys {
-    /// Extracts the probe keys of `chunk` under `plan`.
-    pub fn build(plan: &KeyPlan, plan_id: usize, chunk: &[CompositeTuple]) -> ProbeKeys {
-        let mut keys = Vec::with_capacity(chunk.len());
-        let mut distinct: Vec<Symbol> = Vec::new();
-        let mut all_keyed = true;
-        for c in chunk {
-            let key = plan.x_key(c);
-            match key {
-                Some(k) => {
-                    if !distinct.contains(&k) {
-                        distinct.push(k);
-                    }
-                }
-                None => all_keyed = false,
-            }
-            keys.push(key);
+impl<'p> KeySide<'p> {
+    fn new(fields: &'p [(Symbol, usize)]) -> Self {
+        KeySide {
+            fields,
+            shape: None,
+            at: None,
         }
-        ProbeKeys {
-            plan_id,
-            keys,
-            distinct,
-            all_keyed,
+    }
+
+    /// The joint key of `c`, or `None` when it lacks a planned atom or
+    /// holds an unencodable value.
+    pub(crate) fn key(&mut self, c: &CompositeTuple, buf: &mut String) -> Key {
+        if self.shape != Some(c.atoms) {
+            self.shape = Some(c.atoms);
+            self.at = (self.fields.iter())
+                .map(|(atom, field)| Some((c.atoms.iter().position(|a| a == atom)?, *field)))
+                .collect();
         }
+        let at = self.at.as_deref()?;
+        joint_key(at.len(), buf, |i| c.components[at[i].0].atomic_at(at[i].1))
     }
 }
 
@@ -483,6 +499,25 @@ mod tests {
         // NaN has no faithful encoding.
         a.clear();
         assert!(!encode_value(&Value::Float(f64::NAN), &mut a));
+    }
+
+    #[test]
+    fn a_separator_inside_text_makes_a_joint_key_inexact() {
+        let mut buf = String::new();
+        let key = |vals: [Value; 2], buf: &mut String| joint_key(2, buf, |i| &vals[i]);
+        let a = key([Value::text("a\u{1f}tb"), Value::text("c")], &mut buf);
+        let b = key([Value::text("a"), Value::text("b\u{1f}tc")], &mut buf);
+        let (Some((ka, exact_a)), Some((kb, exact_b))) = (a, b) else {
+            panic!("text always encodes");
+        };
+        assert_eq!(ka, kb, "the two pairs collide");
+        assert!(!exact_a && !exact_b, "so neither key is exact");
+        let plain = key([Value::text("a"), Value::text("b")], &mut buf);
+        assert!(plain.is_some_and(|(_, exact)| exact));
+        // One conjunct is injective whatever its text holds.
+        let text = Value::text("a\u{1f}b");
+        let single = joint_key(1, &mut buf, |_| &text);
+        assert!(single.is_some_and(|(_, exact)| exact));
     }
 
     #[test]
@@ -550,6 +585,7 @@ mod tests {
             (Value::Float(-0.0), Value::text("a")),
             (Value::Float(f64::NAN), Value::text("d")),
             (Value::Int(1), Value::Null),
+            (Value::Int(2), Value::text("e\u{1f}f")),
         ]
         .into_iter()
         .map(|(k, t)| Tuple {
@@ -558,35 +594,23 @@ mod tests {
             source_rank: 0,
         })
         .collect();
-        let atom = Symbol::from("y");
+        let (y, x) = (Symbol::from("y"), Symbol::from("x"));
         let plan = KeyPlan {
-            entries: vec![
-                PlanEntry {
-                    y_atom: atom,
-                    y_field: 0,
-                    x_atom: Symbol::from("x"),
-                    x_field: 0,
-                },
-                PlanEntry {
-                    y_atom: atom,
-                    y_field: 1,
-                    x_atom: Symbol::from("x"),
-                    x_field: 1,
-                },
-            ],
+            y: vec![(y, 0), (y, 1)],
+            x: vec![(x, 0), (x, 1)],
         };
         let composites: Vec<CompositeTuple> = rows
             .iter()
             .map(|t| CompositeTuple::single("y", t.clone()))
             .collect();
-        let row_ix = JoinIndex::build(&plan, 0, &composites);
+        let mut side = plan.y_side();
+        let row_ix = KeyIndex::build(composites.len(), |j, buf| side.key(&composites[j], buf));
         let cols = ChunkColumns::from_tuples(&rows).expect("flat rows columnarize");
-        let (col_ix, scanned) =
-            JoinIndex::build_from_columns(&plan, 0, atom, &cols).expect("columnar build applies");
-        assert_eq!(scanned, 2);
-        assert_eq!(col_ix.unkeyed, row_ix.unkeyed);
-        assert_eq!(col_ix.buckets, row_ix.buckets);
+        let key_cols = plan.y_columns(y, &cols).expect("columnar build applies");
+        assert_eq!(key_cols.len(), 2);
+        assert_eq!(KeyIndex::from_columns(&key_cols, cols.len()), row_ix);
+        assert_eq!(row_ix.unkeyed, vec![4], "NaN has no key");
         // A plan keying on a different atom refuses the columnar path.
-        assert!(JoinIndex::build_from_columns(&plan, 0, Symbol::from("z"), &cols).is_none());
+        assert!(plan.y_columns(Symbol::from("z"), &cols).is_none());
     }
 }

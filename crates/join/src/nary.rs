@@ -13,18 +13,15 @@
 //! materialized (by the same left-to-right merge chain the cascade
 //! performs), which is counted in `JoinStats::intermediates_elided`.
 //!
-//! Candidate enumeration is a leapfrog-style sorted intersection: each
-//! right chunk's join keys (the [`crate::index`] encoding, interned to
-//! [`Symbol`]s whose `Ord` is content-based) are sorted once, and each
-//! prefix row seeks its key range via binary search, merging the hits
-//! with the chunk's unkeyed rows in ascending row order — the exact
-//! nested-loop (i, j) emission order of the binary kernel. The
-//! encoding is equality-faithful per value, so a joint key can only
-//! collide when a `Text` value embeds [`KEY_SEP`]; hits whose keys are
-//! provably injective (single conjunct, or no embedded separator on
-//! either side) are emitted directly, and only the remaining hits are
-//! re-verified with the full predicate list in predicate order —
-//! results *and* evaluation errors stay byte-identical to the cascade.
+//! Candidate enumeration is the binary kernel's: each right chunk's
+//! joint keys go into a [`KeyIndex`] (sorted by content, the
+//! leapfrog-style seek), and each prefix row takes its candidates from
+//! [`KeyIndex::candidates`] — its key's rows merged with the chunk's
+//! unkeyed rows in ascending row order, the exact nested-loop (i, j)
+//! emission order. Candidates whose keys are exact (provably injective)
+//! are emitted directly; the rest are re-verified with the full
+//! predicate list in predicate order — results *and* evaluation errors
+//! stay byte-identical to the cascade.
 //!
 //! [`NaryJoin::run`] returns `Ok(None)` — "use the binary cascade" —
 //! whenever any precondition for that identity fails:
@@ -38,7 +35,7 @@
 
 use std::ops::Range;
 
-use seco_model::{AtomShape, Comparator, CompositeTuple, Symbol, Value};
+use seco_model::{AtomShape, Comparator, CompositeTuple, Symbol};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{ResolvedPredicate, SchemaMap};
 use seco_query::{CompiledPredicates, QueryError};
@@ -46,7 +43,7 @@ use seco_query::{CompiledPredicates, QueryError};
 use crate::completion::TileWalk;
 use crate::error::JoinError;
 use crate::executor::fan_out;
-use crate::index::{encode_value, JoinStats, KEY_SEP};
+use crate::index::{joint_key, JoinStats, KeyIndex, ProbeKeys};
 use crate::strategy::CallTarget;
 use crate::tile::Tile;
 
@@ -82,6 +79,9 @@ pub struct NaryOutcome {
     /// Kernel work counters (`intermediates_elided` counts the rows a
     /// cascade would have materialized at internal stages).
     pub stats: JoinStats,
+    /// Output rows of each stage, in stage order: what each join of the
+    /// cascade would have emitted (the last is `results.len()`).
+    pub stage_rows: Vec<usize>,
 }
 
 /// The n-ary join kernel.
@@ -117,20 +117,6 @@ struct StagePlan {
     keyed: Vec<KeyedEq>,
 }
 
-/// Sorted key array of one right chunk: `(key, row, trusted)` triples
-/// ordered by content (leapfrog seeks binary-search this), plus the
-/// rows with no encodable key, which every probe must scan. `trusted`
-/// marks keys that are provably injective (no `Text` value embedding
-/// [`KEY_SEP`]), whose hits need no re-verification.
-struct RightIndex {
-    keys: Vec<(Symbol, u32, bool)>,
-    unkeyed: Vec<u32>,
-}
-
-/// Cached probe keys of one prefix chunk: one `(key, trusted)` entry
-/// per row, `None` for rows whose key can't encode (they scan).
-type ProbeKeys = Vec<Option<(Symbol, bool)>>;
-
 impl NaryJoin<'_> {
     /// Joins `groups[0] ⋈ groups[1] ⋈ …` under `stages` (one per
     /// internal join). Returns `Ok(None)` when the inputs fall outside
@@ -144,37 +130,42 @@ impl NaryJoin<'_> {
         if groups.len() < 2 || stages.len() != groups.len() - 1 {
             return Ok(None);
         }
-        let mut stats = JoinStats::default();
-        // An inner join over an empty group is provably empty; skip the
-        // exploration entirely.
-        if groups.iter().any(|g| g.is_empty()) {
-            return Ok(Some(NaryOutcome {
-                results: Vec::new(),
-                stats,
-            }));
-        }
-        let Some(plans) = self.plan(groups, stages) else {
+        // An inner join over an empty group is empty: only the stages
+        // before it have rows to explore.
+        let live = groups
+            .iter()
+            .position(Vec::is_empty)
+            .unwrap_or(groups.len());
+        let Some(plans) = self.plan(&groups[..live], &stages[..live.saturating_sub(1)]) else {
             return Ok(None);
         };
+        let mut stats = JoinStats::default();
+        let mut stage_rows = Vec::with_capacity(stages.len());
 
         // The running prefix: one flat row of `stride` per-group row
         // indices per surviving combination.
         let mut prefix: Vec<u32> = (0..groups[0].len() as u32).collect();
         let mut stride = 1usize;
-        for (s, stage) in stages.iter().enumerate() {
-            prefix = self.run_stage(groups, &prefix, stride, stage, &plans[s], &mut stats)?;
+        for (stage, plan) in stages.iter().zip(&plans) {
+            prefix = self.run_stage(groups, &prefix, stride, stage, plan, &mut stats)?;
             stride += 1;
-            if s + 1 < stages.len() {
+            stage_rows.push(prefix.len() / stride);
+            if stage_rows.len() < stages.len() {
                 stats.intermediates_elided += (prefix.len() / stride) as u64;
             }
             if prefix.is_empty() {
                 // Later stages of the cascade would re-explore empty
                 // left streams to the same empty end.
-                return Ok(Some(NaryOutcome {
-                    results: Vec::new(),
-                    stats,
-                }));
+                break;
             }
+        }
+        if stage_rows.len() < stages.len() {
+            stage_rows.resize(stages.len(), 0);
+            return Ok(Some(NaryOutcome {
+                results: Vec::new(),
+                stats,
+                stage_rows,
+            }));
         }
 
         // Materialize the survivors. The cascade's left-to-right merge
@@ -198,7 +189,11 @@ impl NaryJoin<'_> {
                 components: components.into_boxed_slice(),
             });
         }
-        Ok(Some(NaryOutcome { results, stats }))
+        Ok(Some(NaryOutcome {
+            results,
+            stats,
+            stage_rows,
+        }))
     }
 
     /// Checks every byte-identity precondition and compiles the
@@ -293,7 +288,7 @@ impl NaryJoin<'_> {
         let ny_chunks = right.len().div_ceil(rc);
         let out_stride = stride + 1;
         let mut out: Vec<u32> = Vec::new();
-        let mut rindex: Vec<Option<RightIndex>> = Vec::new();
+        let mut rindex: Vec<Option<KeyIndex>> = Vec::new();
         let mut probes: Vec<Option<ProbeKeys>> = Vec::new();
 
         let row_range = |ci: usize, chunk: usize, total: usize| {
@@ -332,9 +327,9 @@ impl NaryJoin<'_> {
     }
 
     /// Joins one virtual tile in the binary kernel's exact (i, j)
-    /// order: per prefix row, seek its key range in the right chunk's
-    /// sorted keys, merge the hits with the unkeyed rows ascending, and
-    /// re-verify every candidate with the full predicate list.
+    /// order: per prefix row, its candidates from the right chunk's
+    /// [`KeyIndex`], emitted directly when the keys proved the match and
+    /// re-verified with the full predicate list otherwise.
     #[allow(clippy::too_many_arguments)]
     fn join_stage_tile(
         &self,
@@ -346,7 +341,7 @@ impl NaryJoin<'_> {
         (xs, xe): (usize, usize),
         (ys, ye): (usize, usize),
         t: Tile,
-        rindex: &mut Vec<Option<RightIndex>>,
+        rindex: &mut Vec<Option<KeyIndex>>,
         probes: &mut Vec<Option<ProbeKeys>>,
         stats: &mut JoinStats,
         out: &mut Vec<u32>,
@@ -371,147 +366,48 @@ impl NaryJoin<'_> {
             return Ok(());
         }
 
-        // Sort the right chunk's keys once (leapfrog trie level).
+        // Index the right chunk's keys once (leapfrog trie level).
+        let n = plan.keyed.len();
         if rindex.len() <= t.y {
             rindex.resize_with(t.y + 1, || None);
         }
-        // A joint key can only lie about equality when a `Text` value
-        // embeds the separator; single-conjunct keys never can.
-        let sep_safe = plan.keyed.len() == 1;
-        let tainted = |v: &Value| matches!(v, Value::Text(s) if !sep_safe && s.contains(KEY_SEP));
-
-        let ri: &RightIndex = rindex[t.y].get_or_insert_with(|| {
+        let index: &KeyIndex = rindex[t.y].get_or_insert_with(|| {
             stats.index_builds += 1;
-            let mut keys: Vec<(Symbol, u32, bool)> = Vec::new();
-            let mut unkeyed: Vec<u32> = Vec::new();
-            let mut buf = String::new();
-            'rows: for (off, comp) in right[ys..ye].iter().enumerate() {
-                buf.clear();
-                let mut trusted = true;
-                for (i, e) in plan.keyed.iter().enumerate() {
-                    if i > 0 {
-                        buf.push(KEY_SEP);
-                    }
-                    let v = comp.components[e.y_comp].atomic_at(e.y_field);
-                    trusted &= !tainted(v);
-                    if !encode_value(v, &mut buf) {
-                        unkeyed.push(off as u32);
-                        continue 'rows;
-                    }
-                }
-                keys.push((Symbol::intern(&buf), off as u32, trusted));
-            }
-            keys.sort();
-            RightIndex { keys, unkeyed }
+            KeyIndex::build(ny, |off, buf| {
+                let comp = &right[ys + off];
+                joint_key(n, buf, |i| {
+                    let e = &plan.keyed[i];
+                    comp.components[e.y_comp].atomic_at(e.y_field)
+                })
+            })
         });
 
         // Extract (or reuse) the prefix chunk's probe keys.
         if probes.len() <= t.x {
             probes.resize_with(t.x + 1, || None);
         }
-        let pk: &ProbeKeys = probes[t.x].get_or_insert_with(|| {
-            let mut pk = Vec::with_capacity(xe - xs);
-            let mut buf = String::new();
-            'rows: for li in xs..xe {
-                let row = &prefix[li * stride..(li + 1) * stride];
-                buf.clear();
-                let mut trusted = true;
-                for (i, e) in plan.keyed.iter().enumerate() {
-                    if i > 0 {
-                        buf.push(KEY_SEP);
-                    }
+        let keys: &ProbeKeys = probes[t.x].get_or_insert_with(|| {
+            ProbeKeys::build(xe - xs, |off, buf| {
+                let row = &prefix[(xs + off) * stride..(xs + off + 1) * stride];
+                joint_key(n, buf, |i| {
+                    let e = &plan.keyed[i];
                     let comp = &groups[e.x_group][row[e.x_group] as usize];
-                    let v = comp.components[e.x_comp].atomic_at(e.x_field);
-                    trusted &= !tainted(v);
-                    if !encode_value(v, &mut buf) {
-                        pk.push(None);
-                        continue 'rows;
-                    }
-                }
-                pk.push(Some((Symbol::intern(&buf), trusted)));
-            }
-            pk
+                    comp.components[e.x_comp].atomic_at(e.x_field)
+                })
+            })
         });
 
-        // Fan the tile's prefix rows out as sorted key-range segments
-        // when the pool takes it; segments are reduced in order, so the
-        // flat output rows concatenate exactly as the serial pass emits
-        // them.
+        // Fan the tile's prefix rows out as segments when the pool takes
+        // it; segments are reduced in order, so the flat output rows
+        // concatenate exactly as the serial pass emits them.
         let body = |rows: Range<usize>, stats: &mut JoinStats, out: &mut Vec<u32>| {
-            stage_tile_rows(
-                groups,
-                prefix,
-                stride,
-                right,
-                plan,
-                rows,
-                (ys, ye),
-                xs,
-                ri,
-                pk,
-                stats,
-                out,
-            )
-        };
-        fan_out(self.pool.as_deref(), xs..xe, ny, stats, out, body)
-            .unwrap_or_else(|| body(xs..xe, stats, out))
-    }
-}
-
-/// Intersects one contiguous range of prefix rows against a right
-/// chunk's sorted key array — the n-ary morsel body, extracted verbatim
-/// from the serial leapfrog pass. `tile_xs` is the tile's first prefix
-/// row (probe keys are cached per tile, offset from it).
-#[allow(clippy::too_many_arguments)]
-fn stage_tile_rows(
-    groups: &[Vec<CompositeTuple>],
-    prefix: &[u32],
-    stride: usize,
-    right: &[CompositeTuple],
-    plan: &StagePlan,
-    rows: Range<usize>,
-    (ys, ye): (usize, usize),
-    tile_xs: usize,
-    ri: &RightIndex,
-    pk: &ProbeKeys,
-    stats: &mut JoinStats,
-    out: &mut Vec<u32>,
-) -> Result<(), JoinError> {
-    let ny = ye - ys;
-    let mut cand: Vec<(u32, bool)> = Vec::new();
-    for li in rows {
-        let row = &prefix[li * stride..(li + 1) * stride];
-        match pk[li - tile_xs] {
-            None => {
-                // Unencodable probe: scan the chunk so the
-                // interpreter's behavior — including errors — is
-                // reproduced.
-                for j in ys..ye {
-                    verify_and_emit(groups, row, right, j, plan, stats, out)?;
-                }
-            }
-            Some((key, x_trusted)) => {
-                stats.probes += 1;
-                let lo = ri.keys.partition_point(|(k, _, _)| *k < key);
-                let hi = ri.keys.partition_point(|(k, _, _)| *k <= key);
-                let hits = &ri.keys[lo..hi];
-                // Ascending merge of keyed hits with unkeyed rows
-                // reproduces the nested loop's j order exactly.
-                cand.clear();
-                let (mut bi, mut ui) = (0usize, 0usize);
-                while bi < hits.len() || ui < ri.unkeyed.len() {
-                    if bi < hits.len() && (ui >= ri.unkeyed.len() || hits[bi].1 < ri.unkeyed[ui]) {
-                        bi += 1;
-                        cand.push((hits[bi - 1].1, hits[bi - 1].2));
-                    } else {
-                        ui += 1;
-                        cand.push((ri.unkeyed[ui - 1], false));
-                    }
-                }
-                stats.pairs_skipped += (ny - cand.len()) as u64;
-                for &(off, y_trusted) in &cand {
-                    let j = ys + off as usize;
-                    if x_trusted && y_trusted {
+            let mut cand = Vec::new();
+            for li in rows {
+                let row = &prefix[li * stride..(li + 1) * stride];
+                let cands = index.candidates(keys.at(li - xs), ny, stats, &mut cand);
+                for (off, exact) in cands.iter() {
+                    let j = ys + off;
+                    if exact {
                         // Proven match: the key comparison was the
                         // equality evaluation (counted like a batch
                         // kernel covering its candidates).
@@ -523,9 +419,11 @@ fn stage_tile_rows(
                     }
                 }
             }
-        }
+            Ok(())
+        };
+        fan_out(self.pool.as_deref(), xs..xe, ny, stats, out, body)
+            .unwrap_or_else(|| body(xs..xe, stats, out))
     }
-    Ok(())
 }
 
 /// Verifies one candidate pair with the full predicate list, in
@@ -602,6 +500,24 @@ mod tests {
             .collect()
     }
 
+    /// A merge-scan stage with `h = 1`.
+    fn stage<'p>(
+        predicates: &'p [ResolvedPredicate],
+        completion: Completion,
+        k: usize,
+        (left_chunk, right_chunk): (usize, usize),
+    ) -> NaryStage<'p> {
+        NaryStage {
+            predicates,
+            invocation: seco_plan::Invocation::merge_scan_even(),
+            completion,
+            h: 1,
+            k,
+            left_chunk,
+            right_chunk,
+        }
+    }
+
     fn eq_pred(la: &str, ra: &str) -> ResolvedPredicate {
         ResolvedPredicate::Join(JoinPredicate {
             left: QualifiedPath::new(la, AttributePath::atomic("City")),
@@ -667,24 +583,8 @@ mod tests {
                 pool: None,
             };
             let stages = [
-                NaryStage {
-                    predicates: &p1,
-                    invocation: seco_plan::Invocation::merge_scan_even(),
-                    completion: Completion::Triangular,
-                    h: 1,
-                    k,
-                    left_chunk: 3,
-                    right_chunk: 4,
-                },
-                NaryStage {
-                    predicates: &p2,
-                    invocation: seco_plan::Invocation::merge_scan_even(),
-                    completion: Completion::Triangular,
-                    h: 1,
-                    k,
-                    left_chunk: 5,
-                    right_chunk: 3,
-                },
+                stage(&p1, Completion::Triangular, k, (3, 4)),
+                stage(&p2, Completion::Triangular, k, (5, 3)),
             ];
             let out = nj
                 .run(&[a.clone(), b.clone(), cc.clone()], &stages)
@@ -710,24 +610,8 @@ mod tests {
         // Group 2 shares atom A with group 0: merges could fail, so the
         // kernel must defer to the cascade.
         let stages = [
-            NaryStage {
-                predicates: &p,
-                invocation: seco_plan::Invocation::merge_scan_even(),
-                completion: Completion::Rectangular,
-                h: 1,
-                k: 0,
-                left_chunk: 2,
-                right_chunk: 2,
-            },
-            NaryStage {
-                predicates: &p,
-                invocation: seco_plan::Invocation::merge_scan_even(),
-                completion: Completion::Rectangular,
-                h: 1,
-                k: 0,
-                left_chunk: 2,
-                right_chunk: 2,
-            },
+            stage(&p, Completion::Rectangular, 0, (2, 2)),
+            stage(&p, Completion::Rectangular, 0, (2, 2)),
         ];
         let nj = NaryJoin {
             schemas: &schemas,
@@ -751,24 +635,8 @@ mod tests {
         let a = stream_data("A", &sa, 4, ScoreDecay::Linear, 2);
         let cc = stream_data("C", &sc, 4, ScoreDecay::Linear, 2);
         let stages = [
-            NaryStage {
-                predicates: &p1,
-                invocation: seco_plan::Invocation::merge_scan_even(),
-                completion: Completion::Rectangular,
-                h: 1,
-                k: 0,
-                left_chunk: 2,
-                right_chunk: 2,
-            },
-            NaryStage {
-                predicates: &p2,
-                invocation: seco_plan::Invocation::merge_scan_even(),
-                completion: Completion::Rectangular,
-                h: 1,
-                k: 0,
-                left_chunk: 2,
-                right_chunk: 2,
-            },
+            stage(&p1, Completion::Rectangular, 0, (2, 2)),
+            stage(&p2, Completion::Rectangular, 0, (2, 2)),
         ];
         let nj = NaryJoin {
             schemas: &schemas,
@@ -803,24 +671,8 @@ mod tests {
                 pool,
             };
             let stages = [
-                NaryStage {
-                    predicates: &p1,
-                    invocation: seco_plan::Invocation::merge_scan_even(),
-                    completion: Completion::Triangular,
-                    h: 1,
-                    k,
-                    left_chunk: 90,
-                    right_chunk: 60,
-                },
-                NaryStage {
-                    predicates: &p2,
-                    invocation: seco_plan::Invocation::merge_scan_even(),
-                    completion: Completion::Triangular,
-                    h: 1,
-                    k,
-                    left_chunk: 120,
-                    right_chunk: 45,
-                },
+                stage(&p1, Completion::Triangular, k, (90, 60)),
+                stage(&p2, Completion::Triangular, k, (120, 45)),
             ];
             nj.run(&[a.clone(), b.clone(), cc.clone()], &stages)
                 .unwrap()

@@ -155,11 +155,9 @@ pub struct ServerState {
 
 impl ServerState {
     /// A daemon over `registry` with the given limits.
-    pub fn new(registry: ServiceRegistry, mut config: ServerConfig) -> Arc<Self> {
-        // Sessions execute under the daemon's engine config; align its
-        // morsel parallelism with the pool so joins actually fan out
-        // (and `exec_workers = 1` keeps the exact serial join path).
-        config.engine = config.engine.exec_workers(config.exec_workers);
+    pub fn new(registry: ServiceRegistry, config: ServerConfig) -> Arc<Self> {
+        // Sessions' join kernels fan out on this pool (one worker keeps
+        // their exact serial path).
         Arc::new(ServerState {
             registry: Arc::new(registry),
             plan_cache: Arc::new(PlanCache::new()),

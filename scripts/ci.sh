@@ -12,6 +12,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# The root package's tests above do not include the member crates' own
+# unit tests (the n-ary kernel's, the key index's, the interpreter's
+# cascade reference); this step runs every crate's.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
 # Heap requests per delivered combination on the warm serving path: a
 # count, so it repeats exactly on any host (tests/alloc_budget.rs pins
 # it; the lines below are the figures of this run).

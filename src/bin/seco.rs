@@ -31,8 +31,9 @@
 //! answers.
 //!
 //! `--join-index` selects the join kernel: `hash` (the default) builds
-//! per-chunk hash indexes over equi-join keys and probes them instead
-//! of scanning every candidate pair; `off` runs the plain nested loop.
+//! a sorted per-chunk key index over equi-join keys and probes it
+//! instead of scanning every candidate pair; `off` runs the plain
+//! nested loop.
 //! Both produce byte-identical answers. A `join:` counter line is
 //! printed after the answers.
 //!
@@ -44,23 +45,22 @@
 //! composites; answers stay byte-identical to the binary cascade. A
 //! `rank:` counter line is printed after the answers.
 //!
-//! `--exec-workers N` sets the morsel-executor worker count (default:
-//! the machine's core count). Above 1, tile joins, n-ary
-//! intersections, and batch predicate evaluation decompose into
-//! morsels on a shared work-stealing pool; a deterministic ordered
-//! reducer keeps the answers byte-identical to serial at any worker
-//! count. `--exec-workers 1` takes the exact serial code path. `seco
-//! stats` prints the scheduler counters (queue depth, steals, morsels,
-//! worker busy time) after the service statistics; `seco serve` sizes
-//! the daemon-wide shared pool with the same flag.
+//! `--exec-workers N` sizes the work-stealing pool `run`, `stats` and
+//! `serve` execute on (default: the machine's core count). Above 1,
+//! tile joins and n-ary intersections decompose into morsels on it; a
+//! deterministic ordered reducer keeps the answers byte-identical to
+//! serial at any worker count, and `--exec-workers 1` takes the exact
+//! serial join path. `seco stats` prints the scheduler counters (queue
+//! depth, steals, morsels, worker busy time) after the service
+//! statistics.
 //!
 //! `--columnar` toggles column-wise consumption of chunk bodies
 //! (columnar hash-key extraction, zero-copy kernel inputs) and
 //! `--batch-eval` toggles the vectorized predicate kernels built on
 //! top of it; both default to `on` and are byte-identical to the
 //! row-at-a-time plane. Every flag default is taken from
-//! `EngineConfig::default()`, and each flag maps 1:1 to an
-//! `EngineConfig` builder method.
+//! `EngineConfig::default()`, and each flag but `--exec-workers` maps
+//! 1:1 to an `EngineConfig` builder method.
 //!
 //! `--adaptive` turns on mid-flight re-optimization: after every fresh
 //! service or join stage, the engine compares the observed output
@@ -163,8 +163,9 @@ fn parse_args() -> Result<Args, String> {
     let mut columnar = defaults.columnar.columnar;
     let mut batch_eval = defaults.columnar.batch_eval;
     let mut workers = 1usize;
-    // Morsel parallelism defaults to the machine's core count; the
-    // library default (1) stays serial so embedding stays byte-stable.
+    // The pool `run` and `stats` execute on defaults to the machine's
+    // core count; the join kernels' ordered reducer keeps output
+    // byte-identical to their serial path at any count.
     let mut exec_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -434,24 +435,20 @@ fn cmd_explain(
     Ok(())
 }
 
-fn cmd_run(
-    registry: &ServiceRegistry,
-    metric: CostMetric,
-    parallel: bool,
-    opts: EngineConfig,
-    query_src: &str,
-) -> Result<(), String> {
-    let query = parse_query(query_src).map_err(|e| e.to_string())?;
+fn cmd_run(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Result<(), String> {
+    let query = parse_query(&args.query).map_err(|e| e.to_string())?;
     let mut opts = opts;
     if opts.rank_join && opts.join_k == 0 {
         // The rank join needs a top-k target; the query's `top k`
         // clause is the natural one.
         opts = opts.join_k(query.k);
     }
-    let best = optimize(&query, registry, metric).map_err(|e| e.to_string())?;
+    let best = optimize(&query, registry, args.metric).map_err(|e| e.to_string())?;
     registry.reset_stats();
-    let (results, degraded, join_stats, replans, replanned) = if parallel {
-        let out = execute_parallel(&best.plan, registry, opts).map_err(|e| e.to_string())?;
+    let shared = SharedState::for_daemon(args.exec_workers);
+    let (results, degraded, join_stats, replans, replanned) = if args.parallel {
+        let out = execute_parallel_session(&best.plan, registry, opts, Some(&shared), None)
+            .map_err(|e| e.to_string())?;
         let replans = usize::from(out.replanned.is_some());
         (
             out.results,
@@ -461,7 +458,8 @@ fn cmd_run(
             out.replanned,
         )
     } else {
-        let out = execute_plan(&best.plan, registry, opts).map_err(|e| e.to_string())?;
+        let out =
+            execute_plan_shared(&best.plan, registry, opts, &shared).map_err(|e| e.to_string())?;
         println!(
             "{} request-responses, {:.0} virtual ms critical path",
             out.total_calls, out.critical_ms
@@ -537,22 +535,17 @@ fn cmd_run(
     Ok(())
 }
 
-fn cmd_stats(
-    registry: &ServiceRegistry,
-    metric: CostMetric,
-    opts: EngineConfig,
-    query_src: &str,
-) -> Result<(), String> {
-    let query = parse_query(query_src).map_err(|e| e.to_string())?;
+fn cmd_stats(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Result<(), String> {
+    let query = parse_query(&args.query).map_err(|e| e.to_string())?;
     // Plan through a plan cache and run against daemon-grade state, so
     // the retention and scheduler lines below describe what a
     // `seco serve` daemon would hold and use for this query.
     let plan_cache = Arc::new(PlanCache::new());
-    let mut optimizer = Optimizer::new(registry, metric);
+    let mut optimizer = Optimizer::new(registry, args.metric);
     optimizer.cache = Some(plan_cache.clone());
     let best = optimizer.optimize(&query).map_err(|e| e.to_string())?;
     registry.reset_stats();
-    let shared = SharedState::for_daemon(opts.exec_workers);
+    let shared = SharedState::for_daemon(args.exec_workers);
     let out =
         execute_plan_shared(&best.plan, registry, opts, &shared).map_err(|e| e.to_string())?;
     println!(
@@ -706,7 +699,8 @@ fn main() -> ExitCode {
         }
     };
     let resilient = !faults.is_inert() || args.deadline_ms.is_some();
-    // Every flag maps 1:1 onto an `EngineConfig` builder method.
+    // Every flag but `--exec-workers` (the pool's size) maps 1:1 onto an
+    // `EngineConfig` builder method.
     let mut opts = EngineConfig::default()
         .cache_shards(args.cache_shards)
         .prefetch(args.prefetch)
@@ -716,8 +710,7 @@ fn main() -> ExitCode {
         .adaptive_threshold(args.adaptive_threshold)
         .adaptive_metric(args.metric)
         .columnar(args.columnar)
-        .batch_eval(args.batch_eval)
-        .exec_workers(args.exec_workers);
+        .batch_eval(args.batch_eval);
     if resilient {
         opts = opts.degrade().client(ClientConfig {
             deadline_ms: args.deadline_ms,
@@ -732,8 +725,8 @@ fn main() -> ExitCode {
         }
         "explain" => cmd_explain(&registry, args.metric, args.workers, true, &args.query),
         "optimize" => cmd_explain(&registry, args.metric, args.workers, false, &args.query),
-        "run" => cmd_run(&registry, args.metric, args.parallel, opts, &args.query),
-        "stats" => cmd_stats(&registry, args.metric, opts, &args.query),
+        "run" => cmd_run(&registry, &args, opts),
+        "stats" => cmd_stats(&registry, &args, opts),
         "oracle" => cmd_oracle(&registry, &args.query),
         "serve" => cmd_serve(registry, &args, opts),
         _ => Err(usage()),

@@ -142,6 +142,23 @@ fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
     );
 }
 
+/// The 2-star: one lone parallel join, which runs the binary tile. 312
+/// requests for its 24 combinations (13.00 each; 13.50 with a hashed
+/// per-chunk index and pattern bookkeeping for a pattern-free query),
+/// pinned with no headroom.
+const STAR2_PER_COMBINATION: f64 = 13.00;
+
+#[test]
+fn a_warm_lone_join_keeps_its_tile_allocations_pinned() {
+    let (allocations, combinations) = warm_execution(star_scenario(2, 11));
+    let per = report("star2", allocations, combinations);
+    assert!(combinations >= 10, "{combinations} combinations");
+    assert!(
+        per <= STAR2_PER_COMBINATION,
+        "{per:.2} allocations per delivered combination"
+    );
+}
+
 #[test]
 fn absorbing_known_rows_allocates_nothing_per_row() {
     let (registry, query) = chain_scenario(4, 11);

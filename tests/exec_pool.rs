@@ -1,6 +1,6 @@
 //! Morsel-executor determinism, end to end.
 //!
-//! The scheduler contract is byte-identity: at any `--exec-workers`
+//! The scheduler contract is byte-identity: on a pool of any worker
 //! count, both executors must produce exactly the output of the serial
 //! path — same tuples, same order, same join counters — because tile
 //! decomposition only fans out each tile's row loop and a deterministic
@@ -30,19 +30,27 @@ fn e1_query() -> Query {
         .unwrap()
 }
 
-/// Runs `query` through both executors at each worker count and
-/// asserts every output is byte-identical to the serial (`workers=1`)
-/// reference — results, degradations, and join counters alike.
+/// Runs `query` through both executors on a pool of each worker count
+/// and asserts every output is byte-identical to the serial
+/// (one-worker) reference — results, degradations, and join counters
+/// alike.
 fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query) {
     let best = optimize(query, registry, CostMetric::RequestCount).unwrap();
-    let config = |w: usize| EngineConfig::default().exec_workers(w);
+    let config = EngineConfig::default();
+    let det = |workers| {
+        let shared = SharedState::for_daemon(workers);
+        execute_plan_shared(&best.plan, registry, config, &shared).unwrap()
+    };
+    let par = |workers| {
+        let shared = SharedState::for_daemon(workers);
+        execute_parallel_session(&best.plan, registry, config, Some(&shared), None).unwrap()
+    };
 
-    let det_ref = execute_plan(&best.plan, registry, config(1)).unwrap();
-    let par_ref = execute_parallel(&best.plan, registry, config(1)).unwrap();
+    let (det_ref, par_ref) = (det(1), par(1));
     assert!(!det_ref.results.is_empty(), "reference run must answer");
 
     for workers in [2usize, 8] {
-        let det = execute_plan(&best.plan, registry, config(workers)).unwrap();
+        let det = det(workers);
         assert_eq!(
             det.results, det_ref.results,
             "deterministic executor diverged at {workers} workers"
@@ -51,7 +59,7 @@ fn assert_identical_across_workers(registry: &ServiceRegistry, query: &Query) {
             det.join_stats, det_ref.join_stats,
             "deterministic join counters diverged at {workers} workers"
         );
-        let par = execute_parallel(&best.plan, registry, config(workers)).unwrap();
+        let par = par(workers);
         assert_eq!(
             par.results, par_ref.results,
             "pipelined executor diverged at {workers} workers"
@@ -89,10 +97,7 @@ fn no_worker_threads_outlive_shared_state_shutdown() {
     // A full pipelined session exercises every pool tier: plan-node
     // tasks on the blocking tier, morsels and detached prefetch
     // speculation on the compute tier.
-    let opts = EngineConfig::default()
-        .exec_workers(4)
-        .cache_shards(4)
-        .prefetch(true);
+    let opts = EngineConfig::default().cache_shards(4).prefetch(true);
     let out = execute_parallel_session(&best.plan, &registry, opts, Some(&shared), None).unwrap();
     assert!(!out.results.is_empty());
     shared.shutdown();

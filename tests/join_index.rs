@@ -5,16 +5,19 @@
 //! same call counts. The index may only change how much work is done,
 //! never what is produced.
 
-use search_computing::join::executor::{JoinOutcome, MemoryStream, ParallelJoinExecutor};
-use search_computing::join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
+use search_computing::join::executor::{
+    JoinOutcome, MemoryStream, ParallelJoinExecutor, ServiceStream,
+};
+use search_computing::join::{ColumnarOptions, JoinError, JoinIndexMode, JoinIndexOptions};
 use search_computing::plan::{JoinSpec, PlanNode, SelectionNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
 use search_computing::query::{JoinPredicate, QualifiedPath};
 use search_computing::services::domains::travel;
-use search_computing::services::invocation::Request;
-use seco_bench::join_pair_with_width;
+use search_computing::services::invocation::{Request, Service};
+use seco_bench::{join_pair_with_width, KeyEdge};
 use seco_model::{Adornment, AttributeDef, AttributePath, DataType, ServiceSchema, Tuple};
+use std::sync::Arc;
 
 const OFF: JoinIndexOptions = JoinIndexOptions {
     mode: JoinIndexMode::Off,
@@ -39,9 +42,12 @@ const ROW: ColumnarOptions = ColumnarOptions {
     batch_eval: false,
 };
 
-/// Owned render of the full outcome; two runs are byte-identical iff
-/// these strings are equal.
-fn render(out: &JoinOutcome) -> String {
+/// Owned render of the full outcome (or error); two runs are
+/// byte-identical iff these strings are equal.
+fn render(out: &Result<JoinOutcome, JoinError>) -> String {
+    let Ok(out) = out else {
+        return format!("{out:?}");
+    };
     let rows: String = out
         .results
         .iter()
@@ -53,27 +59,48 @@ fn render(out: &JoinOutcome) -> String {
     )
 }
 
-/// Runs one join method over a seeded synthetic service pair.
+/// The join inputs of the grid.
+#[derive(Debug, Clone, Copy)]
+enum Pair {
+    /// A seeded synthetic service pair under these decays, joined on
+    /// `Link`.
+    Decays(ScoreDecay, ScoreDecay),
+    /// A key-encoding edge case.
+    Edge(KeyEdge),
+}
+
+/// Runs one join method over `pair`.
 #[allow(clippy::too_many_arguments)]
 fn run_method(
-    decay_x: ScoreDecay,
-    decay_y: ScoreDecay,
+    pair: Pair,
     invocation: Invocation,
     completion: Completion,
     chunk: usize,
     k: usize,
     options: JoinIndexOptions,
     columnar: ColumnarOptions,
-) -> JoinOutcome {
-    let (sx, sy) = join_pair_with_width(decay_x, decay_y, 40, chunk, 23, 10);
+) -> Result<JoinOutcome, JoinError> {
+    let (sx, sy, predicates, h): (Arc<dyn Service>, Arc<dyn Service>, _, _) = match pair {
+        Pair::Decays(dx, dy) => {
+            let (sx, sy) = join_pair_with_width(dx, dy, 40, chunk, 23, 10);
+            let link = vec![ResolvedPredicate::Join(JoinPredicate {
+                left: QualifiedPath::new("X", AttributePath::atomic("Link")),
+                op: Comparator::Eq,
+                right: QualifiedPath::new("Y", AttributePath::atomic("Link")),
+            })];
+            (sx, sy, link, dx.step_chunks().unwrap_or(1))
+        }
+        Pair::Edge(edge) => {
+            let (sx, sy) = (
+                edge.service("X1", 0, 24, chunk),
+                edge.service("Y1", 1, 24, chunk),
+            );
+            (sx, sy, edge.predicates("X", "Y"), 1)
+        }
+    };
     let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
-    let mut x = search_computing::join::executor::ServiceStream::new("X", sx.as_ref(), req.clone());
-    let mut y = search_computing::join::executor::ServiceStream::new("Y", sy.as_ref(), req);
-    let predicates = vec![ResolvedPredicate::Join(JoinPredicate {
-        left: QualifiedPath::new("X", AttributePath::atomic("Link")),
-        op: Comparator::Eq,
-        right: QualifiedPath::new("Y", AttributePath::atomic("Link")),
-    })];
+    let mut x = ServiceStream::new("X", sx.as_ref(), req.clone());
+    let mut y = ServiceStream::new("Y", sy.as_ref(), req);
     let mut schemas = SchemaMap::new();
     schemas.insert("X".into(), &sx.interface().schema);
     schemas.insert("Y".into(), &sy.interface().schema);
@@ -82,15 +109,20 @@ fn run_method(
         schemas: &schemas,
         invocation,
         completion,
-        h: decay_x.step_chunks().unwrap_or(1),
+        h,
         k,
         options,
         columnar,
         pool: None,
     };
-    exec.run(&mut x, &mut y).expect("join runs")
+    exec.run(&mut x, &mut y)
 }
 
+/// Every (kernel, data plane) reproduces the row-plane nested loop's
+/// results, order and errors, over synthetic pairs and over the
+/// exactness rules the index owns: a separator inside a two-conjunct
+/// `Text` key, a raw `NaN`, and `Int` and `Float` keys that promote to
+/// one value.
 #[test]
 fn hash_kernel_is_byte_identical_across_join_methods() {
     let decays = [
@@ -104,38 +136,41 @@ fn hash_kernel_is_byte_identical_across_join_methods() {
             ScoreDecay::Linear,
         ),
     ];
+    let pairs = (decays.map(|(dx, dy)| Pair::Decays(dx, dy)).into_iter())
+        .chain(KeyEdge::ALL.map(Pair::Edge));
     let invocations = [
         Invocation::NestedLoop,
         Invocation::merge_scan_even(),
         Invocation::MergeScan { r1: 1, r2: 3 },
     ];
     let completions = [Completion::Rectangular, Completion::Triangular];
-    let mut nested_evals = 0u64;
-    let mut hashed_evals = 0u64;
-    for &(dx, dy) in &decays {
+    let (mut nested_evals, mut hashed_evals, mut failed) = (0u64, 0u64, 0);
+    for pair in pairs {
         for &inv in &invocations {
             for &comp in &completions {
                 for &k in &[0usize, 7] {
                     for &chunk in &[3usize, 5] {
-                        let base = run_method(dx, dy, inv, comp, chunk, k, OFF, ROW);
+                        let base = run_method(pair, inv, comp, chunk, k, OFF, ROW);
                         // Every (kernel, data-plane) combination must
                         // reproduce the row-plane nested loop byte for
                         // byte.
                         for opts in [OFF, HASH] {
                             for plane in [COL, COL_NO_BATCH, ROW] {
-                                let accel = run_method(dx, dy, inv, comp, chunk, k, opts, plane);
+                                let accel = run_method(pair, inv, comp, chunk, k, opts, plane);
                                 assert_eq!(
                                     render(&base),
                                     render(&accel),
-                                    "divergence at {dx:?}/{dy:?} {inv:?} {comp:?} k={k} \
+                                    "divergence at {pair:?} {inv:?} {comp:?} k={k} \
                                      chunk={chunk} opts={opts:?} plane={plane:?}"
                                 );
+                                let Ok(accel) = accel else { continue };
                                 // The data plane may move work between
                                 // scalar and batch kernels, but never
                                 // change how many candidates are judged.
-                                let row = run_method(dx, dy, inv, comp, chunk, k, opts, ROW);
+                                let row = run_method(pair, inv, comp, chunk, k, opts, ROW);
                                 assert_eq!(
-                                    accel.stats.predicate_evals, row.stats.predicate_evals,
+                                    accel.stats.predicate_evals,
+                                    row.expect("as the plane did").stats.predicate_evals,
                                     "plane {plane:?} changed predicate_evals under {opts:?}"
                                 );
                                 if !plane.batch_eval {
@@ -147,9 +182,12 @@ fn hash_kernel_is_byte_identical_across_join_methods() {
                                 }
                             }
                         }
-                        let hashed = run_method(dx, dy, inv, comp, chunk, k, HASH, COL);
-                        nested_evals += base.stats.predicate_evals;
-                        hashed_evals += hashed.stats.predicate_evals;
+                        let hashed = run_method(pair, inv, comp, chunk, k, HASH, COL);
+                        if let (Pair::Decays(..), Ok(base), Ok(hashed)) = (pair, &base, hashed) {
+                            nested_evals += base.stats.predicate_evals;
+                            hashed_evals += hashed.stats.predicate_evals;
+                        }
+                        failed += usize::from(base.is_err());
                     }
                 }
             }
@@ -160,6 +198,7 @@ fn hash_kernel_is_byte_identical_across_join_methods() {
         hashed_evals * 3 <= nested_evals,
         "expected ≥3x fewer predicate evaluations, got {nested_evals} vs {hashed_evals}"
     );
+    assert!(failed > 0, "the NaN case must reach its error");
 }
 
 /// Composites with clustered text keys: chunk `c` carries only the key
@@ -201,7 +240,7 @@ fn empty_key_tiles_are_pruned_without_changing_the_answer() {
     let mut schemas = SchemaMap::new();
     schemas.insert("X".into(), &schema);
     schemas.insert("Y".into(), &schema);
-    let run = |options: JoinIndexOptions| -> JoinOutcome {
+    let run = |options: JoinIndexOptions| -> Result<JoinOutcome, JoinError> {
         let exec = ParallelJoinExecutor {
             predicates: &predicates,
             schemas: &schemas,
@@ -217,11 +256,11 @@ fn empty_key_tiles_are_pruned_without_changing_the_answer() {
         // disjoint chunks share no key.
         let mut x = MemoryStream::new(clustered("X", &schema, 40, 0), 10);
         let mut y = MemoryStream::new(clustered("Y", &schema, 40, 2), 10);
-        exec.run(&mut x, &mut y).expect("join runs")
+        exec.run(&mut x, &mut y)
     };
-    let base = run(OFF);
-    let accel = run(HASH);
+    let (base, accel) = (run(OFF), run(HASH));
     assert_eq!(render(&base), render(&accel));
+    let (base, accel) = (base.expect("join runs"), accel.expect("join runs"));
     assert!(
         !accel.results.is_empty(),
         "the overlapping cities must match"

@@ -12,15 +12,15 @@
 
 use search_computing::join::executor::{MemoryStream, ParallelJoinExecutor, ServiceStream};
 use search_computing::join::{
-    score_order, ColumnarOptions, JoinIndexMode, JoinIndexOptions, NaryJoin, NaryStage, RankJoin,
-    TileSpace,
+    score_order, ColumnarOptions, JoinError, JoinIndexMode, JoinIndexOptions, NaryJoin, NaryStage,
+    RankJoin, TileSpace,
 };
 use search_computing::plan::{JoinSpec, PlanNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
 use search_computing::query::{JoinPredicate, QualifiedPath};
 use search_computing::services::invocation::Request;
-use seco_bench::{join_pair_with_width, star_scenario};
+use seco_bench::{join_pair_with_width, star_scenario, KeyEdge};
 use seco_model::{
     Adornment, AttributeDef, AttributePath, DataType, ScoringFunction, ServiceSchema, Tuple,
 };
@@ -245,7 +245,7 @@ fn cascade(
     completion: Completion,
     k: usize,
     chunk: usize,
-) -> Vec<CompositeTuple> {
+) -> Result<Vec<CompositeTuple>, JoinError> {
     let e1 = ParallelJoinExecutor {
         predicates: p1,
         schemas,
@@ -259,33 +259,44 @@ fn cascade(
     };
     let mut sa = MemoryStream::new(groups.0.to_vec(), chunk);
     let mut sb = MemoryStream::new(groups.1.to_vec(), chunk);
-    let mid = e1.run(&mut sa, &mut sb).unwrap().results;
+    let mid = e1.run(&mut sa, &mut sb)?.results;
     let e2 = ParallelJoinExecutor {
         predicates: p2,
         ..e1
     };
     let mut sm = MemoryStream::new(mid, chunk);
     let mut sc = MemoryStream::new(groups.2.to_vec(), chunk);
-    e2.run(&mut sm, &mut sc).unwrap().results
+    Ok(e2.run(&mut sm, &mut sc)?.results)
 }
 
 /// Across the hash-index suite's grid of decays × invocations ×
-/// completions × k × chunk sizes, the n-ary kernel must emit exactly
-/// what the binary cascade emits, while eliding the intermediate
-/// composites the cascade materializes.
+/// completions × k × chunk sizes, and on key-encoding edge cases (a
+/// separator inside a two-conjunct `Text` key, a raw `NaN`, `Int` and
+/// `Float` keys that promote to one value), the n-ary kernel must emit
+/// exactly what the binary cascade emits — or fail with its error —
+/// while eliding the intermediate composites the cascade materializes.
 #[test]
 fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
-    let sa = schema("A1");
-    let sb = schema("B1");
-    let sc = schema("C1");
-    let mut schemas = SchemaMap::new();
-    schemas.insert("A".into(), &sa);
-    schemas.insert("B".into(), &sb);
-    schemas.insert("C".into(), &sc);
-    let p1 = vec![eq_pred("A", "B")];
-    let p2 = vec![eq_pred("B", "C")];
-
-    let decays = [
+    const ALIASES: [&str; 3] = ["A", "B", "C"];
+    let sides_of = |schema: &dyn Fn(usize) -> ServiceSchema| [0, 1, 2].map(schema);
+    let city = sides_of(&|s| schema(&format!("{}1", ALIASES[s])));
+    let edges = KeyEdge::ALL.map(|e| (e, sides_of(&|s| e.schema(&format!("{}1", ALIASES[s]), s))));
+    fn schemas_of(sides: &[ServiceSchema; 3]) -> SchemaMap<'_> {
+        ALIASES
+            .iter()
+            .zip(sides)
+            .map(|(a, s)| ((*a).into(), s))
+            .collect()
+    }
+    // (case, schemas, the three groups, stage predicates)
+    type Case<'s> = (
+        String,
+        SchemaMap<'s>,
+        [Vec<CompositeTuple>; 3],
+        [Vec<ResolvedPredicate>; 2],
+    );
+    let mut cases: Vec<Case<'_>> = Vec::new();
+    for (da, db) in [
         (ScoreDecay::Linear, ScoreDecay::Quadratic),
         (
             ScoreDecay::Step {
@@ -295,58 +306,66 @@ fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
             },
             ScoreDecay::Linear,
         ),
-    ];
-    let invocations = [
-        Invocation::NestedLoop,
-        Invocation::merge_scan_even(),
-        Invocation::MergeScan { r1: 1, r2: 3 },
-    ];
-    let completions = [Completion::Rectangular, Completion::Triangular];
+    ] {
+        let groups = [
+            stream_data("A", &city[0], 18, da, 3, 0),
+            stream_data("B", &city[1], 15, db, 3, 1),
+            stream_data("C", &city[2], 21, ScoreDecay::Linear, 4, 2),
+        ];
+        let preds = [vec![eq_pred("A", "B")], vec![eq_pred("B", "C")]];
+        cases.push((format!("{da:?}/{db:?}"), schemas_of(&city), groups, preds));
+    }
+    for (edge, sides) in &edges {
+        let groups = [(0, 18), (1, 15), (2, 21)].map(|(s, n)| {
+            (edge.rows(&sides[s], s, n).into_iter())
+                .map(|t| CompositeTuple::single(ALIASES[s], t))
+                .collect()
+        });
+        let preds = [edge.predicates("A", "B"), edge.predicates("B", "C")];
+        cases.push((format!("{edge:?}"), schemas_of(sides), groups, preds));
+    }
 
-    for &(da, db) in &decays {
-        let a = stream_data("A", &sa, 18, da, 3, 0);
-        let b = stream_data("B", &sb, 15, db, 3, 1);
-        let c = stream_data("C", &sc, 21, ScoreDecay::Linear, 4, 2);
-        for &inv in &invocations {
-            for &comp in &completions {
-                for &k in &[0usize, 7] {
-                    for &chunk in &[3usize, 5] {
-                        let want = cascade(&schemas, (&a, &b, &c), &p1, &p2, inv, comp, k, chunk);
-                        let stage = |preds| NaryStage {
-                            predicates: preds,
-                            invocation: inv,
-                            completion: comp,
-                            h: 1,
-                            k,
-                            left_chunk: chunk,
-                            right_chunk: chunk,
-                        };
-                        let nj = NaryJoin {
-                            schemas: &schemas,
-                            pool: None,
-                        };
-                        let out = nj
-                            .run(
-                                &[a.clone(), b.clone(), c.clone()],
-                                &[stage(&p1), stage(&p2)],
-                            )
-                            .unwrap()
-                            .expect("disjoint 3-way chain is eligible");
-                        assert_eq!(
-                            out.results, want,
-                            "da={da:?} db={db:?} inv={inv:?} comp={comp:?} k={k} chunk={chunk}"
+    let mut failed = 0;
+    for (case, schemas, [a, b, c], [p1, p2]) in &cases {
+        for inv in [
+            Invocation::NestedLoop,
+            Invocation::merge_scan_even(),
+            Invocation::MergeScan { r1: 1, r2: 3 },
+        ] {
+            for comp in [Completion::Rectangular, Completion::Triangular] {
+                for (k, chunk) in [(0, 3), (0, 5), (7, 3), (7, 5)] {
+                    let want = cascade(schemas, (a, b, c), p1, p2, inv, comp, k, chunk);
+                    let stage = |predicates| NaryStage {
+                        predicates,
+                        invocation: inv,
+                        completion: comp,
+                        h: 1,
+                        k,
+                        left_chunk: chunk,
+                        right_chunk: chunk,
+                    };
+                    let nj = NaryJoin {
+                        schemas,
+                        pool: None,
+                    };
+                    let got = nj
+                        .run(&[a.clone(), b.clone(), c.clone()], &[stage(p1), stage(p2)])
+                        .map(|out| out.expect("an equi chain is eligible"));
+                    let at = format!("{case} {inv:?} {comp:?} k={k} chunk={chunk}");
+                    let results = got.as_ref().map(|out| &out.results);
+                    assert_eq!(format!("{want:?}"), format!("{results:?}"), "{at}");
+                    if let (0, Ok(out)) = (k, &got) {
+                        assert!(
+                            out.results.is_empty() || out.stats.intermediates_elided > 0,
+                            "{at}: a non-empty full run must elide intermediates"
                         );
-                        if k == 0 && !want.is_empty() {
-                            assert!(
-                                out.stats.intermediates_elided > 0,
-                                "a non-empty full run must elide intermediates"
-                            );
-                        }
                     }
+                    failed += usize::from(want.is_err());
                 }
             }
         }
     }
+    assert!(failed > 0, "the NaN case must reach its error");
 }
 
 /// With `rank_join` on, both executors must return the true top-k of

@@ -12,7 +12,9 @@
 use seco_bench::{
     chain_scenario, diamond_plan, registry_without_movie, star_scenario, travel_without_flight,
 };
-use seco_engine::{execute_parallel_session, execute_plan, EngineConfig, FailureMode};
+use seco_engine::{
+    execute_parallel_session, execute_plan_shared, EngineConfig, FailureMode, SharedState,
+};
 use seco_optimizer::{optimize, CostMetric};
 use seco_plan::QueryPlan;
 use seco_query::builder::running_example;
@@ -107,12 +109,13 @@ fn both_schedulers_agree_across_the_grid() {
                 let config = EngineConfig::default()
                     .join_k(0)
                     .adaptive(false)
-                    .failure_mode(mode)
-                    .exec_workers(workers);
+                    .failure_mode(mode);
                 let (reg, plan) = scenario();
-                let det = execute_plan(&plan, &reg, config);
+                let det =
+                    execute_plan_shared(&plan, &reg, config, &SharedState::for_daemon(workers));
                 let (reg, plan) = scenario();
-                let pip = execute_parallel_session(&plan, &reg, config, None, None);
+                let shared = SharedState::for_daemon(workers);
+                let pip = execute_parallel_session(&plan, &reg, config, Some(&shared), None);
                 if downed && mode == FailureMode::Abort {
                     assert!(det.is_err(), "{at}: deterministic must fail");
                     assert!(pip.is_err(), "{at}: pipelined must fail");
