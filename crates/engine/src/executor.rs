@@ -17,13 +17,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use seco_join::JoinStats;
 use seco_model::CompositeTuple;
-use seco_optimizer::Optimizer;
 use seco_plan::{annotate, AnnotatedPlan, AnnotationConfig, NodeId, PlanNode, QueryPlan};
-use seco_services::{drift_ratio, DeviationPolicy, ServiceRegistry};
+use seco_services::{drift_ratio, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::interp::{Interpreter, Rechunk, Schedule, Speculation};
+use crate::interp::{self, Interpreter, Rechunk, Schedule, Speculation};
 use crate::shared::{ClockMode, SharedState};
 use crate::trace::{ExecutionTrace, TraceEvent};
 
@@ -88,10 +87,10 @@ enum PassOutcome {
 /// cardinality deviates from the plan-time estimate by at least
 /// [`EngineConfig::adaptive_threshold`], the observed statistics are
 /// promoted into the registry and the unexecuted suffix is re-planned
-/// ([`Optimizer::replan_suffix`]); execution restarts on the new plan,
-/// replaying the executed stages from memo. Each checkpoint fires at
-/// most once, so the number of restarts is bounded by the number of
-/// plan stages. With adaptive off the run is byte-identical to the
+/// ([`seco_optimizer::Optimizer::replan_suffix`]); execution restarts on
+/// the new plan, replaying the executed stages from memo. Each
+/// checkpoint fires at most once, so the number of restarts is bounded
+/// by the number of plan stages. With adaptive off the run is byte-identical to the
 /// non-adaptive engine.
 pub fn execute_plan(
     plan: &QueryPlan,
@@ -142,13 +141,12 @@ fn execute_plan_impl(
     }
 }
 
-/// Promotes observed deviations into the registry and re-plans the
-/// unexecuted suffix. `trigger` is the deviating checkpoint's
-/// `(estimated, observed)` cardinality pair — it opens the re-planner's
-/// deviation gate even when the executed services' own cardinalities
-/// are on target (e.g. a join whose selectivity was wrong). Returns
-/// `None` when the re-plan itself fails: adaptivity is best-effort and
-/// must never abort a viable execution.
+/// Re-plans the unexecuted suffix through [`interp::replan`], observing
+/// every executed stage's output cardinality. `trigger` is the deviating
+/// checkpoint's `(estimated, observed)` cardinality pair — it opens the
+/// re-planner's deviation gate even when the executed services' own
+/// cardinalities are on target (e.g. a join whose selectivity was
+/// wrong).
 fn attempt_replan(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
@@ -157,28 +155,23 @@ fn attempt_replan(
     memo: &BTreeMap<String, StageMemo>,
     trigger: (f64, f64),
 ) -> Option<seco_optimizer::Optimized> {
-    let policy = DeviationPolicy {
-        threshold: options.adaptive_threshold,
-        min_samples: 1,
-    };
-    registry.promote_deviations(&policy);
     let executed: BTreeSet<String> = memo.keys().cloned().collect();
-    let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for alias in &executed {
-        if let Some(id) = plan.service_node_of(alias) {
-            observed.insert(
-                alias.clone(),
-                (
-                    estimates.annotation(id).tout,
-                    memo[alias].outputs.len() as f64,
-                ),
-            );
+    interp::replan(plan, registry, options, &executed, |_| {
+        let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        for alias in &executed {
+            if let Some(id) = plan.service_node_of(alias) {
+                observed.insert(
+                    alias.clone(),
+                    (
+                        estimates.annotation(id).tout,
+                        memo[alias].outputs.len() as f64,
+                    ),
+                );
+            }
         }
-    }
-    observed.insert("(checkpoint)".to_owned(), trigger);
-    let mut opt = Optimizer::new(registry, options.adaptive_metric);
-    opt.replan_threshold = options.adaptive_threshold;
-    opt.replan_suffix(plan, &executed, &observed).ok()
+        observed.insert("(checkpoint)".to_owned(), trigger);
+        Some(observed)
+    })
 }
 
 /// The deterministic scheduler's choices: fetch stacks on the shared

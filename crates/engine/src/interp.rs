@@ -31,13 +31,14 @@ use seco_join::{
     RankJoin,
 };
 use seco_model::{BitMask, Column, CompositeTuple, ServiceInterface};
+use seco_optimizer::{Optimized, Optimizer};
 use seco_plan::{JoinSpec, NodeId, PlanNode, QueryPlan, SelectionNode, ServiceNode};
 use seco_query::feasibility::{analyze, FeasibilityReport};
 use seco_query::predicate::{
     resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
 };
 use seco_query::{CompiledPredicates, JoinPredicate};
-use seco_services::{Prefetcher, Service, ServiceRegistry};
+use seco_services::{DeviationPolicy, Prefetcher, Service, ServiceRegistry};
 
 use crate::config::{EngineConfig, FailureMode};
 use crate::error::EngineError;
@@ -477,6 +478,32 @@ impl<'a> Interpreter<'a> {
 /// Whether rank join is in force: on, with a positive `k` target.
 fn ranks(options: &EngineConfig) -> bool {
     options.rank_join && options.join_k > 0
+}
+
+/// The engine's one re-plan entry, taken by both schedulers' adaptive
+/// checkpoints: promotes every observed statistic that deviates by at
+/// least `adaptive_threshold` into the registry, then re-plans the
+/// suffix of `plan` after the `executed` atoms
+/// ([`Optimizer::replan_suffix`], gated at the same threshold).
+/// `observe` gets the promoted names and returns the
+/// `(estimated, observed)` pairs that open the gate, or `None` to skip
+/// the re-plan. `None` too when the re-plan fails: adaptivity is
+/// best-effort and must never abort a viable execution.
+pub(crate) fn replan(
+    plan: &QueryPlan,
+    registry: &ServiceRegistry,
+    options: &EngineConfig,
+    executed: &BTreeSet<String>,
+    observe: impl FnOnce(&[String]) -> Option<BTreeMap<String, (f64, f64)>>,
+) -> Option<Optimized> {
+    let policy = DeviationPolicy {
+        threshold: options.adaptive_threshold,
+        min_samples: 1,
+    };
+    let observed = observe(&registry.promote_deviations(&policy))?;
+    let mut opt = Optimizer::new(registry, options.adaptive_metric);
+    opt.replan_threshold = options.adaptive_threshold;
+    opt.replan_suffix(plan, executed, &observed).ok()
 }
 
 #[cfg(test)]

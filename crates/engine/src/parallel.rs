@@ -25,13 +25,12 @@ use parking_lot::Mutex;
 
 use seco_join::JoinStats;
 use seco_model::CompositeTuple;
-use seco_optimizer::Optimizer;
 use seco_plan::{NodeId, PlanNode, QueryPlan};
-use seco_services::{DeviationPolicy, ServiceRegistry};
+use seco_services::ServiceRegistry;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::interp::{Interpreter, Rechunk, Schedule, Speculation};
+use crate::interp::{self, Interpreter, Rechunk, Schedule, Speculation};
 use crate::shared::{ClockMode, SharedState};
 
 /// Channel capacity per plan arc, in batches; small enough to exercise
@@ -258,32 +257,27 @@ fn preflight_replan(
     if !options.adaptive {
         return None;
     }
-    let policy = DeviationPolicy {
-        threshold: options.adaptive_threshold,
-        min_samples: 1,
-    };
-    if registry.promote_deviations(&policy).is_empty() {
-        return None;
-    }
-    let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for (name, drift) in registry.service_drift() {
-        if let Some(card) = drift.observed_cardinality {
-            observed.insert(name, (drift.declared_cardinality, card.value));
+    interp::replan(plan, registry, options, &BTreeSet::new(), |promoted| {
+        if promoted.is_empty() {
+            return None;
         }
-    }
-    // A promotion *is* a deviation past the threshold (that is the
-    // promotion criterion), so always open the re-planner's gate —
-    // pattern-only drift leaves no service entry above.
-    observed.insert(
-        "(promoted)".to_owned(),
-        (1.0, options.adaptive_threshold.max(1.0)),
-    );
-    let mut opt = Optimizer::new(registry, options.adaptive_metric);
-    opt.replan_threshold = options.adaptive_threshold;
-    opt.replan_suffix(plan, &BTreeSet::new(), &observed)
-        .ok()
-        .filter(|re| re.plan != *plan)
-        .map(|re| re.plan)
+        let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
+        for (name, drift) in registry.service_drift() {
+            if let Some(card) = drift.observed_cardinality {
+                observed.insert(name, (drift.declared_cardinality, card.value));
+            }
+        }
+        // A promotion *is* a deviation past the threshold (that is the
+        // promotion criterion), so always open the re-planner's gate —
+        // pattern-only drift leaves no service entry above.
+        observed.insert(
+            "(promoted)".to_owned(),
+            (1.0, options.adaptive_threshold.max(1.0)),
+        );
+        Some(observed)
+    })
+    .filter(|re| re.plan != *plan)
+    .map(|re| re.plan)
 }
 
 /// What the node tasks of one run share.

@@ -9,14 +9,18 @@
 //! stopped at any time, and it will nevertheless return a valid
 //! solution" — [`Optimizer::budget`] implements that anytime behaviour.
 //!
+//! `Optimizer::search` is the one loop over topologies: a full
+//! optimization hands it every enumerated topology, a suffix re-plan
+//! ([`crate::replan`]) the restricted ones plus a `Seed`.
+//!
 //! # Parallel search
 //!
 //! Phase-2 topologies are independent branch-and-bound subtrees, so the
 //! driver fans them across a bounded worker pool ([`Optimizer::workers`]):
-//! workers pull (assignment × topology) items off a shared atomic
-//! cursor, share the incumbent cost as an atomic bound (monotonically
-//! decreasing, so a stale read only costs a missed prune, never a wrong
-//! one), and race to improve the incumbent under one mutex.
+//! workers pull topologies off a shared atomic cursor, share the
+//! incumbent cost as an atomic bound (monotonically decreasing, so a
+//! stale read only costs a missed prune, never a wrong one), and race to
+//! improve the incumbent under one mutex.
 //!
 //! The result is **deterministic** — byte-identical across worker
 //! counts and to the serial path — by construction:
@@ -25,8 +29,9 @@
 //!   whose completion ties the optimum can never be pruned under any
 //!   schedule, because its lower bound never exceeds the optimal cost;
 //! * among equal-cost completions the winner is the least
-//!   `(cost, canonical plan key, enumeration index)` triple, a total
-//!   order independent of arrival order.
+//!   `(cost, canonical plan key, rank)` triple, a total order
+//!   independent of arrival order. Topology `i` ranks `i + 1`; rank 0
+//!   is a seeded incumbent, which therefore wins every full tie.
 //!
 //! Every instantiated plan therefore competes in every run, and the
 //! minimum of a fixed set under a total order does not depend on the
@@ -38,7 +43,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use seco_plan::{annotate, AnnotatedPlan, AnnotationConfig, DeltaAnnotator, PlanNode, QueryPlan};
+use seco_exec::ExecPool;
+use seco_plan::{AnnotatedPlan, AnnotationConfig, DeltaAnnotator, QueryPlan};
 use seco_query::Query;
 use seco_services::ServiceRegistry;
 
@@ -47,7 +53,7 @@ use crate::error::OptError;
 use crate::heuristics::HeuristicSet;
 use crate::phase1::enumerate_assignments;
 use crate::phase2::{enumerate_topologies, DEFAULT_MAX_TOPOLOGIES};
-use crate::phase3::{assign_fetches_seeded, assign_fetches_with, AnnotationMemo, Phase3Stats};
+use crate::phase3::{assign_fetches_seeded, reset_fetches, AnnotationMemo, FetchPins, Phase3Stats};
 use crate::plan_cache::{query_fingerprint, PlanCache};
 
 /// Exploration statistics of one optimization run (the Fig. 8
@@ -114,13 +120,9 @@ pub struct Optimizer<'a> {
     pub budget: Option<usize>,
     /// Cap on enumerated topologies per assignment.
     pub max_topologies: usize,
-    /// Worker threads for the topology fan-out (`1` = serial in the
+    /// Worker jobs for the topology fan-out (`1` = serial in the
     /// calling thread; higher values share the incumbent bound).
     pub workers: usize,
-    /// Use incremental (delta) annotation in phase 3. Disabled, every
-    /// fetch-factor trial re-annotates the full plan — kept as the
-    /// tests' baseline.
-    pub incremental: bool,
     /// Optional cross-run plan cache keyed by structural query
     /// fingerprint. Skipped when a [`budget`](Self::budget) is set:
     /// truncated searches are not canonical results worth caching.
@@ -130,21 +132,30 @@ pub struct Optimizer<'a> {
     /// least this multiplicative ratio before a suffix re-plan is
     /// attempted (the chapter's "off by ≥10×" default).
     pub replan_threshold: f64,
-    /// Shared executor pool to run the topology fan-out on. With a
-    /// pool, the phase-3 workers are compute jobs on its work-stealing
-    /// deques (the calling thread participates); without one, they are
-    /// scoped threads as before. Irrelevant when
-    /// [`workers`](Self::workers) is 1.
-    pub pool: Option<Arc<seco_exec::ExecPool>>,
+    /// Shared executor pool to run the topology fan-out on: the worker
+    /// loops are compute jobs on its work-stealing deques (the calling
+    /// thread participates). Without one, a search with
+    /// [`workers`](Self::workers) above 1 runs on a pool of its own.
+    pub pool: Option<Arc<ExecPool>>,
+}
+
+/// What a suffix re-plan fixes before `Optimizer::search` starts.
+pub(crate) struct Seed {
+    /// The executed services' fetch factors.
+    pub pins: FetchPins,
+    /// The original plan, the incumbent at rank 0, with its annotation
+    /// and cost under the current statistics.
+    pub plan: QueryPlan,
+    pub annotated: AnnotatedPlan,
+    pub cost: f64,
 }
 
 /// A candidate incumbent: the total tie-break order is
-/// `(cost, canonical key, enumeration index)`, which is
-/// schedule-independent.
+/// `(cost, canonical key, rank)`, which is schedule-independent.
 struct Candidate {
     cost: f64,
     key: String,
-    item_idx: usize,
+    rank: usize,
     plan: QueryPlan,
     annotated: AnnotatedPlan,
 }
@@ -157,7 +168,7 @@ impl Candidate {
         if self.key != other.key {
             return self.key < other.key;
         }
-        self.item_idx < other.item_idx
+        self.rank < other.rank
     }
 }
 
@@ -165,6 +176,8 @@ impl Candidate {
 struct Shared<'s> {
     /// Pre-enumerated (assignment × topology) work items.
     items: &'s [QueryPlan],
+    /// Fetch factors every item keeps (empty for a full search).
+    pins: FetchPins,
     /// Next item to claim.
     next: AtomicUsize,
     /// Incumbent cost as f64 bits (monotonically decreasing; stale
@@ -195,12 +208,27 @@ struct Shared<'s> {
 }
 
 impl<'s> Shared<'s> {
-    fn new(items: &'s [QueryPlan]) -> Self {
+    fn new(items: &'s [QueryPlan], seed: Option<Seed>) -> Self {
+        let (pins, best) = match seed {
+            Some(seed) => {
+                let incumbent = Candidate {
+                    cost: seed.cost,
+                    key: seed.plan.canonical_key(),
+                    rank: 0,
+                    plan: seed.plan,
+                    annotated: seed.annotated,
+                };
+                (seed.pins, Some(incumbent))
+            }
+            None => (FetchPins::new(), None),
+        };
+        let bound = best.as_ref().map_or(f64::INFINITY, |b| b.cost);
         Shared {
             items,
+            pins,
             next: AtomicUsize::new(0),
-            bound_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            best: Mutex::new(None),
+            bound_bits: AtomicU64::new(bound.to_bits()),
+            best: Mutex::new(best),
             memo: Mutex::new(AnnotationMemo::new()),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
@@ -239,7 +267,7 @@ impl<'s> Shared<'s> {
 
 impl<'a> Optimizer<'a> {
     /// An optimizer with default heuristics, no budget, serial search,
-    /// incremental annotation, and the given metric.
+    /// and the given metric.
     pub fn new(registry: &'a ServiceRegistry, metric: CostMetric) -> Self {
         Optimizer {
             registry,
@@ -248,7 +276,6 @@ impl<'a> Optimizer<'a> {
             budget: None,
             max_topologies: DEFAULT_MAX_TOPOLOGIES,
             workers: 1,
-            incremental: true,
             cache: None,
             replan_threshold: 10.0,
             pool: None,
@@ -283,7 +310,8 @@ impl<'a> Optimizer<'a> {
             _ => None,
         };
 
-        let mut result = self.search(query)?;
+        let (items, stats) = self.enumerate(query)?;
+        let mut result = self.search(&items, query.k, None, stats)?;
         if let (Some(cache), Some(fp)) = (&self.cache, fingerprint) {
             cache.insert(fp, Arc::new(result.clone()));
             result.stats.cache_misses = 1;
@@ -292,60 +320,79 @@ impl<'a> Optimizer<'a> {
         Ok(result)
     }
 
-    /// The actual search: enumerate phases 1–2, then fan the topologies
-    /// across the worker pool.
-    fn search(&self, query: &Query) -> Result<Optimized, OptError> {
-        let mut stats = SearchStats::default();
-
+    /// Phases 1–2: every topology of every feasible assignment, in
+    /// enumeration order, with `assignments` and `topologies` counted.
+    pub(crate) fn enumerate(
+        &self,
+        query: &Query,
+    ) -> Result<(Vec<QueryPlan>, SearchStats), OptError> {
         let assignments = enumerate_assignments(query, self.registry, self.heuristics.phase1)?;
-        stats.assignments = assignments.len();
-
         let mut items: Vec<QueryPlan> = Vec::new();
         for assignment in &assignments {
-            let topologies = enumerate_topologies(
+            items.extend(enumerate_topologies(
                 &assignment.query,
                 self.registry,
                 &assignment.report,
                 self.heuristics.phase2,
                 self.max_topologies,
-            )?;
-            items.extend(topologies);
+            )?);
         }
-        stats.topologies = items.len();
+        let stats = SearchStats {
+            assignments: assignments.len(),
+            topologies: items.len(),
+            ..SearchStats::default()
+        };
+        Ok((items, stats))
+    }
 
-        let shared = Shared::new(&items);
+    /// The search proper: bounds and instantiates `items` across the
+    /// workers and returns the least candidate, with this run's counters
+    /// added to `stats`. A `seed` pins fetch factors in every item and
+    /// enters as the incumbent at rank 0; `stats.replans` then says
+    /// whether an item beat it.
+    pub(crate) fn search(
+        &self,
+        items: &[QueryPlan],
+        k: usize,
+        seed: Option<Seed>,
+        mut stats: SearchStats,
+    ) -> Result<Optimized, OptError> {
+        let seeded = seed.is_some();
+        let shared = Shared::new(items, seed);
         let workers = self.workers.max(1).min(items.len().max(1));
         if workers <= 1 {
-            self.worker(&shared, query.k);
-        } else if let Some(pool) = &self.pool {
+            self.worker(&shared, k);
+        } else {
             // Worker loops are pure compute (no channel waits), so
             // they ride the pool's stealing deques directly; the
             // search makes progress even on a single-worker pool
             // because the scope owner executes jobs while waiting.
+            let local;
+            let pool = match &self.pool {
+                Some(pool) => pool.as_ref(),
+                None => {
+                    local = ExecPool::new(workers);
+                    &local
+                }
+            };
             let shared = &shared;
             pool.scope_run(
                 (0..workers)
-                    .map(|_| move || self.worker(shared, query.k))
+                    .map(|_| move || self.worker(shared, k))
                     .collect(),
             );
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| self.worker(&shared, query.k));
-                }
-            });
         }
 
         if let Some(e) = shared.error.lock().take() {
             return Err(e);
         }
 
-        stats.instantiated = shared.instantiated.load(Ordering::Relaxed);
-        stats.pruned = shared.pruned.load(Ordering::Relaxed);
-        stats.bound_updates = shared.bound_updates.load(Ordering::Relaxed);
-        stats.annotate_full = shared.annotate_full.load(Ordering::Relaxed);
-        stats.annotate_delta = shared.annotate_delta.load(Ordering::Relaxed);
-        stats.memo_hits = shared.memo_hits.load(Ordering::Relaxed);
+        stats.instantiated += shared.instantiated.load(Ordering::Relaxed);
+        stats.pruned += shared.pruned.load(Ordering::Relaxed);
+        stats.bound_updates += shared.bound_updates.load(Ordering::Relaxed);
+        stats.annotate_full += shared.annotate_full.load(Ordering::Relaxed);
+        stats.annotate_delta += shared.annotate_delta.load(Ordering::Relaxed);
+        stats.memo_hits += shared.memo_hits.load(Ordering::Relaxed);
 
         let best = shared.best.lock().take();
         match best {
@@ -364,6 +411,7 @@ impl<'a> Optimizer<'a> {
                         candidate.cost
                     );
                 }
+                stats.replans = usize::from(seeded && candidate.rank != 0);
                 Ok(Optimized {
                     plan: candidate.plan,
                     annotated: candidate.annotated,
@@ -375,7 +423,7 @@ impl<'a> Optimizer<'a> {
                 let unreachable = shared.unreachable.lock().take();
                 Err(unreachable.unwrap_or(OptError::Unreachable {
                     best_estimate: 0.0,
-                    k: query.k,
+                    k,
                 }))
             }
         }
@@ -407,70 +455,41 @@ impl<'a> Optimizer<'a> {
         shared: &Shared<'_>,
         k: usize,
     ) -> Result<(), OptError> {
-        let config = AnnotationConfig::default();
         let mut plan = topology.clone();
-        for id in plan.node_ids().collect::<Vec<_>>() {
-            if let PlanNode::Service(s) = plan.node_mut(id)? {
-                s.fetches = 1;
-            }
-        }
+        reset_fetches(&mut plan, &shared.pins)?;
 
-        let mut p3 = Phase3Stats::default();
-        let instantiation = if self.incremental {
-            // One full annotation serves both the lower bound and the
-            // phase-3 starting point.
-            let annotator = DeltaAnnotator::new(&plan, self.registry, &config)?;
-            p3.annotate_full += 1;
-            let lower_bound = self
-                .metric
-                .evaluate(&plan, annotator.annotated(), self.registry)?;
-            if lower_bound > shared.bound() {
-                shared.pruned.fetch_add(1, Ordering::Relaxed);
-                #[cfg(debug_assertions)]
-                shared.pruned_bounds.lock().push(lower_bound);
-                shared.add_phase3(&p3);
-                return Ok(());
-            }
-            // Topology-shape hash at ⟨1,…,1⟩: fetch factors live in the
-            // memo's vector key, not the shape.
-            let shape = {
-                let mut h = DefaultHasher::new();
-                plan.canonical_key().hash(&mut h);
-                h.finish()
-            };
-            assign_fetches_seeded(
-                &mut plan,
-                self.registry,
-                k,
-                self.heuristics.phase3,
-                self.metric,
-                annotator,
-                Some((&shared.memo, shape)),
-                &[],
-                &mut p3,
-            )
-        } else {
-            let lb_ann = annotate(&plan, self.registry, &config)?;
-            p3.annotate_full += 1;
-            let lower_bound = self.metric.evaluate(&plan, &lb_ann, self.registry)?;
-            if lower_bound > shared.bound() {
-                shared.pruned.fetch_add(1, Ordering::Relaxed);
-                #[cfg(debug_assertions)]
-                shared.pruned_bounds.lock().push(lower_bound);
-                shared.add_phase3(&p3);
-                return Ok(());
-            }
-            assign_fetches_with(
-                &mut plan,
-                self.registry,
-                k,
-                self.heuristics.phase3,
-                self.metric,
-                false,
-                None,
-                &mut p3,
-            )
+        // One full annotation serves both the lower bound and the
+        // phase-3 starting point.
+        let annotator = DeltaAnnotator::new(&plan, self.registry, &AnnotationConfig::default())?;
+        shared.annotate_full.fetch_add(1, Ordering::Relaxed);
+        let lower_bound = self
+            .metric
+            .evaluate(&plan, annotator.annotated(), self.registry)?;
+        if lower_bound > shared.bound() {
+            shared.pruned.fetch_add(1, Ordering::Relaxed);
+            #[cfg(debug_assertions)]
+            shared.pruned_bounds.lock().push(lower_bound);
+            return Ok(());
+        }
+        // Topology-shape hash at the starting vector: fetch factors
+        // live in the memo's vector key, not the shape.
+        let shape = {
+            let mut h = DefaultHasher::new();
+            plan.canonical_key().hash(&mut h);
+            h.finish()
         };
+        let mut p3 = Phase3Stats::default();
+        let instantiation = assign_fetches_seeded(
+            &mut plan,
+            self.registry,
+            k,
+            self.heuristics.phase3,
+            self.metric,
+            annotator,
+            Some((&shared.memo, shape)),
+            &shared.pins,
+            &mut p3,
+        );
         shared.add_phase3(&p3);
 
         match instantiation {
@@ -480,7 +499,7 @@ impl<'a> Optimizer<'a> {
                 let candidate = Candidate {
                     cost,
                     key: plan.canonical_key(),
-                    item_idx: idx,
+                    rank: idx + 1,
                     plan,
                     annotated,
                 };
@@ -488,9 +507,7 @@ impl<'a> Optimizer<'a> {
                     let mut best = shared.best.lock();
                     let replace = best.as_ref().map(|b| candidate.beats(b)).unwrap_or(true);
                     if replace {
-                        if candidate.cost
-                            < f64::from_bits(shared.bound_bits.load(Ordering::Relaxed))
-                        {
+                        if candidate.cost < shared.bound() {
                             shared
                                 .bound_bits
                                 .store(candidate.cost.to_bits(), Ordering::Relaxed);
@@ -691,32 +708,6 @@ mod tests {
         }
         assert!(pool.stats().morsels > 0, "search ran on the pool");
         pool.shutdown();
-    }
-
-    #[test]
-    fn full_annotation_baseline_finds_the_same_optimum() {
-        let reg = entertainment::build_registry(1).unwrap();
-        let q = running_example();
-        for metric in CostMetric::all() {
-            let incremental = optimize(&q, &reg, metric).unwrap();
-            let mut opt = Optimizer::new(&reg, metric);
-            opt.incremental = false;
-            let full = opt.optimize(&q).unwrap();
-            assert_eq!(full.cost.to_bits(), incremental.cost.to_bits(), "{metric}");
-            assert_eq!(
-                full.plan.canonical_key(),
-                incremental.plan.canonical_key(),
-                "{metric}"
-            );
-            assert!(
-                incremental.stats.annotate_full < full.stats.annotate_full,
-                "{metric}: delta annotation must replace full annotations \
-                 ({} !< {})",
-                incremental.stats.annotate_full,
-                full.stats.annotate_full
-            );
-            assert_eq!(full.stats.annotate_delta, 0);
-        }
     }
 
     #[test]

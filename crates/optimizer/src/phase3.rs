@@ -13,21 +13,17 @@
 //! **square-is-better** (keep the explored tuple counts of all chunked
 //! services balanced).
 //!
-//! Annotation is **incremental** by default: the topology is annotated
-//! once at ⟨1, …, 1⟩ (a [`DeltaAnnotator`]), and every trial or
-//! committed increment propagates only the changed node's downstream
-//! cone. Trial evaluations are additionally memoized across topologies
-//! by (topology shape, fetch vector), so re-instantiating a shape the
-//! search has already explored never re-derives the same estimate. The
-//! legacy full-re-annotation path is kept (`incremental = false`) as
-//! the baseline `tests/optimizer_parallel.rs` counts annotations against.
+//! Annotation is **incremental**: the topology is annotated once at
+//! ⟨1, …, 1⟩ (a [`DeltaAnnotator`]), and every trial or committed
+//! increment propagates only the changed node's downstream cone. Trial
+//! evaluations are additionally memoized across topologies by
+//! (topology shape, fetch vector), so re-instantiating a shape the
+//! search has already explored never re-derives the same estimate.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use parking_lot::Mutex;
-use seco_plan::{
-    annotate, AnnotatedPlan, AnnotationConfig, DeltaAnnotator, NodeId, PlanNode, QueryPlan,
-};
+use seco_plan::{AnnotatedPlan, AnnotationConfig, DeltaAnnotator, NodeId, PlanNode, QueryPlan};
 use seco_services::ServiceRegistry;
 
 use crate::cost::CostMetric;
@@ -49,15 +45,6 @@ pub struct Phase3Stats {
     pub memo_hits: usize,
 }
 
-impl Phase3Stats {
-    /// Accumulates another run's counters.
-    pub fn merge(&mut self, other: &Phase3Stats) {
-        self.annotate_full += other.annotate_full;
-        self.annotate_delta += other.annotate_delta;
-        self.memo_hits += other.memo_hits;
-    }
-}
-
 /// Memoized trial estimates keyed by (topology-shape hash, fetch
 /// vector): expected output tuples and metric cost. Shared across the
 /// branch-and-bound's workers under one optimization run (the registry
@@ -65,8 +52,25 @@ impl Phase3Stats {
 /// stale within it).
 pub type AnnotationMemo = HashMap<(u64, Vec<u32>), (f64, f64)>;
 
-/// Assigns fetch factors in place until the annotated plan yields at
-/// least `k` expected answers; returns the final annotation.
+/// Fetch factors fixed by atom alias: a suffix re-plan pins its executed
+/// services here, whose fetches are a fact of the past, not a degree of
+/// freedom. Empty for a full search.
+pub type FetchPins = BTreeMap<String, u32>;
+
+/// Sets every service node's fetch factor to its pin, or to 1, the
+/// lowest admissible value.
+pub(crate) fn reset_fetches(plan: &mut QueryPlan, pins: &FetchPins) -> Result<(), OptError> {
+    for id in plan.node_ids().collect::<Vec<_>>() {
+        if let PlanNode::Service(s) = plan.node_mut(id)? {
+            s.fetches = pins.get(&s.atom).copied().unwrap_or(1);
+        }
+    }
+    Ok(())
+}
+
+/// Assigns fetch factors in place, from ⟨1, …, 1⟩, until the annotated
+/// plan yields at least `k` expected answers; returns the final
+/// annotation.
 ///
 /// Fails with [`OptError::Unreachable`] when even maximal fetching
 /// cannot reach `k` (e.g. the services simply do not hold enough
@@ -78,59 +82,20 @@ pub fn assign_fetches(
     heuristic: Phase3Heuristic,
     metric: CostMetric,
 ) -> Result<AnnotatedPlan, OptError> {
+    let pins = FetchPins::new();
+    reset_fetches(plan, &pins)?;
+    let annotator = DeltaAnnotator::new(plan, registry, &AnnotationConfig::default())?;
     let mut stats = Phase3Stats::default();
-    assign_fetches_with(plan, registry, k, heuristic, metric, true, None, &mut stats)
+    assign_fetches_seeded(
+        plan, registry, k, heuristic, metric, annotator, None, &pins, &mut stats,
+    )
 }
 
-/// [`assign_fetches`] with explicit annotation mode, optional memo, and
-/// work counters. `incremental = false` re-annotates the full plan on
-/// every trial (the pre-delta behaviour, kept as the tests'
-/// baseline).
-#[allow(clippy::too_many_arguments)]
-pub fn assign_fetches_with(
-    plan: &mut QueryPlan,
-    registry: &ServiceRegistry,
-    k: usize,
-    heuristic: Phase3Heuristic,
-    metric: CostMetric,
-    incremental: bool,
-    memo: Option<(&Mutex<AnnotationMemo>, u64)>,
-    stats: &mut Phase3Stats,
-) -> Result<AnnotatedPlan, OptError> {
-    // Initialise every factor at the lowest admissible value.
-    for id in plan.node_ids().collect::<Vec<_>>() {
-        if let PlanNode::Service(s) = plan.node_mut(id)? {
-            s.fetches = 1;
-        }
-    }
-    if incremental {
-        let config = AnnotationConfig::default();
-        let annotator = DeltaAnnotator::new(plan, registry, &config)?;
-        stats.annotate_full += 1;
-        assign_fetches_seeded(
-            plan,
-            registry,
-            k,
-            heuristic,
-            metric,
-            annotator,
-            memo,
-            &[],
-            stats,
-        )
-    } else {
-        assign_fetches_full(plan, registry, k, heuristic, metric, stats)
-    }
-}
-
-/// Incremental phase 3 starting from a pre-built annotator positioned
-/// at the plan's current (minimal) fetch vector — the branch-and-bound
-/// reuses the annotator it already built for the lower bound, so a
-/// surviving topology costs exactly one full annotation.
-///
-/// Nodes in `pinned` keep their current fetch factor: suffix re-plans
-/// pass the already-executed service nodes here, whose fetches are a
-/// fact of the past, not a degree of freedom.
+/// Phase 3 starting from a pre-built annotator positioned at the plan's
+/// current fetch vector — the branch-and-bound reuses the annotator it
+/// already built for the lower bound, so a surviving topology costs
+/// exactly one full annotation. Service nodes whose atom is in `pins`
+/// keep their current fetch factor.
 #[allow(clippy::too_many_arguments)]
 pub fn assign_fetches_seeded(
     plan: &mut QueryPlan,
@@ -140,7 +105,7 @@ pub fn assign_fetches_seeded(
     metric: CostMetric,
     mut annotator: DeltaAnnotator,
     memo: Option<(&Mutex<AnnotationMemo>, u64)>,
-    pinned: &[NodeId],
+    pins: &FetchPins,
     stats: &mut Phase3Stats,
 ) -> Result<AnnotatedPlan, OptError> {
     // Service-node ordinals in node-id order: position of each service
@@ -153,10 +118,9 @@ pub fn assign_fetches_seeded(
 
     for _ in 0..MAX_ROUNDS {
         if annotator.output_tuples() >= k as f64 {
-            return Ok(annotator.to_annotated());
+            return Ok(annotator.into_annotated());
         }
-        let mut candidates = incrementable(plan, registry)?;
-        candidates.retain(|id| !pinned.contains(id));
+        let candidates = incrementable(plan, registry, pins)?;
         if candidates.is_empty() {
             return Err(OptError::Unreachable {
                 best_estimate: annotator.output_tuples(),
@@ -164,7 +128,7 @@ pub fn assign_fetches_seeded(
             });
         }
         let chosen = match heuristic {
-            Phase3Heuristic::Greedy => pick_greedy_incremental(
+            Phase3Heuristic::Greedy => pick_greedy(
                 plan,
                 registry,
                 &mut annotator,
@@ -197,63 +161,18 @@ pub fn assign_fetches_seeded(
     })
 }
 
-/// The legacy full-re-annotation loop (the tests' baseline): every trial
-/// and every committed increment re-annotates the whole plan.
-fn assign_fetches_full(
-    plan: &mut QueryPlan,
+/// Unpinned chunked service nodes whose factor can still usefully grow
+/// (below the service's expected chunk count, and not `keep_first`).
+fn incrementable(
+    plan: &QueryPlan,
     registry: &ServiceRegistry,
-    k: usize,
-    heuristic: Phase3Heuristic,
-    metric: CostMetric,
-    stats: &mut Phase3Stats,
-) -> Result<AnnotatedPlan, OptError> {
-    let config = AnnotationConfig::default();
-    let mut annotated = annotate(plan, registry, &config)?;
-    stats.annotate_full += 1;
-
-    for _ in 0..MAX_ROUNDS {
-        if annotated.output_tuples >= k as f64 {
-            return Ok(annotated);
-        }
-        let candidates = incrementable(plan, registry)?;
-        if candidates.is_empty() {
-            return Err(OptError::Unreachable {
-                best_estimate: annotated.output_tuples,
-                k,
-            });
-        }
-        let chosen = match heuristic {
-            Phase3Heuristic::Greedy => {
-                pick_greedy_full(plan, registry, &annotated, &candidates, metric, stats)?
-            }
-            Phase3Heuristic::SquareIsBetter => pick_square(plan, registry, &candidates)?,
-        };
-        let Some(chosen) = chosen else {
-            return Err(OptError::Unreachable {
-                best_estimate: annotated.output_tuples,
-                k,
-            });
-        };
-        if let PlanNode::Service(s) = plan.node_mut(chosen)? {
-            s.fetches += 1;
-        }
-        annotated = annotate(plan, registry, &config)?;
-        stats.annotate_full += 1;
-    }
-    Err(OptError::Unreachable {
-        best_estimate: annotated.output_tuples,
-        k,
-    })
-}
-
-/// Chunked service nodes whose factor can still usefully grow (below
-/// the service's expected chunk count, and not `keep_first`).
-fn incrementable(plan: &QueryPlan, registry: &ServiceRegistry) -> Result<Vec<NodeId>, OptError> {
+    pins: &FetchPins,
+) -> Result<Vec<NodeId>, OptError> {
     let mut out = Vec::new();
     for id in plan.node_ids() {
         if let PlanNode::Service(node) = plan.node(id)? {
             let iface = registry.interface(&node.service)?;
-            if !iface.kind.is_chunked() || node.keep_first {
+            if !iface.kind.is_chunked() || node.keep_first || pins.contains_key(&node.atom) {
                 continue;
             }
             let max_chunks = iface.stats.expected_chunks().max(1) as u32;
@@ -267,10 +186,10 @@ fn incrementable(plan: &QueryPlan, registry: &ServiceRegistry) -> Result<Vec<Nod
 
 /// Greedy over delta propagations: each candidate's trial bumps one
 /// factor, reads the new estimate and cost, and reverts — two cone
-/// recomputations instead of two full annotations, unless the (shape,
-/// vector) memo already knows the answer.
+/// recomputations, unless the (shape, vector) memo already knows the
+/// answer. Picks the candidate with the highest Δoutput / Δcost.
 #[allow(clippy::too_many_arguments)]
-fn pick_greedy_incremental(
+fn pick_greedy(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     annotator: &mut DeltaAnnotator,
@@ -318,39 +237,6 @@ fn pick_greedy_incremental(
             continue;
         }
         let cost_delta = (cost - base_cost).max(1e-9);
-        let sensitivity = gain / cost_delta;
-        if best.map(|(_, s)| sensitivity > s).unwrap_or(true) {
-            best = Some((id, sensitivity));
-        }
-    }
-    Ok(best.map(|(id, _)| id))
-}
-
-/// Greedy over full re-annotations (legacy baseline): the candidate
-/// with the highest Δoutput / Δcost.
-fn pick_greedy_full(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    current: &AnnotatedPlan,
-    candidates: &[NodeId],
-    metric: CostMetric,
-    stats: &mut Phase3Stats,
-) -> Result<Option<NodeId>, OptError> {
-    let config = AnnotationConfig::default();
-    let base_cost = metric.evaluate(plan, current, registry)?;
-    let mut best: Option<(NodeId, f64)> = None;
-    for &id in candidates {
-        let mut trial = plan.clone();
-        if let PlanNode::Service(s) = trial.node_mut(id)? {
-            s.fetches += 1;
-        }
-        let ann = annotate(&trial, registry, &config)?;
-        stats.annotate_full += 1;
-        let gain = ann.output_tuples - current.output_tuples;
-        if gain <= 0.0 {
-            continue;
-        }
-        let cost_delta = (metric.evaluate(&trial, &ann, registry)? - base_cost).max(1e-9);
         let sensitivity = gain / cost_delta;
         if best.map(|(_, s)| sensitivity > s).unwrap_or(true) {
             best = Some((id, sensitivity));
@@ -503,49 +389,6 @@ mod tests {
         assert!(f("T") >= f("M"), "theatre F={} movie F={}", f("T"), f("M"));
     }
 
-    /// Incremental and full phase 3 must be interchangeable: same fetch
-    /// vector, same annotation, same counters shape.
-    #[test]
-    fn incremental_matches_full_for_both_heuristics() {
-        for h in [Phase3Heuristic::Greedy, Phase3Heuristic::SquareIsBetter] {
-            for k in [1usize, 5, 10, 25] {
-                let (mut p_inc, reg) = parallel_topology();
-                let mut p_full = p_inc.clone();
-                let mut st_inc = Phase3Stats::default();
-                let mut st_full = Phase3Stats::default();
-                let metric = CostMetric::RequestCount;
-                let a =
-                    assign_fetches_with(&mut p_inc, &reg, k, h, metric, true, None, &mut st_inc);
-                let b =
-                    assign_fetches_with(&mut p_full, &reg, k, h, metric, false, None, &mut st_full);
-                match (a, b) {
-                    (Ok(ann_a), Ok(ann_b)) => {
-                        assert_eq!(p_inc, p_full, "{h} k={k}: fetch vectors diverged");
-                        assert_eq!(
-                            ann_a.output_tuples.to_bits(),
-                            ann_b.output_tuples.to_bits(),
-                            "{h} k={k}"
-                        );
-                        assert_eq!(ann_a.calls_by_service, ann_b.calls_by_service);
-                    }
-                    (Err(OptError::Unreachable { .. }), Err(OptError::Unreachable { .. })) => {}
-                    (a, b) => panic!("{h} k={k}: outcomes diverged: {a:?} vs {b:?}"),
-                }
-                assert!(
-                    st_inc.annotate_full <= 1,
-                    "incremental must annotate fully at most once, did {}",
-                    st_inc.annotate_full
-                );
-                if st_full.annotate_full > 1 {
-                    assert!(
-                        st_inc.annotate_delta > 0,
-                        "delta work must replace full work"
-                    );
-                }
-            }
-        }
-    }
-
     /// The memo answers repeated trial evaluations for the same
     /// (shape, vector) without propagating.
     #[test]
@@ -555,15 +398,19 @@ mod tests {
         let shape = 0xfeed_beefu64;
         let run = || {
             let mut p = plan.clone();
+            let pins = FetchPins::new();
+            reset_fetches(&mut p, &pins).unwrap();
+            let annotator = DeltaAnnotator::new(&p, &reg, &AnnotationConfig::default()).unwrap();
             let mut stats = Phase3Stats::default();
-            assign_fetches_with(
+            assign_fetches_seeded(
                 &mut p,
                 &reg,
                 10,
                 Phase3Heuristic::Greedy,
                 CostMetric::RequestCount,
-                true,
+                annotator,
                 Some((&memo, shape)),
+                &pins,
                 &mut stats,
             )
             .unwrap();

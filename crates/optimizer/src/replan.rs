@@ -11,23 +11,25 @@
 //! fetch factors — is re-searched under the current (possibly promoted)
 //! registry statistics.
 //!
-//! Determinism mirrors the branch-and-bound: the original plan is
-//! seeded as the incumbent at tie-break rank 0, and a challenger must
-//! *strictly* beat it under the `(cost, canonical key, index)` order.
+//! The re-plan is not a search of its own: it hands the restricted
+//! topologies to the branch-and-bound's `Optimizer::search` with the
+//! original plan seeded as the incumbent at tie-break rank 0, so a
+//! challenger must *strictly* beat it under the `(cost, canonical key,
+//! rank)` order, and pruning, the phase-3 memo and the worker fan-out
+//! are the full search's.
+//!
 //! With observations that do not deviate past
 //! [`Optimizer::replan_threshold`], the search is skipped entirely and
 //! the original plan is returned byte-identically.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use seco_plan::{annotate, AnnotationConfig, DeltaAnnotator, NodeId, PlanNode, QueryPlan};
+use seco_plan::{annotate, AnnotationConfig, NodeId, PlanNode, QueryPlan};
 use seco_services::drift_ratio;
 
-use crate::bnb::{Optimized, Optimizer, SearchStats};
+use crate::bnb::{Optimized, Optimizer, SearchStats, Seed};
 use crate::error::OptError;
-use crate::phase1::enumerate_assignments;
-use crate::phase2::enumerate_topologies;
-use crate::phase3::{assign_fetches_seeded, Phase3Stats};
+use crate::phase3::FetchPins;
 
 /// Structural signature of the already-executed part of a plan: the
 /// sorted signatures of every node whose inputs are fully covered by
@@ -101,23 +103,21 @@ impl Optimizer<'_> {
     /// [`replan_threshold`](Optimizer::replan_threshold), the original
     /// plan is returned **byte-identically** without searching. When
     /// one does, phases 1–3 re-run under the current registry
-    /// statistics, restricted to plans embedding the executed prefix
-    /// (same services, same upstream structure, fetch factors pinned);
-    /// the original plan stays the incumbent unless a candidate
-    /// strictly beats it.
+    /// statistics through `Optimizer::search`, restricted to plans
+    /// embedding the executed prefix (same services, same upstream
+    /// structure, fetch factors pinned); the original plan stays the
+    /// incumbent unless a candidate strictly beats it. The search
+    /// honours [`workers`](Optimizer::workers),
+    /// [`pool`](Optimizer::pool) and [`budget`](Optimizer::budget) as a
+    /// full optimization does.
     pub fn replan_suffix(
         &self,
         plan: &QueryPlan,
         executed_prefix: &BTreeSet<String>,
         observed: &BTreeMap<String, (f64, f64)>,
     ) -> Result<Optimized, OptError> {
-        let config = AnnotationConfig::default();
-        let annotated = annotate(plan, self.registry, &config)?;
+        let annotated = annotate(plan, self.registry, &AnnotationConfig::default())?;
         let cost = self.metric.evaluate(plan, &annotated, self.registry)?;
-        let mut stats = SearchStats {
-            annotate_full: 1,
-            ..SearchStats::default()
-        };
 
         let deviated = observed
             .values()
@@ -127,24 +127,21 @@ impl Optimizer<'_> {
                 plan: plan.clone(),
                 annotated,
                 cost,
-                stats,
+                stats: SearchStats {
+                    annotate_full: 1,
+                    ..SearchStats::default()
+                },
             });
         }
 
-        // Incumbent: the original plan under current statistics, at
-        // tie-break rank 0 — challengers must strictly beat it.
-        let mut best = (cost, plan.canonical_key(), 0usize, plan.clone(), annotated);
-
         // The executed services' fetch factors are history; pin them.
-        let mut prefix_fetches: BTreeMap<String, u32> = BTreeMap::new();
-        for alias in executed_prefix {
-            if let Some(id) = plan.service_node_of(alias) {
-                if let Ok(PlanNode::Service(s)) = plan.node(id) {
-                    prefix_fetches.insert(alias.clone(), s.fetches);
-                }
-            }
-        }
-        let target_sig = prefix_signature(plan, executed_prefix);
+        let pins: FetchPins = executed_prefix
+            .iter()
+            .filter_map(|alias| match plan.node(plan.service_node_of(alias)?) {
+                Ok(PlanNode::Service(s)) => Some((alias.clone(), s.fetches)),
+                _ => None,
+            })
+            .collect();
 
         // Phase 1 restricted: executed atoms stay on their assigned
         // interface; unexecuted atoms re-open to every interface of
@@ -157,91 +154,19 @@ impl Optimizer<'_> {
                 }
             }
         }
-        let assignments = enumerate_assignments(&relaxed, self.registry, self.heuristics.phase1)?;
-        stats.assignments = assignments.len();
-
-        let k = plan.query.k;
-        let mut item_idx = 0usize;
-        for assignment in &assignments {
-            let topologies = enumerate_topologies(
-                &assignment.query,
-                self.registry,
-                &assignment.report,
-                self.heuristics.phase2,
-                self.max_topologies,
-            )?;
-            for topology in topologies {
-                stats.topologies += 1;
-                item_idx += 1;
-                if prefix_signature(&topology, executed_prefix) != target_sig {
-                    continue;
-                }
-                let mut candidate = topology;
-                let mut pinned: Vec<NodeId> = Vec::new();
-                for id in candidate.node_ids().collect::<Vec<_>>() {
-                    if let PlanNode::Service(s) = candidate.node_mut(id)? {
-                        match prefix_fetches.get(&s.atom) {
-                            Some(f) => {
-                                s.fetches = *f;
-                                pinned.push(id);
-                            }
-                            None => s.fetches = 1,
-                        }
-                    }
-                }
-                let mut p3 = Phase3Stats::default();
-                let annotator = DeltaAnnotator::new(&candidate, self.registry, &config)?;
-                p3.annotate_full += 1;
-                let lower =
-                    self.metric
-                        .evaluate(&candidate, annotator.annotated(), self.registry)?;
-                if lower > best.0 {
-                    stats.pruned += 1;
-                    stats.annotate_full += p3.annotate_full;
-                    continue;
-                }
-                let instantiation = assign_fetches_seeded(
-                    &mut candidate,
-                    self.registry,
-                    k,
-                    self.heuristics.phase3,
-                    self.metric,
-                    annotator,
-                    None,
-                    &pinned,
-                    &mut p3,
-                );
-                stats.annotate_full += p3.annotate_full;
-                stats.annotate_delta += p3.annotate_delta;
-                stats.memo_hits += p3.memo_hits;
-                match instantiation {
-                    Ok(ann) => {
-                        stats.instantiated += 1;
-                        let c = self.metric.evaluate(&candidate, &ann, self.registry)?;
-                        let key = candidate.canonical_key();
-                        let beats = c < best.0
-                            || (c == best.0
-                                && (key < best.1 || (key == best.1 && item_idx < best.2)));
-                        if beats {
-                            stats.bound_updates += 1;
-                            best = (c, key, item_idx, candidate, ann);
-                        }
-                    }
-                    // A suffix that cannot reach k under the new
-                    // statistics simply does not challenge.
-                    Err(OptError::Unreachable { .. }) => stats.instantiated += 1,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-
-        stats.replans = usize::from(best.2 != 0);
-        Ok(Optimized {
-            plan: best.3,
-            annotated: best.4,
-            cost: best.0,
-            stats,
-        })
+        // Phase 2 restricted: only topologies the executed work embeds
+        // into unchanged. `topologies` still counts every one.
+        let (mut items, mut stats) = self.enumerate(&relaxed)?;
+        let target = prefix_signature(plan, executed_prefix);
+        items.retain(|topology| prefix_signature(topology, executed_prefix) == target);
+        stats.annotate_full = 1;
+        let seed = Seed {
+            pins,
+            plan: plan.clone(),
+            annotated,
+            cost,
+        };
+        self.search(&items, plan.query.k, Some(seed), stats)
     }
 }
 

@@ -20,12 +20,11 @@
 
 use std::collections::BTreeMap;
 
-use seco_query::feasibility::{analyze, FeasibilityReport};
 use seco_services::ServiceRegistry;
 
 use crate::dag::{NodeId, QueryPlan};
+use crate::delta::DeltaAnnotator;
 use crate::error::PlanError;
-use crate::node::PlanNode;
 
 /// Per-node annotation of a fully instantiated plan.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -112,110 +111,14 @@ impl AnnotatedPlan {
     }
 }
 
-/// Computes the pipe-join selectivity applying to a service node: the
-/// product of the join selectivities between this atom and each distinct
-/// atom that pipes values into it.
-pub(crate) fn pipe_selectivity(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    report: &FeasibilityReport,
-    atom: &str,
-) -> Result<f64, PlanError> {
-    let mut sel = 1.0;
-    let mut seen: Vec<&str> = Vec::new();
-    for dep in report.bindings_of(atom) {
-        if let seco_query::feasibility::BindingSource::Piped { from_atom, .. } = &dep.source {
-            if !seen.contains(&from_atom.as_str()) {
-                seen.push(from_atom);
-                sel *= plan.query.join_selectivity(registry, from_atom, atom)?;
-            }
-        }
-    }
-    Ok(sel)
-}
-
-/// Annotates a validated plan. See the module docs for the arithmetic.
+/// Annotates a validated plan. See the module docs for the arithmetic,
+/// which lives in [`DeltaAnnotator`]: this is a freshly built one.
 pub fn annotate(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     config: &AnnotationConfig,
 ) -> Result<AnnotatedPlan, PlanError> {
-    plan.validate()?;
-    let report = analyze(&plan.query, registry)?;
-    let order = plan.topo_order()?;
-    let mut annotations = vec![Annotation::default(); plan.len()];
-    let mut calls_by_service: BTreeMap<String, f64> = BTreeMap::new();
-
-    for id in order {
-        let preds = plan.predecessors(id);
-        let ann = match plan.node(id)? {
-            PlanNode::Input => Annotation {
-                tin: 1.0,
-                tout: 1.0,
-                calls: 0.0,
-            },
-            PlanNode::Output => {
-                let tin = annotations[preds[0].0].tout;
-                Annotation {
-                    tin,
-                    tout: tin,
-                    calls: 0.0,
-                }
-            }
-            PlanNode::Selection(sel) => {
-                let tin = annotations[preds[0].0].tout;
-                Annotation {
-                    tin,
-                    tout: tin * sel.selectivity,
-                    calls: 0.0,
-                }
-            }
-            PlanNode::ParallelJoin(spec) => {
-                let tl = annotations[preds[0].0].tout;
-                let tr = annotations[preds[1].0].tout;
-                let candidates = tl * tr * spec.completion.coverage_factor();
-                Annotation {
-                    tin: candidates,
-                    tout: candidates * spec.selectivity,
-                    calls: 0.0,
-                }
-            }
-            PlanNode::Service(node) => {
-                let iface = registry
-                    .interface(&node.service)
-                    .map_err(|e| PlanError::Query(e.into()))?;
-                let tin = annotations[preds[0].0].tout;
-                let calls = tin * node.fetches as f64;
-                *calls_by_service.entry(node.service.clone()).or_insert(0.0) += calls;
-                let psel = pipe_selectivity(plan, registry, &report, &node.atom)?;
-                let per_input = if node.keep_first {
-                    1.0
-                } else if iface.kind.is_chunked() {
-                    let fetched = (iface.stats.chunk_size as f64) * node.fetches as f64;
-                    if config.cap_by_total {
-                        fetched.min(iface.stats.avg_cardinality.max(1.0))
-                    } else {
-                        fetched
-                    }
-                } else {
-                    iface.stats.avg_cardinality
-                };
-                Annotation {
-                    tin,
-                    tout: tin * psel * per_input,
-                    calls,
-                }
-            }
-        };
-        annotations[id.0] = ann;
-    }
-
-    let output_tuples = annotations[plan.output().0].tout;
-    Ok(AnnotatedPlan {
-        annotations,
-        calls_by_service,
-        output_tuples,
-    })
+    DeltaAnnotator::new(plan, registry, config).map(DeltaAnnotator::into_annotated)
 }
 
 /// Back-propagates the output target `K` through the plan (§5.6: "The
@@ -239,53 +142,8 @@ pub fn back_propagate(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     k: f64,
-) -> Result<std::collections::BTreeMap<NodeId, f64>, PlanError> {
-    plan.validate()?;
-    let report = analyze(&plan.query, registry)?;
-    let mut required: std::collections::BTreeMap<NodeId, f64> = std::collections::BTreeMap::new();
-    let order = {
-        let mut o = plan.topo_order()?;
-        o.reverse();
-        o
-    };
-    required.insert(plan.output(), k);
-    for id in order {
-        let Some(&req_out) = required.get(&id) else {
-            continue;
-        };
-        let preds = plan.predecessors(id);
-        match plan.node(id)? {
-            PlanNode::Input => {}
-            PlanNode::Output => {
-                required.insert(preds[0], req_out);
-            }
-            PlanNode::Selection(sel) => {
-                required.insert(preds[0], req_out / sel.selectivity.max(1e-9));
-            }
-            PlanNode::Service(node) => {
-                let iface = registry
-                    .interface(&node.service)
-                    .map_err(|e| PlanError::Query(e.into()))?;
-                let psel = pipe_selectivity(plan, registry, &report, &node.atom)?;
-                let per_input = if node.keep_first {
-                    1.0
-                } else if iface.kind.is_chunked() {
-                    (iface.stats.chunk_size as f64 * node.fetches as f64)
-                        .min(iface.stats.avg_cardinality.max(1.0))
-                } else {
-                    iface.stats.avg_cardinality
-                };
-                required.insert(preds[0], req_out / (psel * per_input).max(1e-9));
-            }
-            PlanNode::ParallelJoin(spec) => {
-                let candidates = req_out / spec.selectivity.max(1e-9);
-                let per_side = (candidates / spec.completion.coverage_factor().max(1e-9)).sqrt();
-                required.insert(preds[0], per_side);
-                required.insert(preds[1], per_side);
-            }
-        }
-    }
-    Ok(required)
+) -> Result<BTreeMap<NodeId, f64>, PlanError> {
+    Ok(DeltaAnnotator::new(plan, registry, &AnnotationConfig::default())?.required(k))
 }
 
 #[cfg(test)]

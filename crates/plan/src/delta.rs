@@ -1,26 +1,28 @@
-//! Incremental (delta) cardinality annotation.
+//! The annotation arithmetic, and its incremental (delta) form.
 //!
 //! Phase 3 of the optimizer perturbs exactly one fetch factor per trial
-//! and re-reads the plan's expected output and cost. A full
-//! [`annotate`](crate::annotate::annotate) re-validates the plan,
-//! re-runs feasibility analysis, and re-derives every node — all of
-//! which is invariant across trials. The [`DeltaAnnotator`] does that
-//! work once, then propagates a fetch-factor change only through the
-//! *downstream cone* of the changed node (the nodes reachable from it),
-//! reusing every other node's annotation unchanged.
+//! and re-reads the plan's expected output and cost. Validating the
+//! plan, running feasibility analysis and resolving every node's
+//! statistics is invariant across trials, so the [`DeltaAnnotator`]
+//! does that work once, then propagates a fetch-factor change only
+//! through the *downstream cone* of the changed node (the nodes
+//! reachable from it), reusing every other node's annotation unchanged.
 //!
-//! The arithmetic is byte-for-byte the same as the full annotator: the
-//! same operations in the same order on the same `f64`s, so a delta
-//! propagation and a full re-annotation agree exactly (property-tested
-//! in `tests/optimizer_parallel.rs`), which is what lets the parallel
-//! branch-and-bound stay byte-identical to the serial one.
+//! This is the only place the arithmetic is written:
+//! [`annotate`](crate::annotate::annotate) is a freshly built annotator
+//! and [`back_propagate`](crate::annotate::back_propagate) inverts the
+//! same per-node rules. A cone propagation performs the same operations
+//! in the same order on the same `f64`s as a fresh build, so the two
+//! agree exactly (property-tested in `tests/optimizer_parallel.rs`),
+//! which is what lets the parallel branch-and-bound stay byte-identical
+//! to the serial one.
 
 use std::collections::BTreeMap;
 
-use seco_query::feasibility::analyze;
+use seco_query::feasibility::{analyze, BindingSource, FeasibilityReport};
 use seco_services::ServiceRegistry;
 
-use crate::annotate::{pipe_selectivity, AnnotatedPlan, Annotation, AnnotationConfig};
+use crate::annotate::{AnnotatedPlan, Annotation, AnnotationConfig};
 use crate::dag::{NodeId, QueryPlan};
 use crate::error::PlanError;
 use crate::node::PlanNode;
@@ -32,22 +34,64 @@ use crate::node::PlanNode;
 enum NodeParams {
     Input,
     Output,
-    Selection {
-        selectivity: f64,
-    },
-    Join {
-        selectivity: f64,
-        coverage: f64,
-    },
-    Service {
-        service: String,
-        fetches: u32,
-        keep_first: bool,
-        chunked: bool,
-        chunk_size: f64,
-        avg_cardinality: f64,
-        pipe_selectivity: f64,
-    },
+    Selection { selectivity: f64 },
+    Join { selectivity: f64, coverage: f64 },
+    Service(ServiceParams),
+}
+
+/// A service node's resolved statistics.
+#[derive(Debug, Clone)]
+struct ServiceParams {
+    service: String,
+    fetches: u32,
+    keep_first: bool,
+    chunked: bool,
+    chunk_size: f64,
+    avg_cardinality: f64,
+    pipe_selectivity: f64,
+}
+
+impl ServiceParams {
+    /// Tuples one input tuple yields before the pipe join's selectivity
+    /// (§5.5): one for a `keep_first` node, chunk size × fetches for a
+    /// search service (capped by its expected total when `cap_by_total`),
+    /// the average cardinality for an exact service.
+    fn per_input(&self, cap_by_total: bool) -> f64 {
+        if self.keep_first {
+            1.0
+        } else if self.chunked {
+            let fetched = self.chunk_size * self.fetches as f64;
+            if cap_by_total {
+                fetched.min(self.avg_cardinality.max(1.0))
+            } else {
+                fetched
+            }
+        } else {
+            self.avg_cardinality
+        }
+    }
+}
+
+/// The pipe-join selectivity applying to a service node: the product of
+/// the join selectivities between this atom and each distinct atom that
+/// pipes values into it.
+fn pipe_selectivity(
+    plan: &QueryPlan,
+    registry: &ServiceRegistry,
+    report: &FeasibilityReport,
+    atom: &str,
+) -> Result<f64, PlanError> {
+    let mut sel = 1.0;
+    let mut seen: Vec<&str> = Vec::new();
+    for dep in report.bindings_of(atom) {
+        if let BindingSource::Piped { from_atom, .. } = &dep.source {
+            if !seen.contains(&from_atom.as_str()) {
+                seen.push(from_atom);
+                sel *= plan.query.join_selectivity(registry, from_atom, atom)?;
+            }
+        }
+    }
+    Ok(sel)
 }
 
 /// An annotated plan that can be re-annotated incrementally after a
@@ -58,11 +102,10 @@ pub struct DeltaAnnotator {
     params: Vec<NodeParams>,
     preds: Vec<Vec<usize>>,
     succs: Vec<Vec<usize>>,
-    /// Topological order of node indices (same order the full annotator
-    /// walks).
+    /// Topological order of node indices (full recomputes walk it; cone
+    /// nodes are recomputed in it).
     topo: Vec<usize>,
-    /// Node index → position in `topo` (cone nodes are recomputed in
-    /// this order).
+    /// Node index → position in `topo`.
     topo_pos: Vec<usize>,
     output: usize,
     cap_by_total: bool,
@@ -75,10 +118,8 @@ pub struct DeltaAnnotator {
 }
 
 impl DeltaAnnotator {
-    /// Builds the annotator: one full annotation pass plus the cached
-    /// per-node parameters. Equivalent to
-    /// [`annotate`](crate::annotate::annotate) at the plan's current
-    /// fetch vector.
+    /// Builds the annotator: validates the plan, resolves every node's
+    /// parameters, and annotates it at its current fetch vector.
     pub fn new(
         plan: &QueryPlan,
         registry: &ServiceRegistry,
@@ -103,7 +144,7 @@ impl DeltaAnnotator {
                     let iface = registry
                         .interface(&node.service)
                         .map_err(|e| PlanError::Query(e.into()))?;
-                    NodeParams::Service {
+                    NodeParams::Service(ServiceParams {
                         service: node.service.clone(),
                         fetches: node.fetches,
                         keep_first: node.keep_first,
@@ -111,7 +152,7 @@ impl DeltaAnnotator {
                         chunk_size: iface.stats.chunk_size as f64,
                         avg_cardinality: iface.stats.avg_cardinality,
                         pipe_selectivity: pipe_selectivity(plan, registry, &report, &node.atom)?,
-                    }
+                    })
                 }
             };
             params.push(p);
@@ -141,7 +182,12 @@ impl DeltaAnnotator {
             nodes_recomputed: 0,
             propagations: 0,
         };
-        out.recompute_all();
+        for i in 0..out.topo.len() {
+            let node = out.topo[i];
+            let ann = out.compute_node(node);
+            out.ann.set_annotation(node, ann);
+        }
+        out.resum();
         Ok(out)
     }
 
@@ -151,9 +197,9 @@ impl DeltaAnnotator {
         &self.ann
     }
 
-    /// A detached copy of the current annotation.
-    pub fn to_annotated(&self) -> AnnotatedPlan {
-        self.ann.clone()
+    /// The current annotation, consuming the annotator.
+    pub fn into_annotated(self) -> AnnotatedPlan {
+        self.ann
     }
 
     /// Expected tuples delivered to the output node.
@@ -164,7 +210,7 @@ impl DeltaAnnotator {
     /// The fetch factor of a service node, `None` for other kinds.
     pub fn fetches(&self, id: NodeId) -> Option<u32> {
         match self.params.get(id.0) {
-            Some(NodeParams::Service { fetches, .. }) => Some(*fetches),
+            Some(NodeParams::Service(s)) => Some(s.fetches),
             _ => None,
         }
     }
@@ -175,7 +221,7 @@ impl DeltaAnnotator {
         self.params
             .iter()
             .filter_map(|p| match p {
-                NodeParams::Service { fetches, .. } => Some(*fetches),
+                NodeParams::Service(s) => Some(s.fetches),
                 _ => None,
             })
             .collect()
@@ -195,7 +241,7 @@ impl DeltaAnnotator {
     /// downstream cone. Errors when `id` is not a service node.
     pub fn set_fetches(&mut self, id: NodeId, fetches: u32) -> Result<(), PlanError> {
         match self.params.get_mut(id.0) {
-            Some(NodeParams::Service { fetches: f, .. }) => *f = fetches,
+            Some(NodeParams::Service(s)) => s.fetches = fetches,
             Some(_) | None => {
                 return Err(PlanError::Invalid {
                     detail: format!("{id} is not a service node"),
@@ -206,25 +252,56 @@ impl DeltaAnnotator {
         Ok(())
     }
 
-    /// Recomputes every node (construction and testing).
-    fn recompute_all(&mut self) {
-        for i in 0..self.topo.len() {
-            let node = self.topo[i];
-            let ann = self.compute_node(node);
-            self.ann.set_annotation(node, ann);
+    /// The output tuples each node must produce for the plan to yield
+    /// `k` answers: the per-node rules of [`Self::compute_node`] run
+    /// backwards from the output (see
+    /// [`back_propagate`](crate::annotate::back_propagate)).
+    pub(crate) fn required(&self, k: f64) -> BTreeMap<NodeId, f64> {
+        let mut required: BTreeMap<NodeId, f64> = BTreeMap::new();
+        required.insert(NodeId(self.output), k);
+        for &node in self.topo.iter().rev() {
+            let Some(&req_out) = required.get(&NodeId(node)) else {
+                continue;
+            };
+            let preds = &self.preds[node];
+            match &self.params[node] {
+                NodeParams::Input => {}
+                NodeParams::Output => {
+                    required.insert(NodeId(preds[0]), req_out);
+                }
+                NodeParams::Selection { selectivity } => {
+                    required.insert(NodeId(preds[0]), req_out / selectivity.max(1e-9));
+                }
+                NodeParams::Service(s) => {
+                    let per_input = s.per_input(self.cap_by_total);
+                    required.insert(
+                        NodeId(preds[0]),
+                        req_out / (s.pipe_selectivity * per_input).max(1e-9),
+                    );
+                }
+                NodeParams::Join {
+                    selectivity,
+                    coverage,
+                } => {
+                    let candidates = req_out / selectivity.max(1e-9);
+                    let per_side = (candidates / coverage.max(1e-9)).sqrt();
+                    required.insert(NodeId(preds[0]), per_side);
+                    required.insert(NodeId(preds[1]), per_side);
+                }
+            }
         }
-        self.resum();
+        required
     }
 
     /// Re-derives `calls_by_service` and `output_tuples` from the node
-    /// annotations, accumulating in topological order — the exact
-    /// summation order (and therefore the exact `f64` results) of the
-    /// full annotator.
+    /// annotations, accumulating in topological order (a fixed
+    /// summation order, so the `f64` sums never depend on which nodes a
+    /// propagation touched).
     fn resum(&mut self) {
         let mut calls: BTreeMap<String, f64> = BTreeMap::new();
         for &node in &self.topo {
-            if let NodeParams::Service { service, .. } = &self.params[node] {
-                *calls.entry(service.clone()).or_insert(0.0) +=
+            if let NodeParams::Service(s) = &self.params[node] {
+                *calls.entry(s.service.clone()).or_insert(0.0) +=
                     self.ann.annotation(NodeId(node)).calls;
             }
         }
@@ -234,8 +311,7 @@ impl DeltaAnnotator {
     }
 
     /// Re-annotates the downstream cone of `start` (inclusive), in
-    /// topological order, adjusting `calls_by_service` by the per-node
-    /// call deltas.
+    /// topological order, then re-derives the per-service call sums.
     fn propagate_from(&mut self, start: usize) {
         self.propagations += 1;
         // Collect the cone: every node reachable from `start`.
@@ -260,10 +336,11 @@ impl DeltaAnnotator {
         self.resum();
     }
 
-    /// One node's annotation from its predecessors' — the exact
-    /// arithmetic of the full annotator, in the same operation order.
+    /// One node's annotation from its predecessors' (the module docs of
+    /// [`crate::annotate`] state the rules).
     fn compute_node(&self, node: usize) -> Annotation {
         let preds = &self.preds[node];
+        let tin_of = |i: usize| self.ann.annotation(NodeId(preds[i])).tout;
         match &self.params[node] {
             NodeParams::Input => Annotation {
                 tin: 1.0,
@@ -271,7 +348,7 @@ impl DeltaAnnotator {
                 calls: 0.0,
             },
             NodeParams::Output => {
-                let tin = self.ann.annotation(NodeId(preds[0])).tout;
+                let tin = tin_of(0);
                 Annotation {
                     tin,
                     tout: tin,
@@ -279,7 +356,7 @@ impl DeltaAnnotator {
                 }
             }
             NodeParams::Selection { selectivity } => {
-                let tin = self.ann.annotation(NodeId(preds[0])).tout;
+                let tin = tin_of(0);
                 Annotation {
                     tin,
                     tout: tin * selectivity,
@@ -290,42 +367,19 @@ impl DeltaAnnotator {
                 selectivity,
                 coverage,
             } => {
-                let tl = self.ann.annotation(NodeId(preds[0])).tout;
-                let tr = self.ann.annotation(NodeId(preds[1])).tout;
-                let candidates = tl * tr * coverage;
+                let candidates = tin_of(0) * tin_of(1) * coverage;
                 Annotation {
                     tin: candidates,
                     tout: candidates * selectivity,
                     calls: 0.0,
                 }
             }
-            NodeParams::Service {
-                fetches,
-                keep_first,
-                chunked,
-                chunk_size,
-                avg_cardinality,
-                pipe_selectivity,
-                ..
-            } => {
-                let tin = self.ann.annotation(NodeId(preds[0])).tout;
-                let calls = tin * *fetches as f64;
-                let per_input = if *keep_first {
-                    1.0
-                } else if *chunked {
-                    let fetched = chunk_size * *fetches as f64;
-                    if self.cap_by_total {
-                        fetched.min(avg_cardinality.max(1.0))
-                    } else {
-                        fetched
-                    }
-                } else {
-                    *avg_cardinality
-                };
+            NodeParams::Service(s) => {
+                let tin = tin_of(0);
                 Annotation {
                     tin,
-                    tout: tin * pipe_selectivity * per_input,
-                    calls,
+                    tout: tin * s.pipe_selectivity * s.per_input(self.cap_by_total),
+                    calls: tin * s.fetches as f64,
                 }
             }
         }

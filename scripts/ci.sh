@@ -37,11 +37,12 @@ cargo fmt --check
 
 # Panic sites — lines with `.unwrap()`, `.expect(`, `panic!(` or
 # `unreachable!(` — in the non-test part (up to each file's `mod tests`
-# line) of the services, exec, join, engine and server sources. The
-# count may only fall: when a change lowers it, lower the ceiling too.
-PANIC_SITE_CEILING=78
+# line) of the services, exec, join, engine, server, optimizer and plan
+# sources. The count may only fall: when a change lowers it, lower the
+# ceiling too.
+PANIC_SITE_CEILING=82
 echo "==> panic-site ratchet (ceiling $PANIC_SITE_CEILING)"
-panic_sites=$(find crates/{services,exec,join,engine,server}/src -name '*.rs' -print0 \
+panic_sites=$(find crates/{services,exec,join,engine,server,optimizer,plan}/src -name '*.rs' -print0 \
     | xargs -0 -n1 awk '/^ *(pub(\(crate\))? )?mod tests/ { exit } { print }' \
     | grep -cE '\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(' || true)
 echo "panic sites: $panic_sites"
