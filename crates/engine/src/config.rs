@@ -26,19 +26,15 @@ pub enum FailureMode {
     Degrade,
 }
 
-/// Fetch-layer options: the sharded response cache, request
-/// coalescing, and speculative chunk prefetch
-/// ([`seco_services::cache`], [`seco_services::prefetch`]).
+/// Fetch-layer options: the sharded, request-coalescing response cache
+/// ([`seco_services::cache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchOptions {
     /// Shards of the per-service response cache; 0 leaves the cache
-    /// off (unless `prefetch` forces it on at the default width).
+    /// off.
     pub cache_shards: usize,
     /// Maximum cached responses per service, across all shards.
     pub cache_capacity: usize,
-    /// Speculatively warm chunk `c + 1` while the join consumes chunk
-    /// `c`, within each node's optimizer-assigned fetch budget.
-    pub prefetch: bool,
 }
 
 impl Default for FetchOptions {
@@ -46,7 +42,6 @@ impl Default for FetchOptions {
         FetchOptions {
             cache_shards: 0,
             cache_capacity: 4096,
-            prefetch: false,
         }
     }
 }
@@ -60,23 +55,9 @@ impl FetchOptions {
         }
     }
 
-    /// Enables speculative chunk prefetch.
-    pub fn with_prefetch(mut self) -> Self {
-        self.prefetch = true;
-        self
-    }
-
-    /// `(shards, capacity)` when the cache is on. Prefetch without an
-    /// explicit shard count turns the cache on at the default width —
-    /// speculation needs somewhere to land its responses.
+    /// `(shards, capacity)` when the cache is on.
     pub fn cache(&self) -> Option<(usize, usize)> {
-        if self.cache_shards > 0 {
-            Some((self.cache_shards, self.cache_capacity))
-        } else if self.prefetch {
-            Some((seco_services::cache::DEFAULT_SHARDS, self.cache_capacity))
-        } else {
-            None
-        }
+        (self.cache_shards > 0).then_some((self.cache_shards, self.cache_capacity))
     }
 
     /// True when any part of the fetch layer is active.
@@ -96,7 +77,6 @@ impl FetchOptions {
 ///     .join_k(10)
 ///     .failure_mode(FailureMode::Degrade)
 ///     .cache_shards(8)
-///     .prefetch(true)
 ///     .columnar(true)
 ///     .batch_eval(true);
 /// assert_eq!(config.join_k, 10);
@@ -114,7 +94,7 @@ pub struct EngineConfig {
     /// configuration (deadline, retry/backoff, circuit breaker). One
     /// client — hence one breaker — per service.
     pub client: Option<ClientConfig>,
-    /// Fetch-layer configuration (cache, coalescing, prefetch). The
+    /// Fetch-layer configuration (cache, coalescing). The
     /// cache sits *above* the resilient client, so hits and coalesced
     /// waits bypass retries and breaker checks entirely.
     pub fetch: FetchOptions,
@@ -204,12 +184,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables speculative chunk prefetch.
-    pub fn prefetch(mut self, on: bool) -> Self {
-        self.fetch.prefetch = on;
-        self
-    }
-
     /// Sets the candidate-enumeration mode of tile joins.
     pub fn join_index_mode(mut self, mode: JoinIndexMode) -> Self {
         self.join_index.mode = mode;
@@ -267,7 +241,6 @@ mod tests {
             .client(ClientConfig::default())
             .cache_shards(4)
             .cache_capacity(128)
-            .prefetch(true)
             .join_index_mode(JoinIndexMode::Off)
             .columnar(false)
             .batch_eval(false)
@@ -280,7 +253,6 @@ mod tests {
         assert!(cfg.client.is_some());
         assert_eq!(cfg.fetch.cache_shards, 4);
         assert_eq!(cfg.fetch.cache_capacity, 128);
-        assert!(cfg.fetch.prefetch);
         assert_eq!(cfg.join_index.mode, JoinIndexMode::Off);
         assert!(!cfg.columnar.columnar);
         assert!(!cfg.columnar.batch_eval);

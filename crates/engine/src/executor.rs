@@ -22,7 +22,7 @@ use seco_services::{drift_ratio, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::interp::{self, Interpreter, Rechunk, Schedule, Speculation};
+use crate::interp::{self, Interpreter, Rechunk, Schedule};
 use crate::shared::{ClockMode, SharedState};
 use crate::trace::{ExecutionTrace, TraceEvent};
 
@@ -175,11 +175,9 @@ fn attempt_replan(
 }
 
 /// The deterministic scheduler's choices: fetch stacks on the shared
-/// virtual clock, speculation inline on the walking thread, and joins
-/// chunked like the branches that feed them.
+/// virtual clock, and joins chunked like the branches that feed them.
 const DETERMINISTIC: Schedule = Schedule {
     clock: ClockMode::Virtual,
-    speculation: Speculation::Inline,
     rechunk: Rechunk::Branch,
 };
 

@@ -7,7 +7,7 @@
 //!
 //! * a **selection** filters its input ([`Interpreter::select`]);
 //! * a **service node** runs its pipe stage, prepared once, through its
-//!   fetch stack and optional prefetcher ([`Interpreter::pipe`]);
+//!   fetch stack ([`Interpreter::pipe`]);
 //! * a **parallel join** tops a chain of joins — the left-deep chain it
 //!   fuses, or itself alone — and runs it as the rank join, the n-ary
 //!   kernel, or the binary cascade with degraded-branch pass-through,
@@ -38,26 +38,11 @@ use seco_query::predicate::{
     resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
 };
 use seco_query::{CompiledPredicates, JoinPredicate};
-use seco_services::{DeviationPolicy, Prefetcher, Service, ServiceRegistry};
+use seco_services::{DeviationPolicy, ServiceRegistry};
 
 use crate::config::{EngineConfig, FailureMode};
 use crate::error::EngineError;
 use crate::shared::{ClockMode, SharedState};
-
-/// Concurrent speculative fetches per service node when speculation
-/// runs on threads of its own.
-const PREFETCH_INFLIGHT: usize = 2;
-
-/// Where a service node's speculative chunk prefetch runs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Speculation {
-    /// On the fetching thread, so the virtual timeline and the fault
-    /// schedule stay a pure function of the seed.
-    Inline,
-    /// Beside the fetching thread: on the pool when there is one, else
-    /// on per-fetch threads joined at stage end.
-    Background,
-}
 
 /// How a parallel join chunks its materialized inputs.
 #[derive(Debug, Clone, Copy)]
@@ -74,8 +59,6 @@ pub(crate) enum Rechunk {
 pub(crate) struct Schedule {
     /// Clock of the resilient clients in the fetch stacks.
     pub clock: ClockMode,
-    /// Where chunk prefetch speculates.
-    pub speculation: Speculation,
     /// How parallel joins chunk their inputs.
     pub rechunk: Rechunk,
 }
@@ -157,8 +140,8 @@ impl<'a> Interpreter<'a> {
         self.elided.contains(&id.0)
     }
 
-    /// The shared state's pool, which this run's tasks, prefetches and
-    /// join morsels use; the join kernels stay on their exact serial
+    /// The shared state's pool, which this run's tasks and join
+    /// morsels use; the join kernels stay on their exact serial
     /// path below two workers.
     pub fn pool(&self) -> Option<Arc<ExecPool>> {
         self.state.exec_pool().cloned()
@@ -239,30 +222,9 @@ impl<'a> Interpreter<'a> {
         I::Item: Borrow<CompositeTuple>,
     {
         let recorded = self.registry.service(&node.service)?;
-        let (base, client, cache) =
+        let (handle, _) =
             (self.state).stack_for(&node.service, &recorded, &self.options, self.schedule.clock);
         let fetches = node.fetches as usize;
-        // Never speculate past a keep-first stage: it stops at the first
-        // satisfying tuple, so chunk `c + 1` would be warmed for a join
-        // that may never ask.
-        let handle: Arc<dyn Service> =
-            if self.options.fetch.prefetch && fetches > 1 && !node.keep_first {
-                let mut pf = Prefetcher::new(base, fetches).with_recorder(recorded.clone());
-                pf = match (self.schedule.speculation, self.pool()) {
-                    (Speculation::Inline, _) => pf,
-                    (Speculation::Background, Some(pool)) => pf.via_pool(pool),
-                    (Speculation::Background, None) => pf.background(PREFETCH_INFLIGHT),
-                };
-                if let Some(c) = client {
-                    pf = pf.respecting_breaker(c);
-                }
-                if let Some(c) = cache {
-                    pf = pf.probing(c);
-                }
-                Arc::new(pf)
-            } else {
-                base
-            };
         let bindings = self.report.bindings_of(&node.atom);
         let stage = PipeJoin {
             atom: &node.atom,

@@ -6,7 +6,7 @@
 //! partial invocation results" (§3).
 //!
 //! One interpreter, two schedulers. The `interp` module defines what
-//! every plan node means — selection, pipe stage with its prefetcher,
+//! every plan node means — selection, pipe stage through its fetch stack,
 //! parallel join (rank, degrade-aware or plain), n-ary fused chain —
 //! and two schedulers run it:
 //!

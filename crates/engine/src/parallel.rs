@@ -30,7 +30,7 @@ use seco_services::ServiceRegistry;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::interp::{self, Interpreter, Rechunk, Schedule, Speculation};
+use crate::interp::{self, Interpreter, Rechunk, Schedule};
 use crate::shared::{ClockMode, SharedState};
 
 /// Channel capacity per plan arc, in batches; small enough to exercise
@@ -46,11 +46,9 @@ const BATCH_SIZE: usize = 32;
 
 /// The pipelined scheduler's choices: fetch stacks on wall-clock time
 /// (backoff really sleeps, breaker cooldowns are real milliseconds),
-/// speculation beside the fetching task, and joins at `h = 1` over
-/// chunks of ten.
+/// and joins at `h = 1` over chunks of ten.
 const PIPELINED: Schedule = Schedule {
     clock: ClockMode::Wall,
-    speculation: Speculation::Background,
     rechunk: Rechunk::Fixed,
 };
 

@@ -12,11 +12,11 @@
 //!
 //! The state also owns the optional shared [`seco_exec::ExecPool`]:
 //! every thread a daemon execution needs — morsel workers for the join
-//! kernels, background prefetch speculation, pipelined plan-node
-//! fan-out — lives exactly as long as this value. Dropping it (or
-//! calling [`SharedState::shutdown`]) stops and joins the pool's
-//! workers — nothing spawned on behalf of an execution can outlive the
-//! engine state that requested it.
+//! kernels and the optimizer, pipelined plan-node fan-out — lives
+//! exactly as long as this value. Dropping it (or calling
+//! [`SharedState::shutdown`]) stops and joins the pool's workers —
+//! nothing spawned on behalf of an execution can outlive the engine
+//! state that requested it.
 //!
 //! Accounting caveat: the virtual clock is shared too, so `busy_ms` /
 //! `critical_ms` deltas measured by concurrent executions overlap on
@@ -35,14 +35,10 @@ use seco_services::{CachingService, CallRecorder, Service, ServiceClient, Virtua
 
 use crate::config::EngineConfig;
 
-/// One service's prepared fetch stack: the outermost handle to call,
-/// plus direct handles on the middleware layers that need consulting
-/// (breaker probes, cache probes).
-pub(crate) type Stack = (
-    Arc<dyn Service>,
-    Option<Arc<ServiceClient>>,
-    Option<Arc<CachingService>>,
-);
+/// One service's prepared fetch stack — cache → client → recorder, each
+/// layer present when configured: the outermost handle to call, plus
+/// the cache itself for the diagnostics that size it.
+pub(crate) type Stack = (Arc<dyn Service>, Option<Arc<CachingService>>);
 
 /// Clock binding of a stack's resilient client: the deterministic
 /// executor drives a virtual timeline, the pipelined executor real
@@ -56,9 +52,8 @@ pub(crate) enum ClockMode {
 
 /// Cross-request execution state: per-service fetch stacks, the shared
 /// virtual clock, and the daemon's work-stealing executor pool — one
-/// pool shared by every session's morsels, prefetches, and plan-node
-/// tasks. Cheap to share (`Arc<SharedState>`), safe to use from
-/// concurrent sessions.
+/// pool shared by every session's morsels and plan-node tasks. Cheap
+/// to share (`Arc<SharedState>`), safe to use from concurrent sessions.
 ///
 /// Stacks are built lazily from the *first* execution's
 /// [`EngineConfig`] that touches each service; a daemon runs all
@@ -71,9 +66,8 @@ pub struct SharedState {
 }
 
 impl SharedState {
-    /// Fresh state with no executor pool: joins run serially and
-    /// background prefetches spawn short-lived threads exactly as the
-    /// one-shot executors always did.
+    /// Fresh state with no executor pool: joins run serially and the
+    /// pipelined executor's plan nodes run on scoped threads.
     pub fn new() -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -82,12 +76,12 @@ impl SharedState {
         }
     }
 
-    /// Daemon-grade state: join morsels, background speculation, and
-    /// plan-node fan-out all run on one work-stealing pool of
+    /// Daemon-grade state: join morsels, optimizer fan-out and
+    /// plan-node tasks all run on one work-stealing pool of
     /// `exec_workers` threads owned by this value and stopped when it
-    /// drops. With one worker the pool still serves prefetch and
-    /// fan-out, but the join kernels take their exact serial path; with
-    /// more, an ordered reducer keeps their output byte-identical.
+    /// drops. With one worker the join kernels take their exact serial
+    /// path; with more, an ordered reducer keeps their output
+    /// byte-identical.
     pub fn for_daemon(exec_workers: usize) -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -116,17 +110,18 @@ impl SharedState {
     /// every cached body for the byte figure — a diagnostics call.
     pub fn fetch_cache_usage(&self) -> (usize, usize, usize) {
         let caches: Vec<Arc<CachingService>> = (self.stacks.lock().values())
-            .filter_map(|(_, _, cache)| cache.clone())
+            .filter_map(|(_, cache)| cache.clone())
             .collect();
         caches.iter().fold((0, 0, 0), |(n, u, b), c| {
             (n + c.len(), u + c.unproven_len(), b + c.approx_bytes())
         })
     }
 
-    /// Stops the executor pool: queued work is drained, workers are
-    /// joined, and further submissions are refused. Prepared stacks
-    /// stay usable — demand fetches never depended on the pool.
-    /// Idempotent; also implied by drop.
+    /// Stops the executor pool: queued work is drained and every pool
+    /// thread is joined. An execution still running completes: once the
+    /// workers are gone, a `scope_run` caller runs its own queued
+    /// morsels. Prepared stacks stay usable — fetches never depended on
+    /// the pool. Idempotent; also implied by drop.
     pub fn shutdown(&self) {
         if let Some(pool) = &self.pool {
             pool.shutdown();
@@ -148,16 +143,15 @@ impl SharedState {
         if let Some(stack) = stacks.get(&key) {
             return stack.clone();
         }
-        let client = options.client.map(|cfg| {
-            let builder = ServiceClient::for_recorded(recorded.clone()).config(cfg);
-            let builder = match mode {
-                ClockMode::Wall => builder.wall_clock(),
-                ClockMode::Virtual => builder.virtual_clock(self.clock.clone()),
-            };
-            Arc::new(builder.build())
-        });
-        let inner: Arc<dyn Service> = match &client {
-            Some(c) => c.clone(),
+        let inner: Arc<dyn Service> = match options.client {
+            Some(cfg) => {
+                let builder = ServiceClient::for_recorded(recorded.clone()).config(cfg);
+                let builder = match mode {
+                    ClockMode::Wall => builder.wall_clock(),
+                    ClockMode::Virtual => builder.virtual_clock(self.clock.clone()),
+                };
+                Arc::new(builder.build())
+            }
             None => recorded.clone(),
         };
         let cache = options.fetch.cache().map(|(shards, capacity)| {
@@ -170,7 +164,7 @@ impl SharedState {
             Some(c) => c.clone(),
             None => inner,
         };
-        let stack = (base, client, cache);
+        let stack = (base, cache);
         stacks.insert(key, stack.clone());
         stack
     }
@@ -193,8 +187,8 @@ mod tests {
             seco_services::domains::entertainment::build_registry(7).expect("registry builds");
         let recorded = registry.service("Movie1").expect("service exists");
         let options = EngineConfig::default().cache_shards(4);
-        let (a, _, cache_a) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
-        let (b, _, cache_b) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
+        let (a, cache_a) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
+        let (b, cache_b) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
         assert!(Arc::ptr_eq(&a, &b), "same stack on repeat lookup");
         assert!(Arc::ptr_eq(
             cache_a.as_ref().expect("cache configured"),
@@ -202,7 +196,7 @@ mod tests {
         ));
         assert_eq!(state.stack_count(), 1);
         // Wall-clock mode is a distinct stack (distinct breaker rules).
-        let (w, _, _) = state.stack_for("Movie1", &recorded, &options, ClockMode::Wall);
+        let (w, _) = state.stack_for("Movie1", &recorded, &options, ClockMode::Wall);
         assert!(!Arc::ptr_eq(&a, &w));
         assert_eq!(state.stack_count(), 2);
     }

@@ -1,17 +1,17 @@
 //! A shared work-stealing executor pool for morsel-driven parallelism.
 //!
-//! One [`ExecPool`] per daemon (or per `seco run` invocation) replaces
-//! every bespoke thread the engine used to spawn: the optimizer's
-//! phase-2 search workers, the prefetcher's background fetches, the
-//! parallel executor's per-node fan-out, and — new with this crate —
-//! the join kernels' own morsels. The pool has two tiers:
+//! One [`ExecPool`] per daemon (or per `seco run` invocation) runs
+//! every thread the engine needs: the optimizer's phase-2 search
+//! workers, the parallel executor's per-node fan-out, and the join
+//! kernels' morsels. The pool has two tiers:
 //!
 //! * a **compute tier**: a fixed set of workers (one per configured
-//!   core), each with its own deque, plus a global injector. Idle
-//!   workers first drain their own deque from the front, then the
-//!   injector, then steal from the *back* of a sibling's deque.
-//!   Compute jobs must never block on other compute jobs' channels —
-//!   they are leaves (morsels, optimizer probes, detached prefetches).
+//!   core), each with its own deque. [`ExecPool::scope_run`] deals its
+//!   jobs round-robin over the deques; idle workers drain their own
+//!   deque from the front, then steal from the *back* of a sibling's,
+//!   and the scope's caller runs queued jobs while it waits. Compute
+//!   jobs must never block on other compute jobs' channels — they are
+//!   leaves (join morsels, optimizer probes).
 //! * a **blocking tier**: an elastic set of cached threads for tasks
 //!   that rendezvous with each other over channels (the parallel
 //!   executor's plan nodes). Running those on a fixed pool would
@@ -35,17 +35,12 @@ use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Maximum queued detached jobs (prefetch speculation). Beyond this
-/// the pool refuses new detached work instead of growing an unbounded
-/// backlog — the same guardrail the dedicated `PrefetchPool` had.
-const DETACHED_BACKLOG: usize = 64;
-
 /// Snapshot of the scheduler counters, for `/stats` and `seco stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
     /// Configured compute workers.
     pub workers: usize,
-    /// Jobs currently queued (injector + all worker deques).
+    /// Jobs currently queued across all worker deques.
     pub queue_depth: usize,
     /// Jobs taken from a deque other than the thief's own.
     pub steals: u64,
@@ -53,10 +48,6 @@ pub struct ExecStats {
     pub morsels: u64,
     /// Milliseconds of measured compute-tier work.
     pub busy_ms: u64,
-    /// Detached jobs accepted / refused (backlog full or shut down).
-    pub detached_submitted: u64,
-    /// Detached jobs refused.
-    pub detached_rejected: u64,
     /// Live threads: compute workers + cached blocking threads.
     pub threads_alive: usize,
 }
@@ -65,13 +56,11 @@ struct Inner {
     workers: usize,
     /// Per-worker deques; owners pop the front, thieves pop the back.
     queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Global injector for detached jobs and caller overflow.
-    injector: Mutex<VecDeque<Job>>,
     /// Park gate: compute workers wait here when every queue is empty.
     gate: Mutex<()>,
     cv: Condvar,
     stop: AtomicBool,
-    /// Jobs queued but not yet claimed, across injector + deques.
+    /// Jobs queued but not yet claimed, across all deques.
     pending: AtomicUsize,
     /// Round-robin cursor for scope_run distribution.
     cursor: AtomicUsize,
@@ -79,9 +68,6 @@ struct Inner {
     steals: AtomicU64,
     morsels: AtomicU64,
     busy_micros: AtomicU64,
-    detached_submitted: AtomicU64,
-    detached_rejected: AtomicU64,
-    detached_backlog: AtomicUsize,
     threads_alive: AtomicUsize,
 
     /// Blocking tier: elastic queue + free-thread balance. The balance
@@ -110,7 +96,6 @@ impl ExecPool {
         let inner = Arc::new(Inner {
             workers,
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
             gate: Mutex::new(()),
             cv: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -119,9 +104,6 @@ impl ExecPool {
             steals: AtomicU64::new(0),
             morsels: AtomicU64::new(0),
             busy_micros: AtomicU64::new(0),
-            detached_submitted: AtomicU64::new(0),
-            detached_rejected: AtomicU64::new(0),
-            detached_backlog: AtomicUsize::new(0),
             threads_alive: AtomicUsize::new(0),
             blocking_queue: Mutex::new(VecDeque::new()),
             blocking_cv: Condvar::new(),
@@ -149,8 +131,9 @@ impl ExecPool {
     }
 
     /// Number of compute workers. Callers gate their parallel paths on
-    /// `parallelism() > 1`: a one-worker pool exists only so detached
-    /// prefetch jobs have somewhere to run.
+    /// `parallelism() > 1`: on a one-worker pool a scope's jobs would
+    /// only queue behind each other, so callers take their serial
+    /// path instead.
     pub fn parallelism(&self) -> usize {
         self.inner.workers
     }
@@ -170,8 +153,6 @@ impl ExecPool {
             steals: i.steals.load(Ordering::SeqCst),
             morsels: i.morsels.load(Ordering::SeqCst),
             busy_ms: i.busy_micros.load(Ordering::SeqCst) / 1000,
-            detached_submitted: i.detached_submitted.load(Ordering::SeqCst),
-            detached_rejected: i.detached_rejected.load(Ordering::SeqCst),
             threads_alive: i.threads_alive.load(Ordering::SeqCst),
         }
     }
@@ -258,31 +239,6 @@ impl ExecPool {
             resume_unwind(p);
         }
         out
-    }
-
-    /// Queues a detached fire-and-forget job (prefetch speculation) on
-    /// the compute tier. Returns `false` — without running the job —
-    /// when the pool is shutting down or the detached backlog is full.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        let inner = &self.inner;
-        if inner.stop.load(Ordering::SeqCst) {
-            inner.detached_rejected.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
-        if inner.detached_backlog.fetch_add(1, Ordering::SeqCst) >= DETACHED_BACKLOG {
-            inner.detached_backlog.fetch_sub(1, Ordering::SeqCst);
-            inner.detached_rejected.fetch_add(1, Ordering::SeqCst);
-            return false;
-        }
-        inner.detached_submitted.fetch_add(1, Ordering::SeqCst);
-        let backlog = Arc::clone(inner);
-        self.push_injector(Box::new(move || {
-            // The job itself re-checks any cooperative stop flag it
-            // carries; the pool only guarantees it runs once.
-            job();
-            backlog.detached_backlog.fetch_sub(1, Ordering::SeqCst);
-        }));
-        true
     }
 
     /// Runs channel-rendezvous tasks (plan-node bodies) on the elastic
@@ -405,22 +361,10 @@ impl ExecPool {
         inner.cv.notify_all();
     }
 
-    fn push_injector(&self, job: Job) {
-        let inner = &self.inner;
-        inner.injector.lock().unwrap().push_back(job);
-        inner.pending.fetch_add(1, Ordering::SeqCst);
-        let _g = inner.gate.lock().unwrap();
-        inner.cv.notify_all();
-    }
-
-    /// Pops any queued compute job: injector first, then worker deques
-    /// from the back (a steal). Used by participating scope callers.
+    /// Pops any queued compute job from the back of a worker deque (a
+    /// steal). Used by participating scope callers.
     fn pop_any(&self) -> Option<Job> {
         let inner = &self.inner;
-        if let Some(job) = inner.injector.lock().unwrap().pop_front() {
-            inner.pending.fetch_sub(1, Ordering::SeqCst);
-            return Some(job);
-        }
         for q in &inner.queues {
             if let Some(job) = q.lock().unwrap().pop_back() {
                 inner.pending.fetch_sub(1, Ordering::SeqCst);
@@ -449,7 +393,7 @@ fn run_job(inner: &Inner, job: Job) {
 
 fn worker_loop(inner: &Inner, me: usize) {
     loop {
-        // Own deque (front), then the injector, then steal (back).
+        // Own deque (front), then steal (back).
         let job = {
             let own = inner.queues[me].lock().unwrap().pop_front();
             match own {
@@ -458,22 +402,17 @@ fn worker_loop(inner: &Inner, me: usize) {
                     Some(job)
                 }
                 None => {
-                    if let Some(job) = inner.injector.lock().unwrap().pop_front() {
-                        inner.pending.fetch_sub(1, Ordering::SeqCst);
-                        Some(job)
-                    } else {
-                        let mut stolen = None;
-                        for off in 1..inner.workers {
-                            let victim = (me + off) % inner.workers;
-                            if let Some(job) = inner.queues[victim].lock().unwrap().pop_back() {
-                                inner.pending.fetch_sub(1, Ordering::SeqCst);
-                                inner.steals.fetch_add(1, Ordering::SeqCst);
-                                stolen = Some(job);
-                                break;
-                            }
+                    let mut stolen = None;
+                    for off in 1..inner.workers {
+                        let victim = (me + off) % inner.workers;
+                        if let Some(job) = inner.queues[victim].lock().unwrap().pop_back() {
+                            inner.pending.fetch_sub(1, Ordering::SeqCst);
+                            inner.steals.fetch_add(1, Ordering::SeqCst);
+                            stolen = Some(job);
+                            break;
                         }
-                        stolen
                     }
+                    stolen
                 }
             }
         };
@@ -555,27 +494,31 @@ mod tests {
     #[test]
     fn one_worker_pool_still_completes_scopes_via_caller_participation() {
         let pool = ExecPool::new(1);
-        // Saturate the single worker with a detached job, then run a
-        // scope: the caller must execute its own morsels.
+        // Sixteen jobs dealt to a single deque: whichever of the worker
+        // and the participating caller gets to a job first runs it.
         let out = pool.scope_run((0..16).map(|i| move || i).collect::<Vec<_>>());
         assert_eq!(out.len(), 16);
     }
 
     #[test]
-    fn detached_submit_runs_and_respects_backlog_bound() {
-        let pool = ExecPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let hits = Arc::clone(&hits);
-            assert!(pool.submit(move || {
-                hits.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
-        // Drain: shutdown runs queued jobs before joining.
+    fn scope_run_after_shutdown_runs_on_the_caller_in_order() {
+        let pool = ExecPool::new(3);
         pool.shutdown();
-        assert_eq!(hits.load(Ordering::SeqCst), 8);
-        assert!(!pool.submit(|| {}), "post-shutdown submits are refused");
-        assert!(pool.stats().detached_rejected >= 1);
+        let caller = thread::current().id();
+        let out = pool.scope_run(
+            (0..12)
+                .map(|i| move || (i * 7, thread::current().id()))
+                .collect::<Vec<_>>(),
+        );
+        assert_eq!(
+            out.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+            (0..12).map(|i| i * 7).collect::<Vec<_>>()
+        );
+        assert!(
+            out.iter().all(|&(_, id)| id == caller),
+            "no pool thread ran a job"
+        );
+        assert_eq!(pool.threads_alive(), 0);
     }
 
     #[test]

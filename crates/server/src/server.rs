@@ -12,7 +12,7 @@
 //! | `DELETE /session/{id}` | Close the session. |
 //! | `GET /stats` | Daemon counters (caches, admission, interner, tenants). |
 //! | `POST /admin/promote?threshold=R&min-samples=N` | Promote deviating observed statistics; rolls the epoch and invalidates cached plans. |
-//! | `POST /admin/shutdown` | Drain in-flight sessions, stop the speculation pool, exit the accept loop. |
+//! | `POST /admin/shutdown` | Drain in-flight sessions, stop the executor pool, exit the accept loop. |
 //!
 //! ## Streaming
 //!

@@ -3,7 +3,7 @@
 //!
 //! This is the tentpole inversion of the one-shot CLI: instead of
 //! building every cache from scratch per invocation, the daemon keeps
-//! [`SharedState`] (fetch caches, breaker state, the speculation pool),
+//! [`SharedState`] (fetch caches, breaker state, the executor pool),
 //! a [`PlanCache`] (optimized plans keyed by structural fingerprint ×
 //! statistics epoch), and the registry's adaptive accumulators alive
 //! across requests. The first session pays the cold cost; every later
@@ -53,12 +53,14 @@ pub struct ServerConfig {
     /// Service-call budget per tenant (0 = unlimited).
     pub tenant_budget: u64,
     /// Worker threads of the shared executor pool: one work-stealing
-    /// pool per daemon runs every session's join morsels, prefetch
-    /// speculation, optimizer fan-out, and plan-node tasks. Fairness
-    /// across sessions comes from the admission gate (at most
+    /// pool per daemon runs every session's join morsels, optimizer
+    /// fan-out, and plan-node tasks. Fairness across sessions comes
+    /// from the admission gate (at most
     /// [`max_concurrent`](Self::max_concurrent) executions feed the
-    /// pool) plus the pool's FIFO injector — no session can monopolize
-    /// workers while another's morsels wait.
+    /// pool), the round-robin cursor that deals every scope's jobs over
+    /// the worker deques, and caller participation: a scope's caller
+    /// runs queued jobs while it waits, so no session stalls for want
+    /// of a free worker.
     pub exec_workers: usize,
 }
 
@@ -136,7 +138,7 @@ pub struct ServerState {
     pub registry: Arc<ServiceRegistry>,
     /// Cross-request optimized-plan cache.
     pub plan_cache: Arc<PlanCache>,
-    /// Cross-request fetch stacks, clock, and speculation pool.
+    /// Cross-request fetch stacks, clock, and executor pool.
     pub shared: Arc<SharedState>,
     /// Serving configuration.
     pub config: ServerConfig,
@@ -327,7 +329,6 @@ impl ServerState {
             "calls": t.calls,
             "cache_hits": t.cache_hits,
             "coalesced": t.coalesced,
-            "prefetches": t.prefetches,
             "retries": t.retries,
             "timeouts": t.timeouts,
             "breaker_trips": t.breaker_trips,
@@ -346,8 +347,6 @@ impl ServerState {
                     "steals": e.steals,
                     "morsels": e.morsels,
                     "busy_ms": e.busy_ms,
-                    "detached_submitted": e.detached_submitted,
-                    "detached_rejected": e.detached_rejected,
                     "threads_alive": e.threads_alive,
                 })
             }),
@@ -363,7 +362,9 @@ impl ServerState {
     }
 
     /// Waits until in-flight executions finish (or `timeout` passes),
-    /// then stops the speculation pool. True when fully drained.
+    /// then stops the executor pool. True when fully drained. An
+    /// execution still running when the timeout stops the pool
+    /// finishes its remaining morsels on its own thread.
     pub fn drain(&self, timeout: Duration) -> bool {
         let start = Instant::now();
         while self.in_flight.load(Ordering::Acquire) > 0 {

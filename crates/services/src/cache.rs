@@ -375,20 +375,6 @@ impl CachingService {
         self.coalesced.load(Ordering::Relaxed)
     }
 
-    /// True when `request`'s response is already cached or being
-    /// fetched by another thread right now. Lets a prefetcher skip
-    /// speculation that could only land on an existing entry.
-    pub fn contains(&self, request: &Request) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        let key = RequestKey::of(request);
-        let guard = self.shards[key.shard(self.shards.len())].lock();
-        guard.entries.contains_key(&key.fingerprint())
-            || guard.unproven.contains_key(&key.fingerprint())
-            || guard.inflight.contains_key(&key.fingerprint())
-    }
-
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()

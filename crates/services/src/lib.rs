@@ -40,7 +40,6 @@ pub mod error;
 pub mod invocation;
 pub mod latency;
 pub mod opaque;
-pub mod prefetch;
 pub mod recorder;
 pub mod registry;
 pub mod resilience;
@@ -54,7 +53,6 @@ pub use error::ServiceError;
 pub use invocation::{ChunkResponse, Request, Service};
 pub use latency::{LatencyModel, VirtualClock};
 pub use opaque::{OpaqueRanking, PositionScored};
-pub use prefetch::Prefetcher;
 pub use recorder::{CallRecorder, CallStats};
 pub use registry::ServiceRegistry;
 pub use resilience::{ClientConfig, ServiceClient, ServiceClientBuilder};

@@ -54,8 +54,6 @@ pub struct CallStats {
     /// Requests that coalesced onto another thread's in-flight call
     /// instead of issuing their own (counted separately from hits).
     pub coalesced: u64,
-    /// Speculative chunk prefetches issued by the fetch layer.
-    pub prefetches: u64,
     /// Deep copies of tuple data performed anywhere in the data plane
     /// (the zero-copy plane keeps this at 0 on cache hits; legacy-style
     /// planes increment it once per copied chunk or row batch).
@@ -125,7 +123,6 @@ impl serde::Serialize for CallStats {
             ),
             ("cache_hits".to_string(), self.cache_hits.to_json_value()),
             ("coalesced".to_string(), self.coalesced.to_json_value()),
-            ("prefetches".to_string(), self.prefetches.to_json_value()),
             (
                 "clone_events".to_string(),
                 self.clone_events.to_json_value(),
@@ -211,7 +208,6 @@ impl CallStats {
         self.short_circuits += other.short_circuits;
         self.cache_hits += other.cache_hits;
         self.coalesced += other.coalesced;
-        self.prefetches += other.prefetches;
         self.clone_events += other.clone_events;
         self.bytes_cloned += other.bytes_cloned;
         self.index_builds += other.index_builds;
@@ -292,11 +288,6 @@ impl CallRecorder {
     /// Records a request coalesced onto an in-flight call.
     pub fn note_coalesced(&self) {
         self.stats.lock().coalesced += 1;
-    }
-
-    /// Records a speculative prefetch issued by the fetch layer.
-    pub fn note_prefetch(&self) {
-        self.stats.lock().prefetches += 1;
     }
 
     /// Records a deep copy of tuple data (`bytes` in wire-equivalent
@@ -553,7 +544,6 @@ mod tests {
             short_circuits: 2,
             cache_hits: 4,
             coalesced: 2,
-            prefetches: 5,
             clone_events: 6,
             bytes_cloned: 640,
             index_builds: 1,
@@ -583,7 +573,7 @@ mod tests {
             (a.retries, a.timeouts, a.breaker_trips, a.short_circuits),
             (3, 1, 1, 2)
         );
-        assert_eq!((a.cache_hits, a.coalesced, a.prefetches), (4, 2, 5));
+        assert_eq!((a.cache_hits, a.coalesced), (4, 2));
         assert_eq!((a.clone_events, a.bytes_cloned), (6, 640));
         assert_eq!((a.index_builds, a.probes, a.pairs_skipped), (1, 7, 20));
         assert_eq!((a.tiles_pruned, a.predicate_evals), (2, 9));

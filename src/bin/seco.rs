@@ -7,7 +7,7 @@
 //! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
 //!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
-//!                [--cache-shards N] [--prefetch]
+//!                [--cache-shards N]
 //!                [--join-index off|hash] [--rank-join]
 //!                [--adaptive] [--adaptive-threshold N]
 //!                [--columnar on|off] [--batch-eval on|off] <query…>
@@ -25,10 +25,8 @@
 //! annotation, and plan-cache counters after the cost line.
 //!
 //! `--cache-shards N` routes every service call through a sharded,
-//! request-coalescing response cache; `--prefetch` additionally warms
-//! the next chunk speculatively (implying a cache at the default
-//! width). Both report hit / coalesced / prefetch counters after the
-//! answers.
+//! request-coalescing response cache and reports call / hit / coalesced
+//! counters after the answers.
 //!
 //! `--join-index` selects the join kernel: `hash` (the default) builds
 //! a sorted per-chunk key index over equi-join keys and probes it
@@ -126,7 +124,6 @@ struct Args {
     fault_profile: String,
     deadline_ms: Option<f64>,
     cache_shards: usize,
-    prefetch: bool,
     join_index: JoinIndexMode,
     rank_join: bool,
     adaptive: bool,
@@ -155,7 +152,6 @@ fn parse_args() -> Result<Args, String> {
     let mut fault_profile = "none".to_owned();
     let mut deadline_ms = None;
     let mut cache_shards = defaults.fetch.cache_shards;
-    let mut prefetch = defaults.fetch.prefetch;
     let mut join_index = defaults.join_index.mode;
     let mut rank_join = defaults.rank_join;
     let mut adaptive = defaults.adaptive;
@@ -211,7 +207,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--parallel" => parallel = true,
-            "--prefetch" => prefetch = true,
             "--rank-join" => rank_join = true,
             "--adaptive" => adaptive = true,
             "--adaptive-threshold" => {
@@ -321,7 +316,6 @@ fn parse_args() -> Result<Args, String> {
         fault_profile,
         deadline_ms,
         cache_shards,
-        prefetch,
         join_index,
         rank_join,
         adaptive,
@@ -344,7 +338,7 @@ fn usage() -> String {
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
      [--seed N] [--workers N] [--exec-workers N] [--parallel] \
      [--fault-profile none|flaky|outage] \
-     [--deadline-ms N] [--cache-shards N] [--prefetch] \
+     [--deadline-ms N] [--cache-shards N] \
      [--join-index off|hash] [--rank-join] \
      [--adaptive] [--adaptive-threshold N] \
      [--columnar on|off] [--batch-eval on|off] \
@@ -496,8 +490,8 @@ fn cmd_run(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Resul
     if opts.fetch.enabled() {
         let stats = registry.total_stats();
         println!(
-            "fetch: {} underlying calls, {} cache hits, {} coalesced waits, {} prefetches",
-            stats.calls, stats.cache_hits, stats.coalesced, stats.prefetches
+            "fetch: {} underlying calls, {} cache hits, {} coalesced waits",
+            stats.calls, stats.cache_hits, stats.coalesced
         );
     }
     println!(
@@ -703,7 +697,6 @@ fn main() -> ExitCode {
     // `EngineConfig` builder method.
     let mut opts = EngineConfig::default()
         .cache_shards(args.cache_shards)
-        .prefetch(args.prefetch)
         .join_index_mode(args.join_index)
         .rank_join(args.rank_join)
         .adaptive(args.adaptive)

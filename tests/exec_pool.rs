@@ -94,10 +94,9 @@ fn no_worker_threads_outlive_shared_state_shutdown() {
         .expect("daemon state owns a pool")
         .clone();
     assert_eq!(pool.threads_alive(), 4);
-    // A full pipelined session exercises every pool tier: plan-node
-    // tasks on the blocking tier, morsels and detached prefetch
-    // speculation on the compute tier.
-    let opts = EngineConfig::default().cache_shards(4).prefetch(true);
+    // A full pipelined session exercises both pool tiers: plan-node
+    // tasks on the blocking tier, join morsels on the compute tier.
+    let opts = EngineConfig::default().cache_shards(4);
     let out = execute_parallel_session(&best.plan, &registry, opts, Some(&shared), None).unwrap();
     assert!(!out.results.is_empty());
     shared.shutdown();
