@@ -17,10 +17,10 @@
 //!
 //! Phase-2 topologies are independent branch-and-bound subtrees, so the
 //! driver fans them across a bounded worker pool ([`Optimizer::workers`]):
-//! workers pull topologies off a shared atomic cursor, share the
-//! incumbent cost as an atomic bound (monotonically decreasing, so a
-//! stale read only costs a missed prune, never a wrong one), and race to
-//! improve the incumbent under one mutex.
+//! workers take topologies off a shared queue, in order and by value,
+//! share the incumbent cost as an atomic bound (monotonically
+//! decreasing, so a stale read only costs a missed prune, never a wrong
+//! one), and race to improve the incumbent under one mutex.
 //!
 //! The result is **deterministic** — byte-identical across worker
 //! counts and to the serial path — by construction:
@@ -37,14 +37,15 @@
 //! minimum of a fixed set under a total order does not depend on the
 //! schedule.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::iter::Enumerate;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::vec;
 
 use parking_lot::Mutex;
 use seco_exec::ExecPool;
 use seco_plan::{AnnotatedPlan, AnnotationConfig, DeltaAnnotator, QueryPlan};
+use seco_query::feasibility::FeasibilityReport;
 use seco_query::Query;
 use seco_services::ServiceRegistry;
 
@@ -53,7 +54,7 @@ use crate::error::OptError;
 use crate::heuristics::HeuristicSet;
 use crate::phase1::enumerate_assignments;
 use crate::phase2::{enumerate_topologies, DEFAULT_MAX_TOPOLOGIES};
-use crate::phase3::{assign_fetches_seeded, reset_fetches, AnnotationMemo, FetchPins, Phase3Stats};
+use crate::phase3::{assign_fetches_seeded, reset_fetches, FetchPins, Phase3Stats};
 use crate::plan_cache::{query_fingerprint, PlanCache};
 
 /// Exploration statistics of one optimization run (the Fig. 8
@@ -74,7 +75,9 @@ pub struct SearchStats {
     pub annotate_full: usize,
     /// Incremental (downstream-cone) annotation propagations.
     pub annotate_delta: usize,
-    /// Phase-3 trial evaluations answered by the shape/vector memo.
+    /// Always 0: phase 3 keeps no memo (no two topologies of a search
+    /// share a shape, and a greedy trial never repeats a fetch vector).
+    /// Kept because the benchmark still reports it.
     pub memo_hits: usize,
     /// Optimizations answered entirely from the plan cache.
     pub cache_hits: usize,
@@ -150,8 +153,19 @@ pub(crate) struct Seed {
     pub cost: f64,
 }
 
+/// Phase-2 topologies, each next to the feasibility analysis of the
+/// interface assignment it was enumerated for.
+pub(crate) struct Topologies {
+    /// One analysis per feasible assignment.
+    pub reports: Vec<FeasibilityReport>,
+    /// `(index into reports, topology)`, in enumeration order.
+    pub items: Vec<(usize, QueryPlan)>,
+}
+
 /// A candidate incumbent: the total tie-break order is
-/// `(cost, canonical key, rank)`, which is schedule-independent.
+/// `(cost, canonical key, rank)`, which is schedule-independent. Only a
+/// candidate that costs no more than the incumbent is built, so only
+/// those pay for the key.
 struct Candidate {
     cost: f64,
     key: String,
@@ -173,21 +187,20 @@ impl Candidate {
 }
 
 /// State shared by the search workers.
-struct Shared<'s> {
-    /// Pre-enumerated (assignment × topology) work items.
-    items: &'s [QueryPlan],
+struct Shared {
+    /// The assignments' feasibility analyses.
+    reports: Vec<FeasibilityReport>,
+    /// The (assignment × topology) work items not yet claimed, with
+    /// their enumeration index.
+    queue: Mutex<Enumerate<vec::IntoIter<(usize, QueryPlan)>>>,
     /// Fetch factors every item keeps (empty for a full search).
     pins: FetchPins,
-    /// Next item to claim.
-    next: AtomicUsize,
     /// Incumbent cost as f64 bits (monotonically decreasing; stale
     /// reads weaken pruning but never break it).
     bound_bits: AtomicU64,
     /// The incumbent plan; bound updates happen under this lock so the
     /// bound never drops below the best candidate's cost.
     best: Mutex<Option<Candidate>>,
-    /// Phase-3 trial memo shared across workers.
-    memo: Mutex<AnnotationMemo>,
     /// Cooperative stop (budget reached or a worker failed).
     stop: AtomicBool,
     /// First hard error, propagated after join.
@@ -199,7 +212,6 @@ struct Shared<'s> {
     bound_updates: AtomicUsize,
     annotate_full: AtomicUsize,
     annotate_delta: AtomicUsize,
-    memo_hits: AtomicUsize,
     /// Lower bounds of pruned subtrees, checked against the final
     /// incumbent in debug builds: a pruned subtree must never contain
     /// the winner.
@@ -207,8 +219,8 @@ struct Shared<'s> {
     pruned_bounds: Mutex<Vec<f64>>,
 }
 
-impl<'s> Shared<'s> {
-    fn new(items: &'s [QueryPlan], seed: Option<Seed>) -> Self {
+impl Shared {
+    fn new(topologies: Topologies, seed: Option<Seed>) -> Self {
         let (pins, best) = match seed {
             Some(seed) => {
                 let incumbent = Candidate {
@@ -224,12 +236,11 @@ impl<'s> Shared<'s> {
         };
         let bound = best.as_ref().map_or(f64::INFINITY, |b| b.cost);
         Shared {
-            items,
+            reports: topologies.reports,
+            queue: Mutex::new(topologies.items.into_iter().enumerate()),
             pins,
-            next: AtomicUsize::new(0),
             bound_bits: AtomicU64::new(bound.to_bits()),
             best: Mutex::new(best),
-            memo: Mutex::new(AnnotationMemo::new()),
             stop: AtomicBool::new(false),
             error: Mutex::new(None),
             unreachable: Mutex::new(None),
@@ -238,7 +249,6 @@ impl<'s> Shared<'s> {
             bound_updates: AtomicUsize::new(0),
             annotate_full: AtomicUsize::new(0),
             annotate_delta: AtomicUsize::new(0),
-            memo_hits: AtomicUsize::new(0),
             #[cfg(debug_assertions)]
             pruned_bounds: Mutex::new(Vec::new()),
         }
@@ -253,7 +263,6 @@ impl<'s> Shared<'s> {
             .fetch_add(p3.annotate_full, Ordering::Relaxed);
         self.annotate_delta
             .fetch_add(p3.annotate_delta, Ordering::Relaxed);
-        self.memo_hits.fetch_add(p3.memo_hits, Ordering::Relaxed);
     }
 
     fn fail(&self, e: OptError) {
@@ -310,8 +319,8 @@ impl<'a> Optimizer<'a> {
             _ => None,
         };
 
-        let (items, stats) = self.enumerate(query)?;
-        let mut result = self.search(&items, query.k, None, stats)?;
+        let (topologies, stats) = self.enumerate(query)?;
+        let mut result = self.search(topologies, query.k, None, stats)?;
         if let (Some(cache), Some(fp)) = (&self.cache, fingerprint) {
             cache.insert(fp, Arc::new(result.clone()));
             result.stats.cache_misses = 1;
@@ -322,44 +331,48 @@ impl<'a> Optimizer<'a> {
 
     /// Phases 1–2: every topology of every feasible assignment, in
     /// enumeration order, with `assignments` and `topologies` counted.
-    pub(crate) fn enumerate(
-        &self,
-        query: &Query,
-    ) -> Result<(Vec<QueryPlan>, SearchStats), OptError> {
+    pub(crate) fn enumerate(&self, query: &Query) -> Result<(Topologies, SearchStats), OptError> {
         let assignments = enumerate_assignments(query, self.registry, self.heuristics.phase1)?;
-        let mut items: Vec<QueryPlan> = Vec::new();
-        for assignment in &assignments {
-            items.extend(enumerate_topologies(
+        let mut topologies = Topologies {
+            reports: Vec::with_capacity(assignments.len()),
+            items: Vec::new(),
+        };
+        for (i, assignment) in assignments.into_iter().enumerate() {
+            let plans = enumerate_topologies(
                 &assignment.query,
                 self.registry,
                 &assignment.report,
                 self.heuristics.phase2,
                 self.max_topologies,
-            )?);
+            )?;
+            topologies
+                .items
+                .extend(plans.into_iter().map(|plan| (i, plan)));
+            topologies.reports.push(assignment.report);
         }
         let stats = SearchStats {
-            assignments: assignments.len(),
-            topologies: items.len(),
+            assignments: topologies.reports.len(),
+            topologies: topologies.items.len(),
             ..SearchStats::default()
         };
-        Ok((items, stats))
+        Ok((topologies, stats))
     }
 
-    /// The search proper: bounds and instantiates `items` across the
-    /// workers and returns the least candidate, with this run's counters
-    /// added to `stats`. A `seed` pins fetch factors in every item and
+    /// The search proper: bounds and instantiates the topologies across
+    /// the workers and returns the least candidate, with this run's
+    /// counters added to `stats`. A `seed` pins fetch factors in every item and
     /// enters as the incumbent at rank 0; `stats.replans` then says
     /// whether an item beat it.
     pub(crate) fn search(
         &self,
-        items: &[QueryPlan],
+        topologies: Topologies,
         k: usize,
         seed: Option<Seed>,
         mut stats: SearchStats,
     ) -> Result<Optimized, OptError> {
         let seeded = seed.is_some();
-        let shared = Shared::new(items, seed);
-        let workers = self.workers.max(1).min(items.len().max(1));
+        let workers = self.workers.max(1).min(topologies.items.len().max(1));
+        let shared = Shared::new(topologies, seed);
         if workers <= 1 {
             self.worker(&shared, k);
         } else {
@@ -392,7 +405,6 @@ impl<'a> Optimizer<'a> {
         stats.bound_updates += shared.bound_updates.load(Ordering::Relaxed);
         stats.annotate_full += shared.annotate_full.load(Ordering::Relaxed);
         stats.annotate_delta += shared.annotate_delta.load(Ordering::Relaxed);
-        stats.memo_hits += shared.memo_hits.load(Ordering::Relaxed);
 
         let best = shared.best.lock().take();
         match best {
@@ -429,18 +441,20 @@ impl<'a> Optimizer<'a> {
         }
     }
 
-    /// Worker loop: claim items off the shared cursor until exhausted
-    /// or stopped.
-    fn worker(&self, shared: &Shared<'_>, k: usize) {
+    /// Worker loop: take items off the shared queue until exhausted or
+    /// stopped.
+    fn worker(&self, shared: &Shared, k: usize) {
         loop {
             if shared.stop.load(Ordering::Acquire) {
                 return;
             }
-            let idx = shared.next.fetch_add(1, Ordering::Relaxed);
-            let Some(topology) = shared.items.get(idx) else {
+            let Some((idx, (assignment, topology))) = shared.queue.lock().next() else {
                 return;
             };
-            if let Err(e) = self.process_item(idx, topology, shared, k) {
+            let Some(report) = shared.reports.get(assignment) else {
+                return;
+            };
+            if let Err(e) = self.process_item(idx, topology, report, shared, k) {
                 shared.fail(e);
                 return;
             }
@@ -451,16 +465,22 @@ impl<'a> Optimizer<'a> {
     fn process_item(
         &self,
         idx: usize,
-        topology: &QueryPlan,
-        shared: &Shared<'_>,
+        mut plan: QueryPlan,
+        report: &FeasibilityReport,
+        shared: &Shared,
         k: usize,
     ) -> Result<(), OptError> {
-        let mut plan = topology.clone();
         reset_fetches(&mut plan, &shared.pins)?;
 
         // One full annotation serves both the lower bound and the
-        // phase-3 starting point.
-        let annotator = DeltaAnnotator::new(&plan, self.registry, &AnnotationConfig::default())?;
+        // phase-3 starting point. Phase 2 validated the topology and
+        // phase 1 analyzed its assignment.
+        let annotator = DeltaAnnotator::with_report(
+            &plan,
+            self.registry,
+            report,
+            &AnnotationConfig::default(),
+        )?;
         shared.annotate_full.fetch_add(1, Ordering::Relaxed);
         let lower_bound = self
             .metric
@@ -471,13 +491,6 @@ impl<'a> Optimizer<'a> {
             shared.pruned_bounds.lock().push(lower_bound);
             return Ok(());
         }
-        // Topology-shape hash at the starting vector: fetch factors
-        // live in the memo's vector key, not the shape.
-        let shape = {
-            let mut h = DefaultHasher::new();
-            plan.canonical_key().hash(&mut h);
-            h.finish()
-        };
         let mut p3 = Phase3Stats::default();
         let instantiation = assign_fetches_seeded(
             &mut plan,
@@ -486,7 +499,6 @@ impl<'a> Optimizer<'a> {
             self.heuristics.phase3,
             self.metric,
             annotator,
-            Some((&shared.memo, shape)),
             &shared.pins,
             &mut p3,
         );
@@ -496,14 +508,17 @@ impl<'a> Optimizer<'a> {
             Ok(annotated) => {
                 let instantiated = shared.instantiated.fetch_add(1, Ordering::Relaxed) + 1;
                 let cost = self.metric.evaluate(&plan, &annotated, self.registry)?;
-                let candidate = Candidate {
-                    cost,
-                    key: plan.canonical_key(),
-                    rank: idx + 1,
-                    plan,
-                    annotated,
-                };
-                {
+                // The bound is the incumbent's cost or a stale, higher
+                // one: a candidate above it cannot beat the incumbent.
+                let above = cost > shared.bound();
+                if !above {
+                    let candidate = Candidate {
+                        cost,
+                        key: plan.canonical_key(),
+                        rank: idx + 1,
+                        plan,
+                        annotated,
+                    };
                     let mut best = shared.best.lock();
                     let replace = best.as_ref().map(|b| candidate.beats(b)).unwrap_or(true);
                     if replace {
@@ -713,11 +728,15 @@ mod tests {
     #[test]
     fn four_atom_star_search_is_pinned() {
         // Values recorded before phase 2 learned to visit each state
-        // once: the search must not notice the difference.
+        // once, and the annotation work before phase 2 ran on interned
+        // signatures and phase 3 lost its memo: the search must notice
+        // neither.
         let (reg, q) = seco_bench::star_scenario(4, 7);
         let best = optimize(&q, &reg, CostMetric::RequestCount).unwrap();
         let s = &best.stats;
         assert_eq!((s.topologies, s.instantiated, s.pruned), (126, 102, 24));
+        assert_eq!((s.annotate_full, s.annotate_delta), (126, 750));
+        assert_eq!((s.bound_updates, s.memo_hits), (1, 0));
         assert_eq!(best.cost.to_bits(), 15.0f64.to_bits());
         assert_eq!(
             best.plan.canonical_key(),

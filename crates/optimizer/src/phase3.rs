@@ -15,14 +15,10 @@
 //!
 //! Annotation is **incremental**: the topology is annotated once at
 //! ⟨1, …, 1⟩ (a [`DeltaAnnotator`]), and every trial or committed
-//! increment propagates only the changed node's downstream cone. Trial
-//! evaluations are additionally memoized across topologies by
-//! (topology shape, fetch vector), so re-instantiating a shape the
-//! search has already explored never re-derives the same estimate.
+//! increment propagates only the changed node's downstream cone.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
 use seco_plan::{AnnotatedPlan, AnnotationConfig, DeltaAnnotator, NodeId, PlanNode, QueryPlan};
 use seco_services::ServiceRegistry;
 
@@ -41,16 +37,7 @@ pub struct Phase3Stats {
     pub annotate_full: usize,
     /// Delta propagations (downstream cone of one changed node).
     pub annotate_delta: usize,
-    /// Trial evaluations answered by the (shape, fetch-vector) memo.
-    pub memo_hits: usize,
 }
-
-/// Memoized trial estimates keyed by (topology-shape hash, fetch
-/// vector): expected output tuples and metric cost. Shared across the
-/// branch-and-bound's workers under one optimization run (the registry
-/// statistics and metric are fixed for the run, so entries never go
-/// stale within it).
-pub type AnnotationMemo = HashMap<(u64, Vec<u32>), (f64, f64)>;
 
 /// Fetch factors fixed by atom alias: a suffix re-plan pins its executed
 /// services here, whose fetches are a fact of the past, not a degree of
@@ -60,8 +47,8 @@ pub type FetchPins = BTreeMap<String, u32>;
 /// Sets every service node's fetch factor to its pin, or to 1, the
 /// lowest admissible value.
 pub(crate) fn reset_fetches(plan: &mut QueryPlan, pins: &FetchPins) -> Result<(), OptError> {
-    for id in plan.node_ids().collect::<Vec<_>>() {
-        if let PlanNode::Service(s) = plan.node_mut(id)? {
+    for i in 0..plan.len() {
+        if let PlanNode::Service(s) = plan.node_mut(NodeId(i))? {
             s.fetches = pins.get(&s.atom).copied().unwrap_or(1);
         }
     }
@@ -87,7 +74,7 @@ pub fn assign_fetches(
     let annotator = DeltaAnnotator::new(plan, registry, &AnnotationConfig::default())?;
     let mut stats = Phase3Stats::default();
     assign_fetches_seeded(
-        plan, registry, k, heuristic, metric, annotator, None, &pins, &mut stats,
+        plan, registry, k, heuristic, metric, annotator, &pins, &mut stats,
     )
 }
 
@@ -104,23 +91,22 @@ pub fn assign_fetches_seeded(
     heuristic: Phase3Heuristic,
     metric: CostMetric,
     mut annotator: DeltaAnnotator,
-    memo: Option<(&Mutex<AnnotationMemo>, u64)>,
     pins: &FetchPins,
     stats: &mut Phase3Stats,
 ) -> Result<AnnotatedPlan, OptError> {
-    // Service-node ordinals in node-id order: position of each service
-    // node within the fetch vector (the memo key layout).
-    let service_nodes: Vec<NodeId> = plan
-        .node_ids()
-        .filter(|id| matches!(plan.node(*id), Ok(PlanNode::Service(_))))
-        .collect();
-    let ordinal_of = |id: NodeId| service_nodes.iter().position(|s| *s == id);
-
+    let growable = growable(plan, registry, pins)?;
+    let mut candidates = Vec::with_capacity(growable.len());
     for _ in 0..MAX_ROUNDS {
         if annotator.output_tuples() >= k as f64 {
             return Ok(annotator.into_annotated());
         }
-        let candidates = incrementable(plan, registry, pins)?;
+        // The nodes whose factor can still usefully grow.
+        candidates.clear();
+        for g in &growable {
+            if matches!(plan.node(g.id)?, PlanNode::Service(s) if s.fetches < g.max_chunks) {
+                candidates.push(*g);
+            }
+        }
         if candidates.is_empty() {
             return Err(OptError::Unreachable {
                 best_estimate: annotator.output_tuples(),
@@ -128,17 +114,10 @@ pub fn assign_fetches_seeded(
             });
         }
         let chosen = match heuristic {
-            Phase3Heuristic::Greedy => pick_greedy(
-                plan,
-                registry,
-                &mut annotator,
-                &candidates,
-                metric,
-                memo,
-                &ordinal_of,
-                stats,
-            )?,
-            Phase3Heuristic::SquareIsBetter => pick_square(plan, registry, &candidates)?,
+            Phase3Heuristic::Greedy => {
+                pick_greedy(plan, registry, &mut annotator, &candidates, metric, stats)?
+            }
+            Phase3Heuristic::SquareIsBetter => pick_square(plan, &candidates)?,
         };
         let Some(chosen) = chosen else {
             // No increment improves the estimate: the output is capped
@@ -161,13 +140,22 @@ pub fn assign_fetches_seeded(
     })
 }
 
-/// Unpinned chunked service nodes whose factor can still usefully grow
-/// (below the service's expected chunk count, and not `keep_first`).
-fn incrementable(
+/// A service node whose fetch factor phase 3 may raise: unpinned,
+/// chunked and not `keep_first`. Its factor can usefully grow while it
+/// is below `max_chunks`, the service's expected chunk count.
+#[derive(Clone, Copy)]
+struct Growable {
+    id: NodeId,
+    max_chunks: u32,
+    chunk_size: f64,
+}
+
+/// The plan's growable service nodes, in node-id order.
+fn growable(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     pins: &FetchPins,
-) -> Result<Vec<NodeId>, OptError> {
+) -> Result<Vec<Growable>, OptError> {
     let mut out = Vec::new();
     for id in plan.node_ids() {
         if let PlanNode::Service(node) = plan.node(id)? {
@@ -175,10 +163,11 @@ fn incrementable(
             if !iface.kind.is_chunked() || node.keep_first || pins.contains_key(&node.atom) {
                 continue;
             }
-            let max_chunks = iface.stats.expected_chunks().max(1) as u32;
-            if node.fetches < max_chunks {
-                out.push(id);
-            }
+            out.push(Growable {
+                id,
+                max_chunks: iface.stats.expected_chunks().max(1) as u32,
+                chunk_size: iface.stats.chunk_size as f64,
+            });
         }
     }
     Ok(out)
@@ -186,52 +175,27 @@ fn incrementable(
 
 /// Greedy over delta propagations: each candidate's trial bumps one
 /// factor, reads the new estimate and cost, and reverts — two cone
-/// recomputations, unless the (shape, vector) memo already knows the
-/// answer. Picks the candidate with the highest Δoutput / Δcost.
-#[allow(clippy::too_many_arguments)]
+/// recomputations. Picks the candidate with the highest Δoutput /
+/// Δcost.
 fn pick_greedy(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     annotator: &mut DeltaAnnotator,
-    candidates: &[NodeId],
+    candidates: &[Growable],
     metric: CostMetric,
-    memo: Option<(&Mutex<AnnotationMemo>, u64)>,
-    ordinal_of: &dyn Fn(NodeId) -> Option<usize>,
     stats: &mut Phase3Stats,
 ) -> Result<Option<NodeId>, OptError> {
     let base_out = annotator.output_tuples();
     let base_cost = metric.evaluate(plan, annotator.annotated(), registry)?;
-    let base_vector = annotator.fetch_vector();
     let mut best: Option<(NodeId, f64)> = None;
-    for &id in candidates {
+    for &Growable { id, .. } in candidates {
         let current = annotator.fetches(id).unwrap_or(1);
-        let (out, cost) = {
-            let trial_key = memo.and_then(|(_, shape)| {
-                let ord = ordinal_of(id)?;
-                let mut v = base_vector.clone();
-                v[ord] += 1;
-                Some((shape, v))
-            });
-            let cached = trial_key
-                .as_ref()
-                .and_then(|key| memo.map(|(m, _)| m.lock().get(key).copied()))
-                .flatten();
-            if let Some(hit) = cached {
-                stats.memo_hits += 1;
-                hit
-            } else {
-                annotator.set_fetches(id, current + 1)?;
-                stats.annotate_delta += 1;
-                let out = annotator.output_tuples();
-                let cost = metric.evaluate(plan, annotator.annotated(), registry)?;
-                annotator.set_fetches(id, current)?;
-                stats.annotate_delta += 1;
-                if let (Some((m, _)), Some(key)) = (memo, trial_key) {
-                    m.lock().insert(key, (out, cost));
-                }
-                (out, cost)
-            }
-        };
+        annotator.set_fetches(id, current + 1)?;
+        stats.annotate_delta += 1;
+        let out = annotator.output_tuples();
+        let cost = metric.evaluate(plan, annotator.annotated(), registry)?;
+        annotator.set_fetches(id, current)?;
+        stats.annotate_delta += 1;
         let gain = out - base_out;
         if gain <= 0.0 {
             continue;
@@ -247,16 +211,11 @@ fn pick_greedy(
 
 /// Square-is-better: the candidate whose explored-tuple count
 /// `F × chunk_size` is currently smallest.
-fn pick_square(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    candidates: &[NodeId],
-) -> Result<Option<NodeId>, OptError> {
+fn pick_square(plan: &QueryPlan, candidates: &[Growable]) -> Result<Option<NodeId>, OptError> {
     let mut best: Option<(NodeId, f64)> = None;
-    for &id in candidates {
+    for &Growable { id, chunk_size, .. } in candidates {
         if let PlanNode::Service(node) = plan.node(id)? {
-            let iface = registry.interface(&node.service)?;
-            let explored = node.fetches as f64 * iface.stats.chunk_size as f64;
+            let explored = node.fetches as f64 * chunk_size;
             if best.map(|(_, e)| explored < e).unwrap_or(true) {
                 best = Some((id, explored));
             }
@@ -387,47 +346,5 @@ mod tests {
             }
         };
         assert!(f("T") >= f("M"), "theatre F={} movie F={}", f("T"), f("M"));
-    }
-
-    /// The memo answers repeated trial evaluations for the same
-    /// (shape, vector) without propagating.
-    #[test]
-    fn memo_short_circuits_repeated_shapes() {
-        let (plan, reg) = parallel_topology();
-        let memo = Mutex::new(AnnotationMemo::new());
-        let shape = 0xfeed_beefu64;
-        let run = || {
-            let mut p = plan.clone();
-            let pins = FetchPins::new();
-            reset_fetches(&mut p, &pins).unwrap();
-            let annotator = DeltaAnnotator::new(&p, &reg, &AnnotationConfig::default()).unwrap();
-            let mut stats = Phase3Stats::default();
-            assign_fetches_seeded(
-                &mut p,
-                &reg,
-                10,
-                Phase3Heuristic::Greedy,
-                CostMetric::RequestCount,
-                annotator,
-                Some((&memo, shape)),
-                &pins,
-                &mut stats,
-            )
-            .unwrap();
-            stats
-        };
-        let first = run();
-        assert_eq!(first.memo_hits, 0, "cold memo cannot hit");
-        let second = run();
-        assert!(
-            second.memo_hits > 0,
-            "re-instantiating the same shape must hit the memo"
-        );
-        assert!(
-            second.annotate_delta < first.annotate_delta,
-            "memo hits must replace delta propagations ({} !< {})",
-            second.annotate_delta,
-            first.annotate_delta
-        );
     }
 }

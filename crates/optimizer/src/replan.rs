@@ -15,8 +15,8 @@
 //! topologies to the branch-and-bound's `Optimizer::search` with the
 //! original plan seeded as the incumbent at tie-break rank 0, so a
 //! challenger must *strictly* beat it under the `(cost, canonical key,
-//! rank)` order, and pruning, the phase-3 memo and the worker fan-out
-//! are the full search's.
+//! rank)` order, and pruning and the worker fan-out are the full
+//! search's.
 //!
 //! With observations that do not deviate past
 //! [`Optimizer::replan_threshold`], the search is skipped entirely and
@@ -156,9 +156,11 @@ impl Optimizer<'_> {
         }
         // Phase 2 restricted: only topologies the executed work embeds
         // into unchanged. `topologies` still counts every one.
-        let (mut items, mut stats) = self.enumerate(&relaxed)?;
+        let (mut topologies, mut stats) = self.enumerate(&relaxed)?;
         let target = prefix_signature(plan, executed_prefix);
-        items.retain(|topology| prefix_signature(topology, executed_prefix) == target);
+        topologies
+            .items
+            .retain(|(_, topology)| prefix_signature(topology, executed_prefix) == target);
         stats.annotate_full = 1;
         let seed = Seed {
             pins,
@@ -166,7 +168,7 @@ impl Optimizer<'_> {
             annotated,
             cost,
         };
-        self.search(&items, plan.query.k, Some(seed), stats)
+        self.search(topologies, plan.query.k, Some(seed), stats)
     }
 }
 

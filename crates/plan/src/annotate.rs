@@ -99,9 +99,10 @@ impl AnnotatedPlan {
         }
     }
 
-    /// Replaces the per-service call sums (incremental annotator only).
-    pub(crate) fn set_calls_by_service(&mut self, calls: BTreeMap<String, f64>) {
-        self.calls_by_service = calls;
+    /// The per-service call sums, for the incremental annotator to
+    /// re-sum in place.
+    pub(crate) fn calls_by_service_mut(&mut self) -> &mut BTreeMap<String, f64> {
+        &mut self.calls_by_service
     }
 
     /// Replaces the cached output-tuple estimate (incremental annotator

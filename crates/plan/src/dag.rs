@@ -133,17 +133,25 @@ impl QueryPlan {
     /// a node's output: every service atom on some path from the input
     /// to this node.
     pub fn atoms_at(&self, id: NodeId) -> BTreeSet<String> {
+        self.atom_names_at(id)
+            .into_iter()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    /// [`Self::atoms_at`], borrowing the names.
+    fn atom_names_at(&self, id: NodeId) -> BTreeSet<&str> {
         let mut out = BTreeSet::new();
         let mut stack = vec![id];
-        let mut seen = BTreeSet::new();
+        let mut seen = vec![false; self.nodes.len()];
         while let Some(n) = stack.pop() {
-            if !seen.insert(n) {
+            if std::mem::replace(&mut seen[n.0], true) {
                 continue;
             }
             if let PlanNode::Service(s) = &self.nodes[n.0] {
-                out.insert(s.atom.clone());
+                out.insert(s.atom.as_str());
             }
-            stack.extend(self.predecessors(n));
+            stack.extend(self.edges.iter().filter(|(_, t)| *t == n).map(|(f, _)| *f));
         }
         out
     }
@@ -223,7 +231,10 @@ impl QueryPlan {
         let mut order = Vec::with_capacity(n);
         while let Some(id) = queue.pop() {
             order.push(id);
-            for s in self.successors(id) {
+            for &(f, s) in &self.edges {
+                if f != id {
+                    continue;
+                }
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
                     queue.push(s);
@@ -240,9 +251,14 @@ impl QueryPlan {
     pub fn validate(&self) -> Result<(), PlanError> {
         let invalid = |detail: String| Err(PlanError::Invalid { detail });
         // Arity of each node kind.
+        let mut indeg = vec![0usize; self.nodes.len()];
+        let mut outdeg = vec![0usize; self.nodes.len()];
+        for (f, t) in &self.edges {
+            outdeg[f.0] += 1;
+            indeg[t.0] += 1;
+        }
         for id in self.node_ids() {
-            let preds = self.predecessors(id).len();
-            let succs = self.successors(id).len();
+            let (preds, succs) = (indeg[id.0], outdeg[id.0]);
             match &self.nodes[id.0] {
                 PlanNode::Input => {
                     if preds != 0 {
@@ -314,8 +330,8 @@ impl QueryPlan {
         for id in self.node_ids() {
             if let PlanNode::ParallelJoin(spec) = &self.nodes[id.0] {
                 let preds = self.predecessors(id);
-                let left = self.atoms_at(preds[0]);
-                let right = self.atoms_at(preds[1]);
+                let left = self.atom_names_at(preds[0]);
+                let right = self.atom_names_at(preds[1]);
                 // Branches may share a common ancestry (the Fig. 2 plan
                 // forks after Weather and re-joins Flight and Hotel),
                 // but each must contribute something of its own.
@@ -325,8 +341,8 @@ impl QueryPlan {
                     ));
                 }
                 for p in &spec.predicates {
-                    let la = &p.left.atom;
-                    let ra = &p.right.atom;
+                    let la = p.left.atom.as_str();
+                    let ra = p.right.atom.as_str();
                     let spans = (left.contains(la) && right.contains(ra))
                         || (left.contains(ra) && right.contains(la));
                     if !spans {

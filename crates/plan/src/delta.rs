@@ -83,7 +83,7 @@ fn pipe_selectivity(
 ) -> Result<f64, PlanError> {
     let mut sel = 1.0;
     let mut seen: Vec<&str> = Vec::new();
-    for dep in report.bindings_of(atom) {
+    for dep in report.dependencies.iter().filter(|d| d.to_atom == atom) {
         if let BindingSource::Piped { from_atom, .. } = &dep.source {
             if !seen.contains(&from_atom.as_str()) {
                 seen.push(from_atom);
@@ -101,12 +101,13 @@ fn pipe_selectivity(
 pub struct DeltaAnnotator {
     params: Vec<NodeParams>,
     preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
     /// Topological order of node indices (full recomputes walk it; cone
     /// nodes are recomputed in it).
     topo: Vec<usize>,
     /// Node index → position in `topo`.
     topo_pos: Vec<usize>,
+    /// Scratch cone membership of a propagation.
+    in_cone: Vec<bool>,
     output: usize,
     cap_by_total: bool,
     ann: AnnotatedPlan,
@@ -127,10 +128,41 @@ impl DeltaAnnotator {
     ) -> Result<Self, PlanError> {
         plan.validate()?;
         let report = analyze(&plan.query, registry)?;
+        Self::with_report(plan, registry, &report, config)
+    }
+
+    /// [`Self::new`] for a caller that already holds what it computes: a
+    /// plan that passed [`QueryPlan::validate`] and `report`, the
+    /// feasibility analysis of `plan.query` under `registry`. The
+    /// optimizer validates each topology once, in phase 2, and analyzes
+    /// each interface assignment once, in phase 1. Node arities are
+    /// still checked, so a plan that breaks the contract is an error,
+    /// never a panic.
+    pub fn with_report(
+        plan: &QueryPlan,
+        registry: &ServiceRegistry,
+        report: &FeasibilityReport,
+        config: &AnnotationConfig,
+    ) -> Result<Self, PlanError> {
         let n = plan.len();
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for &(from, to) in plan.edges() {
+            preds[to.0].push(from.0);
+        }
         let mut params = Vec::with_capacity(n);
         for id in plan.node_ids() {
-            let p = match plan.node(id)? {
+            let node = plan.node(id)?;
+            let arity = match node {
+                PlanNode::Input => 0,
+                PlanNode::ParallelJoin(_) => 2,
+                _ => 1,
+            };
+            if preds[id.0].len() != arity {
+                return Err(PlanError::Invalid {
+                    detail: format!("{id} has {} predecessors, wants {arity}", preds[id.0].len()),
+                });
+            }
+            let p = match node {
                 PlanNode::Input => NodeParams::Input,
                 PlanNode::Output => NodeParams::Output,
                 PlanNode::Selection(sel) => NodeParams::Selection {
@@ -151,20 +183,12 @@ impl DeltaAnnotator {
                         chunked: iface.kind.is_chunked(),
                         chunk_size: iface.stats.chunk_size as f64,
                         avg_cardinality: iface.stats.avg_cardinality,
-                        pipe_selectivity: pipe_selectivity(plan, registry, &report, &node.atom)?,
+                        pipe_selectivity: pipe_selectivity(plan, registry, report, &node.atom)?,
                     })
                 }
             };
             params.push(p);
         }
-        let preds: Vec<Vec<usize>> = plan
-            .node_ids()
-            .map(|id| plan.predecessors(id).iter().map(|p| p.0).collect())
-            .collect();
-        let succs: Vec<Vec<usize>> = plan
-            .node_ids()
-            .map(|id| plan.successors(id).iter().map(|s| s.0).collect())
-            .collect();
         let topo: Vec<usize> = plan.topo_order()?.iter().map(|id| id.0).collect();
         let mut topo_pos = vec![0usize; n];
         for (pos, &node) in topo.iter().enumerate() {
@@ -173,9 +197,9 @@ impl DeltaAnnotator {
         let mut out = DeltaAnnotator {
             params,
             preds,
-            succs,
             topo,
             topo_pos,
+            in_cone: Vec::new(),
             output: plan.output().0,
             cap_by_total: config.cap_by_total,
             ann: AnnotatedPlan::from_parts(vec![Annotation::default(); n], BTreeMap::new(), 0.0),
@@ -213,18 +237,6 @@ impl DeltaAnnotator {
             Some(NodeParams::Service(s)) => Some(s.fetches),
             _ => None,
         }
-    }
-
-    /// The fetch factors of every service node, in node-id order (the
-    /// memoization key of a trial state).
-    pub fn fetch_vector(&self) -> Vec<u32> {
-        self.params
-            .iter()
-            .filter_map(|p| match p {
-                NodeParams::Service(s) => Some(s.fetches),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Node annotations recomputed by delta propagations so far.
@@ -296,16 +308,23 @@ impl DeltaAnnotator {
     /// Re-derives `calls_by_service` and `output_tuples` from the node
     /// annotations, accumulating in topological order (a fixed
     /// summation order, so the `f64` sums never depend on which nodes a
-    /// propagation touched).
+    /// propagation touched). The services never change, so after the
+    /// first sum the map is re-summed in place.
     fn resum(&mut self) {
-        let mut calls: BTreeMap<String, f64> = BTreeMap::new();
+        let calls = self.ann.calls_by_service_mut();
+        calls.values_mut().for_each(|sum| *sum = 0.0);
         for &node in &self.topo {
             if let NodeParams::Service(s) = &self.params[node] {
-                *calls.entry(s.service.clone()).or_insert(0.0) +=
-                    self.ann.annotation(NodeId(node)).calls;
+                let add = self.ann.annotation(NodeId(node)).calls;
+                let calls = self.ann.calls_by_service_mut();
+                match calls.get_mut(&s.service) {
+                    Some(sum) => *sum += add,
+                    None => {
+                        calls.insert(s.service.clone(), 0.0 + add);
+                    }
+                }
             }
         }
-        self.ann.set_calls_by_service(calls);
         let out = self.ann.annotation(NodeId(self.output)).tout;
         self.ann.set_output_tuples(out);
     }
@@ -314,25 +333,24 @@ impl DeltaAnnotator {
     /// topological order, then re-derives the per-service call sums.
     fn propagate_from(&mut self, start: usize) {
         self.propagations += 1;
-        // Collect the cone: every node reachable from `start`.
-        let mut in_cone = vec![false; self.params.len()];
-        let mut stack = vec![start];
-        while let Some(n) = stack.pop() {
-            if in_cone[n] {
+        // One pass in global topological order from `start`: a node is
+        // in the cone (reachable from `start`) when one of its
+        // predecessors is, and every predecessor, in or out of the cone,
+        // is final when read.
+        let mut in_cone = std::mem::take(&mut self.in_cone);
+        in_cone.clear();
+        in_cone.resize(self.params.len(), false);
+        for pos in self.topo_pos[start]..self.topo.len() {
+            let node = self.topo[pos];
+            if node != start && !self.preds[node].iter().any(|&p| in_cone[p]) {
                 continue;
             }
-            in_cone[n] = true;
-            stack.extend(self.succs[n].iter().copied());
-        }
-        // Recompute cone members in global topological order so every
-        // predecessor (in or out of the cone) is final when read.
-        let mut cone: Vec<usize> = (0..self.params.len()).filter(|&n| in_cone[n]).collect();
-        cone.sort_by_key(|&n| self.topo_pos[n]);
-        for node in cone {
+            in_cone[node] = true;
             let new = self.compute_node(node);
             self.nodes_recomputed += 1;
             self.ann.set_annotation(node, new);
         }
+        self.in_cone = in_cone;
         self.resum();
     }
 
@@ -465,7 +483,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_vector_tracks_changes() {
+    fn fetches_track_changes() {
         let reg = entertainment::build_registry(1).unwrap();
         let q = running_example();
         let mut p = QueryPlan::new(q);
@@ -479,10 +497,11 @@ mod tests {
         p.connect(t, r).unwrap();
         p.connect(r, p.output()).unwrap();
         let mut delta = DeltaAnnotator::new(&p, &reg, &AnnotationConfig::default()).unwrap();
-        assert_eq!(delta.fetch_vector(), vec![1, 1, 1]);
+        let fetches = |d: &DeltaAnnotator| [m, t, r].map(|id| d.fetches(id));
+        assert_eq!(fetches(&delta), [Some(1); 3]);
         delta.set_fetches(t, 3).unwrap();
-        assert_eq!(delta.fetch_vector(), vec![1, 3, 1]);
-        assert_eq!(delta.fetches(t), Some(3));
+        assert_eq!(fetches(&delta), [Some(1), Some(3), Some(1)]);
+        assert_eq!(delta.fetches(p.input()), None);
         assert_eq!(delta.propagations(), 1);
     }
 }

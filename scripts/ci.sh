@@ -18,9 +18,11 @@ cargo test -q
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
-# Heap requests per delivered combination on the warm serving path: a
-# count, so it repeats exactly on any host (tests/alloc_budget.rs pins
-# it; the lines below are the figures of this run).
+# Heap requests per delivered combination on the warm serving path, and
+# per cold plan (one serial, uncached optimize of a 4-star and a
+# 4-chain): counts, so they repeat exactly on any host
+# (tests/alloc_budget.rs pins them; the lines below are the figures of
+# this run).
 echo "==> allocation budget (cargo test --release --test alloc_budget)"
 cargo test --release -q --test alloc_budget -- --nocapture | grep -o 'alloc_budget:.*'
 

@@ -405,8 +405,8 @@ fn cmd_explain(
         workers, stats.assignments, stats.instantiated, stats.bound_updates
     );
     println!(
-        "annotation: {} full, {} delta, {} memo hits",
-        stats.annotate_full, stats.annotate_delta, stats.memo_hits
+        "annotation: {} full, {} delta",
+        stats.annotate_full, stats.annotate_delta
     );
     println!(
         "plan cache: {} hits, {} misses, {} inserts",

@@ -1,11 +1,13 @@
-//! Allocation budget of the warm serving path: counts, never timings.
+//! Allocation budget of the warm serving path and of a cold plan:
+//! counts, never timings.
 //!
 //! A counting `#[global_allocator]` tallies the heap requests made by
 //! the calling thread (every `alloc` and every `realloc`), so the tests
 //! of this binary can run side by side and the figures repeat exactly.
 //! The deterministic executor under `ServerConfig::default().engine`
-//! runs a plan on the thread that calls it, which is what makes a
-//! per-thread count the whole count.
+//! runs a plan on the thread that calls it, and a one-worker optimizer
+//! searches on it, which is what makes a per-thread count the whole
+//! count.
 //!
 //! Each test prints an `alloc_budget:` line; `scripts/ci.sh` echoes
 //! them.
@@ -108,11 +110,11 @@ fn report(name: &str, allocations: u64, combinations: usize) -> f64 {
 /// handful of rows).
 const STAR3_PARENT_PER_COMBINATION: f64 = 85.21;
 
-/// The 4-chain: 1 184 requests (1.89 per combination — one per
-/// composite built, one per fetched chunk, the fixed cost of a pass).
-/// Its plan has no join chain to fuse and pays nothing for looking:
-/// pinned at 1.90, the figure from before fusion ran by default.
-const CHAIN4_PER_COMBINATION: f64 = 1.90;
+/// The 4-chain: 1 166 requests (1.87 per combination — one per
+/// composite built, one per fetched chunk, the fixed cost of a pass;
+/// 1 184 before `QueryPlan::validate` and `topo_order` stopped
+/// allocating per node), pinned with no headroom.
+const CHAIN4_PER_COMBINATION: f64 = 1.87;
 
 #[test]
 fn a_warm_chain_builds_each_combination_in_under_three_allocations() {
@@ -125,11 +127,12 @@ fn a_warm_chain_builds_each_combination_in_under_three_allocations() {
     );
 }
 
-/// The 3-star with its join chain fused into one n-ary pass: 407
-/// requests, 29.07 per combination (41.57 as a binary cascade, which
-/// builds the first join's intermediates), pinned with under 5 % of
-/// headroom; half the parent's figure is 42.6.
-const STAR3_PER_COMBINATION: f64 = 30.36;
+/// The 3-star with its join chain fused into one n-ary pass: 369
+/// requests, 26.36 per combination (29.14 before `QueryPlan::validate`,
+/// `topo_order` and `atoms_at` stopped allocating per node; 41.57 as a
+/// binary cascade, which builds the first join's intermediates), pinned
+/// with no headroom; half the parent's figure is 42.6.
+const STAR3_PER_COMBINATION: f64 = 26.36;
 
 #[test]
 fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
@@ -142,11 +145,12 @@ fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
     );
 }
 
-/// The 2-star: one lone parallel join, which runs the binary tile. 312
-/// requests for its 24 combinations (13.00 each; 13.50 with a hashed
-/// per-chunk index and pattern bookkeeping for a pattern-free query),
-/// pinned with no headroom.
-const STAR2_PER_COMBINATION: f64 = 13.00;
+/// The 2-star: one lone parallel join, which runs the binary tile. 290
+/// requests for its 24 combinations (12.08 each; 13.00 before
+/// `QueryPlan::validate`, `topo_order` and `atoms_at` stopped allocating
+/// per node, 13.50 with a hashed per-chunk index and pattern
+/// bookkeeping for a pattern-free query), pinned with no headroom.
+const STAR2_PER_COMBINATION: f64 = 12.09;
 
 #[test]
 fn a_warm_lone_join_keeps_its_tile_allocations_pinned() {
@@ -178,5 +182,57 @@ fn absorbing_known_rows_allocates_nothing_per_row() {
     assert!(
         allocations <= 4,
         "{allocations} allocations for {rows} known rows"
+    );
+}
+
+/// Heap requests of one serial cold `optimize` (no plan cache, one
+/// worker, so the whole search runs on the calling thread). A first
+/// call runs unmeasured, so nothing lazily built once per process is
+/// charged to the measured one.
+fn cold_plan(name: &str, (registry, query): (ServiceRegistry, Query)) -> u64 {
+    let plan = || optimize(&query, &registry, CostMetric::RequestCount).expect("feasible");
+    let first = plan();
+    let (best, allocations) = requests_during(plan);
+    assert_eq!(best.cost.to_bits(), first.cost.to_bits());
+    assert_eq!(best.stats.instantiated, first.stats.instantiated);
+    println!(
+        "alloc_budget: cold_plan_{name} allocations={allocations} topologies={}",
+        best.stats.topologies
+    );
+    allocations
+}
+
+/// The parent commit's figures, measured by `cold_plan` on it (release
+/// build): 89 059 heap requests for the 4-star's 126 topologies, 594
+/// for the 4-chain's one. Phase 2 carried a whole `QueryPlan` (its
+/// `Query` cloned) in every state and built string signatures, every
+/// topology was validated and analyzed again by its annotator and
+/// hashed into a phase-3 memo, and every trial vector was a key.
+const STAR4_COLD_PLAN_PARENT: u64 = 89_059;
+const CHAIN4_COLD_PLAN_PARENT: u64 = 594;
+
+/// The 4-star: 12 695 requests (12 691 in a release build), pinned with
+/// no headroom. About 30 of the 100 per topology are the `Query` clone
+/// every emitted `QueryPlan` owns.
+const STAR4_COLD_PLAN: u64 = 12_695;
+
+#[test]
+fn a_cold_star_plan_makes_at_most_half_the_parents_heap_requests() {
+    let allocations = cold_plan("star4", star_scenario(4, 7));
+    assert!(
+        allocations <= STAR4_COLD_PLAN && 2 * STAR4_COLD_PLAN <= STAR4_COLD_PLAN_PARENT,
+        "{allocations} heap requests for one cold plan, parent {STAR4_COLD_PLAN_PARENT}"
+    );
+}
+
+/// The 4-chain: 218 requests, pinned with no headroom.
+const CHAIN4_COLD_PLAN: u64 = 218;
+
+#[test]
+fn a_cold_chain_plan_keeps_its_heap_requests_pinned() {
+    let allocations = cold_plan("chain4", chain_scenario(4, 7));
+    assert!(
+        allocations <= CHAIN4_COLD_PLAN && CHAIN4_COLD_PLAN <= CHAIN4_COLD_PLAN_PARENT,
+        "{allocations} heap requests for one cold plan, parent {CHAIN4_COLD_PLAN_PARENT}"
     );
 }
