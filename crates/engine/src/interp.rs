@@ -2,8 +2,10 @@
 //! whichever scheduler runs it.
 //!
 //! [`Interpreter::prepare`] does a plan's one-time work — validation,
-//! feasibility analysis, predicate resolution, the alias → schema map
-//! and the join chains. Then each node kind has one definition:
+//! feasibility analysis, predicate resolution and compilation, the
+//! alias → schema map and the join chains — and rejects a plan whose
+//! predicates do not compile before any node runs. Then each node kind
+//! has one definition:
 //!
 //! * a **selection** filters its input ([`Interpreter::select`]);
 //! * a **service node** runs its pipe stage, prepared once, through its
@@ -27,17 +29,15 @@ use std::sync::Arc;
 use seco_exec::ExecPool;
 use seco_join::executor::MemoryStream;
 use seco_join::{
-    score_order, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin, PipeOutcome,
-    RankJoin,
+    score_order, JoinError, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin,
+    PipeOutcome, RankJoin,
 };
 use seco_model::{BitMask, Column, CompositeTuple, ServiceInterface};
 use seco_optimizer::{Optimized, Optimizer};
 use seco_plan::{JoinSpec, NodeId, PlanNode, QueryPlan, SelectionNode, ServiceNode};
 use seco_query::feasibility::{analyze, FeasibilityReport};
-use seco_query::predicate::{
-    resolve_predicates, satisfies_available, ResolvedPredicate, SchemaMap,
-};
-use seco_query::{CompiledPredicates, JoinPredicate};
+use seco_query::predicate::{resolve_predicates, ResolvedPredicate, SchemaMap};
+use seco_query::{CompiledPredicates, EvalScratch, JoinPredicate};
 use seco_services::{DeviationPolicy, ServiceRegistry};
 
 use crate::config::{EngineConfig, FailureMode};
@@ -90,7 +90,9 @@ pub(crate) struct Interpreter<'a> {
     state: &'a SharedState,
     schedule: Schedule,
     report: FeasibilityReport,
-    predicates: Vec<ResolvedPredicate>,
+    /// The plan's whole predicate set, compiled once: every pipe stage
+    /// evaluates its candidates through it.
+    compiled: CompiledPredicates,
     schemas: SchemaMap<'a>,
     /// The joins absorbed into a downstream chain, so never run.
     elided: BTreeSet<usize>,
@@ -99,7 +101,10 @@ pub(crate) struct Interpreter<'a> {
 }
 
 impl<'a> Interpreter<'a> {
-    /// Validates and analyzes `plan` once for a run against `state`.
+    /// Validates and analyzes `plan` once for a run against `state`,
+    /// and compiles its predicate set. A set that does not compile is
+    /// rejected here, as a [`seco_join::JoinError::Query`] — the error
+    /// the first join stage to meet the bad predicate would raise.
     pub fn prepare(
         plan: &'a QueryPlan,
         registry: &'a ServiceRegistry,
@@ -118,6 +123,8 @@ impl<'a> Interpreter<'a> {
                 &registry.interface(&atom.service)?.schema,
             );
         }
+        let compiled =
+            CompiledPredicates::compile(&predicates, &schemas).map_err(JoinError::Query)?;
         // Rank join takes precedence over fusion: its score-sorted top-k
         // inputs are incompatible with replaying the cascade.
         let (elided, chains) = join_chains(plan, fuses() && !ranks(&options))?;
@@ -128,7 +135,7 @@ impl<'a> Interpreter<'a> {
             state,
             schedule,
             report,
-            predicates,
+            compiled,
             schemas,
             elided,
             chains,
@@ -148,12 +155,13 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Keeps the composites of `input` that satisfy the selection node
-    /// `sel`, its predicates resolved against the query inputs.
+    /// `sel`, its predicates resolved against the query inputs and
+    /// compiled.
     ///
     /// With `batch_eval` on, a uniform input (same atom signature on
     /// every composite) is filtered by one vectorized kernel over columns
     /// gathered from the composites; any failed precondition — or a value
-    /// only the scalar path can decide — falls back to the interpreted
+    /// only the scalar path can decide — falls back to the compiled
     /// per-composite check, which also reproduces its error behavior.
     /// Selection nodes never count `predicate_evals` (the pipe stages
     /// already charged the predicates), so the kernel only moves the
@@ -171,12 +179,10 @@ impl<'a> Interpreter<'a> {
             preds.push(ResolvedPredicate::Selection { left, op, value });
         }
         preds.extend(resolved(&sel.join_predicates));
-        let schemas = &self.schemas;
+        let compiled = CompiledPredicates::compile(&preds, &self.schemas)?;
         let batched = self.options.columnar.batch_eval && input.len() > 1;
         if batched && input.iter().all(|c| c.atoms == input[0].atoms) {
-            if let Some(plan) = CompiledPredicates::compile(&preds, schemas)
-                .and_then(|c| c.batch_plan(&[], &input[0].atoms))
-            {
+            if let Some(plan) = compiled.batch_plan(&[], &input[0].atoms) {
                 if let Some(cols) = plan.gather_columns(&input) {
                     let refs: Vec<_> = cols.iter().map(Column::as_ref).collect();
                     let mut mask = BitMask::default();
@@ -193,9 +199,9 @@ impl<'a> Interpreter<'a> {
                 }
             }
         }
-        let mut kept = Vec::new();
+        let (mut kept, mut scratch) = (Vec::new(), EvalScratch::default());
         for c in input {
-            if satisfies_available(&preds, &c, schemas)? {
+            if compiled.eval(&c, &mut scratch)? {
                 kept.push(c);
             }
         }
@@ -203,9 +209,9 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Runs a service node's pipe stage over `inputs`: the stage is
-    /// prepared once, every input is extended with the service's
-    /// matching tuples, and the stage's counters are reported to the
-    /// service's recorder at the end.
+    /// prepared once over the plan's compiled predicate set, every input
+    /// is extended with the service's matching tuples, and the stage's
+    /// counters are reported to the service's recorder at the end.
     ///
     /// After each input, `emit` is handed the buffer of new
     /// combinations. Whatever it leaves there accumulates into the
@@ -230,7 +236,7 @@ impl<'a> Interpreter<'a> {
             atom: &node.atom,
             bindings: &bindings,
             query_inputs: &self.plan.query.inputs,
-            predicates: &self.predicates,
+            compiled: &self.compiled,
             schemas: &self.schemas,
             fetches,
             keep_first: node.keep_first,

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use seco_model::{AtomShape, BitMask, ChunkColumns, Column, ColumnRef, CompositeTuple, Symbol};
 use seco_plan::{Completion, Invocation};
-use seco_query::predicate::{satisfies_available, ResolvedPredicate, SchemaMap};
+use seco_query::predicate::{ResolvedPredicate, SchemaMap};
 use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
 use seco_services::invocation::{ChunkBody, Request};
 use seco_services::Service;
@@ -211,7 +211,8 @@ pub struct JoinOutcome {
 /// The parallel-join executor (§4.2.2).
 pub struct ParallelJoinExecutor<'p> {
     /// Join predicates between the two streams' atoms (already
-    /// resolved).
+    /// resolved), compiled once per run: a set that does not compile
+    /// fails the run before its first fetch.
     pub predicates: &'p [ResolvedPredicate],
     /// Schemas of all atoms appearing in the streams.
     pub schemas: &'p SchemaMap<'p>,
@@ -280,7 +281,7 @@ struct RowScratch {
 /// the serial ensure phase (index build, probe-key extraction, batch
 /// preparation) so row-range morsels can share it by reference.
 struct TileCtx<'a> {
-    compiled: Option<&'a CompiledPredicates>,
+    compiled: &'a CompiledPredicates,
     cx: &'a [CompositeTuple],
     cy: &'a [CompositeTuple],
     batch: Option<(&'a BatchPlan, &'a [ColumnRef<'a>])>,
@@ -351,12 +352,9 @@ impl ParallelJoinExecutor<'_> {
     ) -> Result<JoinOutcome, JoinError> {
         let target_k = if self.k == 0 { usize::MAX } else { self.k };
         let mut walk = TileWalk::new(self.invocation, self.completion, self.h.max(1))?;
-        // Compile the predicate set once per run; `None` (off mode or an
-        // unresolvable set) falls back to the interpreted nested loop.
-        let compiled = match self.options.mode {
-            JoinIndexMode::Off => None,
-            JoinIndexMode::Hash => CompiledPredicates::compile(self.predicates, self.schemas),
-        };
+        // Compile the predicate set once per run, before the first
+        // fetch: a set that does not compile is rejected here.
+        let compiled = CompiledPredicates::compile(self.predicates, self.schemas)?;
         let mut st = RunState::default();
         let mut chunks_x: Vec<Arc<CompositeChunk>> = Vec::new();
         let mut chunks_y: Vec<Arc<CompositeChunk>> = Vec::new();
@@ -377,15 +375,7 @@ impl ParallelJoinExecutor<'_> {
                 let (chunk_x, chunk_y) = (&chunks_x[t.x], &chunks_y[t.y]);
                 tiles.push(t);
                 tile_reps.push(chunk_x.representative * chunk_y.representative);
-                self.join_tile(
-                    compiled.as_ref(),
-                    chunk_x,
-                    chunk_y,
-                    t.x,
-                    t.y,
-                    &mut st,
-                    &mut results,
-                )?;
+                self.join_tile(&compiled, chunk_x, chunk_y, t.x, t.y, &mut st, &mut results)?;
                 if results.len() >= target_k {
                     break 'calls;
                 }
@@ -516,16 +506,17 @@ impl ParallelJoinExecutor<'_> {
     /// Each X row's candidates come from the Y chunk's [`KeyIndex`]
     /// (built lazily once per chunk, straight from typed columns when
     /// the body is columnar) when an equi key applies, else they are the
-    /// whole chunk. Candidates are judged by the compiled predicate set,
-    /// or by the interpreter in off mode or for an uncompilable set.
-    /// When [`ColumnarOptions::batch_eval`] is on and a [`BatchPlan`]
-    /// applies, a row's candidates are judged by one vectorized kernel
-    /// over the Y chunk's columns, with the scalar loop kept as the
-    /// fallback that also reproduces evaluation errors.
+    /// whole chunk. Candidates are judged by `compiled`, the run's one
+    /// compiled predicate set. When [`ColumnarOptions::batch_eval`] is
+    /// on and a [`BatchPlan`] applies, a row's candidates are judged by
+    /// one vectorized kernel over the Y chunk's columns, with the scalar
+    /// loop kept as the fallback that also reproduces evaluation errors.
+    /// In [`JoinIndexMode::Off`] every pair is a candidate, judged one
+    /// at a time: no index, no batch kernel.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn join_tile(
         &self,
-        compiled: Option<&CompiledPredicates>,
+        compiled: &CompiledPredicates,
         chunk_x: &CompositeChunk,
         chunk_y: &CompositeChunk,
         xi: usize,
@@ -535,9 +526,9 @@ impl ParallelJoinExecutor<'_> {
     ) -> Result<(), JoinError> {
         let cx = &chunk_x.composites;
         let cy = &chunk_y.composites;
-        let Some(compiled) = compiled else {
+        if self.options.mode == JoinIndexMode::Off {
             let ctx = TileCtx {
-                compiled: None,
+                compiled,
                 cx,
                 cy,
                 batch: None,
@@ -545,7 +536,7 @@ impl ParallelJoinExecutor<'_> {
             };
             let RunState { ws, stats, .. } = st;
             return self.run_tile_rows(&ctx, ws, stats, out);
-        };
+        }
 
         // Build (or reuse) the Y chunk's index.
         if st.indexes_y.len() <= yi {
@@ -651,7 +642,7 @@ impl ParallelJoinExecutor<'_> {
             Some((plan, refs))
         });
         let ctx = TileCtx {
-            compiled: Some(compiled),
+            compiled,
             cx,
             cy,
             batch: batch.as_ref().map(|(plan, refs)| (*plan, refs.as_slice())),
@@ -722,11 +713,7 @@ impl ParallelJoinExecutor<'_> {
                     continue;
                 };
                 stats.predicate_evals += 1;
-                let holds = match ctx.compiled {
-                    Some(compiled) => compiled.eval(&candidate, scratch)?,
-                    None => satisfies_available(self.predicates, &candidate, self.schemas)?,
-                };
-                if holds {
+                if ctx.compiled.eval(&candidate, scratch)? {
                     out.push(candidate);
                 }
             }
@@ -893,6 +880,65 @@ mod tests {
             columnar: ColumnarOptions::default(),
             pool: None,
         }
+    }
+
+    /// A stream that must never be asked for a chunk.
+    struct Unfetched;
+
+    impl ChunkStream for Unfetched {
+        fn fetch_chunk(&mut self, _: usize) -> Result<Arc<CompositeChunk>, JoinError> {
+            panic!("a set that does not compile must fail before any fetch")
+        }
+    }
+
+    #[test]
+    fn a_set_that_does_not_compile_fails_before_any_fetch() {
+        let sa = schema("A1");
+        let sb = schema("B1");
+        let (_, schemas) = setup(&sa, &sb);
+        let preds = vec![ResolvedPredicate::Join(JoinPredicate {
+            left: QualifiedPath::new("A", AttributePath::atomic("City")),
+            op: Comparator::Eq,
+            right: QualifiedPath::new("B", AttributePath::atomic("Bogus")),
+        })];
+        let expected = CompiledPredicates::compile(&preds, &schemas).unwrap_err();
+        for mode in [JoinIndexMode::Hash, JoinIndexMode::Off] {
+            let exec = ParallelJoinExecutor {
+                options: JoinIndexOptions { mode },
+                ..executor(&preds, &schemas)
+            };
+            let out = exec.run(&mut Unfetched, &mut Unfetched);
+            assert_eq!(out, Err(JoinError::Query(expected.clone())), "{mode:?}");
+            let rank = crate::RankJoin {
+                join: ParallelJoinExecutor { k: 3, ..exec },
+                space: None,
+            };
+            let out = rank.run(&mut Unfetched, &mut Unfetched);
+            assert_eq!(
+                out,
+                Err(JoinError::Query(expected.clone())),
+                "rank, {mode:?}"
+            );
+        }
+        let groups = vec![
+            stream_data("A", &sa, 4, ScoreDecay::Linear),
+            stream_data("B", &sb, 4, ScoreDecay::Linear),
+        ];
+        let stage = crate::NaryStage {
+            predicates: &preds,
+            invocation: Invocation::merge_scan_even(),
+            completion: Completion::Rectangular,
+            h: 1,
+            k: 0,
+            left_chunk: 2,
+            right_chunk: 2,
+        };
+        let kernel = crate::NaryJoin {
+            schemas: &schemas,
+            pool: None,
+        };
+        let out = kernel.run(&groups, &[stage]);
+        assert_eq!(out, Err(JoinError::Query(expected)), "n-ary");
     }
 
     #[test]
@@ -1109,7 +1155,7 @@ mod tests {
 
     /// The morsel path must be invisible: same results, same tile
     /// bookkeeping, same counters, at any worker count — including a
-    /// k-cut run and the interpreted (index-off) kernel.
+    /// k-cut run and the index-off nested loop.
     #[test]
     fn pooled_morsels_are_byte_identical_to_serial() {
         let sa = schema("A");

@@ -27,7 +27,7 @@
 //!   carrying an unencodable value (a raw `NaN`, on which the baseline
 //!   would error), has no key: an unkeyed indexed row is a candidate of
 //!   every probe, and an unkeyed probe row scans the whole chunk, so the
-//!   interpreter's behavior — including its errors — is reproduced.
+//!   nested loop's behavior — including its errors — is reproduced.
 //! * **Emission order is the nested loop's.** Index entries keep row
 //!   numbers, and a probe merges its key's rows with the unkeyed rows in
 //!   ascending row order, so results appear in the exact (i, j) order of
@@ -39,7 +39,9 @@ use seco_query::EquiCandidate;
 /// Which candidate-pair enumeration the join executor uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinIndexMode {
-    /// The original nested-loop scan, untouched.
+    /// The nested loop: every pair of a tile is a candidate, judged
+    /// one at a time by the compiled predicate set — no key index, no
+    /// batch kernel.
     Off,
     /// Per-chunk key index on equi-join keys, with nested-loop fallback
     /// when no key exists. Byte-identical to `Off`.
@@ -93,7 +95,7 @@ pub struct JoinStats {
     /// Whole tiles skipped (index-emptiness, or the rank join's
     /// score-frontier bound).
     pub tiles_pruned: u64,
-    /// Predicate-set evaluations performed (compiled or interpreted).
+    /// Predicate-set evaluations performed.
     /// Batch kernels count every candidate they cover, so this matches
     /// the scalar path exactly.
     pub predicate_evals: u64,

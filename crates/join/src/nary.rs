@@ -28,10 +28,13 @@
 //!
 //! * a group with non-uniform atom signatures, or groups sharing an
 //!   atom (diamond plans with common ancestry);
-//! * a stage whose predicates don't compile, or compile with residual
-//!   (non-equi) conjuncts;
+//! * a stage whose predicates compile with residual (non-equi)
+//!   conjuncts;
 //! * an equi conjunct that is active at its stage but does not span the
 //!   prefix and the stage's new group.
+//!
+//! A stage whose predicates do not compile is an error, as it is for the
+//! cascade.
 
 use std::ops::Range;
 
@@ -121,7 +124,8 @@ impl NaryJoin<'_> {
     /// Joins `groups[0] ⋈ groups[1] ⋈ …` under `stages` (one per
     /// internal join). Returns `Ok(None)` when the inputs fall outside
     /// the kernel's byte-identity preconditions — the caller then runs
-    /// the binary cascade.
+    /// the binary cascade — and the compile error of the first stage
+    /// whose predicate set does not compile.
     pub fn run(
         &self,
         groups: &[Vec<CompositeTuple>],
@@ -136,7 +140,12 @@ impl NaryJoin<'_> {
             .iter()
             .position(Vec::is_empty)
             .unwrap_or(groups.len());
-        let Some(plans) = self.plan(&groups[..live], &stages[..live.saturating_sub(1)]) else {
+        // A stage set that does not compile is rejected, as the
+        // cascade would reject it.
+        let compiled = (stages.iter())
+            .map(|stage| CompiledPredicates::compile(stage.predicates, self.schemas))
+            .collect::<Result<Vec<_>, _>>()?;
+        let Some(plans) = self.plan(&groups[..live], &compiled[..live.saturating_sub(1)]) else {
             return Ok(None);
         };
         let mut stats = JoinStats::default();
@@ -196,12 +205,13 @@ impl NaryJoin<'_> {
         }))
     }
 
-    /// Checks every byte-identity precondition and compiles the
-    /// per-stage key layouts. `None` = run the binary cascade instead.
+    /// Checks every byte-identity precondition and derives the
+    /// per-stage key layouts from the compiled stage sets. `None` = run
+    /// the binary cascade instead.
     fn plan(
         &self,
         groups: &[Vec<CompositeTuple>],
-        stages: &[NaryStage<'_>],
+        stages: &[CompiledPredicates],
     ) -> Option<Vec<StagePlan>> {
         // Uniform signatures per group, pairwise-disjoint across groups.
         let mut atom_group: Vec<(Symbol, usize)> = Vec::new();
@@ -220,9 +230,8 @@ impl NaryJoin<'_> {
         let group_of = |a: Symbol| atom_group.iter().find(|(s, _)| *s == a).map(|(_, g)| *g);
 
         let mut plans = Vec::with_capacity(stages.len());
-        for (s, stage) in stages.iter().enumerate() {
+        for (s, compiled) in stages.iter().enumerate() {
             let new_group = s + 1;
-            let compiled = CompiledPredicates::compile(stage.predicates, self.schemas)?;
             if compiled.equi_candidates().len() != compiled.len() {
                 return None; // residual conjuncts: keep the cascade
             }

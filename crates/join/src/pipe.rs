@@ -17,7 +17,7 @@ use seco_model::{
     AtomShape, AttributePath, BitMask, ColumnRef, Comparator, CompositeTuple, Symbol, Value,
 };
 use seco_query::feasibility::{BindingSource, IoDependency};
-use seco_query::predicate::{satisfies_available, ResolvedPredicate, SchemaMap};
+use seco_query::predicate::SchemaMap;
 use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
 use seco_services::invocation::Request;
 use seco_services::Service;
@@ -71,9 +71,11 @@ pub struct PipeJoin<'a> {
     pub bindings: &'a [&'a IoDependency],
     /// Values of the query's `INPUT` variables.
     pub query_inputs: &'a BTreeMap<String, Value>,
-    /// Predicates to check on each candidate composite.
-    pub predicates: &'a [ResolvedPredicate],
-    /// Alias → schema map for value extraction.
+    /// Predicates to check on each candidate composite, compiled once
+    /// for the whole plan: predicates on atoms the candidate does not
+    /// carry yet are skipped.
+    pub compiled: &'a CompiledPredicates,
+    /// Alias → schema map for the piped values.
     pub schemas: &'a SchemaMap<'a>,
     /// Fetch factor `F` (chunks per input composite), min 1.
     pub fetches: usize,
@@ -90,19 +92,16 @@ pub struct PipeJoin<'a> {
 
 impl PipeJoin<'_> {
     /// Prepares the stage: everything that does not depend on the input
-    /// tuple is built here (or on the first input) and reused for every
-    /// input after it. The caller holds the returned run for the life
-    /// of the stage and [`PipeRun::finish`]es it after the last input.
+    /// tuple — the request template and the batch plan — is built on the
+    /// first input and reused for every input after it. The predicate
+    /// set arrives compiled. The caller holds the returned run for the
+    /// life of the stage and [`PipeRun::finish`]es it after the last
+    /// input.
     pub fn start(&self) -> PipeRun<'_> {
         PIPE_STAGES_PREPARED.fetch_add(1, Ordering::Relaxed);
         PipeRun {
             stage: self,
             atom: Symbol::intern(self.atom),
-            // The compiled evaluator mirrors `satisfies_available`
-            // exactly; when the set does not compile (unknown atom,
-            // unresolvable path) the interpreted path keeps the
-            // original error behavior.
-            compiled: CompiledPredicates::compile(self.predicates, self.schemas),
             scratch: EvalScratch::default(),
             mask: BitMask::default(),
             template: None,
@@ -117,7 +116,7 @@ impl PipeJoin<'_> {
 
 /// Pipe stages prepared ([`PipeJoin::start`]) by this process: a
 /// diagnostic count, so a test can hold an executor to one preparation
-/// — one predicate compilation — per stage.
+/// — one request template, one batch plan per input shape — per stage.
 static PIPE_STAGES_PREPARED: AtomicU64 = AtomicU64::new(0);
 
 /// Reads the process-wide count of prepared pipe stages.
@@ -158,7 +157,6 @@ struct InputShape {
 pub struct PipeRun<'a> {
     stage: &'a PipeJoin<'a>,
     atom: Symbol,
-    compiled: Option<CompiledPredicates>,
     scratch: EvalScratch,
     mask: BitMask,
     template: Option<RequestTemplate<'a>>,
@@ -226,11 +224,13 @@ impl<'a> PipeRun<'a> {
             // evaluation mid-chunk, which a whole-chunk kernel cannot
             // reproduce.
             let batched = stage.columnar.columnar && stage.columnar.batch_eval && !stage.keep_first;
-            let batch_plan = self
-                .compiled
-                .as_ref()
-                .filter(|_| batched)
-                .and_then(|c| c.batch_plan(&input.atoms, std::slice::from_ref(&self.atom)));
+            let batch_plan = if batched {
+                stage
+                    .compiled
+                    .batch_plan(&input.atoms, std::slice::from_ref(&self.atom))
+            } else {
+                None
+            };
             let piped_at = template
                 .piped
                 .iter()
@@ -323,11 +323,7 @@ impl<'a> PipeRun<'a> {
                 for tuple in resp.tuples() {
                     let candidate = input.extend_with(self.atom, tuple.clone());
                     stats.predicate_evals += 1;
-                    let keep = match &self.compiled {
-                        Some(c) => c.eval(&candidate, &mut self.scratch)?,
-                        None => satisfies_available(stage.predicates, &candidate, stage.schemas)?,
-                    };
-                    if keep {
+                    if stage.compiled.eval(&candidate, &mut self.scratch)? {
                         results.push(candidate);
                         if stage.keep_first {
                             // This input has its extension: stop its
@@ -363,7 +359,7 @@ mod tests {
     use super::*;
     use seco_query::builder::running_example;
     use seco_query::feasibility::analyze;
-    use seco_query::predicate::resolve_predicates;
+    use seco_query::predicate::{resolve_predicates, ResolvedPredicate};
     use seco_services::domains::entertainment;
     use seco_services::invocation::Request;
 
@@ -398,7 +394,7 @@ mod tests {
             atom,
             bindings,
             query_inputs,
-            predicates,
+            compiled: &CompiledPredicates::compile(predicates, schemas)?,
             schemas,
             fetches,
             keep_first,
@@ -480,9 +476,9 @@ mod tests {
         }
     }
 
-    /// The per-input setup the prepared run replaced — predicates
-    /// compiled, batch plan built and request assembled afresh for every
-    /// input tuple — as the reference: one single-input run per input.
+    /// The per-input setup the prepared run replaced — batch plan built
+    /// and request assembled afresh for every input tuple — as the
+    /// reference: one single-input run per input.
     #[test]
     fn a_prepared_stage_equals_one_preparation_per_input() {
         let reg = entertainment::build_registry(3).unwrap();
@@ -494,6 +490,7 @@ mod tests {
         for a in &query.atoms {
             schemas.insert(a.alias.clone(), &reg.interface(&a.service).unwrap().schema);
         }
+        let compiled = CompiledPredicates::compile(&predicates, &schemas).unwrap();
         let inputs = setup_theatre_inputs(&reg);
         let restaurant = reg.service("Restaurant1").unwrap();
         let bindings = report.bindings_of("R");
@@ -502,7 +499,7 @@ mod tests {
                 atom: "R",
                 bindings: &bindings,
                 query_inputs: &query.inputs,
-                predicates: &predicates,
+                compiled: &compiled,
                 schemas: &schemas,
                 fetches: 2,
                 keep_first,
@@ -625,11 +622,12 @@ mod tests {
             outage: Some((0, u64::MAX)),
             ..FaultProfile::none()
         });
+        let compiled = CompiledPredicates::compile(&[], &schemas).unwrap();
         let stage = |tolerate| PipeJoin {
             atom: "R",
             bindings: &bindings,
             query_inputs: &query.inputs,
-            predicates: &[],
+            compiled: &compiled,
             schemas: &schemas,
             fetches: 1,
             keep_first: false,

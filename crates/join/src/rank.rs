@@ -48,7 +48,6 @@ use crate::completion::TileWalk;
 use crate::error::JoinError;
 use crate::executor::{chunk_rows_materialized, CompositeChunk};
 use crate::executor::{ChunkStream, JoinOutcome, ParallelJoinExecutor, RunState};
-use crate::index::JoinIndexMode;
 use crate::strategy::{CallTarget, TilePruner};
 use crate::tile::{Tile, TileSpace};
 
@@ -196,12 +195,7 @@ impl RankJoin<'_> {
             self.join.completion,
             self.join.h.max(1),
         )?;
-        let compiled = match self.join.options.mode {
-            JoinIndexMode::Off => None,
-            JoinIndexMode::Hash => {
-                CompiledPredicates::compile(self.join.predicates, self.join.schemas)
-            }
-        };
+        let compiled = CompiledPredicates::compile(self.join.predicates, self.join.schemas)?;
         let start = std::time::Instant::now();
         let mut st = RunState::default();
         let mut frontier = TilePruner::new(k);
@@ -239,7 +233,7 @@ impl RankJoin<'_> {
             // The new row (or column) of the fetched rectangle.
             while let Some(t) = walk.next_tile() {
                 self.process_tile(
-                    compiled.as_ref(),
+                    &compiled,
                     &ax.chunks[t.x],
                     &ay.chunks[t.y],
                     t,
@@ -282,7 +276,7 @@ impl RankJoin<'_> {
     #[allow(clippy::too_many_arguments)]
     fn process_tile(
         &self,
-        compiled: Option<&CompiledPredicates>,
+        compiled: &CompiledPredicates,
         cx: &CompositeChunk,
         cy: &CompositeChunk,
         t: Tile,

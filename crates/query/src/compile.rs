@@ -4,10 +4,11 @@
 //! `QualifiedPath` through the schema map, allocates `String` group keys,
 //! and builds a fresh `BTreeMap` assignment per candidate pair. A join
 //! stage evaluates the same predicate set once per candidate — up to
-//! `nX × nY` times per tile — so this module compiles the set once per
-//! stage: every path becomes a direct `(component, field, sub)` accessor,
-//! repeating groups become pre-sorted slots, and the row odometer runs
-//! over caller-owned scratch buffers without touching the heap.
+//! `nX × nY` times per tile — so this module compiles the set once (per
+//! plan for the pipe stages, per join for a tile join): every path
+//! becomes a direct `(component, field, sub)` accessor, repeating groups
+//! become pre-sorted slots, and the row odometer runs over caller-owned
+//! scratch buffers without touching the heap.
 //!
 //! The compiled evaluator is a *mirror* of
 //! [`crate::predicate::satisfies_available`], not a rewrite: the
@@ -15,10 +16,10 @@
 //! the odometer advance order, and the in-order short-circuit evaluation
 //! reproduce the interpreter decision-for-decision and error-for-error,
 //! so swapping it in cannot change results. [`CompiledPredicates::compile`]
-//! returns `None` whenever anything cannot be pre-resolved (unknown atom,
-//! unresolvable path); callers then fall back to the interpreted path,
-//! which also preserves the interpreter's error behavior for malformed
-//! inputs.
+//! rejects a set it cannot pre-resolve (an atom without a schema, a path
+//! its schema does not have) with the error the interpreter raises on
+//! meeting that predicate: callers compile before they evaluate
+//! anything, so a malformed set fails before any tuple is fetched.
 //!
 //! Compilation additionally classifies predicates: conjuncts of the form
 //! `X.a = Y.b` over *atomic* attributes of *distinct* atoms with
@@ -27,8 +28,8 @@
 //! is independent of any group-row assignment, so a key mismatch falsifies
 //! the conjunction under every mapping — skipping non-matching pairs is
 //! exact. Predicates with incompatible operand types are *not* surfaced:
-//! the baseline raises `IncomparableValues` on them, and the fallback path
-//! must keep doing so.
+//! the evaluator raises `IncomparableValues` on them, and an index must
+//! not skip the pairs that would raise it.
 
 use seco_model::value::like_match;
 use seco_model::{BitMask, Column, ColumnRef, Comparator, CompositeTuple, DataType, Symbol, Value};
@@ -176,10 +177,14 @@ struct ResolvedPath {
 }
 
 impl CompiledPredicates {
-    /// Compiles `predicates` against `schemas`. Returns `None` when any
-    /// path fails to resolve — callers must fall back to the interpreted
-    /// evaluator so error behavior on malformed inputs is unchanged.
-    pub fn compile(predicates: &[ResolvedPredicate], schemas: &SchemaMap<'_>) -> Option<Self> {
+    /// Compiles `predicates` against `schemas`, or rejects the first
+    /// path (in predicate order, left side first) that does not resolve:
+    /// [`QueryError::UnknownAtom`] for an atom without a schema, the
+    /// schema's model error for an attribute it does not have.
+    pub fn compile(
+        predicates: &[ResolvedPredicate],
+        schemas: &SchemaMap<'_>,
+    ) -> Result<Self, QueryError> {
         let mut atoms: Vec<Symbol> = Vec::new();
         let mut schema_names: Vec<String> = Vec::new();
         // (alias, group name) -> (atom_idx, field); BTreeMap iteration
@@ -187,10 +192,12 @@ impl CompiledPredicates {
         let mut group_keys: std::collections::BTreeMap<(Symbol, Symbol), GroupSlot> =
             std::collections::BTreeMap::new();
 
-        let mut resolve_path = |qp: &QualifiedPath| -> Option<ResolvedPath> {
-            let schema = schemas.get(&qp.atom)?;
-            let (field, sub) = schema.resolve(&qp.path).ok()?;
-            let dtype = schema.type_of(&qp.path).ok()?;
+        let mut resolve_path = |qp: &QualifiedPath| -> Result<ResolvedPath, QueryError> {
+            let schema = schemas
+                .get(&qp.atom)
+                .ok_or_else(|| QueryError::UnknownAtom(qp.atom.clone()))?;
+            let (field, sub) = schema.resolve(&qp.path)?;
+            let dtype = schema.type_of(&qp.path)?;
             let alias = Symbol::intern(&qp.atom);
             let atom_idx = match atoms.iter().position(|a| *a == alias) {
                 Some(i) => i,
@@ -205,7 +212,7 @@ impl CompiledPredicates {
                     .entry((alias, qp.path.attr))
                     .or_insert(GroupSlot { atom_idx, field });
             }
-            Some(ResolvedPath {
+            Ok(ResolvedPath {
                 atom_idx,
                 alias,
                 field,
@@ -301,7 +308,7 @@ impl CompiledPredicates {
         if !all_total {
             equi.clear();
         }
-        Some(CompiledPredicates {
+        Ok(CompiledPredicates {
             atoms,
             schema_names,
             preds,
@@ -326,7 +333,7 @@ impl CompiledPredicates {
         self.preds.is_empty()
     }
 
-    /// Non-strict evaluation, mirroring
+    /// Partial evaluation, mirroring
     /// [`crate::predicate::satisfies_available`]: predicates whose atoms
     /// are not all present are skipped; the rest must hold under a single
     /// group-row mapping.
@@ -1011,15 +1018,30 @@ mod tests {
     }
 
     #[test]
-    fn unknown_atom_fails_compilation() {
-        let (_, _, s1_schema, _) = setup();
+    fn malformed_sets_are_rejected_with_the_interpreters_error() {
+        let (s1_rows, _, s1_schema, _) = setup();
         let schemas = schema_map(&[("S1", &s1_schema)]);
-        let preds = vec![ResolvedPredicate::Selection {
-            left: QualifiedPath::new("Nope", AttributePath::atomic("X")),
-            op: Comparator::Eq,
-            value: Value::Int(1),
-        }];
-        assert!(CompiledPredicates::compile(&preds, &schemas).is_none());
+        for path in [
+            QualifiedPath::new("Nope", AttributePath::atomic("X")),
+            QualifiedPath::new("S1", AttributePath::atomic("Bogus")),
+            QualifiedPath::new("S1", AttributePath::sub("R", "Bogus")),
+        ] {
+            let preds = vec![ResolvedPredicate::Selection {
+                left: path.clone(),
+                op: Comparator::Eq,
+                value: Value::Int(1),
+            }];
+            let compiled = CompiledPredicates::compile(&preds, &schemas).map(|_| ());
+            // An absent atom makes the predicate inactive for the
+            // interpreter; the schema map is what compilation checks.
+            let mut with_atom = CompositeTuple::single("S1", s1_rows[0].clone());
+            if path.atom == "Nope" {
+                with_atom = with_atom.extend_with("Nope", s1_rows[1].clone());
+            }
+            let interpreted = satisfies_available(&preds, &with_atom, &schemas).map(|_| ());
+            assert!(compiled.is_err(), "{path:?} must not compile");
+            assert_eq!(compiled, interpreted, "{path:?}");
+        }
     }
 
     #[test]

@@ -101,33 +101,25 @@ fn value_under<'t>(
     }
 }
 
-/// Evaluates a predicate set on a composite tuple under the mapping
-/// semantics. `strict` controls what happens when a predicate mentions
-/// an atom that is not (yet) part of the composite: strict evaluation
-/// errors, non-strict skips the predicate (used for incremental
-/// filtering while a composite is still being assembled).
-fn evaluate_inner(
+/// Partial evaluation under the mapping semantics: predicates
+/// mentioning atoms not yet in the composite are skipped (they will be
+/// checked once those atoms join); the rest must hold under one
+/// group-row mapping.
+///
+/// This is the evaluator of [`crate::semantics::evaluate_oracle`]. The
+/// engine evaluates through [`crate::CompiledPredicates`], which mirrors
+/// it decision for decision; keeping the two apart makes the oracle
+/// independent of the engine's evaluator.
+pub fn satisfies_available(
     predicates: &[ResolvedPredicate],
     composite: &CompositeTuple,
     schemas: &SchemaMap<'_>,
-    strict: bool,
 ) -> Result<bool, QueryError> {
     // Keep only predicates whose atoms are all present.
-    let mut active: Vec<&ResolvedPredicate> = Vec::with_capacity(predicates.len());
-    for p in predicates {
-        let all_present = p.atoms().iter().all(|a| composite.component(a).is_some());
-        if all_present {
-            active.push(p);
-        } else if strict {
-            return Err(QueryError::UnknownAtom(
-                p.atoms()
-                    .iter()
-                    .find(|a| composite.component(a).is_none())
-                    .map(|s| (*s).to_owned())
-                    .unwrap_or_default(),
-            ));
-        }
-    }
+    let active: Vec<&ResolvedPredicate> = predicates
+        .iter()
+        .filter(|p| p.atoms().iter().all(|a| composite.component(a).is_some()))
+        .collect();
     if active.is_empty() {
         return Ok(true);
     }
@@ -231,26 +223,6 @@ fn evaluate_inner(
     }
 }
 
-/// Strict evaluation: every predicate's atoms must be present in the
-/// composite.
-pub fn satisfies(
-    predicates: &[ResolvedPredicate],
-    composite: &CompositeTuple,
-    schemas: &SchemaMap<'_>,
-) -> Result<bool, QueryError> {
-    evaluate_inner(predicates, composite, schemas, true)
-}
-
-/// Partial evaluation: predicates mentioning atoms not yet in the
-/// composite are skipped (they will be checked once those atoms join).
-pub fn satisfies_available(
-    predicates: &[ResolvedPredicate],
-    composite: &CompositeTuple,
-    schemas: &SchemaMap<'_>,
-) -> Result<bool, QueryError> {
-    evaluate_inner(predicates, composite, schemas, false)
-}
-
 /// Estimated selectivity of a selection predicate set on one atom, used
 /// by the annotation step for services that are "selective in the
 /// context of a query" (§3.2). Equality on a key-like attribute is
@@ -311,11 +283,11 @@ mod tests {
         let t1 = CompositeTuple::single("S1", s1_rows[0].clone());
         let t2 = CompositeTuple::single("S1", s1_rows[1].clone());
         assert!(
-            satisfies(&preds, &t1, &schemas).unwrap(),
+            satisfies_available(&preds, &t1, &schemas).unwrap(),
             "t1 must be in Q1's result"
         );
         assert!(
-            !satisfies(&preds, &t2, &schemas).unwrap(),
+            !satisfies_available(&preds, &t2, &schemas).unwrap(),
             "t2 must NOT be in Q1's result"
         );
     }
@@ -342,7 +314,7 @@ mod tests {
         for (i, x) in s1_rows.iter().enumerate() {
             for (j, y) in s2_rows.iter().enumerate() {
                 let c = CompositeTuple::single("S1", x.clone()).extend_with("S2", y.clone());
-                if satisfies(&preds, &c, &schemas).unwrap() {
+                if satisfies_available(&preds, &c, &schemas).unwrap() {
                     result.push((i, j));
                 }
             }
@@ -362,11 +334,11 @@ mod tests {
         }];
         let schemas = schema_map(&[("S1", &s1_schema)]);
         let c = CompositeTuple::single("S1", empty);
-        assert!(!satisfies(&preds, &c, &schemas).unwrap());
+        assert!(!satisfies_available(&preds, &c, &schemas).unwrap());
     }
 
     #[test]
-    fn strict_vs_available_evaluation() {
+    fn predicates_on_absent_atoms_are_skipped() {
         let (s1_rows, _, s1_schema, s2_schema) = setup();
         let preds = vec![ResolvedPredicate::Join(JoinPredicate {
             left: QualifiedPath::new("S1", AttributePath::sub("R", "A")),
@@ -375,9 +347,7 @@ mod tests {
         })];
         let schemas = schema_map(&[("S1", &s1_schema), ("S2", &s2_schema)]);
         let partial = CompositeTuple::single("S1", s1_rows[0].clone());
-        // Strict: S2 missing -> error.
-        assert!(satisfies(&preds, &partial, &schemas).is_err());
-        // Available: join skipped -> true.
+        // S2 missing: the join is skipped, so the partial composite passes.
         assert!(satisfies_available(&preds, &partial, &schemas).unwrap());
     }
 

@@ -66,6 +66,21 @@ if [ -n "$spawns" ]; then
     exit 1
 fi
 
+# One predicate evaluator in production: the join kernels and the engine
+# evaluate through seco_query::CompiledPredicates (row form and batch
+# kernels). The interpreted `satisfies_available` is the oracle's
+# evaluator, so the non-test part (same cut as above) of the join and
+# engine sources does not mention it.
+echo "==> interpreted predicate evaluation outside the oracle"
+interpreted=$(find crates/{join,engine}/src -name '*.rs' -print0 \
+    | xargs -0 -n1 awk '/^ *(pub(\(crate\))? )?mod tests/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+    | grep -E 'satisfies' || true)
+if [ -n "$interpreted" ]; then
+    echo "$interpreted" >&2
+    echo "the join or engine sources evaluate predicates through the interpreter" >&2
+    exit 1
+fi
+
 # benchmark/ is a package of its own, outside the root workspace: tier-1
 # never compiles it, so drift in the surface it replays the handlers
 # through (Session, ResultSet, render_rows, ServerState) only shows here.

@@ -110,11 +110,12 @@ fn report(name: &str, allocations: u64, combinations: usize) -> f64 {
 /// handful of rows).
 const STAR3_PARENT_PER_COMBINATION: f64 = 85.21;
 
-/// The 4-chain: 1 166 requests (1.87 per combination — one per
+/// The 4-chain: 1 130 requests (1.81 per combination — one per
 /// composite built, one per fetched chunk, the fixed cost of a pass;
-/// 1 184 before `QueryPlan::validate` and `topo_order` stopped
+/// 1 166 while each pipe stage compiled the plan's predicate set
+/// itself, 1 184 before `QueryPlan::validate` and `topo_order` stopped
 /// allocating per node), pinned with no headroom.
-const CHAIN4_PER_COMBINATION: f64 = 1.87;
+const CHAIN4_PER_COMBINATION: f64 = 1.81;
 
 #[test]
 fn a_warm_chain_builds_each_combination_in_under_three_allocations() {
@@ -127,12 +128,14 @@ fn a_warm_chain_builds_each_combination_in_under_three_allocations() {
     );
 }
 
-/// The 3-star with its join chain fused into one n-ary pass: 369
-/// requests, 26.36 per combination (29.14 before `QueryPlan::validate`,
-/// `topo_order` and `atoms_at` stopped allocating per node; 41.57 as a
-/// binary cascade, which builds the first join's intermediates), pinned
-/// with no headroom; half the parent's figure is 42.6.
-const STAR3_PER_COMBINATION: f64 = 26.36;
+/// The 3-star with its join chain fused into one n-ary pass: 340
+/// requests, 24.29 per combination (26.36 while each pipe stage
+/// compiled the plan's predicate set itself; 29.14 before
+/// `QueryPlan::validate`, `topo_order` and `atoms_at` stopped
+/// allocating per node; 41.57 as a binary cascade, which builds the
+/// first join's intermediates), pinned with no headroom; half the
+/// parent's figure is 42.6.
+const STAR3_PER_COMBINATION: f64 = 24.29;
 
 #[test]
 fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
@@ -145,12 +148,13 @@ fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
     );
 }
 
-/// The 2-star: one lone parallel join, which runs the binary tile. 290
-/// requests for its 24 combinations (12.08 each; 13.00 before
+/// The 2-star: one lone parallel join, which runs the binary tile. 278
+/// requests for its 24 combinations (11.58 each; 12.08 while each pipe
+/// stage compiled the plan's predicate set itself; 13.00 before
 /// `QueryPlan::validate`, `topo_order` and `atoms_at` stopped allocating
 /// per node, 13.50 with a hashed per-chunk index and pattern
 /// bookkeeping for a pattern-free query), pinned with no headroom.
-const STAR2_PER_COMBINATION: f64 = 12.09;
+const STAR2_PER_COMBINATION: f64 = 11.59;
 
 #[test]
 fn a_warm_lone_join_keeps_its_tile_allocations_pinned() {

@@ -1,5 +1,6 @@
 //! The pipelined executor prepares a pipe stage once, however many
-//! inputs stream through it.
+//! inputs stream through it. A stage compiles no predicates: it borrows
+//! the set the interpreter compiled once for the whole plan.
 //!
 //! Alone in its binary: the count it reads is process-wide.
 
@@ -21,7 +22,8 @@ fn a_pipelined_chain_prepares_each_stage_once() {
     assert_eq!(
         pipe_stages_prepared() - before,
         4,
-        "one preparation — one predicate compilation, one request template — per service node"
+        "one preparation — one request template, over the plan's one compiled predicate set — \
+         per service node"
     );
     assert_eq!(parallel.len(), sequential.results.len());
 }
