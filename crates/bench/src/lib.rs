@@ -291,6 +291,66 @@ pub fn adaptive_query() -> Query {
         .expect("adaptive query is valid")
 }
 
+/// The join-drift scenario: the informed [`adaptive_registry`] plus a
+/// `Side1` service joined to the hub by a `Near` pattern whose declared
+/// selectivity (0.01) understates the truth (about 0.47) — the hub and
+/// side links share the two-valued `leaflink` domain. Under the lie the
+/// hub–side join looks nearly empty, so piping `LeafPipe1` off it looks
+/// cheap; only the join's checkpoint can reveal that it is not.
+pub fn join_drift_registry(seed: u64) -> ServiceRegistry {
+    let mut reg = adaptive_registry(seed, 1.0);
+    let schema = ServiceSchema::new(
+        "Side1",
+        vec![
+            AttributeDef::atomic("Key", DataType::Text, Adornment::Input),
+            AttributeDef::atomic("Link", DataType::Text, Adornment::Output),
+            AttributeDef::atomic("Score", DataType::Float, Adornment::Ranked),
+        ],
+    )
+    .expect("static schema is valid");
+    let side = ServiceInterface::new(
+        "Side1",
+        "Side",
+        schema,
+        ServiceKind::Search,
+        ServiceStats::new(20.0, 20, 20.0, 1.0).expect("static stats are valid"),
+        ScoreDecay::Linear,
+    )
+    .expect("static interface is valid")
+    .with_hint(AttributePath::atomic("Link"), 2);
+    let domains = DomainMap::new().with(
+        AttributePath::atomic("Link"),
+        ValueDomain::new("leaflink", 2),
+    );
+    reg.register_service(Arc::new(SyntheticService::new(side, domains, seed ^ 0x40D)))
+        .expect("unique names");
+    let link = AttributePath::atomic("Link");
+    let pairs = vec![JoinPair::eq(link.clone(), link)];
+    reg.register_pattern(
+        ConnectionPattern::new("Near", "Hub", "Side", pairs, 0.01)
+            .expect("static pattern is valid"),
+    )
+    .expect("unique names");
+    reg
+}
+
+/// The query over [`join_drift_registry`]: [`adaptive_query`]'s hub and
+/// leaf plus the side atom `S`, joined to the hub by `Near`.
+pub fn join_drift_query() -> Query {
+    QueryBuilder::new()
+        .atom("H", "Hub1")
+        .atom("S", "Side1")
+        .atom("L", "Leaf")
+        .pattern("Near", "H", "S")
+        .pattern("Hop", "H", "L")
+        .select_const("H", "Key", Comparator::Eq, Value::text("start"))
+        .select_const("S", "Key", Comparator::Eq, Value::text("start"))
+        .select_const("L", "Cat", Comparator::Eq, Value::text("c"))
+        .k(1)
+        .build()
+        .expect("join-drift query is valid")
+}
+
 /// The entertainment registry with Movie hard down; Theatre and
 /// Restaurant are healthy.
 pub fn registry_without_movie() -> ServiceRegistry {

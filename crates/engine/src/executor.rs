@@ -11,13 +11,16 @@
 //!   directly comparable (E8/E14);
 //! * the per-node [`ExecutionTrace`];
 //! * **mid-flight adaptivity** — a deviating checkpoint re-plans the
-//!   unexecuted suffix and restarts, replaying executed stages from memo.
+//!   unexecuted suffix, and the walk switches onto the new plan in
+//!   place: the executed nodes keep their outputs, busy time and trace
+//!   records, and the walk goes on with the new plan's remaining nodes.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use seco_join::JoinStats;
 use seco_model::CompositeTuple;
-use seco_plan::{annotate, AnnotatedPlan, AnnotationConfig, NodeId, PlanNode, QueryPlan};
+use seco_optimizer::node_signature;
+use seco_plan::{annotate, AnnotationConfig, NodeId, PlanNode, QueryPlan};
 use seco_services::{drift_ratio, ServiceRegistry};
 
 use crate::config::EngineConfig;
@@ -59,39 +62,20 @@ impl ExecutionResult {
     }
 }
 
-/// Memoized outcome of an already-executed service stage, carried
-/// across adaptive restarts. Suffix re-planning pins the executed
-/// services (same interface, same fetch factors, same upstream
-/// structure), so on a restart the stage's recorded outcome is replayed
-/// instead of re-invoking the service: calls, busy time, and the
-/// virtual clock all account each invocation exactly once.
-struct StageMemo {
-    service: String,
-    outputs: Vec<CompositeTuple>,
-    calls: usize,
-    busy_ms: f64,
-    failed: bool,
-}
-
-/// One pass over a plan: a completed execution, or a request to restart
-/// on a re-planned suffix.
-enum PassOutcome {
-    Done(ExecutionResult),
-    Replan(QueryPlan),
-}
-
 /// Executes a plan against the registry.
 ///
-/// With [`EngineConfig::adaptive`] on, every fresh service stage and
-/// parallel join doubles as a checkpoint: when its observed output
-/// cardinality deviates from the plan-time estimate by at least
+/// With [`EngineConfig::adaptive`] on, every service stage and parallel
+/// join doubles as a checkpoint: when its observed output cardinality
+/// deviates from the plan-time estimate by at least
 /// [`EngineConfig::adaptive_threshold`], the observed statistics are
 /// promoted into the registry and the unexecuted suffix is re-planned
-/// ([`seco_optimizer::Optimizer::replan_suffix`]); execution restarts on
-/// the new plan, replaying the executed stages from memo. Each
-/// checkpoint fires at most once, so the number of restarts is bounded
-/// by the number of plan stages. With adaptive off the run is byte-identical to the
-/// non-adaptive engine.
+/// ([`seco_optimizer::Optimizer::replan_suffix`]). When that yields a
+/// different plan, the walk switches onto it in place: the executed
+/// nodes keep what they produced and the walk goes on with the new
+/// plan's unexecuted nodes. Every node runs once, so every checkpoint
+/// fires at most once and the number of re-plans is bounded by the
+/// number of plan stages. With adaptive off the run is byte-identical
+/// to the non-adaptive engine.
 pub fn execute_plan(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
@@ -115,65 +99,6 @@ pub fn execute_plan_shared(
     execute_plan_impl(plan, registry, options, Some(shared))
 }
 
-fn execute_plan_impl(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    options: EngineConfig,
-    shared: Option<&SharedState>,
-) -> Result<ExecutionResult, EngineError> {
-    let mut memo: BTreeMap<String, StageMemo> = BTreeMap::new();
-    let mut checked: BTreeSet<String> = BTreeSet::new();
-    let mut current: Option<QueryPlan> = None;
-    let mut replans = 0usize;
-    loop {
-        let active = current.as_ref().unwrap_or(plan);
-        match run_pass(active, registry, options, &mut memo, &mut checked, shared)? {
-            PassOutcome::Done(mut result) => {
-                result.replanned = current;
-                result.replans = replans;
-                return Ok(result);
-            }
-            PassOutcome::Replan(next) => {
-                replans += 1;
-                current = Some(next);
-            }
-        }
-    }
-}
-
-/// Re-plans the unexecuted suffix through [`interp::replan`], observing
-/// every executed stage's output cardinality. `trigger` is the deviating
-/// checkpoint's `(estimated, observed)` cardinality pair — it opens the
-/// re-planner's deviation gate even when the executed services' own
-/// cardinalities are on target (e.g. a join whose selectivity was
-/// wrong).
-fn attempt_replan(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    options: &EngineConfig,
-    estimates: &AnnotatedPlan,
-    memo: &BTreeMap<String, StageMemo>,
-    trigger: (f64, f64),
-) -> Option<seco_optimizer::Optimized> {
-    let executed: BTreeSet<String> = memo.keys().cloned().collect();
-    interp::replan(plan, registry, options, &executed, |_| {
-        let mut observed: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-        for alias in &executed {
-            if let Some(id) = plan.service_node_of(alias) {
-                observed.insert(
-                    alias.clone(),
-                    (
-                        estimates.annotation(id).tout,
-                        memo[alias].outputs.len() as f64,
-                    ),
-                );
-            }
-        }
-        observed.insert("(checkpoint)".to_owned(), trigger);
-        Some(observed)
-    })
-}
-
 /// The deterministic scheduler's choices: fetch stacks on the shared
 /// virtual clock, and joins chunked like the branches that feed them.
 const DETERMINISTIC: Schedule = Schedule {
@@ -181,233 +106,295 @@ const DETERMINISTIC: Schedule = Schedule {
     rechunk: Rechunk::Branch,
 };
 
-/// Runs one execution pass of `plan` (see [`execute_plan`]).
-fn run_pass(
+/// What the walk holds for one node of the plan it is on.
+#[derive(Default)]
+struct Slot {
+    /// Materialized output not yet handed on.
+    output: Vec<CompositeTuple>,
+    /// Consumers yet to take the output.
+    readers: usize,
+    busy_ms: f64,
+    /// The output is partial: some upstream branch lost tuples to a
+    /// failure.
+    degraded: bool,
+    /// `(tuples in, tuples out, calls)`, set once the node ran (a join
+    /// absorbed into a chain: once the chain ran).
+    counts: Option<(usize, usize, usize)>,
+}
+
+/// One slot per node of `plan`, none run, each counting its consumers.
+fn slots_for(plan: &QueryPlan) -> Vec<Slot> {
+    let mut slots: Vec<Slot> = plan.node_ids().map(|_| Slot::default()).collect();
+    for (from, _) in plan.edges() {
+        slots[from.0].readers += 1;
+    }
+    slots
+}
+
+fn execute_plan_impl(
     plan: &QueryPlan,
     registry: &ServiceRegistry,
     options: EngineConfig,
-    memo: &mut BTreeMap<String, StageMemo>,
-    checked: &mut BTreeSet<String>,
     shared: Option<&SharedState>,
-) -> Result<PassOutcome, EngineError> {
+) -> Result<ExecutionResult, EngineError> {
     // Without caller-provided shared state the fetch stacks (and the
     // clock their backoff pauses and deadlines run on) live for this
-    // pass only; a daemon passes its own so caches and breakers persist
+    // run only; a daemon passes its own so caches and breakers persist
     // across requests.
     let mut local_state = None;
     let state = shared.unwrap_or_else(|| local_state.insert(SharedState::new()));
-    let interp = Interpreter::prepare(plan, registry, options, state, DETERMINISTIC)?;
     let clock = state.clock();
     let cache_cfg = options.fetch.cache();
 
-    let order = plan.topo_order()?;
-    let mut outputs: Vec<Vec<CompositeTuple>> = vec![Vec::new(); plan.len()];
+    let mut interp = Interpreter::prepare(plan, registry, options, state, DETERMINISTIC, &[])?;
+    let mut order = plan.topo_order()?;
+    let mut slots = slots_for(plan);
     // One owner per combination: a node's output moves to its consumer.
     // Only a real fan-out (the Fig. 2 diamond) copies, and then every
-    // consumer but the last.
-    let mut readers: Vec<usize> = vec![0; plan.len()];
-    for (from, _) in plan.edges() {
-        readers[from.0] += 1;
-    }
-    let copy_always = copies_every_handoff();
-    let mut hand_over = |outputs: &mut [Vec<CompositeTuple>], from: NodeId| {
-        readers[from.0] -= 1;
-        if readers[from.0] > 0 || copy_always {
-            outputs[from.0].clone()
+    // consumer but the last. An adaptive run keeps every output, so a
+    // plan it switches onto can read any executed node.
+    let copy_always = options.adaptive || copies_every_handoff();
+    let hand_over = |slots: &mut [Slot], from: NodeId| {
+        let slot = &mut slots[from.0];
+        slot.readers -= 1;
+        if slot.readers > 0 || copy_always {
+            slot.output.clone()
         } else {
-            std::mem::take(&mut outputs[from.0])
+            std::mem::take(&mut slot.output)
         }
     };
-    let mut busy: Vec<f64> = vec![0.0; plan.len()];
-    let mut trace = ExecutionTrace::default();
     let mut total_calls = 0usize;
     let mut join_stats = JoinStats::default();
     let mut degraded: BTreeSet<String> = BTreeSet::new();
-    // Whether each node's output is already partial (some upstream
-    // branch lost tuples to a failure).
-    let mut node_degraded: Vec<bool> = vec![false; plan.len()];
 
-    // Plan-time cardinality estimates, for the adaptive checkpoints.
-    let mut estimates: Option<AnnotatedPlan> = if options.adaptive {
-        Some(annotate(plan, registry, &AnnotationConfig::default())?)
-    } else {
-        None
-    };
+    // Adaptive runs only: the atoms whose service stages ran, the
+    // plan-time cardinality estimates the checkpoints compare against,
+    // and the plan the walk switched onto.
+    let mut executed: BTreeSet<String> = BTreeSet::new();
+    let annotation = AnnotationConfig::default();
+    let mut estimates = (options.adaptive)
+        .then(|| annotate(plan, registry, &annotation))
+        .transpose()?;
+    let mut switched: Option<QueryPlan> = None;
+    let mut replans = 0usize;
 
-    for id in order.iter().copied() {
+    let mut at = 0;
+    while let Some(&id) = order.get(at) {
+        at += 1;
+        let plan = interp.plan;
+        if slots[id.0].counts.is_some() {
+            // Carried over from the plan the walk switched away from.
+            continue;
+        }
         let preds = plan.predecessors(id);
-        let (tuples_in, out, calls, busy_ms, deg): (usize, Vec<CompositeTuple>, usize, f64, bool) =
-            match plan.node(id)? {
-                PlanNode::Input => {
-                    // The user's single input tuple (§3.2).
-                    (0, vec![CompositeTuple::empty()], 0, 0.0, false)
+        let node = plan.node(id)?;
+        let (tuples_in, out, calls, busy_ms, deg) = match node {
+            PlanNode::Input => {
+                // The user's single input tuple (§3.2).
+                (0, vec![CompositeTuple::empty()], 0, 0.0, false)
+            }
+            PlanNode::Output => {
+                let input = hand_over(&mut slots, preds[0]);
+                (input.len(), input, 0, 0.0, slots[preds[0].0].degraded)
+            }
+            PlanNode::Selection(sel) => {
+                let input = hand_over(&mut slots, preds[0]);
+                let n_in = input.len();
+                let kept = interp.select(sel, input, &mut join_stats)?;
+                (n_in, kept, 0, 0.0, slots[preds[0].0].degraded)
+            }
+            PlanNode::Service(node) => {
+                let input = hand_over(&mut slots, preds[0]);
+                let recorded = registry.service(&node.service)?;
+                let clock_before = clock.now_ms();
+                let busy_before = recorded.stats().busy_ms;
+                let outcome = interp.pipe(node, &input, |_| true)?;
+                let busy_ms = if options.client.is_some() {
+                    // Busy time is the clock delta: calls plus
+                    // retries, backoff pauses, and abandoned calls
+                    // clipped at the deadline.
+                    clock.now_ms() - clock_before
+                } else if cache_cfg.is_some() {
+                    // Cache without a client: no clock runs, so
+                    // charge the recorder's underlying-call time
+                    // (hits and coalesced waits are free).
+                    recorded.stats().busy_ms - busy_before
+                } else {
+                    let iface = registry.interface(&node.service)?;
+                    outcome.calls as f64 * iface.stats.response_time_ms
+                };
+                join_stats.merge(&outcome.stats);
+                if outcome.degraded {
+                    degraded.insert(node.service.clone());
                 }
-                PlanNode::Output => {
-                    let input = hand_over(&mut outputs, preds[0]);
-                    (input.len(), input, 0, 0.0, node_degraded[preds[0].0])
+                if options.adaptive {
+                    executed.insert(node.atom.clone());
                 }
-                PlanNode::Selection(sel) => {
-                    let input = hand_over(&mut outputs, preds[0]);
-                    let n_in = input.len();
-                    let kept = interp.select(sel, input, &mut join_stats)?;
-                    (n_in, kept, 0, 0.0, node_degraded[preds[0].0])
+                let deg = slots[preds[0].0].degraded || outcome.degraded;
+                (input.len(), outcome.results, outcome.calls, busy_ms, deg)
+            }
+            // Absorbed into a downstream chain: the chain's top join
+            // consumes this node's inputs directly.
+            PlanNode::ParallelJoin(_) if interp.elided(id) => continue,
+            PlanNode::ParallelJoin(_) => {
+                let chain = &interp.chains[&id.0];
+                let groups: Vec<Vec<CompositeTuple>> = (chain.feeders.iter())
+                    .map(|g| hand_over(&mut slots, *g))
+                    .collect();
+                let group_deg: Vec<bool> =
+                    chain.feeders.iter().map(|g| slots[g.0].degraded).collect();
+                let n_in = groups.iter().map(Vec::len).sum();
+                let out = interp.join(chain, groups, &group_deg)?;
+                join_stats.merge(&out.stats);
+                for &(j, _) in &chain.joins[..chain.joins.len() - 1] {
+                    slots[j.0].counts = Some((0, 0, 0));
                 }
-                PlanNode::Service(node)
-                    if memo
-                        .get(&node.atom)
-                        .is_some_and(|m| m.service == node.service) =>
-                {
-                    // Already executed before an adaptive restart: the
-                    // re-planner pinned this stage (same service, same
-                    // fetches, same upstream structure), so replay its
-                    // recorded outcome instead of re-invoking.
-                    let n_in = outputs[preds[0].0].len();
-                    let m = &memo[&node.atom];
-                    if m.failed {
-                        degraded.insert(node.service.clone());
-                    }
-                    let deg = node_degraded[preds[0].0] || m.failed;
-                    (n_in, m.outputs.clone(), m.calls, m.busy_ms, deg)
-                }
-                PlanNode::Service(node) => {
-                    let input = hand_over(&mut outputs, preds[0]);
-                    let recorded = registry.service(&node.service)?;
-                    let clock_before = clock.now_ms();
-                    let busy_before = recorded.stats().busy_ms;
-                    let outcome = interp.pipe(node, &input, |_| true)?;
-                    let busy_ms = if options.client.is_some() {
-                        // Busy time is the clock delta: calls plus
-                        // retries, backoff pauses, and abandoned calls
-                        // clipped at the deadline.
-                        clock.now_ms() - clock_before
-                    } else if cache_cfg.is_some() {
-                        // Cache without a client: no clock runs, so
-                        // charge the recorder's underlying-call time
-                        // (hits and coalesced waits are free).
-                        recorded.stats().busy_ms - busy_before
-                    } else {
-                        let iface = registry.interface(&node.service)?;
-                        outcome.calls as f64 * iface.stats.response_time_ms
-                    };
-                    join_stats.merge(&outcome.stats);
-                    if outcome.degraded {
-                        degraded.insert(node.service.clone());
-                    }
-                    if options.adaptive {
-                        memo.insert(
-                            node.atom.clone(),
-                            StageMemo {
-                                service: node.service.clone(),
-                                outputs: outcome.results.clone(),
-                                calls: outcome.calls,
-                                busy_ms,
-                                failed: outcome.degraded,
-                            },
-                        );
-                    }
-                    let deg = node_degraded[preds[0].0] || outcome.degraded;
-                    (input.len(), outcome.results, outcome.calls, busy_ms, deg)
-                }
-                PlanNode::ParallelJoin(_) if interp.elided(id) => {
-                    // Absorbed into a downstream chain: the chain's top
-                    // join consumes this node's inputs directly.
-                    let deg = node_degraded[preds[0].0] || node_degraded[preds[1].0];
-                    (0, Vec::new(), 0, 0.0, deg)
-                }
-                PlanNode::ParallelJoin(_) => {
-                    let chain = &interp.chains[&id.0];
-                    let groups: Vec<Vec<CompositeTuple>> = (chain.feeders.iter())
-                        .map(|g| hand_over(&mut outputs, *g))
-                        .collect();
-                    let group_deg: Vec<bool> =
-                        chain.feeders.iter().map(|g| node_degraded[g.0]).collect();
-                    let n_in = groups.iter().map(Vec::len).sum();
-                    let out = interp.join(chain, groups, &group_deg)?;
-                    join_stats.merge(&out.stats);
-                    (n_in, out.results, 0, 0.0, out.degraded)
-                }
-            };
+                (n_in, out.results, 0, 0.0, out.degraded)
+            }
+        };
         total_calls += calls;
-        busy[id.0] = busy_ms;
-        node_degraded[id.0] = deg;
-        trace.record(TraceEvent {
-            node: id,
-            label: plan.node(id)?.label(),
-            tuples_in,
-            tuples_out: out.len(),
-            calls,
-            busy_ms,
-        });
-        outputs[id.0] = out;
+        let slot = &mut slots[id.0];
+        slot.counts = Some((tuples_in, out.len(), calls));
+        (slot.output, slot.busy_ms, slot.degraded) = (out, busy_ms, deg);
 
-        // Adaptive checkpoint: fresh service stages and parallel joins
-        // compare their observed output cardinality against the
-        // plan-time estimate. Each checkpoint fires at most once across
-        // restarts, and only while some atom is still unexecuted — a
-        // fully executed plan has nothing left to re-plan.
-        if let Some(est) = &estimates {
-            let stage_key = match plan.node(id)? {
-                PlanNode::Service(s) => Some(format!("svc:{}", s.atom)),
-                PlanNode::ParallelJoin(_) if !interp.elided(id) => {
-                    let atoms: Vec<String> = plan.atoms_at(id).into_iter().collect();
-                    Some(format!("join:{}", atoms.join(",")))
-                }
-                _ => None,
-            };
-            if let Some(key) = stage_key {
-                if checked.insert(key) && memo.len() < plan.query.atoms.len() {
-                    let est_out = est.annotation(id).tout;
-                    let obs = outputs[id.0].len() as f64;
-                    if drift_ratio(obs, est_out) >= options.adaptive_threshold {
-                        if let Some(re) =
-                            attempt_replan(plan, registry, &options, est, memo, (est_out, obs))
-                        {
-                            if re.plan != *plan {
-                                if let Some(svc) = trigger_service(plan, id) {
-                                    if let Ok(rec) = registry.service(&svc) {
-                                        rec.note_replan();
-                                    }
-                                }
-                                return Ok(PassOutcome::Replan(re.plan));
-                            }
-                            // Same plan under the promoted statistics:
-                            // later checkpoints compare against the
-                            // refreshed estimates.
-                            estimates = Some(re.annotated);
-                        }
-                    }
+        // Adaptive checkpoint: service stages and chain tops compare
+        // their observed output cardinality against the estimate, while
+        // some atom is still unexecuted — a fully executed plan has
+        // nothing left to re-plan.
+        let Some(est) = &estimates else { continue };
+        let checkpoint = matches!(node, PlanNode::Service(_) | PlanNode::ParallelJoin(_));
+        if !checkpoint || executed.len() == plan.query.atoms.len() {
+            continue;
+        }
+        let (est_out, obs) = (est.annotation(id).tout, slots[id.0].output.len() as f64);
+        if drift_ratio(obs, est_out) < options.adaptive_threshold {
+            continue;
+        }
+        // Every executed stage's observed cardinality goes to the
+        // re-planner, and this checkpoint's own opens its deviation gate
+        // even when those are on target (a join whose selectivity was
+        // wrong).
+        let observed = |_: &[String]| {
+            let mut cardinalities = BTreeMap::new();
+            for alias in &executed {
+                if let Some(s) = plan.service_node_of(alias) {
+                    let out = slots[s.0].counts.map_or(0, |(_, out, _)| out);
+                    cardinalities.insert(alias.clone(), (est.annotation(s).tout, out as f64));
                 }
             }
+            cardinalities.insert("(checkpoint)".to_owned(), (est_out, obs));
+            Some(cardinalities)
+        };
+        let Some(re) = interp::replan(plan, registry, &options, &executed, observed) else {
+            continue;
+        };
+        if re.plan == *plan {
+            // Same plan under the promoted statistics: later checkpoints
+            // compare against the refreshed estimates.
+            estimates = Some(re.annotated);
+            continue;
         }
+        let Some(carried) = carry(&interp, &re.plan, &mut slots, &executed) else {
+            continue;
+        };
+        if let Some(rec) = trigger_service(plan, id).and_then(|s| registry.service(&s).ok()) {
+            rec.note_replan();
+        }
+        // Switch plans: re-prepare on the new one, its executed joins
+        // kept as materialized feeders, and walk on in its order.
+        let ran: Vec<bool> = carried.iter().map(|s| s.counts.is_some()).collect();
+        drop(interp);
+        let next = switched.insert(re.plan);
+        interp = Interpreter::prepare(next, registry, options, state, DETERMINISTIC, &ran)?;
+        estimates = Some(annotate(next, registry, &annotation)?);
+        (order, at, slots) = (next.topo_order()?, 0, carried);
+        replans += 1;
     }
 
-    // Critical path over the DAG with the measured busy times.
+    // Critical path over the DAG with the measured busy times, and the
+    // trace in the plan's topological order.
+    let plan = interp.plan;
     let mut finish = vec![0.0f64; plan.len()];
-    for id in order {
-        let start = plan
-            .predecessors(id)
-            .iter()
+    let mut trace = ExecutionTrace::default();
+    for &id in &order {
+        let start = (plan.predecessors(id).iter())
             .map(|p| finish[p.0])
             .fold(0.0f64, f64::max);
-        finish[id.0] = start + busy[id.0];
+        let busy_ms = slots[id.0].busy_ms;
+        finish[id.0] = start + busy_ms;
+        if let Some((tuples_in, tuples_out, calls)) = slots[id.0].counts {
+            let (node, label) = (id, plan.node(id)?.label());
+            trace.record(TraceEvent {
+                node,
+                label,
+                tuples_in,
+                tuples_out,
+                calls,
+                busy_ms,
+            });
+        }
     }
-
-    Ok(PassOutcome::Done(ExecutionResult {
-        results: std::mem::take(&mut outputs[plan.output().0]),
+    let output = plan.output();
+    Ok(ExecutionResult {
+        results: std::mem::take(&mut slots[output.0].output),
         trace,
-        critical_ms: finish[plan.output().0],
+        critical_ms: finish[output.0],
         total_calls,
         degraded: degraded.into_iter().collect(),
         join_stats,
-        replanned: None,
-        replans: 0,
-    }))
+        replanned: switched,
+        replans,
+    })
+}
+
+/// Carries the walk over from `from`'s plan onto `to`: every node of
+/// `to` whose atoms have all been executed takes the slot of the node of
+/// the old plan with the same [`node_signature`], if that one ran —
+/// output, busy time, degraded flag and trace counts — and every slot
+/// counts the consumers in `to` still to run. `None` when a node of `to`
+/// still to run would read a join the old plan fused away, whose output
+/// was never materialized: then the walk stays on the old plan.
+fn carry(
+    from: &Interpreter<'_>,
+    to: &QueryPlan,
+    slots: &mut [Slot],
+    executed: &BTreeSet<String>,
+) -> Option<Vec<Slot>> {
+    let old = from.plan;
+    let ran: BTreeMap<String, NodeId> = (old.node_ids())
+        .filter(|id| slots[id.0].counts.is_some())
+        .map(|id| (node_signature(old, id), id))
+        .collect();
+    let source: Vec<Option<NodeId>> = (to.node_ids())
+        .map(|id| match to.node(id) {
+            Ok(PlanNode::Output) => None,
+            _ if !to.atoms_at(id).is_subset(executed) => None,
+            _ => ran.get(&node_signature(to, id)).copied(),
+        })
+        .collect();
+    let mut carried = slots_for(to);
+    for &(f, t) in to.edges() {
+        match (source[f.0], source[t.0]) {
+            // The consumer ran: nothing is left to hand it.
+            (_, Some(_)) => carried[f.0].readers -= 1,
+            (Some(old_id), None) if from.elided(old_id) => return None,
+            _ => {}
+        }
+    }
+    for (id, old_id) in to.node_ids().zip(source) {
+        if let Some(old_id) = old_id {
+            let readers = carried[id.0].readers;
+            let slot = std::mem::take(&mut slots[old_id.0]);
+            carried[id.0] = Slot { readers, ..slot };
+        }
+    }
+    Some(carried)
 }
 
 #[cfg(test)]
 thread_local! {
-    /// Makes [`run_pass`] on this thread copy at every hand-off — the
-    /// walk this executor shipped before outputs moved, kept as the
+    /// Makes the walk on this thread copy at every hand-off — the walk
+    /// this executor shipped before outputs moved, kept as the
     /// reference the moving walk is held to.
     static COPY_EVERY_HANDOFF: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -425,21 +412,12 @@ fn copies_every_handoff() -> bool {
 /// service, or for a join the lexicographically-first service among its
 /// input atoms.
 fn trigger_service(plan: &QueryPlan, id: NodeId) -> Option<String> {
-    match plan.node(id) {
-        Ok(PlanNode::Service(s)) => Some(s.service.clone()),
-        Ok(PlanNode::ParallelJoin(_)) => plan
-            .atoms_at(id)
-            .iter()
-            .filter_map(|alias| {
-                plan.query
-                    .atoms
-                    .iter()
-                    .find(|a| &a.alias == alias)
-                    .map(|a| a.service.clone())
-            })
-            .min(),
-        _ => None,
+    if let Ok(PlanNode::Service(s)) = plan.node(id) {
+        return Some(s.service.clone());
     }
+    let atoms = plan.atoms_at(id);
+    let inputs = plan.query.atoms.iter().filter(|a| atoms.contains(&a.alias));
+    inputs.map(|a| a.service.clone()).min()
 }
 
 #[cfg(test)]
@@ -679,7 +657,10 @@ mod tests {
     /// `critical_ms`, `total_calls`, `degraded`, and the re-plans.
     #[test]
     fn moving_and_copying_walks_keep_the_same_books() {
-        use seco_bench::{adaptive_query, adaptive_registry, chain_scenario, star_scenario};
+        use seco_bench::{
+            adaptive_query, adaptive_registry, chain_scenario, join_drift_query,
+            join_drift_registry, star_scenario,
+        };
         type Scenario = Box<dyn Fn() -> (ServiceRegistry, QueryPlan)>;
         let planned = |(registry, query): (ServiceRegistry, seco_query::Query)| {
             let plan = optimize(&query, &registry, CostMetric::RequestCount)
@@ -734,8 +715,20 @@ mod tests {
             }),
             true,
         ));
-        // Misdeclared statistics: the adaptive runs restart on a
-        // re-planned suffix and replay the executed stages from memo.
+        // Misdeclared statistics: the adaptive runs switch onto a
+        // re-planned suffix mid-walk — after a service stage (the
+        // misled hub) or after a join (the join drift).
+        scenarios.push((
+            "join drift".into(),
+            Box::new(|| {
+                let reg = join_drift_registry(7);
+                let plan = optimize(&join_drift_query(), &reg, CostMetric::ExecutionTime)
+                    .unwrap()
+                    .plan;
+                (reg, plan)
+            }),
+            false,
+        ));
         scenarios.push((
             "misled hub".into(),
             Box::new(|| {
@@ -755,7 +748,8 @@ mod tests {
             COPY_EVERY_HANDOFF.set(false);
             out.expect("the scenario runs")
         };
-        let (mut fanned_out, mut replayed, mut degraded, mut fused) = (0, 0, 0, 0);
+        let (mut fanned_out, mut degraded, mut fused) = (0, 0, 0);
+        let mut replanned = BTreeSet::new();
         for (name, scenario, downed) in &scenarios {
             for (adaptive, degrade) in [(false, false), (true, false), (false, true), (true, true)]
             {
@@ -775,14 +769,20 @@ mod tests {
                 assert_eq!(moving.results, copying.results, "{at}: results");
                 assert_eq!(moving, copying, "{at}: books");
                 fanned_out += usize::from(name.starts_with("diamond"));
-                replayed += moving.replans;
+                if moving.replans > 0 {
+                    replanned.insert(name.as_str());
+                }
                 degraded += usize::from(moving.is_degraded());
                 fused += moving.join_stats.intermediates_elided;
             }
         }
         // The grid met what it is there for.
         assert!(fanned_out > 0, "a node with two consumers");
-        assert!(replayed > 0, "a memo replay after a restart");
+        let misdeclared = BTreeSet::from(["join drift", "misled hub"]);
+        assert_eq!(
+            replanned, misdeclared,
+            "a re-plan in each misdeclared scenario"
+        );
         assert!(degraded > 0, "a degraded run");
         assert!(fused > 0, "an n-ary fusion");
     }

@@ -105,12 +105,15 @@ impl<'a> Interpreter<'a> {
     /// and compiles its predicate set. A set that does not compile is
     /// rejected here, as a [`seco_join::JoinError::Query`] — the error
     /// the first join stage to meet the bad predicate would raise.
+    /// `materialized[i]` marks node `i` as already run — a plan switched
+    /// onto mid-walk: its joins feed chains and are never fused again.
     pub fn prepare(
         plan: &'a QueryPlan,
         registry: &'a ServiceRegistry,
         options: EngineConfig,
         state: &'a SharedState,
         schedule: Schedule,
+        materialized: &[bool],
     ) -> Result<Self, EngineError> {
         plan.validate()?;
         let report = analyze(&plan.query, registry)?;
@@ -127,7 +130,7 @@ impl<'a> Interpreter<'a> {
             CompiledPredicates::compile(&predicates, &schemas).map_err(JoinError::Query)?;
         // Rank join takes precedence over fusion: its score-sorted top-k
         // inputs are incompatible with replaying the cascade.
-        let (elided, chains) = join_chains(plan, fuses() && !ranks(&options))?;
+        let (elided, chains) = join_chains(plan, fuses() && !ranks(&options), materialized)?;
         Ok(Interpreter {
             plan,
             registry,
@@ -496,18 +499,21 @@ fn resolved(joins: &[JoinPredicate]) -> Vec<ResolvedPredicate> {
     joins.iter().cloned().map(ResolvedPredicate::Join).collect()
 }
 
-/// Finds the join chains of `plan`, one per join that is not absorbed.
-/// With `fuse`, a join is *absorbable* when its only consumer is another
-/// parallel join taking it as the **left** input — then the chain's top
-/// join can replay every stage in one pass. Returns the absorbed nodes
-/// and the chains by their top's node index.
+/// Finds the join chains of `plan`, one per join that is not absorbed
+/// and has not run (`materialized`). With `fuse`, a join is
+/// *absorbable* when its only consumer is another parallel join taking
+/// it as the **left** input — then the chain's top join can replay
+/// every stage in one pass. A join that already ran is a feeder like
+/// any other materialized node. Returns the absorbed nodes and the
+/// chains by their top's node index.
 #[allow(clippy::type_complexity)]
-fn join_chains(
-    plan: &QueryPlan,
+fn join_chains<'a>(
+    plan: &'a QueryPlan,
     fuse: bool,
-) -> Result<(BTreeSet<usize>, BTreeMap<usize, Chain<'_>>), EngineError> {
+    materialized: &[bool],
+) -> Result<(BTreeSet<usize>, BTreeMap<usize, Chain<'a>>), EngineError> {
     let join_at = |id: NodeId| match plan.node(id) {
-        Ok(PlanNode::ParallelJoin(spec)) => Some(spec),
+        Ok(PlanNode::ParallelJoin(spec)) if materialized.get(id.0) != Some(&true) => Some(spec),
         _ => None,
     };
     // A plan without joins pays nothing.

@@ -11,9 +11,9 @@
 //! and two schedulers run it:
 //!
 //! * [`executor::execute_plan`] walks the plan in topological order on
-//!   one thread, on the virtual clock, with mid-flight adaptive
-//!   restarts; every experiment uses it because runs are bit-for-bit
-//!   reproducible;
+//!   one thread, on the virtual clock, switching plans mid-walk when an
+//!   adaptive checkpoint re-plans; every experiment uses it because runs
+//!   are bit-for-bit reproducible;
 //! * [`parallel::execute_parallel`] runs every node as a task of its
 //!   own — on the pool's blocking tier, or on scoped threads without a
 //!   pool — with batches flowing through bounded channels along the

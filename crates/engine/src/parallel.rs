@@ -166,7 +166,7 @@ pub fn execute_parallel_session(
     let plan = replanned.as_ref().unwrap_or(plan);
     let mut local_state = None;
     let state = shared.unwrap_or_else(|| local_state.insert(SharedState::new()));
-    let interp = Interpreter::prepare(plan, registry, options, state, PIPELINED)?;
+    let interp = Interpreter::prepare(plan, registry, options, state, PIPELINED, &[])?;
 
     // One channel per arc, carrying shared batches of tuples. An edge
     // into a join chain delivers straight to the chain's top join,
@@ -241,9 +241,10 @@ pub fn execute_parallel_session(
     })
 }
 
-/// Pre-flight adaptive checkpoint. Wall-clock tasks preclude the
-/// deterministic scheduler's mid-flight restarts (replaying memoized
-/// stages under a virtual clock), so this one adapts *between* runs:
+/// Pre-flight adaptive checkpoint. Wall-clock tasks stream through the
+/// whole plan at once, so there is no point at which to switch plans
+/// the way the deterministic walk does mid-flight; this one adapts
+/// *between* runs:
 /// statistics observed by earlier executions are promoted and the whole
 /// plan is re-planned (empty executed prefix ⇒ every degree of freedom
 /// re-opens) before any task starts. Returns the new plan if it differs.

@@ -760,16 +760,17 @@ mod tests {
                 .into_iter()
                 .for_each(&mut check);
         }
-        let mut rng = proptest::TestRng::new(0x5ec0);
+        use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5ec0);
         for _ in 0..600_000 {
             // Scores, uniform in [0, 1).
-            check(rng.unit_f64());
+            check(rng.gen_range(0.0..1.0));
         }
         for _ in 0..200_000 {
             // Any bit pattern: every exponent, both signs, NaNs.
             check(f64::from_bits(rng.next_u64()));
             // The fast range across its magnitudes, subnormals included.
-            let magnitude = rng.below(1e6f64.to_bits() >> 52) << 52;
+            let magnitude = rng.gen_range(0..1e6f64.to_bits() >> 52) << 52;
             check(f64::from_bits(magnitude | rng.next_u64() >> 12));
         }
         assert!(checked >= 1_000_000, "{checked} values");

@@ -42,7 +42,7 @@ pub use error::OptError;
 pub use heuristics::{HeuristicSet, Phase1Heuristic, Phase2Heuristic, Phase3Heuristic};
 pub use phase3::Phase3Stats;
 pub use plan_cache::{query_fingerprint, PlanCache};
-pub use replan::prefix_signature;
+pub use replan::{node_signature, prefix_signature};
 
 /// Result alias for optimizer operations.
 pub type Result<T> = std::result::Result<T, OptError>;

@@ -16,7 +16,9 @@
 //! original plan seeded as the incumbent at tie-break rank 0, so a
 //! challenger must *strictly* beat it under the `(cost, canonical key,
 //! rank)` order, and pruning and the worker fan-out are the full
-//! search's.
+//! search's. The incumbent is costed like every challenger, under the
+//! registry's current statistics: its joins' plan-time selectivities are
+//! re-derived from the (possibly promoted) pattern statistics first.
 //!
 //! With observations that do not deviate past
 //! [`Optimizer::replan_threshold`], the search is skipped entirely and
@@ -25,72 +27,99 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use seco_plan::{annotate, AnnotationConfig, NodeId, PlanNode, QueryPlan};
-use seco_services::drift_ratio;
+use seco_query::JoinPredicate;
+use seco_services::{drift_ratio, ServiceRegistry};
 
 use crate::bnb::{Optimized, Optimizer, SearchStats, Seed};
 use crate::error::OptError;
 use crate::phase3::FetchPins;
 
-/// Structural signature of the already-executed part of a plan: the
-/// sorted signatures of every node whose inputs are fully covered by
-/// the executed atoms. Fetch factors are excluded — the suffix search
-/// pins them separately — so a candidate topology matches iff the
-/// executed work embeds into it unchanged.
-pub fn prefix_signature(plan: &QueryPlan, executed: &BTreeSet<String>) -> String {
-    fn sig_of(plan: &QueryPlan, id: NodeId) -> String {
-        match plan.node(id) {
-            Ok(PlanNode::Input) => "I".to_owned(),
-            Ok(PlanNode::Output) => {
-                let preds = plan.predecessors(id);
-                format!("O({})", sig_of(plan, preds[0]))
-            }
-            Ok(PlanNode::Service(s)) => {
-                let preds = plan.predecessors(id);
-                format!(
-                    "S[{}={},kf={}]({})",
-                    s.atom,
-                    s.service,
-                    u8::from(s.keep_first),
-                    sig_of(plan, preds[0])
-                )
-            }
-            Ok(PlanNode::Selection(s)) => {
-                let preds = plan.predecessors(id);
-                let mut clauses: Vec<String> = s
-                    .predicates
-                    .iter()
-                    .map(|p| p.to_string())
-                    .chain(s.join_predicates.iter().map(|p| p.to_string()))
-                    .collect();
-                clauses.sort();
-                format!("F[{}]({})", clauses.join(","), sig_of(plan, preds[0]))
-            }
-            Ok(PlanNode::ParallelJoin(spec)) => {
-                let preds = plan.predecessors(id);
-                let mut subs: Vec<String> = preds.iter().map(|p| sig_of(plan, *p)).collect();
-                subs.sort();
-                let mut clauses: Vec<String> =
-                    spec.predicates.iter().map(|p| p.to_string()).collect();
-                clauses.sort();
-                format!(
-                    "J[{},{},{}]({})",
-                    spec.invocation,
-                    spec.completion,
-                    clauses.join(","),
-                    subs.join("|")
-                )
-            }
-            Err(_) => "?".to_owned(),
+/// Structural signature of node `id`: its kind, service assignment or
+/// predicates, and the signatures of everything upstream of it. Fetch
+/// factors and baked-in selectivities are excluded, so two plans that
+/// run the same work to reach a node give it the same signature.
+pub fn node_signature(plan: &QueryPlan, id: NodeId) -> String {
+    let preds = plan.predecessors(id);
+    let sub = |i: usize| node_signature(plan, preds[i]);
+    match plan.node(id) {
+        Ok(PlanNode::Input) => "I".to_owned(),
+        Ok(PlanNode::Output) => format!("O({})", sub(0)),
+        Ok(PlanNode::Service(s)) => format!(
+            "S[{}={},kf={}]({})",
+            s.atom,
+            s.service,
+            u8::from(s.keep_first),
+            sub(0)
+        ),
+        Ok(PlanNode::Selection(s)) => {
+            let mut clauses: Vec<String> = (s.predicates.iter().map(|p| p.to_string()))
+                .chain(s.join_predicates.iter().map(|p| p.to_string()))
+                .collect();
+            clauses.sort();
+            format!("F[{}]({})", clauses.join(","), sub(0))
         }
+        Ok(PlanNode::ParallelJoin(spec)) => {
+            let mut subs: Vec<String> = (0..preds.len()).map(sub).collect();
+            subs.sort();
+            let mut clauses: Vec<String> = spec.predicates.iter().map(|p| p.to_string()).collect();
+            clauses.sort();
+            format!(
+                "J[{},{},{}]({})",
+                spec.invocation,
+                spec.completion,
+                clauses.join(","),
+                subs.join("|")
+            )
+        }
+        Err(_) => "?".to_owned(),
     }
+}
+
+/// Structural signature of the already-executed part of a plan: the
+/// sorted [`node_signature`]s of every node whose inputs are fully
+/// covered by the executed atoms. Fetch factors are excluded — the
+/// suffix search pins them separately — so a candidate topology matches
+/// iff the executed work embeds into it unchanged.
+pub fn prefix_signature(plan: &QueryPlan, executed: &BTreeSet<String>) -> String {
     let mut sigs: Vec<String> = plan
         .node_ids()
         .filter(|id| !matches!(plan.node(*id), Ok(PlanNode::Output)))
         .filter(|id| plan.atoms_at(*id).is_subset(executed))
-        .map(|id| sig_of(plan, id))
+        .map(|id| node_signature(plan, id))
         .collect();
     sigs.sort();
     sigs.join(";")
+}
+
+/// `plan` with the selectivity of every join — parallel joins and join
+/// filters — re-derived from the registry's current pattern statistics,
+/// the way phase 2 derives a challenger's: the product, over the
+/// distinct atom pairs its predicates connect, of the pair selectivity.
+fn restamped(plan: &QueryPlan, registry: &ServiceRegistry) -> Result<QueryPlan, OptError> {
+    let selectivity = |predicates: &[JoinPredicate]| -> Result<f64, OptError> {
+        let mut counted: Vec<(&str, &str)> = Vec::new();
+        let mut sel = 1.0;
+        for j in predicates {
+            let (a, b) = (j.left.atom.as_str(), j.right.atom.as_str());
+            let pair = if a <= b { (a, b) } else { (b, a) };
+            if !counted.contains(&pair) {
+                counted.push(pair);
+                sel *= plan.query.join_selectivity(registry, pair.0, pair.1)?;
+            }
+        }
+        Ok(sel)
+    };
+    let mut out = plan.clone();
+    for id in plan.node_ids() {
+        match out.node_mut(id)? {
+            PlanNode::ParallelJoin(spec) => spec.selectivity = selectivity(&spec.predicates)?,
+            PlanNode::Selection(s) if s.predicates.is_empty() && !s.join_predicates.is_empty() => {
+                s.selectivity = selectivity(&s.join_predicates)?.clamp(0.0, 1.0);
+            }
+            _ => {}
+        }
+    }
+    Ok(out)
 }
 
 impl Optimizer<'_> {
@@ -116,15 +145,23 @@ impl Optimizer<'_> {
         executed_prefix: &BTreeSet<String>,
         observed: &BTreeMap<String, (f64, f64)>,
     ) -> Result<Optimized, OptError> {
-        let annotated = annotate(plan, self.registry, &AnnotationConfig::default())?;
-        let cost = self.metric.evaluate(plan, &annotated, self.registry)?;
-
         let deviated = observed
             .values()
             .any(|(est, obs)| drift_ratio(*obs, *est) >= self.replan_threshold);
+        // The challengers are costed under the registry's current
+        // statistics, so the incumbent is too: its joins carry the
+        // selectivities of plan time, which a promotion may have moved.
+        let incumbent = match deviated {
+            true => restamped(plan, self.registry)?,
+            false => plan.clone(),
+        };
+        let annotated = annotate(&incumbent, self.registry, &AnnotationConfig::default())?;
+        let cost = self
+            .metric
+            .evaluate(&incumbent, &annotated, self.registry)?;
         if !deviated {
             return Ok(Optimized {
-                plan: plan.clone(),
+                plan: incumbent,
                 annotated,
                 cost,
                 stats: SearchStats {
@@ -164,11 +201,16 @@ impl Optimizer<'_> {
         stats.annotate_full = 1;
         let seed = Seed {
             pins,
-            plan: plan.clone(),
+            plan: incumbent,
             annotated,
             cost,
         };
-        self.search(topologies, plan.query.k, Some(seed), stats)
+        let mut re = self.search(topologies, plan.query.k, Some(seed), stats)?;
+        if re.stats.replans == 0 {
+            // The incumbent held: hand back the plan as it was given.
+            re.plan = plan.clone();
+        }
+        Ok(re)
     }
 }
 

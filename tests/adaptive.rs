@@ -3,16 +3,18 @@
 //! the engine's mid-flight suffix re-plan converges to the plan an
 //! informed optimizer would have chosen from the start.
 //!
-//! The workload is [`seco_bench::adaptive_registry`]: a hub whose
+//! The first workload is [`seco_bench::adaptive_registry`]: a hub whose
 //! declared cardinality understates the truth by 10×, plus a `Leaf`
 //! mart with a cheap-per-call pipe access path (optimal under the lie)
-//! and a bulk scan (optimal under the truth).
+//! and a bulk scan (optimal under the truth). The second workload,
+//! [`seco_bench::join_drift_registry`], lies about a join pattern's
+//! selectivity instead, so only a join's checkpoint can reveal it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use search_computing::prelude::*;
-use seco_bench::{adaptive_query, adaptive_registry};
+use seco_bench::{adaptive_query, adaptive_registry, join_drift_query, join_drift_registry};
 use seco_optimizer::PlanCache;
 use seco_services::DeviationPolicy;
 
@@ -162,4 +164,94 @@ fn adaptive_engine_converges_to_the_informed_plan() {
         reoptimized.plan.canonical_key(),
         informed.plan.canonical_key()
     );
+}
+
+/// A pattern whose selectivity drifts is repaired mid-flight: the join's
+/// checkpoint promotes the observed `Near` selectivity, and the suffix
+/// re-planner — costing the incumbent under the promoted statistics, as
+/// it costs every challenger — moves the leaf from the pipe (one call
+/// per joined row) to the scan. The run lands on the plan a cold
+/// re-optimization picks afterwards, at its virtual time.
+#[test]
+fn join_drift_replans_onto_the_cold_reoptimization() {
+    let query = join_drift_query();
+    let metric = CostMetric::ExecutionTime;
+    let registry = join_drift_registry(SEED);
+    let misled = optimize(&query, &registry, metric).expect("misled optimize");
+    let config = EngineConfig::default()
+        .adaptive(true)
+        .adaptive_metric(metric);
+    let run = execute_plan(&misled.plan, &registry, config).expect("adaptive run");
+    assert!(registry.join_observations().contains_key("Near"));
+
+    let cold = optimize(&query, &registry, metric).expect("cold re-optimize");
+    assert_ne!(cold.plan.canonical_key(), misled.plan.canonical_key());
+    assert_eq!(run.replans, 1, "the join checkpoint must re-plan once");
+    let final_plan = run.replanned.as_ref().expect("replanned plan recorded");
+    assert_eq!(final_plan.canonical_key(), cold.plan.canonical_key());
+
+    let cold_run = execute_plan(
+        &cold.plan,
+        &join_drift_registry(SEED),
+        EngineConfig::default(),
+    )
+    .expect("cold run");
+    assert_eq!(
+        run.results, cold_run.results,
+        "same answers as the cold run"
+    );
+    assert!(
+        run.critical_ms <= cold_run.critical_ms * 1.2,
+        "adaptive {} ms vs cold {} ms",
+        run.critical_ms,
+        cold_run.critical_ms
+    );
+}
+
+/// An adaptive run that switched plans keeps one set of books: each
+/// executed node ran once, so the run reports what a non-adaptive run of
+/// its final plan on a fresh registry reports — the same per-pattern
+/// join observations and per-service calls and, on the misled hub, the
+/// same join-kernel counters. (On the join drift the final plan's two
+/// joins would fuse on a fresh run; the switched walk keeps the join
+/// that already ran as a materialized input, so its kernel counters
+/// differ by design.)
+#[test]
+fn a_replanned_run_keeps_the_books_of_its_final_plan() {
+    type Scenario = fn() -> (ServiceRegistry, Query);
+    let misled_hub: Scenario = || (adaptive_registry(SEED, MISESTIMATE), adaptive_query());
+    let join_drift: Scenario = || (join_drift_registry(SEED), join_drift_query());
+    let metric = CostMetric::ExecutionTime;
+    for (name, scenario, same_kernel_books) in [
+        ("misled hub", misled_hub, true),
+        ("join drift", join_drift, false),
+    ] {
+        let (registry, query) = scenario();
+        let plan = optimize(&query, &registry, metric).expect("optimize").plan;
+        let config = EngineConfig::default()
+            .adaptive(true)
+            .adaptive_metric(metric);
+        let adaptive = execute_plan(&plan, &registry, config).expect("adaptive run");
+        let final_plan = adaptive.replanned.as_ref().expect("re-planned");
+
+        let (fresh, _) = scenario();
+        let rerun = execute_plan(final_plan, &fresh, EngineConfig::default()).expect("rerun");
+        assert_eq!(adaptive.results, rerun.results, "{name}: results");
+        assert_eq!(adaptive.total_calls, rerun.total_calls, "{name}: calls");
+        assert_eq!(adaptive.critical_ms, rerun.critical_ms, "{name}: time");
+        let calls = |r: &ServiceRegistry| -> BTreeMap<String, u64> {
+            (r.all_stats().into_iter())
+                .map(|(name, stats)| (name, stats.calls))
+                .collect()
+        };
+        assert_eq!(calls(&registry), calls(&fresh), "{name}: per-service calls");
+        assert_eq!(
+            registry.join_observations(),
+            fresh.join_observations(),
+            "{name}: join observations"
+        );
+        if same_kernel_books {
+            assert_eq!(adaptive.join_stats, rerun.join_stats, "{name}: join_stats");
+        }
+    }
 }
