@@ -6,6 +6,8 @@
 //! joined in parallel). Both are built from the same synthetic service
 //! substrate so every experiment remains deterministic.
 
+pub mod repro;
+
 use std::sync::Arc;
 
 use seco_model::{
@@ -480,16 +482,16 @@ pub fn join_pair_with_width(
     )
 }
 
-/// Key-encoding edge cases for the join kernels' exactness grids. Each
+/// Join-key edge cases for the join kernels' exactness grids. Each
 /// side (0, 1, 2, …) has two key columns `K1`, `K2` and a ranked
 /// `Score`; its rows come in decreasing score order.
 #[derive(Debug, Clone, Copy)]
 pub enum KeyEdge {
-    /// Two `Text` conjuncts whose values embed the key separator U+001F,
-    /// so distinct value pairs can encode to one joint key.
+    /// Two `Text` conjuncts whose values embed a separator character
+    /// (U+001F), so distinct value pairs concatenate to one string.
     Separator,
     /// One `Float` conjunct with a raw `NaN` late on every side: it has
-    /// no faithful encoding, and `=` on it is an error.
+    /// no key, and `=` on it is an error.
     NaN,
     /// One conjunct, `Int` on even sides and `Float` on odd ones, whose
     /// values promote to equal numbers (`0 = -0.0`, `2 = 2.0`).

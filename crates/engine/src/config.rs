@@ -190,8 +190,8 @@ impl EngineConfig {
         self
     }
 
-    /// Enables or disables column-wise consumption of chunk bodies
-    /// (columnar hash-key extraction, zero-copy kernel inputs).
+    /// Enables or disables column-wise consumption of fetched chunk
+    /// bodies by pipe stages (zero-copy batch-kernel inputs).
     pub fn columnar(mut self, on: bool) -> Self {
         self.columnar.columnar = on;
         self

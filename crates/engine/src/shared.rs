@@ -42,8 +42,10 @@ pub(crate) type Stack = (Arc<dyn Service>, Option<Arc<CachingService>>);
 
 /// Clock binding of a stack's resilient client: the deterministic
 /// executor drives a virtual timeline, the pipelined executor real
-/// wall time. The two produce distinct breaker/cooldown dynamics, so a
-/// service invoked by both executors keeps one stack per mode.
+/// wall time. The two produce distinct breaker/cooldown dynamics, so
+/// when a client is configured a service invoked by both executors
+/// keeps one stack per mode; without one, nothing in the stack reads a
+/// clock and both executors share one stack (and its warm cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum ClockMode {
     Virtual,
@@ -62,7 +64,8 @@ pub(crate) enum ClockMode {
 pub struct SharedState {
     clock: Arc<VirtualClock>,
     pool: Option<Arc<ExecPool>>,
-    stacks: Mutex<BTreeMap<(String, ClockMode), Stack>>,
+    /// Keyed by service, and by clock mode only when a client binds one.
+    stacks: Mutex<BTreeMap<(String, Option<ClockMode>), Stack>>,
 }
 
 impl SharedState {
@@ -130,7 +133,8 @@ impl SharedState {
 
     /// Returns `service`'s prepared stack, building it on first use
     /// from `options` (resilient client when configured, sharded cache
-    /// when configured, bare recorder otherwise).
+    /// when configured, bare recorder otherwise). `mode` picks the
+    /// stack only when a client is configured.
     pub(crate) fn stack_for(
         &self,
         service: &str,
@@ -138,7 +142,7 @@ impl SharedState {
         options: &EngineConfig,
         mode: ClockMode,
     ) -> Stack {
-        let key = (service.to_owned(), mode);
+        let key = (service.to_owned(), options.client.map(|_| mode));
         let mut stacks = self.stacks.lock();
         if let Some(stack) = stacks.get(&key) {
             return stack.clone();
@@ -186,7 +190,16 @@ mod tests {
         let registry =
             seco_services::domains::entertainment::build_registry(7).expect("registry builds");
         let recorded = registry.service("Movie1").expect("service exists");
+        // Without a client no layer reads a clock: one stack serves
+        // both modes.
         let options = EngineConfig::default().cache_shards(4);
+        let (v, _) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
+        let (w, _) = state.stack_for("Movie1", &recorded, &options, ClockMode::Wall);
+        assert!(Arc::ptr_eq(&v, &w));
+        assert_eq!(state.stack_count(), 1);
+
+        let state = SharedState::new();
+        let options = options.client(seco_services::ClientConfig::default());
         let (a, cache_a) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
         let (b, cache_b) = state.stack_for("Movie1", &recorded, &options, ClockMode::Virtual);
         assert!(Arc::ptr_eq(&a, &b), "same stack on repeat lookup");

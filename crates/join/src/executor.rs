@@ -11,11 +11,11 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use seco_model::{AtomShape, BitMask, ChunkColumns, Column, ColumnRef, CompositeTuple, Symbol};
+use seco_model::{AtomShape, BitMask, Column, ColumnRef, CompositeTuple, Symbol};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{ResolvedPredicate, SchemaMap};
 use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
-use seco_services::invocation::{ChunkBody, Request};
+use seco_services::invocation::Request;
 use seco_services::Service;
 
 use crate::completion::TileWalk;
@@ -44,13 +44,6 @@ pub struct CompositeChunk {
     /// product (1.0 for an empty chunk), per the tile-space convention
     /// of taking the first tuple as representative for the whole chunk.
     pub representative: f64,
-    /// The service chunk body the composites were built from, when the
-    /// chunk came from a single-atom service stream: the atom every
-    /// composite carries, plus the shared body whose columns (if
-    /// columnar) back the composites row for row. Lets the join kernel
-    /// extract hash keys and run batch kernels straight off typed
-    /// columns, zero-copy. `None` for derived or in-memory chunks.
-    pub body: Option<(Symbol, Arc<ChunkBody>)>,
 }
 
 impl CompositeChunk {
@@ -64,7 +57,6 @@ impl CompositeChunk {
             composites,
             has_more,
             representative,
-            body: None,
         }
     }
 
@@ -79,16 +71,7 @@ impl CompositeChunk {
             composites,
             has_more,
             representative,
-            body: None,
         }
-    }
-
-    /// Attaches the backing service chunk body. The caller asserts that
-    /// every composite is `CompositeTuple::single(atom, row_i)` over the
-    /// body's rows, in order — the columnar kernels rely on it.
-    pub fn with_chunk_body(mut self, atom: Symbol, body: Arc<ChunkBody>) -> Self {
-        self.body = Some((atom, body));
-        self
     }
 
     /// Number of composites in the chunk.
@@ -132,7 +115,6 @@ impl<'a> ServiceStream<'a> {
 impl ChunkStream for ServiceStream<'_> {
     fn fetch_chunk(&mut self, idx: usize) -> Result<Arc<CompositeChunk>, JoinError> {
         let resp = self.service.fetch(&self.request.at_chunk(idx))?;
-        let body = resp.body().clone();
         let composites = resp
             .tuples()
             .iter()
@@ -140,10 +122,11 @@ impl ChunkStream for ServiceStream<'_> {
             .collect();
         // The representative rides along on the service chunk's shared
         // header — no rescan of tuple scores here.
-        Ok(Arc::new(
-            CompositeChunk::with_representative(composites, resp.has_more(), resp.head_score())
-                .with_chunk_body(self.atom, body),
-        ))
+        Ok(Arc::new(CompositeChunk::with_representative(
+            composites,
+            resp.has_more(),
+            resp.head_score(),
+        )))
     }
 }
 
@@ -227,9 +210,9 @@ pub struct ParallelJoinExecutor<'p> {
     /// Join-kernel options: the candidate enumeration mode. The default
     /// (hash mode) is byte-identical to the nested-loop baseline.
     pub options: JoinIndexOptions,
-    /// Columnar data-plane options: column-backed key extraction and
-    /// vectorized batch predicate evaluation. Both default on; both are
-    /// byte-identical to the row-at-a-time plane.
+    /// Data-plane options. A tile join reads its keys and columns off
+    /// the composites, so only `batch_eval` (vectorized predicate
+    /// evaluation, byte-identical to the scalar loop) applies here.
     pub columnar: ColumnarOptions,
     /// Shared executor pool for intra-tile morsel parallelism. `None`
     /// (or a one-worker pool) takes the exact serial code path; with
@@ -241,8 +224,8 @@ pub struct ParallelJoinExecutor<'p> {
 
 /// Per-run mutable state of the index-accelerated kernel: the reusable
 /// evaluation scratch, the deduplicated key plans, the lazily built
-/// per-chunk indexes and probe keys, the batch-kernel scratch buffers,
-/// and the work counters.
+/// per-chunk indexes, probe keys and gathered columns, and the work
+/// counters.
 #[derive(Default)]
 pub(crate) struct RunState {
     ws: RowScratch,
@@ -272,7 +255,7 @@ struct RowScratch {
     /// Selection mask reused by whole-chunk batch kernels.
     mask: BitMask,
     /// Candidate list reused by keyed probes.
-    cand: Vec<(u32, bool)>,
+    cand: Vec<u32>,
     /// Candidate rows consumed destructively by batch residual kernels.
     picked: Vec<usize>,
 }
@@ -368,7 +351,6 @@ impl ParallelJoinExecutor<'_> {
                 CallTarget::Y => (&mut *y, &mut chunks_y),
             };
             let chunk = stream.fetch_chunk(chunks.len())?;
-            st.stats.rows_materialized += chunk_rows_materialized(&chunk);
             walk.loaded(target, chunk.has_more);
             chunks.push(chunk);
             while let Some(t) = walk.next_tile() {
@@ -441,10 +423,9 @@ impl ParallelJoinExecutor<'_> {
     }
 
     /// Prepares one tile's batch kernels: its plan (cached per atom-list
-    /// pair) and the typed Y columns behind it — read zero-copy off the
-    /// chunk's body (single-atom body matching the plan) or gathered
-    /// from the composites, once per Y chunk. Returns the plan's
-    /// position in [`RunState::batch_plans`] and where the columns are.
+    /// pair) and the typed Y columns behind it, gathered from the
+    /// composites once per Y chunk. Returns the plan's position in
+    /// [`RunState::batch_plans`].
     ///
     /// Returns `None` whenever any batching precondition fails; the
     /// caller then evaluates every candidate scalar, exactly as before.
@@ -459,7 +440,7 @@ impl ParallelJoinExecutor<'_> {
         chunk_y: &CompositeChunk,
         yi: usize,
         st: &mut RunState,
-    ) -> Option<(usize, TileCols)> {
+    ) -> Option<usize> {
         let cx = &chunk_x.composites;
         let cy = &chunk_y.composites;
         let (x_atoms, y_atoms) = (cx.first()?.atoms, cy.first()?.atoms);
@@ -479,11 +460,6 @@ impl ParallelJoinExecutor<'_> {
             st.batch_plans.len() - 1
         });
         let plan = st.batch_plans[plan_at].2.as_ref()?;
-        // Zero-copy when the Y chunk's body columns back the plan.
-        if self.columnar.columnar && body_columns(chunk_y, y_atoms, plan).is_some() {
-            st.stats.columns_scanned += plan.columns().len() as u64;
-            return Some((plan_at, TileCols::Body));
-        }
         if st.gathered_y.len() <= yi {
             st.gathered_y.resize_with(yi + 1, || None);
         }
@@ -493,7 +469,7 @@ impl ParallelJoinExecutor<'_> {
         }
         let (_, owned) = gathered.as_ref()?;
         st.stats.columns_scanned += owned.as_ref()?.len() as u64;
-        Some((plan_at, TileCols::Gathered))
+        Some(plan_at)
     }
 
     /// Joins one tile, emitting results in the exact (i, j) order of
@@ -504,10 +480,9 @@ impl ParallelJoinExecutor<'_> {
     /// shared components differ is not a candidate at all.
     ///
     /// Each X row's candidates come from the Y chunk's [`KeyIndex`]
-    /// (built lazily once per chunk, straight from typed columns when
-    /// the body is columnar) when an equi key applies, else they are the
-    /// whole chunk. Candidates are judged by `compiled`, the run's one
-    /// compiled predicate set. When [`ColumnarOptions::batch_eval`] is
+    /// (built lazily once per chunk) when an equi key applies, else
+    /// they are the whole chunk. Candidates are judged by `compiled`,
+    /// the run's one compiled predicate set. When [`ColumnarOptions::batch_eval`] is
     /// on and a [`BatchPlan`] applies, a row's candidates are judged by
     /// one vectorized kernel over the Y chunk's columns, with the scalar
     /// loop kept as the fallback that also reproduces evaluation errors.
@@ -552,25 +527,8 @@ impl ParallelJoinExecutor<'_> {
                         st.plans.len() - 1
                     });
                     st.stats.index_builds += 1;
-                    let plan = &st.plans[plan_id];
-                    // Key straight off the body's typed columns when they
-                    // back the plan; the index is the same.
-                    let columns = (chunk_y.body.as_ref())
-                        .filter(|_| self.columnar.columnar)
-                        .and_then(|(atom, body)| {
-                            Some((plan.y_columns(*atom, body.columns()?)?, body.len()))
-                        });
-                    let index = match columns {
-                        Some((cols, rows)) => {
-                            st.stats.columns_scanned += cols.len() as u64;
-                            KeyIndex::from_columns(&cols, rows)
-                        }
-                        None => {
-                            let mut side = plan.y_side();
-                            KeyIndex::build(cy.len(), |j, buf| side.key(&cy[j], buf))
-                        }
-                    };
-                    (plan_id, index)
+                    let mut side = st.plans[plan_id].y_side();
+                    (plan_id, KeyIndex::build(cy.len(), |j| side.key(&cy[j])))
                 });
             st.indexes_y[yi] = Some(built);
         }
@@ -610,7 +568,7 @@ impl ParallelJoinExecutor<'_> {
                     .position(|(id, _)| id == plan_id)
                     .unwrap_or_else(|| {
                         let mut side = plans[*plan_id].x_side();
-                        let keys = ProbeKeys::build(cx.len(), |i, buf| side.key(&cx[i], buf));
+                        let keys = ProbeKeys::build(cx.len(), |i| side.key(&cx[i]));
                         cached.push((*plan_id, keys));
                         cached.len() - 1
                     });
@@ -624,21 +582,12 @@ impl ParallelJoinExecutor<'_> {
             stats.pairs_skipped += (cx.len() * cy.len()) as u64;
             return Ok(());
         }
-        let batch = prepared.and_then(|(plan_at, cols)| {
+        let batch = prepared.and_then(|plan_at| {
             let plan = batch_plans[plan_at].2.as_ref()?;
-            let refs: Vec<ColumnRef<'_>> = match cols {
-                TileCols::Body => {
-                    let cc = body_columns(chunk_y, cy[0].atoms, plan)?;
-                    (plan.columns().iter())
-                        .map(|(_, f)| cc.column(*f))
-                        .collect::<Option<_>>()?
-                }
-                TileCols::Gathered => gathered_y[yi]
-                    .iter()
-                    .flat_map(|(_, owned)| owned.iter().flatten())
-                    .map(Column::as_ref)
-                    .collect(),
-            };
+            let refs: Vec<ColumnRef<'_>> = (gathered_y[yi].iter())
+                .flat_map(|(_, owned)| owned.iter().flatten())
+                .map(Column::as_ref)
+                .collect();
             Some((plan, refs))
         });
         let ctx = TileCtx {
@@ -708,7 +657,7 @@ impl ParallelJoinExecutor<'_> {
                     continue;
                 }
             }
-            for (j, _) in cands.iter() {
+            for j in cands.iter() {
                 let Some(candidate) = a.merge(&cy[j]) else {
                     continue;
                 };
@@ -719,42 +668,6 @@ impl ParallelJoinExecutor<'_> {
             }
         }
         Ok(())
-    }
-}
-
-/// Where the typed columns backing one tile's batch kernels are.
-#[derive(Clone, Copy)]
-enum TileCols {
-    /// Zero-copy: the Y chunk's columnar body backs the plan directly.
-    Body,
-    /// Gathered from the composites (multi-atom Y sides and
-    /// row-structured bodies) into [`RunState::gathered_y`].
-    Gathered,
-}
-
-/// The Y chunk's body columns, when it is a single-atom service chunk
-/// whose typed columns back every column of `plan`.
-fn body_columns<'y>(
-    chunk_y: &'y CompositeChunk,
-    y_atoms: AtomShape,
-    plan: &BatchPlan,
-) -> Option<&'y ChunkColumns> {
-    let (atom, body) = chunk_y.body.as_ref()?;
-    let cc = body.columns()?;
-    let backed = *y_atoms == [*atom]
-        && plan
-            .columns()
-            .iter()
-            .all(|(a, f)| a == atom && cc.column(*f).is_some());
-    backed.then_some(cc)
-}
-
-/// Rows the columnar plane had to materialize for this chunk (zero for
-/// row-structured bodies, which never had columns to keep).
-pub(crate) fn chunk_rows_materialized(chunk: &CompositeChunk) -> u64 {
-    match &chunk.body {
-        Some((_, b)) if b.is_columnar() && b.rows_ready() => b.len() as u64,
-        _ => 0,
     }
 }
 
@@ -783,7 +696,7 @@ fn batch_row(
         }
         Candidates::Rows(rows) => {
             picked.clear();
-            picked.extend(rows.iter().map(|&(j, _)| j as usize));
+            picked.extend(rows.iter().map(|&j| j as usize));
             plan.eval_indices(Some(a), cols, picked)
         }
     };

@@ -8,23 +8,23 @@
 //! *every* group-row mapping, so pairs with different keys can be
 //! skipped without evaluating them. This module turns that observation
 //! into a per-chunk [`KeyIndex`]: each right-hand chunk's joint keys
-//! (interned to [`Symbol`]s, whose `Ord` is by content) are sorted once,
-//! and each probe row seeks its key range by binary search — the
-//! sorted-key seek of *Leapfrog Triejoin*. The binary tile, every n-ary
-//! stage and the rank join all probe through [`KeyIndex::candidates`].
+//! (64-bit hashes of the typed conjunct values) are sorted once, and
+//! each probe row seeks its key's run by binary search — the sorted-key
+//! seek of *Leapfrog Triejoin*, which needs only some total order both
+//! sides share. The binary tile, every n-ary stage and the rank join
+//! all probe through [`KeyIndex::candidates`].
 //!
 //! Exactness invariants, relied on by the equivalence property tests:
 //!
-//! * **Key encoding is equality-faithful.** Two values get the same
-//!   encoding whenever the baseline's `=` holds (numeric promotion
-//!   included: `Int` and `Float` both encode as the promoted `f64`'s
-//!   bits, with `-0.0` normalized to `0.0`). Encoding collisions
-//!   (large-integer rounding, separator bytes in text) can only add
-//!   *candidates*: a key is marked *exact* only when it is provably
-//!   injective, and every inexact hit is re-verified by the full
-//!   evaluation.
+//! * **Keys are equality-faithful.** Two rows get the same key whenever
+//!   the baseline's `=` holds on every conjunct (numeric promotion
+//!   included: `Int` and `Float` both hash the promoted `f64`'s bits,
+//!   with `-0.0` normalized to `0.0`). Equal keys prove nothing — a
+//!   hash collision, or two large `Int`s that promote to one `f64` —
+//!   so a key only selects candidates, and every candidate is judged by
+//!   the predicates.
 //! * **Fallback on anything unusual.** A row missing a planned atom, or
-//!   carrying an unencodable value (a raw `NaN`, on which the baseline
+//!   carrying a value with no key (a raw `NaN`, on which the baseline
 //!   would error), has no key: an unkeyed indexed row is a candidate of
 //!   every probe, and an unkeyed probe row scans the whole chunk, so the
 //!   nested loop's behavior — including its errors — is reproduced.
@@ -32,8 +32,14 @@
 //!   numbers, and a probe merges its key's rows with the unkeyed rows in
 //!   ascending row order, so results appear in the exact (i, j) order of
 //!   the baseline.
+//!
+//! Keys are computed, never stored anywhere but the index: no value of a
+//! chunk reaches the process-wide [`Symbol`] table.
 
-use seco_model::{AtomShape, ChunkColumns, ColumnRef, CompositeTuple, Symbol, Value};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
+use seco_model::{AtomShape, CompositeTuple, Symbol, Value};
 use seco_query::EquiCandidate;
 
 /// Which candidate-pair enumeration the join executor uses.
@@ -57,14 +63,13 @@ pub struct JoinIndexOptions {
 }
 
 /// Options for the columnar data plane. Both switches preserve
-/// byte-identical results; they only choose how candidate pairs are
-/// keyed and evaluated.
+/// byte-identical results; they only choose how candidates are
+/// evaluated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnarOptions {
-    /// Consume chunk bodies column-wise where possible: index keys are
-    /// extracted straight from typed columns and batch kernels read
-    /// body-backed columns zero-copy. When off, executors go through
-    /// the materialized row view only.
+    /// Let pipe stages read a fetched chunk body's typed columns
+    /// zero-copy (their batch kernels need it as well as `batch_eval`).
+    /// Tile joins read composites, so only `batch_eval` applies there.
     pub columnar: bool,
     /// Evaluate compiled predicates with vectorized batch kernels
     /// (selection masks over whole chunks, residual evaluation over
@@ -146,130 +151,66 @@ impl JoinStats {
     }
 }
 
-/// Separates the per-conjunct encodings inside a joint key. Text
-/// containing the separator can at worst merge two distinct joint keys
-/// into one — a safe collision, since such keys are never exact.
-const KEY_SEP: char = '\u{1f}';
-
-/// Appends an equality-faithful encoding of `v` to `out`. Returns
-/// `false` for values with no faithful encoding (a raw `NaN`), which
-/// the caller must route to the scan-everything fallback.
-fn encode_value(v: &Value, out: &mut String) -> bool {
-    use std::fmt::Write;
-    match v {
-        // `=` holds for Null only against Null, so Null gets its own tag.
-        Value::Null => out.push('n'),
-        Value::Bool(b) => out.push_str(if *b { "b1" } else { "b0" }),
-        // Int and Float share the baseline's numeric promotion: encode
-        // the promoted f64's bits. `-0.0 == 0.0` under `=`, so normalize.
-        Value::Int(i) => {
-            let f = *i as f64;
-            let f = if f == 0.0 { 0.0 } else { f };
-            let _ = write!(out, "f{:016x}", f.to_bits());
-        }
-        Value::Float(f) => {
-            if f.is_nan() {
-                return false;
-            }
-            let f = if *f == 0.0 { 0.0 } else { *f };
-            let _ = write!(out, "f{:016x}", f.to_bits());
-        }
-        Value::Text(s) => {
-            out.push('t');
-            out.push_str(s);
-        }
-        Value::Date(d) => {
-            let _ = write!(out, "d{}", d.ordinal());
-        }
-    }
-    true
-}
-
-/// Appends the encoding of row `j` of a typed column — byte-identical
-/// to [`encode_value`] on the row view's `Value`, without building it.
-/// Returns `false` for unencodable cells (a raw `NaN`).
-fn encode_cell(col: &ColumnRef<'_>, j: usize, out: &mut String) -> bool {
-    use std::fmt::Write;
-    if col.is_null(j) {
-        out.push('n');
-        return true;
-    }
-    match col {
-        ColumnRef::Bool(v, _) => out.push_str(if v[j] { "b1" } else { "b0" }),
-        ColumnRef::Int(v, _) => {
-            let f = v[j] as f64;
-            let f = if f == 0.0 { 0.0 } else { f };
-            let _ = write!(out, "f{:016x}", f.to_bits());
-        }
-        ColumnRef::Float(v, _) => {
-            if v[j].is_nan() {
-                return false;
-            }
-            let f = if v[j] == 0.0 { 0.0 } else { v[j] };
-            let _ = write!(out, "f{:016x}", f.to_bits());
-        }
-        ColumnRef::Text(v, _) => {
-            out.push('t');
-            out.push_str(v[j].as_str());
-        }
-        ColumnRef::Date(v, _) => {
-            let _ = write!(out, "d{}", v[j].ordinal());
-        }
-        ColumnRef::Mixed(v) => return encode_value(&v[j], out),
-    }
-    true
-}
-
-/// A row's joint key: the interned encoding of its conjunct values and
-/// whether it is *exact* — provably injective, so equal exact keys mean
-/// equal values (a single conjunct, or no separator inside a `Text`
-/// value). `None` when some value has no faithful encoding.
-pub(crate) type Key = Option<(Symbol, bool)>;
-
-/// Encodes `n` conjuncts into `buf` (cleared first), `encode` appending
-/// conjunct `i`'s encoding or refusing it.
-fn key_with(n: usize, buf: &mut String, mut encode: impl FnMut(usize, &mut String) -> bool) -> Key {
-    buf.clear();
-    for i in 0..n {
-        if i > 0 {
-            buf.push(KEY_SEP);
-        }
-        if !encode(i, buf) {
-            return None;
-        }
-    }
-    // Only a `Text` value can add separators to the encoding.
-    let exact = n == 1 || buf.matches(KEY_SEP).count() == n - 1;
-    Some((Symbol::intern(buf), exact))
-}
+/// A row's joint key: a hash of its conjunct values, equal whenever
+/// `=` holds on every conjunct; `None` when some value has no key (a
+/// raw `NaN`). Equal keys do not prove equal values, so every candidate
+/// a key selects is judged by the predicates.
+pub(crate) type Key = Option<u64>;
 
 /// The joint key of `n` conjunct values, `value(i)` reading the i-th.
-pub(crate) fn joint_key<'v>(
-    n: usize,
-    buf: &mut String,
-    mut value: impl FnMut(usize) -> &'v Value,
-) -> Key {
-    key_with(n, buf, |i, buf| encode_value(value(i), buf))
+///
+/// `=` holds for `Null` only against `Null`, so `Null` has a tag of its
+/// own; `Int` and `Float` share the promoted `f64`'s bits, with `-0.0`
+/// normalized to `0.0` (`-0.0 = 0.0`). Text hashes with a terminator,
+/// so a conjunct boundary cannot move between two texts.
+pub(crate) fn joint_key<'v>(n: usize, mut value: impl FnMut(usize) -> &'v Value) -> Key {
+    let mut h = DefaultHasher::new();
+    for i in 0..n {
+        match value(i) {
+            Value::Null => h.write_u8(0),
+            Value::Bool(b) => {
+                h.write_u8(1);
+                h.write_u8(u8::from(*b));
+            }
+            Value::Int(v) => number(&mut h, *v as f64),
+            Value::Float(v) if v.is_nan() => return None,
+            Value::Float(v) => number(&mut h, *v),
+            Value::Text(s) => {
+                h.write_u8(3);
+                s.as_str().hash(&mut h);
+            }
+            Value::Date(d) => {
+                h.write_u8(4);
+                h.write_i64(d.ordinal());
+            }
+        }
+    }
+    Some(h.finish())
 }
 
-/// The key index of one chunk: its rows' joint keys sorted by content,
+fn number(h: &mut DefaultHasher, v: f64) {
+    h.write_u8(2);
+    h.write_u64(if v == 0.0 { 0 } else { v.to_bits() });
+}
+
+/// The key index of one chunk: its rows' joint keys sorted by hash,
 /// plus the rows with no key, which every probe must visit. Rows are
 /// numbered from the chunk's first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct KeyIndex {
-    /// `(key, row, exact)`, ascending: one key's rows stay in row order.
-    keys: Vec<(Symbol, u32, bool)>,
+    /// `(key, row)`, ascending: one key's rows stay in row order.
+    keys: Vec<(u64, u32)>,
     /// Rows with no key, ascending.
     unkeyed: Vec<u32>,
 }
 
 impl KeyIndex {
-    /// Indexes `rows` rows, `key_of(j, buf)` giving row `j`'s key.
-    pub(crate) fn build(rows: usize, mut key_of: impl FnMut(usize, &mut String) -> Key) -> Self {
-        let (mut keys, mut unkeyed, mut buf) = (Vec::new(), Vec::new(), String::new());
+    /// Indexes `rows` rows, `key_of(j)` giving row `j`'s key.
+    pub(crate) fn build(rows: usize, mut key_of: impl FnMut(usize) -> Key) -> Self {
+        let (mut keys, mut unkeyed) = (Vec::with_capacity(rows), Vec::new());
         for j in 0..rows {
-            match key_of(j, &mut buf) {
-                Some((key, exact)) => keys.push((key, j as u32, exact)),
+            match key_of(j) {
+                Some(key) => keys.push((key, j as u32)),
                 None => unkeyed.push(j as u32),
             }
         }
@@ -277,33 +218,25 @@ impl KeyIndex {
         KeyIndex { keys, unkeyed }
     }
 
-    /// Indexes a chunk straight from its typed key columns, one per
-    /// conjunct — the same index [`KeyIndex::build`] makes from the rows.
-    pub(crate) fn from_columns(cols: &[ColumnRef<'_>], rows: usize) -> Self {
-        Self::build(rows, |j, buf| {
-            key_with(cols.len(), buf, |i, buf| encode_cell(&cols[i], j, buf))
-        })
-    }
-
-    /// The indexed rows holding `key`.
-    fn bucket(&self, key: Symbol) -> &[(Symbol, u32, bool)] {
-        let lo = self.keys.partition_point(|(k, _, _)| *k < key);
-        let len = self.keys[lo..].partition_point(|(k, _, _)| *k == key);
+    /// The indexed rows holding `key`: a seek to its run.
+    fn bucket(&self, key: u64) -> &[(u64, u32)] {
+        let lo = self.keys.partition_point(|(k, _)| *k < key);
+        let len = self.keys[lo..].partition_point(|(k, _)| *k == key);
         &self.keys[lo..lo + len]
     }
 
     /// The candidate rows of a probe against this chunk of `rows` rows,
     /// ascending: the probe key's rows merged with the unkeyed ones
     /// (counting the probe and the rows it skips), or the whole chunk
-    /// for a probe with no key. A candidate is exact when both keys are.
+    /// for a probe with no key.
     pub(crate) fn candidates<'c>(
         &self,
         probe: Key,
         rows: usize,
         stats: &mut JoinStats,
-        buf: &'c mut Vec<(u32, bool)>,
+        buf: &'c mut Vec<u32>,
     ) -> Candidates<'c> {
-        let Some((key, exact)) = probe else {
+        let Some(key) = probe else {
             return Candidates::All(rows);
         };
         stats.probes += 1;
@@ -312,10 +245,10 @@ impl KeyIndex {
         let (mut h, mut u) = (0, 0);
         while h < hits.len() || u < unkeyed.len() {
             if u == unkeyed.len() || (h < hits.len() && hits[h].1 < unkeyed[u]) {
-                buf.push((hits[h].1, exact && hits[h].2));
+                buf.push(hits[h].1);
                 h += 1;
             } else {
-                buf.push((unkeyed[u], false));
+                buf.push(unkeyed[u]);
                 u += 1;
             }
         }
@@ -327,17 +260,16 @@ impl KeyIndex {
     /// sides fully keyed and no probe key present.
     pub(crate) fn misses_all(&self, probes: &ProbeKeys) -> bool {
         self.unkeyed.is_empty()
-            && (probes.0.iter()).all(|p| p.is_some_and(|(key, _)| self.bucket(key).is_empty()))
+            && (probes.0.iter()).all(|p| p.is_some_and(|key| self.bucket(key).is_empty()))
     }
 }
 
-/// A probe's candidate rows, ascending, each with whether the key
-/// comparison already proved the match.
+/// A probe's candidate rows, ascending.
 pub(crate) enum Candidates<'c> {
     /// Every row of a chunk of this many (an unkeyed probe, or no index).
     All(usize),
     /// Index-selected rows.
-    Rows(&'c [(u32, bool)]),
+    Rows(&'c [u32]),
 }
 
 impl Candidates<'_> {
@@ -349,13 +281,13 @@ impl Candidates<'_> {
         }
     }
 
-    /// The candidates as `(row, exact)`, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+    /// The candidate rows, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let (all, rows) = match *self {
             Candidates::All(n) => (0..n, &[][..]),
             Candidates::Rows(rows) => (0..0, rows),
         };
-        (all.map(|j| (j, false))).chain(rows.iter().map(|&(j, exact)| (j as usize, exact)))
+        all.chain(rows.iter().map(|&j| j as usize))
     }
 }
 
@@ -364,10 +296,9 @@ impl Candidates<'_> {
 pub(crate) struct ProbeKeys(Vec<Key>);
 
 impl ProbeKeys {
-    /// Keys `rows` rows, `key_of(i, buf)` giving row `i`'s key.
-    pub(crate) fn build(rows: usize, mut key_of: impl FnMut(usize, &mut String) -> Key) -> Self {
-        let mut buf = String::new();
-        ProbeKeys((0..rows).map(|i| key_of(i, &mut buf)).collect())
+    /// Keys `rows` rows, `key_of(i)` giving row `i`'s key.
+    pub(crate) fn build(rows: usize, key_of: impl FnMut(usize) -> Key) -> Self {
+        ProbeKeys((0..rows).map(key_of).collect())
     }
 
     /// Row `i`'s key.
@@ -420,19 +351,6 @@ impl KeyPlan {
     pub(crate) fn x_side(&self) -> KeySide<'_> {
         KeySide::new(&self.x)
     }
-
-    /// The Y side's key columns in a chunk body whose rows all belong to
-    /// `atom`, when every Y conjunct reads `atom` and has a typed column.
-    pub(crate) fn y_columns<'c>(
-        &self,
-        atom: Symbol,
-        cols: &'c ChunkColumns,
-    ) -> Option<Vec<ColumnRef<'c>>> {
-        if self.y.iter().any(|(a, _)| *a != atom) {
-            return None;
-        }
-        self.y.iter().map(|(_, f)| cols.column(*f)).collect()
-    }
 }
 
 /// One side of a [`KeyPlan`] reading composites: each conjunct's atom is
@@ -455,8 +373,8 @@ impl<'p> KeySide<'p> {
     }
 
     /// The joint key of `c`, or `None` when it lacks a planned atom or
-    /// holds an unencodable value.
-    pub(crate) fn key(&mut self, c: &CompositeTuple, buf: &mut String) -> Key {
+    /// holds a value with no key.
+    pub(crate) fn key(&mut self, c: &CompositeTuple) -> Key {
         if self.shape != Some(c.atoms) {
             self.shape = Some(c.atoms);
             self.at = (self.fields.iter())
@@ -464,7 +382,7 @@ impl<'p> KeySide<'p> {
                 .collect();
         }
         let at = self.at.as_deref()?;
-        joint_key(at.len(), buf, |i| c.components[at[i].0].atomic_at(at[i].1))
+        joint_key(at.len(), |i| c.components[at[i].0].atomic_at(at[i].1))
     }
 }
 
@@ -473,53 +391,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encoding_is_equality_faithful() {
-        let mut a = String::new();
-        let mut b = String::new();
-        // Int/Float promotion: 3 = 3.0.
-        assert!(encode_value(&Value::Int(3), &mut a));
-        assert!(encode_value(&Value::Float(3.0), &mut b));
-        assert_eq!(a, b);
-        // -0.0 = 0.0.
-        a.clear();
-        b.clear();
-        assert!(encode_value(&Value::Float(-0.0), &mut a));
-        assert!(encode_value(&Value::Float(0.0), &mut b));
-        assert_eq!(a, b);
-        // Null only matches Null.
-        a.clear();
-        b.clear();
-        assert!(encode_value(&Value::Null, &mut a));
-        assert!(encode_value(&Value::text(""), &mut b));
-        assert_ne!(a, b);
-        // Distinct texts stay distinct.
-        a.clear();
-        b.clear();
-        assert!(encode_value(&Value::text("x"), &mut a));
-        assert!(encode_value(&Value::text("y"), &mut b));
-        assert_ne!(a, b);
-        // NaN has no faithful encoding.
-        a.clear();
-        assert!(!encode_value(&Value::Float(f64::NAN), &mut a));
+    fn keys_are_equality_faithful() {
+        let key = |v: Value| joint_key(1, |_| &v);
+        // Int/Float promotion: 3 = 3.0; -0.0 = 0.0.
+        assert_eq!(key(Value::Int(3)), key(Value::Float(3.0)));
+        assert_eq!(key(Value::Float(-0.0)), key(Value::Int(0)));
+        // Null only matches Null; distinct texts stay distinct.
+        assert_ne!(key(Value::Null), key(Value::text("")));
+        assert_ne!(key(Value::text("x")), key(Value::text("y")));
+        // NaN has no key.
+        assert_eq!(key(Value::Float(f64::NAN)), None);
+        // A conjunct boundary cannot move between two texts.
+        let pair = |a: &str, b: &str| {
+            let vals = [Value::text(a), Value::text(b)];
+            joint_key(2, |i| &vals[i])
+        };
+        assert_ne!(pair("ab", "c"), pair("a", "bc"));
     }
 
     #[test]
-    fn a_separator_inside_text_makes_a_joint_key_inexact() {
-        let mut buf = String::new();
-        let key = |vals: [Value; 2], buf: &mut String| joint_key(2, buf, |i| &vals[i]);
-        let a = key([Value::text("a\u{1f}tb"), Value::text("c")], &mut buf);
-        let b = key([Value::text("a"), Value::text("b\u{1f}tc")], &mut buf);
-        let (Some((ka, exact_a)), Some((kb, exact_b))) = (a, b) else {
-            panic!("text always encodes");
-        };
-        assert_eq!(ka, kb, "the two pairs collide");
-        assert!(!exact_a && !exact_b, "so neither key is exact");
-        let plain = key([Value::text("a"), Value::text("b")], &mut buf);
-        assert!(plain.is_some_and(|(_, exact)| exact));
-        // One conjunct is injective whatever its text holds.
-        let text = Value::text("a\u{1f}b");
-        let single = joint_key(1, &mut buf, |_| &text);
-        assert!(single.is_some_and(|(_, exact)| exact));
+    fn a_probe_takes_its_key_run_and_the_unkeyed_rows_in_row_order() {
+        let vals = [
+            Value::Int(1),
+            Value::Float(f64::NAN),
+            Value::Int(2),
+            Value::Float(1.0),
+            Value::Int(1),
+        ];
+        let index = KeyIndex::build(vals.len(), |j| joint_key(1, |_| &vals[j]));
+        assert_eq!(index.unkeyed, vec![1], "NaN has no key");
+        let (mut stats, mut buf) = (JoinStats::default(), Vec::new());
+        let probe = joint_key(1, |_| &vals[0]);
+        let rows: Vec<usize> = index
+            .candidates(probe, 5, &mut stats, &mut buf)
+            .iter()
+            .collect();
+        assert_eq!(rows, [0, 1, 3, 4]);
+        assert_eq!((stats.probes, stats.pairs_skipped), (1, 1));
+        let all = index.candidates(None, 5, &mut stats, &mut buf);
+        assert_eq!(all.iter().count(), 5, "an unkeyed probe scans the chunk");
     }
 
     #[test]
@@ -573,46 +483,5 @@ mod tests {
                 time_to_kth_us: 500,
             }
         );
-    }
-
-    #[test]
-    fn columnar_key_build_matches_row_build() {
-        use seco_model::tuple::FieldSlot;
-        use seco_model::Tuple;
-        // K mixes Int/Float/Null (a Mixed column); T stays typed Text.
-        let rows: Vec<Tuple> = [
-            (Value::Int(1), Value::text("a")),
-            (Value::Int(0), Value::text("b")),
-            (Value::Null, Value::text("c")),
-            (Value::Float(-0.0), Value::text("a")),
-            (Value::Float(f64::NAN), Value::text("d")),
-            (Value::Int(1), Value::Null),
-            (Value::Int(2), Value::text("e\u{1f}f")),
-        ]
-        .into_iter()
-        .map(|(k, t)| Tuple {
-            fields: vec![FieldSlot::Atomic(k), FieldSlot::Atomic(t)],
-            score: 0.0,
-            source_rank: 0,
-        })
-        .collect();
-        let (y, x) = (Symbol::from("y"), Symbol::from("x"));
-        let plan = KeyPlan {
-            y: vec![(y, 0), (y, 1)],
-            x: vec![(x, 0), (x, 1)],
-        };
-        let composites: Vec<CompositeTuple> = rows
-            .iter()
-            .map(|t| CompositeTuple::single("y", t.clone()))
-            .collect();
-        let mut side = plan.y_side();
-        let row_ix = KeyIndex::build(composites.len(), |j, buf| side.key(&composites[j], buf));
-        let cols = ChunkColumns::from_tuples(&rows).expect("flat rows columnarize");
-        let key_cols = plan.y_columns(y, &cols).expect("columnar build applies");
-        assert_eq!(key_cols.len(), 2);
-        assert_eq!(KeyIndex::from_columns(&key_cols, cols.len()), row_ix);
-        assert_eq!(row_ix.unkeyed, vec![4], "NaN has no key");
-        // A plan keying on a different atom refuses the columnar path.
-        assert!(plan.y_columns(Symbol::from("z"), &cols).is_none());
     }
 }

@@ -14,14 +14,13 @@
 //! performs), which is counted in `JoinStats::intermediates_elided`.
 //!
 //! Candidate enumeration is the binary kernel's: each right chunk's
-//! joint keys go into a [`KeyIndex`] (sorted by content, the
+//! joint keys go into a [`KeyIndex`] (hashes sorted once, the
 //! leapfrog-style seek), and each prefix row takes its candidates from
 //! [`KeyIndex::candidates`] — its key's rows merged with the chunk's
 //! unkeyed rows in ascending row order, the exact nested-loop (i, j)
-//! emission order. Candidates whose keys are exact (provably injective)
-//! are emitted directly; the rest are re-verified with the full
-//! predicate list in predicate order — results *and* evaluation errors
-//! stay byte-identical to the cascade.
+//! emission order. A key only selects candidates: every one is judged
+//! with the full predicate list in predicate order, so results *and*
+//! evaluation errors stay byte-identical to the cascade.
 //!
 //! [`NaryJoin::run`] returns `Ok(None)` — "use the binary cascade" —
 //! whenever any precondition for that identity fails:
@@ -337,8 +336,7 @@ impl NaryJoin<'_> {
 
     /// Joins one virtual tile in the binary kernel's exact (i, j)
     /// order: per prefix row, its candidates from the right chunk's
-    /// [`KeyIndex`], emitted directly when the keys proved the match and
-    /// re-verified with the full predicate list otherwise.
+    /// [`KeyIndex`], each judged with the full predicate list.
     #[allow(clippy::too_many_arguments)]
     fn join_stage_tile(
         &self,
@@ -382,9 +380,9 @@ impl NaryJoin<'_> {
         }
         let index: &KeyIndex = rindex[t.y].get_or_insert_with(|| {
             stats.index_builds += 1;
-            KeyIndex::build(ny, |off, buf| {
+            KeyIndex::build(ny, |off| {
                 let comp = &right[ys + off];
-                joint_key(n, buf, |i| {
+                joint_key(n, |i| {
                     let e = &plan.keyed[i];
                     comp.components[e.y_comp].atomic_at(e.y_field)
                 })
@@ -396,9 +394,9 @@ impl NaryJoin<'_> {
             probes.resize_with(t.x + 1, || None);
         }
         let keys: &ProbeKeys = probes[t.x].get_or_insert_with(|| {
-            ProbeKeys::build(xe - xs, |off, buf| {
+            ProbeKeys::build(xe - xs, |off| {
                 let row = &prefix[(xs + off) * stride..(xs + off + 1) * stride];
-                joint_key(n, buf, |i| {
+                joint_key(n, |i| {
                     let e = &plan.keyed[i];
                     let comp = &groups[e.x_group][row[e.x_group] as usize];
                     comp.components[e.x_comp].atomic_at(e.x_field)
@@ -414,18 +412,8 @@ impl NaryJoin<'_> {
             for li in rows {
                 let row = &prefix[li * stride..(li + 1) * stride];
                 let cands = index.candidates(keys.at(li - xs), ny, stats, &mut cand);
-                for (off, exact) in cands.iter() {
-                    let j = ys + off;
-                    if exact {
-                        // Proven match: the key comparison was the
-                        // equality evaluation (counted like a batch
-                        // kernel covering its candidates).
-                        stats.predicate_evals += 1;
-                        out.extend_from_slice(row);
-                        out.push(j as u32);
-                    } else {
-                        verify_and_emit(groups, row, right, j, plan, stats, out)?;
-                    }
+                for off in cands.iter() {
+                    verify_and_emit(groups, row, right, ys + off, plan, stats, out)?;
                 }
             }
             Ok(())

@@ -46,8 +46,7 @@ use seco_query::CompiledPredicates;
 
 use crate::completion::TileWalk;
 use crate::error::JoinError;
-use crate::executor::{chunk_rows_materialized, CompositeChunk};
-use crate::executor::{ChunkStream, JoinOutcome, ParallelJoinExecutor, RunState};
+use crate::executor::{ChunkStream, CompositeChunk, JoinOutcome, ParallelJoinExecutor, RunState};
 use crate::strategy::{CallTarget, TilePruner};
 use crate::tile::{Tile, TileSpace};
 
@@ -227,7 +226,6 @@ impl RankJoin<'_> {
                 CallTarget::Y => (&mut *y, &mut ay),
             };
             let chunk = stream.fetch_chunk(axis.chunks.len())?;
-            st.stats.rows_materialized += chunk_rows_materialized(&chunk);
             walk.loaded(target, chunk.has_more);
             axis.absorb(chunk);
             // The new row (or column) of the fetched rectangle.

@@ -4,15 +4,16 @@
 //! (plus row-wise storage for repeating groups), with a [`BitMask`]
 //! marking nulls. Typed columns keep every value representable
 //! bit-exactly — `Float` columns store the raw `f64` (including `NaN`
-//! and `-0.0` as produced), `Text` columns intern to [`Symbol`]s, and
+//! and `-0.0` as produced), `Text` columns own their bytes in one
+//! buffer per column ([`TextCells`], Arrow's Utf8 layout), and
 //! heterogeneously-typed slots fall back to a row-wise [`Column::Mixed`]
 //! — so materializing the row view reproduces the original tuples
-//! byte-for-byte.
+//! byte-for-byte. A column holds values only: nothing here touches the
+//! process-wide [`crate::Symbol`] table, which is for names.
 //!
 //! Predicate kernels consume borrowed [`ColumnRef`] handles and produce
 //! selection [`BitMask`]s; see `seco-query`'s batch evaluator.
 
-use crate::symbol::Symbol;
 use crate::tuple::{FieldSlot, GroupTuple, Tuple};
 use crate::value::{Date, Value};
 
@@ -149,6 +150,33 @@ impl BitMask {
     }
 }
 
+/// The cells of a text column in one string buffer: cell `i` is
+/// `bytes[ends[i - 1]..ends[i]]` (from 0 for the first). A null cell is
+/// empty; the column's null mask tells it from an empty string.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TextCells {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+impl TextCells {
+    /// Number of cells.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no cells.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Cell `i`.
+    pub fn get(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.bytes[start..self.ends[i] as usize]
+    }
+}
+
 /// Typed column storage for one atomic attribute across a chunk's rows.
 ///
 /// Nulls live in the companion [`BitMask`] (bit set = null) with an
@@ -163,8 +191,8 @@ pub enum Column {
     Float(Vec<f64>, BitMask),
     /// Booleans.
     Bool(Vec<bool>, BitMask),
-    /// Interned text.
-    Text(Vec<Symbol>, BitMask),
+    /// Text, one buffer per column.
+    Text(TextCells, BitMask),
     /// Calendar dates.
     Date(Vec<Date>, BitMask),
     /// Heterogeneous fallback: row-wise values, nulls inline.
@@ -176,11 +204,16 @@ impl Column {
     /// narrowest typed representation that reproduces every value
     /// exactly.
     pub fn build<'a>(n: usize, get: impl Fn(usize) -> &'a Value) -> Column {
-        // Pass 1: the single non-null variant, if any.
+        // Pass 1: the single non-null variant, if any, and the bytes a
+        // text column would hold (its offsets are `u32`).
         let mut kind: Option<&'static str> = None;
         let mut mixed = false;
+        let mut text_bytes = 0usize;
         for i in 0..n {
             let v = get(i);
+            if let Value::Text(s) = v {
+                text_bytes += s.len();
+            }
             if v.is_null() {
                 continue;
             }
@@ -193,7 +226,7 @@ impl Column {
                 }
             }
         }
-        if mixed {
+        if mixed || text_bytes > u32::MAX as usize {
             return Column::Mixed((0..n).map(|i| get(i).clone()).collect());
         }
         // Pass 2: fill the typed vector with a null mask.
@@ -218,7 +251,18 @@ impl Column {
             Some("float") => fill!(Float, 0.0, Value::Float(v) => *v),
             Some("bool") => fill!(Bool, false, Value::Bool(v) => *v),
             Some("text") => {
-                fill!(Text, Symbol::from(""), Value::Text(s) => Symbol::from(s.as_str()))
+                let mut cells = TextCells {
+                    bytes: String::with_capacity(text_bytes),
+                    ends: Vec::with_capacity(n),
+                };
+                for i in 0..n {
+                    match get(i) {
+                        Value::Text(s) => cells.bytes.push_str(s),
+                        _ => nulls.set(i),
+                    }
+                    cells.ends.push(cells.bytes.len() as u32);
+                }
+                Column::Text(cells, nulls)
             }
             Some("date") => fill!(Date, Date::new(0, 1, 1), Value::Date(d) => *d),
             // All-null (or empty) column: any typed carrier works.
@@ -249,7 +293,7 @@ impl Column {
             Column::Int(v, nulls) => nulled(nulls, i, || Value::Int(v[i])),
             Column::Float(v, nulls) => nulled(nulls, i, || Value::Float(v[i])),
             Column::Bool(v, nulls) => nulled(nulls, i, || Value::Bool(v[i])),
-            Column::Text(v, nulls) => nulled(nulls, i, || Value::Text(v[i].as_str().to_owned())),
+            Column::Text(v, nulls) => nulled(nulls, i, || Value::Text(v.get(i).to_owned())),
             Column::Date(v, nulls) => nulled(nulls, i, || Value::Date(v[i])),
             Column::Mixed(v) => v[i].clone(),
         }
@@ -287,8 +331,8 @@ pub enum ColumnRef<'a> {
     Float(&'a [f64], &'a BitMask),
     /// Booleans with a null mask.
     Bool(&'a [bool], &'a BitMask),
-    /// Interned text with a null mask.
-    Text(&'a [Symbol], &'a BitMask),
+    /// Text cells with a null mask.
+    Text(&'a TextCells, &'a BitMask),
     /// Dates with a null mask.
     Date(&'a [Date], &'a BitMask),
     /// Row-wise fallback.
@@ -331,7 +375,7 @@ impl<'a> ColumnRef<'a> {
             ColumnRef::Int(v, nulls) => nulled(nulls, i, || Value::Int(v[i])),
             ColumnRef::Float(v, nulls) => nulled(nulls, i, || Value::Float(v[i])),
             ColumnRef::Bool(v, nulls) => nulled(nulls, i, || Value::Bool(v[i])),
-            ColumnRef::Text(v, nulls) => nulled(nulls, i, || Value::Text(v[i].as_str().to_owned())),
+            ColumnRef::Text(v, nulls) => nulled(nulls, i, || Value::Text(v.get(i).to_owned())),
             ColumnRef::Date(v, nulls) => nulled(nulls, i, || Value::Date(v[i])),
             ColumnRef::Mixed(v) => v[i].clone(),
         }
@@ -496,6 +540,29 @@ mod tests {
         assert!(matches!(col, Column::Float(..)));
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(format!("{:?}", col.value_at(i)), format!("{v:?}"));
+        }
+    }
+
+    #[test]
+    fn text_cells_share_one_buffer() {
+        let vals = [
+            Value::text("ab"),
+            Value::Null,
+            Value::text(""),
+            Value::text("日付"),
+        ];
+        let col = Column::build(vals.len(), |i| &vals[i]);
+        let Column::Text(cells, nulls) = &col else {
+            panic!("one text variant builds a text column: {col:?}");
+        };
+        assert_eq!(cells.len(), 4);
+        assert_eq!(
+            (0..4).map(|i| cells.get(i)).collect::<Vec<_>>(),
+            ["ab", "", "", "日付"]
+        );
+        assert!(nulls.get(1) && !nulls.get(2));
+        for (i, v) in vals.iter().enumerate() {
+            assert_eq!(&col.value_at(i), v);
         }
     }
 

@@ -38,7 +38,7 @@ pub mod value;
 pub use attribute::{
     Adornment, AttributeDef, AttributeKind, AttributePath, DataType, SubAttributeDef,
 };
-pub use column::{BitMask, ChunkColumns, Column, ColumnRef, ColumnSlot};
+pub use column::{BitMask, ChunkColumns, Column, ColumnRef, ColumnSlot, TextCells};
 pub use error::ModelError;
 pub use mart::{
     AttributeHints, ConnectionPattern, JoinPair, ServiceInterface, ServiceKind, ServiceMart,

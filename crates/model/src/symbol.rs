@@ -1,10 +1,14 @@
-//! Interned string symbols for attribute and atom names.
+//! Interned string symbols for names: attribute paths, query atoms,
+//! aliases and service names.
 //!
-//! The data plane repeats a small vocabulary of names (attribute paths,
-//! query atoms, service aliases) across millions of tuples. Interning each
-//! distinct name once in a process-wide table turns every per-tuple key into
-//! a `Copy` handle, removes the per-clone heap traffic of `String` keys, and
-//! makes equality a single pointer compare.
+//! The data plane repeats a small vocabulary of names across millions of
+//! tuples. Interning each distinct name once in a process-wide table
+//! turns every per-tuple key into a `Copy` handle, removes the per-clone
+//! heap traffic of `String` keys, and makes equality a single pointer
+//! compare. The table never frees an entry, so it is for that
+//! vocabulary only: values — text cells, join keys, query constants —
+//! never reach [`Symbol::intern`], and a daemon's table stops growing
+//! once its workload has named every attribute, atom and service.
 //!
 //! Determinism contract: `Hash` and `Ord` are defined over the *string
 //! content*, not the table address, so symbols hash and sort exactly like
@@ -67,10 +71,11 @@ impl Symbol {
     /// bounded by the *vocabulary* of the workload (attribute paths,
     /// atom aliases, service names), not by its volume: in a
     /// multi-tenant daemon the counter climbs while new query shapes
-    /// and domains arrive and plateaus once the vocabulary is covered.
-    /// A counter that keeps climbing at a steady rate signals a caller
-    /// interning unbounded data (e.g. tuple *values*) and must be
-    /// treated as a leak.
+    /// and domains arrive and plateaus once the vocabulary is covered
+    /// (`tests/retention.rs` holds the symbol count flat over 1 500
+    /// never-seen queries). A counter that keeps climbing at a steady
+    /// rate signals a caller interning unbounded data (e.g. tuple
+    /// *values*) and must be treated as a leak.
     pub fn table_bytes() -> usize {
         INTERNED_BYTES.load(Ordering::Relaxed)
     }

@@ -629,7 +629,7 @@ impl<'a> Cell<'a> {
 /// Row `i` of a column as a [`Cell`].
 #[inline(always)]
 fn cell_at<'a>(col: &ColumnRef<'a>, i: usize) -> Cell<'a> {
-    match col {
+    match *col {
         ColumnRef::Int(v, n) => {
             if n.get(i) {
                 Cell::Null
@@ -655,7 +655,7 @@ fn cell_at<'a>(col: &ColumnRef<'a>, i: usize) -> Cell<'a> {
             if n.get(i) {
                 Cell::Null
             } else {
-                Cell::T(v[i].as_str())
+                Cell::T(v.get(i))
             }
         }
         ColumnRef::Date(v, n) => {

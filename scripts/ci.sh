@@ -2,7 +2,9 @@
 # Full local CI gate: release build, tests, lints, formatting, and the
 # one performance step (benchmark/run.sh --smoke). The source scans —
 # the panic-site ratchet, the thread-spawn guard and the interpreted-
-# predicate guard — are tier-1 tests in tests/source_guards.rs.
+# predicate guard — are tier-1 tests in tests/source_guards.rs, and so
+# is the byte-identity of the repro experiments with repro_output.txt
+# and results/e*.json (tests/repro.rs).
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -27,11 +29,6 @@ cargo test -q --workspace
 echo "==> allocation budget (cargo test --release --test alloc_budget)"
 cargo test --release -q --test alloc_budget -- --nocapture | grep -o 'alloc_budget:.*'
 
-# The one-shot experiments share the fetch stack (CachingService) with
-# the daemon: their committed output must not move.
-echo "==> repro output is byte-identical to repro_output.txt"
-cargo run --release -q -p seco-bench --bin repro | diff - repro_output.txt
-
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -46,9 +43,8 @@ echo "==> benchmark harness tests"
 echo "==> benchmark/run.sh --smoke (writes only under benchmark/out/)"
 benchmark/run.sh --smoke
 
-# Nothing above may write to a tracked file: repro diffs against
-# repro_output.txt and rewrites results/e*.json byte for byte, the
-# benchmark builds offline against its committed benchmark/Cargo.lock.
+# Nothing above may write to a tracked file: the benchmark builds
+# offline against its committed benchmark/Cargo.lock.
 echo "==> git diff --exit-code (the run modified no tracked file)"
 git diff --exit-code
 

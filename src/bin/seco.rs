@@ -52,8 +52,8 @@
 //! depth, steals, morsels, worker busy time) after the service
 //! statistics.
 //!
-//! `--columnar` toggles column-wise consumption of chunk bodies
-//! (columnar hash-key extraction, zero-copy kernel inputs) and
+//! `--columnar` toggles column-wise consumption of fetched chunk
+//! bodies by pipe stages (zero-copy kernel inputs) and
 //! `--batch-eval` toggles the vectorized predicate kernels built on
 //! top of it; both default to `on` and are byte-identical to the
 //! row-at-a-time plane. Every flag default is taken from

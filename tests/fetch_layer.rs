@@ -105,3 +105,44 @@ fn cache_hit_after_breaker_opens_issues_no_service_call() {
     assert_eq!(rec.stats().calls, calls_before);
     assert_eq!(rec.stats().cache_hits, 1);
 }
+
+/// Without a resilient client nothing in a fetch stack depends on the
+/// clock, so both schedulers share one stack per service: bodies that
+/// deterministic runs warmed answer a pipelined run of the same plan.
+#[test]
+fn both_schedulers_share_the_warm_stacks_when_no_client_binds_a_clock() {
+    use search_computing::join::score_order;
+    use search_computing::server::ServerConfig;
+    use seco_bench::chain_scenario;
+
+    let (registry, query) = chain_scenario(4, 42);
+    let config = ServerConfig::default();
+    assert!(
+        config.engine.client.is_none(),
+        "the daemon default has none"
+    );
+    let best = optimize(&query, &registry, config.metric).expect("chain plans");
+    let shared = SharedState::new();
+    let calls = || registry.total_stats().calls;
+    let mut det = Vec::new();
+    for _ in 0..3 {
+        det = execute_plan_shared(&best.plan, &registry, config.engine, &shared)
+            .expect("synthetic services never fail")
+            .results;
+    }
+    let before = calls();
+    execute_plan_shared(&best.plan, &registry, config.engine, &shared).expect("warm det run");
+    assert_eq!(calls(), before, "a warm deterministic run calls nothing");
+    let par = execute_parallel_session(&best.plan, &registry, config.engine, Some(&shared), None)
+        .expect("warm pipelined run");
+    assert_eq!(
+        calls(),
+        before,
+        "the pipelined run finds the same warm bodies"
+    );
+    assert_eq!(shared.stack_count(), 4, "one stack per chain service");
+    let (mut det, mut par) = (det, par.results);
+    det.sort_by(score_order);
+    par.sort_by(score_order);
+    assert_eq!(par, det);
+}

@@ -8,7 +8,9 @@
 use search_computing::join::executor::{
     JoinOutcome, MemoryStream, ParallelJoinExecutor, ServiceStream,
 };
-use search_computing::join::{ColumnarOptions, JoinError, JoinIndexMode, JoinIndexOptions};
+use search_computing::join::{
+    ColumnarOptions, JoinError, JoinIndexMode, JoinIndexOptions, NaryJoin, NaryStage,
+};
 use search_computing::plan::{JoinSpec, PlanNode, SelectionNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
@@ -65,7 +67,7 @@ enum Pair {
     /// A seeded synthetic service pair under these decays, joined on
     /// `Link`.
     Decays(ScoreDecay, ScoreDecay),
-    /// A key-encoding edge case.
+    /// A join-key edge case.
     Edge(KeyEdge),
 }
 
@@ -380,4 +382,101 @@ fn both_executors_agree_with_and_without_the_index() {
     assert!(par_accel.join_stats.index_builds > 0);
     // The recorders saw the counters too (CLI `join:` line source).
     assert!(registry.total_stats().predicate_evals > 0);
+}
+
+/// `Int` keys above 2^53 promote to one `f64`, so the key of `2^53`
+/// and of `2^53 + 1` is one key. The n-ary kernel must still judge
+/// every such candidate by `=`, which tells the two apart: its answer
+/// equals the binary cascade's, with the index on and off.
+#[test]
+fn large_int_keys_that_promote_to_one_float_still_join_by_equality() {
+    let schema = ServiceSchema::new(
+        "S",
+        vec![AttributeDef::atomic("K", DataType::Int, Adornment::Output)],
+    )
+    .unwrap();
+    let big = 1i64 << 53;
+    let group = |atom: &str, keys: &[i64]| -> Vec<CompositeTuple> {
+        (keys.iter().enumerate())
+            .map(|(i, &k)| {
+                let row = Tuple::builder(&schema)
+                    .set("K", Value::Int(k))
+                    .score(1.0 - i as f64 / 8.0)
+                    .source_rank(i)
+                    .build()
+                    .unwrap();
+                CompositeTuple::single(atom, row)
+            })
+            .collect()
+    };
+    let groups = [
+        group("A", &[big, big + 1, big, 3]),
+        group("B", &[big + 1, big, big + 1, 3]),
+        group("C", &[big, big + 1, 3, big]),
+    ];
+    let eq = |l: &str, r: &str| {
+        vec![ResolvedPredicate::Join(JoinPredicate {
+            left: QualifiedPath::new(l, AttributePath::atomic("K")),
+            op: Comparator::Eq,
+            right: QualifiedPath::new(r, AttributePath::atomic("K")),
+        })]
+    };
+    let (ab, bc) = (eq("A", "B"), eq("B", "C"));
+    let mut schemas = SchemaMap::new();
+    for atom in ["A", "B", "C"] {
+        schemas.insert(atom.into(), &schema);
+    }
+    let cascade = |options: JoinIndexOptions| {
+        let exec = ParallelJoinExecutor {
+            predicates: &ab,
+            schemas: &schemas,
+            invocation: Invocation::merge_scan_even(),
+            completion: Completion::Rectangular,
+            h: 1,
+            k: 0,
+            options,
+            columnar: ColumnarOptions::default(),
+            pool: None,
+        };
+        let mut a = MemoryStream::new(groups[0].clone(), 2);
+        let mut b = MemoryStream::new(groups[1].clone(), 2);
+        let mid = exec.run(&mut a, &mut b).unwrap().results;
+        let exec = ParallelJoinExecutor {
+            predicates: &bc,
+            ..exec
+        };
+        let mut mid = MemoryStream::new(mid, 2);
+        let mut c = MemoryStream::new(groups[2].clone(), 2);
+        exec.run(&mut mid, &mut c).unwrap().results
+    };
+    let stage = |predicates| NaryStage {
+        predicates,
+        invocation: Invocation::merge_scan_even(),
+        completion: Completion::Rectangular,
+        h: 1,
+        k: 0,
+        left_chunk: 2,
+        right_chunk: 2,
+    };
+    let nary = NaryJoin {
+        schemas: &schemas,
+        pool: None,
+    }
+    .run(&groups, &[stage(&ab), stage(&bc)])
+    .unwrap()
+    .expect("disjoint single-atom groups with equi keys take the n-ary kernel");
+
+    let (off, hash) = (cascade(OFF), cascade(HASH));
+    assert_eq!(off, hash, "the binary index agrees with the nested loop");
+    // A=2^53 meets B=2^53 (row 1), B=2^53 meets C rows 0 and 3, and
+    // likewise for 2^53+1 and for 3: every one is a true equality.
+    assert!(!off.is_empty());
+    for c in &off {
+        let keys: Vec<&Value> = c.components.iter().map(|t| t.atomic_at(0)).collect();
+        assert!(keys.iter().all(|k| *k == keys[0]), "{keys:?}");
+    }
+    assert_eq!(
+        nary.results, off,
+        "the n-ary kernel agrees with the cascade"
+    );
 }

@@ -7,6 +7,7 @@
 //! the daemon's own `/stats` document after far more one-off queries
 //! than either cache can hold. Counts only, no timing.
 
+use search_computing::model::Symbol;
 use search_computing::optimizer::plan_cache::BUDGET_BYTES;
 use search_computing::prelude::*;
 use search_computing::query::Operand;
@@ -43,6 +44,10 @@ fn never_seen_queries_leave_both_caches_within_their_bounds() {
     // an eighth of its capacity (rounded up per shard), nothing proven.
     let unproven_bound = 4 * (shards * capacity.div_ceil(shards).div_ceil(8)) as u64;
     let mut peak_bodies = 0;
+    // The interner holds vocabulary (attribute paths, atoms, aliases,
+    // service names), never values: once the first queries have named
+    // it all, no further query adds a symbol.
+    let mut symbols_at_500 = 0;
 
     for n in 0..QUERIES {
         let mut query = template.clone();
@@ -63,7 +68,15 @@ fn never_seen_queries_leave_both_caches_within_their_bounds() {
             assert!(bodies <= unproven_bound, "{doc}");
             peak_bodies = peak_bodies.max(bodies);
         }
+        if n + 1 == 500 {
+            symbols_at_500 = Symbol::table_len();
+        }
     }
+    assert_eq!(
+        Symbol::table_len(),
+        symbols_at_500,
+        "queries 501..{QUERIES} interned new symbols"
+    );
 
     let doc = state.stats_json();
     let plans = stat(&doc, "plan_cache_entries");
