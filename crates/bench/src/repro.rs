@@ -15,7 +15,7 @@ use seco_join::optimality::{
 };
 use seco_join::tile::TileSpace;
 use seco_join::JoinMethod;
-use seco_model::{AttributePath, Comparator, ScoreDecay, ScoringFunction, Value};
+use seco_model::{AttributePath, Comparator, CompositeTuple, ScoreDecay, ScoringFunction, Value};
 use seco_optimizer::exhaustive::optimize_exhaustive_with_costs;
 use seco_optimizer::phase1::enumerate_assignments;
 use seco_optimizer::phase2::enumerate_topologies;
@@ -1059,20 +1059,27 @@ fn e16(out: &mut Report) -> Result<(), DynError> {
         });
         let rs = ResultSet::new(outcome.results.clone(), query.ranking.clone());
         let par = execute_parallel(&best.plan, &registry, EngineConfig::default())?;
+        // The schedulers agree when they deliver the same combinations,
+        // in whatever order.
+        let rendered = |results: &[CompositeTuple]| {
+            let mut rows: Vec<String> = results.iter().map(|c| c.to_string()).collect();
+            rows.sort_unstable();
+            rows
+        };
+        let agrees = rendered(&par.results) == rendered(&outcome.results);
         say!(
             out,
-            "{:<16} emitted {:>3} / sound: {sound} / calls {:>3} / inversion rate {:.3} / parallel executor agrees: {}",
+            "{:<16} emitted {:>3} / sound: {sound} / calls {:>3} / inversion rate {:.3} / parallel executor agrees: {agrees}",
             metric.to_string(),
             outcome.results.len(),
             outcome.total_calls,
             rs.ranking_inversion_rate(),
-            par.results.len() == outcome.results.len(),
         );
         rows.push(serde_json::json!({
             "metric": metric.to_string(), "emitted": outcome.results.len(),
             "oracle": oracle.len(), "sound": sound, "calls": outcome.total_calls,
             "inversion_rate": rs.ranking_inversion_rate(),
-            "parallel_agrees": par.results.len() == outcome.results.len(),
+            "parallel_agrees": agrees,
         }));
     }
     out.save("e16", serde_json::json!(rows))

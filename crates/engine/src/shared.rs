@@ -79,8 +79,8 @@ impl SharedState {
         }
     }
 
-    /// Daemon-grade state: join morsels, optimizer fan-out and
-    /// plan-node tasks all run on one work-stealing pool of
+    /// Daemon-grade state: join morsels and plan-node tasks (and an
+    /// optimizer search given this pool) run on one work-stealing pool of
     /// `exec_workers` threads owned by this value and stopped when it
     /// drops. With one worker the join kernels take their exact serial
     /// path; with more, an ordered reducer keeps their output

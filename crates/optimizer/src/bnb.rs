@@ -11,7 +11,11 @@
 //!
 //! `Optimizer::search` is the one loop over topologies: a full
 //! optimization hands it every enumerated topology, a suffix re-plan
-//! ([`crate::replan`]) the restricted ones plus a `Seed`.
+//! ([`crate::replan`]) the restricted ones plus a `Seed`. A topology
+//! arrives in phase 2's compact form ([`Topology`]): the search bounds
+//! and instantiates its node table ([`Space::annotator`]) and builds a
+//! `QueryPlan` ([`Space::materialize`]) only when its instantiated cost
+//! reaches the incumbent check — 6 of the 4-atom star's 126 topologies.
 //!
 //! # Parallel search
 //!
@@ -44,8 +48,7 @@ use std::vec;
 
 use parking_lot::Mutex;
 use seco_exec::ExecPool;
-use seco_plan::{AnnotatedPlan, AnnotationConfig, DeltaAnnotator, QueryPlan};
-use seco_query::feasibility::FeasibilityReport;
+use seco_plan::{AnnotatedPlan, QueryPlan};
 use seco_query::Query;
 use seco_services::ServiceRegistry;
 
@@ -53,8 +56,8 @@ use crate::cost::CostMetric;
 use crate::error::OptError;
 use crate::heuristics::HeuristicSet;
 use crate::phase1::enumerate_assignments;
-use crate::phase2::{enumerate_topologies, DEFAULT_MAX_TOPOLOGIES};
-use crate::phase3::{assign_fetches_seeded, reset_fetches, FetchPins, Phase3Stats};
+use crate::phase2::{Space, Topology, DEFAULT_MAX_TOPOLOGIES};
+use crate::phase3::{growable, instantiate, FetchPins, Phase3Stats};
 use crate::plan_cache::{query_fingerprint, PlanCache};
 
 /// Exploration statistics of one optimization run (the Fig. 8
@@ -153,19 +156,19 @@ pub(crate) struct Seed {
     pub cost: f64,
 }
 
-/// Phase-2 topologies, each next to the feasibility analysis of the
-/// interface assignment it was enumerated for.
+/// Phase-2 topologies, each next to the space of the interface
+/// assignment it was enumerated for.
 pub(crate) struct Topologies {
-    /// One analysis per feasible assignment.
-    pub reports: Vec<FeasibilityReport>,
-    /// `(index into reports, topology)`, in enumeration order.
-    pub items: Vec<(usize, QueryPlan)>,
+    /// One space per feasible assignment.
+    pub spaces: Vec<Space>,
+    /// `(index into spaces, topology)`, in enumeration order.
+    pub items: Vec<(usize, Topology)>,
 }
 
 /// A candidate incumbent: the total tie-break order is
 /// `(cost, canonical key, rank)`, which is schedule-independent. Only a
 /// candidate that costs no more than the incumbent is built, so only
-/// those pay for the key.
+/// those pay for the plan and its key.
 struct Candidate {
     cost: f64,
     key: String,
@@ -188,13 +191,12 @@ impl Candidate {
 
 /// State shared by the search workers.
 struct Shared {
-    /// The assignments' feasibility analyses.
-    reports: Vec<FeasibilityReport>,
+    /// The assignments' spaces, each with the fetch factors its items
+    /// keep, by atom index (empty for a full search).
+    spaces: Vec<(Space, Vec<Option<u32>>)>,
     /// The (assignment × topology) work items not yet claimed, with
     /// their enumeration index.
-    queue: Mutex<Enumerate<vec::IntoIter<(usize, QueryPlan)>>>,
-    /// Fetch factors every item keeps (empty for a full search).
-    pins: FetchPins,
+    queue: Mutex<Enumerate<vec::IntoIter<(usize, Topology)>>>,
     /// Incumbent cost as f64 bits (monotonically decreasing; stale
     /// reads weaken pruning but never break it).
     bound_bits: AtomicU64,
@@ -235,10 +237,22 @@ impl Shared {
             None => (FetchPins::new(), None),
         };
         let bound = best.as_ref().map_or(f64::INFINITY, |b| b.cost);
+        let spaces = topologies
+            .spaces
+            .into_iter()
+            .map(|space| {
+                let pins = match pins.is_empty() {
+                    true => Vec::new(),
+                    false => (space.query().atoms.iter())
+                        .map(|a| pins.get(&a.alias).copied())
+                        .collect(),
+                };
+                (space, pins)
+            })
+            .collect();
         Shared {
-            reports: topologies.reports,
+            spaces,
             queue: Mutex::new(topologies.items.into_iter().enumerate()),
-            pins,
             bound_bits: AtomicU64::new(bound.to_bits()),
             best: Mutex::new(best),
             stop: AtomicBool::new(false),
@@ -334,24 +348,17 @@ impl<'a> Optimizer<'a> {
     pub(crate) fn enumerate(&self, query: &Query) -> Result<(Topologies, SearchStats), OptError> {
         let assignments = enumerate_assignments(query, self.registry, self.heuristics.phase1)?;
         let mut topologies = Topologies {
-            reports: Vec::with_capacity(assignments.len()),
+            spaces: Vec::with_capacity(assignments.len()),
             items: Vec::new(),
         };
         for (i, assignment) in assignments.into_iter().enumerate() {
-            let plans = enumerate_topologies(
-                &assignment.query,
-                self.registry,
-                &assignment.report,
-                self.heuristics.phase2,
-                self.max_topologies,
-            )?;
-            topologies
-                .items
-                .extend(plans.into_iter().map(|plan| (i, plan)));
-            topologies.reports.push(assignment.report);
+            let space = Space::new(assignment.query, self.registry, &assignment.report)?;
+            let walked = space.topologies(self.heuristics.phase2, self.max_topologies);
+            topologies.items.extend(walked.into_iter().map(|t| (i, t)));
+            topologies.spaces.push(space);
         }
         let stats = SearchStats {
-            assignments: topologies.reports.len(),
+            assignments: topologies.spaces.len(),
             topologies: topologies.items.len(),
             ..SearchStats::default()
         };
@@ -451,73 +458,71 @@ impl<'a> Optimizer<'a> {
             let Some((idx, (assignment, topology))) = shared.queue.lock().next() else {
                 return;
             };
-            let Some(report) = shared.reports.get(assignment) else {
+            let Some((space, pins)) = shared.spaces.get(assignment) else {
                 return;
             };
-            if let Err(e) = self.process_item(idx, topology, report, shared, k) {
+            if let Err(e) = self.process_item(idx, space, pins, &topology, shared, k) {
                 shared.fail(e);
                 return;
             }
         }
     }
 
-    /// Bound and, if surviving, fully instantiate one topology.
+    /// Bound and, if surviving, fully instantiate one topology; build
+    /// its plan only if it can still beat or tie the incumbent.
     fn process_item(
         &self,
         idx: usize,
-        mut plan: QueryPlan,
-        report: &FeasibilityReport,
+        space: &Space,
+        pins: &[Option<u32>],
+        topology: &Topology,
         shared: &Shared,
         k: usize,
     ) -> Result<(), OptError> {
-        reset_fetches(&mut plan, &shared.pins)?;
-
         // One full annotation serves both the lower bound and the
-        // phase-3 starting point. Phase 2 validated the topology and
-        // phase 1 analyzed its assignment.
-        let annotator = DeltaAnnotator::with_report(
-            &plan,
-            self.registry,
-            report,
-            &AnnotationConfig::default(),
-        )?;
+        // phase-3 starting point.
+        let mut annotator = space.annotator(topology, pins)?;
         shared.annotate_full.fetch_add(1, Ordering::Relaxed);
-        let lower_bound = self
-            .metric
-            .evaluate(&plan, annotator.annotated(), self.registry)?;
+        let lower_bound = self.metric.cost_of(&annotator);
         if lower_bound > shared.bound() {
             shared.pruned.fetch_add(1, Ordering::Relaxed);
             #[cfg(debug_assertions)]
             shared.pruned_bounds.lock().push(lower_bound);
             return Ok(());
         }
+        let pinned = |id| {
+            topology
+                .service_atom(id)
+                .is_some_and(|atom| pins.get(atom).copied().flatten().is_some())
+        };
+        let growable = growable(annotator.table(), pinned);
         let mut p3 = Phase3Stats::default();
-        let instantiation = assign_fetches_seeded(
-            &mut plan,
-            self.registry,
+        let instantiation = instantiate(
+            &mut annotator,
+            &growable,
             k,
             self.heuristics.phase3,
             self.metric,
-            annotator,
-            &shared.pins,
             &mut p3,
         );
         shared.add_phase3(&p3);
 
         match instantiation {
-            Ok(annotated) => {
+            Ok(()) => {
                 let instantiated = shared.instantiated.fetch_add(1, Ordering::Relaxed) + 1;
-                let cost = self.metric.evaluate(&plan, &annotated, self.registry)?;
+                let cost = self.metric.cost_of(&annotator);
                 // The bound is the incumbent's cost or a stale, higher
                 // one: a candidate above it cannot beat the incumbent.
                 let above = cost > shared.bound();
                 if !above {
+                    let plan =
+                        space.materialize(topology, |id| annotator.fetches(id).unwrap_or(1))?;
                     let candidate = Candidate {
                         cost,
                         key: plan.canonical_key(),
                         rank: idx + 1,
                         plan,
-                        annotated,
+                        annotated: annotator.into_annotated(),
                     };
                     let mut best = shared.best.lock();
                     let replace = best.as_ref().map(|b| candidate.beats(b)).unwrap_or(true);

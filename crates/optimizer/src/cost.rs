@@ -23,7 +23,8 @@
 
 use std::fmt;
 
-use seco_plan::{AnnotatedPlan, NodeId, PlanNode, QueryPlan};
+use seco_plan::{AnnotatedPlan, Annotation, DeltaAnnotator, NodeParams, NodeTable, QueryPlan};
+use seco_query::feasibility::analyze;
 use seco_services::ServiceRegistry;
 
 use crate::error::OptError;
@@ -55,39 +56,62 @@ impl CostMetric {
         ]
     }
 
-    /// Evaluates the metric on an annotated plan.
+    /// The metric over a node table, its nodes' annotations (by node
+    /// index) and its per-service call sums (in the table's service
+    /// order): the one cost arithmetic, which every other entry runs.
+    pub fn cost(
+        &self,
+        table: &NodeTable,
+        annotations: &[Annotation],
+        service_calls: &[f64],
+    ) -> f64 {
+        let calls = |i: usize| annotations.get(i).map_or(0.0, |a| a.calls);
+        let services = (0..table.len()).filter_map(|i| match table.node(i) {
+            NodeParams::Service(s) => Some((i, s)),
+            _ => None,
+        });
+        match self {
+            CostMetric::ExecutionTime => critical_path(table, calls, false),
+            CostMetric::TimeToScreen => critical_path(table, calls, true),
+            CostMetric::Sum => {
+                let mut total = 0.0;
+                for (i, s) in services {
+                    total += calls(i) * s.cost_per_call;
+                }
+                total
+            }
+            CostMetric::RequestCount => service_calls.iter().sum(),
+            CostMetric::Bottleneck => {
+                let mut worst: f64 = 0.0;
+                for (i, s) in services {
+                    worst = worst.max(calls(i) * s.response_time_ms);
+                }
+                worst
+            }
+        }
+    }
+
+    /// The metric of an annotator's current annotation.
+    pub fn cost_of(&self, annotator: &DeltaAnnotator) -> f64 {
+        self.cost(
+            annotator.table(),
+            annotator.annotations(),
+            annotator.service_calls(),
+        )
+    }
+
+    /// Evaluates the metric on an annotated plan: [`Self::cost`] over the
+    /// plan's [`NodeTable`].
     pub fn evaluate(
         &self,
         plan: &QueryPlan,
         annotated: &AnnotatedPlan,
         registry: &ServiceRegistry,
     ) -> Result<f64, OptError> {
-        match self {
-            CostMetric::ExecutionTime => critical_path(plan, annotated, registry, false),
-            CostMetric::TimeToScreen => critical_path(plan, annotated, registry, true),
-            CostMetric::Sum => {
-                let mut total = 0.0;
-                for id in plan.node_ids() {
-                    if let PlanNode::Service(node) = plan.node(id)? {
-                        let iface = registry.interface(&node.service)?;
-                        total += annotated.annotation(id).calls * iface.stats.cost_per_call;
-                    }
-                }
-                Ok(total)
-            }
-            CostMetric::RequestCount => Ok(annotated.total_calls()),
-            CostMetric::Bottleneck => {
-                let mut worst: f64 = 0.0;
-                for id in plan.node_ids() {
-                    if let PlanNode::Service(node) = plan.node(id)? {
-                        let iface = registry.interface(&node.service)?;
-                        worst = worst
-                            .max(annotated.annotation(id).calls * iface.stats.response_time_ms);
-                    }
-                }
-                Ok(worst)
-            }
-        }
+        let report = analyze(&plan.query, registry)?;
+        let table = NodeTable::from_plan(plan, registry, &report)?;
+        let service_calls: Vec<f64> = annotated.calls_by_service.values().copied().collect();
+        Ok(self.cost(&table, annotated.annotations(), &service_calls))
     }
 }
 
@@ -104,51 +128,29 @@ impl fmt::Display for CostMetric {
     }
 }
 
-/// Longest-path elapsed time. `first_tuple` switches every service node
-/// to a single call (time-to-screen).
-fn critical_path(
-    plan: &QueryPlan,
-    annotated: &AnnotatedPlan,
-    registry: &ServiceRegistry,
-    first_tuple: bool,
-) -> Result<f64, OptError> {
-    let order = plan.topo_order()?;
-    let mut finish = vec![0.0f64; plan.len()];
-    for id in order {
-        let start = plan
-            .predecessors(id)
+/// Longest-path elapsed time: a service node contributes `calls ×
+/// response_time`, every other node nothing ("once a chunk is retrieved
+/// […] join requires simple main-memory comparison operations and can be
+/// neglected", §4.1). `first_tuple` switches every service node to a
+/// single call (time-to-screen).
+fn critical_path(table: &NodeTable, calls: impl Fn(usize) -> f64, first_tuple: bool) -> f64 {
+    let mut finish = vec![0.0f64; table.len()];
+    for id in table.topo() {
+        let start = table
+            .preds(id.0)
             .iter()
-            .map(|p| finish[p.0])
+            .map(|p| finish[*p])
             .fold(0.0f64, f64::max);
-        let own = node_time(plan, annotated, registry, id, first_tuple)?;
+        let own = match table.node(id.0) {
+            NodeParams::Service(s) => {
+                let calls = if first_tuple { 1.0 } else { calls(id.0) };
+                calls * s.response_time_ms
+            }
+            _ => 0.0,
+        };
         finish[id.0] = start + own;
     }
-    Ok(finish[plan.output().0])
-}
-
-fn node_time(
-    plan: &QueryPlan,
-    annotated: &AnnotatedPlan,
-    registry: &ServiceRegistry,
-    id: NodeId,
-    first_tuple: bool,
-) -> Result<f64, OptError> {
-    Ok(match plan.node(id)? {
-        PlanNode::Service(node) => {
-            let iface = registry.interface(&node.service)?;
-            let calls = if first_tuple {
-                1.0
-            } else {
-                annotated.annotation(id).calls
-            };
-            calls * iface.stats.response_time_ms
-        }
-        // Join, selection, input, and output are main-memory operations;
-        // the chapter's cost model neglects them ("once a chunk is
-        // retrieved […] join requires simple main-memory comparison
-        // operations and can be neglected", §4.1).
-        _ => 0.0,
-    })
+    finish[table.output()]
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@ use crate::cost::CostMetric;
 use crate::error::OptError;
 use crate::heuristics::HeuristicSet;
 use crate::phase1::enumerate_assignments;
-use crate::phase2::{enumerate_topologies, DEFAULT_MAX_TOPOLOGIES};
-use crate::phase3::assign_fetches;
+use crate::phase2::{Space, DEFAULT_MAX_TOPOLOGIES};
+use crate::phase3::{growable, instantiate, Phase3Stats};
 
 /// Fully enumerates and costs the plan space; returns the optimum and
 /// the per-plan costs of everything explored.
@@ -44,27 +44,33 @@ pub fn optimize_exhaustive_with_costs(
 
     let assignments = enumerate_assignments(query, registry, heuristics.phase1)?;
     stats.assignments = assignments.len();
-    for assignment in &assignments {
-        let topologies = enumerate_topologies(
-            &assignment.query,
-            registry,
-            &assignment.report,
-            heuristics.phase2,
-            DEFAULT_MAX_TOPOLOGIES,
-        )?;
+    for assignment in assignments {
+        let space = Space::new(assignment.query, registry, &assignment.report)?;
+        let topologies = space.topologies(heuristics.phase2, DEFAULT_MAX_TOPOLOGIES);
         stats.topologies += topologies.len();
-        for topology in topologies {
-            let mut plan = topology;
-            match assign_fetches(&mut plan, registry, query.k, heuristics.phase3, metric) {
-                Ok(annotated) => {
+        for topology in &topologies {
+            let mut annotator = space.annotator(topology, &[])?;
+            let growable = growable(annotator.table(), |_| false);
+            let instantiation = instantiate(
+                &mut annotator,
+                &growable,
+                query.k,
+                heuristics.phase3,
+                metric,
+                &mut Phase3Stats::default(),
+            );
+            match instantiation {
+                Ok(()) => {
                     stats.instantiated += 1;
-                    let cost = metric.evaluate(&plan, &annotated, registry)?;
+                    let cost = metric.cost_of(&annotator);
                     costs.push(cost);
                     let better = incumbent.as_ref().map(|b| cost < b.cost).unwrap_or(true);
                     if better {
+                        let plan =
+                            space.materialize(topology, |id| annotator.fetches(id).unwrap_or(1))?;
                         incumbent = Some(Optimized {
                             plan,
-                            annotated,
+                            annotated: annotator.into_annotated(),
                             cost,
                             stats: SearchStats::default(),
                         });

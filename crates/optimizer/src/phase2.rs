@@ -46,14 +46,20 @@
 //! so two ids are equal exactly when the canonical strings
 //! `S[atom](…)`, `F[arity](…)`, `J(…|…)` of the `#[cfg(test)]`
 //! reference walk are. The nodes of the partial plan live on one trail
-//! that the depth-first walk pushes and truncates; a `QueryPlan` is
-//! built, and validated, only for an emitted leaf.
+//! that the depth-first walk pushes and truncates, and an emitted leaf
+//! is a copy of that trail: a compact [`Topology`]. The search annotates
+//! and costs a topology's node table ([`Space::annotator`]) without a
+//! `QueryPlan`; [`Space::materialize`] builds and validates one only for
+//! a topology that can still win, for the suffix re-plan's prefix
+//! filter, and for [`enumerate_topologies`].
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use seco_plan::{
-    Completion, Invocation, JoinSpec, NodeId, PlanError, PlanNode, QueryPlan, SelectionNode,
-    ServiceNode,
+    pipe_selectivity, AnnotationConfig, Completion, DeltaAnnotator, Invocation, JoinSpec, NodeId,
+    NodeParams, NodeTable, PlanError, PlanNode, QueryPlan, SelectionNode, ServiceNode,
+    ServiceParams,
 };
 use seco_query::feasibility::{BindingSource, FeasibilityReport};
 use seco_query::{JoinPredicate, Query};
@@ -81,17 +87,16 @@ fn members(mut mask: Mask) -> impl Iterator<Item = usize> {
     })
 }
 
-/// What the walk needs to know about one query atom.
+/// What the walk and the node tables need to know about one query atom.
 struct AtomInfo {
-    /// Output per input, for the selective-first ordering (smaller =
-    /// more selective = earlier).
-    estimate: f64,
     /// Pipe sources.
     sources: Mask,
     /// Selection predicates on this atom that no input binding absorbs,
     /// in query order, and the product of their estimates.
     selections: Vec<usize>,
     selectivity: f64,
+    /// Its service node's statistics at fetch factor 1.
+    service: ServiceParams,
 }
 
 /// What the walk needs to know about one join predicate.
@@ -102,22 +107,68 @@ struct JoinInfo {
     pair_selectivity: f64,
 }
 
-/// Context shared by the enumeration.
-struct Ctx<'a> {
-    query: &'a Query,
+/// The topology space of one feasible interface assignment: the query,
+/// and everything about its atoms and joins that phase 2 and the
+/// branch-and-bound read, resolved once against the registry.
+///
+/// [`Space::topologies`] walks the space into compact [`Topology`]s;
+/// [`Space::annotator`] builds a topology's node table without a
+/// [`QueryPlan`], and [`Space::materialize`] builds the plan itself,
+/// which the search does only for a topology that can still win.
+pub struct Space {
+    query: Query,
     joins: Vec<JoinPredicate>,
     atoms: Vec<AtomInfo>,
     join_info: Vec<JoinInfo>,
     /// Joins a node may carry: those no pipe absorbs.
     open_joins: Mask,
     all_atoms: Mask,
-    heuristic: Phase2Heuristic,
-    max: usize,
+    /// The atoms most selective first — by output per input (smaller =
+    /// more selective = earlier), then alias.
+    order: Vec<usize>,
+    /// The atoms' distinct services, in name order.
+    services: Arc<[String]>,
+}
+
+/// A phase-2 topology in compact form: the trail of nodes the walk
+/// pushed, over atom and join indexes. Node `i` of the trail is node
+/// `i + 2` of the plan it materializes into (the input is node 0, the
+/// output node 1), and `last` feeds the output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Topology {
+    steps: Vec<Step>,
+    last: usize,
+}
+
+impl Topology {
+    /// The atom whose service node is node `id`, if it is one.
+    pub(crate) fn service_atom(&self, id: usize) -> Option<usize> {
+        match self.steps.get(id.checked_sub(FIRST_TRAIL_NODE)?)?.node {
+            StepNode::Service(atom) => Some(atom),
+            _ => None,
+        }
+    }
+
+    /// The arcs of the materialized plan, in the order it connects them.
+    fn edges(&self) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::with_capacity(self.steps.len() + 2);
+        for (i, step) in self.steps.iter().enumerate() {
+            let id = NodeId(FIRST_TRAIL_NODE + i);
+            edges.extend(
+                std::iter::once(step.first)
+                    .chain(step.second)
+                    .map(|p| (NodeId(p), id)),
+            );
+        }
+        edges.push((NodeId(self.last), NodeId(OUTPUT_NODE)));
+        edges
+    }
 }
 
 /// Enumerates the topologies for one feasible assignment, in heuristic
-/// order, deduplicated by canonical structure. `report` is the
-/// feasibility analysis of `query` under `registry`.
+/// order, deduplicated by canonical structure, each materialized into a
+/// validated [`QueryPlan`]. `report` is the feasibility analysis of
+/// `query` under `registry`.
 pub fn enumerate_topologies(
     query: &Query,
     registry: &ServiceRegistry,
@@ -125,139 +176,278 @@ pub fn enumerate_topologies(
     heuristic: Phase2Heuristic,
     max: usize,
 ) -> Result<Vec<QueryPlan>, OptError> {
-    query.validate()?;
-    let joins = query.expanded_joins(registry)?;
-    let n = query.atoms.len();
-    if n > Mask::BITS as usize || joins.len() > Mask::BITS as usize {
-        return Err(OptError::Plan(PlanError::Invalid {
-            detail: format!(
-                "phase 2 enumerates at most {} atoms and {} join predicates ({n} and {} given)",
-                Mask::BITS,
-                Mask::BITS,
-                joins.len()
-            ),
-        }));
-    }
-    let bit = |alias: &str| -> Result<Mask, OptError> { Ok(1 << query.atom_index(alias)?) };
+    let space = Space::new(query.clone(), registry, report)?;
+    space
+        .topologies(heuristic, max)
+        .iter()
+        .map(|topology| space.materialize(topology, |_| 1))
+        .collect()
+}
 
-    let mut atoms = Vec::with_capacity(n);
-    for atom in &query.atoms {
-        let sources = report
-            .predecessors_of(&atom.alias)
-            .into_iter()
-            .try_fold(0, |mask, s| Ok::<_, OptError>(mask | bit(s)?))?;
-        let mut selections = Vec::new();
-        let mut selectivity = 1.0;
-        for (i, s) in query.selections.iter().enumerate() {
-            if s.left.atom != atom.alias {
-                continue;
-            }
-            // Equality and order-comparison bindings on input paths are
-            // answered by the service itself ("openings after date X");
-            // only `Like` constraints and predicates on output
-            // attributes need a selection node.
-            let absorbed = report.dependencies.iter().any(|d| {
-                d.to_atom == s.left.atom
-                    && d.input == s.left.path
-                    && matches!(&d.source, BindingSource::Constant { op, .. } if *op != seco_model::Comparator::Like)
-            });
-            if absorbed {
-                continue;
-            }
-            // Hint-aware selectivity: equality on an attribute with a
-            // known distinct count is 1/distinct.
-            let mut estimate = s.op.default_selectivity();
-            if s.op == seco_model::Comparator::Eq {
-                if let Ok(iface) = registry.interface(&atom.service) {
-                    if let Some(hint) = iface.hints.eq_selectivity(&s.left.path) {
-                        estimate = hint;
+impl Space {
+    /// Resolves `query`'s atoms and joins under `registry`, with
+    /// `report` the feasibility analysis of `query` under it.
+    pub fn new(
+        query: Query,
+        registry: &ServiceRegistry,
+        report: &FeasibilityReport,
+    ) -> Result<Space, OptError> {
+        query.validate()?;
+        let joins = query.expanded_joins(registry)?;
+        let n = query.atoms.len();
+        if n > Mask::BITS as usize || joins.len() > Mask::BITS as usize {
+            return Err(OptError::Plan(PlanError::Invalid {
+                detail: format!(
+                    "phase 2 enumerates at most {} atoms and {} join predicates ({n} and {} given)",
+                    Mask::BITS,
+                    Mask::BITS,
+                    joins.len()
+                ),
+            }));
+        }
+        let bit = |alias: &str| -> Result<Mask, OptError> { Ok(1 << query.atom_index(alias)?) };
+
+        let mut services: Vec<&str> = query.atoms.iter().map(|a| a.service.as_str()).collect();
+        services.sort_unstable();
+        services.dedup();
+
+        let mut atoms = Vec::with_capacity(n);
+        for atom in &query.atoms {
+            let sources = report
+                .predecessors_of(&atom.alias)
+                .into_iter()
+                .try_fold(0, |mask, s| Ok::<_, OptError>(mask | bit(s)?))?;
+            let mut selections = Vec::new();
+            let mut selectivity = 1.0;
+            for (i, s) in query.selections.iter().enumerate() {
+                if s.left.atom != atom.alias {
+                    continue;
+                }
+                // Equality and order-comparison bindings on input paths are
+                // answered by the service itself ("openings after date X");
+                // only `Like` constraints and predicates on output
+                // attributes need a selection node.
+                let absorbed = report.dependencies.iter().any(|d| {
+                    d.to_atom == s.left.atom
+                        && d.input == s.left.path
+                        && matches!(&d.source, BindingSource::Constant { op, .. } if *op != seco_model::Comparator::Like)
+                });
+                if absorbed {
+                    continue;
+                }
+                // Hint-aware selectivity: equality on an attribute with a
+                // known distinct count is 1/distinct.
+                let mut estimate = s.op.default_selectivity();
+                if s.op == seco_model::Comparator::Eq {
+                    if let Ok(iface) = registry.interface(&atom.service) {
+                        if let Some(hint) = iface.hints.eq_selectivity(&s.left.path) {
+                            estimate = hint;
+                        }
                     }
                 }
+                selectivity *= estimate;
+                selections.push(i);
             }
-            selectivity *= estimate;
-            selections.push(i);
-        }
-        let estimate = match registry.interface(&atom.service) {
-            Ok(iface) if iface.kind.is_chunked() => iface.stats.chunk_size as f64,
-            Ok(iface) => iface.stats.avg_cardinality,
-            Err(_) => f64::MAX,
-        };
-        atoms.push(AtomInfo {
-            estimate,
-            sources,
-            selections,
-            selectivity,
-        });
-    }
-
-    let mut join_info = Vec::with_capacity(joins.len());
-    let mut open_joins: Mask = 0;
-    for (i, j) in joins.iter().enumerate() {
-        // A join predicate is absorbed by a pipe when some piped binding
-        // uses exactly its attribute pair.
-        let piped = j.op == seco_model::Comparator::Eq
-            && report.dependencies.iter().any(|dep| match &dep.source {
-                BindingSource::Piped {
-                    from_atom,
-                    from_path,
-                } => {
-                    let forward = j.left.atom == *from_atom
-                        && j.left.path == *from_path
-                        && j.right.atom == dep.to_atom
-                        && j.right.path == dep.input;
-                    let backward = j.right.atom == *from_atom
-                        && j.right.path == *from_path
-                        && j.left.atom == dep.to_atom
-                        && j.left.path == dep.input;
-                    forward || backward
-                }
-                BindingSource::Constant { .. } => false,
+            let rank = services.partition_point(|s| *s < atom.service.as_str());
+            let pipe = pipe_selectivity(&query, registry, report, &atom.alias)?;
+            atoms.push(AtomInfo {
+                sources,
+                selections,
+                selectivity,
+                service: ServiceParams::resolve(registry, &atom.service, rank as u32, pipe)?,
             });
-        if !piped {
-            open_joins |= 1 << i;
         }
-        let (a, b) = if j.left.atom <= j.right.atom {
-            (&j.left.atom, &j.right.atom)
-        } else {
-            (&j.right.atom, &j.left.atom)
+
+        let mut join_info = Vec::with_capacity(joins.len());
+        let mut open_joins: Mask = 0;
+        for (i, j) in joins.iter().enumerate() {
+            // A join predicate is absorbed by a pipe when some piped binding
+            // uses exactly its attribute pair.
+            let piped = j.op == seco_model::Comparator::Eq
+                && report.dependencies.iter().any(|dep| match &dep.source {
+                    BindingSource::Piped {
+                        from_atom,
+                        from_path,
+                    } => {
+                        let forward = j.left.atom == *from_atom
+                            && j.left.path == *from_path
+                            && j.right.atom == dep.to_atom
+                            && j.right.path == dep.input;
+                        let backward = j.right.atom == *from_atom
+                            && j.right.path == *from_path
+                            && j.left.atom == dep.to_atom
+                            && j.left.path == dep.input;
+                        forward || backward
+                    }
+                    BindingSource::Constant { .. } => false,
+                });
+            if !piped {
+                open_joins |= 1 << i;
+            }
+            let (a, b) = if j.left.atom <= j.right.atom {
+                (&j.left.atom, &j.right.atom)
+            } else {
+                (&j.right.atom, &j.left.atom)
+            };
+            join_info.push(JoinInfo {
+                atoms: bit(&j.left.atom)? | bit(&j.right.atom)?,
+                pair_selectivity: query.join_selectivity(registry, a, b)?,
+            });
+        }
+
+        let estimate = |a: usize| {
+            let s = &atoms[a].service;
+            if s.chunked {
+                s.chunk_size
+            } else {
+                s.avg_cardinality
+            }
         };
-        join_info.push(JoinInfo {
-            atoms: bit(&j.left.atom)? | bit(&j.right.atom)?,
-            pair_selectivity: query.join_selectivity(registry, a, b)?,
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            estimate(a)
+                .partial_cmp(&estimate(b))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(query.atoms[a].alias.cmp(&query.atoms[b].alias))
         });
+        let services = services.into_iter().map(str::to_owned).collect();
+
+        Ok(Space {
+            joins,
+            atoms,
+            join_info,
+            open_joins,
+            all_atoms: if n == Mask::BITS as usize {
+                Mask::MAX
+            } else {
+                (1 << n) - 1
+            },
+            order,
+            services,
+            query,
+        })
     }
 
-    let ctx = Ctx {
-        query,
-        joins,
-        atoms,
-        join_info,
-        open_joins,
-        all_atoms: if n == Mask::BITS as usize {
-            Mask::MAX
-        } else {
-            (1 << n) - 1
-        },
-        heuristic,
-        max,
-    };
-    let mut walk = Walk {
-        ctx: &ctx,
-        trail: Vec::new(),
-        signatures: HashMap::new(),
-        visited: HashSet::new(),
-        key: Vec::new(),
-        seen: HashSet::new(),
-        out: Vec::new(),
-    };
-    let start = State {
-        branches: Vec::new(),
-        placed: 0,
-        assigned: 0,
-    };
-    walk.recurse(&start)?;
-    Ok(walk.out)
+    /// The assignment's query.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// The topologies of this space in heuristic order, deduplicated by
+    /// canonical structure, at most `max`.
+    pub fn topologies(&self, heuristic: Phase2Heuristic, max: usize) -> Vec<Topology> {
+        let mut walk = Walk {
+            ctx: self,
+            heuristic,
+            max,
+            trail: Vec::new(),
+            signatures: HashMap::new(),
+            visited: HashSet::new(),
+            key: Vec::new(),
+            seen: HashSet::new(),
+            out: Vec::new(),
+        };
+        let start = State {
+            branches: Vec::new(),
+            placed: 0,
+            assigned: 0,
+        };
+        walk.recurse(&start);
+        walk.out
+    }
+
+    /// A fresh annotator over `topology`'s node table, at fetch factor 1
+    /// except where `pins` (by atom index; shorter than the atom list
+    /// for none) fixes one. The table equals the one
+    /// [`NodeTable::from_plan`] builds from the materialized plan.
+    pub fn annotator(
+        &self,
+        topology: &Topology,
+        pins: &[Option<u32>],
+    ) -> Result<DeltaAnnotator, OptError> {
+        let mut nodes = Vec::with_capacity(FIRST_TRAIL_NODE + topology.steps.len());
+        nodes.extend([NodeParams::Input, NodeParams::Output]);
+        nodes.extend(topology.steps.iter().map(|step| match step.node {
+            StepNode::Service(atom) => NodeParams::Service(ServiceParams {
+                fetches: pins.get(atom).copied().flatten().unwrap_or(1),
+                ..self.atoms[atom].service
+            }),
+            StepNode::Selection(atom) => NodeParams::Selection {
+                selectivity: self.atoms[atom].selectivity.clamp(0.0, 1.0),
+            },
+            StepNode::JoinFilter(_, sel) => NodeParams::Selection {
+                selectivity: sel.clamp(0.0, 1.0),
+            },
+            StepNode::Join(_, sel) => NodeParams::Join {
+                selectivity: sel,
+                coverage: JOIN_COMPLETION.coverage_factor(),
+            },
+        }));
+        let table = NodeTable::new(
+            nodes,
+            &topology.edges(),
+            NodeId(OUTPUT_NODE),
+            Arc::clone(&self.services),
+        )?;
+        Ok(DeltaAnnotator::from_table(
+            table,
+            &AnnotationConfig::default(),
+        ))
+    }
+
+    /// Builds and validates the plan of `topology`, its service nodes
+    /// at the fetch factors `fetches` gives by node.
+    pub fn materialize(
+        &self,
+        topology: &Topology,
+        fetches: impl Fn(NodeId) -> u32,
+    ) -> Result<QueryPlan, OptError> {
+        let query = &self.query;
+        let mut plan = QueryPlan::new(query.clone());
+        for step in &topology.steps {
+            let node = match &step.node {
+                StepNode::Service(atom) => {
+                    let atom = &query.atoms[*atom];
+                    let mut node = ServiceNode::new(atom.alias.clone(), atom.service.clone());
+                    node.fetches = fetches(NodeId(plan.len()));
+                    PlanNode::Service(node)
+                }
+                StepNode::Selection(atom) => {
+                    let info = &self.atoms[*atom];
+                    let sels = info
+                        .selections
+                        .iter()
+                        .map(|&i| query.selections[i].clone())
+                        .collect();
+                    PlanNode::Selection(SelectionNode::new(sels).with_selectivity(info.selectivity))
+                }
+                StepNode::JoinFilter(joins, sel) => {
+                    PlanNode::Selection(SelectionNode::join_filter(self.predicates(*joins), *sel))
+                }
+                StepNode::Join(joins, sel) => PlanNode::ParallelJoin(JoinSpec {
+                    invocation: Invocation::merge_scan_even(),
+                    completion: JOIN_COMPLETION,
+                    predicates: self.predicates(*joins),
+                    selectivity: *sel,
+                }),
+            };
+            let id = plan.add(node);
+            for pred in std::iter::once(step.first).chain(step.second) {
+                plan.connect(NodeId(pred), id)?;
+            }
+        }
+        plan.connect(NodeId(topology.last), plan.output())?;
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    fn predicates(&self, joins: Mask) -> Vec<JoinPredicate> {
+        members(joins).map(|i| self.joins[i].clone()).collect()
+    }
 }
+
+/// The completion strategy of every parallel join phase 2 places.
+const JOIN_COMPLETION: Completion = Completion::Triangular;
 
 /// The signature id of the input node.
 const INPUT_SIGNATURE: u32 = 0;
@@ -269,8 +459,10 @@ const SERVICE: u8 = 0;
 const FILTER: u8 = 1;
 const JOIN: u8 = 2;
 
-/// Node index of the input node in every plan (the output is 1).
+/// Node index of the input node in every plan.
 const INPUT_NODE: usize = 0;
+/// Node index of the output node in every plan.
+const OUTPUT_NODE: usize = 1;
 /// Node index of the first trail node.
 const FIRST_TRAIL_NODE: usize = 2;
 
@@ -291,12 +483,14 @@ struct State {
 
 /// A node of the partial plan: `trail[i]` is node `FIRST_TRAIL_NODE + i`
 /// of the emitted plan, with arcs from `first` and then `second`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Step {
     node: StepNode,
     first: usize,
     second: Option<usize>,
 }
 
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum StepNode {
     /// The service node of an atom.
     Service(usize),
@@ -316,8 +510,10 @@ enum Move {
 }
 
 /// The depth-first walk's mutable state.
-struct Walk<'c, 'a> {
-    ctx: &'c Ctx<'a>,
+struct Walk<'c> {
+    ctx: &'c Space,
+    heuristic: Phase2Heuristic,
+    max: usize,
     /// The nodes of the current partial plan, in insertion order.
     trail: Vec<Step>,
     /// Hash-consed signature ids (the input node is id 0).
@@ -329,10 +525,10 @@ struct Walk<'c, 'a> {
     key: Vec<u32>,
     /// Signature ids of the emitted topologies' last nodes.
     seen: HashSet<u32>,
-    out: Vec<QueryPlan>,
+    out: Vec<Topology>,
 }
 
-impl Walk<'_, '_> {
+impl Walk<'_> {
     fn signature(&mut self, key: SignatureKey) -> u32 {
         let next = self.signatures.len() as u32 + 1;
         *self.signatures.entry(key).or_insert(next)
@@ -404,29 +600,10 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// The atoms placeable next: all pipe sources already placed, most
-    /// selective first.
-    fn placeable(&self, state: &State) -> Vec<usize> {
-        let atoms = &self.ctx.atoms;
-        let mut out: Vec<usize> = (0..atoms.len())
-            .filter(|&a| state.placed & (1 << a) == 0)
-            .filter(|&a| atoms[a].sources & !state.placed == 0)
-            .collect();
-        let alias = |a: usize| &self.ctx.query.atoms[a].alias;
-        out.sort_by(|&a, &b| {
-            atoms[a]
-                .estimate
-                .partial_cmp(&atoms[b].estimate)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(alias(a).cmp(alias(b)))
-        });
-        out
-    }
-
-    fn recurse(&mut self, state: &State) -> Result<(), OptError> {
+    fn recurse(&mut self, state: &State) {
         let ctx = self.ctx;
-        if self.out.len() >= ctx.max {
-            return Ok(());
+        if self.out.len() >= self.max {
+            return;
         }
         // Complete?
         if state.placed == ctx.all_atoms && state.branches.len() == 1 {
@@ -436,14 +613,19 @@ impl Walk<'_, '_> {
         self.key.extend(state.branches.iter().map(|b| b.signature));
         self.key.sort_unstable();
         if self.visited.contains(self.key.as_slice()) {
-            return Ok(());
+            return;
         }
         self.visited.insert(self.key.as_slice().into());
 
-        // Collect the possible moves, ordered by the heuristic.
+        // Collect the possible moves, ordered by the heuristic; the
+        // placeable atoms (every pipe source placed) come most selective
+        // first.
         let mut moves: Vec<Move> = Vec::new();
-        for atom in self.placeable(state) {
+        for &atom in &ctx.order {
             let sources = ctx.atoms[atom].sources;
+            if state.placed & (1 << atom) != 0 || sources & !state.placed != 0 {
+                continue;
+            }
             if sources == 0 {
                 // Constant-bound atom: may extend any branch or start a
                 // new parallel branch.
@@ -463,7 +645,7 @@ impl Walk<'_, '_> {
                 moves.push(Move::Merge { a, b });
             }
         }
-        if ctx.heuristic.parallel_first() {
+        if self.heuristic.parallel_first() {
             // Parallel-is-better: try new branches and merges before
             // serial extensions.
             moves.sort_by_key(|m| match m {
@@ -482,16 +664,15 @@ impl Walk<'_, '_> {
         }
 
         for mv in moves {
-            if self.out.len() >= ctx.max {
+            if self.out.len() >= self.max {
                 break;
             }
             let mark = self.trail.len();
             if let Some(next) = self.apply(state, mv) {
-                self.recurse(&next)?;
+                self.recurse(&next);
             }
             self.trail.truncate(mark);
         }
-        Ok(())
     }
 
     /// The state after `mv`, its nodes pushed on the trail; `None` for a
@@ -575,53 +756,15 @@ impl Walk<'_, '_> {
         }
     }
 
-    /// Emits the plan on the trail ending in `last`, unless a plan of
+    /// Emits the topology on the trail ending in `last`, unless one of
     /// the same signature already was.
-    fn emit(&mut self, last: Branch) -> Result<(), OptError> {
-        if !self.seen.insert(last.signature) {
-            return Ok(());
+    fn emit(&mut self, last: Branch) {
+        if self.seen.insert(last.signature) {
+            self.out.push(Topology {
+                steps: self.trail.clone(),
+                last: last.head,
+            });
         }
-        let ctx = self.ctx;
-        let query = ctx.query;
-        let mut plan = QueryPlan::new(query.clone());
-        for step in &self.trail {
-            let node = match &step.node {
-                StepNode::Service(atom) => {
-                    let atom = &query.atoms[*atom];
-                    PlanNode::Service(ServiceNode::new(atom.alias.clone(), atom.service.clone()))
-                }
-                StepNode::Selection(atom) => {
-                    let info = &ctx.atoms[*atom];
-                    let sels = info
-                        .selections
-                        .iter()
-                        .map(|&i| query.selections[i].clone())
-                        .collect();
-                    PlanNode::Selection(SelectionNode::new(sels).with_selectivity(info.selectivity))
-                }
-                StepNode::JoinFilter(joins, sel) => {
-                    PlanNode::Selection(SelectionNode::join_filter(self.predicates(*joins), *sel))
-                }
-                StepNode::Join(joins, sel) => PlanNode::ParallelJoin(JoinSpec {
-                    invocation: Invocation::merge_scan_even(),
-                    completion: Completion::Triangular,
-                    predicates: self.predicates(*joins),
-                    selectivity: *sel,
-                }),
-            };
-            let id = plan.add(node);
-            for pred in std::iter::once(step.first).chain(step.second) {
-                plan.connect(NodeId(pred), id)?;
-            }
-        }
-        plan.connect(NodeId(last.head), plan.output())?;
-        plan.validate()?;
-        self.out.push(plan);
-        Ok(())
-    }
-
-    fn predicates(&self, joins: Mask) -> Vec<JoinPredicate> {
-        members(joins).map(|i| self.ctx.joins[i].clone()).collect()
     }
 }
 

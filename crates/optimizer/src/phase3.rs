@@ -13,13 +13,18 @@
 //! **square-is-better** (keep the explored tuple counts of all chunked
 //! services balanced).
 //!
-//! Annotation is **incremental**: the topology is annotated once at
-//! ⟨1, …, 1⟩ (a [`DeltaAnnotator`]), and every trial or committed
-//! increment propagates only the changed node's downstream cone.
+//! Annotation is **incremental**: the topology's node table is
+//! annotated once at ⟨1, …, 1⟩ (a [`DeltaAnnotator`]), and every trial
+//! or committed increment propagates only the changed node's
+//! downstream cone and is costed on the same table
+//! ([`CostMetric::cost_of`]).
 
 use std::collections::BTreeMap;
 
-use seco_plan::{AnnotatedPlan, AnnotationConfig, DeltaAnnotator, NodeId, PlanNode, QueryPlan};
+use seco_plan::{
+    AnnotatedPlan, AnnotationConfig, DeltaAnnotator, NodeId, NodeParams, NodeTable, PlanNode,
+    QueryPlan,
+};
 use seco_services::ServiceRegistry;
 
 use crate::cost::CostMetric;
@@ -33,7 +38,7 @@ const MAX_ROUNDS: usize = 10_000;
 /// [`crate::SearchStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Phase3Stats {
-    /// Full-plan annotations (validate + feasibility + every node).
+    /// Full annotations (every node of a topology's table).
     pub annotate_full: usize,
     /// Delta propagations (downstream cone of one changed node).
     pub annotate_delta: usize,
@@ -43,17 +48,6 @@ pub struct Phase3Stats {
 /// services here, whose fetches are a fact of the past, not a degree of
 /// freedom. Empty for a full search.
 pub type FetchPins = BTreeMap<String, u32>;
-
-/// Sets every service node's fetch factor to its pin, or to 1, the
-/// lowest admissible value.
-pub(crate) fn reset_fetches(plan: &mut QueryPlan, pins: &FetchPins) -> Result<(), OptError> {
-    for i in 0..plan.len() {
-        if let PlanNode::Service(s) = plan.node_mut(NodeId(i))? {
-            s.fetches = pins.get(&s.atom).copied().unwrap_or(1);
-        }
-    }
-    Ok(())
-}
 
 /// Assigns fetch factors in place, from ⟨1, …, 1⟩, until the annotated
 /// plan yields at least `k` expected answers; returns the final
@@ -69,44 +63,54 @@ pub fn assign_fetches(
     heuristic: Phase3Heuristic,
     metric: CostMetric,
 ) -> Result<AnnotatedPlan, OptError> {
-    let pins = FetchPins::new();
-    reset_fetches(plan, &pins)?;
-    let annotator = DeltaAnnotator::new(plan, registry, &AnnotationConfig::default())?;
-    let mut stats = Phase3Stats::default();
-    assign_fetches_seeded(
-        plan, registry, k, heuristic, metric, annotator, &pins, &mut stats,
-    )
+    for i in 0..plan.len() {
+        if let PlanNode::Service(s) = plan.node_mut(NodeId(i))? {
+            s.fetches = 1;
+        }
+    }
+    let mut annotator = DeltaAnnotator::new(plan, registry, &AnnotationConfig::default())?;
+    let growable = growable(annotator.table(), |_| false);
+    let outcome = instantiate(
+        &mut annotator,
+        &growable,
+        k,
+        heuristic,
+        metric,
+        &mut Phase3Stats::default(),
+    );
+    for g in &growable {
+        if let PlanNode::Service(s) = plan.node_mut(g.id)? {
+            s.fetches = annotator.fetches(g.id).unwrap_or(1);
+        }
+    }
+    outcome.map(|()| annotator.into_annotated())
 }
 
-/// Phase 3 starting from a pre-built annotator positioned at the plan's
-/// current fetch vector — the branch-and-bound reuses the annotator it
-/// already built for the lower bound, so a surviving topology costs
-/// exactly one full annotation. Service nodes whose atom is in `pins`
-/// keep their current fetch factor.
-#[allow(clippy::too_many_arguments)]
-pub fn assign_fetches_seeded(
-    plan: &mut QueryPlan,
-    registry: &ServiceRegistry,
+/// Phase 3 on an annotator positioned at its table's current fetch
+/// vector: raises the factors of the `growable` nodes until the
+/// annotation yields at least `k` answers. The branch-and-bound reuses
+/// the annotator it already built for the lower bound, so a surviving
+/// topology costs exactly one full annotation.
+pub(crate) fn instantiate(
+    annotator: &mut DeltaAnnotator,
+    growable: &[Growable],
     k: usize,
     heuristic: Phase3Heuristic,
     metric: CostMetric,
-    mut annotator: DeltaAnnotator,
-    pins: &FetchPins,
     stats: &mut Phase3Stats,
-) -> Result<AnnotatedPlan, OptError> {
-    let growable = growable(plan, registry, pins)?;
+) -> Result<(), OptError> {
     let mut candidates = Vec::with_capacity(growable.len());
     for _ in 0..MAX_ROUNDS {
         if annotator.output_tuples() >= k as f64 {
-            return Ok(annotator.into_annotated());
+            return Ok(());
         }
         // The nodes whose factor can still usefully grow.
         candidates.clear();
-        for g in &growable {
-            if matches!(plan.node(g.id)?, PlanNode::Service(s) if s.fetches < g.max_chunks) {
-                candidates.push(*g);
-            }
-        }
+        candidates.extend(
+            growable
+                .iter()
+                .filter(|g| annotator.fetches(g.id).unwrap_or(1) < g.max_chunks),
+        );
         if candidates.is_empty() {
             return Err(OptError::Unreachable {
                 best_estimate: annotator.output_tuples(),
@@ -114,10 +118,8 @@ pub fn assign_fetches_seeded(
             });
         }
         let chosen = match heuristic {
-            Phase3Heuristic::Greedy => {
-                pick_greedy(plan, registry, &mut annotator, &candidates, metric, stats)?
-            }
-            Phase3Heuristic::SquareIsBetter => pick_square(plan, &candidates)?,
+            Phase3Heuristic::Greedy => pick_greedy(annotator, &candidates, metric, stats)?,
+            Phase3Heuristic::SquareIsBetter => pick_square(annotator, &candidates),
         };
         let Some(chosen) = chosen else {
             // No increment improves the estimate: the output is capped
@@ -130,9 +132,6 @@ pub fn assign_fetches_seeded(
         let next = annotator.fetches(chosen).unwrap_or(1) + 1;
         annotator.set_fetches(chosen, next)?;
         stats.annotate_delta += 1;
-        if let PlanNode::Service(s) = plan.node_mut(chosen)? {
-            s.fetches = next;
-        }
     }
     Err(OptError::Unreachable {
         best_estimate: annotator.output_tuples(),
@@ -144,33 +143,25 @@ pub fn assign_fetches_seeded(
 /// chunked and not `keep_first`. Its factor can usefully grow while it
 /// is below `max_chunks`, the service's expected chunk count.
 #[derive(Clone, Copy)]
-struct Growable {
+pub(crate) struct Growable {
     id: NodeId,
     max_chunks: u32,
     chunk_size: f64,
 }
 
-/// The plan's growable service nodes, in node-id order.
-fn growable(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
-    pins: &FetchPins,
-) -> Result<Vec<Growable>, OptError> {
-    let mut out = Vec::new();
-    for id in plan.node_ids() {
-        if let PlanNode::Service(node) = plan.node(id)? {
-            let iface = registry.interface(&node.service)?;
-            if !iface.kind.is_chunked() || node.keep_first || pins.contains_key(&node.atom) {
-                continue;
-            }
-            out.push(Growable {
-                id,
-                max_chunks: iface.stats.expected_chunks().max(1) as u32,
-                chunk_size: iface.stats.chunk_size as f64,
-            });
-        }
-    }
-    Ok(out)
+/// The table's growable service nodes, in node-id order; `pinned` says
+/// which service nodes keep their factor.
+pub(crate) fn growable(table: &NodeTable, pinned: impl Fn(usize) -> bool) -> Vec<Growable> {
+    (0..table.len())
+        .filter_map(|i| match table.node(i) {
+            NodeParams::Service(s) if s.chunked && !s.keep_first && !pinned(i) => Some(Growable {
+                id: NodeId(i),
+                max_chunks: s.expected_chunks.max(1) as u32,
+                chunk_size: s.chunk_size,
+            }),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Greedy over delta propagations: each candidate's trial bumps one
@@ -178,22 +169,20 @@ fn growable(
 /// recomputations. Picks the candidate with the highest Δoutput /
 /// Δcost.
 fn pick_greedy(
-    plan: &QueryPlan,
-    registry: &ServiceRegistry,
     annotator: &mut DeltaAnnotator,
     candidates: &[Growable],
     metric: CostMetric,
     stats: &mut Phase3Stats,
 ) -> Result<Option<NodeId>, OptError> {
     let base_out = annotator.output_tuples();
-    let base_cost = metric.evaluate(plan, annotator.annotated(), registry)?;
+    let base_cost = metric.cost_of(annotator);
     let mut best: Option<(NodeId, f64)> = None;
     for &Growable { id, .. } in candidates {
         let current = annotator.fetches(id).unwrap_or(1);
         annotator.set_fetches(id, current + 1)?;
         stats.annotate_delta += 1;
         let out = annotator.output_tuples();
-        let cost = metric.evaluate(plan, annotator.annotated(), registry)?;
+        let cost = metric.cost_of(annotator);
         annotator.set_fetches(id, current)?;
         stats.annotate_delta += 1;
         let gain = out - base_out;
@@ -211,17 +200,15 @@ fn pick_greedy(
 
 /// Square-is-better: the candidate whose explored-tuple count
 /// `F × chunk_size` is currently smallest.
-fn pick_square(plan: &QueryPlan, candidates: &[Growable]) -> Result<Option<NodeId>, OptError> {
+fn pick_square(annotator: &DeltaAnnotator, candidates: &[Growable]) -> Option<NodeId> {
     let mut best: Option<(NodeId, f64)> = None;
     for &Growable { id, chunk_size, .. } in candidates {
-        if let PlanNode::Service(node) = plan.node(id)? {
-            let explored = node.fetches as f64 * chunk_size;
-            if best.map(|(_, e)| explored < e).unwrap_or(true) {
-                best = Some((id, explored));
-            }
+        let explored = annotator.fetches(id).unwrap_or(1) as f64 * chunk_size;
+        if best.map(|(_, e)| explored < e).unwrap_or(true) {
+            best = Some((id, explored));
         }
     }
-    Ok(best.map(|(id, _)| id))
+    best.map(|(id, _)| id)
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use seco_plan::{annotate, AnnotationConfig, NodeId, PlanNode, QueryPlan};
+use seco_plan::{AnnotationConfig, DeltaAnnotator, NodeId, PlanNode, QueryPlan};
 use seco_query::JoinPredicate;
 use seco_services::{drift_ratio, ServiceRegistry};
 
@@ -155,10 +155,10 @@ impl Optimizer<'_> {
             true => restamped(plan, self.registry)?,
             false => plan.clone(),
         };
-        let annotated = annotate(&incumbent, self.registry, &AnnotationConfig::default())?;
-        let cost = self
-            .metric
-            .evaluate(&incumbent, &annotated, self.registry)?;
+        let annotator =
+            DeltaAnnotator::new(&incumbent, self.registry, &AnnotationConfig::default())?;
+        let cost = self.metric.cost_of(&annotator);
+        let annotated = annotator.into_annotated();
         if !deviated {
             return Ok(Optimized {
                 plan: incumbent,
@@ -192,12 +192,16 @@ impl Optimizer<'_> {
             }
         }
         // Phase 2 restricted: only topologies the executed work embeds
-        // into unchanged. `topologies` still counts every one.
+        // into unchanged, which takes their plans to tell. `topologies`
+        // still counts every one.
         let (mut topologies, mut stats) = self.enumerate(&relaxed)?;
         let target = prefix_signature(plan, executed_prefix);
-        topologies
-            .items
-            .retain(|(_, topology)| prefix_signature(topology, executed_prefix) == target);
+        for (space, topology) in std::mem::take(&mut topologies.items) {
+            let candidate = topologies.spaces[space].materialize(&topology, |_| 1)?;
+            if prefix_signature(&candidate, executed_prefix) == target {
+                topologies.items.push((space, topology));
+            }
+        }
         stats.annotate_full = 1;
         let seed = Seed {
             pins,

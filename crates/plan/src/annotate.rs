@@ -77,8 +77,13 @@ impl AnnotatedPlan {
         self.calls_by_service.values().sum()
     }
 
+    /// Every node's annotation, by node index.
+    pub fn annotations(&self) -> &[Annotation] {
+        &self.annotations
+    }
+
     /// Assembles an annotated plan from precomputed parts (the
-    /// incremental annotator maintains one in place).
+    /// incremental annotator keeps them in compact form).
     pub(crate) fn from_parts(
         annotations: Vec<Annotation>,
         calls_by_service: BTreeMap<String, f64>,
@@ -89,26 +94,6 @@ impl AnnotatedPlan {
             calls_by_service,
             output_tuples,
         }
-    }
-
-    /// In-place update of one node's annotation (incremental annotator
-    /// only; keeps `calls_by_service`/`output_tuples` the caller's job).
-    pub(crate) fn set_annotation(&mut self, idx: usize, ann: Annotation) {
-        if idx < self.annotations.len() {
-            self.annotations[idx] = ann;
-        }
-    }
-
-    /// The per-service call sums, for the incremental annotator to
-    /// re-sum in place.
-    pub(crate) fn calls_by_service_mut(&mut self) -> &mut BTreeMap<String, f64> {
-        &mut self.calls_by_service
-    }
-
-    /// Replaces the cached output-tuple estimate (incremental annotator
-    /// only).
-    pub(crate) fn set_output_tuples(&mut self, tuples: f64) {
-        self.output_tuples = tuples;
     }
 }
 

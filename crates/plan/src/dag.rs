@@ -222,29 +222,7 @@ impl QueryPlan {
 
     /// Topological order (input first). Errors on cycles.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, PlanError> {
-        let n = self.nodes.len();
-        let mut indeg = vec![0usize; n];
-        for (_, t) in &self.edges {
-            indeg[t.0] += 1;
-        }
-        let mut queue: Vec<NodeId> = (0..n).filter(|i| indeg[*i] == 0).map(NodeId).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(id) = queue.pop() {
-            order.push(id);
-            for &(f, s) in &self.edges {
-                if f != id {
-                    continue;
-                }
-                indeg[s.0] -= 1;
-                if indeg[s.0] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        if order.len() != n {
-            return Err(PlanError::Cyclic);
-        }
-        Ok(order)
+        topo_sort(self.nodes.len(), &self.edges)
     }
 
     /// Structural validation (see the type-level invariants).
@@ -363,6 +341,36 @@ impl QueryPlan {
             .filter(|n| matches!(n, PlanNode::Service(_)))
             .count()
     }
+}
+
+/// The topological order of `n` nodes under `edges` (sources first),
+/// which every arc must keep in range: a stack of the nodes whose
+/// predecessors are all placed, each arc released in `edges` order. The
+/// order depends on the arcs' order, so two tables built from the same
+/// arc sequence order their nodes alike. Errors on cycles.
+pub(crate) fn topo_sort(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Vec<NodeId>, PlanError> {
+    let mut indeg = vec![0usize; n];
+    for (_, t) in edges {
+        indeg[t.0] += 1;
+    }
+    let mut queue: Vec<NodeId> = (0..n).filter(|i| indeg[*i] == 0).map(NodeId).collect();
+    let mut order = Vec::with_capacity(n);
+    while let Some(id) = queue.pop() {
+        order.push(id);
+        for &(f, s) in edges {
+            if f != id {
+                continue;
+            }
+            indeg[s.0] -= 1;
+            if indeg[s.0] == 0 {
+                queue.push(s);
+            }
+        }
+    }
+    if order.len() != n {
+        return Err(PlanError::Cyclic);
+    }
+    Ok(order)
 }
 
 #[cfg(test)]

@@ -3,8 +3,10 @@
 //! Phase 3 of the optimizer perturbs exactly one fetch factor per trial
 //! and re-reads the plan's expected output and cost. Validating the
 //! plan, running feasibility analysis and resolving every node's
-//! statistics is invariant across trials, so the [`DeltaAnnotator`]
-//! does that work once, then propagates a fetch-factor change only
+//! statistics is invariant across trials, so the work is split in two:
+//! a [`NodeTable`] holds every node's resolved parameters, its
+//! predecessors and a topological order, and the [`DeltaAnnotator`]
+//! annotates that table once, then propagates a fetch-factor change only
 //! through the *downstream cone* of the changed node (the nodes
 //! reachable from it), reusing every other node's annotation unchanged.
 //!
@@ -16,42 +18,113 @@
 //! agree exactly (property-tested in `tests/optimizer_parallel.rs`),
 //! which is what lets the parallel branch-and-bound stay byte-identical
 //! to the serial one.
+//!
+//! A table need not come from a [`QueryPlan`]: the optimizer builds one
+//! straight from a phase-2 topology (small vectors, no strings), and a
+//! table built from the plan that topology materializes into is equal
+//! to it, so both annotate and cost alike.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use seco_query::feasibility::{analyze, BindingSource, FeasibilityReport};
+use seco_query::Query;
 use seco_services::ServiceRegistry;
 
 use crate::annotate::{AnnotatedPlan, Annotation, AnnotationConfig};
-use crate::dag::{NodeId, QueryPlan};
+use crate::dag::{topo_sort, NodeId, QueryPlan};
 use crate::error::PlanError;
 use crate::node::PlanNode;
 
-/// Everything the annotation arithmetic needs about one node, resolved
-/// once at construction so propagation touches no registry, query, or
-/// feasibility state.
-#[derive(Debug, Clone)]
-enum NodeParams {
+/// Everything the annotation arithmetic and the cost metrics read about
+/// one node, resolved once so that neither touches a registry, a query
+/// or a feasibility analysis.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NodeParams {
+    /// The input node.
     Input,
+    /// The output node.
     Output,
-    Selection { selectivity: f64 },
-    Join { selectivity: f64, coverage: f64 },
+    /// A selection (or join-filter) node.
+    Selection {
+        /// Its selectivity estimate.
+        selectivity: f64,
+    },
+    /// A parallel join.
+    Join {
+        /// The join selectivity.
+        selectivity: f64,
+        /// The completion strategy's share of the candidate space.
+        coverage: f64,
+    },
+    /// A service invocation.
     Service(ServiceParams),
 }
 
+impl NodeParams {
+    /// Predecessors a node of this kind takes.
+    fn arity(&self) -> usize {
+        match self {
+            NodeParams::Input => 0,
+            NodeParams::Join { .. } => 2,
+            _ => 1,
+        }
+    }
+}
+
 /// A service node's resolved statistics.
-#[derive(Debug, Clone)]
-struct ServiceParams {
-    service: String,
-    fetches: u32,
-    keep_first: bool,
-    chunked: bool,
-    chunk_size: f64,
-    avg_cardinality: f64,
-    pipe_selectivity: f64,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ServiceParams {
+    /// Rank of the node's service among the table's services, which are
+    /// kept in name order ([`NodeTable::services`]).
+    pub service: u32,
+    /// The fetch factor `F`.
+    pub fetches: u32,
+    /// Keeps one tuple per successful invocation.
+    pub keep_first: bool,
+    /// A search (chunked) service.
+    pub chunked: bool,
+    /// Tuples per chunk.
+    pub chunk_size: f64,
+    /// Expected total result size per invocation.
+    pub avg_cardinality: f64,
+    /// Chunks an invocation is expected to have.
+    pub expected_chunks: usize,
+    /// The pipe-join selectivity applying to the node
+    /// ([`pipe_selectivity`]).
+    pub pipe_selectivity: f64,
+    /// Expected response time of one call (ms).
+    pub response_time_ms: f64,
+    /// Cost of one call (abstract units).
+    pub cost_per_call: f64,
 }
 
 impl ServiceParams {
+    /// The statistics of interface `service`, at fetch factor 1 and
+    /// without `keep_first`.
+    pub fn resolve(
+        registry: &ServiceRegistry,
+        service: &str,
+        rank: u32,
+        pipe_selectivity: f64,
+    ) -> Result<Self, PlanError> {
+        let iface = registry
+            .interface(service)
+            .map_err(|e| PlanError::Query(e.into()))?;
+        Ok(ServiceParams {
+            service: rank,
+            fetches: 1,
+            keep_first: false,
+            chunked: iface.kind.is_chunked(),
+            chunk_size: iface.stats.chunk_size as f64,
+            avg_cardinality: iface.stats.avg_cardinality,
+            expected_chunks: iface.stats.expected_chunks(),
+            pipe_selectivity,
+            response_time_ms: iface.stats.response_time_ms,
+            cost_per_call: iface.stats.cost_per_call,
+        })
+    }
+
     /// Tuples one input tuple yields before the pipe join's selectivity
     /// (§5.5): one for a `keep_first` node, chunk size × fetches for a
     /// search service (capped by its expected total when `cap_by_total`),
@@ -72,11 +145,11 @@ impl ServiceParams {
     }
 }
 
-/// The pipe-join selectivity applying to a service node: the product of
-/// the join selectivities between this atom and each distinct atom that
-/// pipes values into it.
-fn pipe_selectivity(
-    plan: &QueryPlan,
+/// The pipe-join selectivity applying to `atom`'s service node: the
+/// product of the join selectivities between `atom` and each distinct
+/// atom that pipes values into it under `report`.
+pub fn pipe_selectivity(
+    query: &Query,
     registry: &ServiceRegistry,
     report: &FeasibilityReport,
     atom: &str,
@@ -87,82 +160,97 @@ fn pipe_selectivity(
         if let BindingSource::Piped { from_atom, .. } = &dep.source {
             if !seen.contains(&from_atom.as_str()) {
                 seen.push(from_atom);
-                sel *= plan.query.join_selectivity(registry, from_atom, atom)?;
+                sel *= query.join_selectivity(registry, from_atom, atom)?;
             }
         }
     }
     Ok(sel)
 }
 
-/// An annotated plan that can be re-annotated incrementally after a
-/// fetch-factor change, recomputing only the changed node's downstream
-/// cone.
-#[derive(Debug, Clone)]
-pub struct DeltaAnnotator {
-    params: Vec<NodeParams>,
-    preds: Vec<Vec<usize>>,
-    /// Topological order of node indices (full recomputes walk it; cone
-    /// nodes are recomputed in it).
-    topo: Vec<usize>,
-    /// Node index → position in `topo`.
-    topo_pos: Vec<usize>,
-    /// Scratch cone membership of a propagation.
-    in_cone: Vec<bool>,
+/// A plan as the annotation arithmetic and the cost metrics read it:
+/// every node's [`NodeParams`] by node index, its predecessors in arc
+/// order, and one topological order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeTable {
+    nodes: Vec<NodeParams>,
+    /// Predecessors by node; the first `arity` entries are used.
+    preds: Vec<[usize; 2]>,
+    topo: Vec<NodeId>,
     output: usize,
-    cap_by_total: bool,
-    ann: AnnotatedPlan,
-    /// Node annotations recomputed by delta propagations (observable
-    /// work; a full annotation recomputes `len()` nodes).
-    nodes_recomputed: usize,
-    /// Delta propagations performed.
-    propagations: usize,
+    /// The distinct services of the service nodes, in name order.
+    services: Arc<[String]>,
 }
 
-impl DeltaAnnotator {
-    /// Builds the annotator: validates the plan, resolves every node's
-    /// parameters, and annotates it at its current fetch vector.
+impl NodeTable {
+    /// A table over `nodes` (by node index) and the arcs between them.
+    /// Every node must have its kind's number of predecessors, the arcs
+    /// must form a DAG, and each service rank must index `services`.
+    /// The topological order is [`QueryPlan::topo_order`]'s over the
+    /// same arc sequence.
     pub fn new(
-        plan: &QueryPlan,
-        registry: &ServiceRegistry,
-        config: &AnnotationConfig,
+        nodes: Vec<NodeParams>,
+        edges: &[(NodeId, NodeId)],
+        output: NodeId,
+        services: Arc<[String]>,
     ) -> Result<Self, PlanError> {
-        plan.validate()?;
-        let report = analyze(&plan.query, registry)?;
-        Self::with_report(plan, registry, &report, config)
+        let n = nodes.len();
+        let mut preds = vec![[0usize; 2]; n];
+        let mut indeg = vec![0usize; n];
+        for &(from, to) in edges {
+            if from.0 >= n || to.0 >= n {
+                return Err(PlanError::UnknownNode(from.0.max(to.0)));
+            }
+            if let Some(slot) = preds[to.0].get_mut(indeg[to.0]) {
+                *slot = from.0;
+            }
+            indeg[to.0] += 1;
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            let arity = node.arity();
+            if indeg[i] != arity {
+                return Err(PlanError::Invalid {
+                    detail: format!("{} has {} predecessors, wants {arity}", NodeId(i), indeg[i]),
+                });
+            }
+            if let NodeParams::Service(s) = node {
+                if s.service as usize >= services.len() {
+                    return Err(PlanError::Invalid {
+                        detail: format!("{} names service rank {}", NodeId(i), s.service),
+                    });
+                }
+            }
+        }
+        if output.0 >= n {
+            return Err(PlanError::UnknownNode(output.0));
+        }
+        Ok(NodeTable {
+            topo: topo_sort(n, edges)?,
+            nodes,
+            preds,
+            output: output.0,
+            services,
+        })
     }
 
-    /// [`Self::new`] for a caller that already holds what it computes: a
-    /// plan that passed [`QueryPlan::validate`] and `report`, the
-    /// feasibility analysis of `plan.query` under `registry`. The
-    /// optimizer validates each topology once, in phase 2, and analyzes
-    /// each interface assignment once, in phase 1. Node arities are
-    /// still checked, so a plan that breaks the contract is an error,
-    /// never a panic.
-    pub fn with_report(
+    /// The table of `plan`, a plan that passed [`QueryPlan::validate`],
+    /// with `report` the feasibility analysis of `plan.query` under
+    /// `registry`.
+    pub fn from_plan(
         plan: &QueryPlan,
         registry: &ServiceRegistry,
         report: &FeasibilityReport,
-        config: &AnnotationConfig,
     ) -> Result<Self, PlanError> {
-        let n = plan.len();
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &(from, to) in plan.edges() {
-            preds[to.0].push(from.0);
-        }
-        let mut params = Vec::with_capacity(n);
+        let mut services: Vec<&str> = Vec::new();
         for id in plan.node_ids() {
-            let node = plan.node(id)?;
-            let arity = match node {
-                PlanNode::Input => 0,
-                PlanNode::ParallelJoin(_) => 2,
-                _ => 1,
-            };
-            if preds[id.0].len() != arity {
-                return Err(PlanError::Invalid {
-                    detail: format!("{id} has {} predecessors, wants {arity}", preds[id.0].len()),
-                });
+            if let PlanNode::Service(s) = plan.node(id)? {
+                services.push(&s.service);
             }
-            let p = match node {
+        }
+        services.sort_unstable();
+        services.dedup();
+        let mut nodes = Vec::with_capacity(plan.len());
+        for id in plan.node_ids() {
+            nodes.push(match plan.node(id)? {
                 PlanNode::Input => NodeParams::Input,
                 PlanNode::Output => NodeParams::Output,
                 PlanNode::Selection(sel) => NodeParams::Selection {
@@ -173,67 +261,164 @@ impl DeltaAnnotator {
                     coverage: spec.completion.coverage_factor(),
                 },
                 PlanNode::Service(node) => {
-                    let iface = registry
-                        .interface(&node.service)
-                        .map_err(|e| PlanError::Query(e.into()))?;
+                    let rank = services.partition_point(|s| *s < node.service.as_str());
+                    let pipe = pipe_selectivity(&plan.query, registry, report, &node.atom)?;
+                    let params =
+                        ServiceParams::resolve(registry, &node.service, rank as u32, pipe)?;
                     NodeParams::Service(ServiceParams {
-                        service: node.service.clone(),
                         fetches: node.fetches,
                         keep_first: node.keep_first,
-                        chunked: iface.kind.is_chunked(),
-                        chunk_size: iface.stats.chunk_size as f64,
-                        avg_cardinality: iface.stats.avg_cardinality,
-                        pipe_selectivity: pipe_selectivity(plan, registry, report, &node.atom)?,
+                        ..params
                     })
                 }
-            };
-            params.push(p);
+            });
         }
-        let topo: Vec<usize> = plan.topo_order()?.iter().map(|id| id.0).collect();
+        let services = services.into_iter().map(str::to_owned).collect();
+        NodeTable::new(nodes, plan.edges(), plan.output(), services)
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Never true: [`Self::new`] requires the output node.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Node `i`'s parameters.
+    pub fn node(&self, i: usize) -> &NodeParams {
+        &self.nodes[i]
+    }
+
+    /// Node `i`'s predecessors, in arc order.
+    pub fn preds(&self, i: usize) -> &[usize] {
+        &self.preds[i][..self.nodes[i].arity()]
+    }
+
+    /// The nodes in topological order.
+    pub fn topo(&self) -> &[NodeId] {
+        &self.topo
+    }
+
+    /// The output node's index.
+    pub fn output(&self) -> usize {
+        self.output
+    }
+
+    /// The services of the service nodes, in name order; a
+    /// [`ServiceParams::service`] rank indexes this.
+    pub fn services(&self) -> &[String] {
+        &self.services
+    }
+}
+
+/// An annotated plan that can be re-annotated incrementally after a
+/// fetch-factor change, recomputing only the changed node's downstream
+/// cone.
+#[derive(Debug, Clone)]
+pub struct DeltaAnnotator {
+    table: NodeTable,
+    /// Node index → position in the table's topological order.
+    topo_pos: Vec<usize>,
+    /// Scratch cone membership of a propagation.
+    in_cone: Vec<bool>,
+    cap_by_total: bool,
+    annotations: Vec<Annotation>,
+    /// Expected calls per service, by rank.
+    service_calls: Vec<f64>,
+    output_tuples: f64,
+    /// Node annotations recomputed by delta propagations (observable
+    /// work; a full annotation recomputes `len()` nodes).
+    nodes_recomputed: usize,
+    /// Delta propagations performed.
+    propagations: usize,
+}
+
+impl DeltaAnnotator {
+    /// Builds the annotator: validates the plan, analyzes its query,
+    /// resolves its [`NodeTable`], and annotates it at its current fetch
+    /// vector.
+    pub fn new(
+        plan: &QueryPlan,
+        registry: &ServiceRegistry,
+        config: &AnnotationConfig,
+    ) -> Result<Self, PlanError> {
+        plan.validate()?;
+        let report = analyze(&plan.query, registry)?;
+        let table = NodeTable::from_plan(plan, registry, &report)?;
+        Ok(Self::from_table(table, config))
+    }
+
+    /// Annotates `table` at its current fetch vector.
+    pub fn from_table(table: NodeTable, config: &AnnotationConfig) -> Self {
+        let n = table.len();
         let mut topo_pos = vec![0usize; n];
-        for (pos, &node) in topo.iter().enumerate() {
-            topo_pos[node] = pos;
+        for (pos, node) in table.topo.iter().enumerate() {
+            topo_pos[node.0] = pos;
         }
         let mut out = DeltaAnnotator {
-            params,
-            preds,
-            topo,
+            service_calls: vec![0.0; table.services.len()],
+            table,
             topo_pos,
             in_cone: Vec::new(),
-            output: plan.output().0,
             cap_by_total: config.cap_by_total,
-            ann: AnnotatedPlan::from_parts(vec![Annotation::default(); n], BTreeMap::new(), 0.0),
+            annotations: vec![Annotation::default(); n],
+            output_tuples: 0.0,
             nodes_recomputed: 0,
             propagations: 0,
         };
-        for i in 0..out.topo.len() {
-            let node = out.topo[i];
-            let ann = out.compute_node(node);
-            out.ann.set_annotation(node, ann);
+        for i in 0..n {
+            let node = out.table.topo[i].0;
+            out.annotations[node] = out.compute_node(node);
         }
         out.resum();
-        Ok(out)
+        out
     }
 
-    /// The current annotation (kept consistent with every applied
-    /// fetch-factor change).
-    pub fn annotated(&self) -> &AnnotatedPlan {
-        &self.ann
+    /// The table this annotator annotates.
+    pub fn table(&self) -> &NodeTable {
+        &self.table
+    }
+
+    /// Every node's current annotation, by node index.
+    pub fn annotations(&self) -> &[Annotation] {
+        &self.annotations
+    }
+
+    /// Current expected calls per service, in the order of
+    /// [`NodeTable::services`]: each sums its nodes' calls in
+    /// topological order.
+    pub fn service_calls(&self) -> &[f64] {
+        &self.service_calls
+    }
+
+    /// The current annotation as an [`AnnotatedPlan`].
+    pub fn to_annotated(&self) -> AnnotatedPlan {
+        let calls = self
+            .table
+            .services
+            .iter()
+            .cloned()
+            .zip(self.service_calls.iter().copied())
+            .collect();
+        AnnotatedPlan::from_parts(self.annotations.clone(), calls, self.output_tuples)
     }
 
     /// The current annotation, consuming the annotator.
     pub fn into_annotated(self) -> AnnotatedPlan {
-        self.ann
+        self.to_annotated()
     }
 
     /// Expected tuples delivered to the output node.
     pub fn output_tuples(&self) -> f64 {
-        self.ann.output_tuples
+        self.output_tuples
     }
 
     /// The fetch factor of a service node, `None` for other kinds.
     pub fn fetches(&self, id: NodeId) -> Option<u32> {
-        match self.params.get(id.0) {
+        match self.table.nodes.get(id.0) {
             Some(NodeParams::Service(s)) => Some(s.fetches),
             _ => None,
         }
@@ -252,7 +437,7 @@ impl DeltaAnnotator {
     /// Sets a service node's fetch factor and re-annotates only its
     /// downstream cone. Errors when `id` is not a service node.
     pub fn set_fetches(&mut self, id: NodeId, fetches: u32) -> Result<(), PlanError> {
-        match self.params.get_mut(id.0) {
+        match self.table.nodes.get_mut(id.0) {
             Some(NodeParams::Service(s)) => s.fetches = fetches,
             Some(_) | None => {
                 return Err(PlanError::Invalid {
@@ -270,13 +455,13 @@ impl DeltaAnnotator {
     /// [`back_propagate`](crate::annotate::back_propagate)).
     pub(crate) fn required(&self, k: f64) -> BTreeMap<NodeId, f64> {
         let mut required: BTreeMap<NodeId, f64> = BTreeMap::new();
-        required.insert(NodeId(self.output), k);
-        for &node in self.topo.iter().rev() {
-            let Some(&req_out) = required.get(&NodeId(node)) else {
+        required.insert(NodeId(self.table.output), k);
+        for &node in self.table.topo.iter().rev() {
+            let Some(&req_out) = required.get(&node) else {
                 continue;
             };
-            let preds = &self.preds[node];
-            match &self.params[node] {
+            let preds = self.table.preds(node.0);
+            match self.table.node(node.0) {
                 NodeParams::Input => {}
                 NodeParams::Output => {
                     required.insert(NodeId(preds[0]), req_out);
@@ -305,28 +490,18 @@ impl DeltaAnnotator {
         required
     }
 
-    /// Re-derives `calls_by_service` and `output_tuples` from the node
-    /// annotations, accumulating in topological order (a fixed
+    /// Re-derives the per-service calls and `output_tuples` from the
+    /// node annotations, accumulating in topological order (a fixed
     /// summation order, so the `f64` sums never depend on which nodes a
-    /// propagation touched). The services never change, so after the
-    /// first sum the map is re-summed in place.
+    /// propagation touched).
     fn resum(&mut self) {
-        let calls = self.ann.calls_by_service_mut();
-        calls.values_mut().for_each(|sum| *sum = 0.0);
-        for &node in &self.topo {
-            if let NodeParams::Service(s) = &self.params[node] {
-                let add = self.ann.annotation(NodeId(node)).calls;
-                let calls = self.ann.calls_by_service_mut();
-                match calls.get_mut(&s.service) {
-                    Some(sum) => *sum += add,
-                    None => {
-                        calls.insert(s.service.clone(), 0.0 + add);
-                    }
-                }
+        self.service_calls.iter_mut().for_each(|sum| *sum = 0.0);
+        for node in &self.table.topo {
+            if let NodeParams::Service(s) = &self.table.nodes[node.0] {
+                self.service_calls[s.service as usize] += self.annotations[node.0].calls;
             }
         }
-        let out = self.ann.annotation(NodeId(self.output)).tout;
-        self.ann.set_output_tuples(out);
+        self.output_tuples = self.annotations[self.table.output].tout;
     }
 
     /// Re-annotates the downstream cone of `start` (inclusive), in
@@ -339,16 +514,15 @@ impl DeltaAnnotator {
         // is final when read.
         let mut in_cone = std::mem::take(&mut self.in_cone);
         in_cone.clear();
-        in_cone.resize(self.params.len(), false);
-        for pos in self.topo_pos[start]..self.topo.len() {
-            let node = self.topo[pos];
-            if node != start && !self.preds[node].iter().any(|&p| in_cone[p]) {
+        in_cone.resize(self.table.len(), false);
+        for pos in self.topo_pos[start]..self.table.topo.len() {
+            let node = self.table.topo[pos].0;
+            if node != start && !self.table.preds(node).iter().any(|&p| in_cone[p]) {
                 continue;
             }
             in_cone[node] = true;
-            let new = self.compute_node(node);
+            self.annotations[node] = self.compute_node(node);
             self.nodes_recomputed += 1;
-            self.ann.set_annotation(node, new);
         }
         self.in_cone = in_cone;
         self.resum();
@@ -357,9 +531,9 @@ impl DeltaAnnotator {
     /// One node's annotation from its predecessors' (the module docs of
     /// [`crate::annotate`] state the rules).
     fn compute_node(&self, node: usize) -> Annotation {
-        let preds = &self.preds[node];
-        let tin_of = |i: usize| self.ann.annotation(NodeId(preds[i])).tout;
-        match &self.params[node] {
+        let preds = self.table.preds(node);
+        let tin_of = |i: usize| self.annotations[preds[i]].tout;
+        match self.table.node(node) {
             NodeParams::Input => Annotation {
                 tin: 1.0,
                 tout: 1.0,
@@ -435,7 +609,7 @@ mod tests {
         let config = AnnotationConfig::default();
         let full = annotate(&plan, &reg, &config).unwrap();
         let delta = DeltaAnnotator::new(&plan, &reg, &config).unwrap();
-        assert_same(&full, delta.annotated(), &plan);
+        assert_same(&full, &delta.to_annotated(), &plan);
     }
 
     #[test]
@@ -450,7 +624,7 @@ mod tests {
                 s.fetches = f;
             }
             let full = annotate(&plan, &reg, &config).unwrap();
-            assert_same(&full, delta.annotated(), &plan);
+            assert_same(&full, &delta.to_annotated(), &plan);
         }
     }
 

@@ -23,7 +23,7 @@ pub mod node;
 
 pub use annotate::{annotate, back_propagate, AnnotatedPlan, Annotation, AnnotationConfig};
 pub use dag::{NodeId, QueryPlan};
-pub use delta::DeltaAnnotator;
+pub use delta::{pipe_selectivity, DeltaAnnotator, NodeParams, NodeTable, ServiceParams};
 pub use error::PlanError;
 pub use node::{Completion, Invocation, JoinSpec, PlanNode, SelectionNode, ServiceNode};
 

@@ -53,9 +53,9 @@ pub struct ServerConfig {
     /// Service-call budget per tenant (0 = unlimited).
     pub tenant_budget: u64,
     /// Worker threads of the shared executor pool: one work-stealing
-    /// pool per daemon runs every session's join morsels, optimizer
-    /// fan-out, and plan-node tasks. Fairness across sessions comes
-    /// from the admission gate (at most
+    /// pool per daemon runs every session's join morsels and plan-node
+    /// tasks (the planner searches on the request thread). Fairness
+    /// across sessions comes from the admission gate (at most
     /// [`max_concurrent`](Self::max_concurrent) executions feed the
     /// pool), the round-robin cursor that deals every scope's jobs over
     /// the worker deques, and caller participation: a scope's caller
@@ -215,13 +215,14 @@ impl ServerState {
 
     /// Optimizes `query` through the shared plan cache. Returns the
     /// plan and whether it came from the cache.
+    ///
+    /// The search runs serially on the calling (request) thread: a cold
+    /// 4-star plan takes well under a millisecond there, and fanning its
+    /// topologies over the shared pool cost more in hand-offs than it
+    /// saved while other requests kept the workers busy.
     pub fn plan(&self, query: &Query) -> Result<(Optimized, bool), String> {
         let mut optimizer = Optimizer::new(&self.registry, self.config.metric);
         optimizer.cache = Some(self.plan_cache.clone());
-        // Topology fan-out rides the shared pool alongside everything
-        // else the daemon parallelizes.
-        optimizer.workers = self.config.exec_workers;
-        optimizer.pool = self.shared.exec_pool().cloned();
         let best = optimizer.optimize(query).map_err(|e| e.to_string())?;
         let cached = best.stats.cache_hits > 0;
         Ok((best, cached))

@@ -6,11 +6,13 @@
 //! decomposition only fans out each tile's row loop and a deterministic
 //! ordered reducer stitches the segments back in row order. These tests
 //! pin that contract on the two flagship experiments (E1's travel plan
-//! and E10's running example) and prove that no pool thread outlives
-//! the [`SharedState`] that owns it.
+//! and E10's running example), prove that no pool thread outlives
+//! the [`SharedState`] that owns it, and that the daemon's planner
+//! leaves the pool alone.
 
 use search_computing::prelude::*;
 use search_computing::query::builder::running_example;
+use search_computing::server::{ServerConfig, ServerState};
 use search_computing::services::domains::{entertainment, travel};
 
 /// The E1 query (Fig. 2/3): Conference × Weather × Flight × Hotel.
@@ -108,4 +110,37 @@ fn no_worker_threads_outlive_shared_state_shutdown() {
     // Idempotent: a second shutdown (or the drop) is a no-op.
     shared.shutdown();
     assert_eq!(pool.threads_alive(), 0);
+}
+
+/// The daemon plans on the request thread: a cold plan of the 4-star
+/// (126 topologies, every one a plan-cache miss) hands the shared pool
+/// no job, while the same search given the pool fans out on it.
+#[test]
+fn the_daemon_plans_a_cold_query_on_the_request_thread() {
+    let (registry, query) = seco_bench::star_scenario(4, 7);
+    let config = ServerConfig {
+        exec_workers: 2,
+        ..ServerConfig::default()
+    };
+    let state = ServerState::new(registry, config);
+    let pool = state.shared.exec_pool().expect("daemon state owns a pool");
+    let before = pool.stats().morsels;
+    let (best, cached) = state.plan(&query).expect("the 4-star is feasible");
+    assert!(!cached, "a cold plan");
+    assert_eq!(best.stats.topologies, 126);
+    assert_eq!(
+        pool.stats().morsels,
+        before,
+        "the search ran no job on the pool"
+    );
+
+    // The same search with the pool as its fan-out does run there, so
+    // the count above is not blind.
+    let mut pooled = Optimizer::new(&state.registry, state.config.metric);
+    pooled.workers = 2;
+    pooled.pool = Some(pool.clone());
+    let fanned = pooled.optimize(&query).expect("feasible");
+    assert!(pool.stats().morsels > before, "a pooled search runs jobs");
+    assert_eq!(fanned.cost.to_bits(), best.cost.to_bits());
+    assert_eq!(fanned.plan.canonical_key(), best.plan.canonical_key());
 }

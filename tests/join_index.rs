@@ -28,16 +28,13 @@ const HASH: JoinIndexOptions = JoinIndexOptions {
     mode: JoinIndexMode::Hash,
 };
 
-/// The three data-plane configurations: full columnar (the default),
-/// columnar access without batch kernels, and the row-at-a-time
-/// baseline. All three must be byte-identical.
+/// The data-plane configurations a tile join tells apart: full
+/// columnar (the default) and the row-at-a-time baseline. A tile join
+/// reads only `batch_eval`, so columnar access without batch kernels is
+/// the row plane again. Both must be byte-identical.
 const COL: ColumnarOptions = ColumnarOptions {
     columnar: true,
     batch_eval: true,
-};
-const COL_NO_BATCH: ColumnarOptions = ColumnarOptions {
-    columnar: true,
-    batch_eval: false,
 };
 const ROW: ColumnarOptions = ColumnarOptions {
     columnar: false,
@@ -157,7 +154,7 @@ fn hash_kernel_is_byte_identical_across_join_methods() {
                         // reproduce the row-plane nested loop byte for
                         // byte.
                         for opts in [OFF, HASH] {
-                            for plane in [COL, COL_NO_BATCH, ROW] {
+                            for plane in [COL, ROW] {
                                 let accel = run_method(pair, inv, comp, chunk, k, opts, plane);
                                 assert_eq!(
                                     render(&base),

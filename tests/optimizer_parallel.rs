@@ -142,7 +142,7 @@ fn incremental_annotation_matches_full_reannotation_node_for_node() {
                 s.fetches = fetches;
             }
             let full = annotate(&plan, &reg, &config).unwrap();
-            let incremental = annotator.annotated();
+            let incremental = annotator.to_annotated();
             for node in plan.node_ids() {
                 let a = incremental.annotation(node);
                 let b = full.annotation(node);

@@ -2,8 +2,13 @@
 //! parameterized chain/star workload generators.
 
 use search_computing::optimizer::exhaustive::optimize_exhaustive_with_costs;
-use search_computing::plan::{annotate, AnnotationConfig, PlanNode};
+use search_computing::optimizer::phase1::enumerate_assignments;
+use search_computing::optimizer::phase2::{enumerate_topologies, Space, DEFAULT_MAX_TOPOLOGIES};
+use search_computing::optimizer::{Phase1Heuristic, Phase2Heuristic};
+use search_computing::plan::{annotate, AnnotatedPlan, AnnotationConfig, DeltaAnnotator, PlanNode};
 use search_computing::prelude::*;
+use search_computing::query::builder::running_example;
+use search_computing::services::domains::{entertainment, travel};
 use seco_bench::{chain_scenario, star_scenario};
 
 #[test]
@@ -149,4 +154,150 @@ fn chain_queries_execute_end_to_end() {
             .results;
         assert_eq!(par.len(), outcome.results.len());
     }
+}
+
+/// The travel Conference–Weather pair: a piped chain with a selection
+/// on each side.
+fn travel_conference_weather() -> (ServiceRegistry, Query) {
+    let registry = travel::build_registry(13).expect("registry builds");
+    let query = QueryBuilder::new()
+        .atom("C", "Conference1")
+        .atom("W", "Weather1")
+        .pattern("Forecast", "C", "W")
+        .select_const("C", "Topic", Comparator::Eq, Value::text("ml"))
+        .select_const("W", "AvgTemp", Comparator::Gt, Value::Int(20))
+        .build()
+        .expect("query is valid");
+    (registry, query)
+}
+
+/// The compact annotation equals `annotate()` of the materialized plan
+/// node for node, bit for bit, and every metric costs both alike.
+fn assert_costs_as_its_plan(
+    compact: &DeltaAnnotator,
+    plan: &QueryPlan,
+    reg: &ServiceRegistry,
+    what: &str,
+) {
+    let full: AnnotatedPlan = annotate(plan, reg, &AnnotationConfig::default()).unwrap();
+    let ours = compact.to_annotated();
+    for id in plan.node_ids() {
+        let (a, b) = (ours.annotation(id), full.annotation(id));
+        assert_eq!(a.tin.to_bits(), b.tin.to_bits(), "{what} {id}: tin");
+        assert_eq!(a.tout.to_bits(), b.tout.to_bits(), "{what} {id}: tout");
+        assert_eq!(a.calls.to_bits(), b.calls.to_bits(), "{what} {id}: calls");
+    }
+    assert_eq!(ours.annotations().len(), plan.len(), "{what}: nodes");
+    assert_eq!(
+        ours.output_tuples.to_bits(),
+        full.output_tuples.to_bits(),
+        "{what}: output"
+    );
+    assert_eq!(
+        ours.calls_by_service, full.calls_by_service,
+        "{what}: calls"
+    );
+    for metric in CostMetric::all() {
+        let want = metric.evaluate(plan, &full, reg).unwrap();
+        assert_eq!(
+            metric.cost_of(compact).to_bits(),
+            want.to_bits(),
+            "{what} {metric}: {} vs {want}",
+            metric.cost_of(compact)
+        );
+    }
+}
+
+/// The branch-and-bound costs compact topologies and builds a plan only
+/// for a contender, so a topology's node table must cost exactly as the
+/// plan it materializes into: at ⟨1, …, 1⟩ and along a seeded walk of
+/// fetch-factor changes, for every topology of every assignment under
+/// both phase-2 heuristics and every metric. This pins the summation
+/// order: calls are summed per service in topological order, and the
+/// services in name order. The materialized topologies are
+/// `enumerate_topologies`' output, in order.
+#[test]
+fn compact_topologies_annotate_and_cost_exactly_as_their_plans() {
+    let mut scenarios = vec![
+        (
+            "running example".to_owned(),
+            entertainment::build_registry(1).unwrap(),
+            running_example(),
+        ),
+        {
+            let (reg, q) = travel_conference_weather();
+            ("travel C-W".to_owned(), reg, q)
+        },
+    ];
+    for seed in [1u64, 7] {
+        for n in 2..=4 {
+            let (reg, q) = chain_scenario(n, seed);
+            scenarios.push((format!("chain {n} seed {seed}"), reg, q));
+            let (reg, q) = star_scenario(n, seed);
+            scenarios.push((format!("star {n} seed {seed}"), reg, q));
+        }
+    }
+    let mut checked = 0;
+    for (name, reg, query) in &scenarios {
+        for a in enumerate_assignments(query, reg, Phase1Heuristic::BoundIsBetter).unwrap() {
+            let space = Space::new(a.query.clone(), reg, &a.report).unwrap();
+            for heuristic in [
+                Phase2Heuristic::ParallelIsBetter,
+                Phase2Heuristic::SelectiveFirst,
+            ] {
+                let topologies = space.topologies(heuristic, DEFAULT_MAX_TOPOLOGIES);
+                let plans: Vec<QueryPlan> = topologies
+                    .iter()
+                    .map(|t| space.materialize(t, |_| 1).unwrap())
+                    .collect();
+                let listed = enumerate_topologies(
+                    &a.query,
+                    reg,
+                    &a.report,
+                    heuristic,
+                    DEFAULT_MAX_TOPOLOGIES,
+                )
+                .unwrap();
+                assert!(plans == listed, "{name} {heuristic:?}: materialized plans");
+                for (i, (topology, plan)) in topologies.iter().zip(plans).enumerate() {
+                    let what = format!("{name} {heuristic:?} topology {i}");
+                    let mut compact = space.annotator(topology, &[]).unwrap();
+                    assert_costs_as_its_plan(&compact, &plan, reg, &what);
+                    let services: Vec<_> = plan
+                        .node_ids()
+                        .filter(|id| matches!(plan.node(*id), Ok(PlanNode::Service(_))))
+                        .collect();
+                    // xorshift64 walk, fully determined by the topology.
+                    let mut state = (i as u64 + 1).wrapping_mul(2685821657736338717);
+                    let mut next = || {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    };
+                    let mut bumped = plan.clone();
+                    for step in 0..4 {
+                        let id = services[(next() % services.len() as u64) as usize];
+                        let fetches = (next() % 6 + 1) as u32;
+                        compact.set_fetches(id, fetches).unwrap();
+                        if let PlanNode::Service(s) = bumped.node_mut(id).unwrap() {
+                            s.fetches = fetches;
+                        }
+                        let materialized = space
+                            .materialize(topology, |id| compact.fetches(id).unwrap_or(1))
+                            .unwrap();
+                        assert!(materialized == bumped, "{what} step {step}: fetches");
+                        assert_costs_as_its_plan(
+                            &compact,
+                            &bumped,
+                            reg,
+                            &format!("{what} step {step}"),
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(checked > 500, "{checked} topologies checked");
 }
