@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// Phase-1 (access-pattern selection) branch ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase1Heuristic {
     /// "Prefer [access patterns] with many input attributes. The
     /// intuition: the more attributes are bound, the smaller the answer
@@ -40,7 +40,7 @@ impl fmt::Display for Phase1Heuristic {
 }
 
 /// Phase-2 (topology selection) branch ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase2Heuristic {
     /// "Having long linear paths in the DAG, ordered by decreasing
     /// selectivity, wherever possible (ideally, one chain from input to
@@ -72,7 +72,7 @@ impl fmt::Display for Phase2Heuristic {
 }
 
 /// Phase-3 (fetch assignment) increment policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase3Heuristic {
     /// "The Fi to be incremented is the one […] with the highest
     /// sensitivity with respect to the increase in the number of tuples
@@ -94,7 +94,7 @@ impl fmt::Display for Phase3Heuristic {
 }
 
 /// The heuristic configuration of one optimizer run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HeuristicSet {
     /// Phase-1 ordering.
     pub phase1: Phase1Heuristic,

@@ -17,10 +17,13 @@
 //! ## Streaming
 //!
 //! With `stream=1` the response is chunked; every chunk is one JSON
-//! frame. The first frame is `{"frame":"plan",…}` (with the plan-cache
-//! verdict), then `chunk` frames carry rows, and a final `summary`
-//! frame closes the stream. The two executors stream differently, on
-//! purpose:
+//! frame. The first frame is `{"frame":"plan",…}` with the plan-cache
+//! verdict: `"cached": true` means the query's *shape* was seen before
+//! (the same clauses up to constant values and order, the same `k`,
+//! weights and statistics epoch), so no search ran and the cached plan
+//! was bound to this query's constants. Then `chunk` frames carry rows,
+//! and a final `summary` frame closes the stream. The two executors
+//! stream differently, on purpose:
 //!
 //! * `mode=det` (default) — deterministic executor; rows are framed
 //!   *after* execution as successive ranked slices pulled from the
