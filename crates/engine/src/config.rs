@@ -7,8 +7,7 @@
 //! Every `seco run` CLI flag but `--exec-workers` maps 1:1 to a builder
 //! method, and both executors ([`crate::execute_plan`] and
 //! [`crate::execute_parallel`]) consume it directly. The worker count is
-//! the pool's: [`crate::SharedState::for_daemon`] sizes it, and the join
-//! kernels fan out on it.
+//! the pool's: [`crate::SharedState::for_daemon`] sizes it.
 
 use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
 use seco_optimizer::CostMetric;

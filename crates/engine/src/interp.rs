@@ -150,9 +150,8 @@ impl<'a> Interpreter<'a> {
         self.elided.contains(&id.0)
     }
 
-    /// The shared state's pool, which this run's tasks and join
-    /// morsels use; the join kernels stay on their exact serial
-    /// path below two workers.
+    /// The shared state's pool, whose blocking tier runs the pipelined
+    /// executor's node tasks.
     pub fn pool(&self) -> Option<Arc<ExecPool>> {
         self.state.exec_pool().cloned()
     }
@@ -309,7 +308,6 @@ impl<'a> Interpreter<'a> {
                 .collect();
             let kernel = NaryJoin {
                 schemas: &self.schemas,
-                pool: self.pool(),
             };
             if let Some(out) = kernel.run(&groups, &stages)? {
                 let mut left = groups[0].len();
@@ -393,7 +391,7 @@ impl<'a> Interpreter<'a> {
             k: self.options.join_k,
             options: self.options.join_index,
             columnar: self.options.columnar,
-            pool: self.pool(),
+            pool: None,
         };
         if rank {
             // Branches arrive in emission order; rank join needs them

@@ -11,12 +11,11 @@
 //! every cache hit earned by one request benefits the next.
 //!
 //! The state also owns the optional shared [`seco_exec::ExecPool`]:
-//! every thread a daemon execution needs — morsel workers for the join
-//! kernels and the optimizer, pipelined plan-node fan-out — lives
-//! exactly as long as this value. Dropping it (or calling
-//! [`SharedState::shutdown`]) stops and joins the pool's workers —
-//! nothing spawned on behalf of an execution can outlive the engine
-//! state that requested it.
+//! every thread a daemon execution needs — the pipelined executor's
+//! plan-node tasks — lives exactly as long as this value. Dropping it
+//! (or calling [`SharedState::shutdown`]) stops and joins the pool's
+//! workers — nothing spawned on behalf of an execution can outlive the
+//! engine state that requested it.
 //!
 //! Accounting caveat: the virtual clock is shared too, so `busy_ms` /
 //! `critical_ms` deltas measured by concurrent executions overlap on
@@ -53,9 +52,9 @@ pub(crate) enum ClockMode {
 }
 
 /// Cross-request execution state: per-service fetch stacks, the shared
-/// virtual clock, and the daemon's work-stealing executor pool — one
-/// pool shared by every session's morsels and plan-node tasks. Cheap
-/// to share (`Arc<SharedState>`), safe to use from concurrent sessions.
+/// virtual clock, and the daemon's executor pool — one pool shared by
+/// every session's plan-node tasks. Cheap to share
+/// (`Arc<SharedState>`), safe to use from concurrent sessions.
 ///
 /// Stacks are built lazily from the *first* execution's
 /// [`EngineConfig`] that touches each service; a daemon runs all
@@ -79,12 +78,9 @@ impl SharedState {
         }
     }
 
-    /// Daemon-grade state: join morsels and plan-node tasks (and an
-    /// optimizer search given this pool) run on one work-stealing pool of
-    /// `exec_workers` threads owned by this value and stopped when it
-    /// drops. With one worker the join kernels take their exact serial
-    /// path; with more, an ordered reducer keeps their output
-    /// byte-identical.
+    /// Daemon-grade state: the pipelined executor's plan-node tasks run
+    /// on a pool of `exec_workers` compute threads (plus its elastic
+    /// blocking tier) owned by this value and stopped when it drops.
     pub fn for_daemon(exec_workers: usize) -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -121,10 +117,8 @@ impl SharedState {
     }
 
     /// Stops the executor pool: queued work is drained and every pool
-    /// thread is joined. An execution still running completes: once the
-    /// workers are gone, a `scope_run` caller runs its own queued
-    /// morsels. Prepared stacks stay usable — fetches never depended on
-    /// the pool. Idempotent; also implied by drop.
+    /// thread is joined. Prepared stacks stay usable — fetches never
+    /// depended on the pool. Idempotent; also implied by drop.
     pub fn shutdown(&self) {
         if let Some(pool) = &self.pool {
             pool.shutdown();

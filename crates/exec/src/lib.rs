@@ -1,30 +1,29 @@
-//! A shared work-stealing executor pool for morsel-driven parallelism.
+//! A shared executor pool: the threads a daemon execution needs.
 //!
-//! One [`ExecPool`] per daemon (or per `seco run` invocation) runs
-//! every thread the engine needs: the optimizer's phase-2 search
-//! workers, the parallel executor's per-node fan-out, and the join
-//! kernels' morsels. The pool has two tiers:
+//! One [`ExecPool`] per daemon (or per `seco run` invocation) owns the
+//! threads the engine runs on. The pool has two tiers:
 //!
+//! * a **blocking tier**: an elastic set of cached threads for tasks
+//!   that rendezvous with each other over channels (the pipelined
+//!   executor's plan nodes). Running those on a fixed pool would
+//!   deadlock, so the pool spawns blocking threads on demand, parks
+//!   them when idle, and joins them on shutdown.
 //! * a **compute tier**: a fixed set of workers (one per configured
 //!   core), each with its own deque. [`ExecPool::scope_run`] deals its
 //!   jobs round-robin over the deques; idle workers drain their own
 //!   deque from the front, then steal from the *back* of a sibling's,
 //!   and the scope's caller runs queued jobs while it waits. Compute
-//!   jobs must never block on other compute jobs' channels — they are
-//!   leaves (join morsels, optimizer probes).
-//! * a **blocking tier**: an elastic set of cached threads for tasks
-//!   that rendezvous with each other over channels (the parallel
-//!   executor's plan nodes). Running those on a fixed pool would
-//!   deadlock, so the pool spawns blocking threads on demand, parks
-//!   them when idle, and joins them on shutdown.
+//!   jobs must never block on other compute jobs' channels. No crate of
+//!   the program submits compute jobs: the optimizer's search and the
+//!   join kernels are serial, because no workload's tiles or searches
+//!   are large enough to pay for a fan-out. Only the benchmark
+//!   harness still probes the tier; ROADMAP items 1f and 19 delete it.
 //!
-//! Determinism is the caller's job — [`ExecPool::scope_run`] returns
-//! results in task-submission order so callers can reduce in a fixed
-//! order regardless of which worker ran which morsel — but the pool
-//! guarantees the plumbing: every submitted job runs exactly once
-//! (even during shutdown the queues are drained before workers exit),
-//! panics propagate to the scope owner, and `shutdown()` leaves zero
-//! live threads behind.
+//! [`ExecPool::scope_run`] returns results in task-submission order, and
+//! the pool guarantees the plumbing: every submitted job runs exactly
+//! once (even during shutdown the queues are drained before workers
+//! exit), panics propagate to the scope owner, and `shutdown()` leaves
+//! zero live threads behind.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

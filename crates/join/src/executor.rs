@@ -8,7 +8,6 @@
 //! tile (under the repeating-group mapping semantics), and emits joined
 //! composites in tile order — the non-blocking dataflow of §4.1.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use seco_model::{AtomShape, BitMask, Column, ColumnRef, CompositeTuple, Symbol};
@@ -214,11 +213,9 @@ pub struct ParallelJoinExecutor<'p> {
     /// the composites, so only `batch_eval` (vectorized predicate
     /// evaluation, byte-identical to the scalar loop) applies here.
     pub columnar: ColumnarOptions,
-    /// Shared executor pool for intra-tile morsel parallelism. `None`
-    /// (or a one-worker pool) takes the exact serial code path; with
-    /// more workers, each tile's X rows are split into segments that
-    /// run as pool morsels and are reduced in segment order, keeping
-    /// output and counters byte-identical to the serial kernel.
+    /// Read by nothing: a tile's rows are joined serially. Kept only
+    /// because the benchmark harness still sets it (ROADMAP item 1f
+    /// drops that).
     pub pool: Option<Arc<seco_exec::ExecPool>>,
 }
 
@@ -246,9 +243,8 @@ pub(crate) struct RunState {
     pub(crate) stats: JoinStats,
 }
 
-/// Per-worker evaluation scratch: everything a row-range morsel needs
-/// that is written during evaluation. The serial path uses the one
-/// inside [`RunState`]; each parallel morsel allocates its own.
+/// Evaluation scratch reused across a run's tiles: everything the row
+/// loop writes during evaluation.
 #[derive(Default)]
 struct RowScratch {
     scratch: EvalScratch,
@@ -261,67 +257,14 @@ struct RowScratch {
 }
 
 /// Everything a tile's row loop reads but never writes, gathered after
-/// the serial ensure phase (index build, probe-key extraction, batch
-/// preparation) so row-range morsels can share it by reference.
+/// the ensure phase (index build, probe-key extraction, batch
+/// preparation).
 struct TileCtx<'a> {
     compiled: &'a CompiledPredicates,
     cx: &'a [CompositeTuple],
     cy: &'a [CompositeTuple],
     batch: Option<(&'a BatchPlan, &'a [ColumnRef<'a>])>,
     probe: Option<(&'a KeyIndex, &'a ProbeKeys)>,
-}
-
-/// Minimum rows per morsel: below this, per-task overhead dominates.
-const PAR_MIN_SEG: usize = 16;
-/// Minimum candidate pairs in a tile before a kernel bothers to fan
-/// out; small tiles stay on the exact serial path.
-const PAR_MIN_PAIRS: usize = 4096;
-
-/// Runs a tile's row loop as morsels on `pool`: `rows` is split into
-/// segments, each runs `body` as a pool task with counters and output
-/// of its own, and the segments are reduced in order. Concatenation
-/// reproduces the serial emission order and the counters are sums of
-/// per-row contributions, so the outcome is byte-identical to one
-/// serial `body(rows)`; the first error in row order propagates, as it
-/// would serially.
-///
-/// Returns `None`, running nothing, when there is no pool of two or
-/// more workers or the tile (`rows` × `cols` candidate pairs) is too
-/// small to pay for the fan-out; the caller then runs `rows` serially.
-pub(crate) fn fan_out<T: Send>(
-    pool: Option<&seco_exec::ExecPool>,
-    rows: Range<usize>,
-    cols: usize,
-    stats: &mut JoinStats,
-    out: &mut Vec<T>,
-    body: impl Fn(Range<usize>, &mut JoinStats, &mut Vec<T>) -> Result<(), JoinError> + Sync,
-) -> Option<Result<(), JoinError>> {
-    let pool = pool.filter(|p| p.parallelism() > 1)?;
-    let n = rows.len();
-    if n < 2 * PAR_MIN_SEG || n.saturating_mul(cols) < PAR_MIN_PAIRS {
-        return None;
-    }
-    let seg = (n / (4 * pool.parallelism())).max(PAR_MIN_SEG);
-    let (end, body) = (rows.end, &body);
-    let tasks: Vec<_> = rows
-        .step_by(seg)
-        .map(|s| {
-            move || {
-                let mut seg_stats = JoinStats::default();
-                let mut seg_out = Vec::new();
-                let res = body(s..(s + seg).min(end), &mut seg_stats, &mut seg_out);
-                (res, seg_stats, seg_out)
-            }
-        })
-        .collect();
-    for (res, seg_stats, seg_out) in pool.scope_run(tasks) {
-        stats.merge(&seg_stats);
-        out.extend(seg_out);
-        if let Err(e) = res {
-            return Some(Err(e));
-        }
-    }
-    Some(Ok(()))
 }
 
 impl ParallelJoinExecutor<'_> {
@@ -510,7 +453,7 @@ impl ParallelJoinExecutor<'_> {
                 probe: None,
             };
             let RunState { ws, stats, .. } = st;
-            return self.run_tile_rows(&ctx, ws, stats, out);
+            return self.join_rows(&ctx, ws, stats, out);
         }
 
         // Build (or reuse) the Y chunk's index.
@@ -540,9 +483,9 @@ impl ParallelJoinExecutor<'_> {
             None
         };
 
-        // The ensure phase ends here; split the run state so the morsel
-        // loop can share the caches immutably while writing scratch,
-        // stats, and results.
+        // The ensure phase ends here; split the run state so the row
+        // loop can read the caches while writing scratch, stats, and
+        // results.
         if st.probes_x.len() <= xi {
             st.probes_x.resize_with(xi + 1, Vec::new);
         }
@@ -597,45 +540,15 @@ impl ParallelJoinExecutor<'_> {
             batch: batch.as_ref().map(|(plan, refs)| (*plan, refs.as_slice())),
             probe,
         };
-        self.run_tile_rows(&ctx, ws, stats, out)
+        self.join_rows(&ctx, ws, stats, out)
     }
 
-    /// Runs one tile's row loop: as row-range morsels on the pool when
-    /// [`fan_out`] takes it, else serially. Both run
-    /// [`ParallelJoinExecutor::join_rows`], so results and counters are
-    /// byte-identical.
-    fn run_tile_rows(
-        &self,
-        ctx: &TileCtx<'_>,
-        ws: &mut RowScratch,
-        stats: &mut JoinStats,
-        out: &mut Vec<CompositeTuple>,
-    ) -> Result<(), JoinError> {
-        let rows = 0..ctx.cx.len();
-        let morsel = |range, stats: &mut JoinStats, out: &mut Vec<CompositeTuple>| {
-            self.join_rows(ctx, range, &mut RowScratch::default(), stats, out)
-        };
-        match fan_out(
-            self.pool.as_deref(),
-            rows.clone(),
-            ctx.cy.len(),
-            stats,
-            out,
-            morsel,
-        ) {
-            Some(done) => done,
-            None => self.join_rows(ctx, rows, ws, stats, out),
-        }
-    }
-
-    /// Evaluates one contiguous range of X rows against the Y chunk —
-    /// the morsel body. Per row: its candidates, then one batch kernel
-    /// over them when one applies, else the scalar loop, which also
-    /// reproduces evaluation errors.
+    /// Evaluates the tile's X rows against the Y chunk. Per row: its
+    /// candidates, then one batch kernel over them when one applies,
+    /// else the scalar loop, which also reproduces evaluation errors.
     fn join_rows(
         &self,
         ctx: &TileCtx<'_>,
-        range: Range<usize>,
         ws: &mut RowScratch,
         stats: &mut JoinStats,
         out: &mut Vec<CompositeTuple>,
@@ -647,7 +560,7 @@ impl ParallelJoinExecutor<'_> {
             picked,
         } = ws;
         let cy = ctx.cy;
-        for (i, a) in ctx.cx.iter().enumerate().take(range.end).skip(range.start) {
+        for (i, a) in ctx.cx.iter().enumerate() {
             let cands = match ctx.probe {
                 Some((index, keys)) => index.candidates(keys.at(i), cy.len(), stats, cand),
                 None => Candidates::All(cy.len()),
@@ -846,10 +759,7 @@ mod tests {
             left_chunk: 2,
             right_chunk: 2,
         };
-        let kernel = crate::NaryJoin {
-            schemas: &schemas,
-            pool: None,
-        };
+        let kernel = crate::NaryJoin { schemas: &schemas };
         let out = kernel.run(&groups, &[stage]);
         assert_eq!(out, Err(JoinError::Query(expected)), "n-ary");
     }
@@ -1063,49 +973,6 @@ mod tests {
             .unwrap()];
         for rep in &out.tile_representatives {
             assert!(*rep <= first + 1e-12);
-        }
-    }
-
-    /// The morsel path must be invisible: same results, same tile
-    /// bookkeeping, same counters, at any worker count — including a
-    /// k-cut run and the index-off nested loop.
-    #[test]
-    fn pooled_morsels_are_byte_identical_to_serial() {
-        let sa = schema("A");
-        let sb = schema("B");
-        let (preds, schemas) = setup(&sa, &sb);
-        let a = stream_data("A", &sa, 200, ScoreDecay::Linear);
-        let b = stream_data("B", &sb, 200, ScoreDecay::Quadratic);
-        let run = |pool: Option<Arc<seco_exec::ExecPool>>,
-                   k: usize,
-                   mode: crate::index::JoinIndexMode| {
-            let exec = ParallelJoinExecutor {
-                completion: Completion::Triangular,
-                k,
-                options: JoinIndexOptions { mode },
-                pool,
-                ..executor(&preds, &schemas)
-            };
-            let mut sx = MemoryStream::new(a.clone(), 100);
-            let mut sy = MemoryStream::new(b.clone(), 100);
-            exec.run(&mut sx, &mut sy).unwrap()
-        };
-        for (k, mode) in [
-            (0, crate::index::JoinIndexMode::Hash),
-            (37, crate::index::JoinIndexMode::Hash),
-            (0, crate::index::JoinIndexMode::Off),
-        ] {
-            let serial = run(None, k, mode);
-            for workers in [2, 8] {
-                let pool = Arc::new(seco_exec::ExecPool::new(workers));
-                let parallel = run(Some(Arc::clone(&pool)), k, mode);
-                assert_eq!(serial, parallel, "k={k} mode={mode:?} workers={workers}");
-                assert!(
-                    pool.stats().morsels > 0,
-                    "parallel path must actually engage (k={k} mode={mode:?})"
-                );
-                pool.shutdown();
-            }
         }
     }
 }

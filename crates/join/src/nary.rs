@@ -35,8 +35,6 @@
 //! A stage whose predicates do not compile is an error, as it is for the
 //! cascade.
 
-use std::ops::Range;
-
 use seco_model::{AtomShape, Comparator, CompositeTuple, Symbol};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{ResolvedPredicate, SchemaMap};
@@ -44,7 +42,6 @@ use seco_query::{CompiledPredicates, QueryError};
 
 use crate::completion::TileWalk;
 use crate::error::JoinError;
-use crate::executor::fan_out;
 use crate::index::{joint_key, JoinStats, KeyIndex, ProbeKeys};
 use crate::strategy::CallTarget;
 use crate::tile::Tile;
@@ -90,12 +87,6 @@ pub struct NaryOutcome {
 pub struct NaryJoin<'p> {
     /// Schemas of every atom appearing in the groups.
     pub schemas: &'p SchemaMap<'p>,
-    /// Shared executor pool for intra-tile morsels: after a tile's
-    /// sorted key array and probe keys are built (serially), its prefix
-    /// rows are split into key-range segments intersected on the pool
-    /// and reduced in segment order — byte-identical to the serial
-    /// leapfrog pass. `None` or one worker takes the exact serial path.
-    pub pool: Option<std::sync::Arc<seco_exec::ExecPool>>,
 }
 
 /// One oriented equi conjunct of a stage: the prefix (x) side names a
@@ -404,22 +395,15 @@ impl NaryJoin<'_> {
             })
         });
 
-        // Fan the tile's prefix rows out as segments when the pool takes
-        // it; segments are reduced in order, so the flat output rows
-        // concatenate exactly as the serial pass emits them.
-        let body = |rows: Range<usize>, stats: &mut JoinStats, out: &mut Vec<u32>| {
-            let mut cand = Vec::new();
-            for li in rows {
-                let row = &prefix[li * stride..(li + 1) * stride];
-                let cands = index.candidates(keys.at(li - xs), ny, stats, &mut cand);
-                for off in cands.iter() {
-                    verify_and_emit(groups, row, right, ys + off, plan, stats, out)?;
-                }
+        let mut cand = Vec::new();
+        for li in xs..xe {
+            let row = &prefix[li * stride..(li + 1) * stride];
+            let cands = index.candidates(keys.at(li - xs), ny, stats, &mut cand);
+            for off in cands.iter() {
+                verify_and_emit(groups, row, right, ys + off, plan, stats, out)?;
             }
-            Ok(())
-        };
-        fan_out(self.pool.as_deref(), xs..xe, ny, stats, out, body)
-            .unwrap_or_else(|| body(xs..xe, stats, out))
+        }
+        Ok(())
     }
 }
 
@@ -575,10 +559,7 @@ mod tests {
         let cc = stream_data("C", &sc, 14, ScoreDecay::Linear, 4);
         for k in [0usize, 7] {
             let want = cascade(&schemas, &a, &b, &cc, &p1, &p2, k, (3, 4, 5, 3));
-            let nj = NaryJoin {
-                schemas: &schemas,
-                pool: None,
-            };
+            let nj = NaryJoin { schemas: &schemas };
             let stages = [
                 stage(&p1, Completion::Triangular, k, (3, 4)),
                 stage(&p2, Completion::Triangular, k, (5, 3)),
@@ -610,10 +591,7 @@ mod tests {
             stage(&p, Completion::Rectangular, 0, (2, 2)),
             stage(&p, Completion::Rectangular, 0, (2, 2)),
         ];
-        let nj = NaryJoin {
-            schemas: &schemas,
-            pool: None,
-        };
+        let nj = NaryJoin { schemas: &schemas };
         let out = nj.run(&[a.clone(), b.clone(), a.clone()], &stages).unwrap();
         assert!(out.is_none());
     }
@@ -635,55 +613,11 @@ mod tests {
             stage(&p1, Completion::Rectangular, 0, (2, 2)),
             stage(&p2, Completion::Rectangular, 0, (2, 2)),
         ];
-        let nj = NaryJoin {
-            schemas: &schemas,
-            pool: None,
-        };
+        let nj = NaryJoin { schemas: &schemas };
         let out = nj
             .run(&[a, Vec::new(), cc], &stages)
             .unwrap()
             .expect("provably empty is still an answer");
         assert!(out.results.is_empty());
-    }
-
-    /// The n-ary morsel path must be invisible: identical flat output
-    /// and counters at any worker count, k-cut included.
-    #[test]
-    fn pooled_segments_are_byte_identical_to_serial() {
-        let sa = schema("A1");
-        let sb = schema("B1");
-        let sc = schema("C1");
-        let mut schemas = SchemaMap::new();
-        schemas.insert("A".into(), &sa);
-        schemas.insert("B".into(), &sb);
-        schemas.insert("C".into(), &sc);
-        let p1 = vec![eq_pred("A", "B")];
-        let p2 = vec![eq_pred("B", "C")];
-        let a = stream_data("A", &sa, 180, ScoreDecay::Linear, 3);
-        let b = stream_data("B", &sb, 120, ScoreDecay::Quadratic, 3);
-        let cc = stream_data("C", &sc, 90, ScoreDecay::Linear, 4);
-        let run = |pool: Option<std::sync::Arc<seco_exec::ExecPool>>, k: usize| {
-            let nj = NaryJoin {
-                schemas: &schemas,
-                pool,
-            };
-            let stages = [
-                stage(&p1, Completion::Triangular, k, (90, 60)),
-                stage(&p2, Completion::Triangular, k, (120, 45)),
-            ];
-            nj.run(&[a.clone(), b.clone(), cc.clone()], &stages)
-                .unwrap()
-                .expect("eligible plan")
-        };
-        for k in [0usize, 25] {
-            let serial = run(None, k);
-            for workers in [2, 8] {
-                let pool = std::sync::Arc::new(seco_exec::ExecPool::new(workers));
-                let parallel = run(Some(std::sync::Arc::clone(&pool)), k);
-                assert_eq!(serial, parallel, "k={k} workers={workers}");
-                assert!(pool.stats().morsels > 0, "segments must engage (k={k})");
-                pool.shutdown();
-            }
-        }
     }
 }

@@ -219,50 +219,51 @@ impl<'a> PipeRun<'a> {
             Some(template) => template,
             slot => slot.insert(Self::template(stage)?),
         };
-        if self.shape.as_ref().is_none_or(|s| s.atoms != input.atoms) {
-            // Only without `keep_first` — its early exit stops
-            // evaluation mid-chunk, which a whole-chunk kernel cannot
-            // reproduce.
-            let batched = stage.columnar.columnar && stage.columnar.batch_eval && !stage.keep_first;
-            let batch_plan = if batched {
-                stage
-                    .compiled
-                    .batch_plan(&input.atoms, std::slice::from_ref(&self.atom))
-            } else {
-                None
-            };
-            let piped_at = template
-                .piped
-                .iter()
-                .map(|slot| {
-                    input
-                        .atoms
-                        .iter()
-                        .position(|a| a == slot.from_atom)
-                        .ok_or_else(|| {
-                            JoinError::Query(seco_query::QueryError::UnknownAtom(
-                                slot.from_atom.to_owned(),
-                            ))
-                        })
+        let shape = match &mut self.shape {
+            Some(shape) if shape.atoms == input.atoms => shape,
+            stale => {
+                // Only without `keep_first` — its early exit stops
+                // evaluation mid-chunk, which a whole-chunk kernel cannot
+                // reproduce.
+                let batched =
+                    stage.columnar.columnar && stage.columnar.batch_eval && !stage.keep_first;
+                let batch_plan = if batched {
+                    stage
+                        .compiled
+                        .batch_plan(&input.atoms, std::slice::from_ref(&self.atom))
+                } else {
+                    None
+                };
+                let piped_at = template
+                    .piped
+                    .iter()
+                    .map(|slot| {
+                        input
+                            .atoms
+                            .iter()
+                            .position(|a| a == slot.from_atom)
+                            .ok_or_else(|| {
+                                JoinError::Query(seco_query::QueryError::UnknownAtom(
+                                    slot.from_atom.to_owned(),
+                                ))
+                            })
+                    })
+                    .collect::<Result<_, _>>()?;
+                stale.insert(InputShape {
+                    atoms: input.atoms,
+                    batch_plan,
+                    piped_at,
                 })
-                .collect::<Result<_, _>>()?;
-            self.shape = Some(InputShape {
-                atoms: input.atoms,
-                batch_plan,
-                piped_at,
-            });
-        }
-        let shape = self.shape.as_ref().expect("derived above");
+            }
+        };
 
         // Write this input's piped values into the request.
         for (slot, &at) in template.piped.iter().zip(&shape.piped_at) {
             let (field, sub) = slot.field;
-            template
-                .request
-                .bindings
-                .get_mut(slot.input)
-                .expect("bound when the template was built")
-                .clone_from(input.components[at].first_value(field, sub));
+            let bound = (template.request.bindings.get_mut(slot.input)).ok_or_else(|| {
+                JoinError::Query(seco_query::QueryError::UnboundInput(slot.input.to_string()))
+            })?;
+            bound.clone_from(input.components[at].first_value(field, sub));
         }
         let request = &mut template.request;
 

@@ -17,36 +17,16 @@
 //! `QueryPlan` ([`Space::materialize`]) only when its instantiated cost
 //! reaches the incumbent check — 6 of the 4-atom star's 126 topologies.
 //!
-//! # Parallel search
-//!
-//! Phase-2 topologies are independent branch-and-bound subtrees, so the
-//! driver fans them across a bounded worker pool ([`Optimizer::workers`]):
-//! workers take topologies off a shared queue, in order and by value,
-//! share the incumbent cost as an atomic bound (monotonically
-//! decreasing, so a stale read only costs a missed prune, never a wrong
-//! one), and race to improve the incumbent under one mutex.
-//!
-//! The result is **deterministic** — byte-identical across worker
-//! counts and to the serial path — by construction:
-//!
-//! * pruning is *strict* (`lower_bound > incumbent cost`): a topology
-//!   whose completion ties the optimum can never be pruned under any
-//!   schedule, because its lower bound never exceeds the optimal cost;
-//! * among equal-cost completions the winner is the least
-//!   `(cost, canonical plan key, rank)` triple, a total order
-//!   independent of arrival order. Topology `i` ranks `i + 1`; rank 0
-//!   is a seeded incumbent, which therefore wins every full tie.
-//!
-//! Every instantiated plan therefore competes in every run, and the
-//! minimum of a fixed set under a total order does not depend on the
-//! schedule.
+//! The search is serial: topologies are bounded and instantiated in
+//! enumeration order against one incumbent. Pruning is *strict*
+//! (`lower_bound > incumbent cost`), so a topology whose completion ties
+//! the optimum is never pruned, and among equal-cost completions the
+//! winner is the least `(cost, canonical plan key, rank)` triple.
+//! Topology `i` ranks `i + 1`; rank 0 is a seeded incumbent, which
+//! therefore wins every full tie.
 
-use std::iter::Enumerate;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::vec;
 
-use parking_lot::Mutex;
 use seco_exec::ExecPool;
 use seco_plan::{AnnotatedPlan, QueryPlan};
 use seco_query::Query;
@@ -72,7 +52,7 @@ pub struct SearchStats {
     pub instantiated: usize,
     /// Topologies pruned by the lower bound.
     pub pruned: usize,
-    /// Times the shared incumbent bound strictly improved.
+    /// Times the incumbent bound strictly improved.
     pub bound_updates: usize,
     /// Full-plan annotations performed.
     pub annotate_full: usize,
@@ -120,14 +100,12 @@ pub struct Optimizer<'a> {
     pub heuristics: HeuristicSet,
     /// Anytime budget: stop once this many plans have been fully
     /// instantiated *and* a feasible incumbent exists (`None` = run to
-    /// exhaustion of the search space). Under parallel search the
-    /// instantiation counter is global, so the overshoot is bounded by
-    /// the worker count.
+    /// exhaustion of the search space).
     pub budget: Option<usize>,
     /// Cap on enumerated topologies per assignment.
     pub max_topologies: usize,
-    /// Worker jobs for the topology fan-out (`1` = serial in the
-    /// calling thread; higher values share the incumbent bound).
+    /// Read by nothing: the search is serial. Kept only because the
+    /// benchmark harness still sets it (ROADMAP item 1f drops that).
     pub workers: usize,
     /// Optional cross-run plan cache keyed by query shape (see
     /// [`query_fingerprint`]). Skipped when a [`budget`](Self::budget) is set:
@@ -138,10 +116,8 @@ pub struct Optimizer<'a> {
     /// least this multiplicative ratio before a suffix re-plan is
     /// attempted (the chapter's "off by ≥10×" default).
     pub replan_threshold: f64,
-    /// Shared executor pool to run the topology fan-out on: the worker
-    /// loops are compute jobs on its work-stealing deques (the calling
-    /// thread participates). Without one, a search with
-    /// [`workers`](Self::workers) above 1 runs on a pool of its own.
+    /// Read by nothing: the search is serial. Kept only because the
+    /// benchmark harness still sets it (ROADMAP item 1f drops that).
     pub pool: Option<Arc<ExecPool>>,
 }
 
@@ -165,9 +141,8 @@ pub(crate) struct Topologies {
     pub items: Vec<(usize, Topology)>,
 }
 
-/// A candidate incumbent: the total tie-break order is
-/// `(cost, canonical key, rank)`, which is schedule-independent. Only a
-/// candidate that costs no more than the incumbent is built, so only
+/// A candidate incumbent, ordered by `(cost, canonical key, rank)`. Only
+/// a candidate that costs no more than the incumbent is built, so only
 /// those pay for the plan and its key.
 struct Candidate {
     cost: f64,
@@ -189,108 +164,9 @@ impl Candidate {
     }
 }
 
-/// State shared by the search workers.
-struct Shared {
-    /// The assignments' spaces, each with the fetch factors its items
-    /// keep, by atom index (empty for a full search).
-    spaces: Vec<(Space, Vec<Option<u32>>)>,
-    /// The (assignment × topology) work items not yet claimed, with
-    /// their enumeration index.
-    queue: Mutex<Enumerate<vec::IntoIter<(usize, Topology)>>>,
-    /// Incumbent cost as f64 bits (monotonically decreasing; stale
-    /// reads weaken pruning but never break it).
-    bound_bits: AtomicU64,
-    /// The incumbent plan; bound updates happen under this lock so the
-    /// bound never drops below the best candidate's cost.
-    best: Mutex<Option<Candidate>>,
-    /// Cooperative stop (budget reached or a worker failed).
-    stop: AtomicBool,
-    /// First hard error, propagated after join.
-    error: Mutex<Option<OptError>>,
-    /// Last infeasible-k outcome, reported when nothing is feasible.
-    unreachable: Mutex<Option<OptError>>,
-    instantiated: AtomicUsize,
-    pruned: AtomicUsize,
-    bound_updates: AtomicUsize,
-    annotate_full: AtomicUsize,
-    annotate_delta: AtomicUsize,
-    /// Lower bounds of pruned subtrees, checked against the final
-    /// incumbent in debug builds: a pruned subtree must never contain
-    /// the winner.
-    #[cfg(debug_assertions)]
-    pruned_bounds: Mutex<Vec<f64>>,
-}
-
-impl Shared {
-    fn new(topologies: Topologies, seed: Option<Seed>) -> Self {
-        let (pins, best) = match seed {
-            Some(seed) => {
-                let incumbent = Candidate {
-                    cost: seed.cost,
-                    key: seed.plan.canonical_key(),
-                    rank: 0,
-                    plan: seed.plan,
-                    annotated: seed.annotated,
-                };
-                (seed.pins, Some(incumbent))
-            }
-            None => (FetchPins::new(), None),
-        };
-        let bound = best.as_ref().map_or(f64::INFINITY, |b| b.cost);
-        let spaces = topologies
-            .spaces
-            .into_iter()
-            .map(|space| {
-                let pins = match pins.is_empty() {
-                    true => Vec::new(),
-                    false => (space.query().atoms.iter())
-                        .map(|a| pins.get(&a.alias).copied())
-                        .collect(),
-                };
-                (space, pins)
-            })
-            .collect();
-        Shared {
-            spaces,
-            queue: Mutex::new(topologies.items.into_iter().enumerate()),
-            bound_bits: AtomicU64::new(bound.to_bits()),
-            best: Mutex::new(best),
-            stop: AtomicBool::new(false),
-            error: Mutex::new(None),
-            unreachable: Mutex::new(None),
-            instantiated: AtomicUsize::new(0),
-            pruned: AtomicUsize::new(0),
-            bound_updates: AtomicUsize::new(0),
-            annotate_full: AtomicUsize::new(0),
-            annotate_delta: AtomicUsize::new(0),
-            #[cfg(debug_assertions)]
-            pruned_bounds: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn bound(&self) -> f64 {
-        f64::from_bits(self.bound_bits.load(Ordering::Relaxed))
-    }
-
-    fn add_phase3(&self, p3: &Phase3Stats) {
-        self.annotate_full
-            .fetch_add(p3.annotate_full, Ordering::Relaxed);
-        self.annotate_delta
-            .fetch_add(p3.annotate_delta, Ordering::Relaxed);
-    }
-
-    fn fail(&self, e: OptError) {
-        let mut err = self.error.lock();
-        if err.is_none() {
-            *err = Some(e);
-        }
-        self.stop.store(true, Ordering::Release);
-    }
-}
-
 impl<'a> Optimizer<'a> {
-    /// An optimizer with default heuristics, no budget, serial search,
-    /// and the given metric.
+    /// An optimizer with default heuristics, no budget and the given
+    /// metric.
     pub fn new(registry: &'a ServiceRegistry, metric: CostMetric) -> Self {
         Optimizer {
             registry,
@@ -363,11 +239,11 @@ impl<'a> Optimizer<'a> {
         Ok((topologies, stats))
     }
 
-    /// The search proper: bounds and instantiates the topologies across
-    /// the workers and returns the least candidate, with this run's
-    /// counters added to `stats`. A `seed` pins fetch factors in every item and
-    /// enters as the incumbent at rank 0; `stats.replans` then says
-    /// whether an item beat it.
+    /// The search proper: bounds and instantiates the topologies in
+    /// enumeration order and returns the least candidate, with this
+    /// run's counters added to `stats`. A `seed` pins fetch factors in
+    /// every item and enters as the incumbent at rank 0; `stats.replans`
+    /// then says whether an item beat it.
     pub(crate) fn search(
         &self,
         topologies: Topologies,
@@ -376,177 +252,133 @@ impl<'a> Optimizer<'a> {
         mut stats: SearchStats,
     ) -> Result<Optimized, OptError> {
         let seeded = seed.is_some();
-        let workers = self.workers.max(1).min(topologies.items.len().max(1));
-        let shared = Shared::new(topologies, seed);
-        if workers <= 1 {
-            self.worker(&shared, k);
-        } else {
-            // Worker loops are pure compute (no channel waits), so
-            // they ride the pool's stealing deques directly; the
-            // search makes progress even on a single-worker pool
-            // because the scope owner executes jobs while waiting.
-            let local;
-            let pool = match &self.pool {
-                Some(pool) => pool.as_ref(),
-                None => {
-                    local = ExecPool::new(workers);
-                    &local
-                }
+        let (pins, mut best) = match seed {
+            Some(seed) => {
+                let incumbent = Candidate {
+                    cost: seed.cost,
+                    key: seed.plan.canonical_key(),
+                    rank: 0,
+                    plan: seed.plan,
+                    annotated: seed.annotated,
+                };
+                (seed.pins, Some(incumbent))
+            }
+            None => (FetchPins::new(), None),
+        };
+        // Each assignment's space with the fetch factors its items keep,
+        // by atom index (empty for a full search).
+        let spaces: Vec<(Space, Vec<Option<u32>>)> = (topologies.spaces.into_iter())
+            .map(|space| {
+                let kept = match pins.is_empty() {
+                    true => Vec::new(),
+                    false => (space.query().atoms.iter())
+                        .map(|a| pins.get(&a.alias).copied())
+                        .collect(),
+                };
+                (space, kept)
+            })
+            .collect();
+        // The last infeasible-k outcome, reported when nothing is feasible.
+        let mut unreachable = None;
+        let mut instantiated = 0;
+        // Lower bounds of pruned subtrees, checked against the final
+        // incumbent in debug builds: a pruned subtree must never contain
+        // the winner.
+        #[cfg(debug_assertions)]
+        let mut pruned_bounds = Vec::new();
+
+        for (idx, (assignment, topology)) in topologies.items.into_iter().enumerate() {
+            let Some((space, pins)) = spaces.get(assignment) else {
+                break;
             };
-            let shared = &shared;
-            pool.scope_run(
-                (0..workers)
-                    .map(|_| move || self.worker(shared, k))
-                    .collect(),
+            let bound = best.as_ref().map_or(f64::INFINITY, |b| b.cost);
+            // One full annotation serves both the lower bound and the
+            // phase-3 starting point.
+            let mut annotator = space.annotator(&topology, pins)?;
+            stats.annotate_full += 1;
+            let lower_bound = self.metric.cost_of(&annotator);
+            if lower_bound > bound {
+                stats.pruned += 1;
+                #[cfg(debug_assertions)]
+                pruned_bounds.push(lower_bound);
+                continue;
+            }
+            let pinned = |id| {
+                topology
+                    .service_atom(id)
+                    .is_some_and(|atom| pins.get(atom).copied().flatten().is_some())
+            };
+            let growable = growable(annotator.table(), pinned);
+            let mut p3 = Phase3Stats::default();
+            let instantiation = instantiate(
+                &mut annotator,
+                &growable,
+                k,
+                self.heuristics.phase3,
+                self.metric,
+                &mut p3,
+            );
+            stats.annotate_full += p3.annotate_full;
+            stats.annotate_delta += p3.annotate_delta;
+            instantiated += 1;
+            match instantiation {
+                Ok(()) => {}
+                Err(e @ OptError::Unreachable { .. }) => {
+                    unreachable = Some(e);
+                    continue;
+                }
+                Err(e) => return Err(e),
+            }
+            // Only a candidate that can still beat or tie the incumbent
+            // pays for its plan and key.
+            let cost = self.metric.cost_of(&annotator);
+            let above = cost > bound;
+            if !above {
+                let plan = space.materialize(&topology, |id| annotator.fetches(id).unwrap_or(1))?;
+                let candidate = Candidate {
+                    cost,
+                    key: plan.canonical_key(),
+                    rank: idx + 1,
+                    plan,
+                    annotated: annotator.into_annotated(),
+                };
+                if best.as_ref().is_none_or(|b| candidate.beats(b)) {
+                    if candidate.cost < bound {
+                        stats.bound_updates += 1;
+                    }
+                    best = Some(candidate);
+                }
+            }
+            if self.budget.is_some_and(|budget| instantiated >= budget) && best.is_some() {
+                break;
+            }
+        }
+        stats.instantiated += instantiated;
+
+        let Some(winner) = best else {
+            return Err(unreachable.unwrap_or(OptError::Unreachable {
+                best_estimate: 0.0,
+                k,
+            }));
+        };
+        // Pruning soundness (debug builds): every pruned subtree's lower
+        // bound must exceed the winning cost, i.e. the exhaustive winner
+        // is never in a pruned subtree.
+        #[cfg(debug_assertions)]
+        for lb in &pruned_bounds {
+            debug_assert!(
+                *lb > winner.cost,
+                "pruned a subtree (lb={lb}) that could contain the winner (cost={})",
+                winner.cost
             );
         }
-
-        if let Some(e) = shared.error.lock().take() {
-            return Err(e);
-        }
-
-        stats.instantiated += shared.instantiated.load(Ordering::Relaxed);
-        stats.pruned += shared.pruned.load(Ordering::Relaxed);
-        stats.bound_updates += shared.bound_updates.load(Ordering::Relaxed);
-        stats.annotate_full += shared.annotate_full.load(Ordering::Relaxed);
-        stats.annotate_delta += shared.annotate_delta.load(Ordering::Relaxed);
-
-        let best = shared.best.lock().take();
-        match best {
-            Some(candidate) => {
-                // Pruning soundness (debug builds): every pruned
-                // subtree's lower bound must exceed the winning cost —
-                // i.e. the exhaustive winner is never in a pruned
-                // subtree. Strict pruning guarantees this under any
-                // schedule.
-                #[cfg(debug_assertions)]
-                for lb in shared.pruned_bounds.lock().iter() {
-                    debug_assert!(
-                        *lb > candidate.cost,
-                        "pruned a subtree (lb={lb}) that could contain the winner \
-                         (cost={})",
-                        candidate.cost
-                    );
-                }
-                stats.replans = usize::from(seeded && candidate.rank != 0);
-                Ok(Optimized {
-                    plan: candidate.plan,
-                    annotated: candidate.annotated,
-                    cost: candidate.cost,
-                    stats,
-                })
-            }
-            None => {
-                let unreachable = shared.unreachable.lock().take();
-                Err(unreachable.unwrap_or(OptError::Unreachable {
-                    best_estimate: 0.0,
-                    k,
-                }))
-            }
-        }
-    }
-
-    /// Worker loop: take items off the shared queue until exhausted or
-    /// stopped.
-    fn worker(&self, shared: &Shared, k: usize) {
-        loop {
-            if shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            let Some((idx, (assignment, topology))) = shared.queue.lock().next() else {
-                return;
-            };
-            let Some((space, pins)) = shared.spaces.get(assignment) else {
-                return;
-            };
-            if let Err(e) = self.process_item(idx, space, pins, &topology, shared, k) {
-                shared.fail(e);
-                return;
-            }
-        }
-    }
-
-    /// Bound and, if surviving, fully instantiate one topology; build
-    /// its plan only if it can still beat or tie the incumbent.
-    fn process_item(
-        &self,
-        idx: usize,
-        space: &Space,
-        pins: &[Option<u32>],
-        topology: &Topology,
-        shared: &Shared,
-        k: usize,
-    ) -> Result<(), OptError> {
-        // One full annotation serves both the lower bound and the
-        // phase-3 starting point.
-        let mut annotator = space.annotator(topology, pins)?;
-        shared.annotate_full.fetch_add(1, Ordering::Relaxed);
-        let lower_bound = self.metric.cost_of(&annotator);
-        if lower_bound > shared.bound() {
-            shared.pruned.fetch_add(1, Ordering::Relaxed);
-            #[cfg(debug_assertions)]
-            shared.pruned_bounds.lock().push(lower_bound);
-            return Ok(());
-        }
-        let pinned = |id| {
-            topology
-                .service_atom(id)
-                .is_some_and(|atom| pins.get(atom).copied().flatten().is_some())
-        };
-        let growable = growable(annotator.table(), pinned);
-        let mut p3 = Phase3Stats::default();
-        let instantiation = instantiate(
-            &mut annotator,
-            &growable,
-            k,
-            self.heuristics.phase3,
-            self.metric,
-            &mut p3,
-        );
-        shared.add_phase3(&p3);
-
-        match instantiation {
-            Ok(()) => {
-                let instantiated = shared.instantiated.fetch_add(1, Ordering::Relaxed) + 1;
-                let cost = self.metric.cost_of(&annotator);
-                // The bound is the incumbent's cost or a stale, higher
-                // one: a candidate above it cannot beat the incumbent.
-                let above = cost > shared.bound();
-                if !above {
-                    let plan =
-                        space.materialize(topology, |id| annotator.fetches(id).unwrap_or(1))?;
-                    let candidate = Candidate {
-                        cost,
-                        key: plan.canonical_key(),
-                        rank: idx + 1,
-                        plan,
-                        annotated: annotator.into_annotated(),
-                    };
-                    let mut best = shared.best.lock();
-                    let replace = best.as_ref().map(|b| candidate.beats(b)).unwrap_or(true);
-                    if replace {
-                        if candidate.cost < shared.bound() {
-                            shared
-                                .bound_bits
-                                .store(candidate.cost.to_bits(), Ordering::Relaxed);
-                            shared.bound_updates.fetch_add(1, Ordering::Relaxed);
-                        }
-                        *best = Some(candidate);
-                    }
-                }
-                if let Some(budget) = self.budget {
-                    if instantiated >= budget && shared.best.lock().is_some() {
-                        shared.stop.store(true, Ordering::Release);
-                    }
-                }
-            }
-            Err(e @ OptError::Unreachable { .. }) => {
-                shared.instantiated.fetch_add(1, Ordering::Relaxed);
-                *shared.unreachable.lock() = Some(e);
-            }
-            Err(e) => return Err(e),
-        }
-        Ok(())
+        stats.replans = usize::from(seeded && winner.rank != 0);
+        Ok(Optimized {
+            plan: winner.plan,
+            annotated: winner.annotated,
+            cost: winner.cost,
+            stats,
+        })
     }
 }
 
@@ -683,52 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_serial_byte_for_byte() {
-        let reg = entertainment::build_registry(1).unwrap();
-        let q = running_example();
-        for metric in CostMetric::all() {
-            let serial = optimize(&q, &reg, metric).unwrap();
-            for workers in [2usize, 4, 8] {
-                let mut opt = Optimizer::new(&reg, metric);
-                opt.workers = workers;
-                let parallel = opt.optimize(&q).unwrap();
-                assert_eq!(
-                    parallel.cost.to_bits(),
-                    serial.cost.to_bits(),
-                    "{metric} workers={workers}"
-                );
-                assert_eq!(
-                    parallel.plan.canonical_key(),
-                    serial.plan.canonical_key(),
-                    "{metric} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_search_matches_serial_byte_for_byte() {
-        let reg = entertainment::build_registry(1).unwrap();
-        let q = running_example();
-        let pool = Arc::new(seco_exec::ExecPool::new(4));
-        for metric in CostMetric::all() {
-            let serial = optimize(&q, &reg, metric).unwrap();
-            let mut opt = Optimizer::new(&reg, metric);
-            opt.workers = 4;
-            opt.pool = Some(pool.clone());
-            let pooled = opt.optimize(&q).unwrap();
-            assert_eq!(pooled.cost.to_bits(), serial.cost.to_bits(), "{metric}");
-            assert_eq!(
-                pooled.plan.canonical_key(),
-                serial.plan.canonical_key(),
-                "{metric}"
-            );
-        }
-        assert!(pool.stats().morsels > 0, "search ran on the pool");
-        pool.shutdown();
-    }
-
-    #[test]
     fn four_atom_star_search_is_pinned() {
         // Values recorded before phase 2 learned to visit each state
         // once, and the annotation work before phase 2 ran on interned
@@ -749,6 +535,72 @@ mod tests {
              S[A1=Star1,F=4,kf=0](I)|S[A4=Star4,F=3,kf=0](I))|\
              S[A3=Star3,F=4,kf=0](I))|S[A2=Star2,F=4,kf=0](I)))"
         );
+    }
+
+    #[test]
+    fn running_example_search_is_pinned() {
+        // Recorded from the parallel-capable search it replaced, for
+        // every metric: (topologies, instantiated, pruned,
+        // bound_updates, annotate_full, annotate_delta), the cost bits
+        // and the winner's canonical key. A change to pruning or to the
+        // tie-break order moves one of them.
+        const CHAIN: &str = "O(S[R=Restaurant1,F=1,kf=0](\
+             J[MS(r=1/1),tri,M.Title = T.Movie.Title;sel=3f947ae147ae147b](\
+             F[T.TCountry = INPUT2;sel=3ff0000000000000](S[T=Theatre1,F=5,kf=0](I))|\
+             S[M=Movie1,F=1,kf=0](I))))";
+        const PARALLEL: &str = "O(J[MS(r=1/1),tri,M.Title = T.Movie.Title;sel=3f947ae147ae147b](\
+             S[M=Movie1,F=1,kf=0](I)|S[R=Restaurant1,F=1,kf=0](\
+             F[T.TCountry = INPUT2;sel=3ff0000000000000](S[T=Theatre1,F=5,kf=0](I)))))";
+        let pins = [
+            (
+                CostMetric::ExecutionTime,
+                (5, 2, 3, 1, 5, 8),
+                0x4085e00000000000u64,
+                CHAIN,
+            ),
+            (
+                CostMetric::Sum,
+                (5, 3, 2, 1, 5, 10),
+                0x4026000000000000,
+                CHAIN,
+            ),
+            (
+                CostMetric::RequestCount,
+                (5, 3, 2, 1, 5, 10),
+                0x4026000000000000,
+                CHAIN,
+            ),
+            (
+                CostMetric::Bottleneck,
+                (5, 2, 3, 1, 5, 8),
+                0x4079000000000000,
+                CHAIN,
+            ),
+            (
+                CostMetric::TimeToScreen,
+                (5, 2, 3, 2, 5, 8),
+                0x4061800000000000,
+                PARALLEL,
+            ),
+        ];
+        assert_eq!(pins.len(), CostMetric::all().len());
+        let reg = entertainment::build_registry(1).unwrap();
+        let q = running_example();
+        for (metric, counts, cost_bits, key) in pins {
+            let best = optimize(&q, &reg, metric).unwrap();
+            let s = &best.stats;
+            let got = (
+                s.topologies,
+                s.instantiated,
+                s.pruned,
+                s.bound_updates,
+                s.annotate_full,
+                s.annotate_delta,
+            );
+            assert_eq!(got, counts, "{metric}");
+            assert_eq!(best.cost.to_bits(), cost_bits, "{metric}");
+            assert_eq!(best.plan.canonical_key(), key, "{metric}");
+        }
     }
 
     #[test]

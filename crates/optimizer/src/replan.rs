@@ -15,8 +15,7 @@
 //! topologies to the branch-and-bound's `Optimizer::search` with the
 //! original plan seeded as the incumbent at tie-break rank 0, so a
 //! challenger must *strictly* beat it under the `(cost, canonical key,
-//! rank)` order, and pruning and the worker fan-out are the full
-//! search's. The incumbent is costed like every challenger, under the
+//! rank)` order, and pruning and the budget are the full search's. The incumbent is costed like every challenger, under the
 //! registry's current statistics: its joins' plan-time selectivities are
 //! re-derived from the (possibly promoted) pattern statistics first.
 //!
@@ -136,9 +135,8 @@ impl Optimizer<'_> {
     /// embedding the executed prefix (same services, same upstream
     /// structure, fetch factors pinned); the original plan stays the
     /// incumbent unless a candidate strictly beats it. The search
-    /// honours [`workers`](Optimizer::workers),
-    /// [`pool`](Optimizer::pool) and [`budget`](Optimizer::budget) as a
-    /// full optimization does.
+    /// honours [`budget`](Optimizer::budget) as a full optimization
+    /// does.
     pub fn replan_suffix(
         &self,
         plan: &QueryPlan,

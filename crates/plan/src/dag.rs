@@ -189,8 +189,8 @@ impl QueryPlan {
     /// join strategies, rendered from the output node with the branch
     /// subkeys of every parallel join sorted. Two plans that differ
     /// only in node insertion order map to the same key, so the key is
-    /// a schedule-independent tie-breaker for equal-cost plans in the
-    /// parallel branch-and-bound.
+    /// an order-independent tie-breaker for equal-cost plans in the
+    /// branch-and-bound.
     pub fn canonical_key(&self) -> String {
         fn key_of(plan: &QueryPlan, id: NodeId) -> String {
             match plan.node(id) {

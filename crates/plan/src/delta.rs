@@ -15,9 +15,9 @@
 //! and [`back_propagate`](crate::annotate::back_propagate) inverts the
 //! same per-node rules. A cone propagation performs the same operations
 //! in the same order on the same `f64`s as a fresh build, so the two
-//! agree exactly (property-tested in `tests/optimizer_parallel.rs`),
-//! which is what lets the parallel branch-and-bound stay byte-identical
-//! to the serial one.
+//! agree exactly (property-tested in `tests/delta_annotation.rs`): an
+//! annotator's state depends only on its current fetch factors, never
+//! on the trials that led there.
 //!
 //! A table need not come from a [`QueryPlan`]: the optimizer builds one
 //! straight from a phase-2 topology (small vectors, no strings), and a

@@ -98,13 +98,43 @@ pub type Rejection = (u16, &'static str);
 
 const HEAD_TOO_LARGE: Rejection = (431, "request head too large");
 
+const TIMED_OUT: Rejection = (408, "request not complete in time");
+
+/// How long a client has to send its whole request, head and body. A
+/// client that is silent or drips its bytes is answered `408` once it
+/// runs out, so it cannot hold a connection thread.
+pub const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long a refused client's leftover bytes are read and dropped.
+const DISCARD_DEADLINE: Duration = Duration::from_secs(1);
+
+/// The connection, read under a deadline: every read waits at most for
+/// what is left of it, so no pace of arriving bytes can stretch it. A
+/// read past the deadline fails with [`io::ErrorKind::TimedOut`].
+struct Deadline {
+    stream: TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        // A read timeout surfaces as `WouldBlock` on Unix.
+        self.stream.read(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
+            _ => e,
+        })
+    }
+}
+
 /// Reads the next line of the head into `line`, within what is left of
 /// the head's budget: `false` when the budget ran out before the line
 /// ended. At a clean EOF the line comes back empty.
-fn head_line(
-    head: &mut io::Take<&mut BufReader<TcpStream>>,
-    line: &mut String,
-) -> io::Result<bool> {
+fn head_line(head: &mut io::Take<&mut BufReader<Deadline>>, line: &mut String) -> io::Result<bool> {
     line.clear();
     head.read_line(line)?;
     Ok(line.ends_with('\n') || head.limit() > 0)
@@ -112,10 +142,21 @@ fn head_line(
 
 /// Reads one request off the connection. `None` on a clean EOF before
 /// any bytes (client connected and went away); `Some(Err(..))` when the
-/// head is longer than [`MAX_HEAD`] or the declared body length is not
-/// acceptable.
+/// head is longer than [`MAX_HEAD`], the declared body length is not
+/// acceptable, or the request is not complete within
+/// [`REQUEST_DEADLINE`].
 pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Rejection>>> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let reader = Deadline {
+        stream: stream.try_clone()?,
+        at: Instant::now() + REQUEST_DEADLINE,
+    };
+    match read_request(BufReader::new(reader)) {
+        Err(e) if e.kind() == io::ErrorKind::TimedOut => Ok(Some(Err(TIMED_OUT))),
+        read => read,
+    }
+}
+
+fn read_request(mut reader: BufReader<Deadline>) -> io::Result<Option<Result<Request, Rejection>>> {
     let mut head = reader.by_ref().take(MAX_HEAD as u64);
     let mut line = String::new();
     if !head_line(&mut head, &mut line)? {
@@ -170,12 +211,19 @@ pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Re
 }
 
 /// Reads and drops what a refused client is still sending — up to
-/// [`MAX_BODY`], for at most a second — before the connection closes:
-/// closing on unread bytes resets it, and the answer with it.
+/// [`MAX_BODY`], for at most [`DISCARD_DEADLINE`] in all — before the
+/// connection closes: closing on unread bytes resets it, and the answer
+/// with it.
 pub fn discard_rest(stream: &TcpStream) {
     let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
-    let _ = io::copy(&mut stream.take(MAX_BODY as u64), &mut io::sink());
+    let Ok(stream) = stream.try_clone() else {
+        return;
+    };
+    let rest = Deadline {
+        stream,
+        at: Instant::now() + DISCARD_DEADLINE,
+    };
+    let _ = io::copy(&mut rest.take(MAX_BODY as u64), &mut io::sink());
 }
 
 fn reason(status: u16) -> &'static str {
@@ -183,6 +231,7 @@ fn reason(status: u16) -> &'static str {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",

@@ -52,15 +52,13 @@ pub struct ServerConfig {
     pub max_concurrent: usize,
     /// Service-call budget per tenant (0 = unlimited).
     pub tenant_budget: u64,
-    /// Worker threads of the shared executor pool: one work-stealing
-    /// pool per daemon runs every session's join morsels and plan-node
-    /// tasks (the planner searches on the request thread). Fairness
-    /// across sessions comes from the admission gate (at most
-    /// [`max_concurrent`](Self::max_concurrent) executions feed the
-    /// pool), the round-robin cursor that deals every scope's jobs over
-    /// the worker deques, and caller participation: a scope's caller
-    /// runs queued jobs while it waits, so no session stalls for want
-    /// of a free worker.
+    /// Compute threads of the shared executor pool. One pool per daemon
+    /// runs every session's plan-node tasks on its blocking tier; the
+    /// planner runs on the request thread and the join kernels are
+    /// serial, so nothing submits work to these threads (ROADMAP item 19
+    /// deletes them). The admission gate (at most
+    /// [`max_concurrent`](Self::max_concurrent) executions) bounds the
+    /// pool's load.
     pub exec_workers: usize,
 }
 
@@ -158,8 +156,6 @@ pub struct ServerState {
 impl ServerState {
     /// A daemon over `registry` with the given limits.
     pub fn new(registry: ServiceRegistry, config: ServerConfig) -> Arc<Self> {
-        // Sessions' join kernels fan out on this pool (one worker keeps
-        // their exact serial path).
         Arc::new(ServerState {
             registry: Arc::new(registry),
             plan_cache: Arc::new(PlanCache::new()),
@@ -364,8 +360,8 @@ impl ServerState {
 
     /// Waits until in-flight executions finish (or `timeout` passes),
     /// then stops the executor pool. True when fully drained. An
-    /// execution still running when the timeout stops the pool
-    /// finishes its remaining morsels on its own thread.
+    /// execution still running when the timeout stops the pool runs to
+    /// its end: the pool's threads finish their queued tasks first.
     pub fn drain(&self, timeout: Duration) -> bool {
         let start = Instant::now();
         while self.in_flight.load(Ordering::Acquire) > 0 {

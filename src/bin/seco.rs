@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! seco services  [--domain entertainment|travel] [--seed N]
-//! seco explain   [--domain D] [--metric M] [--seed N] [--workers N] <query…>
-//! seco optimize  [--domain D] [--metric M] [--seed N] [--workers N] <query…>
+//! seco explain   [--domain D] [--metric M] [--seed N] <query…>
+//! seco optimize  [--domain D] [--metric M] [--seed N] <query…>
 //! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
 //!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
@@ -18,11 +18,9 @@
 //!                [engine flags as for `run`]
 //! ```
 //!
-//! `optimize` (and `explain`, its superset) runs the parallel
-//! branch-and-bound: `--workers N` fans phase-2 topologies across N
-//! threads sharing the incumbent bound — the winning plan is
-//! byte-identical at every worker count. Both print the search,
-//! annotation, and plan-cache counters after the cost line.
+//! `optimize` (and `explain`, its superset) runs the branch-and-bound
+//! and prints the search, annotation, and plan-cache counters after the
+//! cost line.
 //!
 //! `--cache-shards N` routes every service call through a sharded,
 //! request-coalescing response cache and reports call / hit / coalesced
@@ -43,13 +41,11 @@
 //! composites; answers stay byte-identical to the binary cascade. A
 //! `rank:` counter line is printed after the answers.
 //!
-//! `--exec-workers N` sizes the work-stealing pool `run`, `stats` and
-//! `serve` execute on (default: the machine's core count). Above 1,
-//! tile joins and n-ary intersections decompose into morsels on it; a
-//! deterministic ordered reducer keeps the answers byte-identical to
-//! serial at any worker count, and `--exec-workers 1` takes the exact
-//! serial join path. `seco stats` prints the scheduler counters (queue
-//! depth, steals, morsels, worker busy time) after the service
+//! `--exec-workers N` sizes the pool `run`, `stats` and `serve` execute
+//! on (default: the machine's core count). Its blocking tier runs the
+//! pipelined executor's node tasks; the join kernels are serial.
+//! `seco stats` prints the scheduler counters
+//! (queue depth, steals, morsels, worker busy time) after the service
 //! statistics.
 //!
 //! `--columnar` toggles column-wise consumption of fetched chunk
@@ -130,7 +126,6 @@ struct Args {
     adaptive_threshold: f64,
     columnar: bool,
     batch_eval: bool,
-    workers: usize,
     exec_workers: usize,
     addr: String,
     max_sessions: usize,
@@ -158,10 +153,8 @@ fn parse_args() -> Result<Args, String> {
     let mut adaptive_threshold = defaults.adaptive_threshold;
     let mut columnar = defaults.columnar.columnar;
     let mut batch_eval = defaults.columnar.batch_eval;
-    let mut workers = 1usize;
     // The pool `run` and `stats` execute on defaults to the machine's
-    // core count; the join kernels' ordered reducer keeps output
-    // byte-identical to their serial path at any count.
+    // core count.
     let mut exec_workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -263,16 +256,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad budget: {e}"))?;
             }
-            "--workers" => {
-                workers = argv
-                    .next()
-                    .ok_or("--workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
             "--exec-workers" => {
                 exec_workers = argv
                     .next()
@@ -322,7 +305,6 @@ fn parse_args() -> Result<Args, String> {
         adaptive_threshold,
         columnar,
         batch_eval,
-        workers,
         exec_workers,
         addr,
         max_sessions,
@@ -336,7 +318,7 @@ fn usage() -> String {
     "usage: seco <services|explain|optimize|run|stats|oracle|serve> \
      [--domain entertainment|travel] \
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
-     [--seed N] [--workers N] [--exec-workers N] [--parallel] \
+     [--seed N] [--exec-workers N] [--parallel] \
      [--fault-profile none|flaky|outage] \
      [--deadline-ms N] [--cache-shards N] \
      [--join-index off|hash] [--rank-join] \
@@ -381,7 +363,6 @@ fn cmd_services(registry: &ServiceRegistry) {
 fn cmd_explain(
     registry: &ServiceRegistry,
     metric: CostMetric,
-    workers: usize,
     show_dot: bool,
     query_src: &str,
 ) -> Result<(), String> {
@@ -392,17 +373,17 @@ fn cmd_explain(
         "feasible; invocation order {:?}, pipe edges {:?}\n",
         report.order, report.pipe_edges
     );
-    let mut optimizer = Optimizer::new(registry, metric);
-    optimizer.workers = workers;
-    let best = optimizer.optimize(&query).map_err(|e| e.to_string())?;
+    let best = Optimizer::new(registry, metric)
+        .optimize(&query)
+        .map_err(|e| e.to_string())?;
     let stats = &best.stats;
     println!(
         "optimized under {metric}: cost {:.1}; explored {} topologies ({} pruned)",
         best.cost, stats.topologies, stats.pruned
     );
     println!(
-        "search: {} workers, {} assignments, {} instantiated, {} bound updates",
-        workers, stats.assignments, stats.instantiated, stats.bound_updates
+        "search: {} assignments, {} instantiated, {} bound updates",
+        stats.assignments, stats.instantiated, stats.bound_updates
     );
     println!(
         "annotation: {} full, {} delta",
@@ -716,8 +697,8 @@ fn main() -> ExitCode {
             cmd_services(&registry);
             Ok(())
         }
-        "explain" => cmd_explain(&registry, args.metric, args.workers, true, &args.query),
-        "optimize" => cmd_explain(&registry, args.metric, args.workers, false, &args.query),
+        "explain" => cmd_explain(&registry, args.metric, true, &args.query),
+        "optimize" => cmd_explain(&registry, args.metric, false, &args.query),
         "run" => cmd_run(&registry, &args, opts),
         "stats" => cmd_stats(&registry, &args, opts),
         "oracle" => cmd_oracle(&registry, &args.query),

@@ -455,13 +455,10 @@ fn large_int_keys_that_promote_to_one_float_still_join_by_equality() {
         left_chunk: 2,
         right_chunk: 2,
     };
-    let nary = NaryJoin {
-        schemas: &schemas,
-        pool: None,
-    }
-    .run(&groups, &[stage(&ab), stage(&bc)])
-    .unwrap()
-    .expect("disjoint single-atom groups with equi keys take the n-ary kernel");
+    let nary = NaryJoin { schemas: &schemas }
+        .run(&groups, &[stage(&ab), stage(&bc)])
+        .unwrap()
+        .expect("disjoint single-atom groups with equi keys take the n-ary kernel");
 
     let (off, hash) = (cascade(OFF), cascade(HASH));
     assert_eq!(off, hash, "the binary index agrees with the nested loop");

@@ -42,6 +42,31 @@ fn bnb_matches_exhaustive_on_every_generated_scenario() {
     }
 }
 
+/// One full annotation per visited topology: it serves both the lower
+/// bound and phase 3, which only propagates deltas.
+#[test]
+fn each_visited_topology_is_annotated_in_full_once() {
+    let reg = entertainment::build_registry(1).unwrap();
+    let q = running_example();
+    for metric in CostMetric::all() {
+        let s = optimize(&q, &reg, metric).unwrap().stats;
+        assert_eq!(s.annotate_full, s.instantiated + s.pruned, "{metric}");
+    }
+}
+
+/// Anytime semantics (§5.2): a budget of one instantiates exactly one
+/// plan, and that plan is feasible.
+#[test]
+fn a_budget_of_one_instantiates_exactly_one_feasible_plan() {
+    let (reg, q) = star_scenario(3, 11);
+    let mut opt = Optimizer::new(&reg, CostMetric::RequestCount);
+    opt.budget = Some(1);
+    let anytime = opt.optimize(&q).unwrap();
+    anytime.plan.validate().unwrap();
+    assert!(anytime.annotated.output_tuples >= q.k as f64);
+    assert_eq!(anytime.stats.instantiated, 1);
+}
+
 #[test]
 fn annotation_is_monotone_in_every_fetch_factor() {
     // The bounding step's soundness rests on this (§5.2 monotonicity).

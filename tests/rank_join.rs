@@ -344,10 +344,7 @@ fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
                         left_chunk: chunk,
                         right_chunk: chunk,
                     };
-                    let nj = NaryJoin {
-                        schemas,
-                        pool: None,
-                    };
+                    let nj = NaryJoin { schemas };
                     let got = nj
                         .run(&[a.clone(), b.clone(), c.clone()], &[stage(p1), stage(p2)])
                         .map(|out| out.expect("an equi chain is eligible"));

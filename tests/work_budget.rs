@@ -30,7 +30,7 @@ struct Work {
     pairs_skipped: u64,
     batch_evals: u64,
     /// The run's own join counters. Unlike the registry's, they
-    /// include the tile joins, whose morsels the pool fans out.
+    /// include the tile joins.
     join_index_builds: u64,
     join_probes: u64,
     join_pairs_skipped: u64,
