@@ -340,15 +340,11 @@ fn run_join(
     schemas.insert("Y".into(), &sy.interface().schema);
     let h = decay_x.step_chunks().unwrap_or(1);
     let exec = ParallelJoinExecutor {
-        predicates: &predicates,
-        schemas: &schemas,
         invocation,
         completion,
         h,
         k,
-        options: seco_join::JoinIndexOptions::default(),
-        columnar: seco_join::ColumnarOptions::default(),
-        pool: None,
+        ..ParallelJoinExecutor::new(&predicates, &schemas)
     };
     let out = exec.run(&mut x, &mut y)?;
     Ok((out.calls_x + out.calls_y, out.results))
@@ -726,8 +722,8 @@ fn e10(out: &mut Report) -> Result<(), DynError> {
         ok &= agree;
         say!(out, "{label:<36} ours = {ours:<8.1} match: {agree}");
     }
-    // Execute the instantiated plan with the hash-indexed join kernel
-    // (byte-identical to the nested loop; tests/join_index.rs proves
+    // Execute the instantiated plan with the key-indexed join kernel
+    // (byte-identical to the nested loop; seco-join's unit tests prove
     // it) and report the kernel's work counters.
     let result = execute_plan(
         &plan,
@@ -1134,15 +1130,10 @@ fn e17(out: &mut Report) -> Result<(), DynError> {
         schemas.insert("X".into(), &sx.interface().schema);
         schemas.insert("Y".into(), &sy.interface().schema);
         let exec = ParallelJoinExecutor {
-            predicates: &predicates,
-            schemas: &schemas,
             invocation: inv,
             completion: Completion::Triangular,
-            h: 1,
             k,
-            options: seco_join::JoinIndexOptions::default(),
-            columnar: seco_join::ColumnarOptions::default(),
-            pool: None,
+            ..ParallelJoinExecutor::new(&predicates, &schemas)
         };
         let out = exec.run(&mut x, &mut y)?;
         let service_ms = out.calls_x as f64 * tx + out.calls_y as f64 * ty;

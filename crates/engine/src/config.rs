@@ -1,15 +1,19 @@
 //! The consolidated engine configuration.
 //!
 //! [`EngineConfig`] gathers everything that used to be spread across
-//! the historical `ExecOptions`, [`FetchOptions`], [`JoinIndexOptions`],
-//! and the columnar-plane switches into one builder-style value — the
-//! single configuration surface of the engine and of `seco serve`.
-//! Every `seco run` CLI flag but `--exec-workers` maps 1:1 to a builder
-//! method, and both executors ([`crate::execute_plan`] and
-//! [`crate::execute_parallel`]) consume it directly. The worker count is
-//! the pool's: [`crate::SharedState::for_daemon`] sizes it.
+//! the historical `ExecOptions` and [`FetchOptions`] into one
+//! builder-style value — the single configuration surface of the engine
+//! and of `seco serve`. Every `seco run` CLI flag but `--exec-workers`
+//! maps 1:1 to a builder method, and both executors
+//! ([`crate::execute_plan`] and [`crate::execute_parallel`]) consume it
+//! directly. The worker count is the pool's:
+//! [`crate::SharedState::for_daemon`] sizes it.
+//!
+//! How a join finds and judges its candidate pairs is not configured:
+//! tile joins always key through the per-chunk key index, and pipe
+//! stages, tiles and selections always try their batch kernel
+//! ([`seco_join`]'s module docs).
 
-use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions};
 use seco_optimizer::CostMetric;
 use seco_services::ClientConfig;
 
@@ -75,9 +79,7 @@ impl FetchOptions {
 /// let config = EngineConfig::default()
 ///     .join_k(10)
 ///     .failure_mode(FailureMode::Degrade)
-///     .cache_shards(8)
-///     .columnar(true)
-///     .batch_eval(true);
+///     .cache_shards(8);
 /// assert_eq!(config.join_k, 10);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -97,14 +99,16 @@ pub struct EngineConfig {
     /// cache sits *above* the resilient client, so hits and coalesced
     /// waits bypass retries and breaker checks entirely.
     pub fetch: FetchOptions,
-    /// Join-kernel configuration: hash-index acceleration of tile and
-    /// pipe joins. The default (`Hash`) is byte-identical to the
-    /// nested-loop baseline.
-    pub join_index: JoinIndexOptions,
-    /// Columnar data-plane configuration: column-backed key extraction
-    /// and vectorized batch predicate evaluation. The default (both on)
-    /// is byte-identical to the row-at-a-time plane.
-    pub columnar: ColumnarOptions,
+    /// Holds nothing and is read by nothing: tile joins always key
+    /// through the key index. Kept only because the benchmark harness
+    /// still reads it into `ParallelJoinExecutor::options` (ROADMAP item
+    /// 1f drops that).
+    pub join_index: (),
+    /// Holds nothing and is read by nothing: pipe stages, tiles and
+    /// selections always try their batch kernel. Kept only because the
+    /// benchmark harness still reads it into
+    /// `ParallelJoinExecutor::columnar` (ROADMAP item 1f drops that).
+    pub columnar: (),
     /// Runs parallel joins as true top-k rank joins when `join_k > 0`:
     /// score-sorted inputs, a threshold bound over the unseen frontier,
     /// and chunk fetches that stop as soon as the k-th buffered result
@@ -136,8 +140,8 @@ impl Default for EngineConfig {
             failure_mode: FailureMode::default(),
             client: None,
             fetch: FetchOptions::default(),
-            join_index: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
+            join_index: (),
+            columnar: (),
             rank_join: false,
             adaptive: false,
             adaptive_threshold: 10.0,
@@ -183,25 +187,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the candidate-enumeration mode of tile joins.
-    pub fn join_index_mode(mut self, mode: JoinIndexMode) -> Self {
-        self.join_index.mode = mode;
-        self
-    }
-
-    /// Enables or disables column-wise consumption of fetched chunk
-    /// bodies by pipe stages (zero-copy batch-kernel inputs).
-    pub fn columnar(mut self, on: bool) -> Self {
-        self.columnar.columnar = on;
-        self
-    }
-
-    /// Enables or disables vectorized batch predicate evaluation.
-    pub fn batch_eval(mut self, on: bool) -> Self {
-        self.columnar.batch_eval = on;
-        self
-    }
-
     /// Enables or disables the top-k rank join (effective when
     /// `join_k > 0`).
     pub fn rank_join(mut self, on: bool) -> Self {
@@ -240,9 +225,6 @@ mod tests {
             .client(ClientConfig::default())
             .cache_shards(4)
             .cache_capacity(128)
-            .join_index_mode(JoinIndexMode::Off)
-            .columnar(false)
-            .batch_eval(false)
             .rank_join(true)
             .adaptive(true)
             .adaptive_threshold(4.0)
@@ -252,9 +234,6 @@ mod tests {
         assert!(cfg.client.is_some());
         assert_eq!(cfg.fetch.cache_shards, 4);
         assert_eq!(cfg.fetch.cache_capacity, 128);
-        assert_eq!(cfg.join_index.mode, JoinIndexMode::Off);
-        assert!(!cfg.columnar.columnar);
-        assert!(!cfg.columnar.batch_eval);
         assert!(cfg.rank_join);
         assert!(cfg.adaptive);
         assert_eq!(cfg.adaptive_threshold, 4.0);
@@ -262,10 +241,8 @@ mod tests {
     }
 
     #[test]
-    fn defaults_keep_the_columnar_plane_on() {
+    fn defaults_leave_rank_join_and_adaptivity_off() {
         let cfg = EngineConfig::default();
-        assert!(cfg.columnar.columnar && cfg.columnar.batch_eval);
-        assert_eq!(cfg.join_index.mode, JoinIndexMode::Hash);
         assert!(!cfg.rank_join);
         assert!(!cfg.adaptive, "adaptive must default off (byte-identity)");
         assert_eq!(cfg.adaptive_threshold, 10.0);

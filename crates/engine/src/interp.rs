@@ -29,15 +29,15 @@ use std::sync::Arc;
 use seco_exec::ExecPool;
 use seco_join::executor::MemoryStream;
 use seco_join::{
-    score_order, JoinError, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin,
+    score_order, select, JoinError, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin,
     PipeOutcome, RankJoin,
 };
-use seco_model::{BitMask, Column, CompositeTuple, ServiceInterface};
+use seco_model::{CompositeTuple, ServiceInterface};
 use seco_optimizer::{Optimized, Optimizer};
 use seco_plan::{JoinSpec, NodeId, PlanNode, QueryPlan, SelectionNode, ServiceNode};
 use seco_query::feasibility::{analyze, FeasibilityReport};
 use seco_query::predicate::{resolve_predicates, ResolvedPredicate, SchemaMap};
-use seco_query::{CompiledPredicates, EvalScratch, JoinPredicate};
+use seco_query::{CompiledPredicates, JoinPredicate};
 use seco_services::{DeviationPolicy, ServiceRegistry};
 
 use crate::config::{EngineConfig, FailureMode};
@@ -158,16 +158,7 @@ impl<'a> Interpreter<'a> {
 
     /// Keeps the composites of `input` that satisfy the selection node
     /// `sel`, its predicates resolved against the query inputs and
-    /// compiled.
-    ///
-    /// With `batch_eval` on, a uniform input (same atom signature on
-    /// every composite) is filtered by one vectorized kernel over columns
-    /// gathered from the composites; any failed precondition — or a value
-    /// only the scalar path can decide — falls back to the compiled
-    /// per-composite check, which also reproduces its error behavior.
-    /// Selection nodes never count `predicate_evals` (the pipe stages
-    /// already charged the predicates), so the kernel only moves the
-    /// columnar counters.
+    /// compiled ([`seco_join::select`]).
     pub fn select(
         &self,
         sel: &SelectionNode,
@@ -182,32 +173,7 @@ impl<'a> Interpreter<'a> {
         }
         preds.extend(resolved(&sel.join_predicates));
         let compiled = CompiledPredicates::compile(&preds, &self.schemas)?;
-        let batched = self.options.columnar.batch_eval && input.len() > 1;
-        if batched && input.iter().all(|c| c.atoms == input[0].atoms) {
-            if let Some(plan) = compiled.batch_plan(&[], &input[0].atoms) {
-                if let Some(cols) = plan.gather_columns(&input) {
-                    let refs: Vec<_> = cols.iter().map(Column::as_ref).collect();
-                    let mut mask = BitMask::default();
-                    mask.reset_ones(input.len());
-                    if plan.eval_mask(None, &refs, &mut mask) {
-                        stats.batch_evals += 1;
-                        stats.columns_scanned += refs.len() as u64;
-                        return Ok(input
-                            .into_iter()
-                            .enumerate()
-                            .filter_map(|(i, c)| mask.get(i).then_some(c))
-                            .collect());
-                    }
-                }
-            }
-        }
-        let (mut kept, mut scratch) = (Vec::new(), EvalScratch::default());
-        for c in input {
-            if compiled.eval(&c, &mut scratch)? {
-                kept.push(c);
-            }
-        }
-        Ok(kept)
+        Ok(select(&compiled, input, stats)?)
     }
 
     /// Runs a service node's pipe stage over `inputs`: the stage is
@@ -243,7 +209,6 @@ impl<'a> Interpreter<'a> {
             fetches,
             keep_first: node.keep_first,
             tolerate_failures: self.options.failure_mode == FailureMode::Degrade,
-            columnar: self.options.columnar,
         };
         let mut run = stage.start();
         let mut results = Vec::new();
@@ -383,15 +348,11 @@ impl<'a> Interpreter<'a> {
         let predicates = resolved(&spec.predicates);
         let (h, left_chunk, right_chunk) = self.chunking(join);
         let join = ParallelJoinExecutor {
-            predicates: &predicates,
-            schemas: &self.schemas,
             invocation: spec.invocation,
             completion: spec.completion,
             h,
             k: self.options.join_k,
-            options: self.options.join_index,
-            columnar: self.options.columnar,
-            pool: None,
+            ..ParallelJoinExecutor::new(&predicates, &self.schemas)
         };
         if rank {
             // Branches arrive in emission order; rank join needs them

@@ -44,7 +44,7 @@ pub use error::EngineError;
 pub use executor::{execute_plan, execute_plan_shared, ExecutionResult};
 pub use output::ResultSet;
 pub use parallel::{execute_parallel, execute_parallel_session, BatchSink, ParallelOutcome};
-pub use seco_join::{ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats};
+pub use seco_join::JoinStats;
 pub use shared::SharedState;
 pub use trace::{ExecutionTrace, TraceEvent};
 

@@ -129,14 +129,6 @@ impl ExecPool {
         }
     }
 
-    /// Number of compute workers. Callers gate their parallel paths on
-    /// `parallelism() > 1`: on a one-worker pool a scope's jobs would
-    /// only queue behind each other, so callers take their serial
-    /// path instead.
-    pub fn parallelism(&self) -> usize {
-        self.inner.workers
-    }
-
     /// Live pool threads (compute + cached blocking). Zero after
     /// [`ExecPool::shutdown`].
     pub fn threads_alive(&self) -> usize {

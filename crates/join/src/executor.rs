@@ -19,10 +19,7 @@ use seco_services::Service;
 
 use crate::completion::TileWalk;
 use crate::error::JoinError;
-use crate::index::{
-    Candidates, ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats, KeyIndex, KeyPlan,
-    ProbeKeys,
-};
+use crate::index::{Candidates, JoinStats, KeyIndex, KeyPlan, ProbeKeys};
 use crate::strategy::CallTarget;
 use crate::tile::Tile;
 
@@ -206,17 +203,37 @@ pub struct ParallelJoinExecutor<'p> {
     pub h: usize,
     /// Stop after emitting this many results (0 = explore everything).
     pub k: usize,
-    /// Join-kernel options: the candidate enumeration mode. The default
-    /// (hash mode) is byte-identical to the nested-loop baseline.
-    pub options: JoinIndexOptions,
-    /// Data-plane options. A tile join reads its keys and columns off
-    /// the composites, so only `batch_eval` (vectorized predicate
-    /// evaluation, byte-identical to the scalar loop) applies here.
-    pub columnar: ColumnarOptions,
+    /// Holds nothing and is read by nothing: every tile keys through the
+    /// key index. Kept only because the benchmark harness still sets it
+    /// from `EngineConfig::join_index` (ROADMAP item 1f drops that).
+    pub options: (),
+    /// Holds nothing and is read by nothing: every tile tries its batch
+    /// kernel. Kept only because the benchmark harness still sets it
+    /// from `EngineConfig::columnar` (ROADMAP item 1f drops that).
+    pub columnar: (),
     /// Read by nothing: a tile's rows are joined serially. Kept only
     /// because the benchmark harness still sets it (ROADMAP item 1f
     /// drops that).
     pub pool: Option<Arc<seco_exec::ExecPool>>,
+}
+
+impl<'p> ParallelJoinExecutor<'p> {
+    /// A join of everything under `predicates`: merge-scan 1:1 with
+    /// rectangular completion, `h = 1` and no `k` target. Set the other
+    /// public fields with struct-update syntax.
+    pub fn new(predicates: &'p [ResolvedPredicate], schemas: &'p SchemaMap<'p>) -> Self {
+        ParallelJoinExecutor {
+            predicates,
+            schemas,
+            invocation: Invocation::merge_scan_even(),
+            completion: Completion::Rectangular,
+            h: 1,
+            k: 0,
+            options: (),
+            columnar: (),
+            pool: None,
+        }
+    }
 }
 
 /// Per-run mutable state of the index-accelerated kernel: the reusable
@@ -415,8 +432,8 @@ impl ParallelJoinExecutor<'_> {
         Some(plan_at)
     }
 
-    /// Joins one tile, emitting results in the exact (i, j) order of
-    /// the nested-loop baseline.
+    /// Joins one tile, emitting results in the exact (i, j) order of a
+    /// nested loop.
     ///
     /// Pairs are *merged*, not concatenated: branches with common
     /// ancestry (the Fig. 2 diamond) share atoms, and a pair whose
@@ -425,12 +442,10 @@ impl ParallelJoinExecutor<'_> {
     /// Each X row's candidates come from the Y chunk's [`KeyIndex`]
     /// (built lazily once per chunk) when an equi key applies, else
     /// they are the whole chunk. Candidates are judged by `compiled`,
-    /// the run's one compiled predicate set. When [`ColumnarOptions::batch_eval`] is
-    /// on and a [`BatchPlan`] applies, a row's candidates are judged by
-    /// one vectorized kernel over the Y chunk's columns, with the scalar
-    /// loop kept as the fallback that also reproduces evaluation errors.
-    /// In [`JoinIndexMode::Off`] every pair is a candidate, judged one
-    /// at a time: no index, no batch kernel.
+    /// the run's one compiled predicate set: when a [`BatchPlan`]
+    /// applies, a row's candidates are judged by one vectorized kernel
+    /// over the Y chunk's columns, with the scalar loop kept as the
+    /// fallback that also reproduces evaluation errors.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn join_tile(
         &self,
@@ -444,7 +459,9 @@ impl ParallelJoinExecutor<'_> {
     ) -> Result<(), JoinError> {
         let cx = &chunk_x.composites;
         let cy = &chunk_y.composites;
-        if self.options.mode == JoinIndexMode::Off {
+        // The tests' scalar reference: every pair a candidate, judged
+        // one at a time.
+        if !crate::accelerated() {
             let ctx = TileCtx {
                 compiled,
                 cx,
@@ -477,11 +494,7 @@ impl ParallelJoinExecutor<'_> {
         }
 
         // Prepare the tile's batch kernel, when every precondition holds.
-        let prepared = if self.columnar.batch_eval {
-            self.tile_batch(compiled, chunk_x, chunk_y, yi, st)
-        } else {
-            None
-        };
+        let prepared = self.tile_batch(compiled, chunk_x, chunk_y, yi, st);
 
         // The ensure phase ends here; split the run state so the row
         // loop can read the caches while writing scratch, stats, and
@@ -689,25 +702,6 @@ mod tests {
         (preds, schemas)
     }
 
-    /// A serial, exhaustive, rectangular merge-scan executor with the
-    /// default index and data plane.
-    fn executor<'p>(
-        predicates: &'p [ResolvedPredicate],
-        schemas: &'p SchemaMap<'p>,
-    ) -> ParallelJoinExecutor<'p> {
-        ParallelJoinExecutor {
-            predicates,
-            schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
-            k: 0,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
-        }
-    }
-
     /// A stream that must never be asked for a chunk.
     struct Unfetched;
 
@@ -728,22 +722,19 @@ mod tests {
             right: QualifiedPath::new("B", AttributePath::atomic("Bogus")),
         })];
         let expected = CompiledPredicates::compile(&preds, &schemas).unwrap_err();
-        for mode in [JoinIndexMode::Hash, JoinIndexMode::Off] {
-            let exec = ParallelJoinExecutor {
-                options: JoinIndexOptions { mode },
-                ..executor(&preds, &schemas)
-            };
-            let out = exec.run(&mut Unfetched, &mut Unfetched);
-            assert_eq!(out, Err(JoinError::Query(expected.clone())), "{mode:?}");
+        for scalar in [false, true] {
+            let exec = ParallelJoinExecutor::new(&preds, &schemas);
+            let out = crate::with_scalar(scalar, || exec.run(&mut Unfetched, &mut Unfetched));
+            assert_eq!(out, Err(JoinError::Query(expected.clone())), "{scalar}");
             let rank = crate::RankJoin {
                 join: ParallelJoinExecutor { k: 3, ..exec },
                 space: None,
             };
-            let out = rank.run(&mut Unfetched, &mut Unfetched);
+            let out = crate::with_scalar(scalar, || rank.run(&mut Unfetched, &mut Unfetched));
             assert_eq!(
                 out,
                 Err(JoinError::Query(expected.clone())),
-                "rank, {mode:?}"
+                "rank, {scalar}"
             );
         }
         let groups = vec![
@@ -776,7 +767,7 @@ mod tests {
             .flat_map(|x| b.iter().map(move |y| (x, y)))
             .filter(|(x, y)| x.components[0].atomic_at(0) == y.components[0].atomic_at(0))
             .count();
-        let exec = executor(&preds, &schemas);
+        let exec = ParallelJoinExecutor::new(&preds, &schemas);
         let mut ms_a = MemoryStream::new(a, 2);
         let mut ms_b = MemoryStream::new(b, 2);
         let out = exec.run(&mut ms_a, &mut ms_b).unwrap();
@@ -800,7 +791,7 @@ mod tests {
         let exec = ParallelJoinExecutor {
             completion: Completion::Triangular,
             k: 3,
-            ..executor(&preds, &schemas)
+            ..ParallelJoinExecutor::new(&preds, &schemas)
         };
         let mut ms_a = MemoryStream::new(a, 2);
         let mut ms_b = MemoryStream::new(b, 2);
@@ -835,7 +826,7 @@ mod tests {
         let exec = ParallelJoinExecutor {
             invocation: Invocation::NestedLoop,
             h: 2,
-            ..executor(&preds, &schemas)
+            ..ParallelJoinExecutor::new(&preds, &schemas)
         };
         let mut ms_a = MemoryStream::new(a, 2);
         let mut ms_b = MemoryStream::new(b, 2);
@@ -851,7 +842,7 @@ mod tests {
         let sa = schema("A1");
         let sb = schema("B1");
         let (preds, schemas) = setup(&sa, &sb);
-        let exec = executor(&preds, &schemas);
+        let exec = ParallelJoinExecutor::new(&preds, &schemas);
         let mut ms_a = MemoryStream::new(Vec::new(), 2);
         let mut ms_b = MemoryStream::new(stream_data("B", &sb, 4, ScoreDecay::Linear), 2);
         let out = exec.run(&mut ms_a, &mut ms_b).unwrap();
@@ -867,7 +858,7 @@ mod tests {
         let survivors = stream_data("A", &sa, 8, ScoreDecay::Linear);
         let exec = ParallelJoinExecutor {
             k: 3,
-            ..executor(&preds, &schemas)
+            ..ParallelJoinExecutor::new(&preds, &schemas)
         };
         // B's branch lost everything to an outage upstream.
         let mut ms_a = MemoryStream::new(survivors.clone(), 2);
@@ -953,7 +944,7 @@ mod tests {
         let (preds, schemas) = setup(&sa, &sb);
         let a = stream_data("A", &sa, 6, ScoreDecay::Linear);
         let b = stream_data("B", &sb, 6, ScoreDecay::Linear);
-        let exec = executor(&preds, &schemas);
+        let exec = ParallelJoinExecutor::new(&preds, &schemas);
         let mut ms_a = MemoryStream::new(a.clone(), 2);
         let mut ms_b = MemoryStream::new(b.clone(), 2);
         let out = exec.run(&mut ms_a, &mut ms_b).unwrap();
@@ -974,5 +965,149 @@ mod tests {
         for rep in &out.tile_representatives {
             assert!(*rep <= first + 1e-12);
         }
+    }
+
+    /// The join inputs of the kernel grid.
+    #[derive(Debug, Clone, Copy)]
+    enum Pair {
+        /// A seeded synthetic service pair under these decays, joined
+        /// on `Link` by this comparator: `=` keys through the index,
+        /// `<` judges whole chunks, in one batch mask per row.
+        Decays(ScoreDecay, ScoreDecay, Comparator),
+        /// A join-key edge case.
+        Edge(seco_bench::KeyEdge),
+    }
+
+    /// Every pair of the grid: synthetic pairs, keyed and unkeyed, and
+    /// the exactness rules the index owns — a separator inside a two-conjunct `Text` key, a
+    /// raw `NaN`, and `Int` and `Float` keys that promote to one value.
+    fn pairs() -> impl Iterator<Item = Pair> {
+        let step = ScoreDecay::Step {
+            h: 2,
+            high: 0.9,
+            low: 0.1,
+        };
+        let decays = [
+            (ScoreDecay::Linear, ScoreDecay::Quadratic),
+            (step, ScoreDecay::Linear),
+        ];
+        (decays.into_iter())
+            .flat_map(|(dx, dy)| {
+                [Comparator::Eq, Comparator::Lt].map(|op| Pair::Decays(dx, dy, op))
+            })
+            .chain(seco_bench::KeyEdge::ALL.map(Pair::Edge))
+    }
+
+    /// Runs one join method over `pair`, on the scalar reference path
+    /// (`scalar`) or the production one.
+    fn run_method(
+        pair: Pair,
+        (invocation, completion): (Invocation, Completion),
+        (chunk, k): (usize, usize),
+        scalar: bool,
+    ) -> Result<JoinOutcome, JoinError> {
+        let (sx, sy, predicates, h): (Arc<dyn Service>, Arc<dyn Service>, _, _) = match pair {
+            Pair::Decays(dx, dy, op) => {
+                let (sx, sy) = seco_bench::join_pair_with_width(dx, dy, 40, chunk, 23, 10);
+                let link = vec![ResolvedPredicate::Join(JoinPredicate {
+                    left: QualifiedPath::new("X", AttributePath::atomic("Link")),
+                    op,
+                    right: QualifiedPath::new("Y", AttributePath::atomic("Link")),
+                })];
+                (sx, sy, link, dx.step_chunks().unwrap_or(1))
+            }
+            Pair::Edge(edge) => {
+                let (sx, sy) = (
+                    edge.service("X1", 0, 24, chunk),
+                    edge.service("Y1", 1, 24, chunk),
+                );
+                (sx, sy, edge.predicates("X", "Y"), 1)
+            }
+        };
+        let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
+        let mut x = ServiceStream::new("X", sx.as_ref(), req.clone());
+        let mut y = ServiceStream::new("Y", sy.as_ref(), req);
+        let mut schemas = SchemaMap::new();
+        schemas.insert("X".into(), &sx.interface().schema);
+        schemas.insert("Y".into(), &sy.interface().schema);
+        let exec = ParallelJoinExecutor {
+            invocation,
+            completion,
+            h,
+            k,
+            ..ParallelJoinExecutor::new(&predicates, &schemas)
+        };
+        crate::with_scalar(scalar, || exec.run(&mut x, &mut y))
+    }
+
+    /// The full outcome (or error) but the work counters; two runs are
+    /// byte-identical iff these strings are equal.
+    fn render(out: &Result<JoinOutcome, JoinError>) -> String {
+        let Ok(out) = out else {
+            return format!("{out:?}");
+        };
+        let rows: String = (out.results.iter())
+            .map(|c| format!("{:?};", c.materialize()))
+            .collect();
+        format!(
+            "{rows}|tiles={:?}|reps={:?}|calls={}/{}|exhausted={}|degraded={}",
+            out.tiles,
+            out.tile_representatives,
+            out.calls_x,
+            out.calls_y,
+            out.exhausted,
+            out.degraded
+        )
+    }
+
+    /// For every join method, decay, chunk size and `k`, the tile kernel
+    /// (key index and batch kernels) reproduces the scalar nested loop
+    /// byte for byte: same combinations in the same emission order, same
+    /// tiles and representatives, same calls, same errors. Only the work
+    /// counters may differ, and the index must pay for itself.
+    #[test]
+    fn the_tile_kernel_equals_the_nested_loop_across_join_methods() {
+        let methods = [
+            Invocation::NestedLoop,
+            Invocation::merge_scan_even(),
+            Invocation::MergeScan { r1: 1, r2: 3 },
+        ]
+        .into_iter()
+        .flat_map(|i| [Completion::Rectangular, Completion::Triangular].map(|c| (i, c)));
+        let (mut nested_evals, mut keyed_evals, mut batched, mut failed) = (0, 0, 0, 0);
+        for pair in pairs() {
+            for method in methods.clone() {
+                for at in [(3, 0), (5, 0), (3, 7), (5, 7)] {
+                    let reference = run_method(pair, method, at, true);
+                    let production = run_method(pair, method, at, false);
+                    assert_eq!(
+                        render(&reference),
+                        render(&production),
+                        "{pair:?} {method:?} (chunk, k) = {at:?}"
+                    );
+                    let (Ok(reference), Ok(production)) = (reference, production) else {
+                        failed += 1;
+                        continue;
+                    };
+                    let (r, p) = (reference.stats, production.stats);
+                    assert_eq!(
+                        (r.index_builds, r.batch_evals, r.columns_scanned),
+                        (0, 0, 0)
+                    );
+                    if let Pair::Decays(.., Comparator::Eq) = pair {
+                        nested_evals += r.predicate_evals;
+                        keyed_evals += p.predicate_evals;
+                    }
+                    batched += p.batch_evals;
+                }
+            }
+        }
+        // At the pair's ~0.1 selectivity the index must pay for itself.
+        assert!(
+            keyed_evals * 3 <= nested_evals,
+            "expected ≥3x fewer predicate evaluations, got {nested_evals} vs {keyed_evals}"
+        );
+        assert!(batched > 0, "the batch kernels run");
+        assert!(failed > 0, "the NaN case must reach its error");
     }
 }

@@ -1,7 +1,7 @@
-//! Key-indexed tile joins: options, counters, key plans, and the one
-//! per-chunk key index every tile join probes.
+//! Key-indexed tile joins: counters, key plans, and the one per-chunk
+//! key index every tile join probes.
 //!
-//! The baseline `join_tile` scans the full `nX × nY` cross product of a
+//! A nested loop would judge the full `nX × nY` cross product of a
 //! tile. When the predicate set contains equality conjuncts over atomic
 //! attributes of the two streams' atoms ([`seco_query::EquiCandidate`]),
 //! a key mismatch on any such conjunct falsifies the conjunction under
@@ -17,21 +17,26 @@
 //! Exactness invariants, relied on by the equivalence property tests:
 //!
 //! * **Keys are equality-faithful.** Two rows get the same key whenever
-//!   the baseline's `=` holds on every conjunct (numeric promotion
+//!   `=` holds on every conjunct (numeric promotion
 //!   included: `Int` and `Float` both hash the promoted `f64`'s bits,
 //!   with `-0.0` normalized to `0.0`). Equal keys prove nothing — a
 //!   hash collision, or two large `Int`s that promote to one `f64` —
 //!   so a key only selects candidates, and every candidate is judged by
 //!   the predicates.
 //! * **Fallback on anything unusual.** A row missing a planned atom, or
-//!   carrying a value with no key (a raw `NaN`, on which the baseline
-//!   would error), has no key: an unkeyed indexed row is a candidate of
+//!   carrying a value with no key (a raw `NaN`, on which `=` is an
+//!   error), has no key: an unkeyed indexed row is a candidate of
 //!   every probe, and an unkeyed probe row scans the whole chunk, so the
 //!   nested loop's behavior — including its errors — is reproduced.
 //! * **Emission order is the nested loop's.** Index entries keep row
 //!   numbers, and a probe merges its key's rows with the unkeyed rows in
 //!   ascending row order, so results appear in the exact (i, j) order of
-//!   the baseline.
+//!   the nested loop.
+//!
+//! There is no switch: every tile join keys through the index whenever
+//! an equi key applies. The nested loop stays only as the fallback of a
+//! tile no key applies to, and as the `#[cfg(test)]` reference
+//! `SCALAR_ONLY` (crate root) the kernels are held to.
 //!
 //! Keys are computed, never stored anywhere but the index: no value of a
 //! chunk reaches the process-wide [`Symbol`] table.
@@ -41,51 +46,6 @@ use std::hash::{Hash, Hasher};
 
 use seco_model::{AtomShape, CompositeTuple, Symbol, Value};
 use seco_query::EquiCandidate;
-
-/// Which candidate-pair enumeration the join executor uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JoinIndexMode {
-    /// The nested loop: every pair of a tile is a candidate, judged
-    /// one at a time by the compiled predicate set — no key index, no
-    /// batch kernel.
-    Off,
-    /// Per-chunk key index on equi-join keys, with nested-loop fallback
-    /// when no key exists. Byte-identical to `Off`.
-    #[default]
-    Hash,
-}
-
-/// Join-kernel options carried through `EngineConfig` and the CLI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JoinIndexOptions {
-    /// Candidate enumeration mode.
-    pub mode: JoinIndexMode,
-}
-
-/// Options for the columnar data plane. Both switches preserve
-/// byte-identical results; they only choose how candidates are
-/// evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColumnarOptions {
-    /// Let pipe stages read a fetched chunk body's typed columns
-    /// zero-copy (their batch kernels need it as well as `batch_eval`).
-    /// Tile joins read composites, so only `batch_eval` applies there.
-    pub columnar: bool,
-    /// Evaluate compiled predicates with vectorized batch kernels
-    /// (selection masks over whole chunks, residual evaluation over
-    /// index-selected candidate lists). When off, every candidate is
-    /// evaluated scalar, one composite at a time.
-    pub batch_eval: bool,
-}
-
-impl Default for ColumnarOptions {
-    fn default() -> Self {
-        ColumnarOptions {
-            columnar: true,
-            batch_eval: true,
-        }
-    }
-}
 
 /// Counters describing how much work the join kernel actually did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

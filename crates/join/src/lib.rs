@@ -21,6 +21,14 @@
 //! **extraction-optimal** when it emits results in decreasing order of
 //! the score product `ρX · ρY` — *globally* (relative to all tiles) or
 //! *locally* (relative to the tiles already loaded).
+//!
+//! How a tile's candidate pairs are found is not part of a join method,
+//! and nothing configures it: a tile join keys its candidates through
+//! the per-chunk [`index`] whenever an equi key applies, and pipe
+//! stages, tiles and selections judge them with a batch kernel whenever
+//! one can decide them. The nested loop, the row view and the scalar
+//! loop remain only as the fallbacks those kernels take, and as the
+//! `#[cfg(test)]` reference `SCALAR_ONLY` they are held to.
 
 pub mod completion;
 pub mod error;
@@ -31,18 +39,48 @@ pub mod nary;
 pub mod optimality;
 pub mod pipe;
 pub mod rank;
+pub mod select;
 pub mod strategy;
 pub mod tile;
 
 pub use error::JoinError;
 pub use executor::{JoinOutcome, ParallelJoinExecutor};
-pub use index::{ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinStats};
+pub use index::JoinStats;
 pub use method::{JoinMethod, Topology};
 pub use nary::{NaryJoin, NaryOutcome, NaryStage};
 pub use pipe::{pipe_stages_prepared, PipeJoin, PipeOutcome, PipeRun};
 pub use rank::{score_order, RankJoin};
+pub use select::select;
 pub use strategy::{cost_based_ratio, CallScheduler, CallTarget, TilePruner};
 pub use tile::{Tile, TileSpace};
 
 /// Result alias for join-layer operations.
 pub type Result<T> = std::result::Result<T, JoinError>;
+
+#[cfg(test)]
+thread_local! {
+    /// Makes every tile join, pipe stage and selection on this thread
+    /// take the reference path: each tile a nested loop over its pairs,
+    /// each fetched chunk read through its row view, each candidate
+    /// judged scalar, one at a time — no key index, no batch kernel.
+    pub(crate) static SCALAR_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether the kernels key and batch their candidates: always, outside
+/// the tests' scalar reference.
+pub(crate) fn accelerated() -> bool {
+    #[cfg(test)]
+    return !SCALAR_ONLY.get();
+    #[cfg(not(test))]
+    true
+}
+
+/// Runs `run` on this thread on the scalar reference path (`scalar`) or
+/// the production one.
+#[cfg(test)]
+pub(crate) fn with_scalar<T>(scalar: bool, run: impl FnOnce() -> T) -> T {
+    SCALAR_ONLY.set(scalar);
+    let out = run();
+    SCALAR_ONLY.set(false);
+    out
+}

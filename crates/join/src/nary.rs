@@ -442,7 +442,6 @@ fn verify_and_emit(
 mod tests {
     use super::*;
     use crate::executor::{MemoryStream, ParallelJoinExecutor};
-    use crate::index::{ColumnarOptions, JoinIndexOptions};
     use seco_model::{
         Adornment, AttributeDef, AttributePath, DataType, ScoreDecay, ServiceSchema, Tuple, Value,
     };
@@ -521,15 +520,9 @@ mod tests {
     ) -> Vec<CompositeTuple> {
         let (c0, c1, lc2, c2) = chunks;
         let e1 = ParallelJoinExecutor {
-            predicates: p1,
-            schemas,
-            invocation: seco_plan::Invocation::merge_scan_even(),
             completion: Completion::Triangular,
-            h: 1,
             k,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
+            ..ParallelJoinExecutor::new(p1, schemas)
         };
         let mut sa = MemoryStream::new(a.to_vec(), c0);
         let mut sb = MemoryStream::new(b.to_vec(), c1);

@@ -23,7 +23,7 @@ use seco_services::invocation::Request;
 use seco_services::Service;
 
 use crate::error::JoinError;
-use crate::index::{ColumnarOptions, JoinStats};
+use crate::index::JoinStats;
 
 /// Outcome of a pipe-join stage.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,6 +64,11 @@ pub struct PipeOutcome {
 ///   the resilience middleware: once a breaker opens, the remaining
 ///   inputs short-circuit instantly and the stage returns whatever was
 ///   joined before the outage.
+///
+/// Without `keep_first`, each response chunk is filtered by one batch
+/// kernel over the body's typed columns whenever one applies, and a
+/// chunk with no survivors never materializes its row view. Otherwise
+/// the chunk's rows are judged one at a time.
 pub struct PipeJoin<'a> {
     /// Alias of the query atom being joined in.
     pub atom: &'a str,
@@ -83,11 +88,6 @@ pub struct PipeJoin<'a> {
     pub keep_first: bool,
     /// Absorb service failures into a degraded partial outcome.
     pub tolerate_failures: bool,
-    /// Columnar data-plane options. With `batch_eval` on (and
-    /// `keep_first` off), whole response chunks are filtered by a
-    /// vectorized kernel over the body's typed columns, and chunks with
-    /// no survivors never materialize their row view at all.
-    pub columnar: ColumnarOptions,
 }
 
 impl PipeJoin<'_> {
@@ -225,9 +225,7 @@ impl<'a> PipeRun<'a> {
                 // Only without `keep_first` — its early exit stops
                 // evaluation mid-chunk, which a whole-chunk kernel cannot
                 // reproduce.
-                let batched =
-                    stage.columnar.columnar && stage.columnar.batch_eval && !stage.keep_first;
-                let batch_plan = if batched {
+                let batch_plan = if !stage.keep_first && crate::accelerated() {
                     stage
                         .compiled
                         .batch_plan(&input.atoms, std::slice::from_ref(&self.atom))
@@ -363,6 +361,7 @@ mod tests {
     use seco_query::predicate::{resolve_predicates, ResolvedPredicate};
     use seco_services::domains::entertainment;
     use seco_services::invocation::Request;
+    use std::sync::Arc;
 
     /// Runs `stage` over a batch of inputs, prepared once.
     fn run(
@@ -400,7 +399,6 @@ mod tests {
             fetches,
             keep_first,
             tolerate_failures: false,
-            columnar: ColumnarOptions::default(),
         };
         run(&stage, inputs, service)
     }
@@ -495,7 +493,7 @@ mod tests {
         let inputs = setup_theatre_inputs(&reg);
         let restaurant = reg.service("Restaurant1").unwrap();
         let bindings = report.bindings_of("R");
-        for (keep_first, columnar) in [(false, true), (true, true), (false, false)] {
+        for (keep_first, scalar) in [(false, false), (true, false), (false, true)] {
             let stage = PipeJoin {
                 atom: "R",
                 bindings: &bindings,
@@ -505,16 +503,13 @@ mod tests {
                 fetches: 2,
                 keep_first,
                 tolerate_failures: false,
-                columnar: ColumnarOptions {
-                    columnar,
-                    batch_eval: columnar,
-                },
             };
-            let whole = run(&stage, &inputs, restaurant.as_ref()).unwrap();
+            let run = |inputs| crate::with_scalar(scalar, || run(&stage, inputs, &*restaurant));
+            let whole = run(&inputs).unwrap();
             let mut results = Vec::new();
             let (mut calls, mut stats) = (0, JoinStats::default());
             for input in &inputs {
-                let one = run(&stage, std::slice::from_ref(input), restaurant.as_ref()).unwrap();
+                let one = run(std::slice::from_ref(input)).unwrap();
                 results.extend(one.results);
                 calls += one.calls;
                 stats.merge(&one.stats);
@@ -633,7 +628,6 @@ mod tests {
             fetches: 1,
             keep_first: false,
             tolerate_failures: tolerate,
-            columnar: ColumnarOptions::default(),
         };
         let strict = run(&stage(false), &inputs, &downed);
         assert!(matches!(strict, Err(JoinError::Service(_))));
@@ -672,5 +666,124 @@ mod tests {
         .unwrap();
         assert_eq!(out.calls, 0);
         assert!(out.results.is_empty());
+    }
+
+    /// A stage joining `Y` (answered by `sy`) onto every row of `sx`
+    /// under `predicates`, on the scalar reference path (`scalar`) or
+    /// the production one.
+    #[allow(clippy::too_many_arguments)]
+    fn pipe_pair(
+        sx: &dyn Service,
+        sy: &dyn Service,
+        bindings: &[&IoDependency],
+        predicates: &[ResolvedPredicate],
+        fetches: usize,
+        keep_first: bool,
+        scalar: bool,
+    ) -> Result<PipeOutcome, JoinError> {
+        let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
+        let mut inputs = Vec::new();
+        for c in 0.. {
+            let resp = sx.fetch(&req.at_chunk(c))?;
+            inputs.extend((resp.tuples().iter()).map(|t| CompositeTuple::single("X", t.clone())));
+            if !resp.has_more() {
+                break;
+            }
+        }
+        let mut schemas = SchemaMap::new();
+        schemas.insert("X".into(), &sx.interface().schema);
+        schemas.insert("Y".into(), &sy.interface().schema);
+        let stage = PipeJoin {
+            atom: "Y",
+            bindings,
+            query_inputs: &BTreeMap::new(),
+            compiled: &CompiledPredicates::compile(predicates, &schemas)?,
+            schemas: &schemas,
+            fetches,
+            keep_first,
+            tolerate_failures: false,
+        };
+        crate::with_scalar(scalar, || run(&stage, &inputs, sy))
+    }
+
+    /// For every decay, chunk size, fetch factor and `keep_first`, the
+    /// stage's batch kernel over the fetched bodies' columns reproduces
+    /// the scalar loop over their row views: same combinations in the
+    /// same order, same calls, same errors, and the same number of
+    /// judged candidates.
+    #[test]
+    fn the_pipe_batch_kernel_equals_the_row_plane() {
+        use seco_bench::{join_pair_with_width, KeyEdge};
+        use seco_model::ScoreDecay;
+        let key = IoDependency {
+            to_atom: "Y".into(),
+            input: AttributePath::atomic("Key"),
+            source: BindingSource::Constant {
+                operand: seco_query::Operand::Const(Value::text("q")),
+                op: Comparator::Eq,
+            },
+        };
+        let link = vec![ResolvedPredicate::Join(seco_query::JoinPredicate {
+            left: seco_query::QualifiedPath::new("X", AttributePath::atomic("Link")),
+            op: Comparator::Eq,
+            right: seco_query::QualifiedPath::new("Y", AttributePath::atomic("Link")),
+        })];
+        let step = ScoreDecay::Step {
+            h: 2,
+            high: 0.9,
+            low: 0.1,
+        };
+        let (mut batched, mut failed) = (0, 0);
+        for chunk in [3, 5] {
+            let mut cases = Vec::new();
+            for (dx, dy) in [
+                (ScoreDecay::Linear, ScoreDecay::Quadratic),
+                (step, ScoreDecay::Linear),
+            ] {
+                let (sx, sy) = join_pair_with_width(dx, dy, 12, chunk, 23, 10);
+                let (sx, sy): (Arc<dyn Service>, Arc<dyn Service>) = (sx, sy);
+                cases.push((sx, sy, vec![&key], link.clone()));
+            }
+            for edge in KeyEdge::ALL {
+                let (sx, sy) = (
+                    edge.service("X1", 0, 12, chunk),
+                    edge.service("Y1", 1, 12, chunk),
+                );
+                cases.push((sx, sy, Vec::new(), edge.predicates("X", "Y")));
+            }
+            for (sx, sy, bindings, predicates) in &cases {
+                for (fetches, keep_first) in [(1, false), (3, false), (3, true)] {
+                    let out = |scalar| {
+                        pipe_pair(
+                            &**sx, &**sy, bindings, predicates, fetches, keep_first, scalar,
+                        )
+                    };
+                    let (reference, production) = (out(true), out(false));
+                    let at = format!(
+                        "{} chunk={chunk} F={fetches} {keep_first}",
+                        sx.interface().name
+                    );
+                    let (Ok(r), Ok(p)) = (&reference, &production) else {
+                        assert_eq!(reference, production, "{at}");
+                        failed += 1;
+                        continue;
+                    };
+                    assert_eq!(r.results, p.results, "{at}");
+                    assert_eq!(
+                        (r.calls, r.busy_ms, r.degraded),
+                        (p.calls, p.busy_ms, p.degraded)
+                    );
+                    assert_eq!(r.stats.predicate_evals, p.stats.predicate_evals, "{at}");
+                    assert_eq!(
+                        (r.stats.batch_evals, r.stats.columns_scanned),
+                        (0, 0),
+                        "{at}"
+                    );
+                    batched += p.stats.batch_evals;
+                }
+            }
+        }
+        assert!(batched > 0, "the batch kernel runs");
+        assert!(failed > 0, "the NaN case must reach its error");
     }
 }

@@ -165,7 +165,7 @@ fn threshold(ax: &Axis, ay: &Axis) -> Option<f64> {
 /// full enumeration — rather than tile-emission order.
 pub struct RankJoin<'p> {
     /// The underlying join configuration: predicates, schemas,
-    /// invocation pacing, index and columnar options, and the `k`
+    /// invocation pacing, and the `k`
     /// target (must be > 0 — a rank join without a target would just be
     /// the full enumeration).
     pub join: ParallelJoinExecutor<'p>,
@@ -309,12 +309,11 @@ impl RankJoin<'_> {
 mod tests {
     use super::*;
     use crate::executor::MemoryStream;
-    use crate::index::{ColumnarOptions, JoinIndexOptions};
     use seco_model::{
         Adornment, AttributeDef, AttributePath, Comparator, DataType, ScoreDecay, ServiceSchema,
         Tuple, Value,
     };
-    use seco_plan::{Completion, Invocation};
+    use seco_plan::Completion;
     use seco_query::predicate::{ResolvedPredicate, SchemaMap};
     use seco_query::{JoinPredicate, QualifiedPath};
 
@@ -371,15 +370,9 @@ mod tests {
         k: usize,
     ) -> ParallelJoinExecutor<'p> {
         ParallelJoinExecutor {
-            predicates: preds,
-            schemas,
-            invocation: Invocation::merge_scan_even(),
             completion: Completion::Triangular,
-            h: 1,
             k,
-            options: JoinIndexOptions::default(),
-            columnar: ColumnarOptions::default(),
-            pool: None,
+            ..ParallelJoinExecutor::new(preds, schemas)
         }
     }
 

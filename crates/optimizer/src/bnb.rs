@@ -48,6 +48,11 @@ pub struct SearchStats {
     pub assignments: usize,
     /// Phase-2 topologies enumerated.
     pub topologies: usize,
+    /// Phase 2 stopped at [`Optimizer::max_topologies`] for some
+    /// assignment: its walk filled the cap, so topologies past it, and
+    /// possibly the optimum, were never costed. Report only; the plan
+    /// is cached like any other.
+    pub truncated: bool,
     /// Topologies fully instantiated (phase 3 ran).
     pub instantiated: usize,
     /// Topologies pruned by the lower bound.
@@ -225,15 +230,18 @@ impl<'a> Optimizer<'a> {
             spaces: Vec::with_capacity(assignments.len()),
             items: Vec::new(),
         };
+        let mut truncated = false;
         for (i, assignment) in assignments.into_iter().enumerate() {
             let space = Space::new(assignment.query, self.registry, &assignment.report)?;
             let walked = space.topologies(self.heuristics.phase2, self.max_topologies);
+            truncated |= walked.len() >= self.max_topologies;
             topologies.items.extend(walked.into_iter().map(|t| (i, t)));
             topologies.spaces.push(space);
         }
         let stats = SearchStats {
             assignments: topologies.spaces.len(),
             topologies: topologies.items.len(),
+            truncated,
             ..SearchStats::default()
         };
         Ok((topologies, stats))
@@ -535,6 +543,17 @@ mod tests {
              S[A1=Star1,F=4,kf=0](I)|S[A4=Star4,F=3,kf=0](I))|\
              S[A3=Star3,F=4,kf=0](I))|S[A2=Star2,F=4,kf=0](I)))"
         );
+    }
+
+    #[test]
+    fn a_search_reports_when_phase_two_fills_its_topology_cap() {
+        // A 4-star has 126 topologies, under the cap of 256; a 5-star
+        // has 1 320, so its walk stops at the cap.
+        for (n, truncated) in [(4, false), (5, true)] {
+            let (reg, q) = seco_bench::star_scenario(n, 7);
+            let best = optimize(&q, &reg, CostMetric::RequestCount).unwrap();
+            assert_eq!(best.stats.truncated, truncated, "{n}-star");
+        }
     }
 
     #[test]

@@ -154,8 +154,12 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// A daemon over `registry` with the given limits.
+    /// A daemon over `registry` with the given limits. A mid-flight
+    /// re-plan optimizes [`ServerConfig::metric`], the metric the plan
+    /// cache plans under, whatever `config.engine.adaptive_metric` says.
     pub fn new(registry: ServiceRegistry, config: ServerConfig) -> Arc<Self> {
+        let engine = config.engine.adaptive_metric(config.metric);
+        let config = ServerConfig { engine, ..config };
         Arc::new(ServerState {
             registry: Arc::new(registry),
             plan_cache: Arc::new(PlanCache::new()),
@@ -419,6 +423,17 @@ mod tests {
         let _ok = s.admit("frugal").expect("other tenants unaffected");
         s.begin_drain();
         assert_eq!(s.admit("frugal").unwrap_err(), Refusal::Draining);
+    }
+
+    #[test]
+    fn the_daemon_replans_under_the_metric_it_plans_under() {
+        for metric in [CostMetric::RequestCount, CostMetric::Bottleneck] {
+            let s = state(ServerConfig {
+                metric,
+                ..Default::default()
+            });
+            assert_eq!(s.config.engine.adaptive_metric, metric);
+        }
     }
 
     #[test]

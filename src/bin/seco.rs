@@ -7,10 +7,8 @@
 //! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
 //!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
-//!                [--cache-shards N]
-//!                [--join-index off|hash] [--rank-join]
-//!                [--adaptive] [--adaptive-threshold N]
-//!                [--columnar on|off] [--batch-eval on|off] <query…>
+//!                [--cache-shards N] [--rank-join]
+//!                [--adaptive] [--adaptive-threshold N] <query…>
 //! seco stats     [--domain D] [--metric M] [--seed N] [--adaptive] <query…>
 //! seco oracle    [--domain D] [--seed N] <query…>
 //! seco serve     [--domain D] [--metric M] [--seed N] [--addr HOST:PORT]
@@ -18,20 +16,25 @@
 //!                [engine flags as for `run`]
 //! ```
 //!
+//! Any other argument that starts with `--` is an error that names it;
+//! the rest is the query text.
+//!
 //! `optimize` (and `explain`, its superset) runs the branch-and-bound
 //! and prints the search, annotation, and plan-cache counters after the
-//! cost line.
+//! cost line. The `search:` line says whether phase 2 filled its
+//! topology cap (`truncated`), in which case the walk may have stopped
+//! before it met the optimum.
 //!
 //! `--cache-shards N` routes every service call through a sharded,
 //! request-coalescing response cache and reports call / hit / coalesced
 //! counters after the answers.
 //!
-//! `--join-index` selects the join kernel: `hash` (the default) builds
-//! a sorted per-chunk key index over equi-join keys and probes it
-//! instead of scanning every candidate pair; `off` runs the plain
-//! nested loop.
-//! Both produce byte-identical answers. A `join:` counter line is
-//! printed after the answers.
+//! Tile joins always probe a sorted per-chunk key index over equi-join
+//! keys instead of scanning every candidate pair, and pipe stages,
+//! tiles and selections judge their candidates with batch kernels over
+//! typed columns where they can; answers are byte-identical to the
+//! nested loop. A `join:` and a `columnar:` counter line are printed
+//! after the answers.
 //!
 //! `--rank-join` turns parallel joins into true top-k rank joins: the
 //! inputs are score-sorted and chunk pulls stop as soon as the
@@ -48,13 +51,9 @@
 //! (queue depth, steals, morsels, worker busy time) after the service
 //! statistics.
 //!
-//! `--columnar` toggles column-wise consumption of fetched chunk
-//! bodies by pipe stages (zero-copy kernel inputs) and
-//! `--batch-eval` toggles the vectorized predicate kernels built on
-//! top of it; both default to `on` and are byte-identical to the
-//! row-at-a-time plane. Every flag default is taken from
-//! `EngineConfig::default()`, and each flag but `--exec-workers` maps
-//! 1:1 to an `EngineConfig` builder method.
+//! Every flag default is taken from `EngineConfig::default()`, and each
+//! engine flag but `--exec-workers` maps 1:1 to an `EngineConfig`
+//! builder method.
 //!
 //! `--adaptive` turns on mid-flight re-optimization: after every fresh
 //! service or join stage, the engine compares the observed output
@@ -120,12 +119,9 @@ struct Args {
     fault_profile: String,
     deadline_ms: Option<f64>,
     cache_shards: usize,
-    join_index: JoinIndexMode,
     rank_join: bool,
     adaptive: bool,
     adaptive_threshold: f64,
-    columnar: bool,
-    batch_eval: bool,
     exec_workers: usize,
     addr: String,
     max_sessions: usize,
@@ -147,12 +143,9 @@ fn parse_args() -> Result<Args, String> {
     let mut fault_profile = "none".to_owned();
     let mut deadline_ms = None;
     let mut cache_shards = defaults.fetch.cache_shards;
-    let mut join_index = defaults.join_index.mode;
     let mut rank_join = defaults.rank_join;
     let mut adaptive = defaults.adaptive;
     let mut adaptive_threshold = defaults.adaptive_threshold;
-    let mut columnar = defaults.columnar.columnar;
-    let mut batch_eval = defaults.columnar.batch_eval;
     // The pool `run` and `stats` execute on defaults to the machine's
     // core count.
     let mut exec_workers = std::thread::available_parallelism()
@@ -166,18 +159,6 @@ fn parse_args() -> Result<Args, String> {
     let mut max_concurrent = server_defaults.max_concurrent;
     let mut tenant_budget = server_defaults.tenant_budget;
     let mut query_parts: Vec<String> = Vec::new();
-    let parse_join_index = |mode: &str| match mode {
-        "off" | "nested" => Ok(JoinIndexMode::Off),
-        "hash" => Ok(JoinIndexMode::Hash),
-        other => Err(format!("unknown join index `{other}` (use off or hash)")),
-    };
-    let parse_switch = |flag: &str, value: &str| match value {
-        "on" | "true" => Ok(true),
-        "off" | "false" => Ok(false),
-        other => Err(format!(
-            "unknown value `{other}` for {flag} (use on or off)"
-        )),
-    };
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--domain" => domain = argv.next().ok_or("--domain needs a value")?,
@@ -211,21 +192,6 @@ fn parse_args() -> Result<Args, String> {
                 if adaptive_threshold < 1.0 {
                     return Err("--adaptive-threshold must be at least 1.0".into());
                 }
-            }
-            "--join-index" => {
-                join_index = parse_join_index(&argv.next().ok_or("--join-index needs a value")?)?;
-            }
-            "--columnar" => {
-                columnar = parse_switch(
-                    "--columnar",
-                    &argv.next().ok_or("--columnar needs a value")?,
-                )?;
-            }
-            "--batch-eval" => {
-                batch_eval = parse_switch(
-                    "--batch-eval",
-                    &argv.next().ok_or("--batch-eval needs a value")?,
-                )?;
             }
             "--cache-shards" => {
                 cache_shards = argv
@@ -277,17 +243,10 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown metric `{other}`")),
                 };
             }
-            other => {
-                if let Some(mode) = other.strip_prefix("--join-index=") {
-                    join_index = parse_join_index(mode)?;
-                } else if let Some(value) = other.strip_prefix("--columnar=") {
-                    columnar = parse_switch("--columnar", value)?;
-                } else if let Some(value) = other.strip_prefix("--batch-eval=") {
-                    batch_eval = parse_switch("--batch-eval", value)?;
-                } else {
-                    query_parts.push(other.to_owned());
-                }
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag `{flag}`\n{}", usage()));
             }
+            text => query_parts.push(text.to_owned()),
         }
     }
     Ok(Args {
@@ -299,12 +258,9 @@ fn parse_args() -> Result<Args, String> {
         fault_profile,
         deadline_ms,
         cache_shards,
-        join_index,
         rank_join,
         adaptive,
         adaptive_threshold,
-        columnar,
-        batch_eval,
         exec_workers,
         addr,
         max_sessions,
@@ -320,10 +276,8 @@ fn usage() -> String {
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
      [--seed N] [--exec-workers N] [--parallel] \
      [--fault-profile none|flaky|outage] \
-     [--deadline-ms N] [--cache-shards N] \
-     [--join-index off|hash] [--rank-join] \
+     [--deadline-ms N] [--cache-shards N] [--rank-join] \
      [--adaptive] [--adaptive-threshold N] \
-     [--columnar on|off] [--batch-eval on|off] \
      [--addr HOST:PORT] [--max-sessions N] [--max-concurrent N] \
      [--tenant-budget N] <query>"
         .to_owned()
@@ -382,8 +336,8 @@ fn cmd_explain(
         best.cost, stats.topologies, stats.pruned
     );
     println!(
-        "search: {} assignments, {} instantiated, {} bound updates",
-        stats.assignments, stats.instantiated, stats.bound_updates
+        "search: {} assignments, {} instantiated, {} bound updates, truncated {}",
+        stats.assignments, stats.instantiated, stats.bound_updates, stats.truncated
     );
     println!(
         "annotation: {} full, {} delta",
@@ -678,13 +632,10 @@ fn main() -> ExitCode {
     // `EngineConfig` builder method.
     let mut opts = EngineConfig::default()
         .cache_shards(args.cache_shards)
-        .join_index_mode(args.join_index)
         .rank_join(args.rank_join)
         .adaptive(args.adaptive)
         .adaptive_threshold(args.adaptive_threshold)
-        .adaptive_metric(args.metric)
-        .columnar(args.columnar)
-        .batch_eval(args.batch_eval);
+        .adaptive_metric(args.metric);
     if resilient {
         opts = opts.degrade().client(ClientConfig {
             deadline_ms: args.deadline_ms,

@@ -72,9 +72,7 @@ pub mod prelude {
         execute_parallel, execute_parallel_session, execute_plan, execute_plan_shared,
         EngineConfig, FailureMode, FetchOptions, ParallelOutcome, ResultSet, SharedState,
     };
-    pub use seco_join::{
-        ColumnarOptions, JoinIndexMode, JoinIndexOptions, JoinMethod, JoinStats, Topology,
-    };
+    pub use seco_join::{JoinMethod, JoinStats, Topology};
     pub use seco_model::{
         Adornment, AttributePath, Comparator, CompositeTuple, Date, ScoreDecay, ServiceInterface,
         ServiceKind, Value,
@@ -90,8 +88,8 @@ mod tests {
     #[test]
     fn facade_re_exports_compile() {
         use crate::prelude::*;
-        let _ = EngineConfig::default().columnar(true).batch_eval(true);
-        let _ = ColumnarOptions::default();
+        let _ = EngineConfig::default().cache_shards(4);
+        let _ = JoinStats::default();
         let _ = CostMetric::RequestCount;
         let _ = Comparator::Eq;
         let _ = Completion::Triangular;

@@ -94,14 +94,27 @@ fn deterministic_and_parallel_executors_rank_identically_on_e1() {
     };
     let sequential = execute_plan(&plan, &registry, opts).unwrap();
     let (plan2, registry2) = e1_plan(5);
-    let parallel = execute_parallel(&plan2, &registry2, opts).unwrap().results;
+    let parallel = execute_parallel(&plan2, &registry2, opts).unwrap();
     let seq_render = ranked_render(&plan.query, &sequential.results);
-    let par_render = ranked_render(&plan2.query, &parallel);
+    let par_render = ranked_render(&plan2.query, &parallel.results);
     assert!(!seq_render.is_empty(), "E1 must produce combinations");
     assert_eq!(
         seq_render, par_render,
         "same seeds must yield identical ranked combinations on both executors"
     );
+    // Both key the F–H join through the index and judge candidates with
+    // batch kernels. The branches are cluster-aligned per conference
+    // (a probed bucket spans its whole chunk), so the index saves no
+    // evaluation here; it must still be built and probed. The recorders
+    // see the counters the CLI's `join:` and `columnar:` lines print.
+    for stats in [&sequential.join_stats, &parallel.join_stats] {
+        assert!(stats.index_builds > 0 && stats.probes > 0, "{stats:?}");
+        assert!(
+            stats.batch_evals > 0 && stats.columns_scanned > 0,
+            "{stats:?}"
+        );
+    }
+    assert!(registry.total_stats().predicate_evals > 0);
 }
 
 #[test]
@@ -129,46 +142,6 @@ fn seeded_e1_runs_are_byte_identical() {
     let (plan_c, reg_c) = e1_plan(7);
     let c = execute_plan(&plan_c, &reg_c, opts).unwrap();
     assert_ne!(render(&a.results), render(&c.results));
-}
-
-#[test]
-fn columnar_and_row_planes_are_byte_identical_on_e1() {
-    // The columnar chunk plane (typed columns + vectorized predicate
-    // kernels) must reproduce the row-at-a-time baseline exactly:
-    // same emission order, same calls, same virtual time, and the
-    // same number of judged candidates — on both executors.
-    let render = |o: &[CompositeTuple]| -> Vec<String> {
-        o.iter().map(|c| format!("{:?}", c.materialize())).collect()
-    };
-    let col_cfg = EngineConfig::default().join_k(10);
-    let row_cfg = col_cfg.columnar(false).batch_eval(false);
-    let (plan_a, reg_a) = e1_plan(5);
-    let (plan_b, reg_b) = e1_plan(5);
-    let col = execute_plan(&plan_a, &reg_a, col_cfg).unwrap();
-    let row = execute_plan(&plan_b, &reg_b, row_cfg).unwrap();
-    assert_eq!(render(&col.results), render(&row.results));
-    assert_eq!(col.total_calls, row.total_calls);
-    assert_eq!(col.critical_ms, row.critical_ms);
-    assert_eq!(
-        col.join_stats.predicate_evals,
-        row.join_stats.predicate_evals
-    );
-    // The default plane actually exercises the batch kernels and the
-    // row plane never touches them.
-    assert!(col.join_stats.batch_evals > 0, "{:?}", col.join_stats);
-    assert!(col.join_stats.columns_scanned > 0);
-    assert_eq!(row.join_stats.batch_evals, 0);
-    assert_eq!(row.join_stats.columns_scanned, 0);
-
-    // Pipelined executor: same combinations under either plane.
-    let (plan_c, reg_c) = e1_plan(5);
-    let (plan_d, reg_d) = e1_plan(5);
-    let par_col = execute_parallel(&plan_c, &reg_c, col_cfg).unwrap().results;
-    let par_row = execute_parallel(&plan_d, &reg_d, row_cfg).unwrap().results;
-    assert_eq!(
-        ranked_render(&plan_c.query, &par_col),
-        ranked_render(&plan_d.query, &par_row)
-    );
 }
 
 #[test]

@@ -48,21 +48,18 @@ fn a_malformed_predicate_fails_at_prepare_with_the_interpreters_error() {
         let plan = optimize(&query, &registry, CostMetric::RequestCount)
             .expect("the query plans")
             .plan;
-        for mode in [JoinIndexMode::Hash, JoinIndexMode::Off] {
-            let config = EngineConfig::default().join_index_mode(mode);
-            let before = registry.total_stats().calls;
-            let det = execute_plan(&plan, &registry, config).map(|_| ());
-            let det_calls = registry.total_stats().calls - before;
-            let before = registry.total_stats().calls;
-            let pip = execute_parallel(&plan, &registry, config).map(|_| ());
-            let pip_calls = registry.total_stats().calls - before;
-            let at = format!("{conjunct} under {mode:?}");
-            let det = det.expect_err(&format!("{at}: deterministic must fail"));
-            let pip = pip.expect_err(&format!("{at}: pipelined must fail"));
-            assert_eq!(det.to_string(), expected, "{at}: deterministic");
-            assert_eq!(pip.to_string(), expected, "{at}: pipelined");
-            assert_eq!(det_calls, 0, "{at}: deterministic called a service");
-            assert_eq!(pip_calls, 0, "{at}: pipelined called a service");
-        }
+        let config = EngineConfig::default();
+        let before = registry.total_stats().calls;
+        let det = execute_plan(&plan, &registry, config).map(|_| ());
+        let det_calls = registry.total_stats().calls - before;
+        let before = registry.total_stats().calls;
+        let pip = execute_parallel(&plan, &registry, config).map(|_| ());
+        let pip_calls = registry.total_stats().calls - before;
+        let det = det.expect_err(&format!("{conjunct}: deterministic must fail"));
+        let pip = pip.expect_err(&format!("{conjunct}: pipelined must fail"));
+        assert_eq!(det.to_string(), expected, "{conjunct}: deterministic");
+        assert_eq!(pip.to_string(), expected, "{conjunct}: pipelined");
+        assert_eq!(det_calls, 0, "{conjunct}: deterministic called a service");
+        assert_eq!(pip_calls, 0, "{conjunct}: pipelined called a service");
     }
 }

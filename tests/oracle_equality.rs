@@ -6,9 +6,7 @@
 //! the batch kernels. With every service node set to fetch past the end
 //! of its results (`fetches = 50`, `keep_first` off) and no join
 //! target, both must deliver the same multiset of combinations — per
-//! atom, the same component — on both schedulers, with the key index on
-//! and off, and with the columnar plane and its batch kernels on and
-//! off.
+//! atom, the same component — on both schedulers.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -120,7 +118,7 @@ fn scenarios() -> Vec<(String, ServiceRegistry, Query)> {
 }
 
 #[test]
-fn exhaustive_runs_equal_the_oracle_on_both_schedulers_and_every_data_plane() {
+fn exhaustive_runs_equal_the_oracle_on_both_schedulers() {
     let mut rows = 0;
     for (name, registry, query) in scenarios() {
         let expected = components(
@@ -129,32 +127,21 @@ fn exhaustive_runs_equal_the_oracle_on_both_schedulers_and_every_data_plane() {
         );
         assert!(!expected.is_empty(), "{name}: the oracle finds answers");
         let plan = exhaustive_plan(&query, &registry);
-        for mode in [JoinIndexMode::Hash, JoinIndexMode::Off] {
-            for columnar in [true, false] {
-                for batch_eval in [true, false] {
-                    let config = EngineConfig::default()
-                        .join_k(0)
-                        .join_index_mode(mode)
-                        .columnar(columnar)
-                        .batch_eval(batch_eval);
-                    let at = format!("{name}: {mode:?} columnar={columnar} batch={batch_eval}");
-                    let det = execute_plan(&plan, &registry, config)
-                        .unwrap_or_else(|e| panic!("{at}: deterministic: {e}"));
-                    assert_eq!(
-                        components(&query, &det.results),
-                        expected,
-                        "{at}: deterministic"
-                    );
-                    let pip = execute_parallel(&plan, &registry, config)
-                        .unwrap_or_else(|e| panic!("{at}: pipelined: {e}"));
-                    assert_eq!(
-                        components(&query, &pip.results),
-                        expected,
-                        "{at}: pipelined"
-                    );
-                }
-            }
-        }
+        let config = EngineConfig::default().join_k(0);
+        let det = execute_plan(&plan, &registry, config)
+            .unwrap_or_else(|e| panic!("{name}: deterministic: {e}"));
+        assert_eq!(
+            components(&query, &det.results),
+            expected,
+            "{name}: deterministic"
+        );
+        let pip = execute_parallel(&plan, &registry, config)
+            .unwrap_or_else(|e| panic!("{name}: pipelined: {e}"));
+        assert_eq!(
+            components(&query, &pip.results),
+            expected,
+            "{name}: pipelined"
+        );
         rows += expected.len();
     }
     assert!(rows > 8_000, "the grid joins real volumes: {rows} rows");

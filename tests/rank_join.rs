@@ -2,19 +2,16 @@
 //!
 //! * the **rank join** must return exactly the first `k` entries of the
 //!   score-sorted full enumeration (not just "k good tuples"), for any
-//!   invocation, completion, decay, chunking, and index mode;
+//!   invocation, completion, decay, and chunking;
 //! * the **n-ary kernel** must be *byte-identical* to the binary
 //!   cascade it replaces — same combinations in the same emission
-//!   order — across the same grid of join methods the hash-index suite
-//!   uses, while materializing no intermediate composites;
+//!   order — across the grid of join methods the tile kernel's own
+//!   tests use, while materializing no intermediate composites;
 //! * both engine executors must honor the `rank_join` configuration flag
 //!   end to end.
 
 use search_computing::join::executor::{MemoryStream, ParallelJoinExecutor, ServiceStream};
-use search_computing::join::{
-    score_order, ColumnarOptions, JoinError, JoinIndexMode, JoinIndexOptions, NaryJoin, NaryStage,
-    RankJoin, TileSpace,
-};
+use search_computing::join::{score_order, JoinError, NaryJoin, NaryStage, RankJoin, TileSpace};
 use search_computing::plan::{JoinSpec, PlanNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
@@ -23,13 +20,6 @@ use search_computing::services::invocation::Request;
 use seco_bench::{join_pair_with_width, star_scenario, KeyEdge};
 use seco_model::{
     Adornment, AttributeDef, AttributePath, DataType, ScoringFunction, ServiceSchema, Tuple,
-};
-
-const OFF: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Off,
-};
-const HASH: JoinIndexOptions = JoinIndexOptions {
-    mode: JoinIndexMode::Hash,
 };
 
 fn schema(name: &str) -> ServiceSchema {
@@ -85,8 +75,8 @@ fn eq_pred_on(attr: &str, la: &str, ra: &str) -> ResolvedPredicate {
     })
 }
 
-/// Seeded property test: for random decays, sizes, chunkings, join
-/// methods, and index modes, the rank join's output at k ∈ {1, 5, 20}
+/// Seeded property test: for random decays, sizes, chunkings and join
+/// methods, the rank join's output at k ∈ {1, 5, 20}
 /// equals the first k entries of the full enumeration sorted by the
 /// canonical score order — ties included, bound checks performed.
 #[test]
@@ -131,22 +121,11 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
         let chunk = 2 + (next() % 5) as usize;
         let inv = invocations[(next() % 3) as usize];
         let comp = completions[(next() % 2) as usize];
-        let options = if next() % 2 == 0 { OFF } else { HASH };
         let a = stream_data("A", &sa, na, dx, modulus, 0);
         let b = stream_data("B", &sb, nb, dy, modulus, (next() % 3) as usize);
 
         // The reference: exhaustive enumeration, canonically sorted.
-        let full = ParallelJoinExecutor {
-            predicates: &preds,
-            schemas: &schemas,
-            invocation: Invocation::merge_scan_even(),
-            completion: Completion::Rectangular,
-            h: 1,
-            k: 0,
-            options: OFF,
-            columnar: ColumnarOptions::default(),
-            pool: None,
-        };
+        let full = ParallelJoinExecutor::new(&preds, &schemas);
         let mut sx = MemoryStream::new(a.clone(), chunk);
         let mut sy = MemoryStream::new(b.clone(), chunk);
         let mut baseline = full.run(&mut sx, &mut sy).unwrap().results;
@@ -158,7 +137,6 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
                     invocation: inv,
                     completion: comp,
                     k,
-                    options,
                     pool: None,
                     ..full
                 },
@@ -196,17 +174,7 @@ fn rank_join_top_k_is_the_sorted_enumeration_prefix() {
     schemas.insert("X".into(), &sx.interface().schema);
     schemas.insert("Y".into(), &sy.interface().schema);
     let req = Request::unbound().bind(AttributePath::atomic("Key"), Value::text("q"));
-    let full = ParallelJoinExecutor {
-        predicates: &preds,
-        schemas: &schemas,
-        invocation: Invocation::merge_scan_even(),
-        completion: Completion::Rectangular,
-        h: 1,
-        k: 0,
-        options: JoinIndexOptions::default(),
-        columnar: ColumnarOptions::default(),
-        pool: None,
-    };
+    let full = ParallelJoinExecutor::new(&preds, &schemas);
     let mut x = ServiceStream::new("X", sx.as_ref(), req.clone());
     let mut y = ServiceStream::new("Y", sy.as_ref(), req.clone());
     let enumerated = full.run(&mut x, &mut y).unwrap();
@@ -247,15 +215,10 @@ fn cascade(
     chunk: usize,
 ) -> Result<Vec<CompositeTuple>, JoinError> {
     let e1 = ParallelJoinExecutor {
-        predicates: p1,
-        schemas,
         invocation,
         completion,
-        h: 1,
         k,
-        options: HASH,
-        columnar: ColumnarOptions::default(),
-        pool: None,
+        ..ParallelJoinExecutor::new(p1, schemas)
     };
     let mut sa = MemoryStream::new(groups.0.to_vec(), chunk);
     let mut sb = MemoryStream::new(groups.1.to_vec(), chunk);
@@ -269,7 +232,7 @@ fn cascade(
     Ok(e2.run(&mut sm, &mut sc)?.results)
 }
 
-/// Across the hash-index suite's grid of decays × invocations ×
+/// Across the tile kernel's grid of decays × invocations ×
 /// completions × k × chunk sizes, and on key-encoding edge cases (a
 /// separator inside a two-conjunct `Text` key, a raw `NaN`, `Int` and
 /// `Float` keys that promote to one value), the n-ary kernel must emit

@@ -66,15 +66,10 @@ fn the_executor_walks_the_tiles_the_figures_explore() {
                 let at = format!("{invocation:?} {completion:?} {nx}x{ny} h={h}");
                 let want = explore(invocation, completion, h, nx, ny).unwrap();
                 let exec = ParallelJoinExecutor {
-                    predicates: &predicates,
-                    schemas: &schemas,
                     invocation,
                     completion,
                     h,
-                    k: 0,
-                    options: JoinIndexOptions::default(),
-                    columnar: ColumnarOptions::default(),
-                    pool: None,
+                    ..ParallelJoinExecutor::new(&predicates, &schemas)
                 };
                 let mut x = stream("X", &schema, nx);
                 let mut y = stream("Y", &schema, ny);
