@@ -2,14 +2,16 @@
 //! nested loop, across every join method, decay, chunk size and `k`, is
 //! held by `seco-join`'s own unit tests against their scalar reference;
 //! these tests check what only whole runs show: tiles proved empty by
-//! their keys, and keys that collide without being equal. That both
-//! executors index and batch the E1 join is checked in `data_plane.rs`.
+//! their keys, keys that collide without being equal, and whole E1
+//! runs that agree, on both executors, with the index-free oracle.
 
 use search_computing::join::executor::{JoinOutcome, MemoryStream, ParallelJoinExecutor};
 use search_computing::join::{JoinError, NaryJoin, NaryStage};
+use search_computing::plan::{JoinSpec, PlanNode, SelectionNode, ServiceNode};
 use search_computing::prelude::*;
 use search_computing::query::predicate::{ResolvedPredicate, SchemaMap};
 use search_computing::query::{JoinPredicate, QualifiedPath};
+use search_computing::services::domains::travel;
 use seco_model::{Adornment, AttributeDef, AttributePath, DataType, ServiceSchema, Tuple};
 
 /// Composites with clustered text keys: chunk `c` carries only the key
@@ -84,6 +86,110 @@ fn empty_key_tiles_are_pruned_without_changing_the_answer() {
     assert!(out.stats.index_builds > 0);
     // A nested loop judges all 40 × 40 pairs.
     assert!(out.stats.predicate_evals < 40 * 40);
+}
+
+/// The E1 travel plan (Fig. 2/3): Conference → Weather → selection →
+/// (Flight ∥ Hotel) → parallel join on `SameTrip`.
+fn e1_plan(seed: u64) -> (QueryPlan, ServiceRegistry) {
+    let registry = travel::build_registry(seed).unwrap();
+    let query = QueryBuilder::new()
+        .atom("C", "Conference1")
+        .atom("W", "Weather1")
+        .atom("F", "Flight1")
+        .atom("H", "Hotel1")
+        .pattern("Forecast", "C", "W")
+        .pattern("ReachedBy", "C", "F")
+        .pattern("StayAt", "C", "H")
+        .pattern("SameTrip", "F", "H")
+        .select_const("C", "Topic", Comparator::Eq, Value::text("databases"))
+        .select_const("W", "AvgTemp", Comparator::Gt, Value::Int(26))
+        .build()
+        .unwrap();
+    let joins = query.expanded_joins(&registry).unwrap();
+    let same_trip: Vec<_> = joins
+        .iter()
+        .filter(|j| j.connects("F", "H"))
+        .cloned()
+        .collect();
+    let mut plan = QueryPlan::new(query.clone());
+    let c = plan.add(PlanNode::Service(ServiceNode::new("C", "Conference1")));
+    let w = plan.add(PlanNode::Service(ServiceNode::new("W", "Weather1")));
+    let sel = plan.add(PlanNode::Selection(
+        SelectionNode::new(vec![query.selections[1].clone()]).with_selectivity(0.25),
+    ));
+    let f = plan.add(PlanNode::Service(
+        ServiceNode::new("F", "Flight1").with_fetches(2),
+    ));
+    let h = plan.add(PlanNode::Service(
+        ServiceNode::new("H", "Hotel1").with_fetches(2),
+    ));
+    let j = plan.add(PlanNode::ParallelJoin(JoinSpec {
+        invocation: Invocation::merge_scan_even(),
+        completion: Completion::Rectangular,
+        predicates: same_trip,
+        selectivity: 1.0,
+    }));
+    plan.connect(plan.input(), c).unwrap();
+    plan.connect(c, w).unwrap();
+    plan.connect(w, sel).unwrap();
+    plan.connect(sel, f).unwrap();
+    plan.connect(sel, h).unwrap();
+    plan.connect(f, j).unwrap();
+    plan.connect(h, j).unwrap();
+    plan.connect(j, plan.output()).unwrap();
+    (plan, registry)
+}
+
+/// Each combination as its components' Debug renders in query atom
+/// order, sorted into a multiset.
+fn combinations(query: &Query, results: &[CompositeTuple]) -> Vec<Vec<String>> {
+    let mut rows: Vec<Vec<String>> = (results.iter())
+        .map(|c| {
+            (query.atoms.iter())
+                .map(|a| format!("{:?}", c.component(&a.alias)))
+                .collect()
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// Both executors key the E1 `SameTrip` join through the index, and
+/// deliver the same combinations, each of which the index-free oracle
+/// (every chunk fetched, every candidate judged by the interpreted
+/// evaluator) also finds.
+#[test]
+fn both_executors_agree_with_and_without_the_index() {
+    let config = EngineConfig {
+        join_k: 10,
+        ..Default::default()
+    };
+    let (plan, registry) = e1_plan(5);
+    let det = execute_plan(&plan, &registry, config).unwrap();
+    let (plan, registry) = e1_plan(5);
+    let pip = execute_parallel(&plan, &registry, config).unwrap();
+    let found = combinations(&plan.query, &det.results);
+    assert!(!found.is_empty(), "E1 must produce combinations");
+    assert_eq!(found, combinations(&plan.query, &pip.results));
+    // The branches are cluster-aligned per conference (a probed bucket
+    // spans its whole chunk), so the index saves no evaluation here; it
+    // must still be built and probed by both.
+    for stats in [&det.join_stats, &pip.join_stats] {
+        assert!(stats.index_builds > 0 && stats.probes > 0, "{stats:?}");
+        assert!(stats.predicate_evals > 0, "{stats:?}");
+    }
+
+    let (_, registry) = e1_plan(5);
+    let oracle = combinations(
+        &plan.query,
+        &evaluate_oracle(&plan.query, &registry).expect("the oracle evaluates"),
+    );
+    for row in &found {
+        assert!(
+            oracle.binary_search(row).is_ok(),
+            "an indexed combination the oracle does not find: {row:?}"
+        );
+    }
 }
 
 /// `Int` keys above 2^53 promote to one `f64`, so the key of `2^53`
