@@ -24,7 +24,6 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use seco_exec::ExecPool;
 use seco_join::executor::MemoryStream;
@@ -150,10 +149,10 @@ impl<'a> Interpreter<'a> {
         self.elided.contains(&id.0)
     }
 
-    /// The shared state's pool, whose blocking tier runs the pipelined
+    /// The shared state's pool, whose threads run the pipelined
     /// executor's node tasks.
-    pub fn pool(&self) -> Option<Arc<ExecPool>> {
-        self.state.exec_pool().cloned()
+    pub fn pool(&self) -> &ExecPool {
+        &self.state.pool
     }
 
     /// Keeps the composites of `input` that satisfy the selection node

@@ -15,11 +15,10 @@
 //!   adaptive checkpoint re-plans; every experiment uses it because runs
 //!   are bit-for-bit reproducible;
 //! * [`parallel::execute_parallel`] runs every node as a task of its
-//!   own — on the pool's blocking tier, or on scoped threads without a
-//!   pool — with batches flowing through bounded channels along the
-//!   plan's arcs: the "data shipped in pipelines from one service to
-//!   another, so as to maximize parallelism" (§2.2), on real threads and
-//!   wall-clock time.
+//!   own on the executor pool, with batches flowing through bounded
+//!   channels along the plan's arcs: the "data shipped in pipelines from
+//!   one service to another, so as to maximize parallelism" (§2.2), on
+//!   real threads and wall-clock time.
 //!
 //! Unless faults depend on timing (deadlines, breaker cooldowns), both
 //! return the same multiset of combinations for the same plan.

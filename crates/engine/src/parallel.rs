@@ -2,13 +2,13 @@
 //!
 //! §2.2: "data are shipped in pipelines from one service to another, so
 //! as to maximize parallelism". Every live plan node runs as a task of
-//! its own — on the pool's elastic blocking tier when there is a pool,
-//! on scoped threads otherwise — and composites flow in batches through
-//! bounded channels along the plan's arcs. Independent branches (e.g.
-//! Movie and Theatre in the Fig. 10 plan) issue their service calls
-//! concurrently, and a downstream stage starts as soon as its first
-//! batch arrives. Join chains are rendezvous points: they drain their
-//! inputs, then join and stream the emission order onward.
+//! its own, on a thread of the [`SharedState`]'s pool, and composites
+//! flow in batches through bounded channels along the plan's arcs.
+//! Independent branches (e.g. Movie and Theatre in the Fig. 10 plan)
+//! issue their service calls concurrently, and a downstream stage
+//! starts as soon as its first batch arrives. Join chains are
+//! rendezvous points: they drain their inputs, then join and stream the
+//! emission order onward.
 //!
 //! What each node does is the `interp` module's; this module owns only
 //! the scheduling: tasks, channels (rerouted so a chain's feeders
@@ -215,20 +215,10 @@ pub fn execute_parallel_session(
         let pipeline = &pipeline;
         node_tasks.push(Box::new(move || pipeline.run_node(id, node, inputs, out)));
     }
-    // One task per live plan node. On a pooled run the tasks go to the
-    // pool's elastic blocking tier — they block on channel rendezvous,
-    // so they must never occupy a bounded compute worker; its threads
-    // are reused across queries and bounded by the pool's lifetime.
-    // Without a pool each task gets a scoped thread. Both join every
-    // task before returning.
-    match interp.pool() {
-        Some(pool) => pool.scope_blocking(node_tasks),
-        None => std::thread::scope(|scope| {
-            for task in node_tasks {
-                scope.spawn(task);
-            }
-        }),
-    }
+    // One task per live plan node, on the pool: the tasks block on
+    // channel rendezvous, so the pool gives each one a thread, reuses
+    // its threads across queries and joins every task before returning.
+    interp.pool().scope_blocking(node_tasks);
 
     if let Some(e) = pipeline.first_error.into_inner() {
         return Err(e);

@@ -10,12 +10,12 @@
 //! concurrent query sessions can execute against the same stacks, and
 //! every cache hit earned by one request benefits the next.
 //!
-//! The state also owns the optional shared [`seco_exec::ExecPool`]:
-//! every thread a daemon execution needs — the pipelined executor's
-//! plan-node tasks — lives exactly as long as this value. Dropping it
-//! (or calling [`SharedState::shutdown`]) stops and joins the pool's
-//! workers — nothing spawned on behalf of an execution can outlive the
-//! engine state that requested it.
+//! The state also owns the [`seco_exec::ExecPool`] that the pipelined
+//! executor runs its plan-node tasks on. A fresh state has no thread:
+//! the pool spawns them as a pipelined run needs them and keeps them
+//! for the next. Dropping the state (or calling
+//! [`SharedState::shutdown`]) joins them — nothing spawned on behalf of
+//! an execution can outlive the engine state that requested it.
 //!
 //! Accounting caveat: the virtual clock is shared too, so `busy_ms` /
 //! `critical_ms` deltas measured by concurrent executions overlap on
@@ -52,9 +52,9 @@ pub(crate) enum ClockMode {
 }
 
 /// Cross-request execution state: per-service fetch stacks, the shared
-/// virtual clock, and the daemon's executor pool — one pool shared by
-/// every session's plan-node tasks. Cheap to share
-/// (`Arc<SharedState>`), safe to use from concurrent sessions.
+/// virtual clock, and the executor pool — one pool shared by every
+/// session's plan-node tasks. Cheap to share (`Arc<SharedState>`), safe
+/// to use from concurrent sessions.
 ///
 /// Stacks are built lazily from the *first* execution's
 /// [`EngineConfig`] that touches each service; a daemon runs all
@@ -62,31 +62,26 @@ pub(crate) enum ClockMode {
 /// ready-made and warm.
 pub struct SharedState {
     clock: Arc<VirtualClock>,
-    pool: Option<Arc<ExecPool>>,
+    pub(crate) pool: Arc<ExecPool>,
     /// Keyed by service, and by clock mode only when a client binds one.
     stacks: Mutex<BTreeMap<(String, Option<ClockMode>), Stack>>,
 }
 
 impl SharedState {
-    /// Fresh state with no executor pool: joins run serially and the
-    /// pipelined executor's plan nodes run on scoped threads.
+    /// Fresh state with an empty executor pool: no thread runs until a
+    /// pipelined execution needs one.
     pub fn new() -> Self {
         SharedState {
             clock: VirtualClock::new(),
-            pool: None,
+            pool: Arc::new(ExecPool::new()),
             stacks: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Daemon-grade state: the pipelined executor's plan-node tasks run
-    /// on a pool of `exec_workers` compute threads (plus its elastic
-    /// blocking tier) owned by this value and stopped when it drops.
-    pub fn for_daemon(exec_workers: usize) -> Self {
-        SharedState {
-            clock: VirtualClock::new(),
-            pool: Some(Arc::new(ExecPool::new(exec_workers))),
-            stacks: Mutex::new(BTreeMap::new()),
-        }
+    /// The same as [`SharedState::new`]. Kept only because the
+    /// benchmark harness still calls it (ROADMAP item 1f).
+    pub fn for_daemon((): ()) -> Self {
+        Self::new()
     }
 
     /// The shared virtual clock.
@@ -94,9 +89,11 @@ impl SharedState {
         &self.clock
     }
 
-    /// The shared executor pool, when this state owns one.
+    /// The shared executor pool. Always `Some`: the `Option` stays only
+    /// because the benchmark harness still maps over it (ROADMAP item
+    /// 1f).
     pub fn exec_pool(&self) -> Option<&Arc<ExecPool>> {
-        self.pool.as_ref()
+        Some(&self.pool)
     }
 
     /// Number of prepared per-service stacks (diagnostics).
@@ -116,13 +113,11 @@ impl SharedState {
         })
     }
 
-    /// Stops the executor pool: queued work is drained and every pool
+    /// Stops the executor pool: queued tasks still run and every pool
     /// thread is joined. Prepared stacks stay usable — fetches never
     /// depended on the pool. Idempotent; also implied by drop.
     pub fn shutdown(&self) {
-        if let Some(pool) = &self.pool {
-            pool.shutdown();
-        }
+        self.pool.shutdown();
     }
 
     /// Returns `service`'s prepared stack, building it on first use
@@ -210,9 +205,20 @@ mod tests {
 
     #[test]
     fn shutdown_stops_the_daemon_pool() {
-        let state = SharedState::for_daemon(2);
-        let pool = state.exec_pool().expect("daemon state has a pool");
-        assert_eq!(pool.threads_alive(), 2);
+        let state = SharedState::new();
+        let pool = state.exec_pool().expect("every state owns a pool");
+        assert_eq!(pool.threads_alive(), 0, "a fresh state costs no thread");
+        let registry =
+            seco_services::domains::entertainment::build_registry(1).expect("registry builds");
+        let query = seco_query::builder::running_example();
+        let best =
+            seco_optimizer::optimize(&query, &registry, seco_optimizer::CostMetric::RequestCount)
+                .expect("the running example plans");
+        let options = EngineConfig::default();
+        crate::execute_parallel_session(&best.plan, &registry, options, Some(&state), None)
+            .expect("the running example runs");
+        let cached = pool.threads_alive();
+        assert!(cached > 0, "the pipelined run left its threads cached");
         state.shutdown();
         assert_eq!(pool.threads_alive(), 0);
     }

@@ -1,228 +1,111 @@
-//! A shared executor pool: the threads a daemon execution needs.
+//! The executor pool: the threads a pipelined execution runs on.
 //!
-//! One [`ExecPool`] per daemon (or per `seco run` invocation) owns the
-//! threads the engine runs on. The pool has two tiers:
+//! Every `SharedState` owns one [`ExecPool`], and the pipelined
+//! executor runs each live plan node as one of its tasks
+//! ([`ExecPool::scope_blocking`]). Plan-node tasks rendezvous with each
+//! other over bounded channels, so a fixed number of threads could
+//! deadlock them: the pool spawns a thread whenever a task finds no idle
+//! one, keeps finished threads parked for the next scope, and joins
+//! every thread on [`ExecPool::shutdown`]. A fresh pool has no thread,
+//! and its size is the high-water mark of concurrently live tasks.
 //!
-//! * a **blocking tier**: an elastic set of cached threads for tasks
-//!   that rendezvous with each other over channels (the pipelined
-//!   executor's plan nodes). Running those on a fixed pool would
-//!   deadlock, so the pool spawns blocking threads on demand, parks
-//!   them when idle, and joins them on shutdown.
-//! * a **compute tier**: a fixed set of workers (one per configured
-//!   core), each with its own deque. [`ExecPool::scope_run`] deals its
-//!   jobs round-robin over the deques; idle workers drain their own
-//!   deque from the front, then steal from the *back* of a sibling's,
-//!   and the scope's caller runs queued jobs while it waits. Compute
-//!   jobs must never block on other compute jobs' channels. No crate of
-//!   the program submits compute jobs: the optimizer's search and the
-//!   join kernels are serial, because no workload's tiles or searches
-//!   are large enough to pay for a fan-out. Only the benchmark
-//!   harness still probes the tier; ROADMAP items 1f and 19 delete it.
+//! The guarantees are the plumbing: every submitted task runs exactly
+//! once, a task's panic reaches the scope's caller after every task has
+//! finished, and `shutdown()` leaves zero live threads behind.
 //!
-//! [`ExecPool::scope_run`] returns results in task-submission order, and
-//! the pool guarantees the plumbing: every submitted job runs exactly
-//! once (even during shutdown the queues are drained before workers
-//! exit), panics propagate to the scope owner, and `shutdown()` leaves
-//! zero live threads behind.
+//! [`ExecPool::scope_run`] is not a fan-out: it runs its tasks on the
+//! caller, in order. No crate of the program calls it; the benchmark
+//! harness still probes it (ROADMAP item 1f).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Snapshot of the scheduler counters, for `/stats` and `seco stats`.
+/// Snapshot of the pool's counters, for `/stats` and `seco stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecStats {
-    /// Configured compute workers.
-    pub workers: usize,
-    /// Jobs currently queued across all worker deques.
-    pub queue_depth: usize,
-    /// Jobs taken from a deque other than the thief's own.
+    /// Always 0: the pool has no compute tier. `steals`, `morsels` and
+    /// `busy_ms` are read only by the benchmark harness, which still
+    /// subtracts them (ROADMAP item 1f).
     pub steals: u64,
-    /// Total jobs executed on the compute tier.
+    /// Always 0; see [`steals`](Self::steals).
     pub morsels: u64,
-    /// Milliseconds of measured compute-tier work.
+    /// Always 0; see [`steals`](Self::steals).
     pub busy_ms: u64,
-    /// Live threads: compute workers + cached blocking threads.
+    /// Live pool threads: running a task or parked for the next one.
     pub threads_alive: usize,
 }
 
-struct Inner {
-    workers: usize,
-    /// Per-worker deques; owners pop the front, thieves pop the back.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Park gate: compute workers wait here when every queue is empty.
-    gate: Mutex<()>,
-    cv: Condvar,
-    stop: AtomicBool,
-    /// Jobs queued but not yet claimed, across all deques.
-    pending: AtomicUsize,
-    /// Round-robin cursor for scope_run distribution.
-    cursor: AtomicUsize,
-
-    steals: AtomicU64,
-    morsels: AtomicU64,
-    busy_micros: AtomicU64,
-    threads_alive: AtomicUsize,
-
-    /// Blocking tier: elastic queue + free-thread balance. The balance
-    /// is `ready threads - queued jobs`; a submitter that drives it
-    /// negative spawns a thread so rendezvousing tasks can never wait
-    /// on each other for a worker.
-    blocking_queue: Mutex<VecDeque<Job>>,
-    blocking_cv: Condvar,
-    blocking_free: AtomicI64,
+/// The task queue and its free-thread balance, under one lock.
+struct Queue {
+    jobs: VecDeque<Job>,
+    /// Parked threads minus queued jobs. A submitter that finds it at 0
+    /// or below spawns a thread for its job, so rendezvousing tasks never
+    /// wait on each other for a thread.
+    free: isize,
+    /// Set by shutdown: threads exit once the queue is empty.
+    stop: bool,
 }
 
-/// The shared two-tier worker pool. See the crate docs for the model.
+struct Inner {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    threads_alive: AtomicUsize,
+}
+
+/// The elastic pool of cached threads. See the crate docs for the model.
 pub struct ExecPool {
     inner: Arc<Inner>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    done: AtomicBool,
 }
 
-/// Where one `scope_run` task leaves its result (or its panic).
-type Slot<T> = Mutex<Option<thread::Result<T>>>;
-
 impl ExecPool {
-    /// Builds a pool with `workers` compute workers (minimum 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let inner = Arc::new(Inner {
-            workers,
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
-            stop: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-            cursor: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-            morsels: AtomicU64::new(0),
-            busy_micros: AtomicU64::new(0),
-            threads_alive: AtomicUsize::new(0),
-            blocking_queue: Mutex::new(VecDeque::new()),
-            blocking_cv: Condvar::new(),
-            blocking_free: AtomicI64::new(0),
-        });
-        let mut handles = Vec::with_capacity(workers);
-        for idx in 0..workers {
-            let inner = Arc::clone(&inner);
-            inner.threads_alive.fetch_add(1, Ordering::SeqCst);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("seco-exec-{idx}"))
-                    .spawn(move || {
-                        worker_loop(&inner, idx);
-                        inner.threads_alive.fetch_sub(1, Ordering::SeqCst);
-                    })
-                    .expect("spawn exec worker"),
-            );
-        }
+    /// An empty pool: threads are spawned by the first scope that needs
+    /// them.
+    pub fn new() -> Self {
         ExecPool {
-            inner,
-            handles: Mutex::new(handles),
-            done: AtomicBool::new(false),
+            inner: Arc::new(Inner {
+                queue: Mutex::new(Queue {
+                    jobs: VecDeque::new(),
+                    free: 0,
+                    stop: false,
+                }),
+                ready: Condvar::new(),
+                threads_alive: AtomicUsize::new(0),
+            }),
+            handles: Mutex::new(Vec::new()),
         }
     }
 
-    /// Live pool threads (compute + cached blocking). Zero after
+    /// Live pool threads. Zero for a fresh pool and after
     /// [`ExecPool::shutdown`].
     pub fn threads_alive(&self) -> usize {
         self.inner.threads_alive.load(Ordering::SeqCst)
     }
 
-    /// Current scheduler counters.
+    /// Current counters.
     pub fn stats(&self) -> ExecStats {
-        let i = &self.inner;
         ExecStats {
-            workers: i.workers,
-            queue_depth: i.pending.load(Ordering::SeqCst),
-            steals: i.steals.load(Ordering::SeqCst),
-            morsels: i.morsels.load(Ordering::SeqCst),
-            busy_ms: i.busy_micros.load(Ordering::SeqCst) / 1000,
-            threads_alive: i.threads_alive.load(Ordering::SeqCst),
+            threads_alive: self.threads_alive(),
+            ..ExecStats::default()
         }
     }
 
-    /// Runs `tasks` on the compute tier and returns their results in
-    /// task order. The caller participates: while waiting it pops and
-    /// runs queued jobs, so `scope_run` makes progress even on a pool
-    /// whose workers are all busy (or on a one-worker pool running the
-    /// caller's own morsels). The first panicking task's payload is
-    /// resumed after every task has finished.
-    pub fn scope_run<'env, T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'env,
-        F: FnOnce() -> T + Send + 'env,
-    {
-        let n = tasks.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let slots: Arc<Vec<Slot<T>>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let remaining = Arc::new((Mutex::new(n), Condvar::new()));
-        for (i, f) in tasks.into_iter().enumerate() {
-            let slots = Arc::clone(&slots);
-            let remaining = Arc::clone(&remaining);
-            let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(f));
-                *slots[i].lock().unwrap() = Some(result);
-                // Drop our slots clone *before* releasing the latch so
-                // the scope owner can unwrap the Arc immediately.
-                drop(slots);
-                let mut left = remaining.0.lock().unwrap();
-                *left -= 1;
-                if *left == 0 {
-                    remaining.1.notify_all();
-                }
-            });
-            // SAFETY: this scope blocks until every job has run (the
-            // `remaining` latch only reaches zero after each closure
-            // completes, and workers drain their queues even during
-            // shutdown), so the `'env` borrows the closure captures
-            // outlive every use. This is the same lifetime erasure
-            // `std::thread::scope` performs, with the join expressed
-            // as a latch instead of thread handles.
-            let job: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-            self.push_compute(job);
-        }
-        // Participate: run queued jobs (ours or anyone's — they are
-        // all leaves) until the latch clears.
-        loop {
-            if *remaining.0.lock().unwrap() == 0 {
-                break;
-            }
-            if let Some(job) = self.pop_any() {
-                run_job(&self.inner, job);
-                continue;
-            }
-            let guard = remaining.0.lock().unwrap();
-            if *guard > 0 {
-                drop(
-                    remaining
-                        .1
-                        .wait_timeout(guard, std::time::Duration::from_millis(1))
-                        .unwrap(),
-                );
-            }
-        }
-        let slots = Arc::try_unwrap(slots).unwrap_or_else(|_| {
-            unreachable!("all scope jobs completed; no clones outlive the latch")
-        });
-        let mut out = Vec::with_capacity(n);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for slot in slots {
-            match slot.into_inner().unwrap().expect("scope job ran") {
+    /// Runs `tasks` on the caller, in order, and returns their results
+    /// in that order. Every task runs even after one panics; the first
+    /// panic is then resumed.
+    pub fn scope_run<T, F: FnOnce() -> T>(&self, tasks: Vec<F>) -> Vec<T> {
+        let mut out = Vec::with_capacity(tasks.len());
+        let mut panic = None;
+        for task in tasks {
+            match catch_unwind(AssertUnwindSafe(task)) {
                 Ok(v) => out.push(v),
                 Err(p) => {
-                    if panic.is_none() {
-                        panic = Some(p);
-                    }
+                    panic.get_or_insert(p);
                 }
             }
         }
@@ -232,10 +115,9 @@ impl ExecPool {
         out
     }
 
-    /// Runs channel-rendezvous tasks (plan-node bodies) on the elastic
-    /// blocking tier and waits for all of them. Threads are spawned on
-    /// demand, cached between scopes, and joined on shutdown. The first
-    /// panicking task's payload is resumed after every task finishes.
+    /// Runs channel-rendezvous tasks (plan-node bodies) on pool threads
+    /// and waits for all of them. The first panicking task's payload is
+    /// resumed after every task finishes.
     pub fn scope_blocking<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
         let n = tasks.len();
         if n == 0 {
@@ -244,126 +126,102 @@ impl ExecPool {
         let remaining = Arc::new((Mutex::new(n), Condvar::new()));
         let panic: Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>> = Arc::new(Mutex::new(None));
         for f in tasks {
+            let inner = Arc::clone(&self.inner);
             let remaining = Arc::clone(&remaining);
             let panic = Arc::clone(&panic);
             let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(f));
-                if let Err(p) = result {
-                    let mut slot = panic.lock().unwrap();
-                    if slot.is_none() {
-                        *slot = Some(p);
-                    }
+                if let Err(p) = catch_unwind(AssertUnwindSafe(f)) {
+                    lock(&panic).get_or_insert(p);
                 }
-                let mut left = remaining.0.lock().unwrap();
+                // The thread is free again before the scope can return,
+                // so the next scope finds it instead of spawning another.
+                lock(&inner.queue).free += 1;
+                let mut left = lock(&remaining.0);
                 *left -= 1;
                 if *left == 0 {
                     remaining.1.notify_all();
                 }
             });
-            // SAFETY: as in `scope_run` — this scope blocks on the
-            // latch until every task has completed, so `'env` borrows
-            // outlive every use.
+            // SAFETY: this scope blocks on the `remaining` latch until
+            // every job has completed, and every queued job runs (threads
+            // leave only an empty queue, even after shutdown), so the
+            // `'env` borrows the closure captures outlive every use. This
+            // is the lifetime erasure `std::thread::scope` performs, with
+            // the join expressed as a latch instead of thread handles.
             let job: Job =
                 unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job) };
-            // Balance goes non-positive => no ready thread for this
-            // task: spawn one and credit the capacity it adds, so the
-            // pool converges on its high-water thread count instead of
-            // re-spawning for every scope.
-            if self.inner.blocking_free.fetch_sub(1, Ordering::SeqCst) <= 0 {
-                self.inner.blocking_free.fetch_add(1, Ordering::SeqCst);
-                self.spawn_blocking_thread();
+            let mut queue = lock(&self.inner.queue);
+            queue.jobs.push_back(job);
+            // No parked thread for this job (or a stopped pool, whose
+            // threads are leaving): spawn one, which takes the job.
+            let spawn = queue.stop || queue.free <= 0;
+            if !spawn {
+                queue.free -= 1;
             }
-            let mut q = self.inner.blocking_queue.lock().unwrap();
-            q.push_back(job);
-            drop(q);
-            self.inner.blocking_cv.notify_one();
+            drop(queue);
+            if spawn {
+                self.spawn_thread();
+            } else {
+                self.inner.ready.notify_one();
+            }
         }
-        let mut left = remaining.0.lock().unwrap();
+        let mut left = lock(&remaining.0);
         while *left > 0 {
-            left = remaining.1.wait(left).unwrap();
+            left = remaining.1.wait(left).unwrap_or_else(|e| e.into_inner());
         }
         drop(left);
-        let p = panic.lock().unwrap().take();
+        let p = lock(&panic).take();
         if let Some(p) = p {
             resume_unwind(p);
         }
     }
 
-    fn spawn_blocking_thread(&self) {
+    fn spawn_thread(&self) {
         let inner = Arc::clone(&self.inner);
         inner.threads_alive.fetch_add(1, Ordering::SeqCst);
         let handle = thread::Builder::new()
-            .name("seco-exec-blk".into())
+            .name("seco-exec".into())
             .spawn(move || {
+                let mut queue = lock(&inner.queue);
                 loop {
-                    let mut q = inner.blocking_queue.lock().unwrap();
-                    let job = loop {
-                        if let Some(job) = q.pop_front() {
-                            break Some(job);
-                        }
-                        if inner.stop.load(Ordering::SeqCst) {
-                            break None;
-                        }
-                        q = inner.blocking_cv.wait(q).unwrap();
-                    };
-                    drop(q);
-                    match job {
-                        Some(job) => {
-                            job();
-                            inner.blocking_free.fetch_add(1, Ordering::SeqCst);
-                        }
-                        None => break,
+                    if let Some(job) = queue.jobs.pop_front() {
+                        drop(queue);
+                        job();
+                        queue = lock(&inner.queue);
+                    } else if queue.stop {
+                        break;
+                    } else {
+                        queue = inner.ready.wait(queue).unwrap_or_else(|e| e.into_inner());
                     }
                 }
+                drop(queue);
                 inner.threads_alive.fetch_sub(1, Ordering::SeqCst);
             })
-            .expect("spawn blocking worker");
-        self.handles.lock().unwrap().push(handle);
+            .unwrap_or_else(|e| {
+                // The queued jobs borrow the scope caller's stack, so a
+                // panic unwinding past that caller could leave them
+                // dangling: stop the process instead.
+                eprintln!("seco-exec: cannot spawn a pool thread: {e}");
+                std::process::abort()
+            });
+        lock(&self.handles).push(handle);
     }
 
-    /// Stops and joins every pool thread. Queued compute jobs are
-    /// drained (run, not dropped) before workers exit, so in-flight
-    /// scopes complete. Idempotent; also invoked by `Drop`.
+    /// Stops and joins every pool thread. Queued tasks still run first,
+    /// so in-flight scopes complete. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
-        if self.done.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.inner.stop.store(true, Ordering::SeqCst);
-        {
-            let _g = self.inner.gate.lock().unwrap();
-            self.inner.cv.notify_all();
-        }
-        {
-            let _q = self.inner.blocking_queue.lock().unwrap();
-            self.inner.blocking_cv.notify_all();
-        }
-        let handles = std::mem::take(&mut *self.handles.lock().unwrap());
+        lock(&self.inner.queue).stop = true;
+        self.inner.ready.notify_all();
+        let handles = std::mem::take(&mut *lock(&self.handles));
         for handle in handles {
             let _ = handle.join();
         }
     }
+}
 
-    fn push_compute(&self, job: Job) {
-        let inner = &self.inner;
-        let idx = inner.cursor.fetch_add(1, Ordering::SeqCst) % inner.workers;
-        inner.queues[idx].lock().unwrap().push_back(job);
-        inner.pending.fetch_add(1, Ordering::SeqCst);
-        let _g = inner.gate.lock().unwrap();
-        inner.cv.notify_all();
-    }
-
-    /// Pops any queued compute job from the back of a worker deque (a
-    /// steal). Used by participating scope callers.
-    fn pop_any(&self) -> Option<Job> {
-        let inner = &self.inner;
-        for q in &inner.queues {
-            if let Some(job) = q.lock().unwrap().pop_back() {
-                inner.pending.fetch_sub(1, Ordering::SeqCst);
-                inner.steals.fetch_add(1, Ordering::SeqCst);
-                return Some(job);
-            }
-        }
-        None
+impl Default for ExecPool {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -373,83 +231,29 @@ impl Drop for ExecPool {
     }
 }
 
-fn run_job(inner: &Inner, job: Job) {
-    let t0 = Instant::now();
-    job();
-    inner
-        .busy_micros
-        .fetch_add(t0.elapsed().as_micros() as u64, Ordering::SeqCst);
-    inner.morsels.fetch_add(1, Ordering::SeqCst);
-}
-
-fn worker_loop(inner: &Inner, me: usize) {
-    loop {
-        // Own deque (front), then steal (back).
-        let job = {
-            let own = inner.queues[me].lock().unwrap().pop_front();
-            match own {
-                Some(job) => {
-                    inner.pending.fetch_sub(1, Ordering::SeqCst);
-                    Some(job)
-                }
-                None => {
-                    let mut stolen = None;
-                    for off in 1..inner.workers {
-                        let victim = (me + off) % inner.workers;
-                        if let Some(job) = inner.queues[victim].lock().unwrap().pop_back() {
-                            inner.pending.fetch_sub(1, Ordering::SeqCst);
-                            inner.steals.fetch_add(1, Ordering::SeqCst);
-                            stolen = Some(job);
-                            break;
-                        }
-                    }
-                    stolen
-                }
-            }
-        };
-        if let Some(job) = job {
-            run_job(inner, job);
-            continue;
-        }
-        // Park. Stop only once every queue is drained, so in-flight
-        // scopes always complete.
-        let guard = inner.gate.lock().unwrap();
-        if inner.stop.load(Ordering::SeqCst) {
-            if inner.pending.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            continue;
-        }
-        if inner.pending.load(Ordering::SeqCst) > 0 {
-            continue;
-        }
-        drop(
-            inner
-                .cv
-                .wait_timeout(guard, std::time::Duration::from_millis(10))
-                .unwrap(),
-        );
-    }
+/// Locks `m`. Jobs run outside every pool lock, their panics are
+/// caught, and each update under a pool lock is a single step, so a
+/// poisoned lock still guards consistent data.
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn scope_run_returns_results_in_task_order() {
-        let pool = ExecPool::new(4);
+        let pool = ExecPool::new();
         let tasks: Vec<_> = (0..64).map(|i| move || i * 3).collect();
         let out = pool.scope_run(tasks);
         assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
-        pool.shutdown();
-        assert_eq!(pool.threads_alive(), 0);
+        assert_eq!(pool.threads_alive(), 0, "scope_run spawns nothing");
     }
 
     #[test]
     fn scope_run_borrows_the_environment() {
-        let pool = ExecPool::new(2);
+        let pool = ExecPool::new();
         let data: Vec<u64> = (0..1000).collect();
         let slices: Vec<&[u64]> = data.chunks(100).collect();
         let sums = pool.scope_run(
@@ -463,15 +267,15 @@ mod tests {
 
     #[test]
     fn scope_run_propagates_panics_after_all_tasks_finish() {
-        let pool = ExecPool::new(2);
-        let ran = Arc::new(AtomicUsize::new(0));
+        let pool = ExecPool::new();
+        let ran = AtomicUsize::new(0);
         let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
             .map(|i| {
-                let ran = Arc::clone(&ran);
+                let ran = &ran;
                 Box::new(move || {
                     ran.fetch_add(1, Ordering::SeqCst);
                     if i == 3 {
-                        panic!("morsel {i} failed");
+                        panic!("task {i} failed");
                     }
                     i
                 }) as Box<dyn FnOnce() -> usize + Send>
@@ -483,17 +287,8 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_pool_still_completes_scopes_via_caller_participation() {
-        let pool = ExecPool::new(1);
-        // Sixteen jobs dealt to a single deque: whichever of the worker
-        // and the participating caller gets to a job first runs it.
-        let out = pool.scope_run((0..16).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(out.len(), 16);
-    }
-
-    #[test]
     fn scope_run_after_shutdown_runs_on_the_caller_in_order() {
-        let pool = ExecPool::new(3);
+        let pool = ExecPool::new();
         pool.shutdown();
         let caller = thread::current().id();
         let out = pool.scope_run(
@@ -514,11 +309,11 @@ mod tests {
 
     #[test]
     fn scope_blocking_supports_channel_rendezvous() {
-        let pool = ExecPool::new(1);
+        let pool = ExecPool::new();
         let (tx, rx) = std::sync::mpsc::sync_channel::<u32>(0);
-        let total = Arc::new(AtomicUsize::new(0));
-        let total2 = Arc::clone(&total);
-        let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
+        let total = AtomicUsize::new(0);
+        let sum = &total;
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
             Box::new(move || {
                 for i in 0..100 {
                     tx.send(i).unwrap();
@@ -526,7 +321,7 @@ mod tests {
             }),
             Box::new(move || {
                 while let Ok(v) = rx.recv() {
-                    total2.fetch_add(v as usize, Ordering::SeqCst);
+                    sum.fetch_add(v as usize, Ordering::SeqCst);
                 }
             }),
         ];
@@ -537,38 +332,49 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_idempotent_and_leaves_no_threads() {
-        let pool = ExecPool::new(3);
+    fn threads_are_spawned_on_demand_cached_and_joined_on_shutdown() {
+        let pool = ExecPool::new();
+        assert_eq!(pool.threads_alive(), 0, "a fresh pool has no thread");
+        // Three tasks that wait for each other need three threads.
+        let barrier = std::sync::Barrier::new(3);
+        let scope = || {
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
+                .map(|_| {
+                    Box::new(|| {
+                        barrier.wait();
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.scope_blocking(tasks);
+        };
+        scope();
         assert_eq!(pool.threads_alive(), 3);
+        scope();
+        assert_eq!(pool.threads_alive(), 3, "the second scope reuses them");
         pool.shutdown();
         pool.shutdown();
         assert_eq!(pool.threads_alive(), 0);
+        // A scope after shutdown still completes, on threads the drop
+        // joins.
+        scope();
     }
 
     #[test]
-    fn counters_track_morsels_steals_and_busy_time() {
-        let pool = ExecPool::new(4);
-        let t0 = Instant::now();
-        let _ = pool.scope_run(
-            (0..32)
-                .map(|i| {
-                    move || {
-                        // Do a little real work so timings are nonzero.
-                        (0..10_000u64).fold(i as u64, |a, b| a.wrapping_add(b * b))
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        // A job releases the scope's latch before `run_job` counts it:
-        // join the workers so the counters are final.
-        pool.shutdown();
-        let wall_ms = t0.elapsed().as_millis() as u64 + 1;
-        let stats = pool.stats();
-        assert_eq!(stats.morsels, 32, "each task is one morsel, run once");
-        assert!(stats.steals <= stats.morsels);
-        // Four workers plus the participating caller.
-        assert!(stats.busy_ms <= 5 * wall_ms, "busy time is measured");
-        assert_eq!(stats.queue_depth, 0);
-        assert_eq!(stats.workers, 4);
+    fn scope_blocking_propagates_panics_after_all_tasks_finish() {
+        let pool = ExecPool::new();
+        let ran = AtomicUsize::new(0);
+        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
+            .map(|i| {
+                let ran = &ran;
+                Box::new(move || {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    assert_ne!(i, 2, "task {i} failed");
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        let result = catch_unwind(AssertUnwindSafe(|| pool.scope_blocking(tasks)));
+        assert!(result.is_err());
+        assert_eq!(ran.load(Ordering::SeqCst), 4, "every task still ran");
+        assert_eq!(pool.stats().morsels, 0, "no compute tier counts a job");
     }
 }

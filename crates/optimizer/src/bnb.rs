@@ -111,7 +111,7 @@ pub struct Optimizer<'a> {
     pub max_topologies: usize,
     /// Read by nothing: the search is serial. Kept only because the
     /// benchmark harness still sets it (ROADMAP item 1f drops that).
-    pub workers: usize,
+    pub workers: (),
     /// Optional cross-run plan cache keyed by query shape (see
     /// [`query_fingerprint`]). Skipped when a [`budget`](Self::budget) is set:
     /// truncated searches are not canonical results worth caching.
@@ -179,7 +179,7 @@ impl<'a> Optimizer<'a> {
             heuristics: HeuristicSet::default(),
             budget: None,
             max_topologies: DEFAULT_MAX_TOPOLOGIES,
-            workers: 1,
+            workers: (),
             cache: None,
             replan_threshold: 10.0,
             pool: None,

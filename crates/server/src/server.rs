@@ -243,7 +243,7 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) -> io::Res
 
 fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>) -> io::Result<()> {
     let tenant = req.param("tenant").unwrap_or("default").to_owned();
-    let admission = match state.admit(&tenant) {
+    let admission = match state.admit_query(&tenant) {
         Ok(a) => a,
         Err(r) => return refuse(stream, &r),
     };
@@ -290,33 +290,38 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
         let total = results.len();
         let set = ResultSet::new(results, query.ranking.clone()).with_degraded(degraded);
         let chunk = req.param_usize("chunk", 5).max(1);
-        let session = state.open_session(|id| {
+        // The table can fill between admission and here: the head is
+        // out, so the refusal is an error frame.
+        let id = match state.open_session(|id| {
             Session::new(id, tenant.clone(), query.clone(), best.plan.clone(), set)
-        });
-        let mut delivered = 0usize;
-        if let Ok(id) = session {
-            // Deterministic mode streams the ranked prefix from the
-            // session cursor; parallel mode already streamed emission
-            // order through the sink.
-            if !parallel {
-                while delivered < k {
-                    let Some(rows) = state.with_session(id, |s| s.next(chunk.min(k - delivered)))
-                    else {
-                        break;
-                    };
-                    if rows.is_empty() {
-                        break;
-                    }
-                    delivered += rows.len();
-                    writer
-                        .lock()
-                        .frame_with(|out| chunk_frame(out, &query.ranking, &rows))?;
-                }
+        }) {
+            Ok(id) => id,
+            Err(r) => {
+                let _ = writer
+                    .lock()
+                    .frame(&json!({"frame": "error", "error": r.message()}).to_string());
+                return writer.into_inner().finish();
             }
+        };
+        let mut delivered = 0usize;
+        // Deterministic mode streams the ranked prefix from the session
+        // cursor; parallel mode already streamed emission order through
+        // the sink.
+        while !parallel && delivered < k {
+            let Some(rows) = state.with_session(id, |s| s.next(chunk.min(k - delivered))) else {
+                break;
+            };
+            if rows.is_empty() {
+                break;
+            }
+            delivered += rows.len();
+            writer
+                .lock()
+                .frame_with(|out| chunk_frame(out, &query.ranking, &rows))?;
         }
         let summary = json!({
             "frame": "summary",
-            "session": session.as_ref().ok(),
+            "session": id,
             "combinations": total,
             "delivered": delivered,
             "calls": calls,
@@ -333,16 +338,17 @@ fn handle_query(stream: &mut TcpStream, req: &Request, state: &Arc<ServerState>)
         let total = results.len();
         let set = ResultSet::new(results, query.ranking.clone()).with_degraded(degraded);
         let degraded_list = set.degraded.clone();
-        let session = state.open_session(|id| {
+        // The table can fill between admission and here.
+        let id = match state.open_session(|id| {
             Session::new(id, tenant.clone(), query.clone(), best.plan.clone(), set)
-        });
-        let rows = match session {
-            Ok(id) => state.with_session(id, |s| s.next(k)).unwrap_or_default(),
-            Err(_) => Vec::new(),
+        }) {
+            Ok(id) => id,
+            Err(r) => return refuse(stream, &r),
         };
+        let rows = state.with_session(id, |s| s.next(k)).unwrap_or_default();
         drop(admission);
         let body = doc(
-            &json!({"plan": plan_frame, "session": session.as_ref().ok()}),
+            &json!({"plan": plan_frame, "session": id}),
             &query.ranking,
             &rows,
             &json!({"combinations": total, "degraded": degraded_list, "calls": calls}),

@@ -45,21 +45,18 @@ pub struct ServerConfig {
     pub engine: EngineConfig,
     /// Cost metric the shared planner optimizes.
     pub metric: CostMetric,
-    /// Maximum concurrently open sessions (0 = unlimited).
+    /// Maximum concurrently open sessions (0 = unlimited). A query that
+    /// finds the table full is refused with HTTP 429 before it plans.
     pub max_sessions: usize,
     /// Maximum concurrently *executing* queries; excess requests are
     /// refused with HTTP 429 rather than queued (0 = unlimited).
     pub max_concurrent: usize,
     /// Service-call budget per tenant (0 = unlimited).
     pub tenant_budget: u64,
-    /// Compute threads of the shared executor pool. One pool per daemon
-    /// runs every session's plan-node tasks on its blocking tier; the
-    /// planner runs on the request thread and the join kernels are
-    /// serial, so nothing submits work to these threads (ROADMAP item 19
-    /// deletes them). The admission gate (at most
-    /// [`max_concurrent`](Self::max_concurrent) executions) bounds the
-    /// pool's load.
-    pub exec_workers: usize,
+    /// Read by nothing: the daemon's pool has no worker count. Kept only
+    /// because the benchmark harness still reads it (ROADMAP item 1f
+    /// drops that).
+    pub exec_workers: (),
 }
 
 impl Default for ServerConfig {
@@ -72,9 +69,7 @@ impl Default for ServerConfig {
             max_sessions: 256,
             max_concurrent: 16,
             tenant_budget: 0,
-            exec_workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            exec_workers: (),
         }
     }
 }
@@ -163,7 +158,7 @@ impl ServerState {
         Arc::new(ServerState {
             registry: Arc::new(registry),
             plan_cache: Arc::new(PlanCache::new()),
-            shared: Arc::new(SharedState::for_daemon(config.exec_workers)),
+            shared: Arc::new(SharedState::new()),
             config,
             sessions: Mutex::new(BTreeMap::new()),
             next_session: AtomicU64::new(1),
@@ -179,13 +174,29 @@ impl ServerState {
     /// Claims an execution slot, or says why not. The slot frees when
     /// the returned guard drops.
     pub fn admit(&self, tenant: &str) -> Result<Admission<'_>, Refusal> {
-        if self.draining.load(Ordering::Acquire) {
+        self.admit_for(tenant, false)
+    }
+
+    /// [`admit`](Self::admit) for a query, which opens a session: also
+    /// refused while the session table is full, before any planning or
+    /// service call.
+    pub fn admit_query(&self, tenant: &str) -> Result<Admission<'_>, Refusal> {
+        self.admit_for(tenant, true)
+    }
+
+    fn admit_for(&self, tenant: &str, opens_session: bool) -> Result<Admission<'_>, Refusal> {
+        let refusal = if self.draining.load(Ordering::Acquire) {
+            Some(Refusal::Draining)
+        } else if opens_session && self.table_full(self.open_sessions()) {
+            Some(Refusal::TooManySessions)
+        } else if !self.budget_ok(tenant) {
+            Some(Refusal::BudgetExhausted)
+        } else {
+            None
+        };
+        if let Some(refusal) = refusal {
             self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Refusal::Draining);
-        }
-        if !self.budget_ok(tenant) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Refusal::BudgetExhausted);
+            return Err(refusal);
         }
         let slots = self.config.max_concurrent;
         let n = self.in_flight.fetch_add(1, Ordering::AcqRel);
@@ -217,9 +228,7 @@ impl ServerState {
     /// plan and whether it came from the cache.
     ///
     /// The search runs serially on the calling (request) thread: a cold
-    /// 4-star plan takes well under a millisecond there, and fanning its
-    /// topologies over the shared pool cost more in hand-offs than it
-    /// saved while other requests kept the workers busy.
+    /// 4-star plan takes well under a millisecond there.
     pub fn plan(&self, query: &Query) -> Result<(Optimized, bool), String> {
         let mut optimizer = Optimizer::new(&self.registry, self.config.metric);
         optimizer.cache = Some(self.plan_cache.clone());
@@ -260,12 +269,17 @@ impl ServerState {
     /// is full.
     pub fn open_session(&self, make: impl FnOnce(u64) -> Session) -> Result<u64, Refusal> {
         let mut sessions = self.sessions.lock();
-        if self.config.max_sessions > 0 && sessions.len() >= self.config.max_sessions {
+        if self.table_full(sessions.len()) {
             return Err(Refusal::TooManySessions);
         }
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         sessions.insert(id, Arc::new(Mutex::new(make(id))));
         Ok(id)
+    }
+
+    /// Whether a table of `open` sessions has no room for another.
+    fn table_full(&self, open: usize) -> bool {
+        self.config.max_sessions > 0 && open >= self.config.max_sessions
     }
 
     /// Runs `f` against the named session, holding only that session's
@@ -341,15 +355,7 @@ impl ServerState {
             "interner_symbols": Symbol::table_len(),
             "interner_bytes": Symbol::table_bytes(),
             "exec": self.shared.exec_pool().map(|p| {
-                let e = p.stats();
-                serde_json::json!({
-                    "workers": e.workers,
-                    "queue_depth": e.queue_depth,
-                    "steals": e.steals,
-                    "morsels": e.morsels,
-                    "busy_ms": e.busy_ms,
-                    "threads_alive": e.threads_alive,
-                })
+                serde_json::json!({ "threads_alive": p.threads_alive() })
             }),
             "tenants": tenants,
         })

@@ -1,6 +1,8 @@
 //! Clients that open a connection and never finish their request: the
 //! daemon answers `408` once [`http::REQUEST_DEADLINE`] runs out, however
 //! the bytes trickle in, and keeps serving everyone else meanwhile.
+//! Clients that cut their body short, send garbage, or hang up on a
+//! stream leave the daemon healthy, with nothing left in flight.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -94,5 +96,66 @@ fn healthz_answers_while_hostile_clients_hold_connections() {
     }
     drop((silent, dripping));
     writer.join().expect("writer");
+    stop(handle, &addr);
+}
+
+/// `/healthz` answers, and once `/stats` counts `admitted` queries it
+/// reads `in_flight` 0 within the read deadline.
+fn assert_recovers(addr: &str, admitted: u64) {
+    let (status, _) = http::call(addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+    let start = Instant::now();
+    loop {
+        let (_, stats) = http::call(addr, "GET", "/stats", "").expect("stats");
+        if counter(&stats, "admitted") >= admitted && counter(&stats, "in_flight") == 0 {
+            return;
+        }
+        assert!(
+            start.elapsed() < http::REQUEST_DEADLINE,
+            "still in flight: {stats}"
+        );
+        thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// The integer `"key":<n>` of a compact JSON body.
+fn counter(body: &str, key: &str) -> u64 {
+    let at = body.find(&format!("\"{key}\":")).expect("counter present") + key.len() + 3;
+    let digits: String = body[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("an integer")
+}
+
+#[test]
+fn truncated_garbage_and_vanishing_clients_leave_the_daemon_serving() {
+    let (handle, addr) = boot();
+    // A body 20 bytes into a declared 200, then the write half shut.
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    conn.write_all(b"POST /query HTTP/1.1\r\nContent-Length: 200\r\n\r\n")
+        .expect("head");
+    conn.write_all(&[b'x'; 20]).expect("part of the body");
+    conn.shutdown(std::net::Shutdown::Write).expect("shut");
+    let _ = conn.read_to_end(&mut Vec::new());
+    assert_recovers(&addr, 0);
+
+    // A body that is no query: a 400 error document.
+    let (status, body) = http::call(&addr, "POST", "/query", "Select ( garbage").expect("call");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.starts_with("{\"error\":"), "{body}");
+    assert_recovers(&addr, 1);
+
+    // A streamed pipelined query whose client closes without reading.
+    let text = seco_bench::chain_scenario(2, 42).1.to_string();
+    let mut conn = TcpStream::connect(&addr).expect("connect");
+    let request = format!(
+        "POST /query?mode=par&stream=1 HTTP/1.1\r\nContent-Length: {}\r\n\r\n{text}",
+        text.len()
+    );
+    conn.write_all(request.as_bytes()).expect("request");
+    drop(conn);
+    assert_recovers(&addr, 2);
+
     stop(handle, &addr);
 }

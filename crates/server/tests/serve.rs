@@ -194,6 +194,46 @@ fn tenant_budgets_are_enforced_per_tenant() {
     stop(handle, &addr);
 }
 
+/// A query that finds the session table full is refused before it
+/// plans or calls a service; closing a session makes room again.
+#[test]
+fn a_full_session_table_refuses_queries_with_429() {
+    let (handle, addr, text, k) = chain_server(ServerConfig {
+        max_sessions: 1,
+        ..Default::default()
+    });
+    let target = format!("/query?k={k}");
+    let stats = || {
+        let (_, stats) = http::call(&addr, "GET", "/stats", "").expect("stats");
+        let tenants = &stats[stats.find("\"tenants\":[").expect("tenant list")..];
+        (
+            json_u64(tenants, "calls").expect("tenant calls"),
+            json_u64(&stats, "rejected").expect("rejected"),
+        )
+    };
+    let (status, first) = http::call(&addr, "POST", &target, &text).expect("first");
+    assert_eq!(status, 200, "{first}");
+    let sid = json_u64(&first, "session").expect("session id");
+    let (calls, rejected) = stats();
+
+    let (status, second) = http::call(&addr, "POST", &target, &text).expect("second");
+    assert_eq!(status, 429, "{second}");
+    assert!(second.contains("session table full"), "{second}");
+    assert_eq!(
+        stats(),
+        (calls, rejected + 1),
+        "no call charged, one refusal"
+    );
+
+    let (status, _) = http::call(&addr, "DELETE", &format!("/session/{sid}"), "").expect("close");
+    assert_eq!(status, 200);
+    let (status, third) = http::call(&addr, "POST", &target, &text).expect("third");
+    assert_eq!(status, 200, "{third}");
+    assert_eq!(third.matches("{\"score\":").count(), k, "{third}");
+
+    stop(handle, &addr);
+}
+
 #[test]
 fn streaming_emits_plan_chunk_summary_frames_in_order() {
     let (handle, addr, text, k) = chain_server(ServerConfig::default());

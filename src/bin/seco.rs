@@ -5,7 +5,6 @@
 //! seco explain   [--domain D] [--metric M] [--seed N] <query…>
 //! seco optimize  [--domain D] [--metric M] [--seed N] <query…>
 //! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
-//!                [--exec-workers N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
 //!                [--cache-shards N] [--rank-join]
 //!                [--adaptive] [--adaptive-threshold N] <query…>
@@ -44,16 +43,13 @@
 //! composites; answers stay byte-identical to the binary cascade. A
 //! `rank:` counter line is printed after the answers.
 //!
-//! `--exec-workers N` sizes the pool `run`, `stats` and `serve` execute
-//! on (default: the machine's core count). Its blocking tier runs the
-//! pipelined executor's node tasks; the join kernels are serial.
-//! `seco stats` prints the scheduler counters
-//! (queue depth, steals, morsels, worker busy time) after the service
-//! statistics.
+//! `--parallel` runs every plan node as a task of the executor pool,
+//! which gives each task a thread as it needs one; the join kernels are
+//! serial. `seco stats` prints the pool's live threads on its
+//! `scheduler:` line after the service statistics.
 //!
 //! Every flag default is taken from `EngineConfig::default()`, and each
-//! engine flag but `--exec-workers` maps 1:1 to an `EngineConfig`
-//! builder method.
+//! engine flag maps 1:1 to an `EngineConfig` builder method.
 //!
 //! `--adaptive` turns on mid-flight re-optimization: after every fresh
 //! service or join stage, the engine compares the observed output
@@ -122,7 +118,6 @@ struct Args {
     rank_join: bool,
     adaptive: bool,
     adaptive_threshold: f64,
-    exec_workers: usize,
     addr: String,
     max_sessions: usize,
     max_concurrent: usize,
@@ -146,11 +141,6 @@ fn parse_args() -> Result<Args, String> {
     let mut rank_join = defaults.rank_join;
     let mut adaptive = defaults.adaptive;
     let mut adaptive_threshold = defaults.adaptive_threshold;
-    // The pool `run` and `stats` execute on defaults to the machine's
-    // core count.
-    let mut exec_workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     // Serving defaults come from `ServerConfig::default()` so the CLI
     // cannot drift from the server crate's own admission defaults.
     let server_defaults = search_computing::server::ServerConfig::default();
@@ -222,16 +212,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad budget: {e}"))?;
             }
-            "--exec-workers" => {
-                exec_workers = argv
-                    .next()
-                    .ok_or("--exec-workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad exec worker count: {e}"))?;
-                if exec_workers == 0 {
-                    return Err("--exec-workers must be at least 1".into());
-                }
-            }
             "--metric" => {
                 let m = argv.next().ok_or("--metric needs a value")?;
                 metric = match m.as_str() {
@@ -261,7 +241,6 @@ fn parse_args() -> Result<Args, String> {
         rank_join,
         adaptive,
         adaptive_threshold,
-        exec_workers,
         addr,
         max_sessions,
         max_concurrent,
@@ -274,7 +253,7 @@ fn usage() -> String {
     "usage: seco <services|explain|optimize|run|stats|oracle|serve> \
      [--domain entertainment|travel] \
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
-     [--seed N] [--exec-workers N] [--parallel] \
+     [--seed N] [--parallel] \
      [--fault-profile none|flaky|outage] \
      [--deadline-ms N] [--cache-shards N] [--rank-join] \
      [--adaptive] [--adaptive-threshold N] \
@@ -374,7 +353,7 @@ fn cmd_run(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Resul
     }
     let best = optimize(&query, registry, args.metric).map_err(|e| e.to_string())?;
     registry.reset_stats();
-    let shared = SharedState::for_daemon(args.exec_workers);
+    let shared = SharedState::new();
     let (results, degraded, join_stats, replans, replanned) = if args.parallel {
         let out = execute_parallel_session(&best.plan, registry, opts, Some(&shared), None)
             .map_err(|e| e.to_string())?;
@@ -474,7 +453,7 @@ fn cmd_stats(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Res
     optimizer.cache = Some(plan_cache.clone());
     let best = optimizer.optimize(&query).map_err(|e| e.to_string())?;
     registry.reset_stats();
-    let shared = SharedState::for_daemon(args.exec_workers);
+    let shared = SharedState::new();
     let out =
         execute_plan_shared(&best.plan, registry, opts, &shared).map_err(|e| e.to_string())?;
     println!(
@@ -534,11 +513,7 @@ fn cmd_stats(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Res
         );
     }
     if let Some(pool) = shared.exec_pool() {
-        let e = pool.stats();
-        println!(
-            "\nscheduler: {} workers, {} morsels, {} steals, queue depth {}, busy {} ms",
-            e.workers, e.morsels, e.steals, e.queue_depth, e.busy_ms
-        );
+        println!("\nscheduler: {} threads alive", pool.threads_alive());
     }
     let (fetch_entries, fetch_unproven, fetch_bytes) = shared.fetch_cache_usage();
     println!(
@@ -584,7 +559,7 @@ fn cmd_serve(registry: ServiceRegistry, args: &Args, opts: EngineConfig) -> Resu
         max_sessions: args.max_sessions,
         max_concurrent: args.max_concurrent,
         tenant_budget: args.tenant_budget,
-        exec_workers: args.exec_workers,
+        ..ServerConfig::default()
     };
     let state = ServerState::new(registry, config);
     let server = Server::bind(&args.addr, state).map_err(|e| e.to_string())?;
@@ -628,8 +603,7 @@ fn main() -> ExitCode {
         }
     };
     let resilient = !faults.is_inert() || args.deadline_ms.is_some();
-    // Every flag but `--exec-workers` (the pool's size) maps 1:1 onto an
-    // `EngineConfig` builder method.
+    // Every engine flag maps 1:1 onto an `EngineConfig` builder method.
     let mut opts = EngineConfig::default()
         .cache_shards(args.cache_shards)
         .rank_join(args.rank_join)

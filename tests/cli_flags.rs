@@ -9,6 +9,8 @@ fn an_unknown_flag_fails_and_names_itself() {
     for args in [
         &["optimize", "--workers", "4", query][..],
         &["run", "--columnar", "off", query][..],
+        &["run", "--exec-workers", "4", query][..],
+        &["serve", "--exec-workers", "4"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_seco"))
             .args(args)

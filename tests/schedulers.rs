@@ -3,10 +3,10 @@
 //! The deterministic (virtual-time) and pipelined (pool-scheduled)
 //! executors interpret the same plan nodes; only the scheduling
 //! differs. Over chains, stars, the running example and the Fig. 2
-//! diamond — healthy and with a service hard down — and across failure
-//! mode and worker count, both must deliver the same multiset of
-//! rendered combinations and name the same degraded services, and under
-//! `Abort` a downed service must fail both. Both fuse the stars' join
+//! diamond — healthy and with a service hard down — and under both
+//! failure modes, both must deliver the same multiset of rendered
+//! combinations and name the same degraded services, and under `Abort`
+//! a downed service must fail both. Both fuse the stars' join
 //! chains by default.
 
 use seco_bench::{
@@ -104,38 +104,35 @@ fn both_schedulers_agree_across_the_grid() {
     let (mut fused_det, mut fused_pip) = (0, 0);
     for (name, scenario, downed) in scenarios() {
         for mode in [FailureMode::Abort, FailureMode::Degrade] {
-            for workers in [1, 4] {
-                let at = format!("{name}: mode={mode:?} workers={workers}");
-                let config = EngineConfig::default()
-                    .join_k(0)
-                    .adaptive(false)
-                    .failure_mode(mode);
-                let (reg, plan) = scenario();
-                let det =
-                    execute_plan_shared(&plan, &reg, config, &SharedState::for_daemon(workers));
-                let (reg, plan) = scenario();
-                let shared = SharedState::for_daemon(workers);
-                let pip = execute_parallel_session(&plan, &reg, config, Some(&shared), None);
-                if downed && mode == FailureMode::Abort {
-                    assert!(det.is_err(), "{at}: deterministic must fail");
-                    assert!(pip.is_err(), "{at}: pipelined must fail");
-                    refused += 1;
-                    continue;
-                }
-                let det = det.unwrap_or_else(|e| panic!("{at}: deterministic: {e}"));
-                let pip = pip.unwrap_or_else(|e| panic!("{at}: pipelined: {e}"));
-                assert_eq!(
-                    rendered(&det.results),
-                    rendered(&pip.results),
-                    "{at}: result multisets"
-                );
-                assert_eq!(det.degraded, pip.degraded, "{at}: degraded services");
-                assert_eq!(downed, det.is_degraded(), "{at}: degradation flagged");
-                rows += det.results.len();
-                degraded += usize::from(det.is_degraded());
-                fused_det += det.join_stats.intermediates_elided;
-                fused_pip += pip.join_stats.intermediates_elided;
+            let at = format!("{name}: mode={mode:?}");
+            let config = EngineConfig::default()
+                .join_k(0)
+                .adaptive(false)
+                .failure_mode(mode);
+            let (reg, plan) = scenario();
+            let det = execute_plan_shared(&plan, &reg, config, &SharedState::new());
+            let (reg, plan) = scenario();
+            let shared = SharedState::new();
+            let pip = execute_parallel_session(&plan, &reg, config, Some(&shared), None);
+            if downed && mode == FailureMode::Abort {
+                assert!(det.is_err(), "{at}: deterministic must fail");
+                assert!(pip.is_err(), "{at}: pipelined must fail");
+                refused += 1;
+                continue;
             }
+            let det = det.unwrap_or_else(|e| panic!("{at}: deterministic: {e}"));
+            let pip = pip.unwrap_or_else(|e| panic!("{at}: pipelined: {e}"));
+            assert_eq!(
+                rendered(&det.results),
+                rendered(&pip.results),
+                "{at}: result multisets"
+            );
+            assert_eq!(det.degraded, pip.degraded, "{at}: degraded services");
+            assert_eq!(downed, det.is_degraded(), "{at}: degradation flagged");
+            rows += det.results.len();
+            degraded += usize::from(det.is_degraded());
+            fused_det += det.join_stats.intermediates_elided;
+            fused_pip += pip.join_stats.intermediates_elided;
         }
     }
     // The grid met what it is there for.

@@ -1,18 +1,21 @@
 //! Source scans over the library crates, cut at each file's `mod tests`
-//! line so test code is never counted:
+//! line, and skipping each `tests.rs` file (a test module of its own),
+//! so test code is never counted:
 //!
 //! * the panic-site ratchet — lines with `.unwrap()`, `.expect(`,
 //!   `panic!(` or `unreachable!(` in the services, exec, join, engine,
 //!   server, optimizer and plan sources. The count may only fall: when a
 //!   change lowers it, lower [`PANIC_SITE_CEILING`] too;
-//! * no thread spawns below the server: threads come from `seco-exec`
-//!   (the pool) or `seco-server`. A joined-in-place
-//!   `std::thread::scope` is not a spawn and is not counted;
+//! * no threads below the server but the pool's: threads come from
+//!   `seco-exec` (the pool) or `seco-server`, and a scoped thread
+//!   (`std::thread::scope`) counts as a spawn, so every plan-node thread
+//!   of a pipelined run is a pool thread;
 //! * no compute fan-out outside `seco-exec`: no other crate, the root
-//!   package included, calls `ExecPool::scope_run`. The optimizer's
-//!   search and the join kernels are serial because no workload's
-//!   searches or tiles are large enough to pay for one; a fan-out comes
-//!   back together with a workload that reaches it;
+//!   package included, calls `ExecPool::scope_run`, which the benchmark
+//!   harness alone still probes. The optimizer's search and the join
+//!   kernels are serial because no workload's searches or tiles are
+//!   large enough to pay for a fan-out; one comes back together with a
+//!   workload that reaches it;
 //! * one predicate evaluator in production: the join kernels and the
 //!   engine evaluate through `seco_query::CompiledPredicates`, so the
 //!   join and engine sources do not mention the interpreted
@@ -24,7 +27,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The committed panic-site count.
-const PANIC_SITE_CEILING: usize = 76;
+const PANIC_SITE_CEILING: usize = 45;
 
 /// The source directory of each named crate, `crates/<name>/src`.
 fn crate_srcs(crates: &[&str]) -> Vec<PathBuf> {
@@ -72,11 +75,15 @@ fn opens_tests(line: &str) -> bool {
 }
 
 /// The `path:line: text` of every line before the test module of each
-/// source file under `dirs` that contains one of `patterns`.
+/// source file under `dirs` that contains one of `patterns`. A file
+/// named `tests.rs` is some module's `mod tests;` and is skipped whole.
 fn scan(dirs: &[PathBuf], patterns: &[&str]) -> Vec<String> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut hits = Vec::new();
     for file in sources(dirs) {
+        if file.file_name().is_some_and(|name| name == "tests.rs") {
+            continue;
+        }
         let text = fs::read_to_string(root.join(&file)).expect("readable source");
         for (i, line) in text.lines().enumerate() {
             if opens_tests(line) {
@@ -124,7 +131,10 @@ fn no_threads_are_spawned_outside_seco_exec() {
         "services",
         "engine",
     ];
-    let spawns = scan(&crate_srcs(&crates), &["thread::spawn(", "thread::Builder"]);
+    let spawns = scan(
+        &crate_srcs(&crates),
+        &["thread::spawn(", "thread::Builder", "thread::scope("],
+    );
     assert!(
         spawns.is_empty(),
         "{}\nthreads are spawned outside seco-exec",

@@ -2,14 +2,13 @@
 //!
 //! A 4-chain and a 3-star run through `execute_plan_shared` under
 //! `ServerConfig::default().engine` — the configuration `seco serve`
-//! ships — on daemon state with one pool worker and with four. The
-//! registry's counters are pinned for the first run on fresh state
-//! (cold: every fetch reaches a service) and for the third (warm: the
-//! response cache admits a body on its second request, so the third run
-//! is the first it answers in full). The pins are service calls, cache
-//! answers, delivered tuples, join work and delivered combinations;
-//! none of them may move with the pool's size, and a change that moves
-//! one on purpose updates the pin and says why.
+//! ships — on daemon state. The registry's counters are pinned for the
+//! first run on fresh state (cold: every fetch reaches a service) and
+//! for the third (warm: the response cache admits a body on its second
+//! request, so the third run is the first it answers in full). The pins
+//! are service calls, cache answers, delivered tuples, join work and
+//! delivered combinations; a change that moves one on purpose updates
+//! the pin and says why.
 
 use search_computing::engine::ExecutionResult;
 use search_computing::prelude::*;
@@ -62,12 +61,11 @@ impl Work {
 }
 
 /// Plans the scenario once, then runs it three times on fresh daemon
-/// state with `workers` pool workers. Returns the work of the first
-/// (cold) and the third (warm) run.
-fn cold_and_warm((registry, query): (ServiceRegistry, Query), workers: usize) -> (Work, Work) {
+/// state. Returns the work of the first (cold) and the third (warm) run.
+fn cold_and_warm((registry, query): (ServiceRegistry, Query)) -> (Work, Work) {
     let config = ServerConfig::default();
     let best = optimize(&query, &registry, config.metric).expect("scenario is feasible");
-    let shared = SharedState::for_daemon(workers);
+    let shared = SharedState::new();
     let run = || {
         let before = registry.total_stats();
         let out = execute_plan_shared(&best.plan, &registry, config.engine, &shared)
@@ -81,14 +79,12 @@ fn cold_and_warm((registry, query): (ServiceRegistry, Query), workers: usize) ->
     (cold, warm)
 }
 
-/// Pins `expected` for both pool sizes.
+/// Pins `expected`.
 fn assert_work(name: &str, scenario: fn() -> (ServiceRegistry, Query), expected: (Work, Work)) {
-    for workers in [1, 4] {
-        let got = cold_and_warm(scenario(), workers);
-        println!("work_budget: {name} workers={workers} cold={:?}", got.0);
-        println!("work_budget: {name} workers={workers} warm={:?}", got.1);
-        assert_eq!(got, expected, "{name} on a {workers}-worker pool");
-    }
+    let got = cold_and_warm(scenario());
+    println!("work_budget: {name} cold={:?}", got.0);
+    println!("work_budget: {name} warm={:?}", got.1);
+    assert_eq!(got, expected, "{name}");
 }
 
 #[test]
