@@ -11,8 +11,7 @@
 //!
 //! How a join finds and judges its candidate pairs is not configured:
 //! tile joins always key through the per-chunk key index, and pipe
-//! stages, tiles and selections always try their batch kernel
-//! ([`seco_join`]'s module docs).
+//! stages always try their batch kernel ([`seco_join`]'s module docs).
 
 use seco_optimizer::CostMetric;
 use seco_services::ClientConfig;
@@ -104,18 +103,19 @@ pub struct EngineConfig {
     /// still reads it into `ParallelJoinExecutor::options` (ROADMAP item
     /// 1f drops that).
     pub join_index: (),
-    /// Holds nothing and is read by nothing: pipe stages, tiles and
-    /// selections always try their batch kernel. Kept only because the
-    /// benchmark harness still reads it into
-    /// `ParallelJoinExecutor::columnar` (ROADMAP item 1f drops that).
+    /// Holds nothing and is read by nothing: pipe stages always try
+    /// their batch kernel. Kept only because the benchmark harness still
+    /// reads it into `ParallelJoinExecutor::columnar` (ROADMAP item 1f
+    /// drops that).
     pub columnar: (),
     /// Runs parallel joins as true top-k rank joins when `join_k > 0`:
     /// score-sorted inputs, a threshold bound over the unseen frontier,
     /// and chunk fetches that stop as soon as the k-th buffered result
     /// meets the bound. Output is the score-correct k-prefix of the
-    /// full enumeration (off by default). Without it, every eligible
-    /// chain of parallel joins runs fused in the single-pass n-ary
-    /// kernel, byte-identical to the binary cascade.
+    /// full enumeration (off by default). Without it, every chain of
+    /// parallel joins over clean inputs — the fused chains and every
+    /// lone join — runs in the single-pass n-ary kernel, byte-identical
+    /// to the binary cascade.
     pub rank_join: bool,
     /// Adaptive re-optimization: after each fresh service or join stage,
     /// compare observed output cardinality against the plan-time

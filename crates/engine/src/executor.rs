@@ -25,7 +25,7 @@ use seco_services::{drift_ratio, ServiceRegistry};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::interp::{self, Interpreter, Rechunk, Schedule};
+use crate::interp::{self, Interpreter};
 use crate::shared::{ClockMode, SharedState};
 use crate::trace::{ExecutionTrace, TraceEvent};
 
@@ -99,13 +99,6 @@ pub fn execute_plan_shared(
     execute_plan_impl(plan, registry, options, Some(shared))
 }
 
-/// The deterministic scheduler's choices: fetch stacks on the shared
-/// virtual clock, and joins chunked like the branches that feed them.
-const DETERMINISTIC: Schedule = Schedule {
-    clock: ClockMode::Virtual,
-    rechunk: Rechunk::Branch,
-};
-
 /// What the walk holds for one node of the plan it is on.
 #[derive(Default)]
 struct Slot {
@@ -146,7 +139,7 @@ fn execute_plan_impl(
     let clock = state.clock();
     let cache_cfg = options.fetch.cache();
 
-    let mut interp = Interpreter::prepare(plan, registry, options, state, DETERMINISTIC, &[])?;
+    let mut interp = Interpreter::prepare(plan, registry, options, state, ClockMode::Virtual, &[])?;
     let mut order = plan.topo_order()?;
     let mut slots = slots_for(plan);
     // One owner per combination: a node's output moves to its consumer.
@@ -200,7 +193,7 @@ fn execute_plan_impl(
             PlanNode::Selection(sel) => {
                 let input = hand_over(&mut slots, preds[0]);
                 let n_in = input.len();
-                let kept = interp.select(sel, input, &mut join_stats)?;
+                let kept = interp.select(sel, input)?;
                 (n_in, kept, 0, 0.0, slots[preds[0].0].degraded)
             }
             PlanNode::Service(node) => {
@@ -305,7 +298,7 @@ fn execute_plan_impl(
         let ran: Vec<bool> = carried.iter().map(|s| s.counts.is_some()).collect();
         drop(interp);
         let next = switched.insert(re.plan);
-        interp = Interpreter::prepare(next, registry, options, state, DETERMINISTIC, &ran)?;
+        interp = Interpreter::prepare(next, registry, options, state, ClockMode::Virtual, &ran)?;
         estimates = Some(annotate(next, registry, &annotation)?);
         (order, at, slots) = (next.topo_order()?, 0, carried);
         replans += 1;

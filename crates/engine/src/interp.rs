@@ -11,16 +11,17 @@
 //! * a **service node** runs its pipe stage, prepared once, through its
 //!   fetch stack ([`Interpreter::pipe`]);
 //! * a **parallel join** tops a chain of joins — the left-deep chain it
-//!   fuses, or itself alone — and runs it as the rank join, the n-ary
-//!   kernel, or the binary cascade with degraded-branch pass-through,
-//!   feeding every stage's selectivity back to the registry
-//!   ([`Interpreter::join`]). Every eligible chain fuses unless rank
-//!   join is in force.
+//!   fuses, or itself alone — and runs it in the n-ary kernel, chunked
+//!   like the branches that feed it, feeding every stage's selectivity
+//!   back to the registry ([`Interpreter::join`]). Every eligible chain
+//!   fuses. Rank join, degraded inputs and a chain the kernel declines
+//!   take the binary path: the rank join, or the tile-space cascade
+//!   with degraded-branch pass-through.
 //!
 //! Two schedulers drive it: [`crate::executor`] walks the plan in
 //! topological order on the virtual clock, [`crate::parallel`] pipelines
-//! the nodes as pool tasks. The choices that differ between them are a
-//! [`Schedule`], passed in at preparation.
+//! the nodes as pool tasks. The one choice that differs between them is
+//! the [`ClockMode`] of the fetch stacks, passed in at preparation.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,25 +43,6 @@ use seco_services::{DeviationPolicy, ServiceRegistry};
 use crate::config::{EngineConfig, FailureMode};
 use crate::error::EngineError;
 use crate::shared::{ClockMode, SharedState};
-
-/// How a parallel join chunks its materialized inputs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Rechunk {
-    /// At the chunk size of each branch's nearest upstream service, with
-    /// that service's step `h` on the left.
-    Branch,
-    /// `h = 1` over chunks of ten on both sides.
-    Fixed,
-}
-
-/// The choices a scheduler makes for every node it runs.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Schedule {
-    /// Clock of the resilient clients in the fetch stacks.
-    pub clock: ClockMode,
-    /// How parallel joins chunk their inputs.
-    pub rechunk: Rechunk,
-}
 
 /// A left-deep chain of parallel joins run as one node: the joins a
 /// fusion absorbed under its top join, or a lone join.
@@ -87,12 +69,17 @@ pub(crate) struct Interpreter<'a> {
     registry: &'a ServiceRegistry,
     options: EngineConfig,
     state: &'a SharedState,
-    schedule: Schedule,
+    /// Clock of the resilient clients in the fetch stacks.
+    clock: ClockMode,
     report: FeasibilityReport,
     /// The plan's whole predicate set, compiled once: every pipe stage
     /// evaluates its candidates through it.
     compiled: CompiledPredicates,
     schemas: SchemaMap<'a>,
+    /// Chains fuse and run the n-ary kernel: rank join is not in force.
+    /// Decided at preparation, on the caller's thread, because the
+    /// pipelined scheduler runs joins on pool threads.
+    fuses: bool,
     /// The joins absorbed into a downstream chain, so never run.
     elided: BTreeSet<usize>,
     /// Every join chain, by the node index of its top join.
@@ -111,7 +98,7 @@ impl<'a> Interpreter<'a> {
         registry: &'a ServiceRegistry,
         options: EngineConfig,
         state: &'a SharedState,
-        schedule: Schedule,
+        clock: ClockMode,
         materialized: &[bool],
     ) -> Result<Self, EngineError> {
         plan.validate()?;
@@ -127,18 +114,21 @@ impl<'a> Interpreter<'a> {
         }
         let compiled =
             CompiledPredicates::compile(&predicates, &schemas).map_err(JoinError::Query)?;
-        // Rank join takes precedence over fusion: its score-sorted top-k
-        // inputs are incompatible with replaying the cascade.
-        let (elided, chains) = join_chains(plan, fuses() && !ranks(&options), materialized)?;
+        // Rank join takes precedence over fusion and the n-ary kernel:
+        // its score-sorted top-k inputs are incompatible with replaying
+        // the cascade.
+        let fuses = fuses() && !ranks(&options);
+        let (elided, chains) = join_chains(plan, fuses, materialized)?;
         Ok(Interpreter {
             plan,
             registry,
             options,
             state,
-            schedule,
+            clock,
             report,
             compiled,
             schemas,
+            fuses,
             elided,
             chains,
         })
@@ -162,7 +152,6 @@ impl<'a> Interpreter<'a> {
         &self,
         sel: &SelectionNode,
         input: Vec<CompositeTuple>,
-        stats: &mut JoinStats,
     ) -> Result<Vec<CompositeTuple>, EngineError> {
         let mut preds = Vec::new();
         for p in &sel.predicates {
@@ -172,7 +161,7 @@ impl<'a> Interpreter<'a> {
         }
         preds.extend(resolved(&sel.join_predicates));
         let compiled = CompiledPredicates::compile(&preds, &self.schemas)?;
-        Ok(select(&compiled, input, stats)?)
+        Ok(select(&compiled, input)?)
     }
 
     /// Runs a service node's pipe stage over `inputs`: the stage is
@@ -196,7 +185,7 @@ impl<'a> Interpreter<'a> {
     {
         let recorded = self.registry.service(&node.service)?;
         let (handle, _) =
-            (self.state).stack_for(&node.service, &recorded, &self.options, self.schedule.clock);
+            (self.state).stack_for(&node.service, &recorded, &self.options, self.clock);
         let fetches = node.fetches as usize;
         let bindings = self.report.bindings_of(&node.atom);
         let stage = PipeJoin {
@@ -237,10 +226,11 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Runs the join chain `chain` over its feeders' outputs (`degraded`
-    /// per feeder): the n-ary kernel on a clean fused chain it can take,
-    /// else the binary cascade, stage by stage. Every stage feeds the
-    /// registry the cascade's observation of it: the pairs it examined
-    /// (left rows × right rows) and the rows it emitted.
+    /// per feeder): the n-ary kernel on a clean chain it can take — a
+    /// lone join included — else the binary cascade, stage by stage.
+    /// Every stage feeds the registry the cascade's observation of it:
+    /// the pairs it examined (left rows × right rows) and the rows it
+    /// emitted.
     pub fn join(
         &self,
         chain: &Chain<'_>,
@@ -249,8 +239,9 @@ impl<'a> Interpreter<'a> {
     ) -> Result<Joined, EngineError> {
         let any_degraded = degraded.iter().any(|d| *d);
         // Degraded inputs keep the cascade's per-stage pass-through
-        // semantics; the kernel only fuses clean runs.
-        if chain.joins.len() > 1 && !any_degraded {
+        // semantics, and rank join its score-sorted top-k: the kernel
+        // only runs clean, unranked chains.
+        if self.fuses && !any_degraded {
             let predicates: Vec<_> = (chain.joins.iter())
                 .map(|(_, spec)| resolved(&spec.predicates))
                 .collect();
@@ -374,19 +365,16 @@ impl<'a> Interpreter<'a> {
         })
     }
 
-    /// `(h, left chunk, right chunk)` of the parallel join `join`.
+    /// `(h, left chunk, right chunk)` of the parallel join `join`: each
+    /// input chunked at its nearest upstream service's chunk size, with
+    /// the left service's step `h`, on either scheduler.
     fn chunking(&self, join: NodeId) -> (usize, usize, usize) {
         let inputs = self.plan.predecessors(join);
-        match self.schedule.rechunk {
-            Rechunk::Branch => {
-                let left = self.nearest_service(inputs[0]);
-                let right = self.nearest_service(inputs[1]);
-                let chunk = |s: Option<&ServiceInterface>| s.map_or(10, |s| s.stats.chunk_size);
-                let h = left.and_then(|s| s.decay.step_chunks()).unwrap_or(1);
-                (h, chunk(left), chunk(right))
-            }
-            Rechunk::Fixed => (1, 10, 10),
-        }
+        let left = self.nearest_service(inputs[0]);
+        let right = self.nearest_service(inputs[1]);
+        let chunk = |s: Option<&ServiceInterface>| s.map_or(10, |s| s.stats.chunk_size);
+        let h = left.and_then(|s| s.decay.step_chunks()).unwrap_or(1);
+        (h, chunk(left), chunk(right))
     }
 
     /// The nearest service at or above `from`, along first inputs.
@@ -437,14 +425,14 @@ pub(crate) fn replan(
 
 #[cfg(test)]
 thread_local! {
-    /// Makes [`Interpreter::prepare`] on this thread fuse no chain, so
-    /// every join runs in the binary cascade — the reference the n-ary
-    /// kernel is held to.
+    /// Makes [`Interpreter::prepare`] on this thread fuse no chain and
+    /// skip the n-ary kernel, so every join runs in the binary cascade —
+    /// the reference the n-ary kernel is held to.
     pub(crate) static CASCADE_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Whether eligible chains fuse: always, outside the tests' cascade
-/// reference.
+/// Whether eligible chains fuse and run the n-ary kernel: always,
+/// outside the tests' cascade reference.
 fn fuses() -> bool {
     #[cfg(test)]
     return !CASCADE_ONLY.get();
@@ -523,8 +511,9 @@ mod tests {
     use seco_services::synthetic::{DomainMap, SyntheticService, ValueDomain};
     use seco_services::ServiceRegistry;
 
-    /// A left-deep chain over three independently reachable services:
-    /// `(A1 ⋈ A2) ⋈ A3`, the shape the fusion pass recognizes.
+    /// A left-deep chain over independently reachable services,
+    /// `((A1 ⋈ A2) ⋈ A3) ⋈ …` with every join on `A1`: the shape the
+    /// fusion pass recognizes, and over two services a lone join.
     fn chain_plan((registry, query): (ServiceRegistry, Query)) -> (QueryPlan, ServiceRegistry) {
         let joins = query.expanded_joins(&registry).unwrap();
         let pick = |x: &str, y: &str| -> Vec<_> {
@@ -539,45 +528,34 @@ mod tests {
             })
         };
         let mut plan = QueryPlan::new(query.clone());
-        let service = |i: usize| {
-            let (atom, iface) = (&query.atoms[i].alias, &query.atoms[i].service);
-            PlanNode::Service(ServiceNode::new(atom, iface).with_fetches(3))
-        };
-        let (s1, s2, s3) = (
-            plan.add(service(0)),
-            plan.add(service(1)),
-            plan.add(service(2)),
-        );
-        let j1 = plan.add(join(pick("A1", "A2")));
-        let j2 = plan.add(join(pick("A1", "A3")));
-        for (from, to) in [
-            (plan.input(), s1),
-            (plan.input(), s2),
-            (plan.input(), s3),
-            (s1, j1),
-            (s2, j1),
-            (j1, j2),
-            (s3, j2),
-            (j2, plan.output()),
-        ] {
-            plan.connect(from, to).unwrap();
+        let services: Vec<_> = (query.atoms.iter())
+            .map(|atom| {
+                let node = ServiceNode::new(&atom.alias, &atom.service).with_fetches(3);
+                plan.add(PlanNode::Service(node))
+            })
+            .collect();
+        for &s in &services {
+            plan.connect(plan.input(), s).unwrap();
         }
+        let mut top = services[0];
+        for (i, &s) in services.iter().enumerate().skip(1) {
+            let j = plan.add(join(pick("A1", &format!("A{}", i + 1))));
+            plan.connect(top, j).unwrap();
+            plan.connect(s, j).unwrap();
+            top = j;
+        }
+        plan.connect(top, plan.output()).unwrap();
         (plan, registry)
     }
 
-    /// The 3-star's chain.
-    fn star_chain_plan() -> (QueryPlan, ServiceRegistry) {
-        chain_plan(star_scenario(3, 11))
-    }
-
-    /// The same chain over marts M1–M3 whose two joins come from the
-    /// connection patterns `P12` (M1–M2) and `P13` (M1–M3).
-    fn pattern_chain_plan() -> (QueryPlan, ServiceRegistry) {
+    /// The same chain over `n` marts M1–Mn whose joins come from the
+    /// connection patterns `P12`, `P13`, … (M1–Mi).
+    fn pattern_chain_plan(n: u64) -> (QueryPlan, ServiceRegistry) {
         let hub = ValueDomain::new("hub", 8);
         let link = || AttributePath::atomic("Link");
         let mut registry = ServiceRegistry::new();
         let mut query = QueryBuilder::new();
-        for i in 1..=3u64 {
+        for i in 1..=n {
             let mut iface = link_service(&format!("M{i}"), 16.0, 4, 40.0, ScoreDecay::Linear);
             iface.mart = format!("M{i}");
             let domains = DomainMap::new().with(link(), hub.clone());
@@ -593,16 +571,14 @@ mod tests {
                 key,
             );
         }
-        for to in ["M2", "M3"] {
+        for i in 2..=n {
             let pairs = vec![JoinPair::eq(link(), link())];
-            let name = format!("P1{}", &to[1..]);
-            let pattern = ConnectionPattern::new(name, "M1", to, pairs, 0.5).unwrap();
+            let (name, to) = (format!("P1{i}"), format!("M{i}"));
+            let pattern = ConnectionPattern::new(&name, "M1", to, pairs, 0.5).unwrap();
             registry.register_pattern(pattern).unwrap();
+            query = query.pattern(&name, "A1", &format!("A{i}"));
         }
-        let query = (query.pattern("P12", "A1", "A2").pattern("P13", "A1", "A3"))
-            .build()
-            .unwrap();
-        chain_plan((registry, query))
+        chain_plan((registry, query.build().unwrap()))
     }
 
     /// Runs `run` on this thread with every chain in the binary cascade
@@ -614,61 +590,91 @@ mod tests {
         out
     }
 
-    /// On both schedulers a fused chain delivers exactly what the binary
-    /// cascade delivers, in the same order and with the same service
-    /// calls, while eliding the cascade's intermediate composites. The
-    /// two schedulers chunk their buffered branches differently, so each
-    /// is held to its own cascade, never to the other.
+    /// On both schedulers a chain — a lone join included — delivers
+    /// exactly what the binary cascade delivers, in the same order and
+    /// with the same service calls, through the n-ary kernel: no binary
+    /// tile join fetches a chunk, and a fused chain elides the cascade's
+    /// intermediate composites.
     #[test]
     fn fused_chains_deliver_what_the_cascade_does_on_both_schedulers() {
         let config = EngineConfig::default().join_k(10);
-        let deterministic = |cascade| {
-            let (plan, registry) = star_chain_plan();
-            with_cascade(cascade, || execute_plan(&plan, &registry, config)).unwrap()
-        };
-        let (cascade, fused) = (deterministic(true), deterministic(false));
-        assert!(!cascade.results.is_empty(), "the chain joins something");
-        assert_eq!(cascade.results, fused.results);
-        assert_eq!(cascade.total_calls, fused.total_calls);
-        assert_eq!(cascade.join_stats.intermediates_elided, 0);
-        assert!(fused.join_stats.intermediates_elided > 0);
+        for n in [2, 3] {
+            let deterministic = |cascade| {
+                let (plan, registry) = chain_plan(star_scenario(n, 11));
+                with_cascade(cascade, || execute_plan(&plan, &registry, config)).unwrap()
+            };
+            let (cascade, fused) = (deterministic(true), deterministic(false));
+            assert!(
+                !cascade.results.is_empty(),
+                "n={n}: the chain joins something"
+            );
+            assert_eq!(cascade.results, fused.results, "n={n}");
+            assert_eq!(cascade.total_calls, fused.total_calls, "n={n}");
+            let (cascade, fused) = (cascade.join_stats, fused.join_stats);
+            assert_eq!(cascade.intermediates_elided, 0);
+            assert_eq!((fused.intermediates_elided > 0), n > 2, "n={n}");
+            assert!(
+                cascade.chunks_fetched > 0 && fused.chunks_fetched == 0,
+                "n={n}"
+            );
 
-        let pipelined = |cascade| {
-            let (plan, registry) = star_chain_plan();
-            with_cascade(cascade, || execute_parallel(&plan, &registry, config)).unwrap()
-        };
-        let (cascade, fused) = (pipelined(true), pipelined(false));
-        assert!(!cascade.results.is_empty());
-        assert_eq!(cascade.results, fused.results);
-        assert_eq!(cascade.join_stats.intermediates_elided, 0);
-        assert!(fused.join_stats.intermediates_elided > 0);
+            let pipelined = |cascade| {
+                let (plan, registry) = chain_plan(star_scenario(n, 11));
+                with_cascade(cascade, || execute_parallel(&plan, &registry, config)).unwrap()
+            };
+            let (cascade, fused) = (pipelined(true), pipelined(false));
+            assert!(!cascade.results.is_empty());
+            assert_eq!(cascade.results, fused.results, "n={n}");
+            let (cascade, fused) = (cascade.join_stats, fused.join_stats);
+            assert_eq!(cascade.intermediates_elided, 0);
+            assert_eq!((fused.intermediates_elided > 0), n > 2, "n={n}");
+            assert!(
+                cascade.chunks_fetched > 0 && fused.chunks_fetched == 0,
+                "n={n}"
+            );
+        }
     }
 
-    /// Every stage of a fused chain feeds the registry what the cascade
-    /// observes of it — pairs examined and rows emitted per connection
-    /// pattern — on both schedulers.
+    /// Every stage of a chain, a lone join included, feeds the registry
+    /// what the cascade observes of it — pairs examined and rows emitted
+    /// per connection pattern — on both schedulers.
     #[test]
     fn fused_chains_observe_every_stage_like_the_cascade() {
         let config = EngineConfig::default().join_k(10);
-        for pipelined in [false, true] {
-            let observed = |cascade| {
-                let (plan, registry) = pattern_chain_plan();
-                let elided = with_cascade(cascade, || match pipelined {
-                    false => execute_plan(&plan, &registry, config).map(|o| o.join_stats),
-                    true => execute_parallel(&plan, &registry, config).map(|o| o.join_stats),
-                })
-                .unwrap()
-                .intermediates_elided;
-                (elided, registry.join_observations())
-            };
-            let ((none, cascade), (elided, fused)) = (observed(true), observed(false));
-            assert_eq!(
-                (none, elided > 0),
-                (0, true),
-                "pipelined={pipelined}: fused"
-            );
-            assert_eq!(cascade.keys().collect::<Vec<_>>(), ["P12", "P13"]);
-            assert_eq!(fused, cascade, "pipelined={pipelined}");
+        for (n, patterns) in [(2, &["P12"][..]), (3, &["P12", "P13"])] {
+            for pipelined in [false, true] {
+                let observed = |cascade| {
+                    let (plan, registry) = pattern_chain_plan(n);
+                    let stats = with_cascade(cascade, || match pipelined {
+                        false => execute_plan(&plan, &registry, config).map(|o| o.join_stats),
+                        true => execute_parallel(&plan, &registry, config).map(|o| o.join_stats),
+                    })
+                    .unwrap();
+                    (stats.chunks_fetched, registry.join_observations())
+                };
+                let ((binary, cascade), (none, fused)) = (observed(true), observed(false));
+                let run = format!("n={n} pipelined={pipelined}");
+                assert!(binary > 0 && none == 0, "{run}: the kernel ran");
+                assert_eq!(cascade.keys().collect::<Vec<_>>(), patterns, "{run}");
+                assert_eq!(fused, cascade, "{run}");
+            }
+        }
+    }
+
+    /// Both schedulers chunk a join like the branches that feed it, so
+    /// they key, probe and judge the same candidates.
+    #[test]
+    fn both_schedulers_chunk_joins_alike() {
+        let config = EngineConfig::default().join_k(10);
+        for n in [3, 4] {
+            let (plan, registry) = chain_plan(star_scenario(n, 5));
+            let deterministic = execute_plan(&plan, &registry, config).unwrap();
+            let (plan, registry) = chain_plan(star_scenario(n, 5));
+            let pipelined = execute_parallel(&plan, &registry, config).unwrap();
+            let work = |s: &seco_join::JoinStats| (s.index_builds, s.probes, s.predicate_evals);
+            let (d, p) = (&deterministic.join_stats, &pipelined.join_stats);
+            assert!(d.index_builds > 0, "n={n}: the joins key their candidates");
+            assert_eq!(work(d), work(p), "n={n}");
         }
     }
 }

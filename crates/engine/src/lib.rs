@@ -7,8 +7,8 @@
 //!
 //! One interpreter, two schedulers. The `interp` module defines what
 //! every plan node means — selection, pipe stage through its fetch stack,
-//! parallel join (rank, degrade-aware or plain), n-ary fused chain —
-//! and two schedulers run it:
+//! join chain (the n-ary kernel, or the rank or degrade-aware binary
+//! cascade) — and two schedulers run it:
 //!
 //! * [`executor::execute_plan`] walks the plan in topological order on
 //!   one thread, on the virtual clock, switching plans mid-walk when an

@@ -7,8 +7,9 @@
 //! Independent branches (e.g. Movie and Theatre in the Fig. 10 plan)
 //! issue their service calls concurrently, and a downstream stage
 //! starts as soon as its first batch arrives. Join chains are
-//! rendezvous points: they drain their inputs, then join and stream the
-//! emission order onward.
+//! rendezvous points: they drain their inputs, then join them — chunked
+//! like the deterministic scheduler chunks them, so both do the same
+//! join work — and stream the emission order onward.
 //!
 //! What each node does is the `interp` module's; this module owns only
 //! the scheduling: tasks, channels (rerouted so a chain's feeders
@@ -30,7 +31,7 @@ use seco_services::ServiceRegistry;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::interp::{self, Interpreter, Rechunk, Schedule};
+use crate::interp::{self, Interpreter};
 use crate::shared::{ClockMode, SharedState};
 
 /// Channel capacity per plan arc, in batches; small enough to exercise
@@ -43,14 +44,6 @@ const ARC_CAPACITY: usize = 256;
 /// this is what removes the output-path contention that per-tuple
 /// sends exhibited with eight producer nodes.
 const BATCH_SIZE: usize = 32;
-
-/// The pipelined scheduler's choices: fetch stacks on wall-clock time
-/// (backoff really sleeps, breaker cooldowns are real milliseconds),
-/// and joins at `h = 1` over chunks of ten.
-const PIPELINED: Schedule = Schedule {
-    clock: ClockMode::Wall,
-    rechunk: Rechunk::Fixed,
-};
 
 /// A batch of composites on a plan arc. Batches are `Arc`-shared so a
 /// fan-out over N consumers ships N handle bumps, not N vector copies
@@ -166,7 +159,9 @@ pub fn execute_parallel_session(
     let plan = replanned.as_ref().unwrap_or(plan);
     let mut local_state = None;
     let state = shared.unwrap_or_else(|| local_state.insert(SharedState::new()));
-    let interp = Interpreter::prepare(plan, registry, options, state, PIPELINED, &[])?;
+    // Fetch stacks on wall-clock time: backoff really sleeps, breaker
+    // cooldowns are real milliseconds.
+    let interp = Interpreter::prepare(plan, registry, options, state, ClockMode::Wall, &[])?;
 
     // One channel per arc, carrying shared batches of tuples. An edge
     // into a join chain delivers straight to the chain's top join,
@@ -335,14 +330,12 @@ impl Pipeline<'_> {
                 return Ok(self.partial(preds[0]));
             }
             PlanNode::Selection(sel) => {
-                let mut stats = JoinStats::default();
                 for batch in inputs[0].iter() {
-                    let kept = interp.select(sel, unbatch(batch), &mut stats)?;
+                    let kept = interp.select(sel, unbatch(batch))?;
                     if !kept.into_iter().all(|c| out.push(c)) {
                         break;
                     }
                 }
-                self.join_stats.lock().merge(&stats);
                 return Ok(self.partial(preds[0]));
             }
             PlanNode::Service(svc) => {

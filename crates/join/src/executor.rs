@@ -10,10 +10,10 @@
 
 use std::sync::Arc;
 
-use seco_model::{AtomShape, BitMask, Column, ColumnRef, CompositeTuple, Symbol};
+use seco_model::{CompositeTuple, Symbol};
 use seco_plan::{Completion, Invocation};
 use seco_query::predicate::{ResolvedPredicate, SchemaMap};
-use seco_query::{BatchPlan, CompiledPredicates, EvalScratch};
+use seco_query::{CompiledPredicates, EvalScratch};
 use seco_services::invocation::Request;
 use seco_services::Service;
 
@@ -207,9 +207,10 @@ pub struct ParallelJoinExecutor<'p> {
     /// key index. Kept only because the benchmark harness still sets it
     /// from `EngineConfig::join_index` (ROADMAP item 1f drops that).
     pub options: (),
-    /// Holds nothing and is read by nothing: every tile tries its batch
-    /// kernel. Kept only because the benchmark harness still sets it
-    /// from `EngineConfig::columnar` (ROADMAP item 1f drops that).
+    /// Holds nothing and is read by nothing: a tile judges its
+    /// candidates scalar. Kept only because the benchmark harness still
+    /// sets it from `EngineConfig::columnar` (ROADMAP item 1f drops
+    /// that).
     pub columnar: (),
     /// Read by nothing: a tile's rows are joined serially. Kept only
     /// because the benchmark harness still sets it (ROADMAP item 1f
@@ -238,8 +239,7 @@ impl<'p> ParallelJoinExecutor<'p> {
 
 /// Per-run mutable state of the index-accelerated kernel: the reusable
 /// evaluation scratch, the deduplicated key plans, the lazily built
-/// per-chunk indexes, probe keys and gathered columns, and the work
-/// counters.
+/// per-chunk indexes and probe keys, and the work counters.
 #[derive(Default)]
 pub(crate) struct RunState {
     ws: RowScratch,
@@ -249,14 +249,6 @@ pub(crate) struct RunState {
     indexes_y: Vec<Option<Option<(usize, KeyIndex)>>>,
     /// Per X chunk: its probe keys under each plan met so far.
     probes_x: Vec<Vec<(usize, ProbeKeys)>>,
-    /// The batch plan of every `(X atoms, Y atoms)` pair met so far
-    /// (`None` = no plan applies): a tile's plan depends on nothing
-    /// else, and a run's chunks all carry one pair in practice.
-    batch_plans: Vec<(AtomShape, AtomShape, Option<BatchPlan>)>,
-    /// Per Y chunk: the columns gathered off its composites for the
-    /// batch plan at the given position of `batch_plans` — gathered for
-    /// the chunk's first tile, read by the rest.
-    gathered_y: Vec<Option<(usize, Option<Vec<Column>>)>>,
     pub(crate) stats: JoinStats,
 }
 
@@ -265,22 +257,16 @@ pub(crate) struct RunState {
 #[derive(Default)]
 struct RowScratch {
     scratch: EvalScratch,
-    /// Selection mask reused by whole-chunk batch kernels.
-    mask: BitMask,
     /// Candidate list reused by keyed probes.
     cand: Vec<u32>,
-    /// Candidate rows consumed destructively by batch residual kernels.
-    picked: Vec<usize>,
 }
 
 /// Everything a tile's row loop reads but never writes, gathered after
-/// the ensure phase (index build, probe-key extraction, batch
-/// preparation).
+/// the ensure phase (index build, probe-key extraction).
 struct TileCtx<'a> {
     compiled: &'a CompiledPredicates,
     cx: &'a [CompositeTuple],
     cy: &'a [CompositeTuple],
-    batch: Option<(&'a BatchPlan, &'a [ColumnRef<'a>])>,
     probe: Option<(&'a KeyIndex, &'a ProbeKeys)>,
 }
 
@@ -382,56 +368,6 @@ impl ParallelJoinExecutor<'_> {
         Ok(outcome)
     }
 
-    /// Prepares one tile's batch kernels: its plan (cached per atom-list
-    /// pair) and the typed Y columns behind it, gathered from the
-    /// composites once per Y chunk. Returns the plan's position in
-    /// [`RunState::batch_plans`].
-    ///
-    /// Returns `None` whenever any batching precondition fails; the
-    /// caller then evaluates every candidate scalar, exactly as before.
-    /// Preconditions: uniform atom signatures on both sides (one plan
-    /// covers the tile), disjoint sides (every merge succeeds, so batch
-    /// per-candidate counting matches the scalar loop), and a plan
-    /// covering every active predicate with total, ungrouped operands.
-    fn tile_batch(
-        &self,
-        compiled: &CompiledPredicates,
-        chunk_x: &CompositeChunk,
-        chunk_y: &CompositeChunk,
-        yi: usize,
-        st: &mut RunState,
-    ) -> Option<usize> {
-        let cx = &chunk_x.composites;
-        let cy = &chunk_y.composites;
-        let (x_atoms, y_atoms) = (cx.first()?.atoms, cy.first()?.atoms);
-        if !cx.iter().all(|c| c.atoms == x_atoms) || !cy.iter().all(|c| c.atoms == y_atoms) {
-            return None;
-        }
-        if x_atoms.iter().any(|a| y_atoms.contains(a)) {
-            return None;
-        }
-        let known = st
-            .batch_plans
-            .iter()
-            .position(|(x, y, _)| *x == x_atoms && *y == y_atoms);
-        let plan_at = known.unwrap_or_else(|| {
-            let plan = compiled.batch_plan(&x_atoms, &y_atoms);
-            st.batch_plans.push((x_atoms, y_atoms, plan));
-            st.batch_plans.len() - 1
-        });
-        let plan = st.batch_plans[plan_at].2.as_ref()?;
-        if st.gathered_y.len() <= yi {
-            st.gathered_y.resize_with(yi + 1, || None);
-        }
-        let gathered = &mut st.gathered_y[yi];
-        if !matches!(gathered, Some((at, _)) if *at == plan_at) {
-            *gathered = Some((plan_at, plan.gather_columns(cy)));
-        }
-        let (_, owned) = gathered.as_ref()?;
-        st.stats.columns_scanned += owned.as_ref()?.len() as u64;
-        Some(plan_at)
-    }
-
     /// Joins one tile, emitting results in the exact (i, j) order of a
     /// nested loop.
     ///
@@ -441,11 +377,8 @@ impl ParallelJoinExecutor<'_> {
     ///
     /// Each X row's candidates come from the Y chunk's [`KeyIndex`]
     /// (built lazily once per chunk) when an equi key applies, else
-    /// they are the whole chunk. Candidates are judged by `compiled`,
-    /// the run's one compiled predicate set: when a [`BatchPlan`]
-    /// applies, a row's candidates are judged by one vectorized kernel
-    /// over the Y chunk's columns, with the scalar loop kept as the
-    /// fallback that also reproduces evaluation errors.
+    /// they are the whole chunk. Candidates are judged one at a time by
+    /// `compiled`, the run's one compiled predicate set.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn join_tile(
         &self,
@@ -466,7 +399,6 @@ impl ParallelJoinExecutor<'_> {
                 compiled,
                 cx,
                 cy,
-                batch: None,
                 probe: None,
             };
             let RunState { ws, stats, .. } = st;
@@ -493,9 +425,6 @@ impl ParallelJoinExecutor<'_> {
             st.indexes_y[yi] = Some(built);
         }
 
-        // Prepare the tile's batch kernel, when every precondition holds.
-        let prepared = self.tile_batch(compiled, chunk_x, chunk_y, yi, st);
-
         // The ensure phase ends here; split the run state so the row
         // loop can read the caches while writing scratch, stats, and
         // results.
@@ -507,8 +436,6 @@ impl ParallelJoinExecutor<'_> {
             plans,
             indexes_y,
             probes_x,
-            batch_plans,
-            gathered_y,
             stats,
         } = st;
         // Extract (or reuse) the X chunk's probe keys when the Y chunk
@@ -538,27 +465,17 @@ impl ParallelJoinExecutor<'_> {
             stats.pairs_skipped += (cx.len() * cy.len()) as u64;
             return Ok(());
         }
-        let batch = prepared.and_then(|plan_at| {
-            let plan = batch_plans[plan_at].2.as_ref()?;
-            let refs: Vec<ColumnRef<'_>> = (gathered_y[yi].iter())
-                .flat_map(|(_, owned)| owned.iter().flatten())
-                .map(Column::as_ref)
-                .collect();
-            Some((plan, refs))
-        });
         let ctx = TileCtx {
             compiled,
             cx,
             cy,
-            batch: batch.as_ref().map(|(plan, refs)| (*plan, refs.as_slice())),
             probe,
         };
         self.join_rows(&ctx, ws, stats, out)
     }
 
-    /// Evaluates the tile's X rows against the Y chunk. Per row: its
-    /// candidates, then one batch kernel over them when one applies,
-    /// else the scalar loop, which also reproduces evaluation errors.
+    /// Evaluates the tile's X rows against the Y chunk: per row, its
+    /// candidates, each merged and judged scalar.
     fn join_rows(
         &self,
         ctx: &TileCtx<'_>,
@@ -566,23 +483,13 @@ impl ParallelJoinExecutor<'_> {
         stats: &mut JoinStats,
         out: &mut Vec<CompositeTuple>,
     ) -> Result<(), JoinError> {
-        let RowScratch {
-            scratch,
-            mask,
-            cand,
-            picked,
-        } = ws;
+        let RowScratch { scratch, cand } = ws;
         let cy = ctx.cy;
         for (i, a) in ctx.cx.iter().enumerate() {
             let cands = match ctx.probe {
                 Some((index, keys)) => index.candidates(keys.at(i), cy.len(), stats, cand),
                 None => Candidates::All(cy.len()),
             };
-            if let Some((plan, cols)) = ctx.batch {
-                if batch_row(plan, cols, a, cy, &cands, mask, picked, stats, out) {
-                    continue;
-                }
-            }
             for j in cands.iter() {
                 let Some(candidate) = a.merge(&cy[j]) else {
                     continue;
@@ -595,54 +502,6 @@ impl ParallelJoinExecutor<'_> {
         }
         Ok(())
     }
-}
-
-/// Evaluates composite `a` against its candidate rows of the Y chunk
-/// with one batch kernel: a selection mask over the whole chunk, or a
-/// residual pass over an index-selected list. Returns `false` (leaving
-/// no results emitted) when the kernel hit a case only the scalar path
-/// can decide — the caller then re-runs the candidates scalar,
-/// reproducing results *and* errors.
-#[allow(clippy::too_many_arguments)]
-fn batch_row(
-    plan: &BatchPlan,
-    cols: &[ColumnRef<'_>],
-    a: &CompositeTuple,
-    cy: &[CompositeTuple],
-    cands: &Candidates<'_>,
-    mask: &mut BitMask,
-    picked: &mut Vec<usize>,
-    stats: &mut JoinStats,
-    out: &mut Vec<CompositeTuple>,
-) -> bool {
-    let decided = match *cands {
-        Candidates::All(rows) => {
-            mask.reset_ones(rows);
-            plan.eval_mask(Some(a), cols, mask)
-        }
-        Candidates::Rows(rows) => {
-            picked.clear();
-            picked.extend(rows.iter().map(|&j| j as usize));
-            plan.eval_indices(Some(a), cols, picked)
-        }
-    };
-    if !decided {
-        return false;
-    }
-    // Disjoint sides guarantee every merge succeeds, so the batch
-    // covered exactly one evaluation per candidate — same as scalar.
-    stats.predicate_evals += cands.len() as u64;
-    stats.batch_evals += 1;
-    let mut emit = |j: usize| {
-        if let Some(candidate) = a.merge(&cy[j]) {
-            out.push(candidate);
-        }
-    };
-    match cands {
-        Candidates::All(_) => mask.iter_ones().for_each(&mut emit),
-        Candidates::Rows(_) => picked.iter().for_each(|&j| emit(j)),
-    }
-    true
 }
 
 #[cfg(test)]
@@ -972,7 +831,7 @@ mod tests {
     enum Pair {
         /// A seeded synthetic service pair under these decays, joined
         /// on `Link` by this comparator: `=` keys through the index,
-        /// `<` judges whole chunks, in one batch mask per row.
+        /// `<` judges every pair of a tile.
         Decays(ScoreDecay, ScoreDecay, Comparator),
         /// A join-key edge case.
         Edge(seco_bench::KeyEdge),
@@ -1061,7 +920,7 @@ mod tests {
     }
 
     /// For every join method, decay, chunk size and `k`, the tile kernel
-    /// (key index and batch kernels) reproduces the scalar nested loop
+    /// (key index and emptiness pruning) reproduces the scalar nested loop
     /// byte for byte: same combinations in the same emission order, same
     /// tiles and representatives, same calls, same errors. Only the work
     /// counters may differ, and the index must pay for itself.
@@ -1074,7 +933,7 @@ mod tests {
         ]
         .into_iter()
         .flat_map(|i| [Completion::Rectangular, Completion::Triangular].map(|c| (i, c)));
-        let (mut nested_evals, mut keyed_evals, mut batched, mut failed) = (0, 0, 0, 0);
+        let (mut nested_evals, mut keyed_evals, mut failed) = (0, 0, 0);
         for pair in pairs() {
             for method in methods.clone() {
                 for at in [(3, 0), (5, 0), (3, 7), (5, 7)] {
@@ -1098,7 +957,6 @@ mod tests {
                         nested_evals += r.predicate_evals;
                         keyed_evals += p.predicate_evals;
                     }
-                    batched += p.batch_evals;
                 }
             }
         }
@@ -1107,7 +965,6 @@ mod tests {
             keyed_evals * 3 <= nested_evals,
             "expected ≥3x fewer predicate evaluations, got {nested_evals} vs {keyed_evals}"
         );
-        assert!(batched > 0, "the batch kernels run");
         assert!(failed > 0, "the NaN case must reach its error");
     }
 }

@@ -233,14 +233,6 @@ pub(crate) enum Candidates<'c> {
 }
 
 impl Candidates<'_> {
-    /// Number of candidates.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Candidates::All(n) => *n,
-            Candidates::Rows(rows) => rows.len(),
-        }
-    }
-
     /// The candidate rows, ascending.
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let (all, rows) = match *self {

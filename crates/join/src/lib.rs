@@ -24,11 +24,13 @@
 //!
 //! How a tile's candidate pairs are found is not part of a join method,
 //! and nothing configures it: a tile join keys its candidates through
-//! the per-chunk [`index`] whenever an equi key applies, and pipe
-//! stages, tiles and selections judge them with a batch kernel whenever
-//! one can decide them. The nested loop, the row view and the scalar
-//! loop remain only as the fallbacks those kernels take, and as the
-//! `#[cfg(test)]` reference `SCALAR_ONLY` they are held to.
+//! the per-chunk [`index`] whenever an equi key applies, and a pipe
+//! stage judges each fetched chunk with a batch kernel over the chunk
+//! body's typed columns whenever one can decide it. Tiles and
+//! selections, which meet composites row by row, judge candidates
+//! scalar. The nested loop, the row view and the scalar loop remain
+//! only as the fallbacks those kernels take, and as the `#[cfg(test)]`
+//! reference `SCALAR_ONLY` they are held to.
 
 pub mod completion;
 pub mod error;
@@ -59,10 +61,10 @@ pub type Result<T> = std::result::Result<T, JoinError>;
 
 #[cfg(test)]
 thread_local! {
-    /// Makes every tile join, pipe stage and selection on this thread
-    /// take the reference path: each tile a nested loop over its pairs,
-    /// each fetched chunk read through its row view, each candidate
-    /// judged scalar, one at a time — no key index, no batch kernel.
+    /// Makes every tile join and pipe stage on this thread take the
+    /// reference path: each tile a nested loop over its pairs, each
+    /// fetched chunk read through its row view, each candidate judged
+    /// scalar, one at a time — no key index, no batch kernel.
     pub(crate) static SCALAR_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 

@@ -1,5 +1,8 @@
-//! The n-ary join kernel: 3+ services in one pass, no intermediate
-//! composites.
+//! The n-ary join kernel: a chain of joins over two or more groups in
+//! one pass, no intermediate composites. The engine runs every clean
+//! chain through it, a lone join included; over two groups there is no
+//! intermediate to elide, and the kernel is the binary tile join over
+//! the same index and candidate walk, without its chunk fetches.
 //!
 //! A binary cascade `(g0 ⋈ g1) ⋈ g2 ⋈ …` materializes a
 //! [`CompositeTuple`] for every row surviving every internal stage,

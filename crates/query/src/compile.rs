@@ -32,7 +32,7 @@
 //! not skip the pairs that would raise it.
 
 use seco_model::value::like_match;
-use seco_model::{BitMask, Column, ColumnRef, Comparator, CompositeTuple, DataType, Symbol, Value};
+use seco_model::{BitMask, ColumnRef, Comparator, CompositeTuple, DataType, Symbol, Value};
 
 use crate::ast::QualifiedPath;
 use crate::error::QueryError;
@@ -728,38 +728,6 @@ fn cell_keep(op: Comparator, l: Cell<'_>, r: Cell<'_>, fallback: &mut bool) -> b
     }
 }
 
-/// A batch evaluation target: a dense selection mask or a sparse
-/// candidate-index list (the hash-probe residual path).
-trait BatchTarget {
-    fn refine(&mut self, keep: impl FnMut(usize) -> bool);
-    fn drop_all(&mut self);
-    fn drained(&self) -> bool;
-}
-
-impl BatchTarget for BitMask {
-    fn refine(&mut self, keep: impl FnMut(usize) -> bool) {
-        self.retain_with(keep);
-    }
-    fn drop_all(&mut self) {
-        self.clear_all();
-    }
-    fn drained(&self) -> bool {
-        self.none_set()
-    }
-}
-
-impl BatchTarget for Vec<usize> {
-    fn refine(&mut self, mut keep: impl FnMut(usize) -> bool) {
-        self.retain(|&i| keep(i));
-    }
-    fn drop_all(&mut self) {
-        self.clear();
-    }
-    fn drained(&self) -> bool {
-        self.is_empty()
-    }
-}
-
 /// One side of a predicate resolved for a kernel call.
 enum Side<'a> {
     Val(Cell<'a>),
@@ -768,7 +736,7 @@ enum Side<'a> {
 
 impl BatchPlan {
     /// The distinct `(varying atom, field slot)` columns the kernels
-    /// read; `eval_mask`/`eval_indices` take `ColumnRef`s in this order.
+    /// read; [`Self::eval_mask`] takes `ColumnRef`s in this order.
     pub fn columns(&self) -> &[(Symbol, usize)] {
         &self.cols
     }
@@ -792,28 +760,6 @@ impl BatchPlan {
         cols: &[ColumnRef<'_>],
         mask: &mut BitMask,
     ) -> bool {
-        self.run(fixed, cols, mask)
-    }
-
-    /// Sparse variant of [`Self::eval_mask`] for index-selected
-    /// candidates: retains only the row indices satisfying every active
-    /// predicate. Same fallback contract.
-    #[must_use]
-    pub fn eval_indices(
-        &self,
-        fixed: Option<&CompositeTuple>,
-        cols: &[ColumnRef<'_>],
-        indices: &mut Vec<usize>,
-    ) -> bool {
-        self.run(fixed, cols, indices)
-    }
-
-    fn run<T: BatchTarget>(
-        &self,
-        fixed: Option<&CompositeTuple>,
-        cols: &[ColumnRef<'_>],
-        target: &mut T,
-    ) -> bool {
         debug_assert_eq!(cols.len(), self.cols.len());
         let mut fallback = false;
         for p in &self.preds {
@@ -827,35 +773,37 @@ impl BatchPlan {
                 (Side::Val(a), Side::Val(b)) => {
                     // Constant under this batch: decide once.
                     if !cell_keep(p.op, a, b, &mut fallback) && !fallback {
-                        target.drop_all();
+                        mask.clear_all();
                     }
                 }
                 (Side::Val(a), Side::Col(c)) => match (p.op, a, c) {
                     // Branch-free fast path: non-null integer scalar
                     // against an integer column never errors.
                     (op, Cell::I(k), ColumnRef::Int(v, nulls)) if op != Comparator::Like => {
-                        target.refine(|i| !nulls.get(i) & ord_keep(op, k.cmp(&v[i])));
+                        mask.retain_with(|i| !nulls.get(i) & ord_keep(op, k.cmp(&v[i])));
                     }
                     (op, a, c) => {
-                        target.refine(|i| cell_keep(op, a, cell_at(&c, i), &mut fallback));
+                        mask.retain_with(|i| cell_keep(op, a, cell_at(&c, i), &mut fallback));
                     }
                 },
                 (Side::Col(c), Side::Val(b)) => match (p.op, c, b) {
                     (op, ColumnRef::Int(v, nulls), Cell::I(k)) if op != Comparator::Like => {
-                        target.refine(|i| !nulls.get(i) & ord_keep(op, v[i].cmp(&k)));
+                        mask.retain_with(|i| !nulls.get(i) & ord_keep(op, v[i].cmp(&k)));
                     }
                     (op, c, b) => {
-                        target.refine(|i| cell_keep(op, cell_at(&c, i), b, &mut fallback));
+                        mask.retain_with(|i| cell_keep(op, cell_at(&c, i), b, &mut fallback));
                     }
                 },
                 (Side::Col(c), Side::Col(d)) => match (p.op, c, d) {
                     (op, ColumnRef::Int(v, vn), ColumnRef::Int(w, wn))
                         if op != Comparator::Like =>
                     {
-                        target.refine(|i| !(vn.get(i) | wn.get(i)) & ord_keep(op, v[i].cmp(&w[i])));
+                        mask.retain_with(|i| {
+                            !(vn.get(i) | wn.get(i)) & ord_keep(op, v[i].cmp(&w[i]))
+                        });
                     }
                     (op, c, d) => {
-                        target.refine(|i| {
+                        mask.retain_with(|i| {
                             cell_keep(op, cell_at(&c, i), cell_at(&d, i), &mut fallback)
                         });
                     }
@@ -864,7 +812,7 @@ impl BatchPlan {
             if fallback {
                 return false;
             }
-            if target.drained() {
+            if mask.none_set() {
                 // Every row already failed; the scalar evaluator would
                 // short-circuit before the remaining predicates too.
                 return true;
@@ -891,27 +839,6 @@ impl BatchPlan {
                 }
             }
         }
-    }
-
-    /// Gathers the plan's needed columns out of a slice of composites
-    /// (for batches that arrive row-wise, e.g. engine selection nodes).
-    /// Returns `None` when any composite lacks a referenced atom or
-    /// atomic field — the caller stays scalar.
-    pub fn gather_columns(&self, composites: &[CompositeTuple]) -> Option<Vec<Column>> {
-        self.cols
-            .iter()
-            .map(|(atom, field)| {
-                let mut vals: Vec<&Value> = Vec::with_capacity(composites.len());
-                for c in composites {
-                    let pos = c.atoms.iter().position(|a| a == atom)?;
-                    match c.components[pos].fields.get(*field)? {
-                        seco_model::tuple::FieldSlot::Atomic(v) => vals.push(v),
-                        seco_model::tuple::FieldSlot::Group(_) => return None,
-                    }
-                }
-                Some(Column::build(vals.len(), |i| vals[i]))
-            })
-            .collect()
     }
 }
 
@@ -1109,7 +1036,7 @@ mod tests {
         assert!(compiled.equi_candidates().is_empty());
     }
 
-    use seco_model::{Adornment, AttributeDef, ChunkColumns, DataType, SharedTuple, Tuple};
+    use seco_model::{Adornment, AttributeDef, ChunkColumns, DataType, Tuple};
 
     fn flat_pair() -> (ServiceSchema, ServiceSchema) {
         let left = ServiceSchema::new(
@@ -1180,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_mask_and_indices_match_scalar_eval() {
+    fn batch_mask_matches_scalar_eval() {
         let (l_schema, r_schema) = flat_pair();
         let schemas = schema_map(&[("L", &l_schema), ("R", &r_schema)]);
         let preds = flat_preds();
@@ -1215,39 +1142,11 @@ mod tests {
             let fixed = CompositeTuple::single("L", x.clone());
             let mut mask = seco_model::BitMask::ones(r_rows.len());
             assert!(plan.eval_mask(Some(&fixed), &cols, &mut mask));
-            let mut indices: Vec<usize> = (0..r_rows.len()).collect();
-            assert!(plan.eval_indices(Some(&fixed), &cols, &mut indices));
             for (j, y) in r_rows.iter().enumerate() {
                 let c = fixed.extend_with("R", y.clone());
                 let scalar = compiled.eval(&c, &mut scratch).unwrap();
                 assert_eq!(mask.get(j), scalar, "mask row {j} vs {c}");
-                assert_eq!(indices.contains(&j), scalar, "indices row {j}");
             }
-        }
-    }
-
-    #[test]
-    fn batch_gathers_columns_from_composites() {
-        let (l_schema, r_schema) = flat_pair();
-        let schemas = schema_map(&[("L", &l_schema), ("R", &r_schema)]);
-        // Only the varying-side selections are active without L.
-        let preds = flat_preds();
-        let compiled = CompiledPredicates::compile(&preds, &schemas).expect("compiles");
-        let plan = compiled
-            .batch_plan(&[], &[Symbol::intern("R")])
-            .expect("selection-only batch");
-        let r_rows = right_rows(&r_schema);
-        let composites: Vec<CompositeTuple> = r_rows
-            .iter()
-            .map(|t| CompositeTuple::single("R", SharedTuple::from(t.clone())))
-            .collect();
-        let gathered = plan.gather_columns(&composites).expect("gathers");
-        let cols: Vec<_> = gathered.iter().map(|c| c.as_ref()).collect();
-        let mut mask = seco_model::BitMask::ones(composites.len());
-        assert!(plan.eval_mask(None, &cols, &mut mask));
-        let mut scratch = EvalScratch::default();
-        for (j, c) in composites.iter().enumerate() {
-            assert_eq!(mask.get(j), compiled.eval(c, &mut scratch).unwrap());
         }
     }
 

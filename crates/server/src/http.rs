@@ -100,6 +100,10 @@ const HEAD_TOO_LARGE: Rejection = (431, "request head too large");
 
 const TIMED_OUT: Rejection = (408, "request not complete in time");
 
+/// The client ended its half of the connection short of the body its
+/// `Content-Length` declared.
+const TRUNCATED: Rejection = (400, "truncated request body");
+
 /// How long a client has to send its whole request, head and body. A
 /// client that is silent or drips its bytes is answered `408` once it
 /// runs out, so it cannot hold a connection thread.
@@ -143,8 +147,8 @@ fn head_line(head: &mut io::Take<&mut BufReader<Deadline>>, line: &mut String) -
 /// Reads one request off the connection. `None` on a clean EOF before
 /// any bytes (client connected and went away); `Some(Err(..))` when the
 /// head is longer than [`MAX_HEAD`], the declared body length is not
-/// acceptable, or the request is not complete within
-/// [`REQUEST_DEADLINE`].
+/// acceptable, the body ends short of it, or the request is not
+/// complete within [`REQUEST_DEADLINE`].
 pub fn parse_request(stream: &TcpStream) -> io::Result<Option<Result<Request, Rejection>>> {
     let reader = Deadline {
         stream: stream.try_clone()?,
@@ -201,7 +205,10 @@ fn read_request(mut reader: BufReader<Deadline>) -> io::Result<Option<Result<Req
         }
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    match reader.read_exact(&mut body) {
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(Some(Err(TRUNCATED))),
+        read => read?,
+    }
     Ok(Some(Ok(Request {
         method,
         path: path.to_owned(),

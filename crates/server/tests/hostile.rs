@@ -131,13 +131,17 @@ fn counter(body: &str, key: &str) -> u64 {
 #[test]
 fn truncated_garbage_and_vanishing_clients_leave_the_daemon_serving() {
     let (handle, addr) = boot();
-    // A body 20 bytes into a declared 200, then the write half shut.
+    // A body 20 bytes into a declared 200, then the write half shut: a
+    // 400, not a dropped connection.
     let mut conn = TcpStream::connect(&addr).expect("connect");
     conn.write_all(b"POST /query HTTP/1.1\r\nContent-Length: 200\r\n\r\n")
         .expect("head");
     conn.write_all(&[b'x'; 20]).expect("part of the body");
     conn.shutdown(std::net::Shutdown::Write).expect("shut");
-    let _ = conn.read_to_end(&mut Vec::new());
+    let mut answer = String::new();
+    conn.read_to_string(&mut answer).expect("an answer");
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(answer.contains("truncated request body"), "{answer}");
     assert_recovers(&addr, 0);
 
     // A body that is no query: a 400 error document.

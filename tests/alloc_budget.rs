@@ -155,14 +155,16 @@ fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
     );
 }
 
-/// The 2-star: one lone parallel join, which runs the binary tile. 272
-/// requests for its 24 combinations (11.33 each; 11.58 before an
-/// earlier change lowered the count without re-pinning; 12.08 while
-/// each pipe stage compiled the plan's predicate set itself; 13.00
-/// before `QueryPlan::validate`, `topo_order` and `atoms_at` stopped
-/// allocating per node, 13.50 with a hashed per-chunk index and pattern
-/// bookkeeping for a pattern-free query), pinned with no headroom.
-const STAR2_WARM: u64 = 272;
+/// The 2-star: one lone parallel join, which runs the n-ary kernel like
+/// every clean chain. 223 requests for its 24 combinations (9.29 each;
+/// 11.33 while a lone join ran the binary tile with its batch kernel;
+/// 11.58 before an earlier change lowered the count without re-pinning;
+/// 12.08 while each pipe stage compiled the plan's predicate set itself;
+/// 13.00 before `QueryPlan::validate`, `topo_order` and `atoms_at`
+/// stopped allocating per node, 13.50 with a hashed per-chunk index and
+/// pattern bookkeeping for a pattern-free query), pinned with no
+/// headroom.
+const STAR2_WARM: u64 = 223;
 
 #[test]
 fn a_warm_lone_join_keeps_its_tile_allocations_pinned() {

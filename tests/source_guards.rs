@@ -19,7 +19,13 @@
 //! * one predicate evaluator in production: the join kernels and the
 //!   engine evaluate through `seco_query::CompiledPredicates`, so the
 //!   join and engine sources do not mention the interpreted
-//!   `satisfies_available`, which is the oracle's evaluator.
+//!   `satisfies_available`, which is the oracle's evaluator;
+//! * batch kernels only over columnar chunks: outside
+//!   `crates/join/src/pipe.rs`, whose stages read the typed columns of
+//!   the fetched chunk bodies, no code builds a `BatchPlan` or runs its
+//!   mask kernel. Tile joins and selections meet composites row by row,
+//!   and gathering columns off them for a kernel is a path no workload
+//!   reaches.
 //!
 //! A failure lists each offending line as `path:line: text`.
 
@@ -152,23 +158,44 @@ fn join_and_engine_evaluate_predicates_only_compiled() {
     );
 }
 
-#[test]
-fn no_crate_but_seco_exec_fans_out_compute_jobs() {
+/// The source directories of every crate but those named in `except`,
+/// and of the root package.
+fn every_src_but(except: &[&str]) -> Vec<PathBuf> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut crates: Vec<String> = fs::read_dir(root.join("crates"))
         .expect("crates directory")
         .map(|entry| entry.expect("directory entry").file_name())
         .filter_map(|name| name.into_string().ok())
-        .filter(|name| name != "exec")
+        .filter(|name| !except.contains(&name.as_str()))
         .collect();
     crates.sort();
     let names: Vec<&str> = crates.iter().map(String::as_str).collect();
     let mut dirs = crate_srcs(&names);
     dirs.push(PathBuf::from("src"));
-    let fan_outs = scan(&dirs, &["scope_run("]);
+    dirs
+}
+
+#[test]
+fn no_crate_but_seco_exec_fans_out_compute_jobs() {
+    let fan_outs = scan(&every_src_but(&["exec"]), &["scope_run("]);
     assert!(
         fan_outs.is_empty(),
         "{}\na crate other than seco-exec fans compute jobs out on the pool",
         fan_outs.join("\n")
+    );
+}
+
+#[test]
+fn batch_kernels_run_only_over_columnar_chunks() {
+    let calls: Vec<String> = scan(&every_src_but(&[]), &["batch_plan(", "eval_mask("])
+        .into_iter()
+        .filter(|hit| !hit.starts_with("crates/join/src/pipe.rs:"))
+        .filter(|hit| !hit.contains("fn batch_plan(") && !hit.contains("fn eval_mask("))
+        .collect();
+    assert!(
+        calls.is_empty(),
+        "{}
+batch kernels run outside the pipe stages' columnar chunks",
+        calls.join("\n")
     );
 }
