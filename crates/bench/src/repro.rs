@@ -7,7 +7,7 @@
 use std::fmt::Write as _;
 
 use crate::{chain_scenario, join_pair, star_scenario};
-use seco_engine::{execute_parallel, execute_plan, EngineConfig, ResultSet};
+use seco_engine::{execute_parallel_session, execute_plan, EngineConfig, ResultSet};
 use seco_join::completion::explore;
 use seco_join::executor::{ParallelJoinExecutor, ServiceStream};
 use seco_join::optimality::{
@@ -1054,15 +1054,18 @@ fn e16(out: &mut Report) -> Result<(), DynError> {
             })
         });
         let rs = ResultSet::new(outcome.results.clone(), query.ranking.clone());
-        let par = execute_parallel(&best.plan, &registry, EngineConfig::default())?;
-        // The schedulers agree when they deliver the same combinations,
-        // in whatever order.
+        // The streamed run (`mode=par`) agrees when its sink delivers
+        // the same combinations, in whatever order.
+        let streamed = std::cell::RefCell::new(Vec::new());
+        let sink = |batch: &[CompositeTuple]| streamed.borrow_mut().extend_from_slice(batch);
+        let config = EngineConfig::default();
+        execute_parallel_session(&best.plan, &registry, config, None, Some(&sink))?;
         let rendered = |results: &[CompositeTuple]| {
             let mut rows: Vec<String> = results.iter().map(|c| c.to_string()).collect();
             rows.sort_unstable();
             rows
         };
-        let agrees = rendered(&par.results) == rendered(&outcome.results);
+        let agrees = rendered(&streamed.into_inner()) == rendered(&outcome.results);
         say!(
             out,
             "{:<16} emitted {:>3} / sound: {sound} / calls {:>3} / inversion rate {:.3} / parallel executor agrees: {agrees}",

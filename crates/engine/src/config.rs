@@ -4,10 +4,9 @@
 //! the historical `ExecOptions` and [`FetchOptions`] into one
 //! builder-style value — the single configuration surface of the engine
 //! and of `seco serve`. Every `seco run` engine flag maps 1:1 to a
-//! builder method, and both executors ([`crate::execute_plan`] and
-//! [`crate::execute_parallel`]) consume it directly. There is no worker
-//! count: the [`crate::SharedState`]'s pool gives every live plan-node
-//! task of a pipelined run a thread of its own.
+//! builder method, and both entries of the walk ([`crate::execute_plan`]
+//! and [`crate::execute_parallel_session`]) consume it directly. There
+//! is no worker count: every plan runs on the thread that calls it.
 //!
 //! How a join finds and judges its candidate pairs is not configured:
 //! tile joins always key through the per-chunk key index, and pipe

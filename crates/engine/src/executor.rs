@@ -1,19 +1,26 @@
-//! The deterministic scheduler.
+//! The scheduler: one walk for every plan.
 //!
-//! Walks a plan's nodes in topological order on one thread, handing
-//! each node's materialized output on to its consumer, and has
+//! Walks a plan's nodes in topological order on the calling thread,
+//! handing each node's materialized output on to its consumer, and has
 //! the `interp` module run every node. What it owns is time and order:
 //!
 //! * **virtual time** — a node's busy time is its calls × the service's
 //!   response time (or the clock delta under the resilient client), and
 //!   the plan's critical path is computed over the DAG exactly like the
 //!   execution-time cost metric, so measured and estimated times are
-//!   directly comparable (E8/E14);
+//!   directly comparable (E8/E14). §2.2's pipelining — "data shipped in
+//!   pipelines from one service to another, so as to maximize
+//!   parallelism" — is what this critical path models: independent
+//!   branches overlap on it, and a stage starts when its inputs finish;
 //! * the per-node [`ExecutionTrace`];
 //! * **mid-flight adaptivity** — a deviating checkpoint re-plans the
 //!   unexecuted suffix, and the walk switches onto the new plan in
 //!   place: the executed nodes keep their outputs, busy time and trace
-//!   records, and the walk goes on with the new plan's remaining nodes.
+//!   records, and the walk goes on with the new plan's remaining nodes;
+//! * **streamed delivery** — [`execute_parallel_session`] runs the same
+//!   walk with its fetch stacks on the wall clock and hands the output
+//!   node's rows to a [`BatchSink`] in batches of [`BATCH_SIZE`], which
+//!   is how the daemon's `mode=par` frames rows as they are delivered.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -28,6 +35,14 @@ use crate::error::EngineError;
 use crate::interp::{self, Interpreter};
 use crate::shared::{ClockMode, SharedState};
 use crate::trace::{ExecutionTrace, TraceEvent};
+
+/// Rows per batch handed to a [`BatchSink`].
+pub const BATCH_SIZE: usize = 32;
+
+/// A batch sink for streamed delivery: called on the walking thread with
+/// the output node's rows, in emission order, [`BATCH_SIZE`] at a time
+/// (the last batch may be shorter).
+pub type BatchSink<'s> = &'s dyn Fn(&[CompositeTuple]);
 
 /// The outcome of executing a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +96,7 @@ pub fn execute_plan(
     registry: &ServiceRegistry,
     options: EngineConfig,
 ) -> Result<ExecutionResult, EngineError> {
-    execute_plan_impl(plan, registry, options, None)
+    execute_plan_impl(plan, registry, options, None, ClockMode::Virtual, None)
 }
 
 /// [`execute_plan`] against long-lived [`SharedState`]: the per-service
@@ -96,7 +111,31 @@ pub fn execute_plan_shared(
     options: EngineConfig,
     shared: &SharedState,
 ) -> Result<ExecutionResult, EngineError> {
-    execute_plan_impl(plan, registry, options, Some(shared))
+    execute_plan_impl(
+        plan,
+        registry,
+        options,
+        Some(shared),
+        ClockMode::Virtual,
+        None,
+    )
+}
+
+/// The streamed run behind the daemon's `mode=par`: the same walk as
+/// [`execute_plan_shared`] (on a run-local state when `shared` is
+/// `None`), with its resilient clients, when configured, on wall-clock
+/// time — backoff really sleeps and breaker cooldowns are real
+/// milliseconds — and the output node's rows handed to `sink`, in
+/// batches of [`BATCH_SIZE`], before it returns. Without a client the
+/// fetch stacks are the walk's own and so are the results.
+pub fn execute_parallel_session(
+    plan: &QueryPlan,
+    registry: &ServiceRegistry,
+    options: EngineConfig,
+    shared: Option<&SharedState>,
+    sink: Option<BatchSink<'_>>,
+) -> Result<ExecutionResult, EngineError> {
+    execute_plan_impl(plan, registry, options, shared, ClockMode::Wall, sink)
 }
 
 /// What the walk holds for one node of the plan it is on.
@@ -129,6 +168,8 @@ fn execute_plan_impl(
     registry: &ServiceRegistry,
     options: EngineConfig,
     shared: Option<&SharedState>,
+    mode: ClockMode,
+    sink: Option<BatchSink<'_>>,
 ) -> Result<ExecutionResult, EngineError> {
     // Without caller-provided shared state the fetch stacks (and the
     // clock their backoff pauses and deadlines run on) live for this
@@ -139,7 +180,7 @@ fn execute_plan_impl(
     let clock = state.clock();
     let cache_cfg = options.fetch.cache();
 
-    let mut interp = Interpreter::prepare(plan, registry, options, state, ClockMode::Virtual, &[])?;
+    let mut interp = Interpreter::prepare(plan, registry, options, state, mode, &[])?;
     let mut order = plan.topo_order()?;
     let mut slots = slots_for(plan);
     // One owner per combination: a node's output moves to its consumer.
@@ -188,6 +229,9 @@ fn execute_plan_impl(
             }
             PlanNode::Output => {
                 let input = hand_over(&mut slots, preds[0]);
+                if let Some(sink) = sink {
+                    input.chunks(BATCH_SIZE).for_each(sink);
+                }
                 (input.len(), input, 0, 0.0, slots[preds[0].0].degraded)
             }
             PlanNode::Selection(sel) => {
@@ -201,16 +245,17 @@ fn execute_plan_impl(
                 let recorded = registry.service(&node.service)?;
                 let clock_before = clock.now_ms();
                 let busy_before = recorded.stats().busy_ms;
-                let outcome = interp.pipe(node, &input, |_| true)?;
-                let busy_ms = if options.client.is_some() {
+                let outcome = interp.pipe(node, &input)?;
+                let busy_ms = if options.client.is_some() && mode == ClockMode::Virtual {
                     // Busy time is the clock delta: calls plus
                     // retries, backoff pauses, and abandoned calls
                     // clipped at the deadline.
                     clock.now_ms() - clock_before
-                } else if cache_cfg.is_some() {
-                    // Cache without a client: no clock runs, so
-                    // charge the recorder's underlying-call time
-                    // (hits and coalesced waits are free).
+                } else if cache_cfg.is_some() || options.client.is_some() {
+                    // No virtual clock runs (a cache without a client,
+                    // or a client on the wall clock): charge the
+                    // recorder's underlying-call time (hits and
+                    // coalesced waits are free).
                     recorded.stats().busy_ms - busy_before
                 } else {
                     let iface = registry.interface(&node.service)?;
@@ -298,7 +343,7 @@ fn execute_plan_impl(
         let ran: Vec<bool> = carried.iter().map(|s| s.counts.is_some()).collect();
         drop(interp);
         let next = switched.insert(re.plan);
-        interp = Interpreter::prepare(next, registry, options, state, ClockMode::Virtual, &ran)?;
+        interp = Interpreter::prepare(next, registry, options, state, mode, &ran)?;
         estimates = Some(annotate(next, registry, &annotation)?);
         (order, at, slots) = (next.topo_order()?, 0, carried);
         replans += 1;
@@ -552,6 +597,46 @@ mod tests {
         let result = execute_plan(&best.plan, &reg, opts).unwrap();
         assert!(result.is_degraded());
         assert_eq!(result.degraded, vec!["Movie1".to_string()]);
+    }
+
+    /// The streamed entry fails, degrades and passes a surviving branch
+    /// through exactly as the walk does, and its sink sees every row.
+    #[test]
+    fn streamed_runs_surface_failures_and_degrade_like_the_walk() {
+        let healthy = entertainment::build_registry(1).unwrap();
+        let best = optimize(&running_example(), &healthy, CostMetric::RequestCount).unwrap();
+        let reg = registry_without_movie();
+        let err = execute_parallel_session(&best.plan, &reg, EngineConfig::default(), None, None)
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::Join(_) | EngineError::Service(_)),
+            "{err}"
+        );
+        let degrade = EngineConfig::default().degrade();
+        let outcome = execute_parallel_session(&best.plan, &reg, degrade, None, None).unwrap();
+        assert_eq!(outcome.degraded, vec!["Movie1".to_string()]);
+
+        // Flight is hard down: the diamond's join passes the Hotel
+        // branch through instead of returning nothing.
+        let reg = travel_without_flight();
+        let p = diamond_plan(&reg);
+        let opts = degrade.join_k(5);
+        let streamed = std::cell::RefCell::new(Vec::new());
+        let sink = |batch: &[CompositeTuple]| streamed.borrow_mut().extend_from_slice(batch);
+        let outcome = execute_parallel_session(&p, &reg, opts, None, Some(&sink)).unwrap();
+        assert_eq!(outcome.degraded, vec!["Flight1".to_string()]);
+        assert!(!outcome.results.is_empty(), "the hotel branch must survive");
+        assert_eq!(streamed.into_inner(), outcome.results);
+        for combo in &outcome.results {
+            assert!(combo.component("H").is_some());
+            assert!(
+                combo.component("F").is_none(),
+                "the downed branch adds nothing"
+            );
+        }
+        let walk = execute_plan(&p, &travel_without_flight(), opts).unwrap();
+        assert_eq!(walk.degraded, outcome.degraded);
+        assert_eq!(walk.results, outcome.results);
     }
 
     #[test]

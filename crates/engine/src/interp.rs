@@ -1,5 +1,4 @@
-//! The plan-node interpreter: what each node of a plan *means*,
-//! whichever scheduler runs it.
+//! The plan-node interpreter: what each node of a plan *means*.
 //!
 //! [`Interpreter::prepare`] does a plan's one-time work — validation,
 //! feasibility analysis, predicate resolution and compilation, the
@@ -18,15 +17,12 @@
 //!   take the binary path: the rank join, or the tile-space cascade
 //!   with degraded-branch pass-through.
 //!
-//! Two schedulers drive it: [`crate::executor`] walks the plan in
-//! topological order on the virtual clock, [`crate::parallel`] pipelines
-//! the nodes as pool tasks. The one choice that differs between them is
-//! the [`ClockMode`] of the fetch stacks, passed in at preparation.
+//! [`crate::executor`]'s walk drives it, node by node in topological
+//! order. The one choice its two entries differ in is the [`ClockMode`]
+//! of the fetch stacks, passed in at preparation.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 
-use seco_exec::ExecPool;
 use seco_join::executor::MemoryStream;
 use seco_join::{
     score_order, select, JoinError, JoinStats, NaryJoin, NaryStage, ParallelJoinExecutor, PipeJoin,
@@ -77,8 +73,7 @@ pub(crate) struct Interpreter<'a> {
     compiled: CompiledPredicates,
     schemas: SchemaMap<'a>,
     /// Chains fuse and run the n-ary kernel: rank join is not in force.
-    /// Decided at preparation, on the caller's thread, because the
-    /// pipelined scheduler runs joins on pool threads.
+    /// Decided once, at preparation.
     fuses: bool,
     /// The joins absorbed into a downstream chain, so never run.
     elided: BTreeSet<usize>,
@@ -139,12 +134,6 @@ impl<'a> Interpreter<'a> {
         self.elided.contains(&id.0)
     }
 
-    /// The shared state's pool, whose threads run the pipelined
-    /// executor's node tasks.
-    pub fn pool(&self) -> &ExecPool {
-        &self.state.pool
-    }
-
     /// Keeps the composites of `input` that satisfy the selection node
     /// `sel`, its predicates resolved against the query inputs and
     /// compiled ([`seco_join::select`]).
@@ -168,21 +157,11 @@ impl<'a> Interpreter<'a> {
     /// prepared once over the plan's compiled predicate set, every input
     /// is extended with the service's matching tuples, and the stage's
     /// counters are reported to the service's recorder at the end.
-    ///
-    /// After each input, `emit` is handed the buffer of new
-    /// combinations. Whatever it leaves there accumulates into the
-    /// outcome's `results`; it returns `false` to stop the stage early
-    /// (nobody downstream is listening).
-    pub fn pipe<I>(
+    pub fn pipe(
         &self,
         node: &ServiceNode,
-        inputs: I,
-        mut emit: impl FnMut(&mut Vec<CompositeTuple>) -> bool,
-    ) -> Result<PipeOutcome, EngineError>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<CompositeTuple>,
-    {
+        inputs: &[CompositeTuple],
+    ) -> Result<PipeOutcome, EngineError> {
         let recorded = self.registry.service(&node.service)?;
         let (handle, _) =
             (self.state).stack_for(&node.service, &recorded, &self.options, self.clock);
@@ -201,10 +180,7 @@ impl<'a> Interpreter<'a> {
         let mut run = stage.start();
         let mut results = Vec::new();
         for input in inputs {
-            run.extend(input.borrow(), handle.as_ref(), &mut results)?;
-            if !emit(&mut results) {
-                break;
-            }
+            run.extend(input, handle.as_ref(), &mut results)?;
         }
         let outcome = run.finish(results);
         let s = &outcome.stats;
@@ -367,7 +343,7 @@ impl<'a> Interpreter<'a> {
 
     /// `(h, left chunk, right chunk)` of the parallel join `join`: each
     /// input chunked at its nearest upstream service's chunk size, with
-    /// the left service's step `h`, on either scheduler.
+    /// the left service's step `h`.
     fn chunking(&self, join: NodeId) -> (usize, usize, usize) {
         let inputs = self.plan.predecessors(join);
         let left = self.nearest_service(inputs[0]);
@@ -397,7 +373,7 @@ fn ranks(options: &EngineConfig) -> bool {
     options.rank_join && options.join_k > 0
 }
 
-/// The engine's one re-plan entry, taken by both schedulers' adaptive
+/// The engine's one re-plan entry, taken by the walk's adaptive
 /// checkpoints: promotes every observed statistic that deviates by at
 /// least `adaptive_threshold` into the registry, then re-plans the
 /// suffix of `plan` after the `executed` atoms
@@ -503,7 +479,7 @@ fn join_chains<'a>(
 #[cfg(test)]
 mod tests {
     use super::CASCADE_ONLY;
-    use crate::{execute_parallel, execute_plan, EngineConfig};
+    use crate::{execute_plan, EngineConfig};
     use seco_bench::{link_service, star_scenario};
     use seco_model::{AttributePath, Comparator, ConnectionPattern, JoinPair, ScoreDecay, Value};
     use seco_plan::{Completion, Invocation, JoinSpec, PlanNode, QueryPlan, ServiceNode};
@@ -590,20 +566,20 @@ mod tests {
         out
     }
 
-    /// On both schedulers a chain — a lone join included — delivers
-    /// exactly what the binary cascade delivers, in the same order and
-    /// with the same service calls, through the n-ary kernel: no binary
-    /// tile join fetches a chunk, and a fused chain elides the cascade's
+    /// A chain — a lone join included — delivers exactly what the
+    /// binary cascade delivers, in the same order and with the same
+    /// service calls, through the n-ary kernel: no binary tile join
+    /// fetches a chunk, and a fused chain elides the cascade's
     /// intermediate composites.
     #[test]
-    fn fused_chains_deliver_what_the_cascade_does_on_both_schedulers() {
+    fn fused_chains_deliver_what_the_cascade_does() {
         let config = EngineConfig::default().join_k(10);
         for n in [2, 3] {
-            let deterministic = |cascade| {
+            let run = |cascade| {
                 let (plan, registry) = chain_plan(star_scenario(n, 11));
                 with_cascade(cascade, || execute_plan(&plan, &registry, config)).unwrap()
             };
-            let (cascade, fused) = (deterministic(true), deterministic(false));
+            let (cascade, fused) = (run(true), run(false));
             assert!(
                 !cascade.results.is_empty(),
                 "n={n}: the chain joins something"
@@ -617,64 +593,27 @@ mod tests {
                 cascade.chunks_fetched > 0 && fused.chunks_fetched == 0,
                 "n={n}"
             );
-
-            let pipelined = |cascade| {
-                let (plan, registry) = chain_plan(star_scenario(n, 11));
-                with_cascade(cascade, || execute_parallel(&plan, &registry, config)).unwrap()
-            };
-            let (cascade, fused) = (pipelined(true), pipelined(false));
-            assert!(!cascade.results.is_empty());
-            assert_eq!(cascade.results, fused.results, "n={n}");
-            let (cascade, fused) = (cascade.join_stats, fused.join_stats);
-            assert_eq!(cascade.intermediates_elided, 0);
-            assert_eq!((fused.intermediates_elided > 0), n > 2, "n={n}");
-            assert!(
-                cascade.chunks_fetched > 0 && fused.chunks_fetched == 0,
-                "n={n}"
-            );
         }
     }
 
     /// Every stage of a chain, a lone join included, feeds the registry
     /// what the cascade observes of it — pairs examined and rows emitted
-    /// per connection pattern — on both schedulers.
+    /// per connection pattern.
     #[test]
     fn fused_chains_observe_every_stage_like_the_cascade() {
         let config = EngineConfig::default().join_k(10);
         for (n, patterns) in [(2, &["P12"][..]), (3, &["P12", "P13"])] {
-            for pipelined in [false, true] {
-                let observed = |cascade| {
-                    let (plan, registry) = pattern_chain_plan(n);
-                    let stats = with_cascade(cascade, || match pipelined {
-                        false => execute_plan(&plan, &registry, config).map(|o| o.join_stats),
-                        true => execute_parallel(&plan, &registry, config).map(|o| o.join_stats),
-                    })
-                    .unwrap();
-                    (stats.chunks_fetched, registry.join_observations())
-                };
-                let ((binary, cascade), (none, fused)) = (observed(true), observed(false));
-                let run = format!("n={n} pipelined={pipelined}");
-                assert!(binary > 0 && none == 0, "{run}: the kernel ran");
-                assert_eq!(cascade.keys().collect::<Vec<_>>(), patterns, "{run}");
-                assert_eq!(fused, cascade, "{run}");
-            }
-        }
-    }
-
-    /// Both schedulers chunk a join like the branches that feed it, so
-    /// they key, probe and judge the same candidates.
-    #[test]
-    fn both_schedulers_chunk_joins_alike() {
-        let config = EngineConfig::default().join_k(10);
-        for n in [3, 4] {
-            let (plan, registry) = chain_plan(star_scenario(n, 5));
-            let deterministic = execute_plan(&plan, &registry, config).unwrap();
-            let (plan, registry) = chain_plan(star_scenario(n, 5));
-            let pipelined = execute_parallel(&plan, &registry, config).unwrap();
-            let work = |s: &seco_join::JoinStats| (s.index_builds, s.probes, s.predicate_evals);
-            let (d, p) = (&deterministic.join_stats, &pipelined.join_stats);
-            assert!(d.index_builds > 0, "n={n}: the joins key their candidates");
-            assert_eq!(work(d), work(p), "n={n}");
+            let observed = |cascade| {
+                let (plan, registry) = pattern_chain_plan(n);
+                let stats = with_cascade(cascade, || execute_plan(&plan, &registry, config))
+                    .unwrap()
+                    .join_stats;
+                (stats.chunks_fetched, registry.join_observations())
+            };
+            let ((binary, cascade), (none, fused)) = (observed(true), observed(false));
+            assert!(binary > 0 && none == 0, "n={n}: the kernel ran");
+            assert_eq!(cascade.keys().collect::<Vec<_>>(), patterns, "n={n}");
+            assert_eq!(fused, cascade, "n={n}");
         }
     }
 }

@@ -5,23 +5,24 @@
 //! integrate them progressively, forming the answers as combinations of
 //! partial invocation results" (§3).
 //!
-//! One interpreter, two schedulers. The `interp` module defines what
+//! One interpreter, one scheduler. The `interp` module defines what
 //! every plan node means — selection, pipe stage through its fetch stack,
 //! join chain (the n-ary kernel, or the rank or degrade-aware binary
-//! cascade) — and two schedulers run it:
+//! cascade) — and [`executor`] walks the plan in topological order on
+//! the calling thread, switching plans mid-walk when an adaptive
+//! checkpoint re-plans. Its two entries differ only in the clock of the
+//! resilient clients and in delivery:
 //!
-//! * [`executor::execute_plan`] walks the plan in topological order on
-//!   one thread, on the virtual clock, switching plans mid-walk when an
-//!   adaptive checkpoint re-plans; every experiment uses it because runs
-//!   are bit-for-bit reproducible;
-//! * [`parallel::execute_parallel`] runs every node as a task of its
-//!   own on the executor pool, with batches flowing through bounded
-//!   channels along the plan's arcs: the "data shipped in pipelines from
-//!   one service to another, so as to maximize parallelism" (§2.2), on
-//!   real threads and wall-clock time.
+//! * [`executor::execute_plan`] runs on the virtual clock; every
+//!   experiment uses it because runs are bit-for-bit reproducible, and
+//!   its critical path models §2.2's pipelining — independent branches
+//!   overlap, a stage starts when its inputs finish;
+//! * [`executor::execute_parallel_session`] runs the clients on
+//!   wall-clock time and hands the output rows to a [`BatchSink`] in
+//!   batches, the daemon's `mode=par`.
 //!
 //! Unless faults depend on timing (deadlines, breaker cooldowns), both
-//! return the same multiset of combinations for the same plan.
+//! return the same combinations in the same order for the same plan.
 //!
 //! [`output`] assembles results under the global ranking function:
 //! emission order is preserved (the non-blocking dataflow of §4.1) and
@@ -34,15 +35,15 @@ pub mod error;
 pub mod executor;
 mod interp;
 pub mod output;
-pub mod parallel;
 pub mod shared;
 pub mod trace;
 
 pub use config::{EngineConfig, FailureMode, FetchOptions};
 pub use error::EngineError;
-pub use executor::{execute_plan, execute_plan_shared, ExecutionResult};
+pub use executor::{
+    execute_parallel_session, execute_plan, execute_plan_shared, BatchSink, ExecutionResult,
+};
 pub use output::ResultSet;
-pub use parallel::{execute_parallel, execute_parallel_session, BatchSink, ParallelOutcome};
 pub use seco_join::JoinStats;
 pub use shared::SharedState;
 pub use trace::{ExecutionTrace, TraceEvent};

@@ -10,12 +10,9 @@
 //! concurrent query sessions can execute against the same stacks, and
 //! every cache hit earned by one request benefits the next.
 //!
-//! The state also owns the [`seco_exec::ExecPool`] that the pipelined
-//! executor runs its plan-node tasks on. A fresh state has no thread:
-//! the pool spawns them as a pipelined run needs them and keeps them
-//! for the next. Dropping the state (or calling
-//! [`SharedState::shutdown`]) joins them — nothing spawned on behalf of
-//! an execution can outlive the engine state that requested it.
+//! No thread runs on behalf of the state: every execution walks its
+//! plan on the thread that calls it. The [`seco_exec::ExecPool`] stub it
+//! carries is read only by the benchmark harness (ROADMAP item 1f).
 //!
 //! Accounting caveat: the virtual clock is shared too, so `busy_ms` /
 //! `critical_ms` deltas measured by concurrent executions overlap on
@@ -39,22 +36,21 @@ use crate::config::EngineConfig;
 /// the cache itself for the diagnostics that size it.
 pub(crate) type Stack = (Arc<dyn Service>, Option<Arc<CachingService>>);
 
-/// Clock binding of a stack's resilient client: the deterministic
-/// executor drives a virtual timeline, the pipelined executor real
+/// Clock binding of a stack's resilient client: [`crate::execute_plan`]
+/// drives a virtual timeline, [`crate::execute_parallel_session`] real
 /// wall time. The two produce distinct breaker/cooldown dynamics, so
-/// when a client is configured a service invoked by both executors
-/// keeps one stack per mode; without one, nothing in the stack reads a
-/// clock and both executors share one stack (and its warm cache).
+/// when a client is configured a service invoked by both entries keeps
+/// one stack per mode; without one, nothing in the stack reads a clock
+/// and both share one stack (and its warm cache).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum ClockMode {
     Virtual,
     Wall,
 }
 
-/// Cross-request execution state: per-service fetch stacks, the shared
-/// virtual clock, and the executor pool — one pool shared by every
-/// session's plan-node tasks. Cheap to share (`Arc<SharedState>`), safe
-/// to use from concurrent sessions.
+/// Cross-request execution state: per-service fetch stacks and the
+/// shared virtual clock. Cheap to share (`Arc<SharedState>`), safe to
+/// use from concurrent sessions.
 ///
 /// Stacks are built lazily from the *first* execution's
 /// [`EngineConfig`] that touches each service; a daemon runs all
@@ -62,14 +58,14 @@ pub(crate) enum ClockMode {
 /// ready-made and warm.
 pub struct SharedState {
     clock: Arc<VirtualClock>,
-    pub(crate) pool: Arc<ExecPool>,
+    /// Read only by the benchmark harness (ROADMAP item 1f).
+    pool: Arc<ExecPool>,
     /// Keyed by service, and by clock mode only when a client binds one.
     stacks: Mutex<BTreeMap<(String, Option<ClockMode>), Stack>>,
 }
 
 impl SharedState {
-    /// Fresh state with an empty executor pool: no thread runs until a
-    /// pipelined execution needs one.
+    /// Fresh state: no stack is built until an execution needs it.
     pub fn new() -> Self {
         SharedState {
             clock: VirtualClock::new(),
@@ -89,7 +85,7 @@ impl SharedState {
         &self.clock
     }
 
-    /// The shared executor pool. Always `Some`: the `Option` stays only
+    /// The pool stub, which runs no thread. Always `Some`: it stays only
     /// because the benchmark harness still maps over it (ROADMAP item
     /// 1f).
     pub fn exec_pool(&self) -> Option<&Arc<ExecPool>> {
@@ -113,12 +109,9 @@ impl SharedState {
         })
     }
 
-    /// Stops the executor pool: queued tasks still run and every pool
-    /// thread is joined. Prepared stacks stay usable — fetches never
-    /// depended on the pool. Idempotent; also implied by drop.
-    pub fn shutdown(&self) {
-        self.pool.shutdown();
-    }
+    /// Does nothing: no thread runs on behalf of the state. Kept only
+    /// because the benchmark harness still calls it (ROADMAP item 1f).
+    pub fn shutdown(&self) {}
 
     /// Returns `service`'s prepared stack, building it on first use
     /// from `options` (resilient client when configured, sharded cache
@@ -201,25 +194,5 @@ mod tests {
         let (w, _) = state.stack_for("Movie1", &recorded, &options, ClockMode::Wall);
         assert!(!Arc::ptr_eq(&a, &w));
         assert_eq!(state.stack_count(), 2);
-    }
-
-    #[test]
-    fn shutdown_stops_the_daemon_pool() {
-        let state = SharedState::new();
-        let pool = state.exec_pool().expect("every state owns a pool");
-        assert_eq!(pool.threads_alive(), 0, "a fresh state costs no thread");
-        let registry =
-            seco_services::domains::entertainment::build_registry(1).expect("registry builds");
-        let query = seco_query::builder::running_example();
-        let best =
-            seco_optimizer::optimize(&query, &registry, seco_optimizer::CostMetric::RequestCount)
-                .expect("the running example plans");
-        let options = EngineConfig::default();
-        crate::execute_parallel_session(&best.plan, &registry, options, Some(&state), None)
-            .expect("the running example runs");
-        let cached = pool.threads_alive();
-        assert!(cached > 0, "the pipelined run left its threads cached");
-        state.shutdown();
-        assert_eq!(pool.threads_alive(), 0);
     }
 }

@@ -12,7 +12,7 @@
 //! | `DELETE /session/{id}` | Close the session. |
 //! | `GET /stats` | Daemon counters (caches, admission, interner, tenants). |
 //! | `POST /admin/promote?threshold=R&min-samples=N` | Promote deviating observed statistics; rolls the epoch and invalidates cached plans. |
-//! | `POST /admin/shutdown` | Drain in-flight sessions, stop the executor pool, exit the accept loop. |
+//! | `POST /admin/shutdown` | Drain in-flight queries, exit the accept loop. |
 //!
 //! ## Streaming
 //!
@@ -22,18 +22,18 @@
 //! (the same clauses up to constant values and order, the same `k`,
 //! weights and statistics epoch), so no search ran and the cached plan
 //! was bound to this query's constants. Then `chunk` frames carry rows,
-//! and a final `summary` frame closes the stream. The two executors
-//! stream differently, on purpose:
+//! and a final `summary` frame closes the stream. Both modes run the
+//! engine's one walk on the request's thread, and frame differently:
 //!
-//! * `mode=det` (default) — deterministic executor; rows are framed
-//!   *after* execution as successive ranked slices pulled from the
-//!   session cursor (`chunk` rows per frame), so the frames are the
+//! * `mode=det` (default) — the walk on the virtual clock; rows are
+//!   framed *after* execution as successive ranked slices pulled from
+//!   the session cursor (`chunk` rows per frame), so the frames are the
 //!   top-k in order and count as delivered.
-//! * `mode=par` — pipelined executor; `chunk` frames are pushed in
-//!   emission order **while tiles are still joining** (the §4.1
-//!   non-blocking dataflow), which is what time-to-first-chunk
-//!   measures. The session cursor is left untouched: ranked delivery
-//!   still starts at the top via `/more`.
+//! * `mode=par` — the streamed walk, its resilient clients on the wall
+//!   clock; `chunk` frames carry the output rows in emission order, 32
+//!   at a time, handed over as the walk delivers them and before the
+//!   session opens. The session cursor is left untouched: ranked
+//!   delivery still starts at the top via `/more`.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

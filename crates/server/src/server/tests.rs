@@ -117,8 +117,8 @@ fn query_and_chunk_documents_equal_the_tree() {
     }
 }
 
-/// The `mode=par` sink's frames, batch by batch as the pipelined
-/// executor hands them over.
+/// The `mode=par` sink's frames, batch by batch as the streamed walk
+/// hands them over.
 #[test]
 fn streamed_batches_equal_the_tree_built_frames() {
     for (registry, query) in [
@@ -144,6 +144,5 @@ fn streamed_batches_equal_the_tree_built_frames() {
             batches > 0 && rows == results.len(),
             "{batches} batches, {rows} rows"
         );
-        state.shared.shutdown();
     }
 }

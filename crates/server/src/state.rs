@@ -3,7 +3,7 @@
 //!
 //! This is the tentpole inversion of the one-shot CLI: instead of
 //! building every cache from scratch per invocation, the daemon keeps
-//! [`SharedState`] (fetch caches, breaker state, the executor pool),
+//! [`SharedState`] (fetch caches, breaker state, the virtual clock),
 //! a [`PlanCache`] (optimized plans keyed by structural fingerprint ×
 //! statistics epoch), and the registry's adaptive accumulators alive
 //! across requests. The first session pays the cold cost; every later
@@ -131,7 +131,7 @@ pub struct ServerState {
     pub registry: Arc<ServiceRegistry>,
     /// Cross-request optimized-plan cache.
     pub plan_cache: Arc<PlanCache>,
-    /// Cross-request fetch stacks, clock, and executor pool.
+    /// Cross-request fetch stacks and clock.
     pub shared: Arc<SharedState>,
     /// Serving configuration.
     pub config: ServerConfig,
@@ -237,9 +237,12 @@ impl ServerState {
         Ok((best, cached))
     }
 
-    /// Executes `plan` against the shared state. `sink`, when given and
-    /// `parallel`, receives emission-order batches as tiles join.
-    /// Returns `(results, degraded services, observed call delta)`.
+    /// Executes `plan` against the shared state, on the request's
+    /// thread. `parallel` picks the streamed run: resilient clients on
+    /// the wall clock, and `sink`, when given, handed the emission-order
+    /// rows in batches once the walk delivers them; otherwise `sink` is
+    /// unused. Returns `(results, degraded services, observed call
+    /// delta)`.
     pub fn execute(
         &self,
         plan: &QueryPlan,
@@ -252,17 +255,14 @@ impl ServerState {
             cfg = cfg.join_k(k);
         }
         let before = self.registry.total_stats().calls;
-        let (results, degraded) = if parallel {
-            let out = execute_parallel_session(plan, &self.registry, cfg, Some(&self.shared), sink)
-                .map_err(|e| e.to_string())?;
-            (out.results, out.degraded)
+        let out = if parallel {
+            execute_parallel_session(plan, &self.registry, cfg, Some(&self.shared), sink)
         } else {
-            let out = execute_plan_shared(plan, &self.registry, cfg, &self.shared)
-                .map_err(|e| e.to_string())?;
-            (out.results, out.degraded)
+            execute_plan_shared(plan, &self.registry, cfg, &self.shared)
         };
+        let out = out.map_err(|e| e.to_string())?;
         let calls = self.registry.total_stats().calls.saturating_sub(before);
-        Ok((results, degraded, calls))
+        Ok((out.results, out.degraded, calls))
     }
 
     /// Registers a session, allocating its id. Refuses when the table
@@ -354,9 +354,6 @@ impl ServerState {
             // `Symbol::table_bytes`).
             "interner_symbols": Symbol::table_len(),
             "interner_bytes": Symbol::table_bytes(),
-            "exec": self.shared.exec_pool().map(|p| {
-                serde_json::json!({ "threads_alive": p.threads_alive() })
-            }),
             "tenants": tenants,
         })
         .to_string()
@@ -368,20 +365,17 @@ impl ServerState {
         self.draining.store(true, Ordering::Release);
     }
 
-    /// Waits until in-flight executions finish (or `timeout` passes),
-    /// then stops the executor pool. True when fully drained. An
-    /// execution still running when the timeout stops the pool runs to
-    /// its end: the pool's threads finish their queued tasks first.
+    /// Waits until in-flight executions finish, or `timeout` passes.
+    /// True when fully drained. An execution still running at the
+    /// timeout runs to its end on its own connection's thread.
     pub fn drain(&self, timeout: Duration) -> bool {
         let start = Instant::now();
         while self.in_flight.load(Ordering::Acquire) > 0 {
             if start.elapsed() > timeout {
-                self.shared.shutdown();
                 return false;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.shared.shutdown();
         true
     }
 

@@ -150,7 +150,7 @@ fn truncated_garbage_and_vanishing_clients_leave_the_daemon_serving() {
     assert!(body.starts_with("{\"error\":"), "{body}");
     assert_recovers(&addr, 1);
 
-    // A streamed pipelined query whose client closes without reading.
+    // A streamed `mode=par` query whose client closes without reading.
     let text = seco_bench::chain_scenario(2, 42).1.to_string();
     let mut conn = TcpStream::connect(&addr).expect("connect");
     let request = format!(

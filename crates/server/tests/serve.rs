@@ -599,7 +599,6 @@ fn live_bodies_equal_the_tree_built_documents() {
         expect_rows.sort();
         assert_eq!(live_rows, expect_rows, "mode=par rows");
 
-        replay.state.shared.shutdown();
         stop(handle, &addr);
     }
 }

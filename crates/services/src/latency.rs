@@ -3,10 +3,11 @@
 //! The execution-time and bottleneck cost metrics (§5.1) are defined
 //! over elapsed wall-clock time of service calls. Real network latency
 //! would make experiments non-reproducible, so services *report* a
-//! simulated latency per request-response and executors accumulate it on
-//! a [`VirtualClock`]. The threaded executor in `seco-engine` can
-//! optionally also sleep for (a scaled-down fraction of) the simulated
-//! latency to exercise true pipelining.
+//! simulated latency per request-response and the engine accumulates it
+//! on a [`VirtualClock`]. Nothing sleeps for it: a call takes no wall
+//! time beyond the CPU that builds its response, and the only sleeps in
+//! the program are the resilient client's backoff on the wall clock and
+//! the daemon's drain poll.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

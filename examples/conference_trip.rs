@@ -3,8 +3,8 @@
 //! Builds the chapter's example plan (exact proliferative Conference,
 //! Weather made selective in context by the `AvgTemp > 26` condition,
 //! Flight and Hotel joined by merge-scan), annotates it (Fig. 3), and
-//! executes it both deterministically and with the pipelined
-//! multi-threaded executor.
+//! executes it, once on the virtual clock with its trace and once
+//! streamed in batches as the daemon's `mode=par` does.
 //!
 //! Run with: `cargo run --example conference_trip`
 
@@ -80,11 +80,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", outcome.trace);
 
-    // Pipelined execution on real threads.
-    let parallel = execute_parallel(&plan, &registry, EngineConfig::default().join_k(10))?;
+    // Streamed execution (the daemon's `mode=par`): the same walk,
+    // its output handed over in batches.
+    let batches = std::cell::Cell::new(0);
+    let sink = |_: &[CompositeTuple]| batches.set(batches.get() + 1);
+    let config = EngineConfig::default().join_k(10);
+    let streamed = execute_parallel_session(&plan, &registry, config, None, Some(&sink))?;
     println!(
-        "pipelined executor: {} combinations (same set)",
-        parallel.results.len()
+        "streamed run: {} combinations in {} batches (same set)",
+        streamed.results.len(),
+        batches.get()
     );
 
     for combo in outcome.results.iter().take(5) {

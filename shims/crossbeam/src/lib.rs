@@ -1,6 +1,9 @@
 //! Offline stand-in for `crossbeam`.
 //!
-//! The engine's pipelined executor only needs bounded channels with
+//! No code uses it any more (the engine's pipelined executor, whose
+//! channels it carried, is gone); it stays until `seco-engine`'s edge
+//! to it can be dropped with the next change to `benchmark/`, whose
+//! lock file lists it. It offers bounded channels with
 //! blocking send, iterator-style receive, and `Clone` on both halves;
 //! `std::sync::mpsc::sync_channel` provides the transport and a
 //! mutex shares the receiving half between clones. (Crossbeam's real

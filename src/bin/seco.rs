@@ -4,7 +4,7 @@
 //! seco services  [--domain entertainment|travel] [--seed N]
 //! seco explain   [--domain D] [--metric M] [--seed N] <query…>
 //! seco optimize  [--domain D] [--metric M] [--seed N] <query…>
-//! seco run       [--domain D] [--metric M] [--seed N] [--parallel]
+//! seco run       [--domain D] [--metric M] [--seed N]
 //!                [--fault-profile none|flaky|outage] [--deadline-ms N]
 //!                [--cache-shards N] [--rank-join]
 //!                [--adaptive] [--adaptive-threshold N] <query…>
@@ -42,11 +42,6 @@
 //! parallel joins runs as one n-ary pass that skips the intermediate
 //! composites; answers stay byte-identical to the binary cascade. A
 //! `rank:` counter line is printed after the answers.
-//!
-//! `--parallel` runs every plan node as a task of the executor pool,
-//! which gives each task a thread as it needs one; the join kernels are
-//! serial. `seco stats` prints the pool's live threads on its
-//! `scheduler:` line after the service statistics.
 //!
 //! Every flag default is taken from `EngineConfig::default()`, and each
 //! engine flag maps 1:1 to an `EngineConfig` builder method.
@@ -111,7 +106,6 @@ struct Args {
     domain: String,
     metric: CostMetric,
     seed: u64,
-    parallel: bool,
     fault_profile: String,
     deadline_ms: Option<f64>,
     cache_shards: usize,
@@ -134,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
     let mut domain = "entertainment".to_owned();
     let mut metric = CostMetric::RequestCount;
     let mut seed = 42u64;
-    let mut parallel = false;
     let mut fault_profile = "none".to_owned();
     let mut deadline_ms = None;
     let mut cache_shards = defaults.fetch.cache_shards;
@@ -170,7 +163,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
-            "--parallel" => parallel = true,
             "--rank-join" => rank_join = true,
             "--adaptive" => adaptive = true,
             "--adaptive-threshold" => {
@@ -234,7 +226,6 @@ fn parse_args() -> Result<Args, String> {
         domain,
         metric,
         seed,
-        parallel,
         fault_profile,
         deadline_ms,
         cache_shards,
@@ -253,7 +244,7 @@ fn usage() -> String {
     "usage: seco <services|explain|optimize|run|stats|oracle|serve> \
      [--domain entertainment|travel] \
      [--metric execution-time|sum|request-count|bottleneck|time-to-screen] \
-     [--seed N] [--parallel] \
+     [--seed N] \
      [--fault-profile none|flaky|outage] \
      [--deadline-ms N] [--cache-shards N] [--rank-join] \
      [--adaptive] [--adaptive-threshold N] \
@@ -354,33 +345,14 @@ fn cmd_run(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Resul
     let best = optimize(&query, registry, args.metric).map_err(|e| e.to_string())?;
     registry.reset_stats();
     let shared = SharedState::new();
-    let (results, degraded, join_stats, replans, replanned) = if args.parallel {
-        let out = execute_parallel_session(&best.plan, registry, opts, Some(&shared), None)
-            .map_err(|e| e.to_string())?;
-        let replans = usize::from(out.replanned.is_some());
-        (
-            out.results,
-            out.degraded,
-            out.join_stats,
-            replans,
-            out.replanned,
-        )
-    } else {
-        let out =
-            execute_plan_shared(&best.plan, registry, opts, &shared).map_err(|e| e.to_string())?;
-        println!(
-            "{} request-responses, {:.0} virtual ms critical path",
-            out.total_calls, out.critical_ms
-        );
-        (
-            out.results,
-            out.degraded,
-            out.join_stats,
-            out.replans,
-            out.replanned,
-        )
-    };
-    let set = ResultSet::new(results, query.ranking.clone()).with_degraded(degraded);
+    let out =
+        execute_plan_shared(&best.plan, registry, opts, &shared).map_err(|e| e.to_string())?;
+    println!(
+        "{} request-responses, {:.0} virtual ms critical path",
+        out.total_calls, out.critical_ms
+    );
+    let join_stats = out.join_stats;
+    let set = ResultSet::new(out.results, query.ranking.clone()).with_degraded(out.degraded);
     println!("{} combinations; top {}:", set.len(), query.k);
     for (i, combo) in set.top_k(query.k).iter().enumerate() {
         println!(
@@ -432,9 +404,9 @@ fn cmd_run(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Resul
     if opts.adaptive {
         println!(
             "adaptive: {} replan(s), {} epoch invalidation(s), final plan {}",
-            replans,
+            out.replans,
             registry.epoch_invalidations(),
-            match &replanned {
+            match &out.replanned {
                 Some(plan) => format!("switched to {}", plan.canonical_key()),
                 None => "unchanged".to_owned(),
             }
@@ -446,8 +418,8 @@ fn cmd_run(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Resul
 fn cmd_stats(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Result<(), String> {
     let query = parse_query(&args.query).map_err(|e| e.to_string())?;
     // Plan through a plan cache and run against daemon-grade state, so
-    // the retention and scheduler lines below describe what a
-    // `seco serve` daemon would hold and use for this query.
+    // the retention line below describes what a `seco serve` daemon
+    // would hold for this query.
     let plan_cache = Arc::new(PlanCache::new());
     let mut optimizer = Optimizer::new(registry, args.metric);
     optimizer.cache = Some(plan_cache.clone());
@@ -512,9 +484,6 @@ fn cmd_stats(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Res
             registry.epoch_invalidations()
         );
     }
-    if let Some(pool) = shared.exec_pool() {
-        println!("\nscheduler: {} threads alive", pool.threads_alive());
-    }
     let (fetch_entries, fetch_unproven, fetch_bytes) = shared.fetch_cache_usage();
     println!(
         "\nretained: plan cache {} plan(s), {} bytes, {} eviction(s); \
@@ -526,7 +495,6 @@ fn cmd_stats(registry: &ServiceRegistry, args: &Args, opts: EngineConfig) -> Res
         fetch_unproven,
         fetch_bytes
     );
-    shared.shutdown();
     // The interner leaks distinct names by design: growth tracks the
     // workload's vocabulary, not its volume (see Symbol::table_bytes).
     println!(

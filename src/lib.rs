@@ -23,7 +23,8 @@
 //!   extraction-optimality measurement;
 //! * [`optimizer`] — the three-phase branch-and-bound optimizer with
 //!   its five cost metrics and six heuristics;
-//! * [`engine`] — deterministic and pipelined plan executors.
+//! * [`engine`] — the plan executor: one walk, on the virtual clock or
+//!   streamed.
 //!
 //! ## Quickstart
 //!
@@ -69,8 +70,8 @@ pub use error::{Retryable, SecoError};
 pub mod prelude {
     pub use crate::error::{Retryable, SecoError};
     pub use seco_engine::{
-        execute_parallel, execute_parallel_session, execute_plan, execute_plan_shared,
-        EngineConfig, FailureMode, FetchOptions, ParallelOutcome, ResultSet, SharedState,
+        execute_parallel_session, execute_plan, execute_plan_shared, EngineConfig, FailureMode,
+        FetchOptions, ResultSet, SharedState,
     };
     pub use seco_join::{JoinMethod, JoinStats, Topology};
     pub use seco_model::{

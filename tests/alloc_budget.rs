@@ -4,10 +4,9 @@
 //! A counting `#[global_allocator]` tallies the heap requests made by
 //! the calling thread (every `alloc` and every `realloc`), so the tests
 //! of this binary can run side by side and the figures repeat exactly.
-//! The deterministic executor under `ServerConfig::default().engine`
-//! runs a plan on the thread that calls it, and a one-worker optimizer
-//! searches on it, which is what makes a per-thread count the whole
-//! count.
+//! The engine walks every plan, streamed or not, on the thread that
+//! calls it, and the optimizer searches on it, which is what makes a
+//! per-thread count the whole count.
 //!
 //! Each test prints an `alloc_budget:` line; `scripts/ci.sh` echoes
 //! them.
@@ -72,14 +71,21 @@ fn requests_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Plans the scenario, runs it against one `SharedState` until the
 /// response cache answers every fetch, then counts one more run.
-/// Returns `(allocations, combinations)`.
-fn warm_execution((registry, query): (ServiceRegistry, Query)) -> (u64, usize) {
+/// `streamed` runs it as the daemon's `mode=par` does, through a sink
+/// that allocates nothing. Returns `(allocations, combinations)`.
+fn warm_execution((registry, query): (ServiceRegistry, Query), streamed: bool) -> (u64, usize) {
     let config = ServerConfig::default();
     let best = optimize(&query, &registry, config.metric).expect("scenario is feasible");
     let shared = SharedState::new();
+    let sunk = Cell::new(0);
+    let sink = |batch: &[CompositeTuple]| sunk.set(sunk.get() + batch.len());
     let run = || {
-        execute_plan_shared(&best.plan, &registry, config.engine, &shared)
-            .expect("synthetic services never fail")
+        let (plan, engine) = (&best.plan, config.engine);
+        match streamed {
+            false => execute_plan_shared(plan, &registry, engine, &shared),
+            true => execute_parallel_session(plan, &registry, engine, Some(&shared), Some(&sink)),
+        }
+        .expect("synthetic services never fail")
     };
     // The cache admits a body on its second request: the third run is
     // the first that is all hits, the fourth repeats it.
@@ -95,6 +101,9 @@ fn warm_execution((registry, query): (ServiceRegistry, Query)) -> (u64, usize) {
     );
     let combinations = out.results.len();
     drop(out);
+    if streamed {
+        assert_eq!(sunk.get(), 4 * combinations, "the sink saw every row");
+    }
     (allocations, combinations)
 }
 
@@ -125,7 +134,7 @@ const CHAIN4_WARM: u64 = 1_127;
 
 #[test]
 fn a_warm_chain_builds_each_combination_in_under_three_allocations() {
-    let (allocations, combinations) = warm_execution(chain_scenario(4, 11));
+    let (allocations, combinations) = warm_execution(chain_scenario(4, 11), false);
     let per = report("chain4", allocations, combinations);
     assert!(combinations >= 100, "{combinations} combinations");
     assert!(
@@ -146,12 +155,28 @@ const STAR3_WARM: u64 = 324;
 
 #[test]
 fn a_warm_star_allocates_at_most_half_of_what_the_parent_did() {
-    let (allocations, combinations) = warm_execution(star_scenario(3, 11));
+    let (allocations, combinations) = warm_execution(star_scenario(3, 11), false);
     let per = report("star3", allocations, combinations);
     assert!(combinations >= 10, "{combinations} combinations");
     assert!(
         allocations <= STAR3_WARM && per <= STAR3_PARENT_PER_COMBINATION / 2.0,
         "{per:.2} allocations per delivered combination, parent {STAR3_PARENT_PER_COMBINATION}"
+    );
+}
+
+/// The warm 3-star streamed as `mode=par` streams it: the same walk,
+/// its output handed to a sink in batches, makes exactly the walk's
+/// [`STAR3_WARM`] heap requests. Before the streamed run was the walk
+/// this count could not be taken here: the pipelined scheduler ran every
+/// plan node on a pool thread, where a per-thread count sees nothing.
+#[test]
+fn a_warm_streamed_star_allocates_what_the_walk_does() {
+    let (allocations, combinations) = warm_execution(star_scenario(3, 11), true);
+    report("star3_streamed", allocations, combinations);
+    assert!(combinations >= 10, "{combinations} combinations");
+    assert_eq!(
+        allocations, STAR3_WARM,
+        "the walk's count, no more, no less"
     );
 }
 
@@ -168,7 +193,7 @@ const STAR2_WARM: u64 = 223;
 
 #[test]
 fn a_warm_lone_join_keeps_its_tile_allocations_pinned() {
-    let (allocations, combinations) = warm_execution(star_scenario(2, 11));
+    let (allocations, combinations) = warm_execution(star_scenario(2, 11), false);
     let per = report("star2", allocations, combinations);
     assert!(combinations >= 10, "{combinations} combinations");
     assert!(

@@ -10,6 +10,7 @@ fn an_unknown_flag_fails_and_names_itself() {
         &["optimize", "--workers", "4", query][..],
         &["run", "--columnar", "off", query][..],
         &["run", "--exec-workers", "4", query][..],
+        &["run", "--parallel", query][..],
         &["serve", "--exec-workers", "4"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_seco"))

@@ -94,13 +94,14 @@ fn deterministic_and_parallel_executors_rank_identically_on_e1() {
     };
     let sequential = execute_plan(&plan, &registry, opts).unwrap();
     let (plan2, registry2) = e1_plan(5);
-    let parallel = execute_parallel(&plan2, &registry2, opts).unwrap();
+    // `mode=par`: the streamed walk, its fetch stacks on the wall clock.
+    let parallel = execute_parallel_session(&plan2, &registry2, opts, None, None).unwrap();
     let seq_render = ranked_render(&plan.query, &sequential.results);
     let par_render = ranked_render(&plan2.query, &parallel.results);
     assert!(!seq_render.is_empty(), "E1 must produce combinations");
     assert_eq!(
         seq_render, par_render,
-        "same seeds must yield identical ranked combinations on both executors"
+        "same seeds must yield identical ranked combinations on both entries of the walk"
     );
     // Both key the F–H join through the index and judge candidates with
     // batch kernels. The branches are cluster-aligned per conference

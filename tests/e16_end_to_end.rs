@@ -1,5 +1,5 @@
-//! E16: end-to-end soundness — optimized plans, both executors, and the
-//! declarative oracle agree.
+//! E16: end-to-end soundness — optimized plans, the walk and its
+//! streamed run, and the declarative oracle agree.
 
 use search_computing::prelude::*;
 use search_computing::query::builder::running_example;
@@ -59,9 +59,18 @@ fn parallel_and_sequential_executors_agree() {
     let query = running_example();
     let best = optimize(&query, &registry, CostMetric::RequestCount).unwrap();
     let sequential = execute_plan(&best.plan, &registry, EngineConfig::default()).unwrap();
-    let parallel = execute_parallel(&best.plan, &registry, EngineConfig::default())
-        .unwrap()
-        .results;
+    // `mode=par`: the streamed run's sink delivers the walk's answers.
+    let streamed = std::cell::RefCell::new(Vec::new());
+    let sink = |batch: &[CompositeTuple]| streamed.borrow_mut().extend_from_slice(batch);
+    execute_parallel_session(
+        &best.plan,
+        &registry,
+        EngineConfig::default(),
+        None,
+        Some(&sink),
+    )
+    .unwrap();
+    let parallel = streamed.into_inner();
     assert_eq!(sequential.results.len(), parallel.len());
     for combo in &parallel {
         assert!(sequential

@@ -107,8 +107,9 @@ fn cache_hit_after_breaker_opens_issues_no_service_call() {
 }
 
 /// Without a resilient client nothing in a fetch stack depends on the
-/// clock, so both schedulers share one stack per service: bodies that
-/// deterministic runs warmed answer a pipelined run of the same plan.
+/// clock, so both entries of the walk — virtual clock and streamed on
+/// the wall clock — share one stack per service: bodies that virtual
+/// runs warmed answer a streamed run of the same plan.
 #[test]
 fn both_schedulers_share_the_warm_stacks_when_no_client_binds_a_clock() {
     use search_computing::join::score_order;
@@ -134,11 +135,11 @@ fn both_schedulers_share_the_warm_stacks_when_no_client_binds_a_clock() {
     execute_plan_shared(&best.plan, &registry, config.engine, &shared).expect("warm det run");
     assert_eq!(calls(), before, "a warm deterministic run calls nothing");
     let par = execute_parallel_session(&best.plan, &registry, config.engine, Some(&shared), None)
-        .expect("warm pipelined run");
+        .expect("warm streamed run");
     assert_eq!(
         calls(),
         before,
-        "the pipelined run finds the same warm bodies"
+        "the streamed run finds the same warm bodies"
     );
     assert_eq!(shared.stack_count(), 4, "one stack per chain service");
     let (mut det, mut par) = (det, par.results);

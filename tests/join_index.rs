@@ -3,7 +3,8 @@
 //! held by `seco-join`'s own unit tests against their scalar reference;
 //! these tests check what only whole runs show: tiles proved empty by
 //! their keys, keys that collide without being equal, and whole E1
-//! runs that agree, on both executors, with the index-free oracle.
+//! runs that agree, on both entries of the walk, with the index-free
+//! oracle.
 
 use search_computing::join::executor::{JoinOutcome, MemoryStream, ParallelJoinExecutor};
 use search_computing::join::{JoinError, NaryJoin, NaryStage};
@@ -154,7 +155,8 @@ fn combinations(query: &Query, results: &[CompositeTuple]) -> Vec<Vec<String>> {
     rows
 }
 
-/// Both executors key the E1 `SameTrip` join through the index, and
+/// Both entries of the walk — on the virtual clock, and streamed on the
+/// wall clock — key the E1 `SameTrip` join through the index, and
 /// deliver the same combinations, each of which the index-free oracle
 /// (every chunk fetched, every candidate judged by the interpreted
 /// evaluator) also finds.
@@ -167,7 +169,7 @@ fn both_executors_agree_with_and_without_the_index() {
     let (plan, registry) = e1_plan(5);
     let det = execute_plan(&plan, &registry, config).unwrap();
     let (plan, registry) = e1_plan(5);
-    let pip = execute_parallel(&plan, &registry, config).unwrap();
+    let pip = execute_parallel_session(&plan, &registry, config, None, None).unwrap();
     let found = combinations(&plan.query, &det.results);
     assert!(!found.is_empty(), "E1 must produce combinations");
     assert_eq!(found, combinations(&plan.query, &pip.results));

@@ -53,13 +53,16 @@ fn a_malformed_predicate_fails_at_prepare_with_the_interpreters_error() {
         let det = execute_plan(&plan, &registry, config).map(|_| ());
         let det_calls = registry.total_stats().calls - before;
         let before = registry.total_stats().calls;
-        let pip = execute_parallel(&plan, &registry, config).map(|_| ());
-        let pip_calls = registry.total_stats().calls - before;
-        let det = det.expect_err(&format!("{conjunct}: deterministic must fail"));
-        let pip = pip.expect_err(&format!("{conjunct}: pipelined must fail"));
-        assert_eq!(det.to_string(), expected, "{conjunct}: deterministic");
-        assert_eq!(pip.to_string(), expected, "{conjunct}: pipelined");
-        assert_eq!(det_calls, 0, "{conjunct}: deterministic called a service");
-        assert_eq!(pip_calls, 0, "{conjunct}: pipelined called a service");
+        let streamed = execute_parallel_session(&plan, &registry, config, None, None).map(|_| ());
+        let streamed_calls = registry.total_stats().calls - before;
+        let det = det.expect_err(&format!("{conjunct}: the walk must fail"));
+        let streamed = streamed.expect_err(&format!("{conjunct}: the streamed run must fail"));
+        assert_eq!(det.to_string(), expected, "{conjunct}: walk");
+        assert_eq!(streamed.to_string(), expected, "{conjunct}: streamed");
+        assert_eq!(det_calls, 0, "{conjunct}: the walk called a service");
+        assert_eq!(
+            streamed_calls, 0,
+            "{conjunct}: the streamed run called a service"
+        );
     }
 }

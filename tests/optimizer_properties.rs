@@ -136,17 +136,13 @@ fn optimized_plans_meet_k_or_the_whole_space_fails() {
 #[test]
 fn star_queries_execute_end_to_end() {
     // Star plans contain nested parallel joins; execution must still
-    // produce full-arity composites agreeing between both executors.
+    // produce full-arity composites.
     let (reg, query) = star_scenario(3, 11);
     let best = optimize(&query, &reg, CostMetric::ExecutionTime).unwrap();
     let outcome = execute_plan(&best.plan, &reg, EngineConfig::default()).unwrap();
     for combo in &outcome.results {
         assert_eq!(combo.arity(), 3);
     }
-    let par = execute_parallel(&best.plan, &reg, EngineConfig::default())
-        .unwrap()
-        .results;
-    assert_eq!(par.len(), outcome.results.len());
     // Soundness against the oracle.
     let oracle = evaluate_oracle(&query, &reg).unwrap();
     for combo in &outcome.results {
@@ -173,11 +169,6 @@ fn chain_queries_execute_end_to_end() {
         for combo in &outcome.results {
             assert_eq!(combo.arity(), n);
         }
-        // The pipelined executor agrees.
-        let par = execute_parallel(&best.plan, &reg, EngineConfig::default())
-            .unwrap()
-            .results;
-        assert_eq!(par.len(), outcome.results.len());
     }
 }
 

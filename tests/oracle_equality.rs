@@ -6,7 +6,8 @@
 //! the batch kernels. With every service node set to fetch past the end
 //! of its results (`fetches = 50`, `keep_first` off) and no join
 //! target, both must deliver the same multiset of combinations — per
-//! atom, the same component — on both schedulers.
+//! atom, the same component — through both entries of the walk: on the
+//! virtual clock, and streamed with its fetch stacks on the wall clock.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -135,12 +136,12 @@ fn exhaustive_runs_equal_the_oracle_on_both_schedulers() {
             expected,
             "{name}: deterministic"
         );
-        let pip = execute_parallel(&plan, &registry, config)
-            .unwrap_or_else(|e| panic!("{name}: pipelined: {e}"));
+        let streamed = execute_parallel_session(&plan, &registry, config, None, None)
+            .unwrap_or_else(|e| panic!("{name}: streamed: {e}"));
         assert_eq!(
-            components(&query, &pip.results),
+            components(&query, &streamed.results),
             expected,
-            "{name}: pipelined"
+            "{name}: streamed"
         );
         rows += expected.len();
     }

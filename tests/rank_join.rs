@@ -328,7 +328,7 @@ fn nary_kernel_is_byte_identical_to_the_cascade_across_the_grid() {
     assert!(failed > 0, "the NaN case must reach its error");
 }
 
-/// With `rank_join` on, both executors must return the true top-k of
+/// With `rank_join` on, the engine must return the true top-k of
 /// the join — the prefix of the full enumeration under the canonical
 /// score order — not the first k emitted.
 #[test]
@@ -387,9 +387,4 @@ fn engine_rank_join_returns_the_true_top_k() {
         ranked.join_stats.chunks_fetched > 0,
         "rank join must report its chunk pulls"
     );
-
-    let (plan, registry) = star_pair_plan(7);
-    let par_ranked = execute_parallel(&plan, &registry, cfg).unwrap();
-    assert_eq!(par_ranked.results, want);
-    assert!(par_ranked.join_stats.bound_checks > 0);
 }

@@ -1,20 +1,25 @@
-//! Both schedulers of one plan agree.
+//! The streamed run delivers the walk's rows.
 //!
-//! The deterministic (virtual-time) and pipelined (pool-scheduled)
-//! executors interpret the same plan nodes; only the scheduling
-//! differs. Over chains, stars, the running example and the Fig. 2
-//! diamond — healthy and with a service hard down — and under both
-//! failure modes, both must deliver the same multiset of rendered
-//! combinations and name the same degraded services, and under `Abort`
-//! a downed service must fail both. Both fuse the stars' join
-//! chains by default.
+//! [`execute_parallel_session`] (the daemon's `mode=par`) is the walk
+//! with its resilient clients on the wall clock and the output node's
+//! rows handed to a sink. Over chains, stars, the running example and
+//! the Fig. 2 diamond — healthy and with a service hard down — and
+//! under both failure modes, the sink's batches, concatenated, must be
+//! the streamed run's own `results` in order, each batch full but the
+//! last; those rows must be the plain walk's as a multiset, with the
+//! same degraded services; and under `Abort` a downed service must fail
+//! both.
 
 use seco_bench::{
     chain_scenario, diamond_plan, registry_without_movie, star_scenario, travel_without_flight,
 };
+use std::cell::RefCell;
+
+use seco_engine::executor::BATCH_SIZE;
 use seco_engine::{
     execute_parallel_session, execute_plan_shared, EngineConfig, FailureMode, SharedState,
 };
+use seco_model::CompositeTuple;
 use seco_optimizer::{optimize, CostMetric};
 use seco_plan::QueryPlan;
 use seco_query::builder::running_example;
@@ -99,9 +104,9 @@ fn rendered(results: &[seco_model::CompositeTuple]) -> Vec<String> {
 }
 
 #[test]
-fn both_schedulers_agree_across_the_grid() {
+fn streamed_runs_deliver_the_walks_rows_across_the_grid() {
     let (mut rows, mut degraded, mut refused) = (0, 0, 0);
-    let (mut fused_det, mut fused_pip) = (0, 0);
+    let (mut fused, mut batched) = (0, 0);
     for (name, scenario, downed) in scenarios() {
         for mode in [FailureMode::Abort, FailureMode::Degrade] {
             let at = format!("{name}: mode={mode:?}");
@@ -110,38 +115,55 @@ fn both_schedulers_agree_across_the_grid() {
                 .adaptive(false)
                 .failure_mode(mode);
             let (reg, plan) = scenario();
-            let det = execute_plan_shared(&plan, &reg, config, &SharedState::new());
+            let walk = execute_plan_shared(&plan, &reg, config, &SharedState::new());
             let (reg, plan) = scenario();
+            let batches: RefCell<Vec<Vec<CompositeTuple>>> = RefCell::new(Vec::new());
+            let sink = |batch: &[CompositeTuple]| batches.borrow_mut().push(batch.to_vec());
             let shared = SharedState::new();
-            let pip = execute_parallel_session(&plan, &reg, config, Some(&shared), None);
+            let streamed =
+                execute_parallel_session(&plan, &reg, config, Some(&shared), Some(&sink));
             if downed && mode == FailureMode::Abort {
-                assert!(det.is_err(), "{at}: deterministic must fail");
-                assert!(pip.is_err(), "{at}: pipelined must fail");
+                assert!(walk.is_err(), "{at}: the walk must fail");
+                assert!(streamed.is_err(), "{at}: the streamed run must fail");
+                assert!(batches.borrow().is_empty(), "{at}: nothing streamed");
                 refused += 1;
                 continue;
             }
-            let det = det.unwrap_or_else(|e| panic!("{at}: deterministic: {e}"));
-            let pip = pip.unwrap_or_else(|e| panic!("{at}: pipelined: {e}"));
+            let walk = walk.unwrap_or_else(|e| panic!("{at}: walk: {e}"));
+            let streamed = streamed.unwrap_or_else(|e| panic!("{at}: streamed: {e}"));
+            let batches = batches.into_inner();
+            if let Some((last, full)) = batches.split_last() {
+                assert!(
+                    !last.is_empty() && last.len() <= BATCH_SIZE,
+                    "{at}: last batch"
+                );
+                assert!(
+                    full.iter().all(|b| b.len() == BATCH_SIZE),
+                    "{at}: full batches"
+                );
+            }
             assert_eq!(
-                rendered(&det.results),
-                rendered(&pip.results),
+                batches.concat(),
+                streamed.results,
+                "{at}: the sink saw the run's rows in order"
+            );
+            assert_eq!(
+                rendered(&walk.results),
+                rendered(&streamed.results),
                 "{at}: result multisets"
             );
-            assert_eq!(det.degraded, pip.degraded, "{at}: degraded services");
-            assert_eq!(downed, det.is_degraded(), "{at}: degradation flagged");
-            rows += det.results.len();
-            degraded += usize::from(det.is_degraded());
-            fused_det += det.join_stats.intermediates_elided;
-            fused_pip += pip.join_stats.intermediates_elided;
+            assert_eq!(walk.degraded, streamed.degraded, "{at}: degraded services");
+            assert_eq!(downed, walk.is_degraded(), "{at}: degradation flagged");
+            rows += walk.results.len();
+            degraded += usize::from(walk.is_degraded());
+            fused += streamed.join_stats.intermediates_elided;
+            batched = batched.max(batches.len());
         }
     }
     // The grid met what it is there for.
     assert!(rows > 0, "some combinations");
     assert!(degraded > 0, "a degraded run");
     assert!(refused > 0, "an aborted run");
-    assert!(
-        fused_det > 0,
-        "an n-ary fusion on the deterministic scheduler"
-    );
-    assert!(fused_pip > 0, "an n-ary fusion on the pipelined scheduler");
+    assert!(fused > 0, "an n-ary fusion on the streamed run");
+    assert!(batched > 2, "a run streamed in many batches");
 }

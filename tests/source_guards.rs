@@ -6,10 +6,16 @@
 //!   `panic!(` or `unreachable!(` in the services, exec, join, engine,
 //!   server, optimizer and plan sources. The count may only fall: when a
 //!   change lowers it, lower [`PANIC_SITE_CEILING`] too;
-//! * no threads below the server but the pool's: threads come from
-//!   `seco-exec` (the pool) or `seco-server`, and a scoped thread
-//!   (`std::thread::scope`) counts as a spawn, so every plan-node thread
-//!   of a pipelined run is a pool thread;
+//! * no thread below the server: every plan is walked on the thread
+//!   that calls the engine, so only `seco-server` (one thread per
+//!   connection) starts threads, and a scoped thread
+//!   (`std::thread::scope`) counts as a spawn;
+//! * no wall clock below the server but the resilient client's: the
+//!   crates the walk reaches decide nothing on `Instant::now()` or
+//!   `SystemTime::now()`, so a run on the virtual clock repeats exactly.
+//!   The `ClockSource::Wall` that the streamed run's clients select
+//!   reads it, and so does the rank join's `time_to_kth_us`, a reported
+//!   counter that decides nothing;
 //! * no compute fan-out outside `seco-exec`: no other crate, the root
 //!   package included, calls `ExecPool::scope_run`, which the benchmark
 //!   harness alone still probes. The optimizer's search and the join
@@ -126,25 +132,57 @@ fn panic_sites_stay_under_the_ceiling() {
     );
 }
 
+/// The crates below the server: what the engine's walk reaches.
+const BELOW_THE_SERVER: [&str; 8] = [
+    "model",
+    "query",
+    "plan",
+    "optimizer",
+    "join",
+    "services",
+    "engine",
+    "exec",
+];
+
 #[test]
-fn no_threads_are_spawned_outside_seco_exec() {
-    let crates = [
-        "model",
-        "query",
-        "plan",
-        "optimizer",
-        "join",
-        "services",
-        "engine",
-    ];
+fn no_crate_below_the_server_spawns_a_thread() {
     let spawns = scan(
-        &crate_srcs(&crates),
+        &crate_srcs(&BELOW_THE_SERVER),
         &["thread::spawn(", "thread::Builder", "thread::scope("],
     );
     assert!(
         spawns.is_empty(),
-        "{}\nthreads are spawned outside seco-exec",
+        "{}\na crate below the server spawns a thread",
         spawns.join("\n")
+    );
+}
+
+#[test]
+fn only_the_resilient_client_reads_the_wall_clock() {
+    // `(file, the one use allowed there)`.
+    let allowed = [
+        (
+            "crates/services/src/resilience.rs:",
+            "ClockSource::Wall(Instant::now())",
+        ),
+        (
+            "crates/join/src/rank.rs:",
+            "let start = std::time::Instant::now();",
+        ),
+    ];
+    let reads: Vec<String> = scan(
+        &crate_srcs(&BELOW_THE_SERVER),
+        &["Instant::now(", "SystemTime::now("],
+    )
+    .into_iter()
+    .filter(|hit| {
+        !(allowed.iter()).any(|(file, line)| hit.starts_with(file) && hit.ends_with(line))
+    })
+    .collect();
+    assert!(
+        reads.is_empty(),
+        "{}\na crate below the server reads the wall clock",
+        reads.join("\n")
     );
 }
 
